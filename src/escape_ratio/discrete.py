@@ -13,16 +13,22 @@ iteration over the escaper-turn state matrix W[h, z]:
     W[h, z]  <-  OR over escaper moves h->h' of
                  AND over pursuer replies z->z' of  (threat(h, z') OR W[h', z'])
 
-which folds the pursuer-turn layer into one step.  Moat-model games use a
-circular-window counting trick for the inner AND (the pursuer's move set is
-an arc interval); other games use a dense boolean matrix product.  The
-marking is order-independent, so the result is deterministic.
+which folds the pursuer-turn layer into one step.  Sweeps are Jacobi steps
+(each reads the previous sweep's W), so a state's rank is the sweep that
+marked it.  Evaluation is semi-naive: a sweep re-evaluates a move h->h' only
+when row h' of W changed in the sweep before, since the move's contribution
+depends on W[h'] and the threat row of h alone; this skips work without
+changing any rank or the sweep count.  The selected moves are evaluated in
+blocks: moat-model games count bad replies in circular windows through
+prefix sums (the pursuer's move set is an arc interval); other games use a
+dense float32 matrix product.  The marking is order-independent, so the
+result is deterministic.
 """
 
 from __future__ import annotations
 
+import logging
 import math
-import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -39,6 +45,14 @@ from .geometry import (
     point_classes,
     point_in_convex_hull,
 )
+
+
+logger = logging.getLogger(__name__)
+
+# Solver block sizes in (pairs x n_z) elements: each block's working set
+# stays near 1 MB on both paths.
+_WINDOW_BLOCK_ELEMENTS = 2**15
+_MATMUL_BLOCK_ELEMENTS = 2**17
 
 
 class EscaperTurn(NamedTuple):
@@ -124,8 +138,7 @@ def gamma_sample(ctx: MetricContext, gamma: float) -> SampleSet:
     spacing = gamma / math.sqrt(2.0)
     lo, hi = poly.bbox
     grid = _grid_points(lo, hi, spacing)
-    keep = np.array([poly.classify(p) != "outside" for p in grid])
-    interior = grid[keep]
+    interior = grid[_points_not_outside(poly, grid)]
 
     escaper = np.vstack([boundary, interior])
     nb = len(boundary)
@@ -138,13 +151,7 @@ def gamma_sample(ctx: MetricContext, gamma: float) -> SampleSet:
         hlo = hull.min(axis=0)
         hhi = hull.max(axis=0)
         grid = _grid_points(hlo, hhi, spacing)
-        keep = np.array(
-            [
-                point_in_convex_hull(hull, p, poly.tol)
-                and poly.classify(p) != "inside"
-                for p in grid
-            ]
-        )
+        keep = point_in_convex_hull(hull, grid, poly.tol) & ~_points_strictly_inside(poly, grid)
         ext = grid[keep]
         pursuer = np.vstack([boundary, ext])
         exterior_count = len(ext)
@@ -627,6 +634,20 @@ class MoveTable:
 def solve(game: DiscreteGame) -> SolveResult:
     """Retrograde least-fixpoint marking of escaper-win states.
 
+    Each sweep is a Jacobi step: every evaluation reads the marking W left by
+    the previous sweep, so ``rank`` is the sweep that marked a state and
+    ``escaper_move`` finds a strictly rank-decreasing move from every marked
+    state.  The sweep is semi-naive: it evaluates a pair (h, h') of an
+    escaper row and one of its moves only when row h' of W changed in the
+    previous sweep, and only when row h is not already full.  The pair's
+    contribution depends on W[h'] and P[h] alone, so an unchanged h' was
+    already evaluated against h in the sweep after its last change, and
+    skipping it changes neither ``rank`` nor ``iterations``.  In the first
+    sweep W is empty, so every move of h contributes what staying at h does
+    (``e_h`` holds every self-loop) and only the pairs (h, h) are evaluated.
+    Selected pairs are taken in CSR order, hence grouped by h, and processed
+    in blocks of bounded size.
+
     Always terminates: marking is monotone over the finite state lattice.
     The overall winner quantifies over placements: the escaper wins iff some
     h0 beats every pursuer placement z0.
@@ -636,54 +657,54 @@ def solve(game: DiscreteGame) -> SolveResult:
     W = np.zeros((n_h, n_z), dtype=bool)
     rank = np.zeros((n_h, n_z), dtype=np.int32)
 
-    indptr = game.e_h.indptr
     indices = game.e_h.indices
-    use_windows = game.z_windows is not None
-    if use_windows:
-        lo, hi, full = game.z_windows
-    ez_f = game.e_z.astype(np.float32)
+    row_of = np.repeat(np.arange(n_h, dtype=indices.dtype), np.diff(game.e_h.indptr))
+    not_P = ~P
+    windows = game.z_windows
+    if windows is not None:
+        lo, hi, full = windows
+        block = max(1, _WINDOW_BLOCK_ELEMENTS // n_z)
+    else:
+        ez = game.e_z.astype(np.float32)
+        block = max(1, _MATMUL_BLOCK_ELEMENTS // n_z)
 
     iteration = 0
-    changed = np.ones(n_h, dtype=bool)  # rows whose W changed last round
+    changed = np.ones(n_h, dtype=bool)  # rows of W that changed last sweep
     while True:
         iteration += 1
-        U = ~W
-        R = ~P
-        W_new = W.copy()
-        # a row only needs recomputation when some neighbor's row changed
-        active = np.asarray(game.e_h.dot(changed.astype(np.int32))).ravel() > 0
-        changed = np.zeros(n_h, dtype=bool)
-        for h in np.nonzero(active)[0]:
-            if W[h].all():
-                continue
-            rows = indices[indptr[h] : indptr[h + 1]]
-            M_bad = U[rows] & R[h][None, :]
-            if use_windows:
-                if full:
-                    bad_any = M_bad.any(axis=1)
-                    good = np.broadcast_to(~bad_any[:, None], (len(rows), n_z))
-                else:
-                    # circular window count via prefix sums; windows live in
-                    # doubled indices [lo, hi] with hi possibly wrapping past n
-                    C = np.cumsum(M_bad, axis=1, dtype=np.int32)
-                    total = C[:, -1][:, None]
-                    lowpart = np.where(lo > 0, C[:, np.maximum(lo - 1, 0)], 0)
-                    wrap = hi >= n_z
-                    cnt_wrap = total - lowpart + C[:, np.where(wrap, hi - n_z, 0)]
-                    cnt_flat = C[:, np.minimum(hi, n_z - 1)] - lowpart
-                    good = np.where(wrap, cnt_wrap, cnt_flat) == 0
+        sel = changed[indices] & ~W.all(axis=1)[row_of]
+        if iteration == 1:
+            sel &= indices == row_of  # W is empty: every move acts as staying put
+        h_sel = row_of[sel]
+        hp_sel = indices[sel]
+        # pairs come in CSR order, grouped by h; every block starts a new
+        # run, so a row split over two blocks is OR-ed into W_next from both
+        run_start = np.ones(len(h_sel), dtype=bool)
+        run_start[1:] = h_sel[1:] != h_sel[:-1]
+        run_start[::block] = True
+        not_W = ~W
+        W_next = W.copy()
+        for b0 in range(0, len(h_sel), block):
+            hs = h_sel[b0 : b0 + block]
+            bad = not_W[hp_sel[b0 : b0 + block]] & not_P[hs]
+            if windows is None:
+                # reply counts are integers below 2**24: exact in float32
+                good = (bad.astype(np.float32) @ ez) < 0.5
+            elif full:
+                good = ~bad.any(axis=1, keepdims=True)  # broadcasts over z
             else:
-                counts = M_bad.astype(np.float32) @ ez_f
-                good = counts < 0.5
-            wins = good.any(axis=0)
-            newly = wins & ~W[h]
-            if newly.any():
-                W_new[h, newly] = True
-                rank[h, newly] = iteration
-                changed[h] = True
-        if not changed.any():
+                good = _window_good(bad, lo, hi)
+            starts = np.flatnonzero(run_start[b0 : b0 + block])
+            W_next[hs[starts]] |= np.logical_or.reduceat(good, starts, axis=0)
+        newly = W_next & ~W
+        marked = int(np.count_nonzero(newly))
+        logger.debug("sweep %d: %d pairs evaluated, %d states newly marked",
+                     iteration, len(h_sel), marked)
+        if not marked:
             break
-        W = W_new
+        rank[newly] = iteration
+        changed = newly.any(axis=1)
+        W = W_next
         if iteration > n_h * n_z + 2:
             raise RuntimeError("fixpoint failed to stabilize (bug)")
 
@@ -699,6 +720,21 @@ def solve(game: DiscreteGame) -> SolveResult:
         witness_h0=witness,
         iterations=iteration,
     )
+
+
+def _window_good(bad: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """good[k, z]: no bad[k] entry in the circular window [lo[z], hi[z]].
+
+    Works z-major: C2 is the prefix count of bad over the doubled circular
+    index, so each window count is a difference of two gathered rows.
+    """
+    n_z = bad.shape[1]
+    C2 = np.empty((2 * n_z, len(bad)), dtype=np.int32)
+    C2[0] = 0
+    C2[1 : n_z + 1] = bad.T
+    np.cumsum(C2[1 : n_z + 1], axis=0, out=C2[1 : n_z + 1])
+    np.add(C2[1:n_z], C2[n_z], out=C2[n_z + 1 :])
+    return (C2[hi + 1] == C2[lo]).T
 
 
 # ---------------------------------------------------------------------------
@@ -757,8 +793,3 @@ def play_discrete(
         h, z = h2, z2
     return Transcript(moves=moves, decisive=None, turns=max_turns)
 
-
-def solve_with_timing(game: DiscreteGame):
-    t0 = time.perf_counter()
-    res = solve(game)
-    return res, time.perf_counter() - t0

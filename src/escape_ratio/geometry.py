@@ -457,12 +457,18 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
-def point_in_convex_hull(hull: np.ndarray, p, tol: float) -> bool:
+def point_in_convex_hull(hull: np.ndarray, p, tol: float):
+    """Whether ``p`` lies in the CCW convex ``hull`` (within tol).
+
+    ``p`` is one point or an array of points over leading axes; the answer
+    has the leading shape (a numpy bool for one point).
+    """
+    p = np.asarray(p, dtype=float)
     w = np.roll(hull, -1, axis=0)
-    cr = (w[:, 0] - hull[:, 0]) * (p[1] - hull[:, 1]) - (w[:, 1] - hull[:, 1]) * (
-        p[0] - hull[:, 0]
+    cr = (w[:, 0] - hull[:, 0]) * (p[..., 1, None] - hull[:, 1]) - (w[:, 1] - hull[:, 1]) * (
+        p[..., 0, None] - hull[:, 0]
     )
-    return bool(np.all(cr >= -tol * max(1.0, np.abs(hull).max())))
+    return np.all(cr >= -tol * max(1.0, np.abs(hull).max()), axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,159 @@
 import dataclasses
+import logging
+import math
 
 import numpy as np
 import pytest
 
+from escape_ratio import discrete
 from escape_ratio.errors import BudgetExceeded, GammaTooCoarse, InconsistentTables
 from escape_ratio.discrete import (
     EscaperTurn,
     PursuerTurn,
+    SolveResult,
     build_game,
     escaper_win_predicate,
     gamma_sample,
     play_discrete,
     solve,
+    threat_matrix,
     toy_game,
     verify_net,
 )
 from escape_ratio.discrete import _boundary_net, _grid_points
-from escape_ratio.geometry import MetricContext, PursuerModel, validate_polygon
+from escape_ratio.geometry import (
+    MetricContext,
+    PursuerModel,
+    convex_hull,
+    point_in_convex_hull,
+    validate_polygon,
+)
 
-from conftest import minimax_escaper_wins
+from conftest import COMB, L_SHAPE, SQUARE, minimax_escaper_wins
+
+
+def _scalar_gamma_sample(ctx, gamma):
+    """gamma_sample's grid membership, one ``classify`` call per point."""
+    poly = ctx.polygon
+    _, boundary = _boundary_net(poly, gamma)
+    spacing = gamma / math.sqrt(2.0)
+    grid = _grid_points(*poly.bbox, spacing)
+    interior = grid[[poly.classify(p) != "outside" for p in grid]]
+    if ctx.model is PursuerModel.MOAT:
+        return np.vstack([boundary, interior]), boundary.copy()
+    hull = convex_hull(poly.vertices)
+    grid = _grid_points(hull.min(axis=0), hull.max(axis=0), spacing)
+    keep = [
+        bool(point_in_convex_hull(hull, p, poly.tol)) and poly.classify(p) != "inside"
+        for p in grid
+    ]
+    return np.vstack([boundary, interior]), np.vstack([boundary, grid[keep]])
+
+
+def _reference_solve(game):
+    """Per-row Jacobi sweeps: every active row against all of its moves.
+
+    The exact slow path the semi-naive block solver replaced; ``solve`` must
+    match it on every output.
+    """
+    n_h, n_z = game.n_h, game.n_z
+    P = threat_matrix(game)
+    W = np.zeros((n_h, n_z), dtype=bool)
+    rank = np.zeros((n_h, n_z), dtype=np.int32)
+    indptr = game.e_h.indptr
+    indices = game.e_h.indices
+    use_windows = game.z_windows is not None
+    if use_windows:
+        lo, hi, full = game.z_windows
+    ez_f = game.e_z.astype(np.float32)
+
+    iteration = 0
+    changed = np.ones(n_h, dtype=bool)
+    while True:
+        iteration += 1
+        U = ~W
+        R = ~P
+        W_new = W.copy()
+        active = np.asarray(game.e_h.dot(changed.astype(np.int32))).ravel() > 0
+        changed = np.zeros(n_h, dtype=bool)
+        for h in np.nonzero(active)[0]:
+            if W[h].all():
+                continue
+            rows = indices[indptr[h] : indptr[h + 1]]
+            M_bad = U[rows] & R[h][None, :]
+            if use_windows and full:
+                good = np.broadcast_to(~M_bad.any(axis=1)[:, None], (len(rows), n_z))
+            elif use_windows:
+                C = np.cumsum(M_bad, axis=1, dtype=np.int32)
+                total = C[:, -1][:, None]
+                lowpart = np.where(lo > 0, C[:, np.maximum(lo - 1, 0)], 0)
+                wrap = hi >= n_z
+                cnt_wrap = total - lowpart + C[:, np.where(wrap, hi - n_z, 0)]
+                cnt_flat = C[:, np.minimum(hi, n_z - 1)] - lowpart
+                good = np.where(wrap, cnt_wrap, cnt_flat) == 0
+            else:
+                good = (M_bad.astype(np.float32) @ ez_f) < 0.5
+            newly = good.any(axis=0) & ~W[h]
+            if newly.any():
+                W_new[h, newly] = True
+                rank[h, newly] = iteration
+                changed[h] = True
+        if not changed.any():
+            break
+        W = W_new
+
+    full_rows = W.all(axis=1)
+    escaper_wins = bool(full_rows.any())
+    return SolveResult(
+        game=game, escaper_wins=escaper_wins, win_mask=W, rank=rank, threat=P,
+        witness_h0=int(np.argmax(full_rows)) if escaper_wins else None,
+        iterations=iteration,
+    )
+
+
+def _assert_same_solution(game):
+    got, ref = solve(game), _reference_solve(game)
+    assert np.array_equal(got.win_mask, ref.win_mask)
+    assert np.array_equal(got.rank, ref.rank) and got.rank.dtype == ref.rank.dtype
+    assert got.iterations == ref.iterations
+    assert got.witness_h0 == ref.witness_h0
+    assert np.array_equal(got.threat, ref.threat)
+
+
+def _random_toy_game(rng):
+    n_h = int(rng.integers(2, 9))
+    n_z = int(rng.integers(2, 9))
+    n_x = int(rng.integers(1, min(n_h, n_z) + 1))
+    e_h = rng.random((n_h, n_h)) < rng.uniform(0.05, 0.4)
+    e_h |= e_h.T
+    np.fill_diagonal(e_h, True)
+    e_z = rng.random((n_z, n_z)) < rng.uniform(0.05, 0.4)
+    e_z |= e_z.T
+    np.fill_diagonal(e_z, True)
+    return toy_game(
+        e_h,
+        e_z,
+        exit_idx_h=rng.choice(n_h, size=n_x, replace=False),
+        exit_idx_z=rng.choice(n_z, size=n_x, replace=False),
+    )
+
+
+def _oracle_games():
+    """Moat games on three shapes and an exterior game.
+
+    On the second square game the pursuer's reach 2.5 is at least half the
+    perimeter, so every arc window is the whole boundary.
+    """
+    tri = [(0, 0), (1, 0), (0, 1)]
+    for points, model, r, delta, gamma in (
+        (SQUARE, "moat", 2.0, 0.5, 0.2),
+        (SQUARE, "moat", 5.0, 0.5, 0.2),
+        (L_SHAPE, "moat", 2.0, 0.6, 0.25),
+        (tri, "moat", 1.5, 0.4, 0.15),
+        (L_SHAPE, "exterior", 2.0, 0.5, 0.25),
+    ):
+        ctx = MetricContext(validate_polygon(points), PursuerModel(model))
+        yield build_game(ctx, r=r, delta=delta, gamma=gamma, state_cap=1e10)
 
 
 class TestGammaSample:
@@ -59,6 +194,21 @@ class TestGammaSample:
         s = gamma_sample(square_exterior, 0.2)
         assert s.exterior_count > 0
         assert s.n_pursuer == s.boundary_count + s.exterior_count
+
+    @pytest.mark.parametrize("model", ["moat", "exterior"])
+    @pytest.mark.parametrize(
+        "points,gamma", [(SQUARE, 0.05), (L_SHAPE, 0.1), (COMB, 0.25)]
+    )
+    def test_batched_membership_matches_scalar_path(self, points, gamma, model):
+        turned = [(-y, x) for x, y in points]
+        for pts in (points, turned):
+            ctx = MetricContext(validate_polygon(pts), PursuerModel(model))
+            s = gamma_sample(ctx, gamma)
+            escaper, pursuer = _scalar_gamma_sample(ctx, gamma)
+            assert np.array_equal(s.escaper_samples, escaper)
+            assert np.array_equal(s.pursuer_samples, pursuer)
+            assert s.interior_count == len(escaper) - s.boundary_count
+            assert s.exterior_count == len(pursuer) - s.boundary_count
 
 
 class TestVerifyNet:
@@ -194,6 +344,35 @@ class TestSolve:
                 b = solve(dataclasses.replace(game, z_windows=None))
                 assert np.array_equal(a.win_mask, b.win_mask)
                 assert np.array_equal(a.rank, b.rank)
+
+    def test_matches_reference_on_random_toy_games(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            _assert_same_solution(_random_toy_game(rng))
+
+    def test_matches_reference_on_built_games(self):
+        for game in _oracle_games():
+            _assert_same_solution(game)
+            if game.z_windows is not None:
+                _assert_same_solution(dataclasses.replace(game, z_windows=None))
+
+    def test_blocks_split_escaper_rows(self, monkeypatch):
+        # blocks of one or three (h, h') pairs cut escaper rows' move lists
+        # apart at block edges
+        for game in _oracle_games():
+            for pairs in (1, 3):
+                monkeypatch.setattr(discrete, "_WINDOW_BLOCK_ELEMENTS", pairs * game.n_z)
+                monkeypatch.setattr(discrete, "_MATMUL_BLOCK_ELEMENTS", pairs * game.n_z)
+                _assert_same_solution(game)
+
+    def test_logs_one_line_per_sweep(self, square_moat, caplog):
+        game = build_game(square_moat, r=2.0, delta=0.5, gamma=0.2, state_cap=1e10)
+        with caplog.at_level(logging.DEBUG, logger="escape_ratio.discrete"):
+            res = solve(game)
+        lines = [r.getMessage() for r in caplog.records if r.name == "escape_ratio.discrete"]
+        assert len(lines) == res.iterations
+        assert lines[0].startswith("sweep 1: ")
+        assert lines[-1].endswith(" 0 states newly marked")
 
     def test_determinacy_and_monotone_marking(self, square_moat):
         game = build_game(square_moat, r=2.0, delta=0.5, gamma=0.2, state_cap=1e10)
