@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -26,9 +25,6 @@ def _add_common(p: argparse.ArgumentParser, polygon_required=True):
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized probes (reproducibility)")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("ESCAPE_RATIO_THREADS", os.cpu_count() or 1)),
-                   help="upper bound on internal parallelism")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,9 +355,6 @@ def run(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
-    if args.threads is not None and args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         return _COMMANDS[args.command](args)
     except errors.BudgetExceeded as exc:

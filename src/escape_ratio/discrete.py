@@ -44,7 +44,9 @@ from .geometry import (
     convex_hull,
     point_classes,
     point_in_convex_hull,
+    segment_visibility,
 )
+from .ratio import boundary_samples
 
 
 logger = logging.getLogger(__name__)
@@ -101,18 +103,6 @@ class SampleSet:
         return len(self.pursuer_samples)
 
 
-def _boundary_net(poly, gamma):
-    params = []
-    for i in range(poly.n):
-        L = poly.edge_lengths[i]
-        m = max(1, int(np.ceil(L / gamma - 1e-12)))
-        t0 = poly.cumulative_lengths[i]
-        params.extend(t0 + L * k / m for k in range(m))
-    params = np.array(params)
-    pts = np.array([poly.boundary_point(t) for t in params])
-    return params, pts
-
-
 def _grid_points(lo, hi, spacing):
     xs = np.arange(lo[0], hi[0] + spacing * 0.5, spacing)
     ys = np.arange(lo[1], hi[1] + spacing * 0.5, spacing)
@@ -134,7 +124,7 @@ def gamma_sample(ctx: MetricContext, gamma: float) -> SampleSet:
     if gamma > f / 4 + poly.tol:
         raise GammaTooCoarse(f"gamma {gamma} exceeds a quarter of the feature size {f}")
 
-    params, boundary = _boundary_net(poly, gamma)
+    params, boundary = boundary_samples(ctx, gamma)
     spacing = gamma / math.sqrt(2.0)
     lo, hi = poly.bbox
     grid = _grid_points(lo, hi, spacing)
@@ -241,55 +231,6 @@ def _nearest_intrinsic(metric, tree, pts, p) -> float:
 # ---------------------------------------------------------------------------
 
 
-_MASK_FRACTIONS = tuple(k / 8.0 for k in range(1, 8))
-
-
-def _no_proper_crossings(poly, a_pts, b_pts) -> np.ndarray:
-    """Vectorized: segments a_i -> b_i properly cross no polygon edge."""
-    ok = np.ones(len(a_pts), dtype=bool)
-    v = poly.vertices
-    w = np.roll(v, -1, axis=0)
-    ax, ay = a_pts[:, 0], a_pts[:, 1]
-    bx, by = b_pts[:, 0], b_pts[:, 1]
-    tol = poly.tol
-    for i in range(poly.n):
-        vx, vy = v[i]
-        wx, wy = w[i]
-        d1 = (wx - vx) * (ay - vy) - (wy - vy) * (ax - vx)
-        d2 = (wx - vx) * (by - vy) - (wy - vy) * (bx - vx)
-        d3 = (bx - ax) * (vy - ay) - (by - ay) * (vx - ax)
-        d4 = (bx - ax) * (wy - ay) - (by - ay) * (wx - ax)
-        proper = (
-            ((d1 > tol) & (d2 < -tol)) | ((d1 < -tol) & (d2 > tol))
-        ) & (((d3 > tol) & (d4 < -tol)) | ((d3 < -tol) & (d4 > tol)))
-        ok &= ~proper
-    return ok
-
-
-def _visible_mask(poly, a_pts, b_pts) -> np.ndarray:
-    """Vectorized visibility of segments a_i -> b_i inside the closed polygon.
-
-    A segment between two points of the closed polygon can leave it only by
-    properly crossing an edge or by threading exactly through two vertices;
-    the eighth-point membership samples catch the latter (up to excursions
-    narrower than an eighth of the segment, a degenerate alignment).
-    """
-    ok = _no_proper_crossings(poly, a_pts, b_pts)
-    for frac in _MASK_FRACTIONS:
-        mids = a_pts + frac * (b_pts - a_pts)
-        ok &= _points_not_outside(poly, mids)
-    return ok
-
-
-def _avoids_interior_mask(poly, a_pts, b_pts) -> np.ndarray:
-    """Vectorized complement-visibility (segment never strictly inside)."""
-    ok = _no_proper_crossings(poly, a_pts, b_pts)
-    for frac in _MASK_FRACTIONS:
-        mids = a_pts + frac * (b_pts - a_pts)
-        ok &= ~_points_strictly_inside(poly, mids)
-    return ok
-
-
 def _points_not_outside(poly, pts) -> np.ndarray:
     return point_classes(poly, pts) >= 0
 
@@ -314,10 +255,8 @@ def _threshold_distances(poly, pts, limit, mode) -> csr_matrix:
         b = nodes[pairs[:, 1]]
         if mode == "interior" and poly.is_convex:
             vis = np.ones(len(pairs), dtype=bool)
-        elif mode == "interior":
-            vis = _visible_mask(poly, a, b)
         else:
-            vis = _avoids_interior_mask(poly, a, b)
+            vis = segment_visibility(poly, a, b)[0 if mode == "interior" else 1]
         pairs = pairs[vis]
     if len(pairs):
         wts = np.hypot(*(nodes[pairs[:, 0]] - nodes[pairs[:, 1]]).T)

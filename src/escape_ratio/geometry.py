@@ -18,6 +18,7 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -134,7 +135,7 @@ class Polygon:
         v = self.vertices
         return v.min(axis=0), v.max(axis=0)
 
-    @property
+    @cached_property
     def is_convex(self) -> bool:
         v = self.vertices
         prev = np.roll(v, 1, axis=0)
@@ -357,57 +358,83 @@ def triangulate(poly: Polygon) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _segment_midpoint_classes(poly: Polygon, a, b):
-    """Classes of the open sub-segments of ``ab`` cut by all polygon edges.
+# Segment x edge elements per kernel block: the cut table and the midpoint
+# classification of one block stay near 1 MB.
+_SEGMENT_BLOCK_ELEMENTS = 2**12
 
-    The segment is split at every (proper or touching) intersection with the
-    boundary; each resulting piece lies entirely inside, outside, or on the
-    boundary, so classifying its midpoint classifies the piece.
+
+def segment_visibility(poly: Polygon, a, b):
+    """Exact batched segment tests; returns ``(in_polygon, avoids_interior)``.
+
+    For segments ``a_i -> b_i`` the two bool arrays say whether each closed
+    segment stays within the closed polygon and whether it never enters the
+    open interior.  Each segment is cut at every proper crossing and vertex
+    touch with an edge, and at the projections of the endpoints of edges
+    parallel to it that lie within tol of it.  Every piece between two cuts
+    lies wholly inside, outside or on the boundary, so the class of its
+    midpoint is the class of the piece; a segment shorter than tol is the
+    class of ``a``.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = b - a
-    seg_len = float(np.hypot(*d))
-    if seg_len <= poly.tol:
-        return [poly.classify(a)]
+    a = np.asarray(a, dtype=float).reshape(-1, 2)
+    b = np.asarray(b, dtype=float).reshape(-1, 2)
+    within = np.empty(len(a), dtype=bool)
+    avoids = np.empty(len(a), dtype=bool)
+    block = max(1, _SEGMENT_BLOCK_ELEMENTS // poly.n)
+    for lo in range(0, len(a), block):
+        sl = slice(lo, lo + block)
+        within[sl], avoids[sl] = _segment_block(poly, a[sl], b[sl])
+    return within, avoids
+
+
+def _segment_block(poly: Polygon, a: np.ndarray, b: np.ndarray):
+    n = poly.n
     v = poly.vertices
     e = poly._edge_vecs
-    # solve a + t*d = v_i + s*e_i
-    denom = d[0] * e[:, 1] - d[1] * e[:, 0]
-    dv = v - a
+    tol = poly.tol
+    d = b - a
+    dx, dy = d[:, 0, None], d[:, 1, None]
+    seg_len = np.hypot(d[:, 0], d[:, 1])[:, None]
+    dvx = v[:, 0] - a[:, 0, None]
+    dvy = v[:, 1] - a[:, 1, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (dv[:, 0] * e[:, 1] - dv[:, 1] * e[:, 0]) / denom
-        s = (dv[:, 0] * d[1] - dv[:, 1] * d[0]) / denom
-    eps = poly.tol / seg_len
-    mask = np.isfinite(t) & (t > eps) & (t < 1 - eps) & (s >= -1e-12) & (s <= 1 + 1e-12)
-    ts = [0.0, 1.0]
-    ts.extend(t[mask].tolist())
-    # parallel overlapping edges: project edge endpoints onto the segment
-    par = np.abs(denom) <= poly.tol * seg_len
-    if np.any(par):
-        dd = seg_len * seg_len
-        for i in np.nonzero(par)[0]:
-            for pt in (v[i], v[(i + 1) % poly.n]):
-                if _point_segment_distance(pt, a, b) <= poly.tol:
-                    tt = float((pt - a) @ d / dd)
-                    if eps < tt < 1 - eps:
-                        ts.append(tt)
-    ts = sorted(set(np.round(ts, 15).tolist()))
-    classes = []
-    for t0, t1 in zip(ts[:-1], ts[1:]):
-        mid = a + (0.5 * (t0 + t1)) * d
-        classes.append(poly.classify(mid))
-    return classes
+        # a + t*d = v_k + s*e_k for every segment x edge
+        denom = dx * e[:, 1] - dy * e[:, 0]
+        t = (dvx * e[:, 1] - dvy * e[:, 0]) / denom
+        s = (dvx * dy - dvy * dx) / denom
+        eps = tol / seg_len
+        cut = np.isfinite(t) & (t > eps) & (t < 1 - eps) & (s >= -1e-12) & (s <= 1 + 1e-12)
+        # vertex k ends edges k-1 and k; it cuts the segment when one of them
+        # is parallel to it and the vertex lies within tol of it
+        par = np.abs(denom) <= tol * seg_len
+        along = dvx * dx + dvy * dy
+        u = np.clip(along / (dx * dx + dy * dy), 0.0, 1.0)
+        gap = np.hypot(v[:, 0] - (a[:, 0, None] + u * dx), v[:, 1] - (a[:, 1, None] + u * dy))
+        tt = along / (seg_len * seg_len)
+        touch = (par | par[:, np.arange(-1, n - 1)]) & (gap <= tol) & (tt > eps) & (tt < 1 - eps)
+    # unused cut slots repeat t = 1 and leave empty pieces behind the sort
+    ts = np.ones((len(a), 2 + 2 * n))
+    ts[:, 0] = 0.0
+    ts[:, 2 : 2 + n] = np.where(cut, t, 1.0)
+    ts[:, 2 + n :] = np.where(touch, tt, 1.0)
+    ts = np.sort(np.round(ts, 15), axis=1)
+    live = ts[:, 1:] > ts[:, :-1]
+    rows = np.nonzero(live)[0]
+    mid_t = (0.5 * (ts[:, :-1] + ts[:, 1:]))[live]
+    d = np.where(seg_len <= tol, 0.0, d)
+    cls = point_classes(poly, a[rows] + mid_t[:, None] * d[rows])
+    within = np.bincount(rows[cls < 0], minlength=len(a)) == 0
+    avoids = np.bincount(rows[cls > 0], minlength=len(a)) == 0
+    return within, avoids
 
 
 def segment_in_polygon(poly: Polygon, a, b) -> bool:
     """True iff the closed segment ab stays within the closed polygon."""
-    return all(c != "outside" for c in _segment_midpoint_classes(poly, a, b))
+    return bool(segment_visibility(poly, [a], [b])[0][0])
 
 
 def segment_avoids_interior(poly: Polygon, a, b) -> bool:
     """True iff the closed segment ab never enters the open polygon interior."""
-    return all(c != "inside" for c in _segment_midpoint_classes(poly, a, b))
+    return bool(segment_visibility(poly, [a], [b])[1][0])
 
 
 def point_classes(poly: Polygon, pts) -> np.ndarray:
@@ -517,26 +544,19 @@ class MetricContext:
         n = poly.n
         v = poly.vertices
         m = np.full((n, n), np.inf)
-        if poly.is_convex:
-            # chords of a convex polygon: a segment is in the polygon always,
-            # and avoids the interior exactly when its midpoint is not inside
-            iu, ju = np.triu_indices(n, k=1)
-            if interior:
-                ok = np.ones(len(iu), dtype=bool)
-            else:
-                ok = point_classes(poly, 0.5 * (v[iu] + v[ju])) != 1
-            d = np.hypot(*(v[ju] - v[iu]).T)
-            m[iu[ok], ju[ok]] = d[ok]
-            m[ju[ok], iu[ok]] = d[ok]
-            np.fill_diagonal(m, 0.0)
-            return m
-        test = segment_in_polygon if interior else segment_avoids_interior
-        for i in range(n):
-            m[i, i] = 0.0
-            for j in range(i + 1, n):
-                if test(poly, v[i], v[j]):
-                    d = float(np.hypot(*(v[j] - v[i])))
-                    m[i, j] = m[j, i] = d
+        iu, ju = np.triu_indices(n, k=1)
+        if poly.is_convex and interior:
+            # chords of a convex polygon are in the polygon always
+            ok = np.ones(len(iu), dtype=bool)
+        elif poly.is_convex:
+            # ... and avoid the interior exactly when their midpoint is not inside
+            ok = point_classes(poly, 0.5 * (v[iu] + v[ju])) != 1
+        else:
+            ok = segment_visibility(poly, v[iu], v[ju])[0 if interior else 1]
+        d = np.hypot(*(v[ju] - v[iu]).T)
+        m[iu[ok], ju[ok]] = d[ok]
+        m[ju[ok], iu[ok]] = d[ok]
+        np.fill_diagonal(m, 0.0)
         return m
 
     def _visible_from(self, p, interior: bool) -> np.ndarray:
@@ -544,19 +564,13 @@ class MetricContext:
         poly = self.polygon
         v = poly.vertices
         p = np.asarray(p, dtype=float)
+        if poly.is_convex and interior:
+            return np.hypot(*(v - p).T)
         if poly.is_convex:
-            if interior:
-                return np.hypot(*(v - p).T)
-            mids = 0.5 * (v + p)
-            ok = point_classes(poly, mids) != 1
-            out = np.where(ok, np.hypot(*(v - p).T), np.inf)
-            return out
-        out = np.full(poly.n, np.inf)
-        test = segment_in_polygon if interior else segment_avoids_interior
-        for i in range(poly.n):
-            if test(poly, p, v[i]):
-                out[i] = float(np.hypot(*(v[i] - p)))
-        return out
+            ok = point_classes(poly, 0.5 * (v + p)) != 1
+        else:
+            ok = segment_visibility(poly, np.broadcast_to(p, v.shape), v)[0 if interior else 1]
+        return np.where(ok, np.hypot(*(v - p).T), np.inf)
 
     # -- escaper metric -----------------------------------------------------
 
@@ -658,17 +672,6 @@ def _two_point_dijkstra(base: np.ndarray, wp: np.ndarray, wq: np.ndarray, direct
             dist[n + 1] = d + wq[u]
             heapq.heappush(heap, (d + wq[u], n + 1))
     return float(dist[n + 1])
-
-
-# convenience wrappers matching the operation names -------------------------
-
-
-def interior_distance(ctx: MetricContext, p, q) -> float:
-    return ctx.interior_distance(p, q)
-
-
-def pursuer_distance(ctx: MetricContext, p, q) -> float:
-    return ctx.pursuer_distance(p, q)
 
 
 # ---------------------------------------------------------------------------

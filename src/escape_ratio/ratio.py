@@ -20,7 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePair, OutsideDomain, SpacingTooCoarse
-from .geometry import MetricContext, Point2, PursuerModel, segment_in_polygon
+from .geometry import MetricContext, Point2, PursuerModel, segment_visibility
+
+# Not called here: kept so ``escape_ratio.ratio.segment_in_polygon`` still
+# resolves for the layer tracer in perfbench/tracing.py.
+from .geometry import segment_in_polygon  # noqa: F401
 
 UPPER_FACTOR = 2.0 * (3.0 + np.sqrt(6.0))  # < 10.89898
 
@@ -80,49 +84,42 @@ def boundary_samples(ctx: MetricContext, spacing: float):
 
 def _pairwise_dh(ctx: MetricContext, params: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Interior geodesic distance matrix between boundary samples."""
-    poly = ctx.polygon
-    m = len(pts)
-    diff = pts[:, None, :] - pts[None, :, :]
-    euclid = np.hypot(diff[..., 0], diff[..., 1])
-    if poly.is_convex:
-        return euclid
-    # visibility graph over samples + vertices, then multi-source Dijkstra
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra as cs_dijkstra
-
-    nodes = np.vstack([pts, poly.vertices])
-    total = len(nodes)
-    adj = np.zeros((total, total))
-    for i in range(total):
-        for j in range(i + 1, total):
-            if segment_in_polygon(poly, nodes[i], nodes[j]):
-                adj[i, j] = adj[j, i] = np.hypot(*(nodes[j] - nodes[i]))
-    graph = csr_matrix(adj)
-    dist = cs_dijkstra(graph, directed=False, indices=np.arange(m))
-    return dist[:, :m]
+    if ctx.polygon.is_convex:
+        diff = pts[:, None, :] - pts[None, :, :]
+        return np.hypot(diff[..., 0], diff[..., 1])
+    return _visibility_geodesics(ctx.polygon, pts, interior=True)
 
 
 def _pairwise_dz(ctx: MetricContext, params: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Pursuer distance matrix between boundary samples."""
     poly = ctx.polygon
     if ctx.model is PursuerModel.MOAT:
         F = poly.perimeter
         d = np.abs(params[:, None] - params[None, :]) % F
         return np.minimum(d, F - d)
+    return _visibility_geodesics(poly, pts, interior=False)
+
+
+def _visibility_geodesics(poly, pts: np.ndarray, interior: bool) -> np.ndarray:
+    """Geodesics between pts on the visibility graph over pts plus vertices.
+
+    ``interior`` picks segments within the closed polygon (d_h); otherwise
+    segments that avoid the open interior (exterior-model d_z).
+    """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra as cs_dijkstra
-
-    from .geometry import segment_avoids_interior
 
     m = len(pts)
     nodes = np.vstack([pts, poly.vertices])
     total = len(nodes)
+    iu, ju = np.triu_indices(total, k=1)
+    ok = segment_visibility(poly, nodes[iu], nodes[ju])[0 if interior else 1]
+    iu, ju = iu[ok], ju[ok]
+    w = np.hypot(*(nodes[ju] - nodes[iu]).T)
     adj = np.zeros((total, total))
-    for i in range(total):
-        for j in range(i + 1, total):
-            if segment_avoids_interior(poly, nodes[i], nodes[j]):
-                adj[i, j] = adj[j, i] = np.hypot(*(nodes[j] - nodes[i]))
-    graph = csr_matrix(adj)
-    dist = cs_dijkstra(graph, directed=False, indices=np.arange(m))
+    adj[iu, ju] = w
+    adj[ju, iu] = w
+    dist = cs_dijkstra(csr_matrix(adj), directed=False, indices=np.arange(m))
     return dist[:, :m]
 
 

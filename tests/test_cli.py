@@ -200,14 +200,3 @@ class TestSimulate:
         )
         assert rc == 0
         assert doc["outcome"] in ("escaped", "no_escape_by_tmax")
-
-    def test_threads_validation(self, capsys):
-        rc = run(["exact", "--threads", "0"])
-        assert rc == 2
-
-    def test_threads_env_mirror(self, capsys, monkeypatch):
-        from escape_ratio.cli import build_parser
-
-        monkeypatch.setenv("ESCAPE_RATIO_THREADS", "3")
-        args = build_parser().parse_args(["exact"])
-        assert args.threads == 3

@@ -20,7 +20,7 @@ from escape_ratio.discrete import (
     toy_game,
     verify_net,
 )
-from escape_ratio.discrete import _boundary_net, _grid_points
+from escape_ratio.discrete import _grid_points, _threshold_distances
 from escape_ratio.geometry import (
     MetricContext,
     PursuerModel,
@@ -28,6 +28,7 @@ from escape_ratio.geometry import (
     point_in_convex_hull,
     validate_polygon,
 )
+from escape_ratio.ratio import boundary_samples
 
 from conftest import COMB, L_SHAPE, SQUARE, minimax_escaper_wins
 
@@ -35,7 +36,7 @@ from conftest import COMB, L_SHAPE, SQUARE, minimax_escaper_wins
 def _scalar_gamma_sample(ctx, gamma):
     """gamma_sample's grid membership, one ``classify`` call per point."""
     poly = ctx.polygon
-    _, boundary = _boundary_net(poly, gamma)
+    _, boundary = boundary_samples(ctx, gamma)
     spacing = gamma / math.sqrt(2.0)
     grid = _grid_points(*poly.bbox, spacing)
     interior = grid[[poly.classify(p) != "outside" for p in grid]]
@@ -157,11 +158,11 @@ def _oracle_games():
 
 
 class TestGammaSample:
-    def test_documented_construction_counts(self, square):
+    def test_documented_construction_counts(self, square, square_moat):
         # spacing rule on the unit square at gamma = 0.5: 8 boundary samples
         # and a 3x3 interior grid (the guard forbids this gamma end to end,
         # so the construction pieces are exercised directly)
-        params, pts = _boundary_net(square, 0.5)
+        params, pts = boundary_samples(square_moat, 0.5)
         assert len(pts) == 8
         grid = _grid_points(*square.bbox, 0.5 / np.sqrt(2))
         inside = [p for p in grid if square.classify(p) != "outside"]
@@ -260,6 +261,17 @@ class TestBuildGame:
             signed = (t[nbrs] - t[j] + F / 2) % F - F / 2
             assert arcs.max() <= reach + 1e-9
             assert signed.max() > 0.4 * reach and signed.min() < -0.4 * reach
+
+    def test_threshold_distance_around_notch(self):
+        # (0.3, 0) -> (7.5, 0) threads the notch's two mouth vertices on y = 0
+        # and crosses no edge properly; the geodesic goes round the tip
+        notch = [(0, -1), (8, -1), (8, 1), (4.5, 1), (4.05, 0), (4, -0.5), (3.95, 0),
+                 (3.5, 1), (0, 1)]
+        ctx = MetricContext(validate_polygon(notch), PursuerModel.MOAT)
+        dist = _threshold_distances(ctx.polygon, [[0.3, 0], [7.5, 0]], 8, "interior")
+        exact = ctx.interior_distance((0.3, 0), (7.5, 0))
+        assert exact == 7.269164846451632
+        assert dist[0, 1] == exact
 
     def test_threshold_monotone_in_r(self, square_moat):
         s = gamma_sample(square_moat, 0.1)

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from escape_ratio import geometry
 from escape_ratio.errors import (
     DegenerateEdge,
     OutsideDomain,
@@ -13,16 +16,29 @@ from escape_ratio.errors import (
 from escape_ratio.geometry import (
     MetricContext,
     PursuerModel,
+    _point_segment_distance,
     dumps_polygon,
     loads_polygon,
     min_feature_size,
     min_interior_angle,
+    segment_avoids_interior,
     segment_in_polygon,
+    segment_visibility,
     triangulate,
     validate_polygon,
 )
 
-from conftest import COMB, L_SHAPE, RECT_1x10, SQUARE, random_convex_polygon, random_point_inside
+from conftest import (
+    COMB,
+    L_SHAPE,
+    RECT_1x10,
+    SQUARE,
+    random_convex_polygon,
+    random_point_inside,
+)
+
+# a 0.1-wide notch whose mouth vertices (3.95, 0) and (4.05, 0) lie on y = 0
+NOTCH = [(0, -1), (8, -1), (8, 1), (4.5, 1), (4.05, 0), (4, -0.5), (3.95, 0), (3.5, 1), (0, 1)]
 
 
 def tri_area(t):
@@ -232,6 +248,129 @@ class TestVisibilityEdgesInDomain:
                     for t in (0.25, 0.5, 0.75):
                         p = (1 - t) * poly.vertices[i] + t * poly.vertices[j]
                         assert poly.classify(p) != "inside"
+
+
+def _segment_midpoint_classes(poly, a, b):
+    """Classes of the open sub-segments of ``ab`` cut by all polygon edges.
+
+    The scalar, one-segment-at-a-time path that ``geometry.segment_visibility``
+    replaced; the batched kernel must agree with it on every segment.  The
+    segment is split at every (proper or touching) intersection with the
+    boundary; each resulting piece lies entirely inside, outside, or on the
+    boundary, so classifying its midpoint classifies the piece.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    d = b - a
+    seg_len = float(np.hypot(*d))
+    if seg_len <= poly.tol:
+        return [poly.classify(a)]
+    v = poly.vertices
+    e = poly._edge_vecs
+    # solve a + t*d = v_i + s*e_i
+    denom = d[0] * e[:, 1] - d[1] * e[:, 0]
+    dv = v - a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (dv[:, 0] * e[:, 1] - dv[:, 1] * e[:, 0]) / denom
+        s = (dv[:, 0] * d[1] - dv[:, 1] * d[0]) / denom
+    eps = poly.tol / seg_len
+    mask = np.isfinite(t) & (t > eps) & (t < 1 - eps) & (s >= -1e-12) & (s <= 1 + 1e-12)
+    ts = [0.0, 1.0]
+    ts.extend(t[mask].tolist())
+    # parallel overlapping edges: project edge endpoints onto the segment
+    par = np.abs(denom) <= poly.tol * seg_len
+    if np.any(par):
+        dd = seg_len * seg_len
+        for i in np.nonzero(par)[0]:
+            for pt in (v[i], v[(i + 1) % poly.n]):
+                if _point_segment_distance(pt, a, b) <= poly.tol:
+                    tt = float((pt - a) @ d / dd)
+                    if eps < tt < 1 - eps:
+                        ts.append(tt)
+    ts = sorted(set(np.round(ts, 15).tolist()))
+    classes = []
+    for t0, t1 in zip(ts[:-1], ts[1:]):
+        mid = a + (0.5 * (t0 + t1)) * d
+        classes.append(poly.classify(mid))
+    return classes
+
+
+def _reference_segment_visibility(poly, a, b):
+    """``segment_visibility`` through the scalar oracle, one segment per call."""
+    classes = [_segment_midpoint_classes(poly, p, q) for p, q in zip(a, b)]
+    inside = np.array([all(c != "outside" for c in cs) for cs in classes], dtype=bool)
+    avoids = np.array([all(c != "inside" for c in cs) for cs in classes], dtype=bool)
+    return inside, avoids
+
+
+@st.composite
+def grid_polygons(draw):
+    """Simple polygons with half-integer vertices, sorted by angle about their mean.
+
+    Candidates that fail validation (spikes along one ray, zero area) are
+    rejected, so every drawn polygon is simple; most are not convex.
+    """
+    k = draw(st.integers(4, 9))
+    cells = draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                          min_size=k, max_size=k, unique=True))
+    pts = np.array(cells, dtype=float) / 2
+    rel = pts - pts.mean(axis=0)
+    order = np.lexsort((np.hypot(rel[:, 0], rel[:, 1]), np.arctan2(rel[:, 1], rel[:, 0])))
+    try:
+        return validate_polygon(pts[order])
+    except (SelfIntersecting, ZeroArea, DegenerateEdge):
+        assume(False)
+
+
+# endpoints on the half-integer grid around the polygons above, so segments
+# pass through vertices, run along edges and hit edges at their ends
+grid_points = st.tuples(st.integers(-1, 9), st.integers(-1, 9)).map(
+    lambda c: (c[0] / 2, c[1] / 2)
+)
+
+
+def _vertex_pairs(poly):
+    iu, ju = np.triu_indices(poly.n, k=1)
+    return poly.vertices[iu], poly.vertices[ju]
+
+
+class TestSegmentVisibility:
+    def test_notch_threading_segment_leaves(self):
+        # the segment crosses no edge properly: it enters and leaves the notch
+        # through the two mouth vertices
+        poly = validate_polygon(NOTCH)
+        inside, avoids = segment_visibility(poly, [(0.3, 0)], [(7.5, 0)])
+        assert not inside[0] and not avoids[0]
+        assert not segment_in_polygon(poly, (0.3, 0), (7.5, 0))
+        assert segment_in_polygon(poly, (0.3, 0), (3.95, 0))
+        assert segment_avoids_interior(poly, (3.95, 0), (4.05, 0))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(poly=grid_polygons(), ends=st.lists(st.tuples(grid_points, grid_points), max_size=40))
+    def test_matches_scalar_oracle(self, poly, ends):
+        va, vb = _vertex_pairs(poly)
+        a = np.vstack([va, np.array([p for p, _ in ends]).reshape(-1, 2)])
+        b = np.vstack([vb, np.array([q for _, q in ends]).reshape(-1, 2)])
+        got = segment_visibility(poly, a, b)
+        ref = _reference_segment_visibility(poly, a, b)
+        assert np.array_equal(got[0], ref[0])
+        assert np.array_equal(got[1], ref[1])
+
+    @pytest.mark.parametrize("points", [L_SHAPE, COMB, NOTCH])
+    def test_block_edges(self, points, monkeypatch):
+        # blocks of one and of three segments give the one-block answer
+        poly = validate_polygon(points)
+        rng = np.random.default_rng(7)
+        lo, hi = poly.bbox
+        va, vb = _vertex_pairs(poly)
+        a = np.vstack([va, np.round(lo + rng.random((60, 2)) * (hi - lo))])
+        b = np.vstack([vb, np.round(lo + rng.random((60, 2)) * (hi - lo))])
+        whole = segment_visibility(poly, a, b)
+        for per_block in (1, 3):
+            monkeypatch.setattr(geometry, "_SEGMENT_BLOCK_ELEMENTS", per_block * poly.n)
+            got = segment_visibility(poly, a, b)
+            assert np.array_equal(got[0], whole[0]) and np.array_equal(got[1], whole[1])
 
 
 class TestPolygonIO:

@@ -12,7 +12,7 @@ from escape_ratio.ratio import (
     ratio_of_pair,
 )
 
-from conftest import RECT_1x10
+from conftest import COMB, L_SHAPE, RECT_1x10, SQUARE
 
 
 def square_boundary_point(t):
@@ -139,6 +139,24 @@ class TestMaxRatio:
         pruned = max_ratio(square_moat, 0.05, prune=True)
         plain = max_ratio(square_moat, 0.05)
         assert pruned.lower_certified == pytest.approx(plain.lower_certified)
+
+
+@pytest.mark.parametrize(
+    "points,spacing,model,lower,upper",
+    [
+        (SQUARE, 0.1, "moat", 2.0, 25.430952132988164),
+        (SQUARE, 0.1, "exterior", 2.0, 25.430952132988164),
+        (L_SHAPE, 0.1, "moat", 3.1622776601683795, 39.253524465491196),
+        (L_SHAPE, 0.1, "exterior", 3.1622776601683795, 39.253524465491196),
+        (COMB, 0.2, "moat", 6.0, 73.87086095772752),
+        (COMB, 0.2, "exterior", 5.618033988749895, 69.2452612679514),
+    ],
+)
+def test_sandwich_values_are_pinned(points, spacing, model, lower, upper):
+    # the values of the per-pair scalar segment tests the batched kernel
+    # replaced, to the bit
+    bound = max_ratio(MetricContext(validate_polygon(points), PursuerModel(model)), spacing)
+    assert (bound.lower_certified, bound.upper_estimate) == (lower, upper)
 
 
 class TestExteriorModelRatio:
