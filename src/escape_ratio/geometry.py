@@ -14,7 +14,6 @@ membership predicates.
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -559,18 +558,41 @@ class MetricContext:
         np.fill_diagonal(m, 0.0)
         return m
 
-    def _visible_from(self, p, interior: bool) -> np.ndarray:
-        """Euclidean lengths from p to each visible polygon vertex (inf else)."""
+    def _geodesic(self, p, q, interior: bool) -> float:
+        """Shortest path from p to q within the closed polygon (``interior``)
+        or around its open interior, over the cached vertex graph.
+
+        One batched test covers ``pq`` and the fans ``p -> v_k``, ``q -> v_k``.
+        The relaxation adds each path's edges left to right, as a Dijkstra
+        over the same graph would, so both give the same float minimum.
+        """
         poly = self.polygon
         v = poly.vertices
-        p = np.asarray(p, dtype=float)
+        d0 = float(np.hypot(*(q - p)))
+        if d0 <= poly.tol:
+            return 0.0
         if poly.is_convex and interior:
-            return np.hypot(*(v - p).T)
+            return d0
+        ends = np.stack([p, q])
         if poly.is_convex:
-            ok = point_classes(poly, 0.5 * (v + p)) != 1
+            if poly.classify(0.5 * (p + q)) != "inside":
+                return d0
+            ok = point_classes(poly, 0.5 * (v + ends[:, None]).reshape(-1, 2)) != 1
         else:
-            ok = segment_visibility(poly, np.broadcast_to(p, v.shape), v)[0 if interior else 1]
-        return np.where(ok, np.hypot(*(v - p).T), np.inf)
+            a = np.vstack([p, np.repeat(ends, poly.n, axis=0)])
+            ok = segment_visibility(poly, a, np.vstack([q, v, v]))[0 if interior else 1]
+            if ok[0]:
+                return d0
+            ok = ok[1:]
+        diff = v - ends[:, None]
+        wp, wq = np.where(ok.reshape(2, -1), np.hypot(diff[..., 0], diff[..., 1]), np.inf)
+        base = self.interior_visibility if interior else self.exterior_visibility
+        d = wp
+        while True:
+            nxt = np.minimum(d, (d[:, None] + base).min(axis=0))
+            if np.array_equal(nxt, d):
+                return float((d + wq).min())
+            d = nxt
 
     # -- escaper metric -----------------------------------------------------
 
@@ -581,15 +603,7 @@ class MetricContext:
         q = np.asarray(q, dtype=float)
         if poly.classify(p) == "outside" or poly.classify(q) == "outside":
             raise OutsideDomain("point not in the escaper domain")
-        d0 = float(np.hypot(*(q - p)))
-        if d0 <= poly.tol:
-            return 0.0
-        if poly.is_convex or segment_in_polygon(poly, p, q):
-            return d0
-        base = self.interior_visibility
-        wp = self._visible_from(p, interior=True)
-        wq = self._visible_from(q, interior=True)
-        return _two_point_dijkstra(base, wp, wq, direct=np.inf)
+        return self._geodesic(p, q, interior=True)
 
     # -- pursuer metric -----------------------------------------------------
 
@@ -620,58 +634,7 @@ class MetricContext:
                 raise OutsideDomain("point inside the escaper domain")
             if not point_in_convex_hull(self._hull, pt, poly.tol):
                 raise OutsideDomain("point beyond the convex hull of the boundary")
-        d0 = float(np.hypot(*(q - p)))
-        if d0 <= poly.tol:
-            return 0.0
-        if poly.is_convex:
-            direct = poly.classify(0.5 * (p + q)) != "inside"
-        else:
-            direct = segment_avoids_interior(poly, p, q)
-        if direct:
-            return d0
-        base = self.exterior_visibility
-        wp = self._visible_from(p, interior=False)
-        wq = self._visible_from(q, interior=False)
-        return _two_point_dijkstra(base, wp, wq, direct=np.inf)
-
-
-def _two_point_dijkstra(base: np.ndarray, wp: np.ndarray, wq: np.ndarray, direct: float) -> float:
-    """Shortest path from a source to a target through a dense vertex graph.
-
-    ``wp``/``wq`` are the source/target connection lengths to each vertex;
-    ``direct`` is the direct source-target length (inf when not visible).
-    """
-    n = len(base)
-    # nodes: 0..n-1 vertices, n = source, n+1 = target
-    dist = np.full(n + 2, np.inf)
-    dist[n] = 0.0
-    visited = np.zeros(n + 2, dtype=bool)
-    heap = [(0.0, n)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if visited[u]:
-            continue
-        visited[u] = True
-        if u == n + 1:
-            return float(d)
-        if u == n:
-            nbrs = wp
-            base_row = None
-        elif u < n:
-            base_row = base[u]
-            nbrs = base_row
-        for vtx in range(n):
-            w = nbrs[vtx]
-            if np.isfinite(w) and d + w < dist[vtx]:
-                dist[vtx] = d + w
-                heapq.heappush(heap, (d + w, vtx))
-        if u == n and np.isfinite(direct) and d + direct < dist[n + 1]:
-            dist[n + 1] = d + direct
-            heapq.heappush(heap, (d + direct, n + 1))
-        if u < n and np.isfinite(wq[u]) and d + wq[u] < dist[n + 1]:
-            dist[n + 1] = d + wq[u]
-            heapq.heappush(heap, (d + wq[u], n + 1))
-    return float(dist[n + 1])
+        return self._geodesic(p, q, interior=False)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ estimate at a fraction of the complexity.
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,8 @@ from .geometry import MetricContext, Point2, PursuerModel, segment_visibility
 # Not called here: kept so ``escape_ratio.ratio.segment_in_polygon`` still
 # resolves for the layer tracer in perfbench/tracing.py.
 from .geometry import segment_in_polygon  # noqa: F401
+
+logger = logging.getLogger(__name__)
 
 UPPER_FACTOR = 2.0 * (3.0 + np.sqrt(6.0))  # < 10.89898
 
@@ -128,17 +132,23 @@ def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float):
 
     Alternates one-dimensional searches along the boundary arc around each
     point, each over a window of +/- one spacing, accepting only improvements.
+    Returns ``(tp, tq, ratio, evaluations requested, evaluations made)``.
     """
     poly = ctx.polygon
     F = poly.perimeter
+    # later rounds repeat searches whose fixed end and window did not move
+    memo: dict = {}
+    requested = 0
 
     def value(tp, tq) -> float:
-        p = poly.boundary_point(tp)
-        q = poly.boundary_point(tq)
-        dh = ctx.interior_distance(p, q)
-        if dh <= poly.tol:
-            return -np.inf
-        return ctx.pursuer_distance(p, q) / dh
+        nonlocal requested
+        requested += 1
+        if (tp, tq) not in memo:
+            p = poly.boundary_point(tp)
+            q = poly.boundary_point(tq)
+            dh = ctx.interior_distance(p, q)
+            memo[tp, tq] = -np.inf if dh <= poly.tol else ctx.pursuer_distance(p, q) / dh
+        return memo[tp, tq]
 
     def golden(fix, lo, hi, which):
         a, b = lo, hi
@@ -167,7 +177,7 @@ def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float):
         t, val = golden(tp, tq - spacing, tq + spacing, 1)
         if val > best:
             best, tq = val, t % F
-    return tp, tq, best
+    return tp, tq, best, requested, len(memo)
 
 
 def max_ratio(
@@ -188,8 +198,10 @@ def max_ratio(
             f"spacing {spacing} exceeds one tenth of the min feature size {f}"
         )
     params, pts = boundary_samples(ctx, spacing)
+    t0 = time.perf_counter()
     dh = _pairwise_dh(ctx, params, pts)
     dz = _pairwise_dz(ctx, params, pts)
+    t1 = time.perf_counter()
 
     m = len(params)
     iu, ju = np.triu_indices(m, k=1)
@@ -205,7 +217,11 @@ def max_ratio(
     t_p, t_q = float(params[iu[k]]), float(params[ju[k]])
     sample_max = float(ratios[k])
 
-    tp, tq, refined = _refine_pair(ctx, t_p, t_q, spacing)
+    t2 = time.perf_counter()
+    tp, tq, refined, requested, distinct = _refine_pair(ctx, t_p, t_q, spacing)
+    logger.debug("max_ratio: m=%d, %d pairs, %d refinement evaluations (%d distinct), "
+                 "pairwise %.4f s, refine %.4f s", m, len(iu), requested, distinct,
+                 t1 - t0, time.perf_counter() - t2)
     lower = max(sample_max, refined)
     wp = poly.boundary_point(tp)
     wq = poly.boundary_point(tq)

@@ -197,6 +197,7 @@ def approximate_r_star(
     def run_probe(r: float) -> ProbeRecord:
         nonlocal heuristic
         params.set_decider(r)
+        params.check(r)
         try:
             # cheap pre-estimate: refuse before sampling when clearly hopeless
             _precheck_budget(ctx, params.gamma, budget)

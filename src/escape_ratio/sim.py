@@ -221,19 +221,6 @@ class PathView:
     def __len__(self):
         return self._len
 
-    def position_at(self, t: float) -> np.ndarray:
-        ts = self.times
-        if self._len == 0:
-            raise ValueError("empty prefix")
-        if t <= ts[0]:
-            return self.points[0]
-        if t >= ts[-1]:
-            return self.points[-1]
-        k = int(np.searchsorted(ts, t, side="right") - 1)
-        t0, t1 = ts[k], ts[k + 1]
-        w = (t - t0) / (t1 - t0)
-        return (1 - w) * self.points[k] + w * self.points[k + 1]
-
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -286,7 +273,24 @@ class StraightRunEscaper(Strategy):
         return self._final
 
 
-class HalfplaneProjectionPursuer(Strategy):
+class _BoundaryTracker(Strategy):
+    """Chases a target boundary coordinate ``_s`` at the licensed speed ``r``."""
+
+    def reset(self):
+        self._s = None  # arc coordinate along the boundary
+        self._last_t = 0.0
+
+    def _track(self, target: float, t: float) -> float:
+        if self._s is None:
+            self._s = target
+        else:
+            dt = t - self._last_t
+            self._s += float(np.clip(target - self._s, -self.r * dt, self.r * dt))
+        self._last_t = t
+        return self._s
+
+
+class HalfplaneProjectionPursuer(_BoundaryTracker):
     """Tracks the boundary projection of the escaper in the halfplane frame.
 
     The target point at height y is (y/tan(theta), y) on the boundary line;
@@ -300,10 +304,6 @@ class HalfplaneProjectionPursuer(Strategy):
         self.domain = HalfplaneDomain(theta)
         self.reset()
 
-    def reset(self):
-        self._s = None  # arc coordinate along the boundary line
-        self._last_t = 0.0
-
     def _target_s(self, h) -> float:
         from .exact import halfplane_pursuer_position
 
@@ -311,19 +311,10 @@ class HalfplaneProjectionPursuer(Strategy):
         return float(z @ self.domain.direction)
 
     def position(self, opponent, t):
-        target = self._target_s(opponent.points[-1])
-        if self._s is None:
-            self._s = target
-            self._last_t = t
-        else:
-            dt = t - self._last_t
-            self._last_t = t
-            step = np.clip(target - self._s, -self.r * dt, self.r * dt)
-            self._s += float(step)
-        return self._s * self.domain.direction
+        return self._track(self._target_s(opponent.points[-1]), t) * self.domain.direction
 
 
-class WedgeProjectionPursuer(Strategy):
+class WedgeProjectionPursuer(_BoundaryTracker):
     """Tracks (|y|/tan(theta), y) on the wedge boundary, speed-clamped."""
 
     def __init__(self, half_angle: float, r: float):
@@ -333,24 +324,11 @@ class WedgeProjectionPursuer(Strategy):
         self.domain = WedgeDomain(half_angle)
         self.reset()
 
-    def reset(self):
-        self._s = None
-        self._last_t = 0.0
-
     def position(self, opponent, t):
         from .exact import wedge_pursuer_position
 
         z = wedge_pursuer_position(self.half_angle, opponent.points[-1])
-        target = self.domain._boundary_param(z)
-        if self._s is None:
-            self._s = target
-            self._last_t = t
-        else:
-            dt = t - self._last_t
-            self._last_t = t
-            step = np.clip(target - self._s, -self.r * dt, self.r * dt)
-            self._s += float(step)
-        s = self._s
+        s = self._track(self.domain._boundary_param(z), t)
         r = abs(s)
         sign = 1.0 if s >= 0 else -1.0
         return r * np.array(

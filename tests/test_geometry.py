@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from escape_ratio.geometry import (
     loads_polygon,
     min_feature_size,
     min_interior_angle,
+    point_classes,
     segment_avoids_interior,
     segment_in_polygon,
     segment_visibility,
@@ -39,6 +41,10 @@ from conftest import (
 
 # a 0.1-wide notch whose mouth vertices (3.95, 0) and (4.05, 0) lie on y = 0
 NOTCH = [(0, -1), (8, -1), (8, 1), (4.5, 1), (4.05, 0), (4, -0.5), (3.95, 0), (3.5, 1), (0, 1)]
+# a unit-wide corridor winding inward from the bottom left; its exterior
+# pocket winds the same way, so geodesics of both models bend at many vertices
+SPIRAL = [(0, 0), (6, 0), (6, 6), (1, 6), (1, 2), (4, 2), (4, 4), (3, 4), (3, 3),
+          (2, 3), (2, 5), (5, 5), (5, 1), (0, 1)]
 
 
 def tri_area(t):
@@ -371,6 +377,160 @@ class TestSegmentVisibility:
             monkeypatch.setattr(geometry, "_SEGMENT_BLOCK_ELEMENTS", per_block * poly.n)
             got = segment_visibility(poly, a, b)
             assert np.array_equal(got[0], whole[0]) and np.array_equal(got[1], whole[1])
+
+
+def _two_point_dijkstra(base: np.ndarray, wp: np.ndarray, wq: np.ndarray, direct: float) -> float:
+    """Shortest path from a source to a target through a dense vertex graph.
+
+    ``wp``/``wq`` are the source/target connection lengths to each vertex;
+    ``direct`` is the direct source-target length (inf when not visible).
+    """
+    n = len(base)
+    # nodes: 0..n-1 vertices, n = source, n+1 = target
+    dist = np.full(n + 2, np.inf)
+    dist[n] = 0.0
+    visited = np.zeros(n + 2, dtype=bool)
+    heap = [(0.0, n)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if visited[u]:
+            continue
+        visited[u] = True
+        if u == n + 1:
+            return float(d)
+        if u == n:
+            nbrs = wp
+            base_row = None
+        elif u < n:
+            base_row = base[u]
+            nbrs = base_row
+        for vtx in range(n):
+            w = nbrs[vtx]
+            if np.isfinite(w) and d + w < dist[vtx]:
+                dist[vtx] = d + w
+                heapq.heappush(heap, (d + w, vtx))
+        if u == n and np.isfinite(direct) and d + direct < dist[n + 1]:
+            dist[n + 1] = d + direct
+            heapq.heappush(heap, (d + direct, n + 1))
+        if u < n and np.isfinite(wq[u]) and d + wq[u] < dist[n + 1]:
+            dist[n + 1] = d + wq[u]
+            heapq.heappush(heap, (d + wq[u], n + 1))
+    return float(dist[n + 1])
+
+
+def _visible_from(ctx, p, interior: bool) -> np.ndarray:
+    """Euclidean lengths from p to each visible polygon vertex (inf else)."""
+    poly = ctx.polygon
+    v = poly.vertices
+    p = np.asarray(p, dtype=float)
+    if poly.is_convex and interior:
+        return np.hypot(*(v - p).T)
+    if poly.is_convex:
+        ok = point_classes(poly, 0.5 * (v + p)) != 1
+    else:
+        ok = segment_visibility(poly, np.broadcast_to(p, v.shape), v)[0 if interior else 1]
+    return np.where(ok, np.hypot(*(v - p).T), np.inf)
+
+
+def _reference_geodesic(ctx, p, q, interior: bool) -> float:
+    """``interior_distance`` (``interior``) or the exterior-model
+    ``pursuer_distance`` composed as before the one-call query.
+
+    The direct segment is one scalar test, each point's vertex fan one more
+    kernel call, and a heap Dijkstra joins them over the cached vertex graph.
+    """
+    poly = ctx.polygon
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if interior and (poly.classify(p) == "outside" or poly.classify(q) == "outside"):
+        raise OutsideDomain("point not in the escaper domain")
+    for pt in () if interior else (p, q):
+        if poly.classify(pt) == "inside":
+            raise OutsideDomain("point inside the escaper domain")
+        if not geometry.point_in_convex_hull(ctx._hull, pt, poly.tol):
+            raise OutsideDomain("point beyond the convex hull of the boundary")
+    d0 = float(np.hypot(*(q - p)))
+    if d0 <= poly.tol:
+        return 0.0
+    if interior:
+        direct = poly.is_convex or segment_in_polygon(poly, p, q)
+    elif poly.is_convex:
+        direct = poly.classify(0.5 * (p + q)) != "inside"
+    else:
+        direct = segment_avoids_interior(poly, p, q)
+    if direct:
+        return d0
+    base = ctx.interior_visibility if interior else ctx.exterior_visibility
+    wp = _visible_from(ctx, p, interior)
+    wq = _visible_from(ctx, q, interior)
+    return _two_point_dijkstra(base, wp, wq, direct=np.inf)
+
+
+def _outcome(query, p, q):
+    try:
+        return query(p, q)
+    except OutsideDomain as exc:
+        return ("OutsideDomain", str(exc))
+
+
+def _assert_geodesics_match(poly, pairs):
+    """Both models' geodesic queries equal the reference, bits and raises."""
+    for model in PursuerModel:
+        ctx = MetricContext(poly, model)
+        queries = [(ctx.interior_distance, True)]
+        if model is PursuerModel.EXTERIOR:
+            queries.append((ctx.pursuer_distance, False))
+        for p, q in pairs:
+            for query, interior in queries:
+                ref = _outcome(lambda a, b: _reference_geodesic(ctx, a, b, interior), p, q)
+                assert _outcome(query, p, q) == ref, (model, p, q)
+
+
+class TestGeodesicQuery:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(poly=grid_polygons(), data=st.data())
+    def test_matches_reference(self, poly, data):
+        # vertices, boundary points and half-integer grid points (inside,
+        # outside and beyond the hull alike)
+        fracs = data.draw(st.lists(st.floats(0.0, 1.0), max_size=5))
+        grid = data.draw(st.lists(grid_points, min_size=1, max_size=5))
+        pool = list(poly.vertices) + [poly.boundary_point(f * poly.perimeter) for f in fracs]
+        pool += [np.array(g) for g in grid]
+        index = st.integers(0, len(pool) - 1)
+        picks = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=40))
+        _assert_geodesics_match(poly, [(pool[i], pool[j]) for i, j in picks])
+
+    def test_spiral_detours(self):
+        poly = validate_polygon(SPIRAL)
+        core, mouth = (3.5, 3.5), (0.5, 0.5)  # inside, both ends of the corridor
+        pocket_end, pocket_mouth = (2.5, 3.5), (0.5, 1.5)  # outside, in the pocket
+        pairs = [(core, mouth), (mouth, core), (pocket_end, pocket_mouth), ((0, 0), (3, 4)),
+                 ((2, 3), (6, 0)), ((1, 6), (3, 3)), (core, pocket_end)]
+        _assert_geodesics_match(poly, pairs)
+        ctx = MetricContext(poly, PursuerModel.EXTERIOR)
+        for p, q, interior in ((core, mouth, True), (pocket_end, pocket_mouth, False)):
+            # shorter than every path that bends at one or two vertices only
+            base = ctx.interior_visibility if interior else ctx.exterior_visibility
+            wp, wq = _visible_from(ctx, p, interior), _visible_from(ctx, q, interior)
+            d = ctx.interior_distance(p, q) if interior else ctx.pursuer_distance(p, q)
+            assert math.isfinite(d) and d < (wp[:, None] + base + wq).min()
+
+    def test_one_kernel_call_per_query(self, monkeypatch):
+        calls = []
+        kernel = geometry.segment_visibility
+        monkeypatch.setattr(geometry, "segment_visibility",
+                            lambda poly, a, b: calls.append(len(a)) or kernel(poly, a, b))
+        poly = validate_polygon(SPIRAL)
+        ctx = MetricContext(poly, PursuerModel.EXTERIOR)
+        ctx.interior_visibility, ctx.exterior_visibility  # build the cached graphs first
+        calls.clear()
+        for query, p, q in ((ctx.interior_distance, (3.5, 3.5), (0.5, 0.5)),
+                            (ctx.interior_distance, (0.5, 0.5), (4.5, 0.5)),
+                            (ctx.pursuer_distance, (2.5, 3.5), (0.5, 1.5))):
+            query(p, q)
+            assert calls == [1 + 2 * poly.n]
+            calls.clear()
 
 
 class TestPolygonIO:

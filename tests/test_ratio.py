@@ -1,12 +1,15 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from escape_ratio import geometry
 from escape_ratio.errors import DegeneratePair, OutsideDomain, SpacingTooCoarse
 from escape_ratio.geometry import MetricContext, PursuerModel, validate_polygon
 from escape_ratio.ratio import (
     UPPER_FACTOR,
+    _refine_pair,
     max_ratio,
     r_star_sandwich,
     ratio_of_pair,
@@ -189,3 +192,30 @@ class TestSandwich:
         # arc/chord maximand theta/(2 sin(theta/2)) peaks at antipodes: pi/2
         assert lo == pytest.approx(math.pi / 2, abs=0.01)
         assert lo <= 4.6033 <= hi
+
+
+class TestRefinementWork:
+    def test_each_distinct_pair_evaluated_once(self, monkeypatch):
+        ctx = MetricContext(validate_polygon(L_SHAPE), PursuerModel.EXTERIOR)
+        ctx.interior_visibility, ctx.exterior_visibility  # build the cached graphs first
+        queries, kernel_calls = [], []
+        kernel = geometry.segment_visibility
+        monkeypatch.setattr(geometry, "segment_visibility",
+                            lambda poly, a, b: kernel_calls.append(1) or kernel(poly, a, b))
+        for name in ("interior_distance", "pursuer_distance"):
+            query = getattr(ctx, name)
+            monkeypatch.setattr(ctx, name, lambda p, q, name=name, query=query: (
+                queries.append((name, tuple(p), tuple(q))) or query(p, q)))
+        # the best sample pair at spacing 0.1; the later rounds repeat searches
+        *_, requested, distinct = _refine_pair(ctx, 0.7, 4.0, 0.1)
+        assert len(queries) == len(set(queries)) == 2 * distinct
+        assert len(kernel_calls) == len(queries)  # one kernel call per query
+        assert (requested, distinct) == (253, 127)
+
+    def test_logs_one_debug_line(self, l_moat, caplog):
+        with caplog.at_level(logging.DEBUG, logger="escape_ratio.ratio"):
+            max_ratio(l_moat, 0.1)
+        lines = [r.getMessage() for r in caplog.records if r.name == "escape_ratio.ratio"]
+        assert len(lines) == 1
+        assert lines[0].startswith("max_ratio: m=80, 3160 pairs, 253 refinement evaluations (")
+        assert " distinct), pairwise " in lines[0] and lines[0].endswith(" s")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from escape_ratio import scheme
 from escape_ratio.errors import BudgetExceeded
 from escape_ratio.geometry import MetricContext, PursuerModel, validate_polygon
 from escape_ratio.ratio import UPPER_FACTOR, max_ratio
@@ -124,6 +125,13 @@ class TestApproximate:
         assert res.probes == []  # infinite slack: the prior bracket suffices
         assert res.r_lo == pytest.approx(1.0)
         assert res.r_hi == pytest.approx(2.0 * r_upper_bound_easy(square_moat))
+
+    def test_decider_preconditions_checked(self, square_moat, monkeypatch):
+        # a gamma at the limit min{1/4, r/2, eps*r/2} * delta is refused
+        monkeypatch.setattr(scheme, "_gamma_for",
+                            lambda r, delta, eps: min(0.25, r / 2, eps * r / 2) * delta)
+        with pytest.raises(ValueError, match="decider preconditions"):
+            approximate_r_star(square_moat, epsilon=0.5, budget=1e10, override=(0.5, 0.1))
 
     def test_epsilon_validated(self, square_moat):
         with pytest.raises(ValueError):
