@@ -8,6 +8,7 @@ human-readable text rendering.  Exit codes: 0 success, 2 validation problems
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -167,6 +168,7 @@ def _cmd_discrete_solve(args) -> int:
         doc["gamma"] = args.gamma
     if args.tables_out:
         tables = _reachable_tables(game, result)
+        tables.update(_polygon_fingerprint(ctx), n_h=game.n_h, n_z=game.n_z)
         with open(args.tables_out, "w", encoding="utf-8") as fh:
             json.dump(tables, fh)
         doc["tables_out"] = args.tables_out
@@ -220,6 +222,28 @@ def _reachable_tables(game, result) -> dict:
         "delta": game.delta,
         "gamma": game.samples.gamma,
     }
+
+
+def _polygon_fingerprint(ctx: MetricContext) -> dict:
+    """The validated polygon and the pursuer model a strategy table belongs to."""
+    vertices = ctx.polygon.vertices.astype("<f8", order="C")
+    return {
+        "polygon_sha256": hashlib.sha256(vertices.tobytes()).hexdigest(),
+        "model": ctx.model.value,
+    }
+
+
+def _check_tables(tables: dict, expected: dict) -> None:
+    """Refuse tables solved on another game (exit code 2)."""
+    for key, value in expected.items():
+        if key not in tables:
+            raise errors.InconsistentTables(
+                f"--tables: no {key!r} field; re-run discrete-solve --tables-out"
+            )
+        if tables[key] != value:
+            raise errors.InconsistentTables(
+                f"--tables: field {key!r} is {tables[key]!r}, but this replay has {value!r}"
+            )
 
 
 def _cmd_approximate(args) -> int:
@@ -315,8 +339,10 @@ def _simulate_polygon_tables(args) -> int:
             tables = json.load(fh)
     except FileNotFoundError:
         raise errors.EscapeRatioError(f"--tables: cannot read file {args.tables!r}")
+    _check_tables(tables, _polygon_fingerprint(ctx))
     game = build_game(ctx, r=tables["r"], delta=tables["delta"], gamma=tables["gamma"],
                       state_cap=1e12)
+    _check_tables(tables, {"n_h": game.n_h, "n_z": game.n_z})
     esc = {tuple(map(int, k.split(","))): v for k, v in tables["escaper_moves"].items()}
     purs = {tuple(map(int, k.split(","))): v for k, v in tables["pursuer_moves"].items()}
     h0 = tables.get("witness_h0") or 0

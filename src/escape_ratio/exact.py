@@ -213,27 +213,32 @@ class DiskAploEscaper:
 
     def reset(self):
         self._phase = 1
-        self._aplo = None
+        self._frame = None  # APLO h0, axial, lateral as six floats
         self._t2 = 0.0
         self._progress = 0.0
         self._last_idx = 0
+        self._last_angle = 0.0
         self._exit = None
 
     def _consume_progress(self, opp):
+        # each arc starts at the angle the previous one ended at
         pts = opp.points
-        for k in range(max(self._last_idx, 1), len(pts)):
-            a0 = math.atan2(pts[k - 1][1], pts[k - 1][0])
-            a1 = math.atan2(pts[k][1], pts[k][0])
+        a0 = self._last_angle
+        for k in range(self._last_idx, len(pts)):
+            p = pts[k]
+            a1 = math.atan2(p[1], p[0])
             self._progress += _wrap_angle(a1 - a0)  # unit circle: arc == angle
+            a0 = a1
+        self._last_angle = a0
         self._last_idx = len(pts)
 
-    def position(self, opp, t: float) -> np.ndarray:
-        if t == 0.0 or len(opp.points) == 0:
+    def position(self, opp, t: float):
+        if t == 0.0 or len(opp) == 0:
             return self.start_point
         if self._exit is not None:
             return self._exit
-        z = opp.points[-1]
         if self._phase == 1:
+            z = opp.last
             phi_e = t * self.r_star  # unit speed on the inner circle
             if phi_e > 2.0 * math.pi * self.MAX_REVOLUTIONS:
                 raise StrategyFailure(
@@ -245,22 +250,32 @@ class DiskAploEscaper:
             if abs(gap - math.pi) <= band:
                 s_h = self.inner_radius * np.array([math.cos(phi_e), math.sin(phi_e)])
                 axial = s_h - np.array([math.cos(phi_z), math.sin(phi_z)])
-                self._aplo = AploParams(
+                aplo = AploParams(
                     h0=s_h, axial=axial, r_prime=self.r, du=self.du, dv=self.dv
+                )
+                self._frame = tuple(
+                    float(c) for c in (*aplo.h0, *aplo.axial, *aplo.lateral)
                 )
                 self._t2 = t
                 self._progress = 0.0
-                self._last_idx = len(opp.points)
+                self._last_idx = len(opp)
+                self._last_angle = phi_z
                 self._phase = 2
                 return s_h
-            return self.inner_radius * np.array([math.cos(phi_e), math.sin(phi_e)])
+            ir = self.inner_radius
+            return (ir * math.cos(phi_e), ir * math.sin(phi_e))
         self._consume_progress(opp)
-        pos = aplo_position(self._aplo, self._progress, t - self._t2)
-        rad = float(np.hypot(*pos))
+        # aplo_position elementwise, in its order: (h0 + c1*axial) + c2*lateral
+        h0x, h0y, ax, ay, lx, ly = self._frame
+        c1 = (t - self._t2) * self.du
+        c2 = self._progress / self.r * self.dv
+        x = h0x + c1 * ax + c2 * lx
+        y = h0y + c1 * ay + c2 * ly
+        rad = float(np.hypot(x, y))  # steers the exit, so np.hypot
         if rad >= 1.0:
-            pos = pos / rad
-            self._exit = pos
-        return pos
+            self._exit = (x / rad, y / rad)
+            return self._exit
+        return (x, y)
 
 
 class DiskArcChasingPursuer:
@@ -286,16 +301,16 @@ class DiskArcChasingPursuer:
         self._last_t = 0.0
         self._direction = 1.0
 
-    def position(self, opp, t: float) -> np.ndarray:
-        h = opp.points[-1]
+    def position(self, opp, t: float):
+        h = opp.last
         target = math.atan2(h[1], h[0])
         if self._angle is None:
             self._angle = target
             self._last_t = t
-            return np.array([math.cos(self._angle), math.sin(self._angle)])
+            return (math.cos(self._angle), math.sin(self._angle))
         dt = t - self._last_t
         self._last_t = t
-        rad = float(np.hypot(*h))
+        rad = float(np.hypot(h[0], h[1]))  # steers the gate, so np.hypot
         if rad > self.gate_radius * (1.0 + 1e-9):
             delta = _wrap_angle(target - self._angle)
             if abs(delta) >= math.pi - self.TIE_BAND:
@@ -305,7 +320,7 @@ class DiskArcChasingPursuer:
                 self._direction = 1.0 if delta >= 0 else -1.0
                 step = min(self.r * dt, abs(delta))
                 self._angle = target if step >= abs(delta) else self._angle + self._direction * step
-        return np.array([math.cos(self._angle), math.sin(self._angle)])
+        return (math.cos(self._angle), math.sin(self._angle))
 
 
 def _dt_hint(opp) -> float:

@@ -16,6 +16,7 @@ estimate at a fraction of the complexity.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ from .geometry import segment_in_polygon  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
-UPPER_FACTOR = 2.0 * (3.0 + np.sqrt(6.0))  # < 10.89898
+UPPER_FACTOR = 2.0 * (3.0 + math.sqrt(6.0))  # < 10.89898
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 

@@ -10,6 +10,13 @@ explicitly delay-tolerant.
 Strategies are stateful objects queried monotonically in time; the engine
 resets them at the start of every playthrough, so a strategy instance can be
 reused across runs.
+
+The analytic domains (disk, halfplane, wedge) and strategies work on the two
+coordinates as Python floats, since a step handles single 2-vectors.  Their
+tolerance comparisons (domain predicates, speed checks) may use
+``math.hypot``; every value that is stored or steers a strategy keeps the
+numpy arithmetic it has always used (``np.hypot``, ``@``), whose last bit can
+differ, so trajectories do not change.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainViolation, SpeedViolation
+from .exact import halfplane_pursuer_position, wedge_pursuer_position
 from .geometry import MetricContext, PursuerModel
 
 # ---------------------------------------------------------------------------
@@ -34,16 +42,16 @@ class DiskDomain:
     name = "disk"
 
     def escaper_contains(self, p, tol):
-        return np.hypot(*p) <= 1.0 + tol
+        return math.hypot(p[0], p[1]) <= 1.0 + tol
 
     def pursuer_contains(self, p, tol):
-        return abs(np.hypot(*p) - 1.0) <= tol
+        return abs(math.hypot(p[0], p[1]) - 1.0) <= tol
 
     def on_exit(self, p, tol):
-        return abs(np.hypot(*p) - 1.0) <= tol
+        return abs(math.hypot(p[0], p[1]) - 1.0) <= tol
 
     def escaper_distance(self, p, q):
-        return float(np.hypot(*(np.subtract(q, p))))
+        return math.hypot(q[0] - p[0], q[1] - p[1])  # speed checks only
 
     def pursuer_distance(self, p, q):
         a = math.atan2(p[1], p[0])
@@ -70,9 +78,11 @@ class HalfplaneDomain:
         self.normal = np.array([math.sin(self.theta), -math.cos(self.theta)])
         if self.normal @ np.array([1.0, 0.0]) < 0:
             self.normal = -self.normal
+        self._nx, self._ny = float(self.normal[0]), float(self.normal[1])
 
     def _offset(self, p):
-        return float(np.asarray(p, dtype=float) @ self.normal)
+        # predicates only: a hand-written dot may differ from ``@`` in the last bit
+        return p[0] * self._nx + p[1] * self._ny
 
     def escaper_contains(self, p, tol):
         return self._offset(p) >= -tol
@@ -84,12 +94,11 @@ class HalfplaneDomain:
         return abs(self._offset(p)) <= tol
 
     def escaper_distance(self, p, q):
-        return float(np.hypot(*(np.subtract(q, p))))
+        return math.hypot(q[0] - p[0], q[1] - p[1])  # speed checks only
 
     def pursuer_distance(self, p, q):
-        sp = float(np.asarray(p, dtype=float) @ self.direction)
-        sq = float(np.asarray(q, dtype=float) @ self.direction)
-        return abs(sp - sq)
+        # separations are stored, so keep the ``@`` arithmetic
+        return abs(float(self.direction @ p) - float(self.direction @ q))
 
     def scale(self):
         return 1.0
@@ -102,27 +111,29 @@ class WedgeDomain:
 
     def __init__(self, half_angle: float):
         self.half_angle = float(half_angle)
+        self._tan = math.tan(self.half_angle)
 
     def _boundary_param(self, p):
-        # signed arc coordinate along the V-shaped boundary through the apex
-        r = float(np.hypot(*p))
+        # signed arc coordinate along the V-shaped boundary through the apex;
+        # it is stored and steers the pursuer, so it keeps np.hypot
+        r = float(np.hypot(p[0], p[1]))
         return r if p[1] >= 0 else -r
 
     def escaper_contains(self, p, tol):
         x, y = float(p[0]), float(p[1])
-        return abs(y) <= x * math.tan(self.half_angle) + tol
+        return abs(y) <= x * self._tan + tol
 
     def pursuer_contains(self, p, tol):
         x, y = float(p[0]), float(p[1])
         if x < -tol:
             return False
-        return abs(abs(y) - x * math.tan(self.half_angle)) <= tol * (1 + x)
+        return abs(abs(y) - x * self._tan) <= tol * (1 + x)
 
     def on_exit(self, p, tol):
         return self.pursuer_contains(p, tol)
 
     def escaper_distance(self, p, q):
-        return float(np.hypot(*(np.subtract(q, p))))
+        return math.hypot(q[0] - p[0], q[1] - p[1])  # speed checks only
 
     def pursuer_distance(self, p, q):
         return abs(self._boundary_param(p) - self._boundary_param(q))
@@ -201,7 +212,14 @@ class MotionPath:
 
 
 class PathView:
-    """Read-only growing prefix of a trajectory handed to strategies."""
+    """Read-only growing prefix of a trajectory handed to strategies.
+
+    ``playthrough`` builds one view per side for a whole run and advances its
+    length before each strategy call, so a view is valid only during the call
+    it was passed to: kept past it, it shows a later prefix.  Arrays taken
+    from it (``points``, ``last``) do not change.  No strategy can look ahead
+    this way: no strategy code runs between the engine's advance and the call.
+    """
 
     __slots__ = ("_times", "_points", "_len")
 
@@ -218,6 +236,13 @@ class PathView:
     def points(self) -> np.ndarray:
         return self._points[: self._len]
 
+    @property
+    def last(self) -> np.ndarray:
+        """The most recent point, ``points[-1]``, without slicing."""
+        if self._len == 0:
+            raise IndexError("empty path view")
+        return self._points[self._len - 1]
+
     def __len__(self):
         return self._len
 
@@ -230,7 +255,11 @@ class PathView:
 class Strategy:
     """Callback contract: position(opponent prefix up to time t, t) -> point.
 
-    No-lookahead: the output at t may depend only on the prefix.  Escaper
+    The prefix is a ``PathView``; ``opponent.last`` is its most recent point
+    without slicing ``opponent.points``.  The view is valid only during the
+    call.  A point is any 2-sequence of floats (a tuple or an array); the
+    engine copies it.  No-lookahead: the output at t may depend only on the
+    prefix.  Escaper
     strategies additionally declare ``start_point`` (independent of the
     opponent).  ``max_speed`` is the licensed speed of the paths the strategy
     emits.  Instances may keep incremental state between the engine's monotone
@@ -269,7 +298,8 @@ class StraightRunEscaper(Strategy):
         for t0, t1, a, b in self._legs:
             if t <= t1:
                 w = (t - t0) / (t1 - t0)
-                return (1 - w) * a + w * b
+                v = 1 - w
+                return (v * a[0] + w * b[0], v * a[1] + w * b[1])
         return self._final
 
 
@@ -285,7 +315,7 @@ class _BoundaryTracker(Strategy):
             self._s = target
         else:
             dt = t - self._last_t
-            self._s += float(np.clip(target - self._s, -self.r * dt, self.r * dt))
+            self._s += min(max(target - self._s, -self.r * dt), self.r * dt)
         self._last_t = t
         return self._s
 
@@ -305,13 +335,14 @@ class HalfplaneProjectionPursuer(_BoundaryTracker):
         self.reset()
 
     def _target_s(self, h) -> float:
-        from .exact import halfplane_pursuer_position
-
+        # steers the chase, so it keeps the ``@`` arithmetic
         z = halfplane_pursuer_position(self.theta, h)
         return float(z @ self.domain.direction)
 
     def position(self, opponent, t):
-        return self._track(self._target_s(opponent.points[-1]), t) * self.domain.direction
+        s = self._track(self._target_s(opponent.last), t)
+        d = self.domain.direction
+        return (s * d[0], s * d[1])
 
 
 class WedgeProjectionPursuer(_BoundaryTracker):
@@ -325,15 +356,11 @@ class WedgeProjectionPursuer(_BoundaryTracker):
         self.reset()
 
     def position(self, opponent, t):
-        from .exact import wedge_pursuer_position
-
-        z = wedge_pursuer_position(self.half_angle, opponent.points[-1])
+        z = wedge_pursuer_position(self.half_angle, opponent.last)
         s = self._track(self.domain._boundary_param(z), t)
         r = abs(s)
         sign = 1.0 if s >= 0 else -1.0
-        return r * np.array(
-            [math.cos(self.half_angle), sign * math.sin(self.half_angle)]
-        )
+        return (r * math.cos(self.half_angle), r * (sign * math.sin(self.half_angle)))
 
 
 class ObliviousStrategy(Strategy):
@@ -436,7 +463,7 @@ def playthrough(
         raise ValueError("dt must be positive")
     tol = 1e-9 * max(1.0, domain.scale())
     n_steps = int(math.floor(t_max / dt + 1e-12))
-    times = np.zeros(n_steps + 1)
+    times = np.arange(n_steps + 1) * dt  # the same products as (k + 1) * dt
     h_pts = np.zeros((n_steps + 1, 2))
     z_pts = np.zeros((n_steps + 1, 2))
 
@@ -448,55 +475,68 @@ def playthrough(
     h_pts[0] = np.asarray(escaper.start_point, dtype=float)
     if not domain.escaper_contains(h_pts[0], tol):
         raise DomainViolation("escaper start outside its domain")
-    z_pts[0] = np.asarray(
-        pursuer.position(PathView(times, h_pts, 1), 0.0), dtype=float
-    )
+    # One view per side for the whole run.  Before each call the engine
+    # advances its length: the escaper sees the pursuer's k + 1 points up to
+    # k*dt, the pursuer the escaper's k + 2 points up to (k+1)*dt.
+    esc_view = PathView(times, z_pts, 0)
+    purs_view = PathView(times, h_pts, 1)
+    z_pts[0] = np.asarray(pursuer.position(purs_view, 0.0), dtype=float)
     if not domain.pursuer_contains(z_pts[0], tol):
         raise DomainViolation("pursuer start outside its domain")
 
     s_h = float(escaper.max_speed)
     s_z = float(pursuer.max_speed)
+    step_h_max = s_h * dt + tol
+    step_z_max = s_z * dt + tol
     touches = []
+    # per-step points travel as (x, y) float tuples; the arrays keep the record
+    h = (float(h_pts[0, 0]), float(h_pts[0, 1]))
+    z = (float(z_pts[0, 0]), float(z_pts[0, 1]))
+    escaper_position, pursuer_position = escaper.position, pursuer.position
+    escaper_distance, pursuer_distance = domain.escaper_distance, domain.pursuer_distance
+    escaper_contains, pursuer_contains = domain.escaper_contains, domain.pursuer_contains
+    on_exit = domain.on_exit
 
-    def check_escape(k):
-        if domain.on_exit(h_pts[k], tol):
-            sep = domain.pursuer_distance(h_pts[k], z_pts[k])
-            touches.append((times[k], sep))
+    def check_escape(h, z, t):
+        if on_exit(h, tol):
+            sep = pursuer_distance(h, z)
+            touches.append((t, sep))
             if sep >= epsilon:
                 return sep
         return None
 
-    sep = check_escape(0)
+    sep = check_escape(h, z, 0.0)
     k_end = 0
     escaped_at = None
     if sep is None:
         for k in range(n_steps):
             t_next = (k + 1) * dt
-            times[k + 1] = t_next
-            h = np.asarray(
-                escaper.position(PathView(times, z_pts, k + 1), t_next), dtype=float
-            )
-            step_h = domain.escaper_distance(h_pts[k], h)
-            if step_h > s_h * dt + tol:
+            esc_view._len = k + 1
+            x, y = escaper_position(esc_view, t_next)
+            h_next = (float(x), float(y))
+            step_h = escaper_distance(h, h_next)
+            if step_h > step_h_max:
                 raise SpeedViolation(
                     f"escaper moved {step_h:.3g} in dt={dt:.3g} at t={t_next:.4g}"
                 )
-            if not domain.escaper_contains(h, tol):
+            if not escaper_contains(h_next, tol):
                 raise DomainViolation(f"escaper left its domain at t={t_next:.4g}")
-            h_pts[k + 1] = h
-            z = np.asarray(
-                pursuer.position(PathView(times, h_pts, k + 2), t_next), dtype=float
-            )
-            step_z = domain.pursuer_distance(z_pts[k], z)
-            if step_z > s_z * dt + tol:
+            h = h_next
+            h_pts[k + 1, 0], h_pts[k + 1, 1] = h
+            purs_view._len = k + 2
+            x, y = pursuer_position(purs_view, t_next)
+            z_next = (float(x), float(y))
+            step_z = pursuer_distance(z, z_next)
+            if step_z > step_z_max:
                 raise SpeedViolation(
                     f"pursuer moved {step_z:.3g} > r*dt={s_z * dt:.3g} at t={t_next:.4g}"
                 )
-            if not domain.pursuer_contains(z, tol):
+            if not pursuer_contains(z_next, tol):
                 raise DomainViolation(f"pursuer left its domain at t={t_next:.4g}")
-            z_pts[k + 1] = z
+            z = z_next
+            z_pts[k + 1, 0], z_pts[k + 1, 1] = z
             k_end = k + 1
-            sep = check_escape(k + 1)
+            sep = check_escape(h, z, t_next)
             if sep is not None:
                 escaped_at = t_next
                 break

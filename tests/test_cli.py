@@ -139,6 +139,63 @@ class TestDiscreteSolve:
         assert doc["escaper_won"] is True
 
 
+class TestTableFingerprint:
+    SOLVE = ["-r", "2", "--delta", "0.5", "--gamma", "0.2", "--state-cap", "1e9"]
+
+    @pytest.fixture()
+    def tables(self, capsys, square_file, tmp_path):
+        path = tmp_path / "tables.json"
+        rc = run(["discrete-solve", "--polygon", square_file, "--model", "exterior",
+                  *self.SOLVE, "--tables-out", str(path)])
+        assert rc == 0
+        capsys.readouterr()
+        return path
+
+    def replay(self, capsys, polygon, tables, *extra):
+        rc = run(["simulate", "--scenario", "polygon", "--polygon", polygon,
+                  "--tables", str(tables), "-r", "2", *extra])
+        return rc, capsys.readouterr().err
+
+    def test_tables_record_the_game(self, tables):
+        doc = json.loads(tables.read_text())
+        assert doc["model"] == "exterior"
+        assert len(doc["polygon_sha256"]) == 64
+        assert doc["n_h"] > 0 and doc["n_z"] > 0
+
+    def test_same_model_replays(self, capsys, square_file, tables):
+        rc, err = self.replay(capsys, square_file, tables, "--model", "exterior")
+        assert rc == 0, err
+
+    def test_exterior_tables_on_default_model_exit_2(self, capsys, square_file, tables):
+        rc, err = self.replay(capsys, square_file, tables)
+        assert rc == 2
+        assert "'model'" in err
+
+    def test_other_polygon_exit_2(self, capsys, tables, tmp_path):
+        other = tmp_path / "rect.json"
+        other.write_text("[[0,0],[2,0],[2,1],[0,1]]")
+        rc, err = self.replay(capsys, str(other), tables, "--model", "exterior")
+        assert rc == 2
+        assert "'polygon_sha256'" in err
+
+    @pytest.mark.parametrize("field", ["polygon_sha256", "model", "n_h", "n_z"])
+    def test_missing_field_exit_2(self, capsys, square_file, tables, field):
+        doc = json.loads(tables.read_text())
+        del doc[field]
+        tables.write_text(json.dumps(doc))
+        rc, err = self.replay(capsys, square_file, tables, "--model", "exterior")
+        assert rc == 2
+        assert repr(field) in err
+
+    def test_net_size_mismatch_exit_2(self, capsys, square_file, tables):
+        doc = json.loads(tables.read_text())
+        doc["n_z"] += 1
+        tables.write_text(json.dumps(doc))
+        rc, err = self.replay(capsys, square_file, tables, "--model", "exterior")
+        assert rc == 2
+        assert "'n_z'" in err
+
+
 class TestApproximate:
     def test_override_bracket(self, capsys, square_file):
         rc, doc = run_json(

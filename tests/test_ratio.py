@@ -77,6 +77,13 @@ class TestMaxRatio:
         quotient = bound.upper_estimate / (UPPER_FACTOR * bound.lower_certified)
         assert 1.0 <= quotient <= 1.1
 
+    def test_bound_values_are_plain_floats(self, l_moat):
+        bound = max_ratio(l_moat, 0.1)
+        assert type(bound.upper_estimate) is float
+        assert type(bound.lower_certified) is float
+        # math.sqrt and np.sqrt are both correctly rounded
+        assert UPPER_FACTOR == 2.0 * (3.0 + np.sqrt(6.0))
+
     def test_witness_reproduces_lower(self, square_moat, l_moat):
         for ctx, spacing in ((square_moat, 0.05), (l_moat, 0.1)):
             bound = max_ratio(ctx, spacing)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,8 +11,11 @@ from escape_ratio.sim import (
     HalfplaneDomain,
     HalfplaneProjectionPursuer,
     MotionPath,
+    ObliviousStrategy,
     PathView,
+    PolygonDomain,
     StraightRunEscaper,
+    Strategy,
     WedgeDomain,
     WedgeProjectionPursuer,
     emit_svg,
@@ -389,3 +393,198 @@ class TestAploPathsUnderSimulation:
             )
             path = MotionPath(times, pts, 1.0, "escaper")
             assert validate_speed(path, DiskDomain(), pairs=50, seed=1).passed
+
+
+def _sha256(values):
+    return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
+
+
+class _CampingPursuer(Strategy):
+    max_speed = 1.0
+
+    def position(self, opp, t):
+        return np.array([0.5, 0.0])
+
+
+def _disk_run(r, epsilon):
+    # the benchmark's disk playthroughs: dt 1e-4, t_max 2
+    esc, purs = disk_strategies(r)
+    return playthrough(esc, purs, dt=1e-4, t_max=2.0, epsilon=epsilon, domain=DiskDomain())
+
+
+def _halfplane_run(theta, r):
+    domain, escaper, pursuer = halfplane_scenario(theta, r)
+    return playthrough(escaper, pursuer, dt=1e-3, t_max=3.0, epsilon=0.05, domain=domain)
+
+
+def _wedge_run(r):
+    theta = math.pi / 4
+    escaper = StraightRunEscaper([(math.cos(theta), 0.0), (math.cos(theta), math.sin(theta))])
+    return playthrough(escaper, WedgeProjectionPursuer(theta, r), dt=1e-3, t_max=3.0,
+                       epsilon=0.05, domain=WedgeDomain(theta))
+
+
+def _oblivious_disk_run():
+    esc, purs = disk_strategies(4.8)
+    return playthrough(esc, obliviate(purs, 0.05 / 9.6, 4.8), dt=1e-3, t_max=3.0,
+                       epsilon=0.075, domain=DiskDomain())
+
+
+def _polygon_run(ctx):
+    escaper = StraightRunEscaper([(0.5, 0.0), (0.5, 1.0)])
+    return playthrough(escaper, _CampingPursuer(), dt=0.01, t_max=2.0, epsilon=0.5,
+                       domain=PolygonDomain(ctx))
+
+
+# outcome, escape_time, separation, touch count, then SHA-256 digests of the
+# little-endian float64 bytes of times, escaper points, pursuer points and
+# the (t, separation) touches, all as computed before the engine's per-step
+# path became scalar
+PINNED = {
+    "disk r=4.4": (
+        lambda ctx: _disk_run(4.4, 0.01),
+        "escaped", 1.5931000000000002, 0.17814566995437975, 1,
+        "ba1f58ea43d3a5ee618ee2e5c0767e424e674a9480fe3bc6be6aa9787d3fed5b",
+        "dea8fcb814e3687383b854a24306f1f3112da7a004a917d158eb80ce6d315a8c",
+        "400f37907cdca4d539ca202f905221534caf33dbdfccfef46c06731b68b042de",
+        "b49d075ce2f4754da1450249d992837c7f323e1655d321e52fc8efb8f7f444a2",
+    ),
+    "disk r=4.8": (
+        lambda ctx: _disk_run(4.8, 5 * 4.8 * 1e-4),
+        "no_escape_by_tmax", None, None, 1242,
+        "c3438ffac7ace05c91efd7024076fb2af88f68749014fd8f01ab2b546dda708c",
+        "0414d9de8d51608635f479330efdd650e130179af96ecfc2c61aedc117515150",
+        "fcd74937e08c9ef38490ec8122348af8401ecfd73be34fa5002fe19939ecff23",
+        "748b2ee9468f5d982f8dfea79a83b592845cab5c95cff254e98a6d0347877bee",
+    ),
+    "halfplane hold": (
+        lambda ctx: _halfplane_run(math.pi / 2, 1.0),
+        "no_escape_by_tmax", None, None, 2001,
+        "757e898983a4ab610dad56743ea7eecc809b2a3bfe19f20e926108b08987a21b",
+        "194bfad2b563407940d4934af243cd145501a9de4f51fe58e2f3c80397c549cb",
+        "b9727a5cfd988b97c79c80583533ed5b1061d40b34efac470a3e6465cddf631c",
+        "844f9d7be7a6df85caadf190d6da362ef15cf9d85aa32bd4b79e0c68df5ea18c",
+    ),
+    "halfplane escape": (
+        lambda ctx: _halfplane_run(math.pi / 4, 0.9),
+        "escaped", 1.0, 0.5142135623730856, 1,
+        "be069d7d0c6719743ada6aed42916e2798ddc937afaa56bd63d766dcca764331",
+        "00070dfe47014e7088836a8c38df2c244d5e39f2c7753ac503c01bdd04f4bd74",
+        "6bf50a895e02ac71298a81a7ca77266d240cc540bd22d58fd3bd5dcd43394522",
+        "1cf4836dbd0c31307aa8bba70cb5973ded489fd3409ab46450ff859365aa7aa9",
+    ),
+    "wedge escape": (
+        lambda ctx: _wedge_run(1.2),
+        "escaped", 0.708, 0.15040000000001008, 1,
+        "c755eecd092e1e33c3fa9f93596c99c0289015776d5452195e37de40eebd3ef6",
+        "2d1453f4f24cc2623a9638a6539bde3e150f1d5c1324a0b0be82628d55250faa",
+        "6ddd6fd8e5aaaf2f5aa8d50889f1a4f67defe5c8bdc4f4c76dbe7ad153a3b4b5",
+        "92a4430b5adbfa91996e341f8d621a51baf80e03912e0114a08ab68a098270eb",
+    ),
+    "wedge hold": (
+        lambda ctx: _wedge_run(1.5),
+        "no_escape_by_tmax", None, None, 2293,
+        "757e898983a4ab610dad56743ea7eecc809b2a3bfe19f20e926108b08987a21b",
+        "3e00339ceab97008967fd95fa6ecefa1ebe904a21edc91971d2a9e5b35796d06",
+        "b1bc0951208368fcbfcfb2143f2c3430b28c2e35bb6e4433cd2d3929754c7e06",
+        "22bb10de4b40ef3a7d7744252d7d78c1dd40d4b27ca312735fd6bda3a99ee9f5",
+    ),
+    "oblivious disk pursuer": (
+        lambda ctx: _oblivious_disk_run(),
+        "no_escape_by_tmax", None, None, 1110,
+        "757e898983a4ab610dad56743ea7eecc809b2a3bfe19f20e926108b08987a21b",
+        "14c5cb9523e7d3c705f0dfb5279a165b843bffd1839f6b0b1afdfbebcfdfebb5",
+        "d74ed7439e2f0480f4de334ff9307de74590292300068447f97bee2087383ec3",
+        "791885f105be012f743309a3f6b47779c58afeadd1dfbd94f84ca438f08414eb",
+    ),
+    "polygon square": (
+        _polygon_run,
+        "escaped", 1.0, 2.0, 2,
+        "2d97dd2c2d94ed0b5ce6c902c0dcf2a41753796593ae2859ab77b0ba0c647bc3",
+        "e1160aa4ce3cc730c9665f19208a703e99deed117014b7e02914184a70279021",
+        "cc8358fa161f9f188f870a7f331dd7c438a9921d5e0727c46b0eb7de4173fa70",
+        "2cdf4361ce601a616226667a64d33430f5dd379bdae8da4c2186d77a4bfc8541",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED))
+def test_trajectories_are_pinned(case, square_moat):
+    run, outcome, escape_time, separation, n_touches, *digests = PINNED[case]
+    pt = run(square_moat)
+    assert pt.outcome == outcome
+    assert pt.escape_time == escape_time
+    assert pt.separation == separation
+    assert len(pt.touches) == n_touches
+    touches = np.array(pt.touches, dtype=float).reshape(-1, 2)
+    got = [_sha256(pt.escaper_path.times), _sha256(pt.escaper_path.points),
+           _sha256(pt.pursuer_path.points), _sha256(touches)]
+    assert got == digests
+    assert np.array_equal(pt.pursuer_path.times, pt.escaper_path.times)
+
+
+class _Recorder(Strategy):
+    """Logs what each call sees, then defers to the wrapped strategy."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.start_point = getattr(inner, "start_point", None)
+        self.max_speed = inner.max_speed
+        self.log = []
+
+    def reset(self):
+        self.inner.reset()
+        self.log = []
+
+    def position(self, opp, t):
+        self.log.append((t, len(opp), tuple(opp.last), tuple(opp.points[-1]),
+                         float(opp.times[-1])))
+        return self.inner.position(opp, t)
+
+
+class TestViewContract:
+    def test_prefix_lengths_and_last(self):
+        dt = 0.01
+        esc, purs = disk_strategies(4.8)
+        esc, purs = _Recorder(esc), _Recorder(purs)
+        pt = playthrough(esc, purs, dt=dt, t_max=1.0, epsilon=0.05, domain=DiskDomain())
+        n = len(pt.escaper_path)
+        assert n == 101
+        # escaper at step k: the pursuer's k + 1 points, up to k*dt
+        assert len(esc.log) == n - 1
+        for k, (t, length, last, tail, t_last) in enumerate(esc.log):
+            assert t == (k + 1) * dt
+            assert length == k + 1
+            assert last == tail == tuple(pt.pursuer_path.points[k])
+            assert t_last == pt.escaper_path.times[k]
+        # pursuer: its start sees the escaper's start, step k the k + 2
+        # points up to (k+1)*dt
+        assert len(purs.log) == n
+        for j, (t, length, last, tail, t_last) in enumerate(purs.log):
+            assert length == j + 1
+            assert last == tail == tuple(pt.escaper_path.points[j])
+            assert t_last == t
+
+    def test_oblivious_wrapper_sees_shorter_views(self):
+        dt, delta = 0.01, 0.05
+        esc, purs = disk_strategies(4.8)
+        inner = _Recorder(purs)
+        outer = _Recorder(obliviate(inner, delta, 4.8))
+        assert isinstance(outer.inner, ObliviousStrategy)
+        pt = playthrough(esc, outer, dt=dt, t_max=0.5, epsilon=0.05, domain=DiskDomain())
+        times = pt.escaper_path.times
+        assert [length for _, length, *_ in outer.log] == list(range(1, len(times) + 1))
+        # the inner strategy gets its own truncated views, shifted back by delta
+        shifted = [0.0] + [t - delta for t, *_ in outer.log if t > delta]
+        assert len(inner.log) == len(shifted)
+        for (t, length, last, tail, t_last), s in zip(inner.log, shifted):
+            assert t == s
+            assert length == int(np.searchsorted(times, s + 1e-15, side="right"))
+            assert length < len(times)
+            assert last == tail == tuple(pt.escaper_path.points[length - 1])
+            assert t_last <= s + 1e-15
+
+    def test_last_of_empty_view_raises(self):
+        view = PathView(np.zeros(3), np.ones((3, 2)), 0)
+        with pytest.raises(IndexError):
+            view.last
