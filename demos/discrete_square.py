@@ -34,10 +34,10 @@ for r in (0.5, 1, 2, 3, 4, 6, 10, 20):
     last = winner
 
 print()
-print("replaying the extracted strategy tables from an escaper-win start:")
+print("replaying the extracted strategies from an escaper-win start:")
 game = build_game(ctx, r=2, delta=delta, gamma=gamma, state_cap=1e10, samples=samples)
 res = solve(game)
-transcript = play_discrete(game, res.escaper_moves, res.pursuer_moves,
+transcript = play_discrete(game, res.escaper_move, res.pursuer_move,
                            max_turns=game.n_h * game.n_z + 1,
                            h0=res.witness_h0, z0=0)
 pts_h = game.samples.escaper_samples

@@ -25,7 +25,7 @@ from .geometry import (
     triangulate,
     validate_polygon,
 )
-from .ratio import RatioBound, max_ratio, r_star_sandwich, ratio_of_pair
+from .ratio import RatioBound, max_ratio, ratio_of_pair
 from .scheme import approximate_r_star, epsilon0, r_upper_bound_easy
 from .sim import MotionPath, Playthrough, emit_svg, obliviate, playthrough, validate_speed
 
@@ -57,7 +57,6 @@ __all__ = [
     "obliviate",
     "play_discrete",
     "playthrough",
-    "r_star_sandwich",
     "r_upper_bound_easy",
     "ratio_of_pair",
     "save_polygon",

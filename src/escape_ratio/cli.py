@@ -207,9 +207,9 @@ def _reachable_tables(game, result) -> dict:
             continue
         seen.add((h, z))
         budget -= 1
-        h2 = result.escaper_moves[(h, z)]
+        h2 = result.escaper_move(h, z)
         esc[f"{h},{z}"] = int(h2)
-        z2 = result.pursuer_moves[(h, h2, z)]
+        z2 = result.pursuer_move(h, h2, z)
         purs[f"{h},{h2},{z}"] = int(z2)
         if not escaper_win_predicate(game, h, z2):
             stack.append((h2, z2))
@@ -343,12 +343,13 @@ def _simulate_polygon_tables(args) -> int:
     game = build_game(ctx, r=tables["r"], delta=tables["delta"], gamma=tables["gamma"],
                       state_cap=1e12)
     _check_tables(tables, {"n_h": game.n_h, "n_z": game.n_z})
-    esc = {tuple(map(int, k.split(","))): v for k, v in tables["escaper_moves"].items()}
-    purs = {tuple(map(int, k.split(","))): v for k, v in tables["pursuer_moves"].items()}
+    esc = tables["escaper_moves"]
+    purs = tables["pursuer_moves"]
     h0 = tables.get("witness_h0") or 0
     z0 = 0
-    transcript = play_discrete(game, esc, purs, max_turns=game.n_h * game.n_z + 1,
-                               h0=h0, z0=z0)
+    transcript = play_discrete(game, lambda h, z: esc[f"{h},{z}"],
+                               lambda h, h2, z: purs[f"{h},{h2},{z}"],
+                               max_turns=game.n_h * game.n_z + 1, h0=h0, z0=z0)
     doc = {
         "scenario": "polygon",
         "r": game.r,

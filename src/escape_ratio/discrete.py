@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -55,17 +55,6 @@ logger = logging.getLogger(__name__)
 # stays near 1 MB on both paths.
 _WINDOW_BLOCK_ELEMENTS = 2**15
 _MATMUL_BLOCK_ELEMENTS = 2**17
-
-
-class EscaperTurn(NamedTuple):
-    h: int
-    z: int
-
-
-class PursuerTurn(NamedTuple):
-    h_threat: int
-    h_cur: int
-    z: int
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +117,7 @@ def gamma_sample(ctx: MetricContext, gamma: float) -> SampleSet:
     spacing = gamma / math.sqrt(2.0)
     lo, hi = poly.bbox
     grid = _grid_points(lo, hi, spacing)
-    interior = grid[_points_not_outside(poly, grid)]
+    interior = grid[point_classes(poly, grid) >= 0]
 
     escaper = np.vstack([boundary, interior])
     nb = len(boundary)
@@ -141,7 +130,7 @@ def gamma_sample(ctx: MetricContext, gamma: float) -> SampleSet:
         hlo = hull.min(axis=0)
         hhi = hull.max(axis=0)
         grid = _grid_points(hlo, hhi, spacing)
-        keep = point_in_convex_hull(hull, grid, poly.tol) & ~_points_strictly_inside(poly, grid)
+        keep = point_in_convex_hull(hull, grid, poly.tol) & (point_classes(poly, grid) != 1)
         ext = grid[keep]
         pursuer = np.vstack([boundary, ext])
         exterior_count = len(ext)
@@ -231,16 +220,8 @@ def _nearest_intrinsic(metric, tree, pts, p) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _points_not_outside(poly, pts) -> np.ndarray:
-    return point_classes(poly, pts) >= 0
-
-
-def _points_strictly_inside(poly, pts) -> np.ndarray:
-    return point_classes(poly, pts) == 1
-
-
-def _threshold_distances(poly, pts, limit, mode) -> csr_matrix:
-    """Sparse matrix of pairwise intrinsic distances <= limit between pts.
+def _threshold_distances(poly, pts, limit, mode) -> np.ndarray:
+    """Dense m x m array of intrinsic distances between pts, inf above limit.
 
     Candidate hops are Euclid-close visible pairs among pts plus the polygon
     vertices; Dijkstra with a path-length cap then recovers every geodesic of
@@ -303,9 +284,6 @@ class DiscreteGame:
     def n_z(self) -> int:
         return self.samples.n_pursuer
 
-    def state_count(self) -> int:
-        return self.n_h * self.n_h * self.n_z
-
     def h_neighbors(self, i: int) -> np.ndarray:
         row = self.e_h
         return row.indices[row.indptr[i] : row.indptr[i + 1]]
@@ -354,8 +332,7 @@ def build_game(
         )
     else:
         dh = _threshold_distances(poly, samples.escaper_samples, delta, "interior")
-        dh_dense = np.asarray(dh)
-        e_h_dense = np.isfinite(dh_dense) & (dh_dense <= delta + tol)
+        e_h_dense = np.isfinite(dh) & (dh <= delta + tol)
         np.fill_diagonal(e_h_dense, True)
         e_h = csr_matrix(e_h_dense)
 
@@ -370,11 +347,10 @@ def build_game(
         z_windows = _arc_windows(t, F, reach + tol)
     else:
         dz = _threshold_distances(poly, samples.pursuer_samples, reach, "exterior")
-        dz = np.asarray(dz)
         e_z = np.isfinite(dz) & (dz <= reach + tol)
         np.fill_diagonal(e_z, True)
     return DiscreteGame(
-        samples=samples, e_h=e_h, e_z=np.asarray(e_z, dtype=bool), r=float(r),
+        samples=samples, e_h=e_h, e_z=e_z, r=float(r),
         delta=float(delta), z_windows=z_windows,
     )
 
@@ -390,17 +366,11 @@ def _arc_windows(t: np.ndarray, F: float, reach: float):
     if reach >= F / 2:
         return (np.zeros(n, dtype=int), np.full(n, 2 * n - 1, dtype=int), True)
     assert np.all(np.diff(t) > 0), "boundary samples must be arc-sorted"
-    lo = np.empty(n, dtype=int)
-    hi = np.empty(n, dtype=int)
     ext = np.concatenate([t - F, t, t + F])
-    for i in range(n):
-        lo3 = int(np.searchsorted(ext, t[i] - reach, side="left"))
-        hi3 = int(np.searchsorted(ext, t[i] + reach, side="right")) - 1
-        width = hi3 - lo3
-        d_lo = (lo3 - n) % n
-        lo[i] = d_lo
-        hi[i] = d_lo + width
-    return (lo, hi, False)
+    lo3 = np.searchsorted(ext, t - reach, side="left")
+    hi3 = np.searchsorted(ext, t + reach, side="right") - 1
+    lo = (lo3 - n) % n
+    return (lo, lo + (hi3 - lo3), False)
 
 
 def toy_game(e_h, e_z, exit_idx_h, exit_idx_z, r: float = 1.0, delta: float = 1.0) -> DiscreteGame:
@@ -457,47 +427,28 @@ def escaper_win_predicate(game: DiscreteGame, h_threat: int, z: int) -> bool:
 
 @dataclass
 class SolveResult:
-    """Least-fixpoint marking of escaper-win states plus extracted strategies."""
+    """Least-fixpoint marking of escaper-win states.
+
+    ``escaper_move`` and ``pursuer_move`` are the extracted strategies; pass
+    them to ``play_discrete`` to replay a game.
+    """
 
     game: DiscreteGame
     escaper_wins: bool
-    win_mask: np.ndarray  # bool over EscaperTurn states [h, z]
+    win_mask: np.ndarray  # bool over escaper-turn states [h, z]
     rank: np.ndarray  # marking round per state; 0 where unmarked
     threat: np.ndarray  # cached threat matrix P[h, z]
     witness_h0: Optional[int]
     iterations: int
-    escaper_moves: "MoveTable" = field(init=False)
-    pursuer_moves: "MoveTable" = field(init=False)
-
-    def __post_init__(self):
-        self.escaper_moves = MoveTable(self, "escaper")
-        self.pursuer_moves = MoveTable(self, "pursuer")
 
     @property
     def win_count(self) -> int:
         return int(self.win_mask.sum())
 
-    def win_set(self) -> frozenset:
-        """Escaper-win EscaperTurn states (materialized; small games only)."""
-        hs, zs = np.nonzero(self.win_mask)
-        return frozenset(EscaperTurn(int(h), int(z)) for h, z in zip(hs, zs))
-
-    def is_win(self, state) -> bool:
-        if isinstance(state, EscaperTurn):
-            return bool(self.win_mask[state.h, state.z])
-        if isinstance(state, PursuerTurn):
-            move_ok = self._pursuer_turn_win(state.h_threat, state.h_cur, state.z)
-            return move_ok
-        raise TypeError("expected EscaperTurn or PursuerTurn")
-
-    def _pursuer_turn_win(self, h_threat, h_cur, z) -> bool:
-        nbrs = self.game.z_neighbors(z)
-        return bool(np.all(self.threat[h_threat, nbrs] | self.win_mask[h_cur, nbrs]))
-
     # -- strategy extraction ------------------------------------------------
 
     def escaper_move(self, h: int, z: int) -> int:
-        """Move for the escaper at EscaperTurn(h, z); rank-decreasing on wins."""
+        """Move for the escaper at state (h, z); rank-decreasing on wins."""
         game = self.game
         nbrs = game.h_neighbors(h)
         if self.win_mask[h, z]:
@@ -518,7 +469,7 @@ class SolveResult:
         return int(h)
 
     def pursuer_move(self, h_threat: int, h_cur: int, z: int) -> int:
-        """Move for the pursuer at PursuerTurn(h_threat, h_cur, z)."""
+        """Pursuer reply at z after the escaper moved h_threat -> h_cur."""
         game = self.game
         z_nbrs = game.z_neighbors(z)
         safe = ~self.threat[h_threat, z_nbrs] & ~self.win_mask[h_cur, z_nbrs]
@@ -531,43 +482,6 @@ class SolveResult:
             ranks = self.rank[h_cur, cand]
             return int(cand[np.argmax(ranks)])
         return int(z_nbrs[0])
-
-
-class MoveTable:
-    """Mapping view over extracted strategies, computed and cached on demand.
-
-    Escaper keys are EscaperTurn (or (h, z)); pursuer keys are PursuerTurn
-    (or (h_threat, h_cur, z)).
-    """
-
-    def __init__(self, result: SolveResult, side: str):
-        self._result = result
-        self._side = side
-        self._cache: dict = {}
-
-    def __getitem__(self, key):
-        key = tuple(key)
-        if key in self._cache:
-            return self._cache[key]
-        if self._side == "escaper":
-            if len(key) != 2:
-                raise InconsistentTables("escaper table keys are (h, z)")
-            move = self._result.escaper_move(*key)
-        else:
-            if len(key) != 3:
-                raise InconsistentTables("pursuer table keys are (h_threat, h_cur, z)")
-            move = self._result.pursuer_move(*key)
-        self._cache[key] = move
-        return move
-
-    def get(self, key, default=None):
-        try:
-            return self[key]
-        except (IndexError, InconsistentTables):
-            return default
-
-    def __contains__(self, key):
-        return self.get(key) is not None
 
 
 def solve(game: DiscreteGame) -> SolveResult:
@@ -694,16 +608,20 @@ class Transcript:
 
 def play_discrete(
     game: DiscreteGame,
-    escaper_moves,
-    pursuer_moves,
+    escaper_move,
+    pursuer_move,
     max_turns: int,
     h0: int,
     z0: int,
 ) -> Transcript:
-    """Replay extracted move tables from (h0, z0) for up to max_turns rounds.
+    """Replay two strategies from (h0, z0) for up to max_turns rounds.
 
+    ``escaper_move(h, z)`` gives the escaper's next sample and
+    ``pursuer_move(h_threat, h_cur, z)`` the pursuer's reply after the escaper
+    moved h_threat -> h_cur, as ``SolveResult``'s methods of those names do.
     Ends at the first decisive two-reply threat or at the turn cap; raises
-    InconsistentTables on missing keys or illegal table moves.
+    InconsistentTables when a move function raises KeyError (a table with no
+    entry for the state) or returns an illegal move.
     """
     e_h = game.e_h
     e_z = game.e_z
@@ -711,14 +629,14 @@ def play_discrete(
     h, z = int(h0), int(z0)
     for turn in range(max_turns):
         try:
-            h2 = escaper_moves[(h, z)]
+            h2 = escaper_move(h, z)
         except KeyError as exc:
             raise InconsistentTables(f"escaper table has no move at {(h, z)}") from exc
         if h2 is None or not e_h[h, h2]:
             raise InconsistentTables(f"illegal escaper move {h}->{h2}")
         moves.append(("escaper", h2))
         try:
-            z2 = pursuer_moves[(h, h2, z)]
+            z2 = pursuer_move(h, h2, z)
         except KeyError as exc:
             raise InconsistentTables(f"pursuer table has no move at {(h, h2, z)}") from exc
         if z2 is None or not e_z[z, z2]:

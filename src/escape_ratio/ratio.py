@@ -249,9 +249,3 @@ def max_ratio(
         witness_q=Point2(*map(float, wq)),
         sampling_spacing=float(spacing),
     )
-
-
-def r_star_sandwich(ctx: MetricContext, spacing: float, prune: bool = False):
-    """(lower, upper) bounds on the critical speed ratio r*."""
-    bound = max_ratio(ctx, spacing, prune=prune)
-    return bound.lower_certified, bound.upper_estimate

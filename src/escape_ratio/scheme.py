@@ -77,33 +77,6 @@ def _gamma_for(r: float, delta: float, eps: float) -> float:
 
 
 @dataclass
-class SchemeParams:
-    """Search state: accuracy target, margin scale, bracket, decider knobs.
-
-    Each decider call must satisfy gamma < min{1/4, r/2, eps*r/2} * delta;
-    ``practical_override`` is the optional (delta, gamma) floor used when the
-    theoretical delta blows the state budget.
-    """
-
-    epsilon: float
-    epsilon0: float
-    r_lo: float
-    r_hi: float
-    delta: float = 0.0
-    gamma: float = 0.0
-    practical_override: Optional[tuple] = None
-
-    def set_decider(self, r: float) -> None:
-        self.delta = 2.0 * self.epsilon0**3 / r
-        self.gamma = _gamma_for(r, self.delta, self.epsilon)
-
-    def check(self, r: float) -> None:
-        limit = min(0.25, r / 2.0, self.epsilon * r / 2.0) * self.delta
-        if not (0.0 < self.gamma < limit):
-            raise ValueError("gamma violates the decider preconditions")
-
-
-@dataclass
 class ProbeRecord:
     r: float
     delta: float
@@ -170,21 +143,16 @@ def approximate_r_star(
     """Bracket r* by bisection over [1, R_up] using the discrete decider.
 
     Without an override, each probe uses the theoretical delta = 2*eps0^3/r
-    (and a conforming gamma); if its state count exceeds ``budget`` the
-    ``override`` (delta, gamma) floor is substituted and the result is flagged
-    heuristic.  BudgetExceeded propagates when even the override is too large.
-    The search stops once r_hi/r_lo <= (1+eps)^2/(1-eps), the slack at which
+    and a gamma < min{1/4, r/2, eps*r/2} * delta (ValueError otherwise); if
+    its state count exceeds ``budget`` the ``override`` (delta, gamma) floor
+    is substituted and the result is flagged heuristic.  BudgetExceeded
+    propagates when even the override is too large.  The search stops once r_hi/r_lo <= (1+eps)^2/(1-eps), the slack at which
     further probes cannot tighten the certified interval.
     """
     if not (0.0 < epsilon <= 1.0):
         raise ValueError("epsilon must lie in (0, 1]")
-    params = SchemeParams(
-        epsilon=epsilon,
-        epsilon0=epsilon0(ctx),
-        r_lo=1.0,
-        r_hi=r_upper_bound_easy(ctx),
-        practical_override=override,
-    )
+    eps0 = epsilon0(ctx)
+    r_lo, r_hi = 1.0, r_upper_bound_easy(ctx)
     heuristic = False
     probes: list[ProbeRecord] = []
     sample_cache: dict = {}
@@ -194,39 +162,39 @@ def approximate_r_star(
     else:
         slack = math.inf
 
+    def decide(r: float, delta: float, gamma: float) -> ProbeRecord:
+        key = round(gamma, 15)
+        if key not in sample_cache:
+            sample_cache[key] = gamma_sample(ctx, gamma)
+        return decide_r(ctx, r, delta, gamma, budget, samples=sample_cache[key])
+
     def run_probe(r: float) -> ProbeRecord:
         nonlocal heuristic
-        params.set_decider(r)
-        params.check(r)
+        delta = 2.0 * eps0**3 / r
+        gamma = _gamma_for(r, delta, epsilon)
+        if not (0.0 < gamma < min(0.25, r / 2.0, epsilon * r / 2.0) * delta):
+            raise ValueError("gamma violates the decider preconditions")
         try:
             # cheap pre-estimate: refuse before sampling when clearly hopeless
-            _precheck_budget(ctx, params.gamma, budget)
-            key = round(params.gamma, 15)
-            if key not in sample_cache:
-                sample_cache[key] = gamma_sample(ctx, params.gamma)
-            return decide_r(ctx, r, params.delta, params.gamma, budget,
-                            samples=sample_cache[key])
+            _precheck_budget(ctx, gamma, budget)
+            return decide(r, delta, gamma)
         except BudgetExceeded:
-            if params.practical_override is None:
+            if override is None:
                 raise
         heuristic = True
-        o_delta, o_gamma = params.practical_override
-        key = round(o_gamma, 15)
-        if key not in sample_cache:
-            sample_cache[key] = gamma_sample(ctx, o_gamma)
-        return decide_r(ctx, r, o_delta, o_gamma, budget, samples=sample_cache[key])
+        return decide(r, *override)
 
-    while params.r_hi / params.r_lo > slack and len(probes) < max_probes:
-        r = math.sqrt(params.r_lo * params.r_hi)
+    while r_hi / r_lo > slack and len(probes) < max_probes:
+        r = math.sqrt(r_lo * r_hi)
         rec = run_probe(r)
         probes.append(rec)
         if rec.escaper_wins:
-            params.r_lo = r
+            r_lo = r
         else:
-            params.r_hi = r
+            r_hi = r
     return ApproxResult(
-        r_lo=max(1.0, (1.0 - epsilon) * params.r_lo),
-        r_hi=(1.0 + epsilon) * params.r_hi,
+        r_lo=max(1.0, (1.0 - epsilon) * r_lo),
+        r_hi=(1.0 + epsilon) * r_hi,
         heuristic=heuristic,
         probes=probes,
     )

@@ -397,12 +397,8 @@ def _truncate(view: PathView, t: float) -> PathView:
     return PathView(view._times, view._points, max(n, 1 if len(view) else 0))
 
 
-def obliviate(strategy: Strategy, delta: float, r: float) -> Strategy:
-    """Make a strategy delta-oblivious by delaying its information by delta.
-
-    ``r`` is the speed ratio the delay was budgeted against (delta = eps/(2r)
-    in the usual pairing); the transform itself only needs delta.
-    """
+def obliviate(strategy: Strategy, delta: float) -> Strategy:
+    """Make a strategy delta-oblivious by delaying its information by delta."""
     return ObliviousStrategy(strategy, delta)
 
 

@@ -80,7 +80,7 @@ def random_point_inside(rng, poly):
 def minimax_escaper_wins(game, h0, z0, depth=None):
     """Exhaustive memoized minimax on the raw game rules (solver oracle).
 
-    Depth |EscaperTurn states| + 1 suffices: a forced win never needs to
+    Depth |escaper-turn states| + 1 suffices: a forced win never needs to
     revisit a state.
     """
     nh, nz = game.n_h, game.n_z

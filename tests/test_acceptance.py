@@ -272,8 +272,8 @@ def test_criterion_8_contract_suites():
     ]
     for factory, path_maker in cases:
         a, b = path_maker()
-        w1 = sim.obliviate(factory(), delta, 4.8)
-        w2 = sim.obliviate(factory(), delta, 4.8)
+        w1 = sim.obliviate(factory(), delta)
+        w2 = sim.obliviate(factory(), delta)
         w1.reset()
         w2.reset()
         for k, t in enumerate(times):

@@ -8,8 +8,6 @@ import pytest
 from escape_ratio import discrete
 from escape_ratio.errors import BudgetExceeded, GammaTooCoarse, InconsistentTables
 from escape_ratio.discrete import (
-    EscaperTurn,
-    PursuerTurn,
     SolveResult,
     build_game,
     escaper_win_predicate,
@@ -262,6 +260,20 @@ class TestBuildGame:
             assert arcs.max() <= reach + 1e-9
             assert signed.max() > 0.4 * reach and signed.min() < -0.4 * reach
 
+    @pytest.mark.parametrize("points,r", [(SQUARE, 2.0), (SQUARE, 4.0), (L_SHAPE, 2.0),
+                                          (L_SHAPE, 12.0)])
+    def test_arc_windows_are_the_moat_moves(self, points, r):
+        # r = 4 on the square and r = 12 on the L-shape put the reach at half
+        # the perimeter or more, where every window is the whole boundary
+        ctx = MetricContext(validate_polygon(points), PursuerModel.MOAT)
+        game = build_game(ctx, r=r, delta=0.5, gamma=0.2, state_cap=1e10)
+        lo, hi, full = game.z_windows
+        assert full == (r * 0.5 >= ctx.polygon.perimeter / 2)
+        n = game.n_z
+        for i in range(n):
+            window = np.unique(np.arange(lo[i], hi[i] + 1) % n)
+            assert np.array_equal(window, np.nonzero(game.e_z[i])[0])
+
     def test_threshold_distance_around_notch(self):
         # (0.3, 0) -> (7.5, 0) threads the notch's two mouth vertices on y = 0
         # and crosses no edge properly; the geodesic goes round the tip
@@ -394,16 +406,6 @@ class TestSolve:
         assert np.array_equal(a.win_mask, b.win_mask)
         assert np.all((a.rank > 0) == a.win_mask)
 
-    def test_win_set_and_state_types(self, square_moat):
-        game = build_game(square_moat, r=2.0, delta=0.5, gamma=0.2, state_cap=1e10)
-        res = solve(game)
-        ws = res.win_set()
-        some = next(iter(ws))
-        assert isinstance(some, EscaperTurn)
-        assert res.is_win(some)
-        pt = PursuerTurn(h_threat=some.h, h_cur=some.h, z=some.z)
-        assert isinstance(res.is_win(pt), bool)
-
 
 class TestReplay:
     def test_escaper_win_replay_decisive(self, square_moat):
@@ -412,7 +414,7 @@ class TestReplay:
         assert res.escaper_wins
         cap = game.n_h * game.n_z + 1
         for z0 in range(game.n_z):
-            tr = play_discrete(game, res.escaper_moves, res.pursuer_moves,
+            tr = play_discrete(game, res.escaper_move, res.pursuer_move,
                                max_turns=cap, h0=res.witness_h0, z0=z0)
             assert tr.escaper_won
             h_threat, z_final, _ = tr.decisive
@@ -425,7 +427,7 @@ class TestReplay:
         hs, zs = np.nonzero(res.win_mask)
         cap = game.n_h * game.n_z + 1
         for k in rng.choice(len(hs), size=12, replace=False):
-            tr = play_discrete(game, res.escaper_moves, res.pursuer_moves,
+            tr = play_discrete(game, res.escaper_move, res.pursuer_move,
                                max_turns=cap, h0=int(hs[k]), z0=int(zs[k]))
             assert tr.escaper_won
             assert tr.turns <= int(res.rank[hs[k], zs[k]])
@@ -453,7 +455,7 @@ class TestReplay:
         game = build_game(square_moat, r=40.0, delta=0.5, gamma=0.2, state_cap=1e10)
         res = solve(game)
         assert not res.escaper_wins
-        tr = play_discrete(game, res.escaper_moves, res.pursuer_moves,
+        tr = play_discrete(game, res.escaper_move, res.pursuer_move,
                            max_turns=25, h0=0, z0=0)
         assert not tr.escaper_won
         assert tr.turns == 25
@@ -461,14 +463,23 @@ class TestReplay:
     def test_zero_turns_empty_transcript(self, square_moat):
         game = build_game(square_moat, r=2.0, delta=0.5, gamma=0.2, state_cap=1e10)
         res = solve(game)
-        tr = play_discrete(game, res.escaper_moves, res.pursuer_moves,
+        tr = play_discrete(game, res.escaper_move, res.pursuer_move,
                            max_turns=0, h0=0, z0=0)
         assert tr.moves == [] and not tr.escaper_won
 
     def test_inconsistent_tables_detected(self, square_moat):
         game = build_game(square_moat, r=2.0, delta=0.5, gamma=0.2, state_cap=1e10)
-        with pytest.raises(InconsistentTables):
-            play_discrete(game, {}, {}, max_turns=5, h0=0, z0=0)
+        res = solve(game)
+        empty = {}
+        with pytest.raises(InconsistentTables, match="no move"):
+            play_discrete(game, lambda h, z: empty[(h, z)], res.pursuer_move,
+                          max_turns=5, h0=0, z0=0)
+        with pytest.raises(InconsistentTables, match="no move"):
+            play_discrete(game, res.escaper_move, lambda h, h2, z: empty[(h, h2, z)],
+                          max_turns=5, h0=0, z0=0)
+        far = int(np.flatnonzero(~game.e_h[0].toarray().ravel())[0])
+        with pytest.raises(InconsistentTables, match="illegal escaper move"):
+            play_discrete(game, lambda h, z: far, res.pursuer_move, max_turns=5, h0=0, z0=0)
 
 
 class TestMonotonicityInR:

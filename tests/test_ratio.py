@@ -11,7 +11,6 @@ from escape_ratio.ratio import (
     UPPER_FACTOR,
     _refine_pair,
     max_ratio,
-    r_star_sandwich,
     ratio_of_pair,
 )
 
@@ -152,6 +151,24 @@ class TestMaxRatio:
 
 
 @pytest.mark.parametrize(
+    "points,model,lower,upper",
+    [
+        (L_SHAPE, "moat", 3.1622776601683795, 39.253524465491196),
+        (L_SHAPE, "exterior", 3.1622776601683795, 39.253524465491196),
+        (COMB, "moat", 6.0, 69.40929040808048),
+        (COMB, "exterior", 5.618033988749895, 65.02714333355574),
+    ],
+)
+def test_prune_keeps_nonconvex_maximum(points, model, lower, upper):
+    # prune runs only on nonconvex polygons, where it drops the pairs whose
+    # interior path bends; a maximizing pair has a direct path
+    ctx = MetricContext(validate_polygon(points), PursuerModel(model))
+    for prune in (True, False):
+        bound = max_ratio(ctx, 0.1, prune=prune)
+        assert (bound.lower_certified, bound.upper_estimate) == (lower, upper)
+
+
+@pytest.mark.parametrize(
     "points,spacing,model,lower,upper",
     [
         (SQUARE, 0.1, "moat", 2.0, 25.430952132988164),
@@ -181,24 +198,24 @@ class TestExteriorModelRatio:
 
 class TestSandwich:
     def test_square(self, square_moat):
-        lo, hi = r_star_sandwich(square_moat, 0.05)
-        assert lo == pytest.approx(2.0, abs=0.01)
-        assert lo <= 5.78857 <= hi
+        bound = max_ratio(square_moat, 0.05)
+        assert bound.lower_certified == pytest.approx(2.0, abs=0.01)
+        assert bound.lower_certified <= 5.78857 <= bound.upper_estimate
 
     def test_triangle_contains_exact_value(self, triangle_moat):
         f = triangle_moat.polygon.min_feature_size
-        lo, hi = r_star_sandwich(triangle_moat, f / 10 * 0.99)
-        assert lo <= 7.40492 <= hi
+        bound = max_ratio(triangle_moat, f / 10 * 0.99)
+        assert bound.lower_certified <= 7.40492 <= bound.upper_estimate
 
     def test_regular_100gon_approximates_disk(self):
         ang = np.linspace(0, 2 * math.pi, 101)[:-1]
         poly = validate_polygon(np.column_stack([np.cos(ang), np.sin(ang)]))
         ctx = MetricContext(poly, PursuerModel.MOAT)
         spacing = poly.min_feature_size / 10 * 0.9
-        lo, hi = r_star_sandwich(ctx, spacing)
+        bound = max_ratio(ctx, spacing)
         # arc/chord maximand theta/(2 sin(theta/2)) peaks at antipodes: pi/2
-        assert lo == pytest.approx(math.pi / 2, abs=0.01)
-        assert lo <= 4.6033 <= hi
+        assert bound.lower_certified == pytest.approx(math.pi / 2, abs=0.01)
+        assert bound.lower_certified <= 4.6033 <= bound.upper_estimate
 
 
 class TestRefinementWork:

@@ -243,7 +243,7 @@ class TestNoLookahead:
 class TestObliviate:
     def test_holds_start_until_delta(self):
         inner = StraightRunEscaper([(1, 0), (0, 0)])
-        wrapped = obliviate(inner, delta=0.25, r=2.0)
+        wrapped = obliviate(inner, delta=0.25)
         wrapped.reset()
         times = np.arange(11) * 0.05
         opp = np.tile([5.0, 0.0], (11, 1))
@@ -255,7 +255,7 @@ class TestObliviate:
     def test_delayed_mimic_matches_shifted_inner(self):
         delta = 0.2
         inner = StraightRunEscaper([(1, 0), (0, 0)])
-        wrapped = obliviate(inner, delta=delta, r=2.0)
+        wrapped = obliviate(inner, delta=delta)
         wrapped.reset()
         times = np.arange(31) * 0.05
         opp = np.column_stack([np.linspace(2, 1, 31), np.zeros(31)])
@@ -271,7 +271,7 @@ class TestObliviate:
         eps = 0.05
         delta = eps / (2 * r)
         esc, purs = disk_strategies(r)
-        delayed = obliviate(purs, delta, r)
+        delayed = obliviate(purs, delta)
         pt = playthrough(esc, delayed, dt=1e-3, t_max=10.0, epsilon=1.5 * eps,
                          domain=DiskDomain())
         assert pt.outcome == "no_escape_by_tmax"
@@ -292,8 +292,8 @@ class TestObliviate:
         t_agree = times[cut]
         inner1 = HalfplaneProjectionPursuer(math.pi / 2, 2.0)
         inner2 = HalfplaneProjectionPursuer(math.pi / 2, 2.0)
-        w1 = obliviate(inner1, delta, 2.0)
-        w2 = obliviate(inner2, delta, 2.0)
+        w1 = obliviate(inner1, delta)
+        w2 = obliviate(inner2, delta)
         w1.reset()
         w2.reset()
         for k, t in enumerate(times):
@@ -426,7 +426,7 @@ def _wedge_run(r):
 
 def _oblivious_disk_run():
     esc, purs = disk_strategies(4.8)
-    return playthrough(esc, obliviate(purs, 0.05 / 9.6, 4.8), dt=1e-3, t_max=3.0,
+    return playthrough(esc, obliviate(purs, 0.05 / 9.6), dt=1e-3, t_max=3.0,
                        epsilon=0.075, domain=DiskDomain())
 
 
@@ -569,7 +569,7 @@ class TestViewContract:
         dt, delta = 0.01, 0.05
         esc, purs = disk_strategies(4.8)
         inner = _Recorder(purs)
-        outer = _Recorder(obliviate(inner, delta, 4.8))
+        outer = _Recorder(obliviate(inner, delta))
         assert isinstance(outer.inner, ObliviousStrategy)
         pt = playthrough(esc, outer, dt=dt, t_max=0.5, epsilon=0.05, domain=DiskDomain())
         times = pt.escaper_path.times
