@@ -19,10 +19,12 @@ marked it.  Evaluation is semi-naive: a sweep re-evaluates a move h->h' only
 when row h' of W changed in the sweep before, since the move's contribution
 depends on W[h'] and the threat row of h alone; this skips work without
 changing any rank or the sweep count.  The selected moves are evaluated in
-blocks: moat-model games count bad replies in circular windows through
-prefix sums (the pursuer's move set is an arc interval); other games use a
-dense float32 matrix product.  The marking is order-independent, so the
-result is deterministic.
+blocks, and a move's contribution depends only on its covered row
+W[h'] | P[h], so each block evaluates one move per distinct covered row:
+moat-model games count bad replies in circular windows through prefix sums
+(the pursuer's move set is an arc interval); other games use a dense
+float32 matrix product.  The marking is order-independent, so the result is
+deterministic.
 """
 
 from __future__ import annotations
@@ -51,10 +53,10 @@ from .ratio import boundary_samples
 
 logger = logging.getLogger(__name__)
 
-# Solver block sizes in (pairs x n_z) elements: each block's working set
-# stays near 1 MB on both paths.
-_WINDOW_BLOCK_ELEMENTS = 2**15
-_MATMUL_BLOCK_ELEMENTS = 2**17
+# Solver block size in (pairs x n_z) elements.  A block's working set is a
+# few MB at most: the window path's int32 prefix counts over the distinct
+# rows of one block.
+_BLOCK_ELEMENTS = 2**18
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +267,9 @@ class DiscreteGame:
 
     ``e_h`` is CSR boolean over escaper samples (d_h <= delta, self-loops
     included); ``e_z`` is dense boolean over pursuer samples (d_z <= r*delta).
-    ``z_windows`` holds (lo, hi) doubled-index arc windows when the pursuer
-    move set is a circular interval (moat model).
+    ``z_windows`` holds ``(lo, hi, full)`` when the pursuer move set is a
+    circular interval (moat model): per-sample doubled-index arc windows, and
+    whether every window is the whole boundary.
     """
 
     samples: SampleSet
@@ -360,7 +363,8 @@ def _arc_windows(t: np.ndarray, F: float, reach: float):
 
     Index d in the doubled frame [0, 2n) refers to circular sample d mod n;
     each window is a contiguous doubled range of length <= n, ready for the
-    cumulative-sum containment count in the solver.
+    cumulative-sum containment count in the solver.  Returns
+    ``(lo, hi, full)``, where ``full`` says every window is the whole boundary.
     """
     n = len(t)
     if reach >= F / 2:
@@ -499,7 +503,13 @@ def solve(game: DiscreteGame) -> SolveResult:
     sweep W is empty, so every move of h contributes what staying at h does
     (``e_h`` holds every self-loop) and only the pairs (h, h) are evaluated.
     Selected pairs are taken in CSR order, hence grouped by h, and processed
-    in blocks of bounded size.
+    in blocks of bounded size.  A pair's contribution is ``good = no reply
+    z' with bad[z']`` where ``bad = ~(W[h'] | P[h])``, so it depends only on
+    the covered row ``W[h'] | P[h]``: each block groups its pairs by that
+    row (compared exactly, as packed bit words), evaluates one pair per
+    distinct row, and scatters the result back to every pair of the group.
+    Each sweep logs one DEBUG line with its pairs evaluated, the distinct
+    covered rows (summed over blocks) and the states newly marked.
 
     Always terminates: marking is monotone over the finite state lattice.
     The overall winner quantifies over placements: the escaper wins iff some
@@ -511,35 +521,44 @@ def solve(game: DiscreteGame) -> SolveResult:
     rank = np.zeros((n_h, n_z), dtype=np.int32)
 
     indices = game.e_h.indices
-    row_of = np.repeat(np.arange(n_h, dtype=indices.dtype), np.diff(game.e_h.indptr))
-    not_P = ~P
+    degree = np.diff(game.e_h.indptr)
+    row_of = np.repeat(np.arange(n_h, dtype=indices.dtype), degree)
+    P_words = _pack_rows(P)
     windows = game.z_windows
     if windows is not None:
         lo, hi, full = windows
-        block = max(1, _WINDOW_BLOCK_ELEMENTS // n_z)
     else:
         ez = game.e_z.astype(np.float32)
-        block = max(1, _MATMUL_BLOCK_ELEMENTS // n_z)
+    block = max(1, _BLOCK_ELEMENTS // n_z)
 
     iteration = 0
     changed = np.ones(n_h, dtype=bool)  # rows of W that changed last sweep
     while True:
         iteration += 1
-        sel = changed[indices] & ~W.all(axis=1)[row_of]
+        # np.take and np.repeat gather several times faster than indexing
+        sel = np.take(changed, indices) & np.repeat(~W.all(axis=1), degree)
         if iteration == 1:
             sel &= indices == row_of  # W is empty: every move acts as staying put
-        h_sel = row_of[sel]
-        hp_sel = indices[sel]
+        pos = np.flatnonzero(sel)
+        h_sel = np.take(row_of, pos)
+        hp_sel = np.take(indices, pos)
         # pairs come in CSR order, grouped by h; every block starts a new
         # run, so a row split over two blocks is OR-ed into W_next from both
         run_start = np.ones(len(h_sel), dtype=bool)
         run_start[1:] = h_sel[1:] != h_sel[:-1]
         run_start[::block] = True
-        not_W = ~W
+        W_words = _pack_rows(W)
         W_next = W.copy()
+        distinct = 0
         for b0 in range(0, len(h_sel), block):
             hs = h_sel[b0 : b0 + block]
-            bad = not_W[hp_sel[b0 : b0 + block]] & not_P[hs]
+            hps = hp_sel[b0 : b0 + block]
+            # a pair's contribution depends only on its covered row
+            # W[h'] | P[h]: evaluate one representative pair per distinct row
+            covered = np.take(W_words, hps, axis=0) | np.take(P_words, hs, axis=0)
+            group, reps = _group_rows(covered)
+            distinct += len(reps)
+            bad = _unpack_rows(~covered[reps], n_z)
             if windows is None:
                 # reply counts are integers below 2**24: exact in float32
                 good = (bad.astype(np.float32) @ ez) < 0.5
@@ -547,12 +566,16 @@ def solve(game: DiscreteGame) -> SolveResult:
                 good = ~bad.any(axis=1, keepdims=True)  # broadcasts over z
             else:
                 good = _window_good(bad, lo, hi)
+            # OR each run's good rows into W_next as packed words, which makes
+            # the per-pair gather and reduction 8x smaller than bools
             starts = np.flatnonzero(run_start[b0 : b0 + block])
-            W_next[hs[starts]] |= np.logical_or.reduceat(good, starts, axis=0)
+            good_words = np.take(_pack_rows(good), group, axis=0)
+            runs = np.bitwise_or.reduceat(good_words, starts, axis=0)
+            W_next[hs[starts]] |= _unpack_rows(runs, good.shape[1])
         newly = W_next & ~W
         marked = int(np.count_nonzero(newly))
-        logger.debug("sweep %d: %d pairs evaluated, %d states newly marked",
-                     iteration, len(h_sel), marked)
+        logger.debug("sweep %d: %d pairs evaluated, %d distinct rows, %d states newly marked",
+                     iteration, len(h_sel), distinct, marked)
         if not marked:
             break
         rank[newly] = iteration
@@ -573,6 +596,35 @@ def solve(game: DiscreteGame) -> SolveResult:
         witness_h0=witness,
         iterations=iteration,
     )
+
+
+def _pack_rows(M: np.ndarray) -> np.ndarray:
+    """Rows of the bool matrix M packed into uint64 words (zero-padded)."""
+    n_bytes = -(-M.shape[1] // 64) * 8
+    out = np.zeros((len(M), n_bytes), dtype=np.uint8)
+    packed = np.packbits(np.ascontiguousarray(M), axis=1)  # strided input packs slowly
+    out[:, : packed.shape[1]] = packed
+    return out.view(np.uint64)
+
+
+def _unpack_rows(words: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of ``_pack_rows``: the first n bits of each row, as bool."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=n).view(bool)
+
+
+def _group_rows(keys: np.ndarray):
+    """Exact grouping of equal rows of a 2-D key array, with no hashing.
+
+    Returns ``(group, reps)``: ``keys[i]`` equals ``keys[reps[group[i]]]``,
+    and the rows ``keys[reps]`` are pairwise distinct.
+    """
+    order = np.lexsort(keys.T)
+    sorted_keys = np.take(keys, order, axis=0)
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return group, order[new]
 
 
 def _window_good(bad: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -621,8 +673,13 @@ def play_discrete(
     moved h_threat -> h_cur, as ``SolveResult``'s methods of those names do.
     Ends at the first decisive two-reply threat or at the turn cap; raises
     InconsistentTables when a move function raises KeyError (a table with no
-    entry for the state) or returns an illegal move.
+    entry for the state) or returns an illegal move: anything but an integer
+    sample index in range (``bool`` included), or a hop the move relation
+    does not allow.  A start (h0, z0) that is not a pair of sample indices
+    raises it too.
     """
+    if not (_is_index(h0, game.n_h) and _is_index(z0, game.n_z)):
+        raise InconsistentTables(f"illegal start state {(h0, z0)!r}")
     e_h = game.e_h
     e_z = game.e_z
     moves = []
@@ -632,15 +689,15 @@ def play_discrete(
             h2 = escaper_move(h, z)
         except KeyError as exc:
             raise InconsistentTables(f"escaper table has no move at {(h, z)}") from exc
-        if h2 is None or not e_h[h, h2]:
-            raise InconsistentTables(f"illegal escaper move {h}->{h2}")
+        if not (_is_index(h2, game.n_h) and e_h[h, h2]):
+            raise InconsistentTables(f"illegal escaper move {h}->{h2!r}")
         moves.append(("escaper", h2))
         try:
             z2 = pursuer_move(h, h2, z)
         except KeyError as exc:
             raise InconsistentTables(f"pursuer table has no move at {(h, h2, z)}") from exc
-        if z2 is None or not e_z[z, z2]:
-            raise InconsistentTables(f"illegal pursuer move {z}->{z2}")
+        if not (_is_index(z2, game.n_z) and e_z[z, z2]):
+            raise InconsistentTables(f"illegal pursuer move {z}->{z2!r}")
         moves.append(("pursuer", z2))
         if escaper_win_predicate(game, h, z2):
             hx = e_h[h, game.samples.exit_idx_h].toarray().ravel()
@@ -649,4 +706,10 @@ def play_discrete(
             return Transcript(moves=moves, decisive=(h, z2, exit_pos), turns=turn + 1)
         h, z = h2, z2
     return Transcript(moves=moves, decisive=None, turns=max_turns)
+
+
+def _is_index(value, n: int) -> bool:
+    """``value`` is an integer (not a bool) in [0, n)."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and 0 <= value < n)
 

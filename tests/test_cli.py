@@ -187,6 +187,30 @@ class TestTableFingerprint:
         assert rc == 2
         assert repr(field) in err
 
+    @pytest.mark.parametrize("side", ["escaper", "pursuer"])
+    @pytest.mark.parametrize("value", ["38", 2.0, 1e9, -1, True])
+    def test_non_index_move_exit_2(self, capsys, square_file, tables, side, value):
+        doc = json.loads(tables.read_text())
+        h0 = doc["witness_h0"] or 0
+        h2 = doc["escaper_moves"][f"{h0},0"]
+        if side == "escaper":
+            doc["escaper_moves"][f"{h0},0"] = value
+        else:
+            doc["pursuer_moves"][f"{h0},{h2},0"] = value
+        tables.write_text(json.dumps(doc))
+        rc, err = self.replay(capsys, square_file, tables, "--model", "exterior")
+        assert rc == 2
+        assert f"illegal {side} move" in err
+
+    @pytest.mark.parametrize("value", ["abc", 1e9, -1, True])
+    def test_non_index_witness_exit_2(self, capsys, square_file, tables, value):
+        doc = json.loads(tables.read_text())
+        doc["witness_h0"] = value
+        tables.write_text(json.dumps(doc))
+        rc, err = self.replay(capsys, square_file, tables, "--model", "exterior")
+        assert rc == 2
+        assert "illegal start state" in err
+
     def test_net_size_mismatch_exit_2(self, capsys, square_file, tables):
         doc = json.loads(tables.read_text())
         doc["n_z"] += 1

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -385,9 +386,36 @@ class TestSolve:
         # apart at block edges
         for game in _oracle_games():
             for pairs in (1, 3):
-                monkeypatch.setattr(discrete, "_WINDOW_BLOCK_ELEMENTS", pairs * game.n_z)
-                monkeypatch.setattr(discrete, "_MATMUL_BLOCK_ELEMENTS", pairs * game.n_z)
+                monkeypatch.setattr(discrete, "_BLOCK_ELEMENTS", pairs * game.n_z)
                 _assert_same_solution(game)
+
+    def test_dedupe_evaluates_fewer_rows_than_pairs(self, caplog):
+        # n_z = 195: covered rows span four packed words
+        ctx = MetricContext(validate_polygon(L_SHAPE), PursuerModel.EXTERIOR)
+        game = build_game(ctx, r=2.0, delta=0.4, gamma=0.12, state_cap=1e10)
+        with caplog.at_level(logging.DEBUG, logger="escape_ratio.discrete"):
+            solve(game)
+        pairs = distinct = 0
+        for rec in caplog.records:
+            m = re.fullmatch(r"sweep \d+: (\d+) pairs evaluated, (\d+) distinct rows, "
+                             r"\d+ states newly marked", rec.getMessage())
+            assert m, rec.getMessage()
+            assert int(m[2]) <= int(m[1])
+            pairs += int(m[1])
+            distinct += int(m[2])
+        assert 0 < distinct < pairs
+        _assert_same_solution(game)
+
+    def test_group_rows_is_exact(self):
+        rng = np.random.default_rng(5)
+        for n_rows, n_words in ((1, 1), (40, 1), (200, 3), (300, 7)):
+            pool = rng.integers(0, 2**63, size=(9, n_words), dtype=np.uint64)
+            pool[1] = pool[0]
+            pool[1, -1] ^= np.uint64(1)  # rows 0 and 1 differ in one bit only
+            keys = pool[rng.integers(0, len(pool), size=n_rows)]
+            group, reps = discrete._group_rows(keys)
+            assert np.array_equal(keys[reps[group]], keys)
+            assert len(np.unique(keys[reps], axis=0)) == len(reps)
 
     def test_logs_one_line_per_sweep(self, square_moat, caplog):
         game = build_game(square_moat, r=2.0, delta=0.5, gamma=0.2, state_cap=1e10)
@@ -480,6 +508,24 @@ class TestReplay:
         far = int(np.flatnonzero(~game.e_h[0].toarray().ravel())[0])
         with pytest.raises(InconsistentTables, match="illegal escaper move"):
             play_discrete(game, lambda h, z: far, res.pursuer_move, max_turns=5, h0=0, z0=0)
+
+    @pytest.mark.parametrize("value", ["38", 2.0, 1e9, -1, True, None])
+    def test_non_index_moves_refused(self, square_moat, value):
+        # only integers in [0, n) are sample indices; -1 would otherwise
+        # index from the end and True would pass for sample 1
+        game = build_game(square_moat, r=2.0, delta=0.5, gamma=0.2, state_cap=1e10)
+        res = solve(game)
+        with pytest.raises(InconsistentTables, match="illegal escaper move"):
+            play_discrete(game, lambda h, z: value, res.pursuer_move, max_turns=5, h0=0, z0=0)
+        with pytest.raises(InconsistentTables, match="illegal pursuer move"):
+            play_discrete(game, res.escaper_move, lambda h, h2, z: value,
+                          max_turns=5, h0=0, z0=0)
+        with pytest.raises(InconsistentTables, match="illegal start state"):
+            play_discrete(game, res.escaper_move, res.pursuer_move,
+                          max_turns=5, h0=value, z0=0)
+        with pytest.raises(InconsistentTables, match="illegal start state"):
+            play_discrete(game, res.escaper_move, res.pursuer_move,
+                          max_turns=5, h0=0, z0=value)
 
 
 class TestMonotonicityInR:
