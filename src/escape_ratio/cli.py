@@ -18,6 +18,24 @@ from . import errors
 from .geometry import MetricContext, PursuerModel, load_polygon
 
 
+def _checked(convert, ok, what):
+    """argparse ``type=`` for a number that must satisfy ``ok`` (else exit 2)."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+_positive = _checked(float, lambda x: 0 < x < math.inf, "positive and finite")
+_nonnegative = _checked(float, lambda x: 0 <= x < math.inf, "zero or more and finite")
+_count = _checked(int, lambda x: x >= 0, "zero or more")
+_fraction = _checked(float, lambda x: 0 < x <= 1, "in (0, 1]")
+
+
 def _add_common(p: argparse.ArgumentParser, polygon_required=True):
     p.add_argument("--polygon", help="polygon file (JSON array of [x, y] pairs)",
                    required=polygon_required)
@@ -40,25 +58,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ratio", help="certified lower/upper sandwich on r*")
     _add_common(p)
-    p.add_argument("--spacing", type=float, required=True,
+    p.add_argument("--spacing", type=_positive, required=True,
                    help="boundary sampling arc spacing (<= min feature size / 10)")
     p.add_argument("--prune", action="store_true",
                    help="drop sample pairs whose interior path bends at the boundary")
 
     p = sub.add_parser("discrete-solve", help="solve one discretized game")
     _add_common(p)
-    p.add_argument("-r", "--speed-ratio", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--state-cap", type=float, default=5e7)
+    p.add_argument("-r", "--speed-ratio", type=_positive, required=True)
+    p.add_argument("--delta", type=_nonnegative, required=True)
+    p.add_argument("--gamma", type=_positive, required=True)
+    p.add_argument("--state-cap", type=_positive, default=5e7)
     p.add_argument("--tables-out", help="dump reachable strategy tables to this JSON file")
-    p.add_argument("--verify-net", type=int, metavar="PROBES", default=0,
+    p.add_argument("--verify-net", type=_count, metavar="PROBES", default=0,
                    help="also report the sampled net gap from this many random probes")
 
     p = sub.add_parser("approximate", help="bracket r* by binary search")
     _add_common(p)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--budget", type=float, default=5e7)
+    p.add_argument("--epsilon", type=_fraction, required=True)
+    p.add_argument("--budget", type=_positive, default=5e7)
     p.add_argument("--override-delta", type=float)
     p.add_argument("--override-gamma", type=float)
 
@@ -66,9 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, polygon_required=False)
     p.add_argument("--scenario", choices=["disk", "halfplane", "wedge", "polygon"],
                    required=True)
-    p.add_argument("-r", "--speed-ratio", type=float, required=True)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--t-max", type=float, default=10.0)
+    p.add_argument("-r", "--speed-ratio", type=_positive, required=True)
+    p.add_argument("--dt", type=_positive, default=1e-3)
+    p.add_argument("--t-max", type=_nonnegative, default=10.0)
     p.add_argument("--epsilon", type=float, default=0.05)
     p.add_argument("--theta", type=float, default=math.pi / 2,
                    help="halfplane angle or wedge half-angle (radians)")

@@ -36,17 +36,15 @@ from typing import Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as cs_dijkstra
 from scipy.spatial import cKDTree
 
 from .errors import BudgetExceeded, GammaTooCoarse, InconsistentTables
 from .geometry import (
     MetricContext,
     PursuerModel,
-    convex_hull,
+    geodesic_matrix,
     point_classes,
     point_in_convex_hull,
-    segment_visibility,
 )
 from .ratio import boundary_samples
 
@@ -109,8 +107,8 @@ def gamma_sample(ctx: MetricContext, gamma: float) -> SampleSet:
     grid of spacing gamma/sqrt(2) so cell half-diagonals stay below gamma/2.
     """
     poly = ctx.polygon
-    if gamma <= 0:
-        raise GammaTooCoarse("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise GammaTooCoarse(f"gamma must be positive and finite, got {gamma}")
     f = poly.min_feature_size
     if gamma > f / 4 + poly.tol:
         raise GammaTooCoarse(f"gamma {gamma} exceeds a quarter of the feature size {f}")
@@ -128,10 +126,8 @@ def gamma_sample(ctx: MetricContext, gamma: float) -> SampleSet:
         pursuer = boundary.copy()
         exterior_count = 0
     else:
-        hull = convex_hull(poly.vertices)
-        hlo = hull.min(axis=0)
-        hhi = hull.max(axis=0)
-        grid = _grid_points(hlo, hhi, spacing)
+        hull = ctx.hull
+        grid = _grid_points(hull.min(axis=0), hull.max(axis=0), spacing)
         keep = point_in_convex_hull(hull, grid, poly.tol) & (point_classes(poly, grid) != 1)
         ext = grid[keep]
         pursuer = np.vstack([boundary, ext])
@@ -174,9 +170,7 @@ def verify_net(ctx: MetricContext, samples: SampleSet, probes: int, seed: int = 
     if ctx.model is PursuerModel.MOAT:
         for _ in range(probes):
             t = rng.random() * poly.perimeter
-            p = poly.boundary_point(t)
-            d = np.abs(samples.boundary_params - t) % poly.perimeter
-            worst = max(worst, float(np.minimum(d, poly.perimeter - d).min()))
+            worst = max(worst, float(poly.arc_distance(samples.boundary_params, t).min()))
     else:
         # the boundary is always part of the pursuer domain; the hull pockets
         # have positive area only for nonconvex polygons, so cap the rejection
@@ -186,7 +180,7 @@ def verify_net(ctx: MetricContext, samples: SampleSet, probes: int, seed: int = 
             p = poly.boundary_point(t)
             worst = max(worst, _nearest_intrinsic(ctx.pursuer_distance, tree_z,
                                                   samples.pursuer_samples, p))
-        hull = convex_hull(poly.vertices)
+        hull = ctx.hull
         hlo, hhi = hull.min(axis=0), hull.max(axis=0)
         drawn = 0
         attempts = 0
@@ -222,38 +216,11 @@ def _nearest_intrinsic(metric, tree, pts, p) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _threshold_distances(poly, pts, limit, mode) -> np.ndarray:
-    """Dense m x m array of intrinsic distances between pts, inf above limit.
-
-    Candidate hops are Euclid-close visible pairs among pts plus the polygon
-    vertices; Dijkstra with a path-length cap then recovers every geodesic of
-    total length <= limit (each leg of such a path is itself <= limit).
-    """
-    m = len(pts)
-    nodes = np.vstack([pts, poly.vertices])
-    tree = cKDTree(nodes)
-    pairs = tree.query_pairs(r=limit * (1 + 1e-12) + poly.tol, output_type="ndarray")
-    if len(pairs):
-        a = nodes[pairs[:, 0]]
-        b = nodes[pairs[:, 1]]
-        if mode == "interior" and poly.is_convex:
-            vis = np.ones(len(pairs), dtype=bool)
-        else:
-            vis = segment_visibility(poly, a, b)[0 if mode == "interior" else 1]
-        pairs = pairs[vis]
-    if len(pairs):
-        wts = np.hypot(*(nodes[pairs[:, 0]] - nodes[pairs[:, 1]]).T)
-    else:
-        wts = np.zeros(0)
-    total = len(nodes)
-    graph = csr_matrix(
-        (np.concatenate([wts, wts]),
-         (np.concatenate([pairs[:, 0], pairs[:, 1]]),
-          np.concatenate([pairs[:, 1], pairs[:, 0]]))),
-        shape=(total, total),
-    )
-    dist = cs_dijkstra(graph, directed=False, indices=np.arange(m), limit=limit * (1 + 1e-12) + poly.tol)
-    return dist[:, :m]
+def _threshold_distances(poly, pts, limit, interior) -> np.ndarray:
+    """Dense bool move relation: intrinsic distance <= limit (+ tol), true diagonal."""
+    rel = geodesic_matrix(poly, pts, interior, limit) <= limit + poly.tol
+    np.fill_diagonal(rel, True)
+    return rel
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +234,8 @@ class DiscreteGame:
 
     ``e_h`` is CSR boolean over escaper samples (d_h <= delta, self-loops
     included); ``e_z`` is dense boolean over pursuer samples (d_z <= r*delta).
-    ``z_windows`` holds ``(lo, hi, full)`` when the pursuer move set is a
-    circular interval (moat model): per-sample doubled-index arc windows, and
-    whether every window is the whole boundary.
+    ``z_windows`` holds ``(lo, hi)`` when the pursuer move set is a circular
+    interval (moat model): per-sample doubled-index arc windows.
     """
 
     samples: SampleSet
@@ -334,24 +300,16 @@ def build_game(
             (np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n_h, n_h)
         )
     else:
-        dh = _threshold_distances(poly, samples.escaper_samples, delta, "interior")
-        e_h_dense = np.isfinite(dh) & (dh <= delta + tol)
-        np.fill_diagonal(e_h_dense, True)
-        e_h = csr_matrix(e_h_dense)
+        e_h = csr_matrix(_threshold_distances(poly, samples.escaper_samples, delta, interior=True))
 
     reach = r * delta
     z_windows = None
     if ctx.model is PursuerModel.MOAT:
         t = samples.boundary_params
-        F = poly.perimeter
-        d = np.abs(t[:, None] - t[None, :]) % F
-        arc = np.minimum(d, F - d)
-        e_z = arc <= reach + tol
-        z_windows = _arc_windows(t, F, reach + tol)
+        e_z = poly.arc_distance(t[:, None], t[None, :]) <= reach + tol
+        z_windows = _arc_windows(t, poly.perimeter, reach + tol)
     else:
-        dz = _threshold_distances(poly, samples.pursuer_samples, reach, "exterior")
-        e_z = np.isfinite(dz) & (dz <= reach + tol)
-        np.fill_diagonal(e_z, True)
+        e_z = _threshold_distances(poly, samples.pursuer_samples, reach, interior=False)
     return DiscreteGame(
         samples=samples, e_h=e_h, e_z=e_z, r=float(r),
         delta=float(delta), z_windows=z_windows,
@@ -363,18 +321,18 @@ def _arc_windows(t: np.ndarray, F: float, reach: float):
 
     Index d in the doubled frame [0, 2n) refers to circular sample d mod n;
     each window is a contiguous doubled range of length <= n, ready for the
-    cumulative-sum containment count in the solver.  Returns
-    ``(lo, hi, full)``, where ``full`` says every window is the whole boundary.
+    cumulative-sum containment count in the solver; a window that is the
+    whole boundary is ``(0, n - 1)``.
     """
     n = len(t)
     if reach >= F / 2:
-        return (np.zeros(n, dtype=int), np.full(n, 2 * n - 1, dtype=int), True)
+        return (np.zeros(n, dtype=int), np.full(n, n - 1, dtype=int))
     assert np.all(np.diff(t) > 0), "boundary samples must be arc-sorted"
     ext = np.concatenate([t - F, t, t + F])
     lo3 = np.searchsorted(ext, t - reach, side="left")
     hi3 = np.searchsorted(ext, t + reach, side="right") - 1
     lo = (lo3 - n) % n
-    return (lo, lo + (hi3 - lo3), False)
+    return (lo, lo + (hi3 - lo3))
 
 
 def toy_game(e_h, e_z, exit_idx_h, exit_idx_z, r: float = 1.0, delta: float = 1.0) -> DiscreteGame:
@@ -526,7 +484,7 @@ def solve(game: DiscreteGame) -> SolveResult:
     P_words = _pack_rows(P)
     windows = game.z_windows
     if windows is not None:
-        lo, hi, full = windows
+        lo, hi = windows
     else:
         ez = game.e_z.astype(np.float32)
     block = max(1, _BLOCK_ELEMENTS // n_z)
@@ -562,8 +520,6 @@ def solve(game: DiscreteGame) -> SolveResult:
             if windows is None:
                 # reply counts are integers below 2**24: exact in float32
                 good = (bad.astype(np.float32) @ ez) < 0.5
-            elif full:
-                good = ~bad.any(axis=1, keepdims=True)  # broadcasts over z
             else:
                 good = _window_good(bad, lo, hi)
             # OR each run's good rows into W_next as packed words, which makes

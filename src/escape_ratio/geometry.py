@@ -15,6 +15,7 @@ membership predicates.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -56,21 +57,20 @@ def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _point_segment_distance(p, a, b) -> float:
+    ab = np.subtract(b, a)
+    denom = float(ab @ ab)
+    if denom <= 0.0:
+        return float(np.hypot(*(np.subtract(p, a))))
+    t = float(np.clip(np.subtract(p, a) @ ab / denom, 0.0, 1.0))
+    proj = a + t * ab
+    return float(np.hypot(p[0] - proj[0], p[1] - proj[1]))
+
+
 def _seg_seg_distance(p1, p2, q1, q2) -> float:
-    """Euclidean distance between two closed segments."""
-    d = np.inf
-    for a, b, pts in ((p1, p2, (q1, q2)), (q1, q2, (p1, p2))):
-        ab = np.subtract(b, a)
-        denom = float(ab @ ab)
-        for p in pts:
-            if denom <= 0.0:
-                d = min(d, float(np.hypot(*(np.subtract(p, a)))))
-                continue
-            t = float(np.clip(np.subtract(p, a) @ ab / denom, 0.0, 1.0))
-            proj = a + t * ab
-            d = min(d, float(np.hypot(p[0] - proj[0], p[1] - proj[1])))
-    # proper crossings give distance zero; detected by the caller separately
-    return d
+    """Distance between two closed segments; callers detect crossings separately."""
+    return min(_point_segment_distance(q1, p1, p2), _point_segment_distance(q2, p1, p2),
+               _point_segment_distance(p1, q1, q2), _point_segment_distance(p2, q1, q2))
 
 
 def _segments_properly_intersect(p1, p2, q1, q2, tol) -> bool:
@@ -88,7 +88,7 @@ class Polygon:
     """Validated simple polygon with counterclockwise orientation.
 
     Derived quantities (perimeter, min feature size, min interior angle,
-    tolerance) are computed once at construction and cached.
+    tolerance) are computed once and cached.
     """
 
     vertices: np.ndarray
@@ -144,11 +144,11 @@ class Polygon:
         ) * (nxt[:, 0] - v[:, 0])
         return bool(np.all(cr >= -self.tol * max(1.0, self.perimeter)))
 
-    @property
+    @cached_property
     def min_feature_size(self) -> float:
         return min_feature_size(self)
 
-    @property
+    @cached_property
     def min_interior_angle(self) -> float:
         return min_interior_angle(self)
 
@@ -200,11 +200,11 @@ class Polygon:
         proj = v + t[:, None] * e
         return float(np.sqrt(((proj - p) ** 2).sum(axis=1).min()))
 
-    def arc_distance(self, t1: float, t2: float) -> float:
-        """Boundary (moat) distance between two arc parameters."""
+    def arc_distance(self, t1, t2):
+        """Boundary (moat) distance between arc parameters; broadcasts."""
         F = self.perimeter
-        d = abs(float(t1) - float(t2)) % F
-        return min(d, F - d)
+        d = np.abs(np.subtract(t1, t2)) % F
+        return np.minimum(d, F - d)
 
     # -- membership --------------------------------------------------------
 
@@ -293,16 +293,6 @@ def min_feature_size(poly: Polygon) -> float:
                 _seg_seg_distance(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n]),
             )
     return float(best)
-
-
-def _point_segment_distance(p, a, b) -> float:
-    ab = np.subtract(b, a)
-    denom = float(ab @ ab)
-    if denom <= 0.0:
-        return float(np.hypot(*(np.subtract(p, a))))
-    t = float(np.clip(np.subtract(p, a) @ ab / denom, 0.0, 1.0))
-    proj = a + t * ab
-    return float(np.hypot(p[0] - proj[0], p[1] - proj[1]))
 
 
 def min_interior_angle(poly: Polygon) -> float:
@@ -459,6 +449,35 @@ def point_classes(poly: Polygon, pts) -> np.ndarray:
     return np.where(on_b, 0, np.where(inside, 1, -1))
 
 
+def geodesic_matrix(poly: Polygon, pts, interior: bool, limit: float = math.inf) -> np.ndarray:
+    """Dense m x m intrinsic distances between pts; inf above the cap.
+
+    ``interior`` picks paths within the closed polygon (d_h); otherwise paths
+    around its open interior (exterior-model d_z).  The cap is ``limit``
+    widened by a relative 1e-12 and by tol.  The graph joins pts and the
+    polygon vertices by visible segments no longer than the cap; Dijkstra
+    with the same path-length cap then recovers every geodesic within it,
+    since each leg of such a path is itself within it.  The default limit
+    gives the uncapped matrix.
+    """
+    # deferred: runs that never build a geodesic matrix (convex moat games,
+    # the simulations) then never load scipy's graph routines
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+    from scipy.spatial import cKDTree
+
+    m = len(pts)
+    nodes = np.vstack([pts, poly.vertices])
+    cap = limit * (1 + 1e-12) + poly.tol
+    pairs = cKDTree(nodes).query_pairs(r=cap, output_type="ndarray")
+    vis = segment_visibility(poly, nodes[pairs[:, 0]], nodes[pairs[:, 1]])
+    i, j = pairs[vis[0 if interior else 1]].T
+    w = np.hypot(*(nodes[i] - nodes[j]).T)
+    graph = csr_matrix((np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
+                       shape=(len(nodes), len(nodes)))
+    return dijkstra(graph, directed=False, indices=np.arange(m), limit=cap)[:, :m]
+
+
 # ---------------------------------------------------------------------------
 # convex hull (monotone chain)
 # ---------------------------------------------------------------------------
@@ -503,8 +522,8 @@ def point_in_convex_hull(hull: np.ndarray, p, tol: float):
 
 
 class MetricContext:
-    """Immutable bundle of a polygon, pursuer model, triangulation, and the
-    cached visibility graphs backing the two intrinsic metrics.
+    """Immutable bundle of a polygon, pursuer model, triangulation, convex
+    hull, and the cached visibility graphs backing the two intrinsic metrics.
 
     Safe to share across threads once constructed; the lazy caches are filled
     by pure recomputation, so a benign race only repeats work.
@@ -516,7 +535,7 @@ class MetricContext:
         self.polygon = polygon
         self.model = model
         self.triangulation = triangulate(polygon)
-        self._hull = convex_hull(polygon.vertices)
+        self.hull = convex_hull(polygon.vertices)
         self._interior_vis = None
         self._exterior_vis = None
 
@@ -623,7 +642,7 @@ class MetricContext:
         poly = self.polygon
         tp = self._require_on_boundary(p)
         tq = self._require_on_boundary(q)
-        return poly.arc_distance(tp, tq)
+        return float(poly.arc_distance(tp, tq))
 
     def _exterior_distance(self, p, q) -> float:
         poly = self.polygon
@@ -632,7 +651,7 @@ class MetricContext:
         for pt in (p, q):
             if poly.classify(pt) == "inside":
                 raise OutsideDomain("point inside the escaper domain")
-            if not point_in_convex_hull(self._hull, pt, poly.tol):
+            if not point_in_convex_hull(self.hull, pt, poly.tol):
                 raise OutsideDomain("point beyond the convex hull of the boundary")
         return self._geodesic(p, q, interior=False)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePair, OutsideDomain, SpacingTooCoarse
-from .geometry import MetricContext, Point2, PursuerModel, segment_visibility
+from .geometry import MetricContext, Point2, PursuerModel, geodesic_matrix
 
 # Not called here: kept so ``escape_ratio.ratio.segment_in_polygon`` still
 # resolves for the layer tracer in perfbench/tracing.py.
@@ -92,40 +92,14 @@ def _pairwise_dh(ctx: MetricContext, params: np.ndarray, pts: np.ndarray) -> np.
     if ctx.polygon.is_convex:
         diff = pts[:, None, :] - pts[None, :, :]
         return np.hypot(diff[..., 0], diff[..., 1])
-    return _visibility_geodesics(ctx.polygon, pts, interior=True)
+    return geodesic_matrix(ctx.polygon, pts, interior=True)
 
 
 def _pairwise_dz(ctx: MetricContext, params: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Pursuer distance matrix between boundary samples."""
-    poly = ctx.polygon
     if ctx.model is PursuerModel.MOAT:
-        F = poly.perimeter
-        d = np.abs(params[:, None] - params[None, :]) % F
-        return np.minimum(d, F - d)
-    return _visibility_geodesics(poly, pts, interior=False)
-
-
-def _visibility_geodesics(poly, pts: np.ndarray, interior: bool) -> np.ndarray:
-    """Geodesics between pts on the visibility graph over pts plus vertices.
-
-    ``interior`` picks segments within the closed polygon (d_h); otherwise
-    segments that avoid the open interior (exterior-model d_z).
-    """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra as cs_dijkstra
-
-    m = len(pts)
-    nodes = np.vstack([pts, poly.vertices])
-    total = len(nodes)
-    iu, ju = np.triu_indices(total, k=1)
-    ok = segment_visibility(poly, nodes[iu], nodes[ju])[0 if interior else 1]
-    iu, ju = iu[ok], ju[ok]
-    w = np.hypot(*(nodes[ju] - nodes[iu]).T)
-    adj = np.zeros((total, total))
-    adj[iu, ju] = w
-    adj[ju, iu] = w
-    dist = cs_dijkstra(csr_matrix(adj), directed=False, indices=np.arange(m))
-    return dist[:, :m]
+        return ctx.polygon.arc_distance(params[:, None], params[None, :])
+    return geodesic_matrix(ctx.polygon, pts, interior=False)
 
 
 def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float):
@@ -193,6 +167,8 @@ def max_ratio(
     boundary: some maximizing pair always has a direct path).
     """
     poly = ctx.polygon
+    if not 0 < spacing < math.inf:
+        raise SpacingTooCoarse(f"spacing must be positive and finite, got {spacing}")
     f = poly.min_feature_size
     if spacing > f / 10 + poly.tol:
         raise SpacingTooCoarse(

@@ -281,3 +281,44 @@ class TestSimulate:
         )
         assert rc == 0
         assert doc["outcome"] in ("escaped", "no_escape_by_tmax")
+
+
+class TestNumericFlags:
+    # each command line is valid; the case appends one flag again, and
+    # argparse keeps the last value given
+    COMMANDS = {
+        "ratio": ["ratio", "--spacing", "0.05"],
+        "discrete-solve": ["discrete-solve", "-r", "2", "--delta", "0.5", "--gamma", "0.2"],
+        "approximate": ["approximate", "--epsilon", "0.5"],
+        "simulate": ["simulate", "--scenario", "disk", "-r", "4.4"],
+    }
+
+    @pytest.mark.parametrize("command,flag,values", [
+        ("ratio", "--spacing", ["0", "-0.05", "nan", "inf"]),
+        ("discrete-solve", "-r", ["nan", "-1", "0", "inf"]),
+        ("discrete-solve", "--delta", ["-0.1", "nan", "inf"]),
+        ("discrete-solve", "--gamma", ["0", "-0.2", "nan"]),
+        ("discrete-solve", "--state-cap", ["0", "-1", "nan"]),
+        ("discrete-solve", "--verify-net", ["-3", "1.5", "many"]),
+        ("approximate", "--epsilon", ["0", "1.5", "nan"]),
+        ("approximate", "--budget", ["0", "-5", "nan"]),
+        ("simulate", "-r", ["-1", "nan"]),
+        ("simulate", "--dt", ["0", "nan", "-0.001"]),
+        ("simulate", "--t-max", ["-1", "nan", "inf"]),
+    ])
+    def test_bad_value_exits_2(self, capsys, square_file, command, flag, values):
+        argv = self.COMMANDS[command] + ["--polygon", square_file]
+        for value in values:
+            assert run([*argv, flag, value]) == 2, value
+            assert flag in capsys.readouterr().err
+
+    def test_edge_values_parse(self):
+        from escape_ratio.cli import build_parser
+
+        ap = build_parser()
+        args = ap.parse_args(["discrete-solve", "--polygon", "p", "-r", "2", "--delta", "0",
+                              "--gamma", "0.2", "--verify-net", "0"])
+        assert (args.delta, args.verify_net) == (0.0, 0)
+        assert ap.parse_args(["approximate", "--polygon", "p", "--epsilon", "1"]).epsilon == 1.0
+        assert ap.parse_args(["simulate", "--scenario", "disk", "-r", "4",
+                              "--t-max", "0"]).t_max == 0.0

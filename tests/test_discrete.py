@@ -19,11 +19,12 @@ from escape_ratio.discrete import (
     toy_game,
     verify_net,
 )
-from escape_ratio.discrete import _grid_points, _threshold_distances
+from escape_ratio.discrete import _grid_points
 from escape_ratio.geometry import (
     MetricContext,
     PursuerModel,
     convex_hull,
+    geodesic_matrix,
     point_in_convex_hull,
     validate_polygon,
 )
@@ -64,7 +65,7 @@ def _reference_solve(game):
     indices = game.e_h.indices
     use_windows = game.z_windows is not None
     if use_windows:
-        lo, hi, full = game.z_windows
+        lo, hi = game.z_windows
     ez_f = game.e_z.astype(np.float32)
 
     iteration = 0
@@ -81,9 +82,7 @@ def _reference_solve(game):
                 continue
             rows = indices[indptr[h] : indptr[h + 1]]
             M_bad = U[rows] & R[h][None, :]
-            if use_windows and full:
-                good = np.broadcast_to(~M_bad.any(axis=1)[:, None], (len(rows), n_z))
-            elif use_windows:
+            if use_windows:
                 C = np.cumsum(M_bad, axis=1, dtype=np.int32)
                 total = C[:, -1][:, None]
                 lowpart = np.where(lo > 0, C[:, np.maximum(lo - 1, 0)], 0)
@@ -173,10 +172,10 @@ class TestGammaSample:
         assert fine.boundary_count == 2 * coarse.boundary_count
 
     def test_guard(self, square_moat):
-        with pytest.raises(GammaTooCoarse):
-            gamma_sample(square_moat, 0.3)
-        with pytest.raises(GammaTooCoarse):
-            gamma_sample(square_moat, -1.0)
+        # coarser than the feature size allows, not positive, or not a number
+        for gamma in (0.3, -1.0, 0.0, math.nan):
+            with pytest.raises(GammaTooCoarse):
+                gamma_sample(square_moat, gamma)
 
     def test_exits_shared(self, square_moat):
         s = gamma_sample(square_moat, 0.2)
@@ -268,9 +267,10 @@ class TestBuildGame:
         # the perimeter or more, where every window is the whole boundary
         ctx = MetricContext(validate_polygon(points), PursuerModel.MOAT)
         game = build_game(ctx, r=r, delta=0.5, gamma=0.2, state_cap=1e10)
-        lo, hi, full = game.z_windows
-        assert full == (r * 0.5 >= ctx.polygon.perimeter / 2)
+        lo, hi = game.z_windows
         n = game.n_z
+        whole = hi - lo == n - 1
+        assert whole.all() if r * 0.5 >= ctx.polygon.perimeter / 2 else not whole.any()
         for i in range(n):
             window = np.unique(np.arange(lo[i], hi[i] + 1) % n)
             assert np.array_equal(window, np.nonzero(game.e_z[i])[0])
@@ -281,7 +281,7 @@ class TestBuildGame:
         notch = [(0, -1), (8, -1), (8, 1), (4.5, 1), (4.05, 0), (4, -0.5), (3.95, 0),
                  (3.5, 1), (0, 1)]
         ctx = MetricContext(validate_polygon(notch), PursuerModel.MOAT)
-        dist = _threshold_distances(ctx.polygon, [[0.3, 0], [7.5, 0]], 8, "interior")
+        dist = geodesic_matrix(ctx.polygon, [[0.3, 0], [7.5, 0]], True, 8)
         exact = ctx.interior_distance((0.3, 0), (7.5, 0))
         assert exact == 7.269164846451632
         assert dist[0, 1] == exact

@@ -19,6 +19,7 @@ from escape_ratio.geometry import (
     PursuerModel,
     _point_segment_distance,
     dumps_polygon,
+    geodesic_matrix,
     loads_polygon,
     min_feature_size,
     min_interior_angle,
@@ -129,6 +130,12 @@ class TestFeatureSize:
     def test_triangle_fallback_uses_altitude(self):
         poly = validate_polygon([(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)])
         assert min_feature_size(poly) == pytest.approx(math.sqrt(3) / 2)
+
+    def test_invariants_are_cached(self):
+        poly = validate_polygon(COMB)
+        assert poly.min_feature_size == min_feature_size(poly)
+        assert poly.min_interior_angle == min_interior_angle(poly)
+        assert {"min_feature_size", "min_interior_angle"} <= vars(poly).keys()
 
 
 class TestInteriorDistance:
@@ -447,7 +454,7 @@ def _reference_geodesic(ctx, p, q, interior: bool) -> float:
     for pt in () if interior else (p, q):
         if poly.classify(pt) == "inside":
             raise OutsideDomain("point inside the escaper domain")
-        if not geometry.point_in_convex_hull(ctx._hull, pt, poly.tol):
+        if not geometry.point_in_convex_hull(ctx.hull, pt, poly.tol):
             raise OutsideDomain("point beyond the convex hull of the boundary")
     d0 = float(np.hypot(*(q - p)))
     if d0 <= poly.tol:
@@ -533,6 +540,26 @@ class TestGeodesicQuery:
             calls.clear()
 
 
+class TestGeodesicMatrix:
+    @pytest.mark.parametrize("points", [L_SHAPE, COMB, NOTCH, SPIRAL])
+    @pytest.mark.parametrize("interior", [True, False])
+    def test_cap_masks_the_uncapped_matrix(self, points, interior):
+        poly = validate_polygon(points)
+        rng = np.random.default_rng(3)
+        lo, hi = poly.bbox
+        cloud = lo - 0.5 + rng.random((400, 2)) * (hi - lo + 1.0)
+        keep = point_classes(poly, cloud) != (-1 if interior else 1)
+        ts = rng.uniform(0, poly.perimeter, 40)
+        pts = np.vstack([[poly.boundary_point(t) for t in ts], cloud[keep][:40], poly.vertices])
+        full = geodesic_matrix(poly, pts, interior)
+        assert np.isfinite(full).all()
+        for limit in (0.3, 1.0, 2.5, 0.25 * poly.perimeter):
+            cap = limit * (1 + 1e-12) + poly.tol
+            capped = geodesic_matrix(poly, pts, interior, limit)
+            masked = np.where(full <= cap, full, np.inf)
+            assert capped.tobytes() == masked.tobytes()
+
+
 class TestPolygonIO:
     def test_roundtrip(self, l_shape):
         text = dumps_polygon(l_shape)
@@ -559,6 +586,17 @@ class TestBoundaryParameterization:
             p = l_shape.boundary_point(t)
             t2 = l_shape.boundary_parameter(p)
             assert l_shape.arc_distance(t, t2) <= 1e-9
+
+    def test_arc_distance_broadcasts_bitwise(self, l_shape):
+        F = l_shape.perimeter
+        rng = np.random.default_rng(43)
+        t1 = rng.uniform(-F, 2 * F, 30)
+        t2 = rng.uniform(0, F, 25)
+        table = l_shape.arc_distance(t1[:, None], t2[None, :])
+        scalar = np.array([[l_shape.arc_distance(float(a), float(b)) for b in t2] for a in t1])
+        assert table.tobytes() == scalar.tobytes()
+        d = abs(float(t1[0]) - float(t2[0])) % F
+        assert scalar[0, 0] == min(d, F - d)
 
     def test_model_accepts_string(self, square):
         ctx = MetricContext(square, "exterior")

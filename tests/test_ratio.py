@@ -117,8 +117,11 @@ class TestMaxRatio:
         assert bound.lower_certified <= dense + 0.01
 
     def test_spacing_guard(self, square_moat):
-        with pytest.raises(SpacingTooCoarse):
-            max_ratio(square_moat, 0.2)
+        # too coarse, or not positive (a negative spacing would shrink the
+        # inflation (d_z + s)/(d_h - s)), or not a number
+        for spacing in (0.2, 0.0, -0.05, math.nan):
+            with pytest.raises(SpacingTooCoarse):
+                max_ratio(square_moat, spacing)
 
     def test_monotone_in_spacing(self, square_moat, l_moat):
         for ctx, spacings in (
