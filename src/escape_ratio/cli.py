@@ -77,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--epsilon", type=_fraction, required=True)
     p.add_argument("--budget", type=_positive, default=5e7)
-    p.add_argument("--override-delta", type=float)
-    p.add_argument("--override-gamma", type=float)
+    p.add_argument("--override-delta", type=_positive)
+    p.add_argument("--override-gamma", type=_positive)
 
     p = sub.add_parser("simulate", help="run a continuous playthrough")
     _add_common(p, polygon_required=False)
@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-r", "--speed-ratio", type=_positive, required=True)
     p.add_argument("--dt", type=_positive, default=1e-3)
     p.add_argument("--t-max", type=_nonnegative, default=10.0)
-    p.add_argument("--epsilon", type=float, default=0.05)
+    p.add_argument("--epsilon", type=_positive, default=0.05)
     p.add_argument("--theta", type=float, default=math.pi / 2,
                    help="halfplane angle or wedge half-angle (radians)")
     p.add_argument("--tables", help="strategy tables JSON from discrete-solve (polygon scenario)")

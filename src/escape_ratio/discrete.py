@@ -51,10 +51,11 @@ from .ratio import boundary_samples
 
 logger = logging.getLogger(__name__)
 
-# Solver block size in (pairs x n_z) elements.  A block's working set is a
-# few MB at most: the window path's int32 prefix counts over the distinct
-# rows of one block.
-_BLOCK_ELEMENTS = 2**18
+# Solver block size: a block holds this many packed words of covered rows
+# (pairs x words per row), and its distinct rows are evaluated in chunks of
+# this many (rows x n_z) bools.  The working set stays near 1 MB: the window
+# path's int32 prefix counts over one chunk.
+_BLOCK_ELEMENTS = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +272,13 @@ def build_game(
 ) -> DiscreteGame:
     """Materialize the discretized game; refuses games over the state cap.
 
-    ``samples`` may carry a precomputed SampleSet (from gamma_sample with the
-    same gamma) so parameter sweeps can share the sampling work.
+    Raises ValueError unless ``r`` and ``delta`` are zero or more and finite
+    (r = 0 pins the pursuer in place).  ``samples`` may carry a precomputed
+    SampleSet (from gamma_sample with the same gamma) so parameter sweeps can
+    share the sampling work.
     """
+    if not (0 <= r < math.inf and 0 <= delta < math.inf):
+        raise ValueError(f"r and delta must be zero or more and finite, got {r}, {delta}")
     poly = ctx.polygon
     if samples is None:
         samples = gamma_sample(ctx, gamma)
@@ -461,11 +466,12 @@ def solve(game: DiscreteGame) -> SolveResult:
     sweep W is empty, so every move of h contributes what staying at h does
     (``e_h`` holds every self-loop) and only the pairs (h, h) are evaluated.
     Selected pairs are taken in CSR order, hence grouped by h, and processed
-    in blocks of bounded size.  A pair's contribution is ``good = no reply
-    z' with bad[z']`` where ``bad = ~(W[h'] | P[h])``, so it depends only on
-    the covered row ``W[h'] | P[h]``: each block groups its pairs by that
-    row (compared exactly, as packed bit words), evaluates one pair per
-    distinct row, and scatters the result back to every pair of the group.
+    in blocks of a bounded number of packed words.  A pair's contribution is
+    ``good = no reply z' with bad[z']`` where ``bad = ~(W[h'] | P[h])``, so
+    it depends only on the covered row ``W[h'] | P[h]``: each block groups
+    its pairs by that row (compared exactly, as packed bit words), evaluates
+    one pair per distinct row, in dense chunks of bounded size, and scatters
+    the result back to every pair of the group.
     Each sweep logs one DEBUG line with its pairs evaluated, the distinct
     covered rows (summed over blocks) and the states newly marked.
 
@@ -487,7 +493,9 @@ def solve(game: DiscreteGame) -> SolveResult:
         lo, hi = windows
     else:
         ez = game.e_z.astype(np.float32)
-    block = max(1, _BLOCK_ELEMENTS // n_z)
+    n_words = P_words.shape[1]
+    block = max(1, _BLOCK_ELEMENTS // n_words)
+    chunk = max(1, _BLOCK_ELEMENTS // n_z)
 
     iteration = 0
     changed = np.ones(n_h, dtype=bool)  # rows of W that changed last sweep
@@ -516,18 +524,20 @@ def solve(game: DiscreteGame) -> SolveResult:
             covered = np.take(W_words, hps, axis=0) | np.take(P_words, hs, axis=0)
             group, reps = _group_rows(covered)
             distinct += len(reps)
-            bad = _unpack_rows(~covered[reps], n_z)
-            if windows is None:
-                # reply counts are integers below 2**24: exact in float32
-                good = (bad.astype(np.float32) @ ez) < 0.5
-            else:
-                good = _window_good(bad, lo, hi)
+            good = np.empty((len(reps), n_words), dtype=np.uint64)
+            for c0 in range(0, len(reps), chunk):
+                bad = _unpack_rows(~covered[reps[c0 : c0 + chunk]], n_z)
+                if windows is None:
+                    # reply counts are integers below 2**24: exact in float32
+                    good_rows = (bad.astype(np.float32) @ ez) < 0.5
+                else:
+                    good_rows = _window_good(bad, lo, hi)
+                good[c0 : c0 + chunk] = _pack_rows(good_rows)
             # OR each run's good rows into W_next as packed words, which makes
             # the per-pair gather and reduction 8x smaller than bools
             starts = np.flatnonzero(run_start[b0 : b0 + block])
-            good_words = np.take(_pack_rows(good), group, axis=0)
-            runs = np.bitwise_or.reduceat(good_words, starts, axis=0)
-            W_next[hs[starts]] |= _unpack_rows(runs, good.shape[1])
+            runs = np.bitwise_or.reduceat(np.take(good, group, axis=0), starts, axis=0)
+            W_next[hs[starts]] |= _unpack_rows(runs, n_z)
         newly = W_next & ~W
         marked = int(np.count_nonzero(newly))
         logger.debug("sweep %d: %d pairs evaluated, %d distinct rows, %d states newly marked",
@@ -575,9 +585,11 @@ def _group_rows(keys: np.ndarray):
     and the rows ``keys[reps]`` are pairwise distinct.
     """
     order = np.lexsort(keys.T)
-    sorted_keys = np.take(keys, order, axis=0)
+    # word-major: the adjacent-row comparison reduces over long contiguous
+    # rows rather than over a handful of words per key
+    sorted_keys = np.take(np.ascontiguousarray(keys.T), order, axis=1)
     new = np.ones(len(order), dtype=bool)
-    new[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
+    new[1:] = (sorted_keys[:, 1:] != sorted_keys[:, :-1]).any(axis=0)
     group = np.empty(len(order), dtype=np.intp)
     group[order] = np.cumsum(new) - 1
     return group, order[new]

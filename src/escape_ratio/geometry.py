@@ -385,7 +385,7 @@ def _segment_block(poly: Polygon, a: np.ndarray, b: np.ndarray):
     seg_len = np.hypot(d[:, 0], d[:, 1])[:, None]
     dvx = v[:, 0] - a[:, 0, None]
     dvy = v[:, 1] - a[:, 1, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # a + t*d = v_k + s*e_k for every segment x edge
         denom = dx * e[:, 1] - dy * e[:, 0]
         t = (dvx * e[:, 1] - dvy * e[:, 0]) / denom
@@ -426,17 +426,22 @@ def segment_avoids_interior(poly: Polygon, a, b) -> bool:
     return bool(segment_visibility(poly, [a], [b])[1][0])
 
 
-def point_classes(poly: Polygon, pts) -> np.ndarray:
-    """Vectorized membership: 1 inside, 0 boundary (within tol), -1 outside."""
-    pts = np.asarray(pts, dtype=float)
+def _boundary_distance2(poly: Polygon, pts: np.ndarray) -> np.ndarray:
+    """Squared distance from each point to its nearest edge."""
     v = poly.vertices
     e = poly._edge_vecs
     lens2 = np.maximum(poly.edge_lengths**2, 1e-300)
     diff = pts[:, None, :] - v[None, :, :]
     t = np.clip((diff * e[None, :, :]).sum(-1) / lens2[None, :], 0.0, 1.0)
     proj = v[None, :, :] + t[..., None] * e[None, :, :]
-    d2 = ((proj - pts[:, None, :]) ** 2).sum(-1).min(axis=1)
-    on_b = d2 <= poly.tol**2
+    return ((proj - pts[:, None, :]) ** 2).sum(-1).min(axis=1)
+
+
+def point_classes(poly: Polygon, pts) -> np.ndarray:
+    """Vectorized membership: 1 inside, 0 boundary (within tol), -1 outside."""
+    pts = np.asarray(pts, dtype=float)
+    v = poly.vertices
+    on_b = _boundary_distance2(poly, pts) <= poly.tol**2
     w = np.roll(v, -1, axis=0)
     y = pts[:, 1][:, None]
     x = pts[:, 0][:, None]
@@ -459,6 +464,11 @@ def geodesic_matrix(poly: Polygon, pts, interior: bool, limit: float = math.inf)
     with the same path-length cap then recovers every geodesic within it,
     since each leg of such a path is itself within it.  The default limit
     gives the uncapped matrix.
+
+    A pair whose deeper endpoint lies more than the pair's length + 2 tol
+    from every edge spans a segment that stays clear of the boundary, so the
+    segment kernel would find one piece of that endpoint's class: such pairs
+    take the endpoint's class, and only the rest go to the kernel.
     """
     # deferred: runs that never build a geodesic matrix (convex moat games,
     # the simulations) then never load scipy's graph routines
@@ -469,10 +479,14 @@ def geodesic_matrix(poly: Polygon, pts, interior: bool, limit: float = math.inf)
     m = len(pts)
     nodes = np.vstack([pts, poly.vertices])
     cap = limit * (1 + 1e-12) + poly.tol
-    pairs = cKDTree(nodes).query_pairs(r=cap, output_type="ndarray")
-    vis = segment_visibility(poly, nodes[pairs[:, 0]], nodes[pairs[:, 1]])
-    i, j = pairs[vis[0 if interior else 1]].T
+    i, j = cKDTree(nodes).query_pairs(r=cap, output_type="ndarray").T
     w = np.hypot(*(nodes[i] - nodes[j]).T)
+    clearance = np.sqrt(_boundary_distance2(poly, nodes))
+    deep = np.where(clearance[i] >= clearance[j], i, j)
+    keep = point_classes(poly, nodes)[deep] == (1 if interior else -1)
+    test = clearance[deep] <= w + 2 * poly.tol
+    keep[test] = segment_visibility(poly, nodes[i[test]], nodes[j[test]])[0 if interior else 1]
+    i, j, w = i[keep], j[keep], w[keep]
     graph = csr_matrix((np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
                        shape=(len(nodes), len(nodes)))
     return dijkstra(graph, directed=False, indices=np.arange(m), limit=cap)[:, :m]

@@ -305,6 +305,9 @@ class TestNumericFlags:
         ("simulate", "-r", ["-1", "nan"]),
         ("simulate", "--dt", ["0", "nan", "-0.001"]),
         ("simulate", "--t-max", ["-1", "nan", "inf"]),
+        ("approximate", "--override-delta", ["-0.5", "nan", "0"]),
+        ("approximate", "--override-gamma", ["-0.1", "nan", "inf"]),
+        ("simulate", "--epsilon", ["nan", "-1", "0"]),
     ])
     def test_bad_value_exits_2(self, capsys, square_file, command, flag, values):
         argv = self.COMMANDS[command] + ["--polygon", square_file]

@@ -309,6 +309,12 @@ class TestBuildGame:
         with pytest.raises(BudgetExceeded):
             build_game(square_moat, r=4.0, delta=0.5, gamma=0.1, state_cap=1e3)
 
+    @pytest.mark.parametrize("r,delta", [(-1.0, 0.5), (math.nan, 0.5), (math.inf, 0.5),
+                                         (2.0, -0.5), (2.0, math.nan), (2.0, math.inf)])
+    def test_bad_r_and_delta(self, square_moat, r, delta):
+        with pytest.raises(ValueError):
+            build_game(square_moat, r=r, delta=delta, gamma=0.2, state_cap=1e10)
+
     def test_nonconvex_moves_respect_geodesics(self, l_moat):
         # (2,1) and (1,2) are Euclid sqrt(2) apart but geodesic distance 2
         game = build_game(l_moat, r=1.0, delta=1.5, gamma=0.25, state_cap=1e10)
@@ -383,11 +389,30 @@ class TestSolve:
 
     def test_blocks_split_escaper_rows(self, monkeypatch):
         # blocks of one or three (h, h') pairs cut escaper rows' move lists
-        # apart at block edges
+        # apart at block edges; a block holds _BLOCK_ELEMENTS packed words
         for game in _oracle_games():
+            n_words = -(-game.n_z // 64)
             for pairs in (1, 3):
-                monkeypatch.setattr(discrete, "_BLOCK_ELEMENTS", pairs * game.n_z)
+                monkeypatch.setattr(discrete, "_BLOCK_ELEMENTS", pairs * n_words)
                 _assert_same_solution(game)
+
+    def test_chunks_split_distinct_rows(self, monkeypatch):
+        # dense chunks of one or two rows, fewer than a block's distinct rows
+        distinct = []
+        group_rows = discrete._group_rows
+
+        def spy(keys):
+            group, reps = group_rows(keys)
+            distinct.append(len(reps))
+            return group, reps
+
+        monkeypatch.setattr(discrete, "_group_rows", spy)
+        for rows in (1, 2):
+            distinct.clear()
+            for game in _oracle_games():
+                monkeypatch.setattr(discrete, "_BLOCK_ELEMENTS", rows * game.n_z)
+                _assert_same_solution(game)
+            assert max(distinct) > rows
 
     def test_dedupe_evaluates_fewer_rows_than_pairs(self, caplog):
         # n_z = 195: covered rows span four packed words

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from escape_ratio import geometry
+from escape_ratio import discrete, geometry
 from escape_ratio.errors import (
     DegenerateEdge,
     OutsideDomain,
@@ -540,7 +540,59 @@ class TestGeodesicQuery:
             calls.clear()
 
 
+def _reference_geodesic_matrix(poly, pts, interior, limit=math.inf):
+    """``geodesic_matrix`` with every node pair sent through the segment kernel."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+    from scipy.spatial import cKDTree
+
+    m = len(pts)
+    nodes = np.vstack([pts, poly.vertices])
+    cap = limit * (1 + 1e-12) + poly.tol
+    pairs = cKDTree(nodes).query_pairs(r=cap, output_type="ndarray")
+    vis = segment_visibility(poly, nodes[pairs[:, 0]], nodes[pairs[:, 1]])
+    i, j = pairs[vis[0 if interior else 1]].T
+    w = np.hypot(*(nodes[i] - nodes[j]).T)
+    graph = csr_matrix((np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
+                       shape=(len(nodes), len(nodes)))
+    return dijkstra(graph, directed=False, indices=np.arange(m), limit=cap)[:, :m]
+
+
+# a square with a 0.1-wide slit cut down from its top edge to y = 3
+SLIT = [(0, 0), (10, 0), (10, 10), (5.05, 10), (5.05, 3), (4.95, 3), (4.95, 10), (0, 10)]
+
+
 class TestGeodesicMatrix:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(poly=grid_polygons(), data=st.data())
+    def test_matches_kernel_on_every_pair(self, poly, data):
+        # half-integer points inside, outside and on the boundary, plus
+        # boundary points off the grid
+        grid = data.draw(st.lists(grid_points, min_size=1, max_size=30))
+        fracs = data.draw(st.lists(st.floats(0.0, 1.0), max_size=5))
+        pts = np.vstack([np.array(grid, dtype=float)]
+                        + [poly.boundary_point(f * poly.perimeter)[None] for f in fracs])
+        for interior in (True, False):
+            for limit in (0.5, 1.5, math.inf):
+                got = geodesic_matrix(poly, pts, interior, limit)
+                ref = _reference_geodesic_matrix(poly, pts, interior, limit)
+                assert got.tobytes() == ref.tobytes(), (interior, limit)
+
+    def test_slit_far_from_vertices_blocks(self):
+        # the segment is 0.8 long and crosses both slit edges, while every
+        # vertex is over 3 away: only its endpoints' clearance (0.35) is short
+        poly = validate_polygon(SLIT)
+        a, b = (4.6, 6.0), (5.4, 6.0)
+        assert np.hypot(*(poly.vertices - a).T).min() > 1
+        assert np.hypot(*(poly.vertices - b).T).min() > 1
+        pts = np.array([a, b])
+        assert np.isinf(geodesic_matrix(poly, pts, True, 1.0)[0, 1])
+        assert not discrete._threshold_distances(poly, pts, 1.0, interior=True)[0, 1]
+        # uncapped, the path goes around the slit's foot
+        around = 2 * math.hypot(0.35, 3.0) + 0.1
+        assert geodesic_matrix(poly, pts, True)[0, 1] == pytest.approx(around)
+
     @pytest.mark.parametrize("points", [L_SHAPE, COMB, NOTCH, SPIRAL])
     @pytest.mark.parametrize("interior", [True, False])
     def test_cap_masks_the_uncapped_matrix(self, points, interior):
