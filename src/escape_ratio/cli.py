@@ -34,6 +34,7 @@ _positive = _checked(float, lambda x: 0 < x < math.inf, "positive and finite")
 _nonnegative = _checked(float, lambda x: 0 <= x < math.inf, "zero or more and finite")
 _count = _checked(int, lambda x: x >= 0, "zero or more")
 _fraction = _checked(float, lambda x: 0 < x <= 1, "in (0, 1]")
+_angle = _checked(float, lambda x: 0 < x <= math.pi / 2, "in (0, pi/2]")
 
 
 def _add_common(p: argparse.ArgumentParser, polygon_required=True):
@@ -88,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=_positive, default=1e-3)
     p.add_argument("--t-max", type=_nonnegative, default=10.0)
     p.add_argument("--epsilon", type=_positive, default=0.05)
-    p.add_argument("--theta", type=float, default=math.pi / 2,
+    p.add_argument("--theta", type=_angle, default=math.pi / 2,
                    help="halfplane angle or wedge half-angle (radians)")
     p.add_argument("--tables", help="strategy tables JSON from discrete-solve (polygon scenario)")
     p.add_argument("--svg-out", help="write an SVG rendering of the playthrough")

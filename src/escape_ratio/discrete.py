@@ -42,7 +42,7 @@ from .errors import BudgetExceeded, GammaTooCoarse, InconsistentTables
 from .geometry import (
     MetricContext,
     PursuerModel,
-    geodesic_matrix,
+    pair_geodesics,
     point_classes,
     point_in_convex_hull,
 )
@@ -217,11 +217,23 @@ def _nearest_intrinsic(metric, tree, pts, p) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _threshold_distances(poly, pts, limit, interior) -> np.ndarray:
-    """Dense bool move relation: intrinsic distance <= limit (+ tol), true diagonal."""
-    rel = geodesic_matrix(poly, pts, interior, limit) <= limit + poly.tol
-    np.fill_diagonal(rel, True)
-    return rel
+def _threshold_distances(poly, pts, limit, interior) -> csr_matrix:
+    """Bool CSR move relation: intrinsic distance <= limit (+ tol), true diagonal.
+
+    The candidates are the KD-tree pairs within the cap of ``pair_geodesics``;
+    a convex interior takes every pair within limit + tol (chords lie in it).
+    """
+    m = len(pts)
+    tol = poly.tol
+    chords = interior and poly.is_convex
+    cap = limit + tol if chords else limit * (1 + 1e-12) + tol
+    i, j = cKDTree(pts).query_pairs(r=cap, output_type="ndarray").T
+    if not chords:
+        keep = pair_geodesics(poly, pts, i, j, interior, limit) <= limit + tol
+        i, j = i[keep], j[keep]
+    rows = np.concatenate([i, j, np.arange(m)])
+    cols = np.concatenate([j, i, np.arange(m)])
+    return csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(m, m))
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +247,7 @@ class DiscreteGame:
 
     ``e_h`` is CSR boolean over escaper samples (d_h <= delta, self-loops
     included); ``e_z`` is dense boolean over pursuer samples (d_z <= r*delta).
+    ``_threshold_distances`` builds both, except the moat model's arc ``e_z``.
     ``z_windows`` holds ``(lo, hi)`` when the pursuer move set is a circular
     interval (moat model): per-sample doubled-index arc windows.
     """
@@ -294,19 +307,7 @@ def build_game(
         )
 
     tol = poly.tol
-    if poly.is_convex:
-        # d_h is the chord for every pair; no geodesic detours to consider
-        pts = samples.escaper_samples
-        tree = cKDTree(pts)
-        pairs = tree.query_pairs(r=delta + tol, output_type="ndarray")
-        rows = np.concatenate([pairs[:, 0], pairs[:, 1], np.arange(n_h)])
-        cols = np.concatenate([pairs[:, 1], pairs[:, 0], np.arange(n_h)])
-        e_h = csr_matrix(
-            (np.ones(len(rows), dtype=bool), (rows, cols)), shape=(n_h, n_h)
-        )
-    else:
-        e_h = csr_matrix(_threshold_distances(poly, samples.escaper_samples, delta, interior=True))
-
+    e_h = _threshold_distances(poly, samples.escaper_samples, delta, interior=True)
     reach = r * delta
     z_windows = None
     if ctx.model is PursuerModel.MOAT:
@@ -314,7 +315,7 @@ def build_game(
         e_z = poly.arc_distance(t[:, None], t[None, :]) <= reach + tol
         z_windows = _arc_windows(t, poly.perimeter, reach + tol)
     else:
-        e_z = _threshold_distances(poly, samples.pursuer_samples, reach, interior=False)
+        e_z = _threshold_distances(poly, samples.pursuer_samples, reach, interior=False).toarray()
     return DiscreteGame(
         samples=samples, e_h=e_h, e_z=e_z, r=float(r),
         delta=float(delta), z_windows=z_windows,

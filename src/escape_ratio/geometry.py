@@ -3,9 +3,10 @@
 The escaper lives in the closed polygon (metric ``d_h``, interior geodesics);
 the pursuer lives either on the boundary alone (moat model, arc-length metric)
 or on the boundary plus exterior (exterior model, geodesics around the polygon
-treated as an obstacle).  Shortest paths are computed on visibility graphs over
-the polygon vertices plus the query points, which is exact for polygonal
-domains and simple enough to trust at the target sizes (n <= 200).
+treated as an obstacle).  A shortest path is the direct segment when visible
+and otherwise bends only at vertices, so it joins the two points' vertex fans
+through the polygon's vertex visibility graph: exact for polygonal domains and
+simple enough to trust at the target sizes (n <= 200).
 
 All coordinates are plain floats; a global tolerance ``tol`` equal to
 1e-9 times the bounding-box diagonal absorbs roundoff in orientation and
@@ -143,6 +144,19 @@ class Polygon:
             v[:, 1] - prev[:, 1]
         ) * (nxt[:, 0] - v[:, 0])
         return bool(np.all(cr >= -self.tol * max(1.0, self.perimeter)))
+
+    @cached_property
+    def _vertex_graphs(self) -> np.ndarray:
+        """Interior and exterior vertex visibility graphs: [2, n, n] edge
+        lengths, inf where the segment leaves the domain; one kernel call."""
+        v = self.vertices
+        iu, ju = np.triu_indices(self.n, k=1)
+        graphs = np.full((2, self.n, self.n), np.inf)
+        for g, ok in zip(graphs, segment_visibility(self, v[iu], v[ju])):
+            g[iu[ok], ju[ok]] = g[ju[ok], iu[ok]] = np.hypot(*(v[ju] - v[iu]).T)[ok]
+            np.fill_diagonal(g, 0.0)
+        graphs.setflags(write=False)
+        return graphs
 
     @cached_property
     def min_feature_size(self) -> float:
@@ -454,42 +468,67 @@ def point_classes(poly: Polygon, pts) -> np.ndarray:
     return np.where(on_b, 0, np.where(inside, 1, -1))
 
 
-def geodesic_matrix(poly: Polygon, pts, interior: bool, limit: float = math.inf) -> np.ndarray:
-    """Dense m x m intrinsic distances between pts; inf above the cap.
+# Pairs per block of ``pair_geodesics``: a block's fan sums (pairs x n), like
+# the relaxation's (rows x n x n), hold 2**14 * n floats, about 1 MB at n = 9.
+_PAIR_BLOCK = 2**14
+
+
+def pair_geodesics(poly: Polygon, pts, i, j, interior: bool, limit: float = math.inf):
+    """Intrinsic distance from ``pts[i]`` to ``pts[j]`` for each index pair; inf above the cap.
 
     ``interior`` picks paths within the closed polygon (d_h); otherwise paths
     around its open interior (exterior-model d_z).  The cap is ``limit``
-    widened by a relative 1e-12 and by tol.  The graph joins pts and the
-    polygon vertices by visible segments no longer than the cap; Dijkstra
-    with the same path-length cap then recovers every geodesic within it,
-    since each leg of such a path is itself within it.  The default limit
-    gives the uncapped matrix.
-
-    A pair whose deeper endpoint lies more than the pair's length + 2 tol
-    from every edge spans a segment that stays clear of the boundary, so the
-    segment kernel would find one piece of that endpoint's class: such pairs
-    take the endpoint's class, and only the rest go to the kernel.
+    widened by a relative 1e-12 and by tol (the default is uncapped).  A pair
+    is |pq| when the segment p -> q passes the kernel, and otherwise the
+    minimum over v of p's fan relaxed over the vertex graph plus q's fan to
+    v: the sums a ``MetricContext`` query forms, to the bit.  Only vertices
+    within the cap of a point get a fan.  A pair whose deeper endpoint lies
+    more than the pair's length + 2 tol from every edge cannot meet the
+    boundary, so it takes that endpoint's class without a kernel test.
     """
-    # deferred: runs that never build a geodesic matrix (convex moat games,
-    # the simulations) then never load scipy's graph routines
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-    from scipy.spatial import cKDTree
+    pts = np.asarray(pts, dtype=float)
+    i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+    v = poly.vertices
+    tol = poly.tol
+    side = 0 if interior else 1
+    cap = limit * (1 + 1e-12) + tol
+    diff = v - pts[:, None]
+    fans = np.hypot(diff[..., 0], diff[..., 1])
+    near = fans <= cap
+    k, u = np.nonzero(near)
+    near[k, u] = segment_visibility(poly, pts[k], v[u])[side]
+    fans[~near] = np.inf
+    graph = poly._vertex_graphs[side]
+    paths = np.empty_like(fans)
+    rows = max(1, _PAIR_BLOCK // poly.n)
+    for lo in range(0, len(pts), rows):
+        paths[lo : lo + rows] = _relax(fans[lo : lo + rows], graph)
+    clearance = np.sqrt(_boundary_distance2(poly, pts))
+    own_side = point_classes(poly, pts) == (1 if interior else -1)
+    out = np.empty(len(i))
+    for lo in range(0, len(i), _PAIR_BLOCK):
+        a, b = i[lo : lo + _PAIR_BLOCK], j[lo : lo + _PAIR_BLOCK]
+        d = np.hypot(*(pts[b] - pts[a]).T)
+        deep = np.where(clearance[a] >= clearance[b], a, b)
+        bent = ~own_side[deep]
+        test = clearance[deep] <= d + 2 * tol
+        bent[test] = ~segment_visibility(poly, pts[a[test]], pts[b[test]])[side]
+        d[bent] = (paths[a[bent]] + fans[b[bent]]).min(axis=1)
+        d[d <= tol] = 0.0  # coincident points, as a query has them
+        out[lo : lo + _PAIR_BLOCK] = d
+    out[out > cap] = np.inf
+    return out
 
-    m = len(pts)
-    nodes = np.vstack([pts, poly.vertices])
-    cap = limit * (1 + 1e-12) + poly.tol
-    i, j = cKDTree(nodes).query_pairs(r=cap, output_type="ndarray").T
-    w = np.hypot(*(nodes[i] - nodes[j]).T)
-    clearance = np.sqrt(_boundary_distance2(poly, nodes))
-    deep = np.where(clearance[i] >= clearance[j], i, j)
-    keep = point_classes(poly, nodes)[deep] == (1 if interior else -1)
-    test = clearance[deep] <= w + 2 * poly.tol
-    keep[test] = segment_visibility(poly, nodes[i[test]], nodes[j[test]])[0 if interior else 1]
-    i, j, w = i[keep], j[keep], w[keep]
-    graph = csr_matrix((np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
-                       shape=(len(nodes), len(nodes)))
-    return dijkstra(graph, directed=False, indices=np.arange(m), limit=cap)[:, :m]
+
+def _relax(fans: np.ndarray, graph: np.ndarray) -> np.ndarray:
+    """Shortest fan-then-graph path lengths to each vertex, per row of fans:
+    each path's edges are added left to right, as a Dijkstra would add them."""
+    d = fans
+    while True:
+        nxt = np.minimum(d, (d[..., :, None] + graph).min(axis=-2))
+        if np.array_equal(nxt, d):
+            return d
+        d = nxt
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +575,9 @@ def point_in_convex_hull(hull: np.ndarray, p, tol: float):
 
 
 class MetricContext:
-    """Immutable bundle of a polygon, pursuer model, triangulation, convex
-    hull, and the cached visibility graphs backing the two intrinsic metrics.
+    """Immutable bundle of a polygon, pursuer model, triangulation and convex
+    hull; the vertex visibility graphs behind both metrics are cached on the
+    polygon.
 
     Safe to share across threads once constructed; the lazy caches are filled
     by pure recomputation, so a benign race only repeats work.
@@ -550,55 +590,23 @@ class MetricContext:
         self.model = model
         self.triangulation = triangulate(polygon)
         self.hull = convex_hull(polygon.vertices)
-        self._interior_vis = None
-        self._exterior_vis = None
 
     # -- visibility graphs over polygon vertices ---------------------------
 
     @property
     def interior_visibility(self) -> np.ndarray:
-        """Dense matrix of vertex-to-vertex interior geodesic edge lengths.
-
-        inf marks invisible pairs.
-        """
-        if self._interior_vis is None:
-            self._interior_vis = self._build_vis(interior=True)
-        return self._interior_vis
+        """Vertex-to-vertex interior edge lengths; inf marks invisible pairs."""
+        return self.polygon._vertex_graphs[0]
 
     @property
     def exterior_visibility(self) -> np.ndarray:
-        if self._exterior_vis is None:
-            self._exterior_vis = self._build_vis(interior=False)
-        return self._exterior_vis
-
-    def _build_vis(self, interior: bool) -> np.ndarray:
-        poly = self.polygon
-        n = poly.n
-        v = poly.vertices
-        m = np.full((n, n), np.inf)
-        iu, ju = np.triu_indices(n, k=1)
-        if poly.is_convex and interior:
-            # chords of a convex polygon are in the polygon always
-            ok = np.ones(len(iu), dtype=bool)
-        elif poly.is_convex:
-            # ... and avoid the interior exactly when their midpoint is not inside
-            ok = point_classes(poly, 0.5 * (v[iu] + v[ju])) != 1
-        else:
-            ok = segment_visibility(poly, v[iu], v[ju])[0 if interior else 1]
-        d = np.hypot(*(v[ju] - v[iu]).T)
-        m[iu[ok], ju[ok]] = d[ok]
-        m[ju[ok], iu[ok]] = d[ok]
-        np.fill_diagonal(m, 0.0)
-        return m
+        return self.polygon._vertex_graphs[1]
 
     def _geodesic(self, p, q, interior: bool) -> float:
         """Shortest path from p to q within the closed polygon (``interior``)
-        or around its open interior, over the cached vertex graph.
-
-        One batched test covers ``pq`` and the fans ``p -> v_k``, ``q -> v_k``.
-        The relaxation adds each path's edges left to right, as a Dijkstra
-        over the same graph would, so both give the same float minimum.
-        """
+        or around its open interior: one batched test covers ``pq`` and the
+        fans ``p -> v_k``, ``q -> v_k``, and ``_relax`` extends p's fan as
+        ``pair_geodesics`` does, so both give the same float minimum."""
         poly = self.polygon
         v = poly.vertices
         d0 = float(np.hypot(*(q - p)))
@@ -607,25 +615,14 @@ class MetricContext:
         if poly.is_convex and interior:
             return d0
         ends = np.stack([p, q])
-        if poly.is_convex:
-            if poly.classify(0.5 * (p + q)) != "inside":
-                return d0
-            ok = point_classes(poly, 0.5 * (v + ends[:, None]).reshape(-1, 2)) != 1
-        else:
-            a = np.vstack([p, np.repeat(ends, poly.n, axis=0)])
-            ok = segment_visibility(poly, a, np.vstack([q, v, v]))[0 if interior else 1]
-            if ok[0]:
-                return d0
-            ok = ok[1:]
+        a = np.vstack([p, np.repeat(ends, poly.n, axis=0)])
+        side = 0 if interior else 1
+        ok = segment_visibility(poly, a, np.vstack([q, v, v]))[side]
+        if ok[0]:
+            return d0
         diff = v - ends[:, None]
-        wp, wq = np.where(ok.reshape(2, -1), np.hypot(diff[..., 0], diff[..., 1]), np.inf)
-        base = self.interior_visibility if interior else self.exterior_visibility
-        d = wp
-        while True:
-            nxt = np.minimum(d, (d[:, None] + base).min(axis=0))
-            if np.array_equal(nxt, d):
-                return float((d + wq).min())
-            d = nxt
+        wp, wq = np.where(ok[1:].reshape(2, -1), np.hypot(diff[..., 0], diff[..., 1]), np.inf)
+        return float((_relax(wp, poly._vertex_graphs[side]) + wq).min())
 
     # -- escaper metric -----------------------------------------------------
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePair, OutsideDomain, SpacingTooCoarse
-from .geometry import MetricContext, Point2, PursuerModel, geodesic_matrix
+from .geometry import MetricContext, Point2, PursuerModel, pair_geodesics
 
 # Not called here: kept so ``escape_ratio.ratio.segment_in_polygon`` still
 # resolves for the layer tracer in perfbench/tracing.py.
@@ -88,18 +88,19 @@ def boundary_samples(ctx: MetricContext, spacing: float):
 
 
 def _pairwise_dh(ctx: MetricContext, params: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Interior geodesic distance matrix between boundary samples."""
+    """Interior geodesic distances between boundary samples, per upper-triangle pair."""
+    i, j = np.triu_indices(len(pts), k=1)
     if ctx.polygon.is_convex:
-        diff = pts[:, None, :] - pts[None, :, :]
-        return np.hypot(diff[..., 0], diff[..., 1])
-    return geodesic_matrix(ctx.polygon, pts, interior=True)
+        return np.hypot(*(pts[j] - pts[i]).T)
+    return pair_geodesics(ctx.polygon, pts, i, j, interior=True)
 
 
 def _pairwise_dz(ctx: MetricContext, params: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Pursuer distance matrix between boundary samples."""
+    """Pursuer distances between boundary samples, per upper-triangle pair."""
+    i, j = np.triu_indices(len(pts), k=1)
     if ctx.model is PursuerModel.MOAT:
-        return ctx.polygon.arc_distance(params[:, None], params[None, :])
-    return geodesic_matrix(ctx.polygon, pts, interior=False)
+        return ctx.polygon.arc_distance(params[i], params[j])
+    return pair_geodesics(ctx.polygon, pts, i, j, interior=False)
 
 
 def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float):
@@ -176,14 +177,12 @@ def max_ratio(
         )
     params, pts = boundary_samples(ctx, spacing)
     t0 = time.perf_counter()
-    dh = _pairwise_dh(ctx, params, pts)
-    dz = _pairwise_dz(ctx, params, pts)
+    dh_u = _pairwise_dh(ctx, params, pts)
+    dz_u = _pairwise_dz(ctx, params, pts)
     t1 = time.perf_counter()
 
     m = len(params)
     iu, ju = np.triu_indices(m, k=1)
-    dh_u = dh[iu, ju]
-    dz_u = dz[iu, ju]
     valid = dh_u > poly.tol
     if prune and not poly.is_convex:
         diffs = pts[ju] - pts[iu]

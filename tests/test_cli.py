@@ -308,6 +308,7 @@ class TestNumericFlags:
         ("approximate", "--override-delta", ["-0.5", "nan", "0"]),
         ("approximate", "--override-gamma", ["-0.1", "nan", "inf"]),
         ("simulate", "--epsilon", ["nan", "-1", "0"]),
+        ("simulate", "--theta", ["inf", "nan", "0", "-1", "2"]),
     ])
     def test_bad_value_exits_2(self, capsys, square_file, command, flag, values):
         argv = self.COMMANDS[command] + ["--polygon", square_file]
@@ -325,3 +326,5 @@ class TestNumericFlags:
         assert ap.parse_args(["approximate", "--polygon", "p", "--epsilon", "1"]).epsilon == 1.0
         assert ap.parse_args(["simulate", "--scenario", "disk", "-r", "4",
                               "--t-max", "0"]).t_max == 0.0
+        assert ap.parse_args(["simulate", "--scenario", "wedge", "-r", "2",
+                              "--theta", str(math.pi / 2)]).theta == math.pi / 2

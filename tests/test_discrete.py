@@ -24,7 +24,7 @@ from escape_ratio.geometry import (
     MetricContext,
     PursuerModel,
     convex_hull,
-    geodesic_matrix,
+    pair_geodesics,
     point_in_convex_hull,
     validate_polygon,
 )
@@ -281,10 +281,10 @@ class TestBuildGame:
         notch = [(0, -1), (8, -1), (8, 1), (4.5, 1), (4.05, 0), (4, -0.5), (3.95, 0),
                  (3.5, 1), (0, 1)]
         ctx = MetricContext(validate_polygon(notch), PursuerModel.MOAT)
-        dist = geodesic_matrix(ctx.polygon, [[0.3, 0], [7.5, 0]], True, 8)
+        dist = pair_geodesics(ctx.polygon, [[0.3, 0], [7.5, 0]], [0], [1], True, 8)
         exact = ctx.interior_distance((0.3, 0), (7.5, 0))
         assert exact == 7.269164846451632
-        assert dist[0, 1] == exact
+        assert dist[0] == exact
 
     def test_threshold_monotone_in_r(self, square_moat):
         s = gamma_sample(square_moat, 0.1)

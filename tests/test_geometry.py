@@ -19,11 +19,12 @@ from escape_ratio.geometry import (
     PursuerModel,
     _point_segment_distance,
     dumps_polygon,
-    geodesic_matrix,
     loads_polygon,
     min_feature_size,
     min_interior_angle,
+    pair_geodesics,
     point_classes,
+    point_in_convex_hull,
     segment_avoids_interior,
     segment_in_polygon,
     segment_visibility,
@@ -540,26 +541,10 @@ class TestGeodesicQuery:
             calls.clear()
 
 
-def _reference_geodesic_matrix(poly, pts, interior, limit=math.inf):
-    """``geodesic_matrix`` with every node pair sent through the segment kernel."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-    from scipy.spatial import cKDTree
-
-    m = len(pts)
-    nodes = np.vstack([pts, poly.vertices])
-    cap = limit * (1 + 1e-12) + poly.tol
-    pairs = cKDTree(nodes).query_pairs(r=cap, output_type="ndarray")
-    vis = segment_visibility(poly, nodes[pairs[:, 0]], nodes[pairs[:, 1]])
-    i, j = pairs[vis[0 if interior else 1]].T
-    w = np.hypot(*(nodes[i] - nodes[j]).T)
-    graph = csr_matrix((np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
-                       shape=(len(nodes), len(nodes)))
-    return dijkstra(graph, directed=False, indices=np.arange(m), limit=cap)[:, :m]
-
-
 # a square with a 0.1-wide slit cut down from its top edge to y = 3
 SLIT = [(0, 0), (10, 0), (10, 10), (5.05, 10), (5.05, 3), (4.95, 3), (4.95, 10), (0, 10)]
+# the L-shape with a vertex in the middle of each of its three long edges
+L_COLLINEAR = [(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
 
 
 class TestGeodesicMatrix:
@@ -568,16 +553,25 @@ class TestGeodesicMatrix:
     @given(poly=grid_polygons(), data=st.data())
     def test_matches_kernel_on_every_pair(self, poly, data):
         # half-integer points inside, outside and on the boundary, plus
-        # boundary points off the grid
-        grid = data.draw(st.lists(grid_points, min_size=1, max_size=30))
+        # boundary points off the grid; each mode keeps the points of its
+        # domain and compares every pair with the per-query reference
+        grid = data.draw(st.lists(grid_points, min_size=12, max_size=24))
         fracs = data.draw(st.lists(st.floats(0.0, 1.0), max_size=5))
-        pts = np.vstack([np.array(grid, dtype=float)]
-                        + [poly.boundary_point(f * poly.perimeter)[None] for f in fracs])
+        cloud = np.vstack([np.array(grid, dtype=float)]
+                          + [poly.boundary_point(f * poly.perimeter)[None] for f in fracs])
+        ctx = MetricContext(poly, PursuerModel.EXTERIOR)
+        classes = point_classes(poly, cloud)
+        in_hull = point_in_convex_hull(ctx.hull, cloud, poly.tol)
         for interior in (True, False):
+            pts = cloud[classes >= 0] if interior else cloud[(classes <= 0) & in_hull]
+            i, j = np.triu_indices(len(pts), k=1)
+            ref = np.array([_reference_geodesic(ctx, pts[a], pts[b], interior)
+                            for a, b in zip(i, j)])
             for limit in (0.5, 1.5, math.inf):
-                got = geodesic_matrix(poly, pts, interior, limit)
-                ref = _reference_geodesic_matrix(poly, pts, interior, limit)
-                assert got.tobytes() == ref.tobytes(), (interior, limit)
+                cap = limit * (1 + 1e-12) + poly.tol
+                got = pair_geodesics(poly, pts, i, j, interior, limit)
+                masked = np.where(ref <= cap, ref, np.inf)
+                assert got.tobytes() == masked.tobytes(), (interior, limit)
 
     def test_slit_far_from_vertices_blocks(self):
         # the segment is 0.8 long and crosses both slit edges, while every
@@ -587,13 +581,13 @@ class TestGeodesicMatrix:
         assert np.hypot(*(poly.vertices - a).T).min() > 1
         assert np.hypot(*(poly.vertices - b).T).min() > 1
         pts = np.array([a, b])
-        assert np.isinf(geodesic_matrix(poly, pts, True, 1.0)[0, 1])
+        assert np.isinf(pair_geodesics(poly, pts, [0], [1], True, 1.0)[0])
         assert not discrete._threshold_distances(poly, pts, 1.0, interior=True)[0, 1]
         # uncapped, the path goes around the slit's foot
         around = 2 * math.hypot(0.35, 3.0) + 0.1
-        assert geodesic_matrix(poly, pts, True)[0, 1] == pytest.approx(around)
+        assert pair_geodesics(poly, pts, [0], [1], True)[0] == pytest.approx(around)
 
-    @pytest.mark.parametrize("points", [L_SHAPE, COMB, NOTCH, SPIRAL])
+    @pytest.mark.parametrize("points", [L_SHAPE, COMB, NOTCH, SPIRAL, L_COLLINEAR, SLIT])
     @pytest.mark.parametrize("interior", [True, False])
     def test_cap_masks_the_uncapped_matrix(self, points, interior):
         poly = validate_polygon(points)
@@ -603,11 +597,16 @@ class TestGeodesicMatrix:
         keep = point_classes(poly, cloud) != (-1 if interior else 1)
         ts = rng.uniform(0, poly.perimeter, 40)
         pts = np.vstack([[poly.boundary_point(t) for t in ts], cloud[keep][:40], poly.vertices])
-        full = geodesic_matrix(poly, pts, interior)
+        # the vertices and the first boundary points once more
+        pts = np.vstack([pts, pts[-poly.n :], pts[:3]])
+        i, j = np.triu_indices(len(pts), k=1)
+        full = pair_geodesics(poly, pts, i, j, interior)
         assert np.isfinite(full).all()
+        dup = (pts[i] == pts[j]).all(axis=1)
+        assert dup.sum() == poly.n + 3 and (full[dup] == 0.0).all()
         for limit in (0.3, 1.0, 2.5, 0.25 * poly.perimeter):
             cap = limit * (1 + 1e-12) + poly.tol
-            capped = geodesic_matrix(poly, pts, interior, limit)
+            capped = pair_geodesics(poly, pts, i, j, interior, limit)
             masked = np.where(full <= cap, full, np.inf)
             assert capped.tobytes() == masked.tobytes()
 

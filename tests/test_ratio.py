@@ -9,7 +9,10 @@ from escape_ratio.errors import DegeneratePair, OutsideDomain, SpacingTooCoarse
 from escape_ratio.geometry import MetricContext, PursuerModel, validate_polygon
 from escape_ratio.ratio import (
     UPPER_FACTOR,
+    _pairwise_dh,
+    _pairwise_dz,
     _refine_pair,
+    boundary_samples,
     max_ratio,
     ratio_of_pair,
 )
@@ -187,6 +190,20 @@ def test_sandwich_values_are_pinned(points, spacing, model, lower, upper):
     # replaced, to the bit
     bound = max_ratio(MetricContext(validate_polygon(points), PursuerModel(model)), spacing)
     assert (bound.lower_certified, bound.upper_estimate) == (lower, upper)
+
+
+@pytest.mark.parametrize("points,spacing", [(L_SHAPE, 0.1), (COMB, 0.2)])
+def test_pairwise_metrics_match_queries(points, spacing):
+    # the sampled pairs and the refinement's queries share one geodesic
+    # arithmetic, so a pair's sampled ratio is the one refinement would see
+    ctx = MetricContext(validate_polygon(points), PursuerModel.EXTERIOR)
+    params, pts = boundary_samples(ctx, spacing)
+    dh, dz = _pairwise_dh(ctx, params, pts), _pairwise_dz(ctx, params, pts)
+    i, j = np.triu_indices(len(pts), k=1)
+    for k in np.random.default_rng(7).choice(len(i), 400, replace=False):
+        p, q = pts[i[k]], pts[j[k]]
+        assert dh[k] == ctx.interior_distance(p, q), (p, q)
+        assert dz[k] == ctx.pursuer_distance(p, q), (p, q)
 
 
 class TestExteriorModelRatio:
