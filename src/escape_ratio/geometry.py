@@ -183,27 +183,32 @@ class Polygon:
 
     # -- boundary parameterization ----------------------------------------
 
-    def boundary_point(self, t: float) -> np.ndarray:
-        """Point at arc-length parameter ``t`` (measured CCW from vertex 0)."""
-        F = self.perimeter
-        t = float(t) % F
-        i = int(np.searchsorted(self._cum_lengths, t, side="right") - 1)
-        i = min(i, self.n - 1)
-        local = t - self._cum_lengths[i]
-        frac = local / self._edge_lengths[i] if self._edge_lengths[i] > 0 else 0.0
-        return self.vertices[i] + frac * self._edge_vecs[i]
+    def boundary_point(self, t) -> np.ndarray:
+        """Point at arc-length parameter ``t`` (measured CCW from vertex 0).
 
-    def boundary_parameter(self, p) -> float:
-        """Arc-length parameter of the boundary point nearest to ``p``."""
+        Broadcasts: parameters of shape S give points of shape S + (2,).
+        """
+        t = np.mod(t, self.perimeter)
+        i = np.minimum(np.searchsorted(self._cum_lengths, t, side="right") - 1, self.n - 1)
+        frac = np.asarray((t - self._cum_lengths[i]) / self._edge_lengths[i])
+        return self.vertices[i] + frac[..., None] * self._edge_vecs[i]
+
+    def boundary_parameter(self, p):
+        """Arc-length parameter of the boundary point nearest to ``p``.
+
+        Broadcasts over the leading axes of ``p``; among equally near edges
+        the first wins.
+        """
         p = np.asarray(p, dtype=float)
+        q = p.reshape(-1, 1, 2)
         v = self.vertices
         e = self._edge_vecs
         denom = np.maximum(self._edge_lengths**2, 1e-300)
-        t = np.clip(((p - v) * e).sum(axis=1) / denom, 0.0, 1.0)
-        proj = v + t[:, None] * e
-        d2 = ((proj - p) ** 2).sum(axis=1)
-        i = int(np.argmin(d2))
-        return float(self._cum_lengths[i] + t[i] * self._edge_lengths[i])
+        t = np.clip(((q - v) * e).sum(axis=-1) / denom, 0.0, 1.0)
+        proj = v + t[..., None] * e
+        i = ((proj - q) ** 2).sum(axis=-1).argmin(axis=1)
+        params = self._cum_lengths[:-1] + t * self._edge_lengths
+        return params[np.arange(len(i)), i].reshape(p.shape[:-1])[()]
 
     def distance_to_boundary(self, p) -> float:
         p = np.asarray(p, dtype=float)
@@ -602,27 +607,45 @@ class MetricContext:
     def exterior_visibility(self) -> np.ndarray:
         return self.polygon._vertex_graphs[1]
 
-    def _geodesic(self, p, q, interior: bool) -> float:
-        """Shortest path from p to q within the closed polygon (``interior``)
-        or around its open interior: one batched test covers ``pq`` and the
-        fans ``p -> v_k``, ``q -> v_k``, and ``_relax`` extends p's fan as
-        ``pair_geodesics`` does, so both give the same float minimum."""
+    def _geodesics(self, P, Q, sides) -> np.ndarray:
+        """Shortest path lengths from each row of ``P`` to the same row of
+        ``Q``, one output row per entry of ``sides``: 0 for paths within the
+        closed polygon (d_h), 1 for paths around its open interior
+        (exterior-model d_z).  ``P`` or ``Q`` may be one point that every
+        row shares.  One batched test covers every row's ``pq`` and the fan
+        ``x -> v_k`` of each given point x and gives both predicates, and
+        ``_relax`` extends p's fan as ``pair_geodesics`` does, so both give
+        the same float minimum.  Interior paths in a convex polygon are the
+        segment, with no test."""
         poly = self.polygon
-        v = poly.vertices
-        d0 = float(np.hypot(*(q - p)))
-        if d0 <= poly.tol:
-            return 0.0
-        if poly.is_convex and interior:
-            return d0
-        ends = np.stack([p, q])
-        a = np.vstack([p, np.repeat(ends, poly.n, axis=0)])
-        side = 0 if interior else 1
-        ok = segment_visibility(poly, a, np.vstack([q, v, v]))[side]
-        if ok[0]:
-            return d0
+        v, n = poly.vertices, poly.n
+        P = np.asarray(P, dtype=float).reshape(-1, 2)
+        Q = np.asarray(Q, dtype=float).reshape(-1, 2)
+        d0 = np.hypot(Q[:, 0] - P[:, 0], Q[:, 1] - P[:, 1])
+        d0[d0 <= poly.tol] = 0.0
+        out = np.empty((len(sides), len(d0)))
+        out[:] = d0
+        tested = [k for k, side in enumerate(sides) if side or not poly.is_convex]
+        if not (tested and d0.any()):
+            return out
+        rows = len(d0)
+        ends = np.concatenate([P, Q])
+        # segments pq, then each end's fan
+        a, b = np.empty((2, rows + len(ends) * n, 2))
+        a[:rows], b[:rows] = P, Q
+        a[rows:] = np.repeat(ends, n, axis=0)
+        b[rows:].reshape(-1, n, 2)[:] = v
+        ok = segment_visibility(poly, a, b)
         diff = v - ends[:, None]
-        wp, wq = np.where(ok[1:].reshape(2, -1), np.hypot(diff[..., 0], diff[..., 1]), np.inf)
-        return float((_relax(wp, poly._vertex_graphs[side]) + wq).min())
+        fans = np.hypot(diff[..., 0], diff[..., 1])
+        for k in tested:
+            vis = ok[sides[k]]
+            bent = ~vis[:rows] & (d0 > 0)
+            if bent.any():
+                w = np.where(vis[rows:].reshape(-1, n), fans, np.inf)
+                paths = _relax(w[: len(P)], poly._vertex_graphs[sides[k]])
+                out[k, bent] = (paths + w[len(P) :]).min(axis=-1)[bent]
+        return out
 
     # -- escaper metric -----------------------------------------------------
 
@@ -633,7 +656,7 @@ class MetricContext:
         q = np.asarray(q, dtype=float)
         if poly.classify(p) == "outside" or poly.classify(q) == "outside":
             raise OutsideDomain("point not in the escaper domain")
-        return self._geodesic(p, q, interior=True)
+        return float(self._geodesics(p, q, (0,))[0, 0])
 
     # -- pursuer metric -----------------------------------------------------
 
@@ -664,7 +687,7 @@ class MetricContext:
                 raise OutsideDomain("point inside the escaper domain")
             if not point_in_convex_hull(self.hull, pt, poly.tol):
                 raise OutsideDomain("point beyond the convex hull of the boundary")
-        return self._geodesic(p, q, interior=False)
+        return float(self._geodesics(p, q, (1,))[0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePair, OutsideDomain, SpacingTooCoarse
-from .geometry import MetricContext, Point2, PursuerModel, pair_geodesics
+from .geometry import (
+    _SEGMENT_BLOCK_ELEMENTS,
+    MetricContext,
+    Point2,
+    PursuerModel,
+    _boundary_distance2,
+    pair_geodesics,
+)
 
 # Not called here: kept so ``escape_ratio.ratio.segment_in_polygon`` still
 # resolves for the layer tracer in perfbench/tracing.py.
@@ -34,6 +41,8 @@ logger = logging.getLogger(__name__)
 UPPER_FACTOR = 2.0 * (3.0 + math.sqrt(6.0))  # < 10.89898
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# most golden steps whose pairs one refinement batch fetches ahead
+_LOOKAHEAD = 3
 
 
 @dataclass(frozen=True)
@@ -72,8 +81,10 @@ def ratio_of_pair(ctx: MetricContext, p, q) -> float:
 def boundary_samples(ctx: MetricContext, spacing: float):
     """Boundary points at arc spacing <= spacing; returns (params, points).
 
-    Each edge is subdivided uniformly into ceil(len/spacing) pieces, so halving
-    the spacing yields a nested (refined) sample set.
+    Each edge is subdivided uniformly into ceil(len/spacing) pieces.  Halving
+    the spacing does not nest the sample sets in general, since ceil(2L/s)
+    need not be 2 ceil(L/s): on the unit square, spacing 0.3 gives 16 samples
+    and 0.15 gives 28, and t = 0.25 is missing from the finer set.
     """
     poly = ctx.polygon
     params = []
@@ -83,24 +94,40 @@ def boundary_samples(ctx: MetricContext, spacing: float):
         t0 = poly.cumulative_lengths[i]
         params.extend(t0 + L * k / m for k in range(m))
     params = np.array(sorted(params))
-    pts = np.array([poly.boundary_point(t) for t in params])
-    return params, pts
+    return params, poly.boundary_point(params)
 
 
-def _pairwise_dh(ctx: MetricContext, params: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Interior geodesic distances between boundary samples, per upper-triangle pair."""
-    i, j = np.triu_indices(len(pts), k=1)
+def _pairwise_dh(ctx: MetricContext, pts: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Interior geodesic distances between boundary samples ``i`` and ``j``."""
     if ctx.polygon.is_convex:
         return np.hypot(*(pts[j] - pts[i]).T)
     return pair_geodesics(ctx.polygon, pts, i, j, interior=True)
 
 
-def _pairwise_dz(ctx: MetricContext, params: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Pursuer distances between boundary samples, per upper-triangle pair."""
-    i, j = np.triu_indices(len(pts), k=1)
+def _pairwise_dz(ctx: MetricContext, params: np.ndarray, pts: np.ndarray,
+                 i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Pursuer distances between boundary samples ``i`` and ``j``."""
     if ctx.model is PursuerModel.MOAT:
         return ctx.polygon.arc_distance(params[i], params[j])
     return pair_geodesics(ctx.polygon, pts, i, j, interior=False)
+
+
+def _pair_ratios(ctx: MetricContext, T: np.ndarray) -> np.ndarray:
+    """d_z/d_h for each row (tp, tq) of ``T``, -inf where d_h is below tol:
+    one domain test and at most one kernel call for the whole batch."""
+    poly = ctx.polygon
+    pts = poly.boundary_point(T)
+    if np.any(_boundary_distance2(poly, pts.reshape(-1, 2)) > poly.tol**2):
+        raise OutsideDomain("ratio pairs must lie on the polygon boundary")
+    # a batch of one golden search holds one end fixed: pass it once
+    P, Q = (pts[:1, i] if np.all(T[:, i] == T[0, i]) else pts[:, i] for i in (0, 1))
+    if ctx.model is PursuerModel.MOAT:
+        (dh,) = ctx._geodesics(P, Q, (0,))
+        dz = poly.arc_distance(*poly.boundary_parameter(pts).T)
+    else:
+        dh, dz = ctx._geodesics(P, Q, (0, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(dh <= poly.tol, -np.inf, dz / dh)
 
 
 def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float):
@@ -108,39 +135,72 @@ def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float):
 
     Alternates one-dimensional searches along the boundary arc around each
     point, each over a window of +/- one spacing, accepting only improvements.
-    Returns ``(tp, tq, ratio, evaluations requested, evaluations made)``.
+    A pair missing from the memo is fetched in one batch with every pair the
+    next few steps could evaluate on either branch, so the steps taken are
+    those of a pair-at-a-time search.  Returns ``(tp, tq, ratio, evaluations
+    requested, distinct pairs requested, pairs evaluated, batches)``.
     """
-    poly = ctx.polygon
-    F = poly.perimeter
+    n = ctx.polygon.n
+    F = ctx.polygon.perimeter
+    # looking L steps ahead evaluates 2^(L+1) - 1 pairs per batch, most of
+    # them never asked for; measured, that pays while the batch at 1 + 2n
+    # segments a pair against n edges fits one kernel block (n <= 8: 3 steps,
+    # n >= 24: one)
+    depth = _LOOKAHEAD
+    while depth > 1 and (2 ** (depth + 1) - 1) * (1 + 2 * n) * n > _SEGMENT_BLOCK_ELEMENTS:
+        depth -= 1
     # later rounds repeat searches whose fixed end and window did not move
     memo: dict = {}
-    requested = 0
+    used: set = set()
+    requested = batches = 0
+
+    def fetch(pairs):
+        nonlocal batches
+        new = [key for key in dict.fromkeys(pairs) if key not in memo]
+        batches += 1
+        memo.update(zip(new, _pair_ratios(ctx, np.array(new)).tolist()))
 
     def value(tp, tq) -> float:
         nonlocal requested
         requested += 1
+        used.add((tp, tq))
         if (tp, tq) not in memo:
-            p = poly.boundary_point(tp)
-            q = poly.boundary_point(tq)
-            dh = ctx.interior_distance(p, q)
-            memo[tp, tq] = -np.inf if dh <= poly.tol else ctx.pursuer_distance(p, q) / dh
+            fetch([(tp, tq)])
         return memo[tp, tq]
 
     def golden(fix, lo, hi, which):
+        def pair(t):
+            return (t, fix) if which == 0 else (fix, t)
+
+        def ahead(a, b, c, d, steps):
+            # the pairs of state (a, b, c, d) and of the next ``steps``
+            # steps from it on either branch, in the loop's arithmetic
+            yield pair(c)
+            yield pair(d)
+            if steps:
+                yield from ahead(a, d, d - _GOLDEN * (d - a), c, steps - 1)
+                yield from ahead(c, b, d, c + _GOLDEN * (b - c), steps - 1)
+
+        def f(t, steps_left):
+            # a miss fetches ahead from the loop's current (a, b, c, d)
+            if pair(t) not in memo:
+                fetch(ahead(a, b, c, d, min(depth, steps_left)))
+            return value(*pair(t))
+
         a, b = lo, hi
         c = b - _GOLDEN * (b - a)
         d = a + _GOLDEN * (b - a)
-        fc = value(c, fix) if which == 0 else value(fix, c)
-        fd = value(d, fix) if which == 0 else value(fix, d)
-        for _ in range(40):
+        fc = f(c, 40)
+        fd = f(d, 40)
+        for k in range(40):
             if fc >= fd:
                 b, d, fd = d, c, fc
                 c = b - _GOLDEN * (b - a)
-                fc = value(c, fix) if which == 0 else value(fix, c)
+                fc = f(c, 39 - k)
             else:
                 a, c, fc = c, d, fd
                 d = a + _GOLDEN * (b - a)
-                fd = value(d, fix) if which == 0 else value(fix, d)
+                fd = f(d, 39 - k)
         t = c if fc >= fd else d
         return t, max(fc, fd)
 
@@ -153,7 +213,7 @@ def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float):
         t, val = golden(tp, tq - spacing, tq + spacing, 1)
         if val > best:
             best, tq = val, t % F
-    return tp, tq, best, requested, len(memo)
+    return tp, tq, best, requested, len(used), len(memo), batches
 
 
 def max_ratio(
@@ -176,13 +236,13 @@ def max_ratio(
             f"spacing {spacing} exceeds one tenth of the min feature size {f}"
         )
     params, pts = boundary_samples(ctx, spacing)
-    t0 = time.perf_counter()
-    dh_u = _pairwise_dh(ctx, params, pts)
-    dz_u = _pairwise_dz(ctx, params, pts)
-    t1 = time.perf_counter()
-
     m = len(params)
     iu, ju = np.triu_indices(m, k=1)
+    t0 = time.perf_counter()
+    dh_u = _pairwise_dh(ctx, pts, iu, ju)
+    dz_u = _pairwise_dz(ctx, params, pts, iu, ju)
+    t1 = time.perf_counter()
+
     valid = dh_u > poly.tol
     if prune and not poly.is_convex:
         diffs = pts[ju] - pts[iu]
@@ -194,9 +254,10 @@ def max_ratio(
     sample_max = float(ratios[k])
 
     t2 = time.perf_counter()
-    tp, tq, refined, requested, distinct = _refine_pair(ctx, t_p, t_q, spacing)
+    tp, tq, refined, requested, distinct, evaluated, batches = _refine_pair(ctx, t_p, t_q, spacing)
     logger.debug("max_ratio: m=%d, %d pairs, %d refinement evaluations (%d distinct), "
-                 "pairwise %.4f s, refine %.4f s", m, len(iu), requested, distinct,
+                 "%d pairs evaluated in %d batches, pairwise %.4f s, refine %.4f s",
+                 m, len(iu), requested, distinct, evaluated, batches,
                  t1 - t0, time.perf_counter() - t2)
     lower = max(sample_max, refined)
     wp = poly.boundary_point(tp)

@@ -10,6 +10,10 @@ L_SHAPE = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
 RECT_1x10 = [(0, 0), (10, 0), (10, 1), (0, 1)]
 TRIANGLE = [(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)]
 COMB = [(0, 0), (6, 0), (6, 4), (4, 4), (4, 2), (2, 2), (2, 4), (0, 4)]
+# a unit-wide corridor winding inward from the bottom left; its exterior
+# pocket winds the same way, so geodesics of both models bend at many vertices
+SPIRAL = [(0, 0), (6, 0), (6, 6), (1, 6), (1, 2), (4, 2), (4, 4), (3, 4), (3, 3),
+          (2, 3), (2, 5), (5, 5), (5, 1), (0, 1)]
 
 
 @pytest.fixture(scope="session")

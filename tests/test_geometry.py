@@ -36,17 +36,15 @@ from conftest import (
     COMB,
     L_SHAPE,
     RECT_1x10,
+    SPIRAL,
     SQUARE,
+    TRIANGLE,
     random_convex_polygon,
     random_point_inside,
 )
 
 # a 0.1-wide notch whose mouth vertices (3.95, 0) and (4.05, 0) lie on y = 0
 NOTCH = [(0, -1), (8, -1), (8, 1), (4.5, 1), (4.05, 0), (4, -0.5), (3.95, 0), (3.5, 1), (0, 1)]
-# a unit-wide corridor winding inward from the bottom left; its exterior
-# pocket winds the same way, so geodesics of both models bend at many vertices
-SPIRAL = [(0, 0), (6, 0), (6, 6), (1, 6), (1, 2), (4, 2), (4, 4), (3, 4), (3, 3),
-          (2, 3), (2, 5), (5, 5), (5, 1), (0, 1)]
 
 
 def tri_area(t):
@@ -622,6 +620,23 @@ class TestPolygonIO:
         assert poly.area > 0
 
 
+def _scalar_boundary_point(poly, t):
+    """``Polygon.boundary_point`` as it was before it broadcast."""
+    t = float(t) % poly.perimeter
+    i = min(int(np.searchsorted(poly.cumulative_lengths, t, side="right") - 1), poly.n - 1)
+    e = np.roll(poly.vertices, -1, axis=0)[i] - poly.vertices[i]
+    return poly.vertices[i] + (t - poly.cumulative_lengths[i]) / poly.edge_lengths[i] * e
+
+
+def _scalar_boundary_parameter(poly, p):
+    """``Polygon.boundary_parameter`` as it was before it broadcast."""
+    v = poly.vertices
+    e = np.roll(v, -1, axis=0) - v
+    t = np.clip(((p - v) * e).sum(axis=1) / np.maximum(poly.edge_lengths**2, 1e-300), 0.0, 1.0)
+    i = int(np.argmin((((v + t[:, None] * e) - p) ** 2).sum(axis=1)))
+    return float(poly.cumulative_lengths[i] + t[i] * poly.edge_lengths[i])
+
+
 class TestBoundaryParameterization:
     def test_wraps_at_perimeter(self, square):
         assert square.boundary_point(0.0) == pytest.approx((0.0, 0.0))
@@ -637,6 +652,29 @@ class TestBoundaryParameterization:
             p = l_shape.boundary_point(t)
             t2 = l_shape.boundary_parameter(p)
             assert l_shape.arc_distance(t, t2) <= 1e-9
+
+    @pytest.mark.parametrize("points", [L_SHAPE, TRIANGLE, SPIRAL])
+    def test_boundary_maps_broadcast_bitwise(self, points):
+        poly = validate_polygon(points)
+        F = poly.perimeter
+        cum = poly.cumulative_lengths
+        rng = np.random.default_rng(47)
+        # vertex parameters, negative ones and ones at or past the perimeter
+        t = np.concatenate([cum, -cum, cum + F, rng.uniform(-F, 2 * F, 40)])
+        pts = poly.boundary_point(t[:, None])
+        assert pts.shape == (len(t), 1, 2)
+        scalar = np.array([poly.boundary_point(float(x)) for x in t])
+        assert scalar.shape == (len(t), 2)
+        ref = np.array([_scalar_boundary_point(poly, x) for x in t])
+        assert pts.reshape(-1, 2).tobytes() == scalar.tobytes() == ref.tobytes()
+        # each vertex ends two edges, an equal-distance tie the first edge wins
+        q = np.vstack([scalar, poly.vertices, rng.uniform(-1, 7, (13, 2))])
+        params = poly.boundary_parameter(q[None])
+        assert params.shape == (1, len(q))
+        scalar = np.array([poly.boundary_parameter(x) for x in q])
+        ref = np.array([_scalar_boundary_parameter(poly, x) for x in q])
+        assert params.tobytes() == scalar.tobytes() == ref.tobytes()
+        assert ref[len(t) : len(t) + poly.n].tolist() == [0.0, *cum[1:-1]]
 
     def test_arc_distance_broadcasts_bitwise(self, l_shape):
         F = l_shape.perimeter

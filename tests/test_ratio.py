@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from escape_ratio import geometry
 from escape_ratio.errors import DegeneratePair, OutsideDomain, SpacingTooCoarse
 from escape_ratio.geometry import MetricContext, PursuerModel, validate_polygon
 from escape_ratio.ratio import (
+    _GOLDEN,
     UPPER_FACTOR,
     _pairwise_dh,
     _pairwise_dz,
@@ -17,7 +19,10 @@ from escape_ratio.ratio import (
     ratio_of_pair,
 )
 
-from conftest import COMB, L_SHAPE, RECT_1x10, SQUARE
+from conftest import COMB, L_SHAPE, RECT_1x10, SPIRAL, SQUARE, TRIANGLE
+
+_ANGLES = np.linspace(0, 2 * math.pi, 101)[:-1]
+GON_100 = np.column_stack([np.cos(_ANGLES), np.sin(_ANGLES)])
 
 
 def square_boundary_point(t):
@@ -198,8 +203,8 @@ def test_pairwise_metrics_match_queries(points, spacing):
     # arithmetic, so a pair's sampled ratio is the one refinement would see
     ctx = MetricContext(validate_polygon(points), PursuerModel.EXTERIOR)
     params, pts = boundary_samples(ctx, spacing)
-    dh, dz = _pairwise_dh(ctx, params, pts), _pairwise_dz(ctx, params, pts)
     i, j = np.triu_indices(len(pts), k=1)
+    dh, dz = _pairwise_dh(ctx, pts, i, j), _pairwise_dz(ctx, params, pts, i, j)
     for k in np.random.default_rng(7).choice(len(i), 400, replace=False):
         p, q = pts[i[k]], pts[j[k]]
         assert dh[k] == ctx.interior_distance(p, q), (p, q)
@@ -228,8 +233,7 @@ class TestSandwich:
         assert bound.lower_certified <= 7.40492 <= bound.upper_estimate
 
     def test_regular_100gon_approximates_disk(self):
-        ang = np.linspace(0, 2 * math.pi, 101)[:-1]
-        poly = validate_polygon(np.column_stack([np.cos(ang), np.sin(ang)]))
+        poly = validate_polygon(GON_100)
         ctx = MetricContext(poly, PursuerModel.MOAT)
         spacing = poly.min_feature_size / 10 * 0.9
         bound = max_ratio(ctx, spacing)
@@ -238,23 +242,99 @@ class TestSandwich:
         assert bound.lower_certified <= 4.6033 <= bound.upper_estimate
 
 
+def _reference_refine(ctx, t_p, t_q, spacing):
+    """The pair-at-a-time refinement the batched one replaced: a scalar
+    query per metric for each distinct pair, in the order the golden-section
+    searches ask.  Returns ``(tp, tq, ratio, evaluations requested)``."""
+    poly = ctx.polygon
+    F = poly.perimeter
+    memo: dict = {}
+    requested = 0
+
+    def value(tp, tq) -> float:
+        nonlocal requested
+        requested += 1
+        if (tp, tq) not in memo:
+            p = poly.boundary_point(tp)
+            q = poly.boundary_point(tq)
+            dh = ctx.interior_distance(p, q)
+            memo[tp, tq] = -np.inf if dh <= poly.tol else ctx.pursuer_distance(p, q) / dh
+        return memo[tp, tq]
+
+    def golden(fix, lo, hi, which):
+        a, b = lo, hi
+        c = b - _GOLDEN * (b - a)
+        d = a + _GOLDEN * (b - a)
+        fc = value(c, fix) if which == 0 else value(fix, c)
+        fd = value(d, fix) if which == 0 else value(fix, d)
+        for _ in range(40):
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - _GOLDEN * (b - a)
+                fc = value(c, fix) if which == 0 else value(fix, c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + _GOLDEN * (b - a)
+                fd = value(d, fix) if which == 0 else value(fix, d)
+        t = c if fc >= fd else d
+        return t, max(fc, fd)
+
+    best = value(t_p, t_q)
+    tp, tq = t_p, t_q
+    for _ in range(3):
+        t, val = golden(tq, tp - spacing, tp + spacing, 0)
+        if val > best:
+            best, tp = val, t % F
+        t, val = golden(tp, tq - spacing, tq + spacing, 1)
+        if val > best:
+            best, tq = val, t % F
+    return tp, tq, best, requested
+
+
+@pytest.mark.parametrize(
+    "points,spacing,model",
+    [pytest.param(points, spacing, model, id=f"{name}-{model.value}")
+     for name, points, spacing in (("square", SQUARE, 0.1), ("triangle", TRIANGLE, 0.08),
+                                   ("L", L_SHAPE, 0.1), ("comb", COMB, 0.2),
+                                   ("spiral", SPIRAL, 0.5), ("100-gon", GON_100, 0.05))
+     for model in PursuerModel
+     # the 100-gon's exterior reference takes about 2 s per start
+     if not (points is GON_100 and model is PursuerModel.EXTERIOR)],
+)
+def test_batched_refinement_matches_pair_at_a_time(points, spacing, model):
+    # from the best sample pair, from a pair with t_p == t_q (its first ratio
+    # is -inf) and from one whose windows cross parameter 0 at both ends
+    ctx = MetricContext(validate_polygon(points), model)
+    F = ctx.polygon.perimeter
+    params, pts = boundary_samples(ctx, spacing)
+    i, j = np.triu_indices(len(params), k=1)
+    k = int(np.argmax(_pairwise_dz(ctx, params, pts, i, j) / _pairwise_dh(ctx, pts, i, j)))
+    rng = np.random.default_rng(len(points))
+    t, (u, w) = rng.uniform(0, F), rng.uniform(0, spacing, 2)
+    for t_p, t_q in ((params[i[k]], params[j[k]]), (t, t), (u, F - w)):
+        got = _refine_pair(ctx, float(t_p), float(t_q), spacing)[:4]
+        ref = _reference_refine(ctx, float(t_p), float(t_q), spacing)
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in ref], (t_p, t_q)
+
+
 class TestRefinementWork:
     def test_each_distinct_pair_evaluated_once(self, monkeypatch):
         ctx = MetricContext(validate_polygon(L_SHAPE), PursuerModel.EXTERIOR)
         ctx.interior_visibility, ctx.exterior_visibility  # build the cached graphs first
-        queries, kernel_calls = [], []
+        rows, kernel_calls = [], []
         kernel = geometry.segment_visibility
         monkeypatch.setattr(geometry, "segment_visibility",
                             lambda poly, a, b: kernel_calls.append(1) or kernel(poly, a, b))
+        geodesics = ctx._geodesics
+        monkeypatch.setattr(ctx, "_geodesics", lambda P, Q, sides: (
+            rows.extend(map(tuple, np.hstack(np.broadcast_arrays(P, Q)))) or geodesics(P, Q, sides)))
         for name in ("interior_distance", "pursuer_distance"):
-            query = getattr(ctx, name)
-            monkeypatch.setattr(ctx, name, lambda p, q, name=name, query=query: (
-                queries.append((name, tuple(p), tuple(q))) or query(p, q)))
+            monkeypatch.delattr(MetricContext, name)  # no scalar query
         # the best sample pair at spacing 0.1; the later rounds repeat searches
-        *_, requested, distinct = _refine_pair(ctx, 0.7, 4.0, 0.1)
-        assert len(queries) == len(set(queries)) == 2 * distinct
-        assert len(kernel_calls) == len(queries)  # one kernel call per query
-        assert (requested, distinct) == (253, 127)
+        *_, requested, distinct, evaluated, batches = _refine_pair(ctx, 0.7, 4.0, 0.1)
+        assert len(rows) == len(set(rows)) == evaluated
+        assert len(kernel_calls) == batches  # one kernel call per batch, both metrics
+        assert (requested, distinct, evaluated, batches) == (253, 127, 391, 31)
 
     def test_logs_one_debug_line(self, l_moat, caplog):
         with caplog.at_level(logging.DEBUG, logger="escape_ratio.ratio"):
@@ -262,4 +342,5 @@ class TestRefinementWork:
         lines = [r.getMessage() for r in caplog.records if r.name == "escape_ratio.ratio"]
         assert len(lines) == 1
         assert lines[0].startswith("max_ratio: m=80, 3160 pairs, 253 refinement evaluations (")
-        assert " distinct), pairwise " in lines[0] and lines[0].endswith(" s")
+        assert re.search(r" \(\d+ distinct\), \d+ pairs evaluated in \d+ batches, pairwise ",
+                         lines[0]) and lines[0].endswith(" s")
