@@ -16,6 +16,7 @@ membership predicates.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -31,6 +32,8 @@ from .errors import (
     TooFewVertices,
     ZeroArea,
 )
+
+logger = logging.getLogger(__name__)
 
 TOL_SCALE = 1e-9
 
@@ -99,10 +102,18 @@ class Polygon:
         v = self.vertices
         v.setflags(write=False)
         object.__setattr__(self, "_n", len(v))
-        edges = np.roll(v, -1, axis=0) - v
+        nxt = np.roll(v, -1, axis=0)
+        edges = nxt - v
         lengths = np.hypot(edges[:, 0], edges[:, 1])
+        object.__setattr__(self, "_next", nxt)
         object.__setattr__(self, "_edge_vecs", edges)
         object.__setattr__(self, "_edge_lengths", lengths)
+        object.__setattr__(self, "_edge_lengths2", np.maximum(lengths**2, 1e-300))
+        # each edge's bounding box widened by 2 tol: a point outside all of
+        # them is more than 2 tol from the boundary
+        reach = 2.0 * self.tol
+        object.__setattr__(self, "_edge_boxes", (np.minimum(v, nxt) - reach,
+                                                 np.maximum(v, nxt) + reach))
         cum = np.concatenate([[0.0], np.cumsum(lengths)])
         object.__setattr__(self, "_cum_lengths", cum)
 
@@ -126,8 +137,7 @@ class Polygon:
 
     @property
     def area(self) -> float:
-        v = self.vertices
-        w = np.roll(v, -1, axis=0)
+        v, w = self.vertices, self._next
         return float(0.5 * np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]))
 
     @property
@@ -203,8 +213,7 @@ class Polygon:
         q = p.reshape(-1, 1, 2)
         v = self.vertices
         e = self._edge_vecs
-        denom = np.maximum(self._edge_lengths**2, 1e-300)
-        t = np.clip(((q - v) * e).sum(axis=-1) / denom, 0.0, 1.0)
+        t = np.clip(((q - v) * e).sum(axis=-1) / self._edge_lengths2, 0.0, 1.0)
         proj = v + t[..., None] * e
         i = ((proj - q) ** 2).sum(axis=-1).argmin(axis=1)
         params = self._cum_lengths[:-1] + t * self._edge_lengths
@@ -214,8 +223,7 @@ class Polygon:
         p = np.asarray(p, dtype=float)
         v = self.vertices
         e = self._edge_vecs
-        denom = np.maximum(self._edge_lengths**2, 1e-300)
-        t = np.clip(((p - v) * e).sum(axis=1) / denom, 0.0, 1.0)
+        t = np.clip(((p - v) * e).sum(axis=1) / self._edge_lengths2, 0.0, 1.0)
         proj = v + t[:, None] * e
         return float(np.sqrt(((proj - p) ** 2).sum(axis=1).min()))
 
@@ -232,8 +240,7 @@ class Polygon:
         p = np.asarray(p, dtype=float)
         if self.distance_to_boundary(p) <= self.tol:
             return "boundary"
-        v = self.vertices
-        w = np.roll(v, -1, axis=0)
+        v, w = self.vertices, self._next
         # half-open ray casting toward +x
         cond = (v[:, 1] <= p[1]) != (w[:, 1] <= p[1])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -262,7 +269,8 @@ def validate_polygon(points) -> Polygon:
         raise ZeroArea("all vertices coincide")
 
     nxt = np.roll(arr, -1, axis=0)
-    if np.any(np.hypot(*(nxt - arr).T) <= tol):
+    lengths = np.hypot(*(nxt - arr).T)
+    if np.any(lengths <= tol):
         raise DegenerateEdge("two consecutive vertices coincide")
 
     # simplicity: no proper crossing between nonadjacent edges and no vertex
@@ -278,9 +286,8 @@ def validate_polygon(points) -> Polygon:
             if _seg_seg_distance(a1, a2, b1, b2) <= tol:
                 raise SelfIntersecting(f"edges {i} and {j} touch")
 
-    w = np.roll(arr, -1, axis=0)
-    area = 0.5 * float(np.sum(arr[:, 0] * w[:, 1] - w[:, 0] * arr[:, 1]))
-    perimeter = float(np.hypot(*(w - arr).T).sum())
+    area = 0.5 * float(np.sum(arr[:, 0] * nxt[:, 1] - nxt[:, 0] * arr[:, 1]))
+    perimeter = float(lengths.sum())
     if abs(area) <= tol * perimeter:
         raise ZeroArea("polygon has (near) zero area")
     if area < 0:
@@ -366,9 +373,11 @@ def triangulate(poly: Polygon) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-# Segment x edge elements per kernel block: the cut table and the midpoint
-# classification of one block stay near 1 MB.
-_SEGMENT_BLOCK_ELEMENTS = 2**12
+# Segment x edge elements per kernel block: each (segments x edges) float
+# table of a block takes 2**14 * 8 bytes = 128 KB, and a full block peaks
+# near 1.7 MB on the L-shape (tracemalloc), more when most segments are cut.
+# Larger blocks spread the per-block numpy overhead over more segments.
+_SEGMENT_BLOCK_ELEMENTS = 2**14
 
 
 def segment_visibility(poly: Polygon, a, b):
@@ -381,7 +390,8 @@ def segment_visibility(poly: Polygon, a, b):
     parallel to it that lie within tol of it.  Every piece between two cuts
     lies wholly inside, outside or on the boundary, so the class of its
     midpoint is the class of the piece; a segment shorter than tol is the
-    class of ``a``.
+    class of ``a``.  Only segments with a cut sort their cut table; every
+    other segment is one piece, classified at ``a + 0.5 * (b - a)``.
     """
     a = np.asarray(a, dtype=float).reshape(-1, 2)
     b = np.asarray(b, dtype=float).reshape(-1, 2)
@@ -414,22 +424,38 @@ def _segment_block(poly: Polygon, a: np.ndarray, b: np.ndarray):
         # vertex k ends edges k-1 and k; it cuts the segment when one of them
         # is parallel to it and the vertex lies within tol of it
         par = np.abs(denom) <= tol * seg_len
-        along = dvx * dx + dvy * dy
-        u = np.clip(along / (dx * dx + dy * dy), 0.0, 1.0)
-        gap = np.hypot(v[:, 0] - (a[:, 0, None] + u * dx), v[:, 1] - (a[:, 1, None] + u * dy))
-        tt = along / (seg_len * seg_len)
-        touch = (par | par[:, np.arange(-1, n - 1)]) & (gap <= tol) & (tt > eps) & (tt < 1 - eps)
-    # unused cut slots repeat t = 1 and leave empty pieces behind the sort
-    ts = np.ones((len(a), 2 + 2 * n))
+        # only these (segment r, vertex k) pairs can touch
+        r, k = (par | par[:, np.arange(-1, n - 1)]).nonzero()
+        tt = np.empty(0)
+        if len(r):
+            rx, ry, rl, r_eps = dx[r, 0], dy[r, 0], seg_len[r, 0], eps[r, 0]
+            along = dvx[r, k] * rx + dvy[r, k] * ry
+            u = np.clip(along / (rx * rx + ry * ry), 0.0, 1.0)
+            gap = np.hypot(v[k, 0] - (a[r, 0] + u * rx), v[k, 1] - (a[r, 1] + u * ry))
+            tt = along / (rl * rl)
+            touch = (gap <= tol) & (tt > r_eps) & (tt < 1 - r_eps)
+            r, k, tt = r[touch], k[touch], tt[touch]
+    split = cut.any(axis=1)
+    split[r] = True
+    d = np.where(seg_len <= tol, 0.0, d)
+    mids = a + 0.5 * d
+    if not split.any():
+        cls = point_classes(poly, mids)
+        return cls >= 0, cls <= 0
+    whole = np.nonzero(~split)[0]
+    parts = np.nonzero(split)[0]
+    # split segments: unused cut slots repeat t = 1 and leave empty pieces
+    # behind the sort
+    ts = np.ones((len(parts), 2 + 2 * n))
     ts[:, 0] = 0.0
-    ts[:, 2 : 2 + n] = np.where(cut, t, 1.0)
-    ts[:, 2 + n :] = np.where(touch, tt, 1.0)
+    ts[:, 2 : 2 + n] = np.where(cut[parts], t[parts], 1.0)
+    ts[np.searchsorted(parts, r), 2 + n + k] = tt
     ts = np.sort(np.round(ts, 15), axis=1)
     live = ts[:, 1:] > ts[:, :-1]
-    rows = np.nonzero(live)[0]
+    pieces = parts[np.nonzero(live)[0]]
     mid_t = (0.5 * (ts[:, :-1] + ts[:, 1:]))[live]
-    d = np.where(seg_len <= tol, 0.0, d)
-    cls = point_classes(poly, a[rows] + mid_t[:, None] * d[rows])
+    rows = np.concatenate([whole, pieces])
+    cls = point_classes(poly, np.concatenate([mids[whole], a[pieces] + mid_t[:, None] * d[pieces]]))
     within = np.bincount(rows[cls < 0], minlength=len(a)) == 0
     avoids = np.bincount(rows[cls > 0], minlength=len(a)) == 0
     return within, avoids
@@ -449,27 +475,32 @@ def _boundary_distance2(poly: Polygon, pts: np.ndarray) -> np.ndarray:
     """Squared distance from each point to its nearest edge."""
     v = poly.vertices
     e = poly._edge_vecs
-    lens2 = np.maximum(poly.edge_lengths**2, 1e-300)
-    diff = pts[:, None, :] - v[None, :, :]
-    t = np.clip((diff * e[None, :, :]).sum(-1) / lens2[None, :], 0.0, 1.0)
-    proj = v[None, :, :] + t[..., None] * e[None, :, :]
-    return ((proj - pts[:, None, :]) ** 2).sum(-1).min(axis=1)
+    x, y = pts[:, 0, None], pts[:, 1, None]
+    t = np.clip(((x - v[:, 0]) * e[:, 0] + (y - v[:, 1]) * e[:, 1]) / poly._edge_lengths2, 0.0, 1.0)
+    px = v[:, 0] + t * e[:, 0] - x
+    py = v[:, 1] + t * e[:, 1] - y
+    return (px * px + py * py).min(axis=1)
 
 
 def point_classes(poly: Polygon, pts) -> np.ndarray:
-    """Vectorized membership: 1 inside, 0 boundary (within tol), -1 outside."""
+    """Vectorized membership: 1 inside, 0 boundary (within tol), -1 outside.
+
+    Only points inside some edge's bounding box widened by 2 tol are
+    measured against the edges; every other point is off the boundary.
+    """
     pts = np.asarray(pts, dtype=float)
-    v = poly.vertices
-    on_b = _boundary_distance2(poly, pts) <= poly.tol**2
-    w = np.roll(v, -1, axis=0)
-    y = pts[:, 1][:, None]
+    v, w = poly.vertices, poly._next
     x = pts[:, 0][:, None]
-    cond = (v[None, :, 1] <= y) != (w[None, :, 1] <= y)
+    y = pts[:, 1][:, None]
+    lo, hi = poly._edge_boxes
+    near = np.nonzero(((x >= lo[:, 0]) & (x <= hi[:, 0]) & (y >= lo[:, 1]) & (y <= hi[:, 1]))
+                      .any(axis=1))[0]
+    on_b = np.zeros(len(pts), dtype=bool)
+    on_b[near] = _boundary_distance2(poly, pts[near]) <= poly.tol**2
+    cond = (v[:, 1] <= y) != (w[:, 1] <= y)
     with np.errstate(divide="ignore", invalid="ignore"):
-        xs = v[None, :, 0] + (y - v[None, :, 1]) * (w[None, :, 0] - v[None, :, 0]) / (
-            w[None, :, 1] - v[None, :, 1]
-        )
-    inside = (np.where(cond, xs > x, False)).sum(axis=1) % 2 == 1
+        xs = v[:, 0] + (y - v[:, 1]) * (w[:, 0] - v[:, 0]) / (w[:, 1] - v[:, 1])
+    inside = (cond & (xs > x)).sum(axis=1) % 2 == 1
     return np.where(on_b, 0, np.where(inside, 1, -1))
 
 
@@ -487,9 +518,11 @@ def pair_geodesics(poly: Polygon, pts, i, j, interior: bool, limit: float = math
     is |pq| when the segment p -> q passes the kernel, and otherwise the
     minimum over v of p's fan relaxed over the vertex graph plus q's fan to
     v: the sums a ``MetricContext`` query forms, to the bit.  Only vertices
-    within the cap of a point get a fan.  A pair whose deeper endpoint lies
-    more than the pair's length + 2 tol from every edge cannot meet the
-    boundary, so it takes that endpoint's class without a kernel test.
+    within the cap of a point get a fan.  A pair whose endpoints' clearance
+    disks cover it, with clearances summing to more than its length + 4 tol,
+    keeps every point more than 2 tol from every edge, so it takes its
+    deeper endpoint's class without a kernel test.  Logs one DEBUG line per
+    call with the segments tested and the pairs that bend.
     """
     pts = np.asarray(pts, dtype=float)
     i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
@@ -511,17 +544,22 @@ def pair_geodesics(poly: Polygon, pts, i, j, interior: bool, limit: float = math
     clearance = np.sqrt(_boundary_distance2(poly, pts))
     own_side = point_classes(poly, pts) == (1 if interior else -1)
     out = np.empty(len(i))
+    tested = bends = 0
     for lo in range(0, len(i), _PAIR_BLOCK):
         a, b = i[lo : lo + _PAIR_BLOCK], j[lo : lo + _PAIR_BLOCK]
         d = np.hypot(*(pts[b] - pts[a]).T)
-        deep = np.where(clearance[a] >= clearance[b], a, b)
-        bent = ~own_side[deep]
-        test = clearance[deep] <= d + 2 * tol
+        ca, cb = clearance[a], clearance[b]
+        bent = ~own_side[np.where(ca >= cb, a, b)]
+        test = ca + cb <= d + 4 * tol
         bent[test] = ~segment_visibility(poly, pts[a[test]], pts[b[test]])[side]
         d[bent] = (paths[a[bent]] + fans[b[bent]]).min(axis=1)
         d[d <= tol] = 0.0  # coincident points, as a query has them
         out[lo : lo + _PAIR_BLOCK] = d
+        tested += int(np.count_nonzero(test))
+        bends += int(np.count_nonzero(bent))
     out[out > cap] = np.inf
+    logger.debug("pair_geodesics: %d points, %d pairs, %d fan segments tested, "
+                 "%d pair segments tested, %d pairs bent", len(pts), len(i), len(k), tested, bends)
     return out
 
 

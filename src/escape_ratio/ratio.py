@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import DegeneratePair, OutsideDomain, SpacingTooCoarse
 from .geometry import (
-    _SEGMENT_BLOCK_ELEMENTS,
     MetricContext,
     Point2,
     PursuerModel,
@@ -43,6 +42,9 @@ UPPER_FACTOR = 2.0 * (3.0 + math.sqrt(6.0))  # < 10.89898
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # most golden steps whose pairs one refinement batch fetches ahead
 _LOOKAHEAD = 3
+# segment x edge elements a lookahead batch may hold before it looks one
+# step less far: 3 steps for n <= 11, 2 for n = 12-16, 1 from n = 17
+_LOOKAHEAD_ELEMENTS = 2**12
 
 
 @dataclass(frozen=True)
@@ -130,6 +132,19 @@ def _pair_ratios(ctx: MetricContext, T: np.ndarray) -> np.ndarray:
         return np.where(dh <= poly.tol, -np.inf, dz / dh)
 
 
+def _lookahead_depth(n: int) -> int:
+    """Golden steps a refinement batch fetches ahead on an n-gon.
+
+    Looking L steps ahead evaluates 2^(L+1) - 1 pairs per batch, most of them
+    never asked for; measured, that pays while the batch at 1 + 2n segments a
+    pair against n edges stays within ``_LOOKAHEAD_ELEMENTS``.
+    """
+    depth = _LOOKAHEAD
+    while depth > 1 and (2 ** (depth + 1) - 1) * (1 + 2 * n) * n > _LOOKAHEAD_ELEMENTS:
+        depth -= 1
+    return depth
+
+
 def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float):
     """Golden-section refinement of the ratio around a sample pair.
 
@@ -140,15 +155,8 @@ def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float):
     those of a pair-at-a-time search.  Returns ``(tp, tq, ratio, evaluations
     requested, distinct pairs requested, pairs evaluated, batches)``.
     """
-    n = ctx.polygon.n
     F = ctx.polygon.perimeter
-    # looking L steps ahead evaluates 2^(L+1) - 1 pairs per batch, most of
-    # them never asked for; measured, that pays while the batch at 1 + 2n
-    # segments a pair against n edges fits one kernel block (n <= 8: 3 steps,
-    # n >= 24: one)
-    depth = _LOOKAHEAD
-    while depth > 1 and (2 ** (depth + 1) - 1) * (1 + 2 * n) * n > _SEGMENT_BLOCK_ELEMENTS:
-        depth -= 1
+    depth = _lookahead_depth(ctx.polygon.n)
     # later rounds repeat searches whose fixed end and window did not move
     memo: dict = {}
     used: set = set()

@@ -1,5 +1,7 @@
 import heapq
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +47,10 @@ from conftest import (
 
 # a 0.1-wide notch whose mouth vertices (3.95, 0) and (4.05, 0) lie on y = 0
 NOTCH = [(0, -1), (8, -1), (8, 1), (4.5, 1), (4.05, 0), (4, -0.5), (3.95, 0), (3.5, 1), (0, 1)]
+# a square with a 0.1-wide slit cut down from its top edge to y = 3
+SLIT = [(0, 0), (10, 0), (10, 10), (5.05, 10), (5.05, 3), (4.95, 3), (4.95, 10), (0, 10)]
+# the L-shape with a vertex in the middle of each of its three long edges
+L_COLLINEAR = [(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
 
 
 def tri_area(t):
@@ -385,6 +391,154 @@ class TestSegmentVisibility:
             assert np.array_equal(got[0], whole[0]) and np.array_equal(got[1], whole[1])
 
 
+def _sorting_boundary_distance2(poly, pts):
+    """The 3-D form of ``_boundary_distance2``: (points, edges, 2) temporaries
+    reduced over the last axis."""
+    v = poly.vertices
+    e = poly._edge_vecs
+    lens2 = np.maximum(poly.edge_lengths**2, 1e-300)
+    diff = pts[:, None, :] - v[None, :, :]
+    t = np.clip((diff * e[None, :, :]).sum(-1) / lens2[None, :], 0.0, 1.0)
+    proj = v[None, :, :] + t[..., None] * e[None, :, :]
+    return ((proj - pts[:, None, :]) ** 2).sum(-1).min(axis=1)
+
+
+def _sorting_point_classes(poly, pts):
+    """``point_classes`` measuring every point against every edge."""
+    v = poly.vertices
+    on_b = _sorting_boundary_distance2(poly, pts) <= poly.tol**2
+    w = np.roll(v, -1, axis=0)
+    y = pts[:, 1][:, None]
+    x = pts[:, 0][:, None]
+    cond = (v[None, :, 1] <= y) != (w[None, :, 1] <= y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xs = v[None, :, 0] + (y - v[None, :, 1]) * (w[None, :, 0] - v[None, :, 0]) / (
+            w[None, :, 1] - v[None, :, 1]
+        )
+    inside = (np.where(cond, xs > x, False)).sum(axis=1) % 2 == 1
+    return np.where(on_b, 0, np.where(inside, 1, -1))
+
+
+def _sorting_segment_visibility(poly, a, b):
+    """The kernel that sorts every segment's cut table, evaluating the touch
+    arithmetic at every segment x vertex, in one block."""
+    n = poly.n
+    v = poly.vertices
+    e = poly._edge_vecs
+    tol = poly.tol
+    d = b - a
+    dx, dy = d[:, 0, None], d[:, 1, None]
+    seg_len = np.hypot(d[:, 0], d[:, 1])[:, None]
+    dvx = v[:, 0] - a[:, 0, None]
+    dvy = v[:, 1] - a[:, 1, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        denom = dx * e[:, 1] - dy * e[:, 0]
+        t = (dvx * e[:, 1] - dvy * e[:, 0]) / denom
+        s = (dvx * dy - dvy * dx) / denom
+        eps = tol / seg_len
+        cut = np.isfinite(t) & (t > eps) & (t < 1 - eps) & (s >= -1e-12) & (s <= 1 + 1e-12)
+        par = np.abs(denom) <= tol * seg_len
+        along = dvx * dx + dvy * dy
+        u = np.clip(along / (dx * dx + dy * dy), 0.0, 1.0)
+        gap = np.hypot(v[:, 0] - (a[:, 0, None] + u * dx), v[:, 1] - (a[:, 1, None] + u * dy))
+        tt = along / (seg_len * seg_len)
+        touch = (par | par[:, np.arange(-1, n - 1)]) & (gap <= tol) & (tt > eps) & (tt < 1 - eps)
+    ts = np.ones((len(a), 2 + 2 * n))
+    ts[:, 0] = 0.0
+    ts[:, 2 : 2 + n] = np.where(cut, t, 1.0)
+    ts[:, 2 + n :] = np.where(touch, tt, 1.0)
+    ts = np.sort(np.round(ts, 15), axis=1)
+    live = ts[:, 1:] > ts[:, :-1]
+    rows = np.nonzero(live)[0]
+    mid_t = (0.5 * (ts[:, :-1] + ts[:, 1:]))[live]
+    d = np.where(seg_len <= tol, 0.0, d)
+    cls = _sorting_point_classes(poly, a[rows] + mid_t[:, None] * d[rows])
+    within = np.bincount(rows[cls < 0], minlength=len(a)) == 0
+    avoids = np.bincount(rows[cls > 0], minlength=len(a)) == 0
+    # segments with more than one piece: those an edge cuts or a vertex touches
+    return within, avoids, np.bincount(rows, minlength=len(a)) > 1
+
+
+def _degenerate_segments(poly, pool, rng, count):
+    """Random pairs from ``pool``; at every vertex a zero-length segment; from
+    1.05 tol beside every pool point along each axis, a segment 0.3 tol long
+    back toward it (its midpoint, unlike its start, is within tol of an
+    axis-parallel edge the point lies on); every edge both ways, each edge's
+    halves and every vertex pair."""
+    v = poly.vertices
+    w = np.roll(v, -1, axis=0)
+    mid = 0.5 * (v + w)
+    va, vb = _vertex_pairs(poly)
+    axes = poly.tol * np.array([(1, 0), (-1, 0), (0, 1), (0, -1)])
+    beside = (pool[None] + 1.05 * axes[:, None]).reshape(-1, 2)
+    back = (pool[None] + 0.75 * axes[:, None]).reshape(-1, 2)
+    ia, ib = rng.integers(0, len(pool), (2, count))
+    a = np.vstack([pool[ia], v, beside, v, w, v, mid, va])
+    b = np.vstack([pool[ib], v, back, w, v, mid, w, vb])
+    return a, b
+
+
+def _near_boundary(poly, ts):
+    """Boundary points at parameters ``ts``, and each moved by 0.6 tol along x
+    and along y, both ways."""
+    p = poly.boundary_point(ts)
+    shifts = 0.6 * poly.tol * np.array([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
+    return (p[None] + shifts[:, None]).reshape(-1, 2)
+
+
+def _assert_matches_sorting_kernel(poly, pool, a, b, monkeypatch):
+    ref_within, ref_avoids, split = _sorting_segment_visibility(poly, a, b)
+    assert split.any() and not split.all()
+    assert _sorting_boundary_distance2(poly, pool).tobytes() == \
+        geometry._boundary_distance2(poly, pool).tobytes()
+    assert np.array_equal(point_classes(poly, pool), _sorting_point_classes(poly, pool))
+    within, avoids = segment_visibility(poly, a, b)
+    assert np.array_equal(within, ref_within) and np.array_equal(avoids, ref_avoids)
+    # blocks of one segment, each of which splits all or none, on up to 20
+    # split and 20 unsplit segments
+    pick = np.concatenate([np.nonzero(split)[0][:20], np.nonzero(~split)[0][:20]])
+    monkeypatch.setattr(geometry, "_SEGMENT_BLOCK_ELEMENTS", poly.n)
+    within, avoids = segment_visibility(poly, a[pick], b[pick])
+    assert np.array_equal(within, ref_within[pick]) and np.array_equal(avoids, ref_avoids[pick])
+
+
+def _star(k):
+    ang = np.arange(2 * k) * math.pi / k
+    rad = np.where(np.arange(2 * k) % 2 == 0, 1.0, 0.45)
+    return np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
+
+
+class TestSortingKernelAgreement:
+    """The kernel sorts only the cut tables of segments an edge cuts or a
+    vertex touches and measures boundary distance on split coordinates; it
+    must give the sorting kernel's answers and floats bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.filter_too_much,
+                                     HealthCheck.function_scoped_fixture])
+    @given(poly=grid_polygons(), grid=st.lists(grid_points, min_size=2, max_size=30))
+    def test_grid_polygons(self, poly, grid, monkeypatch):
+        pool = np.vstack([np.array(grid, dtype=float),
+                          _near_boundary(poly, np.linspace(0, poly.perimeter, 17))])
+        a, b = _degenerate_segments(poly, pool, np.random.default_rng(len(grid)), 60)
+        with monkeypatch.context() as patch:
+            _assert_matches_sorting_kernel(poly, pool, a, b, patch)
+
+    @pytest.mark.parametrize("points", [L_COLLINEAR, SLIT, NOTCH, _star(24)],
+                             ids=["l_collinear", "slit", "notch", "star48"])
+    def test_named_polygons(self, points, monkeypatch):
+        poly = validate_polygon(points)
+        rng = np.random.default_rng(11)
+        lo, hi = poly.bbox
+        # quarter-grid points over the widened box; points on and near the
+        # boundary, the vertices among them
+        grid = np.round((lo - 0.5 + rng.random((300, 2)) * (hi - lo + 1.0)) * 4) / 4
+        ts = np.concatenate([poly.cumulative_lengths[:-1], rng.random(60) * poly.perimeter])
+        pool = np.vstack([grid, _near_boundary(poly, ts)])
+        a, b = _degenerate_segments(poly, pool, rng, 1500)
+        _assert_matches_sorting_kernel(poly, pool, a, b, monkeypatch)
+
+
 def _two_point_dijkstra(base: np.ndarray, wp: np.ndarray, wq: np.ndarray, direct: float) -> float:
     """Shortest path from a source to a target through a dense vertex graph.
 
@@ -539,10 +693,13 @@ class TestGeodesicQuery:
             calls.clear()
 
 
-# a square with a 0.1-wide slit cut down from its top edge to y = 3
-SLIT = [(0, 0), (10, 0), (10, 10), (5.05, 10), (5.05, 3), (4.95, 3), (4.95, 10), (0, 10)]
-# the L-shape with a vertex in the middle of each of its three long edges
-L_COLLINEAR = [(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+def _geodesic_log(caplog):
+    """(points, pairs, fan segments, pair segments, bent pairs) per
+    ``pair_geodesics`` DEBUG line."""
+    pattern = (r"pair_geodesics: (\d+) points, (\d+) pairs, (\d+) fan segments tested, "
+               r"(\d+) pair segments tested, (\d+) pairs bent")
+    lines = [r.getMessage() for r in caplog.records if r.name == "escape_ratio.geometry"]
+    return [tuple(map(int, re.fullmatch(pattern, line).groups())) for line in lines]
 
 
 class TestGeodesicMatrix:
@@ -584,6 +741,40 @@ class TestGeodesicMatrix:
         # uncapped, the path goes around the slit's foot
         around = 2 * math.hypot(0.35, 3.0) + 0.1
         assert pair_geodesics(poly, pts, [0], [1], True)[0] == pytest.approx(around)
+
+    def test_two_clearance_disks_skip_the_kernel(self, caplog):
+        # neither endpoint's clearance (0.5) reaches the other end 0.7 away,
+        # but the two disks cover the segment
+        poly = validate_polygon(L_SHAPE)
+        pts = np.array([(0.5, 0.5), (1.2, 0.5)])
+        clearance = np.sqrt(geometry._boundary_distance2(poly, pts))
+        d, tol = 0.7, poly.tol
+        assert clearance.max() <= d + 2 * tol < clearance.sum() - 2 * tol
+        with caplog.at_level(logging.DEBUG, logger="escape_ratio.geometry"):
+            got = pair_geodesics(poly, pts, [0], [1], True)
+        assert _geodesic_log(caplog)[-1][3:] == (0, 0)
+        ctx = MetricContext(poly, PursuerModel.EXTERIOR)
+        assert got[0] == _reference_geodesic(ctx, pts[0], pts[1], True)
+
+    def test_pair_across_the_slit_wall_is_tested(self, caplog):
+        # the clearances (0.35 each) sum to less than the length 0.8
+        poly = validate_polygon(SLIT)
+        pts = np.array([(4.6, 6.0), (5.4, 6.0)])
+        clearance = np.sqrt(geometry._boundary_distance2(poly, pts))
+        assert clearance.sum() <= 0.8
+        with caplog.at_level(logging.DEBUG, logger="escape_ratio.geometry"):
+            got = pair_geodesics(poly, pts, [0], [1], True)
+        assert _geodesic_log(caplog)[-1] == (2, 1, 2 * poly.n, 1, 1)
+        ctx = MetricContext(poly, PursuerModel.EXTERIOR)
+        assert got[0] == _reference_geodesic(ctx, pts[0], pts[1], True) > 0.8
+
+    def test_logs_segment_traffic(self, caplog):
+        # the move relations of a small L-shape game, one line per relation
+        ctx = MetricContext(validate_polygon(L_SHAPE), PursuerModel.EXTERIOR)
+        with caplog.at_level(logging.DEBUG, logger="escape_ratio.geometry"):
+            discrete.build_game(ctx, r=3.0, delta=0.3, gamma=2 * math.sqrt(2) / 12,
+                                state_cap=1e13)
+        assert _geodesic_log(caplog) == [(171, 750, 46, 473, 4), (101, 1481, 157, 1417, 361)]
 
     @pytest.mark.parametrize("points", [L_SHAPE, COMB, NOTCH, SPIRAL, L_COLLINEAR, SLIT])
     @pytest.mark.parametrize("interior", [True, False])

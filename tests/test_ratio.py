@@ -11,6 +11,7 @@ from escape_ratio.geometry import MetricContext, PursuerModel, validate_polygon
 from escape_ratio.ratio import (
     _GOLDEN,
     UPPER_FACTOR,
+    _lookahead_depth,
     _pairwise_dh,
     _pairwise_dz,
     _refine_pair,
@@ -335,6 +336,11 @@ class TestRefinementWork:
         assert len(rows) == len(set(rows)) == evaluated
         assert len(kernel_calls) == batches  # one kernel call per batch, both metrics
         assert (requested, distinct, evaluated, batches) == (253, 127, 391, 31)
+
+    def test_lookahead_depth_per_vertex_count(self):
+        # the depths measured fastest; they do not follow the kernel's block size
+        depths = {n: _lookahead_depth(n) for n in (6, 11, 12, 16, 17, 24, 48)}
+        assert depths == {6: 3, 11: 3, 12: 2, 16: 2, 17: 1, 24: 1, 48: 1}
 
     def test_logs_one_debug_line(self, l_moat, caplog):
         with caplog.at_level(logging.DEBUG, logger="escape_ratio.ratio"):
