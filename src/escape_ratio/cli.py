@@ -37,14 +37,16 @@ _fraction = _checked(float, lambda x: 0 < x <= 1, "in (0, 1]")
 _angle = _checked(float, lambda x: 0 < x <= math.pi / 2, "in (0, pi/2]")
 
 
+def _add_output(p: argparse.ArgumentParser):
+    p.add_argument("--output", help="write the result document to this file")
+    p.add_argument("--format", choices=["json", "text"], default="json")
+
+
 def _add_common(p: argparse.ArgumentParser, polygon_required=True):
     p.add_argument("--polygon", help="polygon file (JSON array of [x, y] pairs)",
                    required=polygon_required)
     p.add_argument("--model", choices=["moat", "exterior"], default="moat")
-    p.add_argument("--output", help="write the result document to this file")
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized probes (reproducibility)")
+    _add_output(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("exact", help="closed-form critical speed ratios")
-    _add_common(p, polygon_required=False)
+    _add_output(p)
 
     p = sub.add_parser("ratio", help="certified lower/upper sandwich on r*")
     _add_common(p)
@@ -73,6 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tables-out", help="dump reachable strategy tables to this JSON file")
     p.add_argument("--verify-net", type=_count, metavar="PROBES", default=0,
                    help="also report the sampled net gap from this many random probes")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the --verify-net probes (reproducibility)")
 
     p = sub.add_parser("approximate", help="bracket r* by binary search")
     _add_common(p)
@@ -167,7 +171,7 @@ def _cmd_ratio(args) -> int:
 
 
 def _cmd_discrete_solve(args) -> int:
-    from .discrete import build_game, play_discrete, solve, verify_net
+    from .discrete import build_game, solve, verify_net
 
     ctx = _load_ctx(args)
     t0 = time.perf_counter()

@@ -174,13 +174,16 @@ def verify_net(ctx: MetricContext, samples: SampleSet, probes: int, seed: int = 
             worst = max(worst, float(poly.arc_distance(samples.boundary_params, t).min()))
     else:
         # the boundary is always part of the pursuer domain; the hull pockets
-        # have positive area only for nonconvex polygons, so cap the rejection
-        # attempts (a convex polygon has no pocket to hit)
+        # have positive area only for nonconvex polygons (a convex one has
+        # none to sample), and the rejection attempts are capped for pockets
+        # too thin to hit
         for _ in range(probes):
             t = rng.random() * poly.perimeter
             p = poly.boundary_point(t)
             worst = max(worst, _nearest_intrinsic(ctx.pursuer_distance, tree_z,
                                                   samples.pursuer_samples, p))
+        if poly.is_convex:
+            return worst
         hull = ctx.hull
         hlo, hhi = hull.min(axis=0), hull.max(axis=0)
         drawn = 0

@@ -170,11 +170,34 @@ class Polygon:
 
     @cached_property
     def min_feature_size(self) -> float:
-        return min_feature_size(self)
+        """Minimum distance between nonadjacent edges.
+
+        Triangles have no nonadjacent edge pair; fall back to the minimum
+        vertex-to-opposite-edge distance (the smallest altitude).
+        """
+        v = self.vertices
+        n = self.n
+        if n == 3:
+            best = np.inf
+            for i in range(3):
+                a, b = v[(i + 1) % 3], v[(i + 2) % 3]
+                best = min(best, _point_segment_distance(v[i], a, b))
+            return float(best)
+        best = np.inf
+        for i in range(n):
+            for j in range(i + 1, n):
+                if j == i or (j + 1) % n == i or (i + 1) % n == j:
+                    continue
+                best = min(
+                    best,
+                    _seg_seg_distance(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n]),
+                )
+        return float(best)
 
     @cached_property
     def min_interior_angle(self) -> float:
-        return min_interior_angle(self)
+        """Smallest interior vertex angle (reflex angles never attain the min)."""
+        return float(self.interior_angles().min())
 
     def interior_angles(self) -> np.ndarray:
         """Interior angle at each vertex, in (0, 2*pi); reflex vertices > pi."""
@@ -210,22 +233,14 @@ class Polygon:
         the first wins.
         """
         p = np.asarray(p, dtype=float)
-        q = p.reshape(-1, 1, 2)
-        v = self.vertices
-        e = self._edge_vecs
-        t = np.clip(((q - v) * e).sum(axis=-1) / self._edge_lengths2, 0.0, 1.0)
-        proj = v + t[..., None] * e
-        i = ((proj - q) ** 2).sum(axis=-1).argmin(axis=1)
+        t, d2 = _edge_projections(self, p[..., 0], p[..., 1])
         params = self._cum_lengths[:-1] + t * self._edge_lengths
-        return params[np.arange(len(i)), i].reshape(p.shape[:-1])[()]
+        i = d2.argmin(axis=-1)[..., None]
+        return np.take_along_axis(params, i, axis=-1)[..., 0][()]
 
     def distance_to_boundary(self, p) -> float:
-        p = np.asarray(p, dtype=float)
-        v = self.vertices
-        e = self._edge_vecs
-        t = np.clip(((p - v) * e).sum(axis=1) / self._edge_lengths2, 0.0, 1.0)
-        proj = v + t[:, None] * e
-        return float(np.sqrt(((proj - p) ** 2).sum(axis=1).min()))
+        p = np.asarray(p, dtype=float).reshape(1, 2)
+        return float(np.sqrt(_boundary_distance2(self, p)[0]))
 
     def arc_distance(self, t1, t2):
         """Boundary (moat) distance between arc parameters; broadcasts."""
@@ -236,20 +251,10 @@ class Polygon:
     # -- membership --------------------------------------------------------
 
     def classify(self, p) -> str:
-        """Classify ``p`` as 'boundary', 'inside' or 'outside' (tolerance tol)."""
-        p = np.asarray(p, dtype=float)
-        if self.distance_to_boundary(p) <= self.tol:
-            return "boundary"
-        v, w = self.vertices, self._next
-        # half-open ray casting toward +x
-        cond = (v[:, 1] <= p[1]) != (w[:, 1] <= p[1])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xs = v[:, 0] + (p[1] - v[:, 1]) * (w[:, 0] - v[:, 0]) / (w[:, 1] - v[:, 1])
-        crossings = int(np.count_nonzero(cond & (xs > p[0])))
-        return "inside" if crossings % 2 == 1 else "outside"
-
-    def contains(self, p) -> bool:
-        return self.classify(p) != "outside"
+        """Classify ``p`` as 'boundary', 'inside' or 'outside' (tolerance tol):
+        one row of ``point_classes``."""
+        p = np.asarray(p, dtype=float).reshape(1, 2)
+        return _CLASS_NAMES[point_classes(self, p)[0]]
 
 
 def validate_polygon(points) -> Polygon:
@@ -293,37 +298,6 @@ def validate_polygon(points) -> Polygon:
     if area < 0:
         arr = arr[::-1].copy()
     return Polygon(vertices=np.ascontiguousarray(arr), tol=tol)
-
-
-def min_feature_size(poly: Polygon) -> float:
-    """Minimum distance between nonadjacent edges.
-
-    Triangles have no nonadjacent edge pair; fall back to the minimum
-    vertex-to-opposite-edge distance (the smallest altitude).
-    """
-    v = poly.vertices
-    n = poly.n
-    if n == 3:
-        best = np.inf
-        for i in range(3):
-            a, b = v[(i + 1) % 3], v[(i + 2) % 3]
-            best = min(best, _point_segment_distance(v[i], a, b))
-        return float(best)
-    best = np.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            best = min(
-                best,
-                _seg_seg_distance(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n]),
-            )
-    return float(best)
-
-
-def min_interior_angle(poly: Polygon) -> float:
-    """Smallest interior vertex angle (reflex angles never attain the min)."""
-    return float(poly.interior_angles().min())
 
 
 def triangulate(poly: Polygon) -> list[np.ndarray]:
@@ -471,15 +445,25 @@ def segment_avoids_interior(poly: Polygon, a, b) -> bool:
     return bool(segment_visibility(poly, [a], [b])[1][0])
 
 
-def _boundary_distance2(poly: Polygon, pts: np.ndarray) -> np.ndarray:
-    """Squared distance from each point to its nearest edge."""
+def _edge_projections(poly: Polygon, x, y):
+    """Projection of each point ``(x, y)`` onto each edge: the clamped edge
+    parameter ``t`` and the squared distance ``d2``, both of shape
+    ``x.shape + (n,)``."""
     v = poly.vertices
     e = poly._edge_vecs
-    x, y = pts[:, 0, None], pts[:, 1, None]
+    x, y = x[..., None], y[..., None]
     t = np.clip(((x - v[:, 0]) * e[:, 0] + (y - v[:, 1]) * e[:, 1]) / poly._edge_lengths2, 0.0, 1.0)
     px = v[:, 0] + t * e[:, 0] - x
     py = v[:, 1] + t * e[:, 1] - y
-    return (px * px + py * py).min(axis=1)
+    return t, px * px + py * py
+
+
+def _boundary_distance2(poly: Polygon, pts: np.ndarray) -> np.ndarray:
+    """Squared distance from each point to its nearest edge."""
+    return _edge_projections(poly, pts[:, 0], pts[:, 1])[1].min(axis=1)
+
+
+_CLASS_NAMES = {1: "inside", 0: "boundary", -1: "outside"}
 
 
 def point_classes(poly: Polygon, pts) -> np.ndarray:
@@ -496,7 +480,8 @@ def point_classes(poly: Polygon, pts) -> np.ndarray:
     near = np.nonzero(((x >= lo[:, 0]) & (x <= hi[:, 0]) & (y >= lo[:, 1]) & (y <= hi[:, 1]))
                       .any(axis=1))[0]
     on_b = np.zeros(len(pts), dtype=bool)
-    on_b[near] = _boundary_distance2(poly, pts[near]) <= poly.tol**2
+    if len(near):
+        on_b[near] = _boundary_distance2(poly, pts[near]) <= poly.tol**2
     cond = (v[:, 1] <= y) != (w[:, 1] <= y)
     with np.errstate(divide="ignore", invalid="ignore"):
         xs = v[:, 0] + (y - v[:, 1]) * (w[:, 0] - v[:, 0]) / (w[:, 1] - v[:, 1])
@@ -689,12 +674,10 @@ class MetricContext:
 
     def interior_distance(self, p, q) -> float:
         """Geodesic distance inside the closed polygon (d_h)."""
-        poly = self.polygon
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        if poly.classify(p) == "outside" or poly.classify(q) == "outside":
+        pq = np.array([p, q], dtype=float)
+        if np.any(point_classes(self.polygon, pq) < 0):
             raise OutsideDomain("point not in the escaper domain")
-        return float(self._geodesics(p, q, (0,))[0, 0])
+        return float(self._geodesics(pq[0], pq[1], (0,))[0, 0])
 
     # -- pursuer metric -----------------------------------------------------
 
@@ -704,28 +687,23 @@ class MetricContext:
             return self._moat_distance(p, q)
         return self._exterior_distance(p, q)
 
-    def _require_on_boundary(self, p) -> float:
-        poly = self.polygon
-        if poly.distance_to_boundary(p) > poly.tol:
-            raise OutsideDomain("point not on the boundary (moat model)")
-        return poly.boundary_parameter(p)
-
     def _moat_distance(self, p, q) -> float:
         poly = self.polygon
-        tp = self._require_on_boundary(p)
-        tq = self._require_on_boundary(q)
-        return float(poly.arc_distance(tp, tq))
+        pq = np.array([p, q], dtype=float)
+        if np.any(_boundary_distance2(poly, pq) > poly.tol**2):
+            raise OutsideDomain("point not on the boundary (moat model)")
+        return float(poly.arc_distance(*poly.boundary_parameter(pq)))
 
     def _exterior_distance(self, p, q) -> float:
         poly = self.polygon
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        for pt in (p, q):
-            if poly.classify(pt) == "inside":
+        pq = np.array([p, q], dtype=float)
+        in_hull = point_in_convex_hull(self.hull, pq, poly.tol)
+        for cls, hull_ok in zip(point_classes(poly, pq), in_hull):
+            if cls == 1:
                 raise OutsideDomain("point inside the escaper domain")
-            if not point_in_convex_hull(self.hull, pt, poly.tol):
+            if not hull_ok:
                 raise OutsideDomain("point beyond the convex hull of the boundary")
-        return float(self._geodesics(p, q, (1,))[0, 0])
+        return float(self._geodesics(pq[0], pq[1], (1,))[0, 0])
 
 
 # ---------------------------------------------------------------------------

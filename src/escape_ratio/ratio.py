@@ -70,9 +70,8 @@ class RatioBound:
 def ratio_of_pair(ctx: MetricContext, p, q) -> float:
     """d_z(p,q) / d_h(p,q) for two boundary points; a lower bound on r*."""
     poly = ctx.polygon
-    for pt in (p, q):
-        if poly.distance_to_boundary(pt) > poly.tol:
-            raise OutsideDomain("ratio pairs must lie on the polygon boundary")
+    if np.any(_boundary_distance2(poly, np.array([p, q], dtype=float)) > poly.tol**2):
+        raise OutsideDomain("ratio pairs must lie on the polygon boundary")
     dh = ctx.interior_distance(p, q)
     if dh <= poly.tol:
         raise DegeneratePair("d_h(p, q) is below tolerance")

@@ -73,11 +73,39 @@ def random_convex_polygon(rng, n):
             return poly
 
 
+def reference_distance_to_boundary(poly, p):
+    """Distance from ``p`` to its nearest edge, one point at a time: the
+    scalar oracle for ``Polygon.distance_to_boundary``."""
+    p = np.asarray(p, dtype=float)
+    v = poly.vertices
+    e = np.roll(v, -1, axis=0) - v
+    t = np.clip(((p - v) * e).sum(axis=1) / np.maximum(poly.edge_lengths**2, 1e-300), 0.0, 1.0)
+    proj = v + t[:, None] * e
+    return float(np.sqrt(((proj - p) ** 2).sum(axis=1).min()))
+
+
+def reference_classify(poly, p):
+    """'boundary', 'inside' or 'outside', one point at a time: the scalar
+    oracle for ``point_classes``.  A point within tol of an edge (by its
+    square-rooted distance) is on the boundary; otherwise half-open ray
+    casting toward +x decides."""
+    p = np.asarray(p, dtype=float)
+    if reference_distance_to_boundary(poly, p) <= poly.tol:
+        return "boundary"
+    v = poly.vertices
+    w = np.roll(v, -1, axis=0)
+    cond = (v[:, 1] <= p[1]) != (w[:, 1] <= p[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xs = v[:, 0] + (p[1] - v[:, 1]) * (w[:, 0] - v[:, 0]) / (w[:, 1] - v[:, 1])
+    crossings = int(np.count_nonzero(cond & (xs > p[0])))
+    return "inside" if crossings % 2 == 1 else "outside"
+
+
 def random_point_inside(rng, poly):
     lo, hi = poly.bbox
     while True:
         p = lo + rng.random(2) * (hi - lo)
-        if poly.classify(p) == "inside":
+        if reference_classify(poly, p) == "inside":
             return p
 
 

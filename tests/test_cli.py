@@ -316,6 +316,20 @@ class TestNumericFlags:
             assert run([*argv, flag, value]) == 2, value
             assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["exact", "--model", "moat"], "--model"),
+        (["exact", "--polygon", "p.json"], "--polygon"),
+        (["exact", "--seed", "3"], "--seed"),
+        ([*COMMANDS["ratio"], "--polygon", "p.json", "--seed", "3"], "--seed"),
+        ([*COMMANDS["approximate"], "--polygon", "p.json", "--seed", "3"], "--seed"),
+        ([*COMMANDS["simulate"], "--seed", "3"], "--seed"),
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, argv, flag):
+        # only discrete-solve reads --seed (for --verify-net); exact reads
+        # no polygon
+        assert run(argv) == 2
+        assert flag in capsys.readouterr().err
+
     def test_edge_values_parse(self):
         from escape_ratio.cli import build_parser
 

@@ -30,22 +30,22 @@ from escape_ratio.geometry import (
 )
 from escape_ratio.ratio import boundary_samples
 
-from conftest import COMB, L_SHAPE, SQUARE, minimax_escaper_wins
+from conftest import COMB, L_SHAPE, SQUARE, minimax_escaper_wins, reference_classify
 
 
 def _scalar_gamma_sample(ctx, gamma):
-    """gamma_sample's grid membership, one ``classify`` call per point."""
+    """gamma_sample's grid membership, one scalar oracle call per point."""
     poly = ctx.polygon
     _, boundary = boundary_samples(ctx, gamma)
     spacing = gamma / math.sqrt(2.0)
     grid = _grid_points(*poly.bbox, spacing)
-    interior = grid[[poly.classify(p) != "outside" for p in grid]]
+    interior = grid[[reference_classify(poly, p) != "outside" for p in grid]]
     if ctx.model is PursuerModel.MOAT:
         return np.vstack([boundary, interior]), boundary.copy()
     hull = convex_hull(poly.vertices)
     grid = _grid_points(hull.min(axis=0), hull.max(axis=0), spacing)
     keep = [
-        bool(point_in_convex_hull(hull, p, poly.tol)) and poly.classify(p) != "inside"
+        bool(point_in_convex_hull(hull, p, poly.tol)) and reference_classify(poly, p) != "inside"
         for p in grid
     ]
     return np.vstack([boundary, interior]), np.vstack([boundary, grid[keep]])
@@ -163,7 +163,7 @@ class TestGammaSample:
         params, pts = boundary_samples(square_moat, 0.5)
         assert len(pts) == 8
         grid = _grid_points(*square.bbox, 0.5 / np.sqrt(2))
-        inside = [p for p in grid if square.classify(p) != "outside"]
+        inside = [p for p in grid if reference_classify(square, p) != "outside"]
         assert len(inside) == 9
 
     def test_halving_gamma_doubles_edge_counts(self, square_moat):
@@ -233,9 +233,20 @@ class TestVerifyNet:
         assert gap > 0.25  # the four corners are no 0.25-net
 
     def test_exterior_model_net(self, square_exterior):
+        # a convex polygon has no hull pocket to probe
         s = gamma_sample(square_exterior, 0.2)
         gap = verify_net(square_exterior, s, probes=200, seed=5)
+        assert gap == 0.0975161418589594
         assert gap <= 0.2
+
+    def test_exterior_model_net_probes_pocket(self):
+        # the worst probe lies in the hull pocket; without the pocket probes
+        # the gap reads 0.1236
+        ctx = MetricContext(validate_polygon(L_SHAPE), PursuerModel.EXTERIOR)
+        s = gamma_sample(ctx, 0.25)
+        gap = verify_net(ctx, s, probes=100, seed=6)
+        assert gap == 0.146738767351759
+        assert gap <= 0.25
 
     def test_single_probe(self, square_moat):
         s = gamma_sample(square_moat, 0.25)

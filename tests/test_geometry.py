@@ -22,8 +22,6 @@ from escape_ratio.geometry import (
     _point_segment_distance,
     dumps_polygon,
     loads_polygon,
-    min_feature_size,
-    min_interior_angle,
     pair_geodesics,
     point_classes,
     point_in_convex_hull,
@@ -43,6 +41,8 @@ from conftest import (
     TRIANGLE,
     random_convex_polygon,
     random_point_inside,
+    reference_classify,
+    reference_distance_to_boundary,
 )
 
 # a 0.1-wide notch whose mouth vertices (3.95, 0) and (4.05, 0) lie on y = 0
@@ -120,26 +120,26 @@ class TestTriangulate:
 
 class TestFeatureSize:
     def test_square(self, square):
-        assert min_feature_size(square) == pytest.approx(1.0)
+        assert square.min_feature_size == pytest.approx(1.0)
 
     def test_rect(self):
         poly = validate_polygon(RECT_1x10)
-        assert min_feature_size(poly) == pytest.approx(1.0)
+        assert poly.min_feature_size == pytest.approx(1.0)
 
     def test_l_shape(self, l_shape):
-        assert min_feature_size(l_shape) == pytest.approx(1.0)
-        assert min_interior_angle(l_shape) == pytest.approx(math.pi / 2)
+        assert l_shape.min_feature_size == pytest.approx(1.0)
+        assert l_shape.min_interior_angle == pytest.approx(math.pi / 2)
         # the reflex vertex carries angle 3*pi/2 but never attains the min
         assert l_shape.interior_angles().max() == pytest.approx(1.5 * math.pi)
 
     def test_triangle_fallback_uses_altitude(self):
         poly = validate_polygon([(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)])
-        assert min_feature_size(poly) == pytest.approx(math.sqrt(3) / 2)
+        assert poly.min_feature_size == pytest.approx(math.sqrt(3) / 2)
 
     def test_invariants_are_cached(self):
         poly = validate_polygon(COMB)
-        assert poly.min_feature_size == min_feature_size(poly)
-        assert poly.min_interior_angle == min_interior_angle(poly)
+        assert poly.min_feature_size == pytest.approx(2.0)
+        assert poly.min_interior_angle == pytest.approx(math.pi / 2)
         assert {"min_feature_size", "min_interior_angle"} <= vars(poly).keys()
 
 
@@ -253,7 +253,7 @@ class TestVisibilityEdgesInDomain:
                 if np.isfinite(vis[i, j]):
                     for t in (0.25, 0.5, 0.75):
                         p = (1 - t) * poly.vertices[i] + t * poly.vertices[j]
-                        assert poly.classify(p) != "outside"
+                        assert reference_classify(poly, p) != "outside"
 
     def test_exterior_edges_stay_outside(self):
         poly = validate_polygon(COMB)
@@ -265,7 +265,7 @@ class TestVisibilityEdgesInDomain:
                 if np.isfinite(vis[i, j]):
                     for t in (0.25, 0.5, 0.75):
                         p = (1 - t) * poly.vertices[i] + t * poly.vertices[j]
-                        assert poly.classify(p) != "inside"
+                        assert reference_classify(poly, p) != "inside"
 
 
 def _segment_midpoint_classes(poly, a, b):
@@ -282,7 +282,7 @@ def _segment_midpoint_classes(poly, a, b):
     d = b - a
     seg_len = float(np.hypot(*d))
     if seg_len <= poly.tol:
-        return [poly.classify(a)]
+        return [reference_classify(poly, a)]
     v = poly.vertices
     e = poly._edge_vecs
     # solve a + t*d = v_i + s*e_i
@@ -309,7 +309,7 @@ def _segment_midpoint_classes(poly, a, b):
     classes = []
     for t0, t1 in zip(ts[:-1], ts[1:]):
         mid = a + (0.5 * (t0 + t1)) * d
-        classes.append(poly.classify(mid))
+        classes.append(reference_classify(poly, mid))
     return classes
 
 
@@ -539,6 +539,43 @@ class TestSortingKernelAgreement:
         _assert_matches_sorting_kernel(poly, pool, a, b, monkeypatch)
 
 
+class TestMembershipAgreement:
+    @pytest.mark.parametrize("points", [L_SHAPE, COMB, SPIRAL, NOTCH, TRIANGLE, _star(24)],
+                             ids=["l", "comb", "spiral", "notch", "triangle", "star48"])
+    def test_classify_is_one_row_of_point_classes(self, points):
+        """``classify`` answers as ``point_classes`` does at every point, and
+        both as the scalar oracle, except where the distance to the boundary
+        rounds to exactly tol: there the oracle compares the square-rooted
+        distance with tol and ``point_classes`` the squared one with tol**2."""
+        poly = validate_polygon(points)
+        rng = np.random.default_rng(61)
+        tol = poly.tol
+        # an offset of exactly tol puts points in the band (three of them
+        # classified apart by the two comparisons, on the comb, spiral and
+        # triangle)
+        steps = tol * np.array([0.0, 0.6, 1 - 1e-12, 1.0, 1 + 1e-12, 1.4, 2.0])
+        steps = np.concatenate([steps, -steps[1:]])
+        # random edge points moved along their edge's normal, and vertices
+        # moved in eight directions
+        k = rng.integers(0, poly.n, 50)
+        e = poly._edge_vecs[k]
+        base = poly.vertices[k] + rng.random((50, 1)) * e
+        normal = np.column_stack([-e[:, 1], e[:, 0]]) / poly.edge_lengths[k, None]
+        ang = np.arange(8) * math.pi / 4
+        dirs = np.column_stack([np.cos(ang), np.sin(ang)])
+        pts = np.vstack([
+            (base[:, None] + steps[:, None] * normal[:, None]).reshape(-1, 2),
+            (poly.vertices[:, None, None] + steps[:, None, None] * dirs).reshape(-1, 2),
+        ])
+        names = np.array([poly.classify(p) for p in pts])
+        batched = np.array(["outside", "boundary", "inside"])[point_classes(poly, pts) + 1]
+        assert np.array_equal(names, batched)
+        assert set(names) == {"inside", "boundary", "outside"}
+        ref = np.array([reference_classify(poly, p) for p in pts])
+        band = np.array([reference_distance_to_boundary(poly, p) == tol for p in pts])
+        assert np.array_equal(names[~band], ref[~band])
+
+
 def _two_point_dijkstra(base: np.ndarray, wp: np.ndarray, wq: np.ndarray, direct: float) -> float:
     """Shortest path from a source to a target through a dense vertex graph.
 
@@ -602,10 +639,10 @@ def _reference_geodesic(ctx, p, q, interior: bool) -> float:
     poly = ctx.polygon
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if interior and (poly.classify(p) == "outside" or poly.classify(q) == "outside"):
+    if interior and "outside" in (reference_classify(poly, p), reference_classify(poly, q)):
         raise OutsideDomain("point not in the escaper domain")
     for pt in () if interior else (p, q):
-        if poly.classify(pt) == "inside":
+        if reference_classify(poly, pt) == "inside":
             raise OutsideDomain("point inside the escaper domain")
         if not geometry.point_in_convex_hull(ctx.hull, pt, poly.tol):
             raise OutsideDomain("point beyond the convex hull of the boundary")
@@ -615,7 +652,7 @@ def _reference_geodesic(ctx, p, q, interior: bool) -> float:
     if interior:
         direct = poly.is_convex or segment_in_polygon(poly, p, q)
     elif poly.is_convex:
-        direct = poly.classify(0.5 * (p + q)) != "inside"
+        direct = reference_classify(poly, 0.5 * (p + q)) != "inside"
     else:
         direct = segment_avoids_interior(poly, p, q)
     if direct:
@@ -866,6 +903,9 @@ class TestBoundaryParameterization:
         ref = np.array([_scalar_boundary_parameter(poly, x) for x in q])
         assert params.tobytes() == scalar.tobytes() == ref.tobytes()
         assert ref[len(t) : len(t) + poly.n].tolist() == [0.0, *cum[1:-1]]
+        dist = np.array([poly.distance_to_boundary(x) for x in q])
+        ref = np.array([reference_distance_to_boundary(poly, x) for x in q])
+        assert dist.tobytes() == ref.tobytes()
 
     def test_arc_distance_broadcasts_bitwise(self, l_shape):
         F = l_shape.perimeter
