@@ -278,28 +278,8 @@ class DiscreteGame:
         return np.nonzero(self.e_z[j])[0]
 
 
-def build_game(
-    ctx: MetricContext,
-    r: float,
-    delta: float,
-    gamma: float,
-    state_cap: float = 5e7,
-    samples: Optional[SampleSet] = None,
-) -> DiscreteGame:
-    """Materialize the discretized game; refuses games over the state cap.
-
-    Raises ValueError unless ``r`` and ``delta`` are zero or more and finite
-    (r = 0 pins the pursuer in place).  ``samples`` may carry a precomputed
-    SampleSet (from gamma_sample with the same gamma) so parameter sweeps can
-    share the sampling work.
-    """
-    if not (0 <= r < math.inf and 0 <= delta < math.inf):
-        raise ValueError(f"r and delta must be zero or more and finite, got {r}, {delta}")
-    poly = ctx.polygon
-    if samples is None:
-        samples = gamma_sample(ctx, gamma)
-    n_h = samples.n_escaper
-    n_z = samples.n_pursuer
+def check_state_cap(n_h: int, n_z: int, state_cap: float) -> None:
+    """Raise BudgetExceeded when the game's |V_h|^2*|V_z| states exceed the cap."""
     count = n_h * n_h * n_z
     if count > state_cap:
         raise BudgetExceeded(
@@ -309,8 +289,43 @@ def build_game(
             state_count=count,
         )
 
+
+def escaper_moves(ctx: MetricContext, samples: SampleSet, delta: float) -> csr_matrix:
+    """The escaper move relation ``e_h`` that ``build_game`` uses: d_h <= delta."""
+    return _threshold_distances(ctx.polygon, samples.escaper_samples, delta, interior=True)
+
+
+def build_game(
+    ctx: MetricContext,
+    r: float,
+    delta: float,
+    gamma: float,
+    state_cap: float = 5e7,
+    samples: Optional[SampleSet] = None,
+    e_h: Optional[csr_matrix] = None,
+) -> DiscreteGame:
+    """Materialize the discretized game; refuses games over the state cap.
+
+    Raises ValueError unless ``r`` and ``delta`` are zero or more and finite
+    (r = 0 pins the pursuer in place).  ``samples`` may carry a precomputed
+    SampleSet (from gamma_sample with the same gamma) so parameter sweeps can
+    share the sampling work; ``e_h`` may likewise carry ``escaper_moves`` of
+    those samples at this delta, which does not depend on r.
+    """
+    if not (0 <= r < math.inf and 0 <= delta < math.inf):
+        raise ValueError(f"r and delta must be zero or more and finite, got {r}, {delta}")
+    poly = ctx.polygon
+    if samples is None:
+        samples = gamma_sample(ctx, gamma)
+    n_h = samples.n_escaper
+    n_z = samples.n_pursuer
+    check_state_cap(n_h, n_z, state_cap)
+    if e_h is None:
+        e_h = escaper_moves(ctx, samples, delta)
+    elif e_h.shape != (n_h, n_h):
+        raise ValueError(f"e_h has shape {e_h.shape}, the samples need ({n_h}, {n_h})")
+
     tol = poly.tol
-    e_h = _threshold_distances(poly, samples.escaper_samples, delta, interior=True)
     reach = r * delta
     z_windows = None
     if ctx.model is PursuerModel.MOAT:

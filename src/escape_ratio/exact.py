@@ -187,6 +187,22 @@ def _wrap_angle(a: float) -> float:
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
+# libm's hypot and CPython's math.hypot (3.10+) are each within 1 ulp of the
+# true value, so on the O(1) radii of the disk game they differ by under
+# 1e-15.  Outside this band around a threshold both compare the same way.
+_HYPOT_BAND = 1e-12
+
+
+def _radius_near(x: float, y: float, threshold: float) -> float:
+    """hypot(x, y) for a comparison with ``threshold``: ``math.hypot``, or
+    ``np.hypot`` (the arithmetic the disk trajectories are pinned to) when the
+    two could fall on different sides of it."""
+    rad = math.hypot(x, y)
+    if abs(rad - threshold) <= _HYPOT_BAND:
+        rad = float(np.hypot(x, y))
+    return rad
+
+
 class DiskAploEscaper:
     """Escaper strategy for the unit disk at speed ratio r.
 
@@ -221,16 +237,17 @@ class DiskAploEscaper:
         self._exit = None
 
     def _consume_progress(self, opp):
-        # each arc starts at the angle the previous one ended at
-        pts = opp.points
+        # each arc starts at the angle the previous one ended at; a view that
+        # grew by one point (every engine step) hands its newest as a tuple
+        n = len(opp)
+        new = (opp.last,) if n == self._last_idx + 1 else opp.points[self._last_idx :]
         a0 = self._last_angle
-        for k in range(self._last_idx, len(pts)):
-            p = pts[k]
+        for p in new:
             a1 = math.atan2(p[1], p[0])
             self._progress += _wrap_angle(a1 - a0)  # unit circle: arc == angle
             a0 = a1
         self._last_angle = a0
-        self._last_idx = len(pts)
+        self._last_idx = n
 
     def position(self, opp, t: float):
         if t == 0.0 or len(opp) == 0:
@@ -271,8 +288,8 @@ class DiskAploEscaper:
         c2 = self._progress / self.r * self.dv
         x = h0x + c1 * ax + c2 * lx
         y = h0y + c1 * ay + c2 * ly
-        rad = float(np.hypot(x, y))  # steers the exit, so np.hypot
-        if rad >= 1.0:
+        if _radius_near(x, y, 1.0) >= 1.0:
+            rad = float(np.hypot(x, y))  # the exit point is stored
             self._exit = (x / rad, y / rad)
             return self._exit
         return (x, y)
@@ -310,8 +327,8 @@ class DiskArcChasingPursuer:
             return (math.cos(self._angle), math.sin(self._angle))
         dt = t - self._last_t
         self._last_t = t
-        rad = float(np.hypot(h[0], h[1]))  # steers the gate, so np.hypot
-        if rad > self.gate_radius * (1.0 + 1e-9):
+        gate = self.gate_radius * (1.0 + 1e-9)
+        if _radius_near(h[0], h[1], gate) > gate:
             delta = _wrap_angle(target - self._angle)
             if abs(delta) >= math.pi - self.TIE_BAND:
                 # near-antipodal tie: keep running the committed way
@@ -324,9 +341,11 @@ class DiskArcChasingPursuer:
 
 
 def _dt_hint(opp) -> float:
-    times = opp.times
-    if len(times) >= 2:
-        return float(times[-1] - times[-2])
+    # the view's newest grid step, read from the whole times array unsliced
+    n = len(opp)
+    if n >= 2:
+        times = opp._times
+        return float(times[n - 1] - times[n - 2])
     return 0.0
 
 

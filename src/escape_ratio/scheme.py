@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .geometry import MetricContext
-from .discrete import build_game, gamma_sample, solve
+from .discrete import build_game, check_state_cap, escaper_moves, gamma_sample, solve
 from .ratio import UPPER_FACTOR
 
 
@@ -119,9 +119,15 @@ def decide_r(
     gamma: float,
     budget: float = 5e7,
     samples=None,
+    e_h=None,
 ) -> ProbeRecord:
-    """One decider call: build and solve the discrete game at (r, delta, gamma)."""
-    game = build_game(ctx, r=r, delta=delta, gamma=gamma, state_cap=budget, samples=samples)
+    """One decider call: build and solve the discrete game at (r, delta, gamma).
+
+    ``samples`` and ``e_h`` pass through to ``build_game``.
+    """
+    game = build_game(
+        ctx, r=r, delta=delta, gamma=gamma, state_cap=budget, samples=samples, e_h=e_h
+    )
     result = solve(game)
     return ProbeRecord(
         r=float(r),
@@ -155,7 +161,11 @@ def approximate_r_star(
     r_lo, r_hi = 1.0, r_upper_bound_easy(ctx)
     heuristic = False
     probes: list[ProbeRecord] = []
+    # the samples depend on gamma only, and the escaper relation on (gamma,
+    # delta): probes under the override share both.  Probes off the override
+    # each have their own delta, so only the newest relation is kept.
     sample_cache: dict = {}
+    moves_cache: dict = {}
 
     if epsilon < 1.0:
         slack = (1.0 + epsilon) ** 2 / (1.0 - epsilon)
@@ -166,7 +176,15 @@ def approximate_r_star(
         key = round(gamma, 15)
         if key not in sample_cache:
             sample_cache[key] = gamma_sample(ctx, gamma)
-        return decide_r(ctx, r, delta, gamma, budget, samples=sample_cache[key])
+        samples = sample_cache[key]
+        if (key, delta) not in moves_cache:
+            # refuse an over-budget game before building its relation
+            check_state_cap(samples.n_escaper, samples.n_pursuer, budget)
+            moves_cache.clear()
+            moves_cache[key, delta] = escaper_moves(ctx, samples, delta)
+        return decide_r(
+            ctx, r, delta, gamma, budget, samples=samples, e_h=moves_cache[key, delta]
+        )
 
     def run_probe(r: float) -> ProbeRecord:
         nonlocal heuristic

@@ -12,11 +12,15 @@ resets them at the start of every playthrough, so a strategy instance can be
 reused across runs.
 
 The analytic domains (disk, halfplane, wedge) and strategies work on the two
-coordinates as Python floats, since a step handles single 2-vectors.  Their
-tolerance comparisons (domain predicates, speed checks) may use
-``math.hypot``; every value that is stored or steers a strategy keeps the
-numpy arithmetic it has always used (``np.hypot``, ``@``), whose last bit can
-differ, so trajectories do not change.
+coordinates as Python floats, since a step handles single 2-vectors; a view's
+``last`` hands the newest point over as an (x, y) float tuple.  Tolerance
+comparisons (domain predicates, speed checks) use ``math.hypot``.  Every
+value that is stored keeps the numpy arithmetic the trajectories were pinned
+with (``np.hypot``, ``@``), whose last bit can differ.  A branch on a radius
+(the disk pursuer's gate, the disk escaper's exit test) compares
+``math.hypot`` with its threshold and calls ``np.hypot`` only within 1e-12 of
+it: both are within an ulp of the true value, so outside that band they take
+the same branch, and trajectories do not change.
 """
 
 from __future__ import annotations
@@ -217,16 +221,18 @@ class PathView:
     ``playthrough`` builds one view per side for a whole run and advances its
     length before each strategy call, so a view is valid only during the call
     it was passed to: kept past it, it shows a later prefix.  Arrays taken
-    from it (``points``, ``last``) do not change.  No strategy can look ahead
-    this way: no strategy code runs between the engine's advance and the call.
+    from it (``points``, ``times``) and the ``last`` tuple do not change.  No
+    strategy can look ahead this way: no strategy code runs between the
+    engine's advance and the call.
     """
 
-    __slots__ = ("_times", "_points", "_len")
+    __slots__ = ("_times", "_points", "_len", "_last")
 
     def __init__(self, times: np.ndarray, points: np.ndarray, length: int):
         self._times = times
         self._points = points
         self._len = length
+        self._last = None  # the engine's newest (x, y), set with ``_len``
 
     @property
     def times(self) -> np.ndarray:
@@ -237,11 +243,14 @@ class PathView:
         return self._points[: self._len]
 
     @property
-    def last(self) -> np.ndarray:
-        """The most recent point, ``points[-1]``, without slicing."""
+    def last(self) -> tuple:
+        """The most recent point, ``points[-1]``, as an (x, y) tuple of floats."""
+        if self._last is not None:
+            return self._last
         if self._len == 0:
             raise IndexError("empty path view")
-        return self._points[self._len - 1]
+        p = self._points[self._len - 1]
+        return (float(p[0]), float(p[1]))
 
     def __len__(self):
         return self._len
@@ -256,11 +265,11 @@ class Strategy:
     """Callback contract: position(opponent prefix up to time t, t) -> point.
 
     The prefix is a ``PathView``; ``opponent.last`` is its most recent point
-    without slicing ``opponent.points``.  The view is valid only during the
-    call.  A point is any 2-sequence of floats (a tuple or an array); the
-    engine copies it.  No-lookahead: the output at t may depend only on the
-    prefix.  Escaper
-    strategies additionally declare ``start_point`` (independent of the
+    as an (x, y) tuple of Python floats, read without slicing
+    ``opponent.points``.  The view is valid only during the call.  A point
+    returned is any 2-sequence of floats (a tuple or an array); the engine
+    copies it.  No-lookahead: the output at t may depend only on the prefix.
+    Escaper strategies additionally declare ``start_point`` (independent of the
     opponent).  ``max_speed`` is the licensed speed of the paths the strategy
     emits.  Instances may keep incremental state between the engine's monotone
     queries; ``reset`` returns them to the initial state.
@@ -474,20 +483,22 @@ def playthrough(
     # One view per side for the whole run.  Before each call the engine
     # advances its length: the escaper sees the pursuer's k + 1 points up to
     # k*dt, the pursuer the escaper's k + 2 points up to (k+1)*dt.
+    # Each view's ``last`` is the newest (x, y) float tuple the engine holds.
+    # Per-step points travel as such tuples; the arrays keep the record.
+    h = (float(h_pts[0, 0]), float(h_pts[0, 1]))
     esc_view = PathView(times, z_pts, 0)
     purs_view = PathView(times, h_pts, 1)
+    purs_view._last = h
     z_pts[0] = np.asarray(pursuer.position(purs_view, 0.0), dtype=float)
     if not domain.pursuer_contains(z_pts[0], tol):
         raise DomainViolation("pursuer start outside its domain")
+    z = (float(z_pts[0, 0]), float(z_pts[0, 1]))
 
     s_h = float(escaper.max_speed)
     s_z = float(pursuer.max_speed)
     step_h_max = s_h * dt + tol
     step_z_max = s_z * dt + tol
     touches = []
-    # per-step points travel as (x, y) float tuples; the arrays keep the record
-    h = (float(h_pts[0, 0]), float(h_pts[0, 1]))
-    z = (float(z_pts[0, 0]), float(z_pts[0, 1]))
     escaper_position, pursuer_position = escaper.position, pursuer.position
     escaper_distance, pursuer_distance = domain.escaper_distance, domain.pursuer_distance
     escaper_contains, pursuer_contains = domain.escaper_contains, domain.pursuer_contains
@@ -507,7 +518,7 @@ def playthrough(
     if sep is None:
         for k in range(n_steps):
             t_next = (k + 1) * dt
-            esc_view._len = k + 1
+            esc_view._len, esc_view._last = k + 1, z
             x, y = escaper_position(esc_view, t_next)
             h_next = (float(x), float(y))
             step_h = escaper_distance(h, h_next)
@@ -519,7 +530,7 @@ def playthrough(
                 raise DomainViolation(f"escaper left its domain at t={t_next:.4g}")
             h = h_next
             h_pts[k + 1, 0], h_pts[k + 1, 1] = h
-            purs_view._len = k + 2
+            purs_view._len, purs_view._last = k + 2, h
             x, y = pursuer_position(purs_view, t_next)
             z_next = (float(x), float(y))
             step_z = pursuer_distance(z, z_next)

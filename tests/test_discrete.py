@@ -11,6 +11,7 @@ from escape_ratio.errors import BudgetExceeded, GammaTooCoarse, InconsistentTabl
 from escape_ratio.discrete import (
     SolveResult,
     build_game,
+    escaper_moves,
     escaper_win_predicate,
     gamma_sample,
     play_discrete,
@@ -315,6 +316,19 @@ class TestBuildGame:
         ez = game.e_z
         ii, jj = np.nonzero(ez)
         assert np.all(ii == jj)
+
+    def test_shared_escaper_relation(self, square_moat):
+        s = gamma_sample(square_moat, 0.1)
+        e_h = escaper_moves(square_moat, s, 0.5)
+        fresh = build_game(square_moat, r=3.0, delta=0.5, gamma=0.1, state_cap=1e10, samples=s)
+        shared = build_game(square_moat, r=3.0, delta=0.5, gamma=0.1, state_cap=1e10,
+                            samples=s, e_h=e_h)
+        assert shared.e_h is e_h
+        assert (fresh.e_h != e_h).nnz == 0
+        assert np.array_equal(shared.e_z, fresh.e_z)
+        with pytest.raises(ValueError, match="shape"):
+            build_game(square_moat, r=3.0, delta=0.5, gamma=0.1, state_cap=1e10,
+                       samples=s, e_h=e_h[:-1, :-1])
 
     def test_state_cap(self, square_moat):
         with pytest.raises(BudgetExceeded):

@@ -18,6 +18,7 @@ from escape_ratio.exact import (
     triangle_r_star,
     wedge_pursuer_position,
     wedge_r_star,
+    _wrap_angle,
 )
 
 
@@ -161,3 +162,108 @@ class TestDiskStrategies:
         with pytest.raises(StrategyFailure):
             playthrough(esc, MirrorPursuer(), dt=0.01, t_max=200.0,
                         epsilon=0.05, domain=DiskDomain())
+
+
+class _NpHypotArcChaser(DiskArcChasingPursuer):
+    """The pursuer's step with its gate on ``np.hypot`` every step, as the
+    disk trajectories were pinned with."""
+
+    def position(self, opp, t):
+        h = opp.last
+        target = math.atan2(h[1], h[0])
+        if self._angle is None:
+            self._angle = target
+            self._last_t = t
+            return (math.cos(self._angle), math.sin(self._angle))
+        dt = t - self._last_t
+        self._last_t = t
+        rad = float(np.hypot(h[0], h[1]))
+        if rad > self.gate_radius * (1.0 + 1e-9):
+            delta = _wrap_angle(target - self._angle)
+            if abs(delta) >= math.pi - self.TIE_BAND:
+                self._angle += self._direction * self.r * dt
+            else:
+                self._direction = 1.0 if delta >= 0 else -1.0
+                step = min(self.r * dt, abs(delta))
+                self._angle = target if step >= abs(delta) else self._angle + self._direction * step
+        return (math.cos(self._angle), math.sin(self._angle))
+
+
+def _np_hypot_exit(x, y):
+    # the escaper's exit test on np.hypot, as the trajectories were pinned
+    # with: (position, whether it exits)
+    rad = float(np.hypot(x, y))
+    if rad >= 1.0:
+        return (x / rad, y / rad), True
+    return (x, y), False
+
+
+def _points_near_circle(radius, seed, angles=300):
+    """Points at radius offsets of 0, +-1 and +-2 ulps, +-1e-13, +-1e-12 and
+    +-2e-12 and random ones within 3e-12, each on the x-axis (where the hypot
+    is exact) and at random angles (where the two hypots can differ by an ulp)."""
+    rng = np.random.default_rng(seed)
+    radii = [radius]
+    for sign in (1.0, -1.0):
+        step = radius
+        for _ in range(2):
+            step = float(np.nextafter(step, sign * math.inf))
+            radii.append(step)
+        radii += [radius + sign * d for d in (1e-13, 1e-12, 2e-12)]
+    radii += list(radius + rng.uniform(-3e-12, 3e-12, 20))
+    for rad in radii:
+        yield rad, 0.0
+        for a in rng.uniform(-math.pi, math.pi, angles):
+            yield rad * math.cos(a), rad * math.sin(a)
+
+
+def _bits(point):
+    return np.asarray(point, dtype=float).tobytes()
+
+
+class TestHypotBand:
+    """The strategies compare ``math.hypot`` with a threshold and fall back to
+    ``np.hypot`` within a band around it: every branch and output must match
+    the ``np.hypot`` bodies to the bit."""
+
+    def test_pursuer_gate_matches_np_hypot(self):
+        from escape_ratio.sim import PathView
+
+        times = np.array([0.0, 0.01])
+        new, ref = DiskArcChasingPursuer(4.8), _NpHypotArcChaser(4.8)
+        points = list(_points_near_circle(ref.gate_radius * (1.0 + 1e-9), seed=1))
+        moved = 0
+        for x, y in points:
+            # the first call fixes the angle a little off the escaper's, so
+            # the step shows whether the gate let the pursuer run
+            a = math.atan2(y, x) + 0.3
+            pts = np.array([[0.5 * math.cos(a), 0.5 * math.sin(a)], [x, y]])
+            outs = []
+            for strat in (new, ref):
+                strat.reset()
+                strat.position(PathView(times, pts, 1), 0.0)
+                start = strat._angle
+                outs.append(strat.position(PathView(times, pts, 2), 0.01))
+            assert _bits(outs[0]) == _bits(outs[1]), (x, y)
+            assert (new._angle, new._direction) == (ref._angle, ref._direction)
+            moved += ref._angle != start
+        assert 0 < moved < len(points)  # both branches taken
+
+    def test_escaper_exit_matches_np_hypot(self):
+        from escape_ratio.sim import PathView
+
+        view = PathView(np.array([0.0, 0.01]), np.array([[-1.0, 0.0], [-1.0, 0.0]]), 2)
+        esc = DiskAploEscaper(4.4)
+        points = list(_points_near_circle(1.0, seed=2))
+        exits = 0
+        for x, y in points:
+            # an APLO frame with zero axial and lateral steps places the
+            # escaper exactly at its origin (x, y)
+            esc.reset()
+            esc._phase, esc._frame, esc._t2, esc._last_idx = 2, (x, y, 0.0, 0.0, 0.0, 0.0), 0.01, 2
+            got = esc.position(view, 0.01)
+            want, exit = _np_hypot_exit(x, y)
+            assert _bits(got) == _bits(want), (x, y)
+            assert (esc._exit is not None) == exit
+            exits += esc._exit is not None
+        assert 0 < exits < len(points)  # both branches taken

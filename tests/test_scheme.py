@@ -118,6 +118,37 @@ class TestApproximate:
         lower = max_ratio(square_moat, 0.05).lower_certified
         assert res.r_lo <= lower <= res.r_hi
 
+    def test_escaper_relation_built_once_per_bracket(self, square_moat, monkeypatch):
+        from escape_ratio import discrete
+
+        built, games = [], []
+        threshold, build_game = discrete._threshold_distances, scheme.build_game
+
+        def spy_threshold(poly, pts, limit, interior):
+            if interior:
+                built.append(limit)
+            return threshold(poly, pts, limit, interior)
+
+        def spy_build_game(*args, **kwargs):
+            games.append(kwargs["r"])
+            return build_game(*args, **kwargs)
+
+        monkeypatch.setattr(discrete, "_threshold_distances", spy_threshold)
+        monkeypatch.setattr(scheme, "build_game", spy_build_game)
+        kwargs = dict(epsilon=0.3, budget=1e10, override=(0.5, 0.1))
+        cached = approximate_r_star(square_moat, **kwargs)
+        assert len(cached.probes) >= 3
+        assert built == [0.5]
+        assert games == [p.r for p in cached.probes]
+        # the same bisection with every probe building its own relation
+        decide_r = scheme.decide_r
+        monkeypatch.setattr(scheme, "decide_r", lambda *a, e_h, **kw: decide_r(*a, **kw))
+        built.clear()
+        fresh = approximate_r_star(square_moat, **kwargs)
+        assert len(built) == 1 + len(cached.probes)
+        assert fresh.probes == cached.probes
+        assert (fresh.r_lo, fresh.r_hi) == (cached.r_lo, cached.r_hi)
+
     def test_epsilon_one_stops_after_bracketing(self, square_moat):
         res = approximate_r_star(
             square_moat, epsilon=1.0, budget=1e10, override=(0.5, 0.1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from escape_ratio.errors import DomainViolation, SpeedViolation
-from escape_ratio.exact import AploParams, aplo_position, disk_strategies
+from escape_ratio.exact import AploParams, DiskAploEscaper, aplo_position, disk_strategies
 from escape_ratio.sim import (
     DiskDomain,
     HalfplaneDomain,
@@ -537,9 +537,13 @@ class _Recorder(Strategy):
         self.log = []
 
     def position(self, opp, t):
-        self.log.append((t, len(opp), tuple(opp.last), tuple(opp.points[-1]),
+        self.log.append((t, len(opp), opp.last, tuple(opp.points[-1]),
                          float(opp.times[-1])))
         return self.inner.position(opp, t)
+
+
+def _is_float_pair(point):
+    return type(point) is tuple and len(point) == 2 and all(type(c) is float for c in point)
 
 
 class TestViewContract:
@@ -555,6 +559,7 @@ class TestViewContract:
         for k, (t, length, last, tail, t_last) in enumerate(esc.log):
             assert t == (k + 1) * dt
             assert length == k + 1
+            assert _is_float_pair(last)
             assert last == tail == tuple(pt.pursuer_path.points[k])
             assert t_last == pt.escaper_path.times[k]
         # pursuer: its start sees the escaper's start, step k the k + 2
@@ -562,6 +567,7 @@ class TestViewContract:
         assert len(purs.log) == n
         for j, (t, length, last, tail, t_last) in enumerate(purs.log):
             assert length == j + 1
+            assert _is_float_pair(last)
             assert last == tail == tuple(pt.escaper_path.points[j])
             assert t_last == t
 
@@ -581,8 +587,45 @@ class TestViewContract:
             assert t == s
             assert length == int(np.searchsorted(times, s + 1e-15, side="right"))
             assert length < len(times)
+            assert _is_float_pair(last)
             assert last == tail == tuple(pt.escaper_path.points[length - 1])
             assert t_last <= s + 1e-15
+
+    def test_last_of_hand_built_view_is_a_float_pair(self):
+        pts = np.array([[1, 2], [3, 4]])  # an integer array still gives floats
+        last = PathView(np.arange(2.0), pts, 2).last
+        assert _is_float_pair(last) and last == (3.0, 4.0)
+
+    def test_obliviated_disk_escaper_progress_is_chunk_free(self):
+        # the inner escaper of an obliviated one sees its view jump three
+        # points a call; the progress it sums must equal, to the bit, that
+        # of an escaper fed one point a call
+        dt, n = 0.01, 33
+        times = np.arange(n + 1) * dt
+        # the pursuer holds still, antipodal to the escaper's start, while
+        # both escapers reach their APLO phase; then it turns three steps one
+        # way and three back, across the angle wrap at pi, and ends on a
+        # forward turn.  Each turn exceeds pi, so a chunk summed as one angle
+        # would lose a revolution.
+        turns = np.tile([1.0, 1.0, 1.0, -1.0, -1.0, -1.0], 5)[:27]
+        steps = np.concatenate([np.zeros(6), turns * (1.1 + 0.03 * np.sin(np.arange(27))), [0.0]])
+        ang = math.pi + np.cumsum(steps)
+        pts = np.column_stack([np.cos(ang), np.sin(ang)])
+        single = DiskAploEscaper(4.4)
+        for k in range(n):
+            single.position(PathView(times, pts, k + 1), times[k + 1])
+        inner = DiskAploEscaper(4.4)
+        jumpy = obliviate(inner, 0.5 * dt)
+        lengths = []
+        for k in range(0, n + 1, 3):
+            jumpy.position(PathView(times, pts, k + 1), times[k])
+            lengths.append(inner._last_idx)
+        assert inner._phase == single._phase == 2
+        assert inner._exit is single._exit is None
+        assert set(np.diff(lengths[2:])) == {3}
+        assert inner._last_idx == single._last_idx == n
+        assert inner._last_angle == single._last_angle
+        assert inner._progress == single._progress > 3.0
 
     def test_last_of_empty_view_raises(self):
         view = PathView(np.zeros(3), np.ones((3, 2)), 0)
