@@ -7,9 +7,13 @@ quotient.  Multiplying a conservatively inflated estimate of the same maximum
 by 2*(3+sqrt(6)) < 10.89898 gives the upper side of the sandwich.
 
 The maximizer is located by sampling the boundary at a given arc spacing,
-evaluating all pairs, and locally refining the best pair on its two incident
-edges.  The exact arrangement-based maximizer is deliberately not implemented;
-sampling plus refinement provides the certified lower bound and a usable upper
+evaluating the sample pairs by branch and bound, and locally refining the best
+pair on its two incident edges.  Two cheap bounds hold in both pursuer models,
+d_h >= chord and d_z <= boundary arc, so a pair's ratio is at most arc/chord:
+pairs are evaluated exactly in descending bound order until no pair left can
+reach the best ratio found, with the result of evaluating them all.  The exact
+arrangement-based maximizer is deliberately not implemented; sampling plus
+refinement provides the certified lower bound and a usable upper
 estimate at a fraction of the complexity.
 """
 
@@ -45,6 +49,14 @@ _LOOKAHEAD = 3
 # segment x edge elements a lookahead batch may hold before it looks one
 # step less far: 3 steps for n <= 11, 2 for n = 12-16, 1 from n = 17
 _LOOKAHEAD_ELEMENTS = 2**12
+# sample pairs the first branch-and-bound batch evaluates; each later batch
+# may take twice as many
+_BOUND_BATCH = 256
+# relative slack on a pair bound: the geodesic sums it bounds round within a
+# few ulps of it, far below this
+_BOUND_SLACK = 1e-9
+# pairs per block of the bound pass, which holds a few such arrays of floats
+_BOUND_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -111,6 +123,62 @@ def _pairwise_dz(ctx: MetricContext, params: np.ndarray, pts: np.ndarray,
     if ctx.model is PursuerModel.MOAT:
         return ctx.polygon.arc_distance(params[i], params[j])
     return pair_geodesics(ctx.polygon, pts, i, j, interior=False)
+
+
+def _pair_rows(m: int, k: np.ndarray):
+    """The sample pairs (i, j) at flat indices ``k`` of ``np.triu_indices(m, k=1)``."""
+    rows = np.arange(m)
+    start = rows * (2 * m - rows - 1) // 2  # flat index of row i's first pair
+    i = np.searchsorted(start, k, side="right") - 1
+    return i, k - start[i] + i + 1
+
+
+def _pair_bounds(poly, params: np.ndarray, pts: np.ndarray, spacing: float, floor: float):
+    """Upper bounds on each sample pair's ratio and inflation term, in
+    ``np.triu_indices`` order, with no kernel call.
+
+    d_h >= chord (a path within the polygon is at least the segment) and
+    d_z <= arc (the pursuer may walk the boundary) give arc/chord, and
+    (arc + s)/(max(chord, floor) - s) for a pair with d_h >= floor > s.  A
+    pair with chord <= tol has ratio bound inf, so it is always evaluated.
+    """
+    m = len(params)
+    n_pairs = m * (m - 1) // 2
+    ratio_ub, infl_ub = np.empty(n_pairs), np.empty(n_pairs)
+    for lo in range(0, n_pairs, _BOUND_BLOCK):
+        hi = min(lo + _BOUND_BLOCK, n_pairs)
+        i, j = _pair_rows(m, np.arange(lo, hi))
+        chord = np.hypot(*(pts[j] - pts[i]).T)  # a direct pair's d_h, to the bit
+        arc = poly.arc_distance(params[i], params[j])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio_ub[lo:hi] = np.where(chord > poly.tol, arc / chord, np.inf)
+            infl_ub[lo:hi] = (arc + spacing) / (np.maximum(chord, floor) - spacing)
+    return ratio_ub, infl_ub
+
+
+def _branch_and_bound(bound: np.ndarray, best: float, evaluate) -> int:
+    """Evaluate pairs in descending ``bound`` order until no pair left can
+    reach ``best``; returns the number of batches.
+
+    ``evaluate(k)`` computes the pairs at flat indices ``k`` exactly, sets
+    their bounds to -inf and returns their best value.  A batch takes the
+    ``_BOUND_BATCH`` largest bounds left, twice as many each batch after, but
+    never a pair whose bound times 1 + ``_BOUND_SLACK`` stays below ``best``:
+    such a pair's value is below ``best`` too, so it cannot even tie it.
+    """
+    size, batches = _BOUND_BATCH, 0
+    while True:
+        live = bound > best / (1 + _BOUND_SLACK)
+        n_live = int(np.count_nonzero(live))
+        if not n_live:
+            return batches
+        if n_live > size:
+            k = np.argpartition(bound, len(bound) - size)[-size:]
+        else:
+            k = np.flatnonzero(live)
+        best = max(best, evaluate(k))
+        batches += 1
+        size *= 2
 
 
 def _pair_ratios(ctx: MetricContext, T: np.ndarray) -> np.ndarray:
@@ -230,6 +298,12 @@ def max_ratio(
 ) -> RatioBound:
     """Sample boundary pairs, refine the best one, and build the sandwich.
 
+    The sample pairs are evaluated by branch and bound (``_branch_and_bound``
+    over ``_pair_bounds``): first in descending arc/chord order until no pair
+    left can reach the best ratio, then in descending bound order on the
+    inflation term until none can exceed max(inflated, best ratio).  The
+    result is that of evaluating every pair, to the bit.
+
     ``prune`` drops pairs whose interior shortest path touches the boundary
     strictly between the endpoints (valid when the exit set is the whole
     boundary: some maximizing pair always has a direct path).
@@ -244,44 +318,61 @@ def max_ratio(
         )
     params, pts = boundary_samples(ctx, spacing)
     m = len(params)
-    iu, ju = np.triu_indices(m, k=1)
+    # pairs below the feature scale are left out of the inflation (see below)
+    floor = max(2.0 * spacing, f / 2.0)
     t0 = time.perf_counter()
-    dh_u = _pairwise_dh(ctx, pts, iu, ju)
-    dz_u = _pairwise_dz(ctx, params, pts, iu, ju)
+    ratio_ub, infl_ub = _pair_bounds(poly, params, pts, spacing, floor)
+    found = []  # per batch: flat pair indices, ratios, inflation terms
+
+    def evaluate(k):
+        i, j = _pair_rows(m, k)
+        # only the batch's endpoints: every point passed gets its fan tested
+        ends, inv = np.unique(np.concatenate([i, j]), return_inverse=True)
+        a, b = inv[: len(k)], inv[len(k):]
+        dh = _pairwise_dh(ctx, pts[ends], a, b)
+        dz = _pairwise_dz(ctx, params[ends], pts[ends], a, b)
+        valid = dh > poly.tol
+        if prune and not poly.is_convex:
+            chord = np.hypot(*(pts[j] - pts[i]).T)
+            valid &= np.abs(chord - dh) <= 10 * poly.tol
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(valid, dz / np.maximum(dh, poly.tol), -np.inf)
+            inflated = np.where(valid & (dh >= floor), (dz + spacing) / (dh - spacing), -np.inf)
+        found.append((k, ratios, inflated))
+        ratio_ub[k] = infl_ub[k] = -np.inf
+        return float(ratios.max()), float(inflated.max())
+
+    bound_batches = _branch_and_bound(ratio_ub, -np.inf, lambda k: evaluate(k)[0])
+    sample_max = max(float(r.max()) for _, r, _ in found)
+    # every pair left has a ratio below sample_max: only its inflation term
+    # can still matter, and only where it exceeds max(inflated, sample_max)
+    so_far = max(float(x.max()) for *_, x in found)
+    bound_batches += _branch_and_bound(infl_ub, max(so_far, sample_max),
+                                       lambda k: evaluate(k)[1])
+    k, ratios, inflated = (np.concatenate(col) for col in zip(*found))
+    # ties: the smallest (i, j) in lexicographic order, as np.argmax over all
+    # pairs picks; every pair that ties the maximum has been evaluated
+    i, j = _pair_rows(m, k[ratios == sample_max].min())
+    t_p, t_q = float(params[i]), float(params[j])
     t1 = time.perf_counter()
-
-    valid = dh_u > poly.tol
-    if prune and not poly.is_convex:
-        diffs = pts[ju] - pts[iu]
-        chord = np.hypot(diffs[:, 0], diffs[:, 1])
-        valid &= np.abs(chord - dh_u) <= 10 * poly.tol
-    ratios = np.where(valid, dz_u / np.maximum(dh_u, poly.tol), -np.inf)
-    k = int(np.argmax(ratios))  # ties: smallest (i, j) in lexicographic order
-    t_p, t_q = float(params[iu[k]]), float(params[ju[k]])
-    sample_max = float(ratios[k])
-
-    t2 = time.perf_counter()
     tp, tq, refined, requested, distinct, evaluated, batches = _refine_pair(ctx, t_p, t_q, spacing)
-    logger.debug("max_ratio: m=%d, %d pairs, %d refinement evaluations (%d distinct), "
+    logger.debug("max_ratio: m=%d, %d pairs, %d evaluated in %d bound batches, "
+                 "%d refinement evaluations (%d distinct), "
                  "%d pairs evaluated in %d batches, pairwise %.4f s, refine %.4f s",
-                 m, len(iu), requested, distinct, evaluated, batches,
-                 t1 - t0, time.perf_counter() - t2)
+                 m, m * (m - 1) // 2, len(k), bound_batches, requested, distinct,
+                 evaluated, batches, t1 - t0, time.perf_counter() - t1)
     lower = max(sample_max, refined)
     wp = poly.boundary_point(tp)
     wq = poly.boundary_point(tq)
 
     # Lipschitz inflation: any boundary pair lies within one spacing (in arc
     # length, hence in both metrics) of a sample pair, so the true maximum is
-    # at most max (d_z + s)/(d_h - s) over feature-scale pairs.  Pairs below
-    # the feature scale are sampled scale-freely (corner cones), where the
-    # additive correction is meaningless, so they are left out of the set.
-    floor = max(2.0 * spacing, f / 2.0)
-    infl_mask = valid & (dh_u >= floor)
-    if np.any(infl_mask):
-        inflated = float(
-            np.max((dz_u[infl_mask] + spacing) / (dh_u[infl_mask] - spacing))
-        )
-    else:
+    # at most max (d_z + s)/(d_h - s) over feature-scale pairs (d_h >= floor).
+    # Pairs below the feature scale are sampled scale-freely (corner cones),
+    # where the additive correction is meaningless, so they are left out of
+    # the set.  A pair never evaluated has a term below max(inflated, lower).
+    inflated = float(inflated.max())
+    if inflated == -np.inf:
         inflated = lower
     upper = UPPER_FACTOR * max(inflated, lower)
 

@@ -1,9 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from escape_ratio.geometry import MetricContext, PursuerModel, validate_polygon
+from escape_ratio import ratio
+from escape_ratio.geometry import MetricContext, Point2, PursuerModel, validate_polygon
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 L_SHAPE = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
@@ -99,6 +101,42 @@ def reference_classify(poly, p):
         xs = v[:, 0] + (p[1] - v[:, 1]) * (w[:, 0] - v[:, 0]) / (w[:, 1] - v[:, 1])
     crossings = int(np.count_nonzero(cond & (xs > p[0])))
     return "inside" if crossings % 2 == 1 else "outside"
+
+
+@functools.lru_cache(maxsize=1)  # both prune values reuse one evaluation
+def _all_pair_metrics(ctx, spacing):
+    params, pts = ratio.boundary_samples(ctx, spacing)
+    iu, ju = np.triu_indices(len(params), k=1)
+    return (params, pts, iu, ju, ratio._pairwise_dh(ctx, pts, iu, ju),
+            ratio._pairwise_dz(ctx, params, pts, iu, ju))
+
+
+def all_pairs_max_ratio(ctx, spacing, prune=False):
+    """``max_ratio`` with every sample pair evaluated exactly: the all-pairs
+    argmax and inflation that its branch and bound replaced, as its oracle."""
+    poly = ctx.polygon
+    params, pts, iu, ju, dh_u, dz_u = _all_pair_metrics(ctx, spacing)
+    valid = dh_u > poly.tol
+    if prune and not poly.is_convex:
+        chord = np.hypot(*(pts[ju] - pts[iu]).T)
+        valid &= np.abs(chord - dh_u) <= 10 * poly.tol
+    ratios = np.where(valid, dz_u / np.maximum(dh_u, poly.tol), -np.inf)
+    k = int(np.argmax(ratios))  # ties: smallest (i, j) in lexicographic order
+    tp, tq, refined, *_ = ratio._refine_pair(ctx, float(params[iu[k]]), float(params[ju[k]]),
+                                             spacing)
+    lower = max(float(ratios[k]), refined)
+    floor = max(2.0 * spacing, poly.min_feature_size / 2.0)
+    infl_mask = valid & (dh_u >= floor)
+    inflated = lower
+    if np.any(infl_mask):
+        inflated = float(np.max((dz_u[infl_mask] + spacing) / (dh_u[infl_mask] - spacing)))
+    return ratio.RatioBound(
+        lower_certified=lower,
+        upper_estimate=ratio.UPPER_FACTOR * max(inflated, lower),
+        witness_p=Point2(*map(float, poly.boundary_point(tp))),
+        witness_q=Point2(*map(float, poly.boundary_point(tq))),
+        sampling_spacing=float(spacing),
+    )
 
 
 def random_point_inside(rng, poly):

@@ -5,13 +5,15 @@ import re
 import numpy as np
 import pytest
 
-from escape_ratio import geometry
+from escape_ratio import geometry, ratio
 from escape_ratio.errors import DegeneratePair, OutsideDomain, SpacingTooCoarse
 from escape_ratio.geometry import MetricContext, PursuerModel, validate_polygon
 from escape_ratio.ratio import (
     _GOLDEN,
     UPPER_FACTOR,
     _lookahead_depth,
+    _pair_bounds,
+    _pair_rows,
     _pairwise_dh,
     _pairwise_dz,
     _refine_pair,
@@ -20,7 +22,8 @@ from escape_ratio.ratio import (
     ratio_of_pair,
 )
 
-from conftest import COMB, L_SHAPE, RECT_1x10, SPIRAL, SQUARE, TRIANGLE
+from conftest import COMB, L_SHAPE, RECT_1x10, SPIRAL, SQUARE, TRIANGLE, all_pairs_max_ratio
+from test_geometry import L_COLLINEAR
 
 _ANGLES = np.linspace(0, 2 * math.pi, 101)[:-1]
 GON_100 = np.column_stack([np.cos(_ANGLES), np.sin(_ANGLES)])
@@ -212,6 +215,83 @@ def test_pairwise_metrics_match_queries(points, spacing):
         assert dz[k] == ctx.pursuer_distance(p, q), (p, q)
 
 
+# each polygon at about its coarsest admissible spacing (one tenth of its
+# feature size); on the triangle the inflation search evaluates pairs that the
+# ratio search left
+_BOUND_CASES = [
+    pytest.param(points, spacing, model, id=f"{name}-{model.value}")
+    for name, points, spacing in (("square", SQUARE, 0.1), ("triangle", TRIANGLE, 0.085),
+                                  ("L", L_SHAPE, 0.1), ("L-collinear", L_COLLINEAR, 0.1),
+                                  ("comb", COMB, 0.2), ("spiral", SPIRAL, 0.1))
+    for model in PursuerModel
+]
+
+
+def _bits(bound):
+    return [float(x).hex() for x in (bound.lower_certified, bound.upper_estimate,
+                                     *bound.witness_p, *bound.witness_q)]
+
+
+class TestBranchAndBound:
+    @pytest.mark.parametrize("points,spacing,model", _BOUND_CASES)
+    def test_matches_all_pairs(self, points, spacing, model, monkeypatch):
+        # a first batch of one pair makes the search stop in later batches
+        ctx = MetricContext(validate_polygon(points), model)
+        for prune in (False, True):
+            ref = _bits(all_pairs_max_ratio(ctx, spacing, prune))
+            for first in (ratio._BOUND_BATCH, 1):
+                monkeypatch.setattr(ratio, "_BOUND_BATCH", first)
+                assert _bits(max_ratio(ctx, spacing, prune=prune)) == ref, (prune, first)
+
+    @pytest.mark.parametrize("points,spacing,model", _BOUND_CASES)
+    def test_bounds_hold_on_every_pair(self, points, spacing, model):
+        # the premise that makes the search exact: d_h >= chord, d_z <= arc
+        ctx = MetricContext(validate_polygon(points), model)
+        poly = ctx.polygon
+        params, pts = boundary_samples(ctx, spacing)
+        i, j = np.triu_indices(len(params), k=1)
+        chord = np.hypot(*(pts[j] - pts[i]).T)
+        arc = poly.arc_distance(params[i], params[j])
+        dz = _pairwise_dz(ctx, params, pts, i, j)
+        dh = _pairwise_dh(ctx, pts, i, j)
+        assert np.all(dz <= arc * (1 + 1e-12) + 1e-12)
+        assert np.all(dh >= chord * (1 - 1e-12) - 1e-12)
+        ratio_ub, _ = _pair_bounds(poly, params, pts, spacing, 2 * spacing)
+        assert np.array_equal(ratio_ub, arc / chord)
+
+    def test_pair_rows_follow_triu_order(self, monkeypatch):
+        for m in (2, 3, 7, 80):
+            k = np.arange(m * (m - 1) // 2)
+            assert all(map(np.array_equal, _pair_rows(m, k), np.triu_indices(m, k=1)))
+        # bounds formed in blocks of 5 pairs are the one-block bounds
+        ctx = MetricContext(validate_polygon(L_SHAPE), PursuerModel.EXTERIOR)
+        params, pts = boundary_samples(ctx, 0.1)
+        whole = _pair_bounds(ctx.polygon, params, pts, 0.1, 0.5)
+        monkeypatch.setattr(ratio, "_BOUND_BLOCK", 5)
+        blocks = _pair_bounds(ctx.polygon, params, pts, 0.1, 0.5)
+        assert all(map(np.array_equal, whole, blocks))
+
+    def test_pair_within_tol_is_evaluated(self, monkeypatch):
+        # a pair with chord <= tol has bound inf, so it is evaluated although
+        # its ratio (-inf: d_h is below tol) never wins
+        ctx = MetricContext(validate_polygon(L_SHAPE), PursuerModel.EXTERIOR)
+        params, pts = boundary_samples(ctx, 0.1)
+        t = params[7] + ctx.polygon.tol / 2
+        twin = np.insert(params, 8, t), np.insert(pts, 8, ctx.polygon.boundary_point(t), axis=0)
+        assert 0 < np.hypot(*(twin[1][8] - twin[1][7])) <= ctx.polygon.tol
+        monkeypatch.setattr(ratio, "boundary_samples", lambda ctx, spacing: twin)
+        ratio_ub, _ = _pair_bounds(ctx.polygon, *twin, 0.1, 0.5)
+        i, j = np.triu_indices(len(twin[0]), k=1)
+        assert ratio_ub[(i == 7) & (j == 8)] == np.inf
+        seen = []
+        dh = ratio._pairwise_dh
+        monkeypatch.setattr(ratio, "_pairwise_dh", lambda ctx, pts, i, j: (
+            seen.extend(map(tuple, np.hstack([pts[i], pts[j]]))) or dh(ctx, pts, i, j)))
+        got = max_ratio(ctx, 0.1)
+        assert tuple(np.hstack(twin[1][7:9])) in seen
+        assert _bits(got) == _bits(all_pairs_max_ratio(ctx, 0.1))
+
+
 class TestExteriorModelRatio:
     def test_square_exterior_matches_moat_maximum(self, square_exterior):
         # exterior geodesics on a convex polygon are the boundary arcs, so
@@ -347,6 +427,7 @@ class TestRefinementWork:
             max_ratio(l_moat, 0.1)
         lines = [r.getMessage() for r in caplog.records if r.name == "escape_ratio.ratio"]
         assert len(lines) == 1
-        assert lines[0].startswith("max_ratio: m=80, 3160 pairs, 253 refinement evaluations (")
+        assert lines[0].startswith("max_ratio: m=80, 3160 pairs, 256 evaluated in 1 bound batches, "
+                                   "253 refinement evaluations (")
         assert re.search(r" \(\d+ distinct\), \d+ pairs evaluated in \d+ batches, pairwise ",
                          lines[0]) and lines[0].endswith(" s")
