@@ -23,6 +23,10 @@ class ZeroArea(EscapeRatioError):
     pass
 
 
+class InvalidCoordinates(EscapeRatioError, ValueError):
+    """Vertex coordinates that are not finite numbers; still a ValueError."""
+
+
 # -- metric queries -----------------------------------------------------------
 
 class OutsideDomain(EscapeRatioError):

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (
     DegenerateEdge,
+    InvalidCoordinates,
     OutsideDomain,
     SelfIntersecting,
     TooFewVertices,
@@ -49,42 +50,19 @@ class PursuerModel(Enum):
 
 
 def _as_point_array(points) -> np.ndarray:
-    arr = np.asarray(points, dtype=float)
+    try:
+        arr = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidCoordinates(f"polygon coordinates must be numbers ({exc})") from None
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise TooFewVertices("expected a sequence of (x, y) pairs")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("polygon coordinates must be finite")
+        raise InvalidCoordinates("polygon coordinates must be finite")
     return arr
 
 
 def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _point_segment_distance(p, a, b) -> float:
-    ab = np.subtract(b, a)
-    denom = float(ab @ ab)
-    if denom <= 0.0:
-        return float(np.hypot(*(np.subtract(p, a))))
-    t = float(np.clip(np.subtract(p, a) @ ab / denom, 0.0, 1.0))
-    proj = a + t * ab
-    return float(np.hypot(p[0] - proj[0], p[1] - proj[1]))
-
-
-def _seg_seg_distance(p1, p2, q1, q2) -> float:
-    """Distance between two closed segments; callers detect crossings separately."""
-    return min(_point_segment_distance(q1, p1, p2), _point_segment_distance(q2, p1, p2),
-               _point_segment_distance(p1, q1, q2), _point_segment_distance(p2, q1, q2))
-
-
-def _segments_properly_intersect(p1, p2, q1, q2, tol) -> bool:
-    d1 = _cross(q1, q2, p1)
-    d2 = _cross(q1, q2, p2)
-    d3 = _cross(p1, p2, q1)
-    d4 = _cross(p1, p2, q2)
-    return ((d1 > tol and d2 < -tol) or (d1 < -tol and d2 > tol)) and (
-        (d3 > tol and d4 < -tol) or (d3 < -tol and d4 > tol)
-    )
 
 
 @dataclass(frozen=True)
@@ -170,29 +148,17 @@ class Polygon:
 
     @cached_property
     def min_feature_size(self) -> float:
-        """Minimum distance between nonadjacent edges.
+        """Minimum distance between nonadjacent edges (a triangle's smallest
+        altitude): the nearest vertex to an edge it does not end.
 
-        Triangles have no nonadjacent edge pair; fall back to the minimum
-        vertex-to-opposite-edge distance (the smallest altitude).
+        Two disjoint segments are closest at an endpoint of one of them, and
+        for n >= 4 every vertex off edge e ends an edge not adjacent to e.
         """
-        v = self.vertices
-        n = self.n
-        if n == 3:
-            best = np.inf
-            for i in range(3):
-                a, b = v[(i + 1) % 3], v[(i + 2) % 3]
-                best = min(best, _point_segment_distance(v[i], a, b))
-            return float(best)
-        best = np.inf
-        for i in range(n):
-            for j in range(i + 1, n):
-                if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                    continue
-                best = min(
-                    best,
-                    _seg_seg_distance(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n]),
-                )
-        return float(best)
+        v, n = self.vertices, self.n
+        d2 = _edge_projections(self, v[:, 0], v[:, 1])[1]
+        k = np.arange(n)
+        d2[k, k] = d2[(k + 1) % n, k] = np.inf
+        return float(np.sqrt(d2.min()))
 
     @cached_property
     def min_interior_angle(self) -> float:
@@ -273,31 +239,39 @@ def validate_polygon(points) -> Polygon:
     if tol == 0.0:
         raise ZeroArea("all vertices coincide")
 
-    nxt = np.roll(arr, -1, axis=0)
-    lengths = np.hypot(*(nxt - arr).T)
-    if np.any(lengths <= tol):
+    poly = Polygon(vertices=np.array(arr), tol=tol)  # a copy: Polygon freezes its vertices
+    if np.any(poly.edge_lengths <= tol):
         raise DegenerateEdge("two consecutive vertices coincide")
 
-    # simplicity: no proper crossing between nonadjacent edges and no vertex
-    # on a nonadjacent edge
-    for i in range(n):
-        a1, a2 = arr[i], arr[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            b1, b2 = arr[j], arr[(j + 1) % n]
-            if _segments_properly_intersect(a1, a2, b1, b2, tol * tol):
-                raise SelfIntersecting(f"edges {i} and {j} cross")
-            if _seg_seg_distance(a1, a2, b1, b2) <= tol:
-                raise SelfIntersecting(f"edges {i} and {j} touch")
+    # simplicity: no proper crossing between nonadjacent edges i < j and no
+    # vertex within tol of a nonadjacent edge; the first bad pair is named
+    v, w = poly.vertices, poly._next
+    i, j = np.triu_indices(n, k=2)
+    keep = (i > 0) | (j < n - 1)  # edges 0 and n - 1 share vertex 0
+    i, j = i[keep], j[keep]
+    tol2 = tol * tol
+    d1 = _cross(v[j].T, w[j].T, v[i].T)
+    d2 = _cross(v[j].T, w[j].T, w[i].T)
+    d3 = _cross(v[i].T, w[i].T, v[j].T)
+    d4 = _cross(v[i].T, w[i].T, w[j].T)
+    cross = (((d1 > tol2) & (d2 < -tol2)) | ((d1 < -tol2) & (d2 > tol2))) & (
+        ((d3 > tol2) & (d4 < -tol2)) | ((d3 < -tol2) & (d4 > tol2))
+    )
+    # segments that do not cross are closest at an endpoint of one of them,
+    # so edges i and j touch when an end of one lies within tol of the other
+    near = _edge_projections(poly, v[:, 0], v[:, 1])[1] <= tol2
+    touch = near[i, j] | near[(i + 1) % n, j] | near[j, i] | near[(j + 1) % n, i]
+    bad = np.flatnonzero(cross | touch)
+    if len(bad):
+        k = bad[0]
+        raise SelfIntersecting(f"edges {i[k]} and {j[k]} {'cross' if cross[k] else 'touch'}")
 
-    area = 0.5 * float(np.sum(arr[:, 0] * nxt[:, 1] - nxt[:, 0] * arr[:, 1]))
-    perimeter = float(lengths.sum())
-    if abs(area) <= tol * perimeter:
+    area = poly.area
+    if abs(area) <= tol * float(poly.edge_lengths.sum()):
         raise ZeroArea("polygon has (near) zero area")
     if area < 0:
-        arr = arr[::-1].copy()
-    return Polygon(vertices=np.ascontiguousarray(arr), tol=tol)
+        return Polygon(vertices=arr[::-1].copy(), tol=tol)
+    return poly
 
 
 def triangulate(poly: Polygon) -> list[np.ndarray]:
@@ -603,9 +577,9 @@ def point_in_convex_hull(hull: np.ndarray, p, tol: float):
 
 
 class MetricContext:
-    """Immutable bundle of a polygon, pursuer model, triangulation and convex
-    hull; the vertex visibility graphs behind both metrics are cached on the
-    polygon.
+    """Immutable bundle of a polygon, pursuer model and convex hull; the
+    triangulation is built on first use, and the vertex visibility graphs
+    behind both metrics are cached on the polygon.
 
     Safe to share across threads once constructed; the lazy caches are filled
     by pure recomputation, so a benign race only repeats work.
@@ -616,8 +590,12 @@ class MetricContext:
             model = PursuerModel(model)
         self.polygon = polygon
         self.model = model
-        self.triangulation = triangulate(polygon)
         self.hull = convex_hull(polygon.vertices)
+
+    @cached_property
+    def triangulation(self) -> list[np.ndarray]:
+        """Ear-clipping triangles (O(n^3)); only ``scheme.epsilon0`` reads them."""
+        return triangulate(self.polygon)
 
     # -- visibility graphs over polygon vertices ---------------------------
 

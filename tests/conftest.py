@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 from escape_ratio import ratio
-from escape_ratio.geometry import MetricContext, Point2, PursuerModel, validate_polygon
+from escape_ratio.errors import DegenerateEdge, SelfIntersecting, TooFewVertices, ZeroArea
+from escape_ratio.geometry import (
+    TOL_SCALE,
+    MetricContext,
+    Point2,
+    PursuerModel,
+    _as_point_array,
+    _cross,
+    validate_polygon,
+)
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 L_SHAPE = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
@@ -101,6 +110,84 @@ def reference_classify(poly, p):
         xs = v[:, 0] + (p[1] - v[:, 1]) * (w[:, 0] - v[:, 0]) / (w[:, 1] - v[:, 1])
     crossings = int(np.count_nonzero(cond & (xs > p[0])))
     return "inside" if crossings % 2 == 1 else "outside"
+
+
+def _point_segment_distance(p, a, b) -> float:
+    ab = np.subtract(b, a)
+    denom = float(ab @ ab)
+    if denom <= 0.0:
+        return float(np.hypot(*(np.subtract(p, a))))
+    t = float(np.clip(np.subtract(p, a) @ ab / denom, 0.0, 1.0))
+    proj = a + t * ab
+    return float(np.hypot(p[0] - proj[0], p[1] - proj[1]))
+
+
+def _seg_seg_distance(p1, p2, q1, q2) -> float:
+    """Distance between two closed segments that do not cross."""
+    return min(_point_segment_distance(q1, p1, p2), _point_segment_distance(q2, p1, p2),
+               _point_segment_distance(p1, q1, q2), _point_segment_distance(p2, q1, q2))
+
+
+def _segments_properly_intersect(p1, p2, q1, q2, tol2) -> bool:
+    d1 = _cross(q1, q2, p1)
+    d2 = _cross(q1, q2, p2)
+    d3 = _cross(p1, p2, q1)
+    d4 = _cross(p1, p2, q2)
+    return ((d1 > tol2 and d2 < -tol2) or (d1 < -tol2 and d2 > tol2)) and (
+        (d3 > tol2 and d4 < -tol2) or (d3 < -tol2 and d4 > tol2)
+    )
+
+
+def reference_validate(points):
+    """``validate_polygon`` one edge pair at a time: the scalar oracle for
+    its batched simplicity test.  Returns ``(vertices, tol)`` of the CCW
+    polygon, or raises what ``validate_polygon`` raises."""
+    arr = _as_point_array(points)
+    n = len(arr)
+    if n < 3:
+        raise TooFewVertices(f"polygon needs at least 3 vertices, got {n}")
+    lo, hi = arr.min(axis=0), arr.max(axis=0)
+    tol = TOL_SCALE * float(np.hypot(*(hi - lo)))
+    if tol == 0.0:
+        raise ZeroArea("all vertices coincide")
+    nxt = np.roll(arr, -1, axis=0)
+    lengths = np.hypot(*(nxt - arr).T)
+    if np.any(lengths <= tol):
+        raise DegenerateEdge("two consecutive vertices coincide")
+    # no proper crossing between nonadjacent edges and no vertex on a
+    # nonadjacent edge
+    for i in range(n):
+        a1, a2 = arr[i], arr[(i + 1) % n]
+        for j in range(i + 1, n):
+            if (j + 1) % n == i or (i + 1) % n == j:
+                continue
+            b1, b2 = arr[j], arr[(j + 1) % n]
+            if _segments_properly_intersect(a1, a2, b1, b2, tol * tol):
+                raise SelfIntersecting(f"edges {i} and {j} cross")
+            if _seg_seg_distance(a1, a2, b1, b2) <= tol:
+                raise SelfIntersecting(f"edges {i} and {j} touch")
+    area = 0.5 * float(np.sum(arr[:, 0] * nxt[:, 1] - nxt[:, 0] * arr[:, 1]))
+    if abs(area) <= tol * float(lengths.sum()):
+        raise ZeroArea("polygon has (near) zero area")
+    return (arr[::-1] if area < 0 else arr), tol
+
+
+def reference_min_feature_size(poly):
+    """Minimum distance between nonadjacent edges, one edge pair at a time
+    (a triangle's smallest altitude): the scalar oracle for
+    ``Polygon.min_feature_size``."""
+    v = poly.vertices
+    n = poly.n
+    if n == 3:
+        return min(_point_segment_distance(v[i], v[(i + 1) % 3], v[(i + 2) % 3])
+                   for i in range(3))
+    best = np.inf
+    for i in range(n):
+        for j in range(i + 2, n):
+            if (j + 1) % n == i:
+                continue
+            best = min(best, _seg_seg_distance(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n]))
+    return float(best)
 
 
 @functools.lru_cache(maxsize=1)  # both prune values reuse one evaluation

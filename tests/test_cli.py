@@ -78,6 +78,17 @@ class TestRatio:
         rc = run(["ratio", "--polygon", str(bowtie), "--spacing", "0.05"])
         assert rc == 2
 
+    @pytest.mark.parametrize("body", [
+        "[[0,0],[1,0],[NaN,1]]", "[[0,0],[1,0],[Infinity,1]]", '[[0,0],[1,0],["a",1]]',
+        "[[0,0],[1,0],[1,1,1]]", '{"a":1}',
+    ], ids=["nan", "infinity", "string", "ragged", "object"])
+    def test_malformed_coordinates_exit_2(self, capsys, tmp_path, body):
+        bad = tmp_path / "bad.json"
+        bad.write_text(body)
+        rc = run(["ratio", "--polygon", str(bad), "--spacing", "0.05"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_output_file(self, capsys, square_file, tmp_path):
         out = tmp_path / "res.json"
         rc = run(["ratio", "--polygon", square_file, "--spacing", "0.05",

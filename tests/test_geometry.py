@@ -19,7 +19,6 @@ from escape_ratio.errors import (
 from escape_ratio.geometry import (
     MetricContext,
     PursuerModel,
-    _point_segment_distance,
     dumps_polygon,
     loads_polygon,
     pair_geodesics,
@@ -39,10 +38,13 @@ from conftest import (
     SPIRAL,
     SQUARE,
     TRIANGLE,
+    _point_segment_distance,
     random_convex_polygon,
     random_point_inside,
     reference_classify,
     reference_distance_to_boundary,
+    reference_min_feature_size,
+    reference_validate,
 )
 
 # a 0.1-wide notch whose mouth vertices (3.95, 0) and (4.05, 0) lie on y = 0
@@ -51,6 +53,18 @@ NOTCH = [(0, -1), (8, -1), (8, 1), (4.5, 1), (4.05, 0), (4, -0.5), (3.95, 0), (3
 SLIT = [(0, 0), (10, 0), (10, 10), (5.05, 10), (5.05, 3), (4.95, 3), (4.95, 10), (0, 10)]
 # the L-shape with a vertex in the middle of each of its three long edges
 L_COLLINEAR = [(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+
+
+def _relabellings(points):
+    """Every cyclic shift of ``points``, each turned by 0 to 3 quarter-turns:
+    the relabellings the benchmark workloads pick by seed."""
+    out = []
+    for shift in range(len(points)):
+        pts = [(float(x), float(y)) for x, y in points[shift:] + points[:shift]]
+        for _ in range(4):
+            out.append(pts)
+            pts = [(-y, x) for x, y in pts]
+    return out
 
 
 def tri_area(t):
@@ -69,6 +83,12 @@ class TestValidate:
         poly = validate_polygon([(0, 0), (0, 1), (1, 1), (1, 0)])
         assert poly.area == pytest.approx(1.0)
         assert poly.area > 0
+
+    @pytest.mark.parametrize("points", [SQUARE, SQUARE[::-1]], ids=["ccw", "cw"])
+    def test_input_array_left_writeable(self, points):
+        arr = np.array(points, dtype=float)
+        validate_polygon(arr)
+        assert arr.flags.writeable
 
     def test_bowtie_rejected(self):
         with pytest.raises(SelfIntersecting):
@@ -108,6 +128,12 @@ class TestTriangulate:
         assert len(tris) == 4
         assert sum(tri_area(t) for t in tris) == pytest.approx(3.0)
 
+    def test_context_triangulates_on_first_use(self, l_shape):
+        ctx = MetricContext(l_shape)
+        assert "triangulation" not in vars(ctx)
+        assert len(ctx.triangulation) == 4
+        assert ctx.triangulation is vars(ctx)["triangulation"]
+
     def test_area_matches_shoelace_random(self):
         rng = np.random.default_rng(5)
         for _ in range(5):
@@ -141,6 +167,102 @@ class TestFeatureSize:
         assert poly.min_feature_size == pytest.approx(2.0)
         assert poly.min_interior_angle == pytest.approx(math.pi / 2)
         assert {"min_feature_size", "min_interior_angle"} <= vars(poly).keys()
+
+
+def _radial_polygon(rng, n):
+    """``n`` vertices at random radii in [0.2, 1.2), in order of random angle
+    about the origin: simple unless two consecutive angles lie pi or more
+    apart or a vertex comes within tol of an edge."""
+    ang = np.sort(rng.random(n)) * 2 * math.pi
+    rad = 0.2 + rng.random(n)
+    return np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
+
+
+def _near_touch(rng, n, factor):
+    """A radial polygon with one vertex moved to ``factor`` * tol off a
+    nonadjacent edge, on the edge's left."""
+    pts = _radial_polygon(rng, n)
+    k = int(rng.integers(n))
+    e = (k + 2 + int(rng.integers(n - 3))) % n
+    t = rng.uniform(0.1, 0.9)
+    for _ in range(3):  # moving the vertex may widen the bounding box, so tol
+        a, d = pts[e], pts[(e + 1) % n] - pts[e]
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        tol = geometry.TOL_SCALE * float(np.hypot(*(hi - lo)))
+        pts[k] = a + t * d + np.array([-d[1], d[0]]) / np.hypot(*d) * tol * factor
+    return pts
+
+
+def _validation_outcome(validate, points):
+    """The exception class and message, or the vertices' bytes and tol."""
+    try:
+        got = validate(points)
+    except (TooFewVertices, DegenerateEdge, SelfIntersecting, ZeroArea) as exc:
+        return type(exc), str(exc)
+    vertices, tol = got if isinstance(got, tuple) else (got.vertices, got.tol)
+    return np.asarray(vertices).tobytes(), tol
+
+
+class TestPolygonChecksAgreement:
+    """``validate_polygon`` and ``min_feature_size`` read one vertex-to-edge
+    projection matrix; they must agree with the pairwise scalar loops."""
+
+    def test_validate_matches_oracle(self):
+        rng = np.random.default_rng(29)
+        corpus = [rng.random((int(rng.integers(3, 10)), 2)) for _ in range(60)]
+        corpus += [_radial_polygon(rng, int(rng.integers(3, 12))) for _ in range(60)]
+        corpus += [rng.integers(0, 9, (int(rng.integers(3, 9)), 2)) / 2 for _ in range(150)]
+        corpus += [_near_touch(rng, int(rng.integers(4, 11)), 1 + (-1) ** c * 1e-3)
+                   for c in range(120)]
+        seen = set()
+        for points in corpus:
+            ref = _validation_outcome(reference_validate, points)
+            assert _validation_outcome(validate_polygon, points) == ref, points.tolist()
+            if ref[0] is SelfIntersecting:
+                seen.add(ref[1].split()[-1])
+            else:
+                seen.add(ref[0].__name__ if isinstance(ref[0], type) else "valid")
+        assert seen == {"cross", "touch", "DegenerateEdge", "ZeroArea", "valid"}
+
+    @pytest.mark.parametrize("factor, message", [(1 - 1e-3, "edges 0 and 2 touch"),
+                                                 (1 + 1e-3, None)])
+    def test_vertex_at_tol_from_edge(self, factor, message):
+        tol = geometry.TOL_SCALE * math.hypot(2, 2)
+        points = [(0, 0), (2, 0), (2, 2), (1, tol * factor), (0, 2)]
+        if message is None:
+            assert validate_polygon(points).n == 5
+        else:
+            with pytest.raises(SelfIntersecting, match=message):
+                validate_polygon(points)
+
+    @pytest.mark.parametrize("points", [
+        SQUARE, L_SHAPE, RECT_1x10, TRIANGLE, COMB, SPIRAL, NOTCH, SLIT, L_COLLINEAR,
+        [(0, 0), (1, 0), (0, 1)], [(0, 0), (7, 0), (7, 7), (0, 7)],
+        [(0, 0), (10, 0), (10, 0.08), (0, 0.08)], [(0, 0), (10, 0), (10, 0.04), (0, 0.04)],
+    ], ids=["square", "l", "rect", "triangle", "comb", "spiral", "notch", "slit", "l_collinear",
+            "right_triangle", "square7", "thin", "thinner"])
+    def test_feature_size_bit_equal_on_named_polygons(self, points):
+        poly = validate_polygon(points)
+        assert poly.min_feature_size == reference_min_feature_size(poly)
+
+    def test_feature_size_bit_equal_on_workload_polygons(self):
+        for pts in _relabellings(L_SHAPE) + _relabellings(SQUARE):
+            assert validate_polygon(pts).min_feature_size == 1.0, pts
+        poly = validate_polygon([(0, 0), (1, 0), (0.5, 0.866)])
+        assert poly.min_feature_size == reference_min_feature_size(poly)
+
+    def test_feature_size_near_oracle(self):
+        """Off the named polygons f may move by a few ulps.  The roundoff of
+        a projection scales with the coordinates, not with f: on a thin
+        polygon a moved f is up to 4e-15 relative to f (1,374 random convex
+        polygons), but within 1.1e-16 of the bounding-box diagonal."""
+        rng = np.random.default_rng(31)
+        polys = [random_convex_polygon(rng, int(rng.integers(3, 13))) for _ in range(60)]
+        polys += [validate_polygon(_radial_polygon(rng, 12)) for _ in range(20)]
+        polys += [validate_polygon(_star(k)) for k in (3, 5, 8, 12, 24)]
+        for poly in polys:
+            diagonal = float(np.hypot(*np.subtract(*poly.bbox)))
+            assert abs(poly.min_feature_size - reference_min_feature_size(poly)) <= 1e-15 * diagonal
 
 
 class TestInteriorDistance:
