@@ -63,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--spacing", type=_positive, required=True,
                    help="boundary sampling arc spacing (<= min feature size / 10)")
-    p.add_argument("--prune", action="store_true",
-                   help="drop sample pairs whose interior path bends at the boundary")
 
     p = sub.add_parser("discrete-solve", help="solve one discretized game")
     _add_common(p)
@@ -154,7 +152,7 @@ def _cmd_ratio(args) -> int:
     from .ratio import max_ratio
 
     ctx = _load_ctx(args)
-    bound = max_ratio(ctx, args.spacing, prune=args.prune)
+    bound = max_ratio(ctx, args.spacing)
     doc = bound.to_document()
 
     def text(doc):

@@ -308,15 +308,18 @@ def build_game(
 
     Raises ValueError unless ``r`` and ``delta`` are zero or more and finite
     (r = 0 pins the pursuer in place).  ``samples`` may carry a precomputed
-    SampleSet (from gamma_sample with the same gamma) so parameter sweeps can
-    share the sampling work; ``e_h`` may likewise carry ``escaper_moves`` of
-    those samples at this delta, which does not depend on r.
+    SampleSet (from gamma_sample with the same gamma; ValueError otherwise)
+    so parameter sweeps can share the sampling work; ``e_h`` may likewise
+    carry ``escaper_moves`` of those samples at this delta, which does not
+    depend on r.
     """
     if not (0 <= r < math.inf and 0 <= delta < math.inf):
         raise ValueError(f"r and delta must be zero or more and finite, got {r}, {delta}")
     poly = ctx.polygon
     if samples is None:
         samples = gamma_sample(ctx, gamma)
+    elif samples.gamma != gamma:
+        raise ValueError(f"samples are a net at gamma {samples.gamma}, the game needs {gamma}")
     n_h = samples.n_escaper
     n_z = samples.n_pursuer
     check_state_cap(n_h, n_z, state_cap)

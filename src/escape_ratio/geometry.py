@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -56,6 +57,10 @@ def _as_point_array(points) -> np.ndarray:
         raise InvalidCoordinates(f"polygon coordinates must be numbers ({exc})") from None
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise TooFewVertices("expected a sequence of (x, y) pairs")
+    # the float cast also reads booleans and numeric strings
+    if any(isinstance(c, bool) or not isinstance(c, numbers.Real)
+           for c in np.asarray(points, dtype=object).flat):
+        raise InvalidCoordinates("polygon coordinates must be numbers, not booleans or strings")
     if not np.all(np.isfinite(arr)):
         raise InvalidCoordinates("polygon coordinates must be finite")
     return arr

@@ -291,11 +291,7 @@ def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float):
     return tp, tq, best, requested, len(used), len(memo), batches
 
 
-def max_ratio(
-    ctx: MetricContext,
-    spacing: float,
-    prune: bool = False,
-) -> RatioBound:
+def max_ratio(ctx: MetricContext, spacing: float) -> RatioBound:
     """Sample boundary pairs, refine the best one, and build the sandwich.
 
     The sample pairs are evaluated by branch and bound (``_branch_and_bound``
@@ -303,10 +299,6 @@ def max_ratio(
     left can reach the best ratio, then in descending bound order on the
     inflation term until none can exceed max(inflated, best ratio).  The
     result is that of evaluating every pair, to the bit.
-
-    ``prune`` drops pairs whose interior shortest path touches the boundary
-    strictly between the endpoints (valid when the exit set is the whole
-    boundary: some maximizing pair always has a direct path).
     """
     poly = ctx.polygon
     if not 0 < spacing < math.inf:
@@ -332,9 +324,6 @@ def max_ratio(
         dh = _pairwise_dh(ctx, pts[ends], a, b)
         dz = _pairwise_dz(ctx, params[ends], pts[ends], a, b)
         valid = dh > poly.tol
-        if prune and not poly.is_convex:
-            chord = np.hypot(*(pts[j] - pts[i]).T)
-            valid &= np.abs(chord - dh) <= 10 * poly.tol
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(valid, dz / np.maximum(dh, poly.tol), -np.inf)
             inflated = np.where(valid & (dh >= floor), (dz + spacing) / (dh - spacing), -np.inf)

@@ -144,7 +144,6 @@ def approximate_r_star(
     epsilon: float,
     budget: float = 5e7,
     override: Optional[tuple] = None,
-    max_probes: int = 32,
 ) -> ApproxResult:
     """Bracket r* by bisection over [1, R_up] using the discrete decider.
 
@@ -152,8 +151,9 @@ def approximate_r_star(
     and a gamma < min{1/4, r/2, eps*r/2} * delta (ValueError otherwise); if
     its state count exceeds ``budget`` the ``override`` (delta, gamma) floor
     is substituted and the result is flagged heuristic.  BudgetExceeded
-    propagates when even the override is too large.  The search stops once r_hi/r_lo <= (1+eps)^2/(1-eps), the slack at which
-    further probes cannot tighten the certified interval.
+    propagates when even the override is too large.  The search stops once
+    r_hi/r_lo <= (1+eps)^2/(1-eps), the slack at which further probes cannot
+    tighten the certified interval, or after 32 probes.
     """
     if not (0.0 < epsilon <= 1.0):
         raise ValueError("epsilon must lie in (0, 1]")
@@ -173,17 +173,16 @@ def approximate_r_star(
         slack = math.inf
 
     def decide(r: float, delta: float, gamma: float) -> ProbeRecord:
-        key = round(gamma, 15)
-        if key not in sample_cache:
-            sample_cache[key] = gamma_sample(ctx, gamma)
-        samples = sample_cache[key]
-        if (key, delta) not in moves_cache:
+        if gamma not in sample_cache:
+            sample_cache[gamma] = gamma_sample(ctx, gamma)
+        samples = sample_cache[gamma]
+        if (gamma, delta) not in moves_cache:
             # refuse an over-budget game before building its relation
             check_state_cap(samples.n_escaper, samples.n_pursuer, budget)
             moves_cache.clear()
-            moves_cache[key, delta] = escaper_moves(ctx, samples, delta)
+            moves_cache[gamma, delta] = escaper_moves(ctx, samples, delta)
         return decide_r(
-            ctx, r, delta, gamma, budget, samples=samples, e_h=moves_cache[key, delta]
+            ctx, r, delta, gamma, budget, samples=samples, e_h=moves_cache[gamma, delta]
         )
 
     def run_probe(r: float) -> ProbeRecord:
@@ -202,7 +201,7 @@ def approximate_r_star(
         heuristic = True
         return decide(r, *override)
 
-    while r_hi / r_lo > slack and len(probes) < max_probes:
+    while r_hi / r_lo > slack and len(probes) < 32:
         r = math.sqrt(r_lo * r_hi)
         rec = run_probe(r)
         probes.append(rec)

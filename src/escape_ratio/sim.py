@@ -11,6 +11,13 @@ Strategies are stateful objects queried monotonically in time; the engine
 resets them at the start of every playthrough, so a strategy instance can be
 reused across runs.
 
+A domain is five methods: ``escaper_contains(p, tol)`` and
+``pursuer_contains(p, tol)`` test membership of the two domains,
+``escaper_distance(p, q)`` and ``pursuer_distance(p, q)`` measure a step in
+each, and ``scale()`` sizes the engine's tolerance.  The escaper wins at the
+boundary, where the two domains meet, so an escaper position is an exit
+exactly when ``pursuer_contains`` accepts it too.
+
 The analytic domains (disk, halfplane, wedge) and strategies work on the two
 coordinates as Python floats, since a step handles single 2-vectors; a view's
 ``last`` hands the newest point over as an (x, y) float tuple.  Tolerance
@@ -33,7 +40,7 @@ import numpy as np
 
 from .errors import DomainViolation, SpeedViolation
 from .exact import halfplane_pursuer_position, wedge_pursuer_position
-from .geometry import MetricContext, PursuerModel
+from .geometry import MetricContext, PursuerModel, point_in_convex_hull
 
 # ---------------------------------------------------------------------------
 # domains
@@ -49,9 +56,6 @@ class DiskDomain:
         return math.hypot(p[0], p[1]) <= 1.0 + tol
 
     def pursuer_contains(self, p, tol):
-        return abs(math.hypot(p[0], p[1]) - 1.0) <= tol
-
-    def on_exit(self, p, tol):
         return abs(math.hypot(p[0], p[1]) - 1.0) <= tol
 
     def escaper_distance(self, p, q):
@@ -94,9 +98,6 @@ class HalfplaneDomain:
     def pursuer_contains(self, p, tol):
         return abs(self._offset(p)) <= tol
 
-    def on_exit(self, p, tol):
-        return abs(self._offset(p)) <= tol
-
     def escaper_distance(self, p, q):
         return math.hypot(q[0] - p[0], q[1] - p[1])  # speed checks only
 
@@ -133,9 +134,6 @@ class WedgeDomain:
             return False
         return abs(abs(y) - x * self._tan) <= tol * (1 + x)
 
-    def on_exit(self, p, tol):
-        return self.pursuer_contains(p, tol)
-
     def escaper_distance(self, p, q):
         return math.hypot(q[0] - p[0], q[1] - p[1])  # speed checks only
 
@@ -147,7 +145,8 @@ class WedgeDomain:
 
 
 class PolygonDomain:
-    """Polygon escaper domain backed by a MetricContext."""
+    """Polygon escaper domain backed by a MetricContext.  Its predicates run
+    the metrics' own domain tests, with the polygon's tol."""
 
     name = "polygon"
 
@@ -159,12 +158,10 @@ class PolygonDomain:
 
     def pursuer_contains(self, p, tol):
         poly = self.ctx.polygon
+        where = poly.classify(p)
         if self.ctx.model is PursuerModel.MOAT:
-            return poly.distance_to_boundary(p) <= tol
-        return poly.classify(p) != "inside"
-
-    def on_exit(self, p, tol):
-        return self.ctx.polygon.distance_to_boundary(p) <= tol
+            return where == "boundary"
+        return where != "inside" and bool(point_in_convex_hull(self.ctx.hull, p, poly.tol))
 
     def escaper_distance(self, p, q):
         return self.ctx.interior_distance(p, q)
@@ -288,16 +285,15 @@ class Strategy:
 class StraightRunEscaper(Strategy):
     """Runs at full speed through a fixed sequence of waypoints, then holds."""
 
-    def __init__(self, waypoints, speed: float = 1.0):
+    def __init__(self, waypoints):
         pts = [np.asarray(w, dtype=float) for w in waypoints]
         self.start_point = pts[0]
-        self.max_speed = float(speed)
         self._legs = []
         t0 = 0.0
         for a, b in zip(pts[:-1], pts[1:]):
             L = float(np.hypot(*(b - a)))
-            self._legs.append((t0, t0 + L / speed, a, b))
-            t0 += L / speed
+            self._legs.append((t0, t0 + L, a, b))
+            t0 += L
         self._t_end = t0
         self._final = pts[-1]
 
@@ -459,10 +455,12 @@ def playthrough(
 ) -> Playthrough:
     """Run the alternating dt-grid game until escape or t_max.
 
-    Escape fires at the first grid time the escaper is on an exit with
-    pursuer-metric separation >= epsilon.  SpeedViolation/DomainViolation are
-    raised when a strategy breaks its contract (tolerance tol absorbs
-    roundoff).
+    Escape fires at the first grid time the escaper is on an exit (a point of
+    its domain that ``pursuer_contains`` accepts) with pursuer-metric
+    separation >= epsilon.  Each new position is checked before it is
+    measured: DomainViolation when a start or a step leaves the mover's
+    domain, then SpeedViolation when a step is longer than max_speed * dt in
+    the mover's metric (tolerance tol absorbs roundoff in both).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -502,10 +500,11 @@ def playthrough(
     escaper_position, pursuer_position = escaper.position, pursuer.position
     escaper_distance, pursuer_distance = domain.escaper_distance, domain.pursuer_distance
     escaper_contains, pursuer_contains = domain.escaper_contains, domain.pursuer_contains
-    on_exit = domain.on_exit
 
     def check_escape(h, z, t):
-        if on_exit(h, tol):
+        # h was accepted by escaper_contains: it is an exit iff it is also
+        # in the pursuer's domain
+        if pursuer_contains(h, tol):
             sep = pursuer_distance(h, z)
             touches.append((t, sep))
             if sep >= epsilon:
@@ -521,25 +520,25 @@ def playthrough(
             esc_view._len, esc_view._last = k + 1, z
             x, y = escaper_position(esc_view, t_next)
             h_next = (float(x), float(y))
+            if not escaper_contains(h_next, tol):
+                raise DomainViolation(f"escaper left its domain at t={t_next:.4g}")
             step_h = escaper_distance(h, h_next)
             if step_h > step_h_max:
                 raise SpeedViolation(
                     f"escaper moved {step_h:.3g} in dt={dt:.3g} at t={t_next:.4g}"
                 )
-            if not escaper_contains(h_next, tol):
-                raise DomainViolation(f"escaper left its domain at t={t_next:.4g}")
             h = h_next
             h_pts[k + 1, 0], h_pts[k + 1, 1] = h
             purs_view._len, purs_view._last = k + 2, h
             x, y = pursuer_position(purs_view, t_next)
             z_next = (float(x), float(y))
+            if not pursuer_contains(z_next, tol):
+                raise DomainViolation(f"pursuer left its domain at t={t_next:.4g}")
             step_z = pursuer_distance(z, z_next)
             if step_z > step_z_max:
                 raise SpeedViolation(
                     f"pursuer moved {step_z:.3g} > r*dt={s_z * dt:.3g} at t={t_next:.4g}"
                 )
-            if not pursuer_contains(z_next, tol):
-                raise DomainViolation(f"pursuer left its domain at t={t_next:.4g}")
             z = z_next
             z_pts[k + 1, 0], z_pts[k + 1, 1] = z
             k_end = k + 1
@@ -622,19 +621,22 @@ def validate_speed(path: MotionPath, domain, pairs: int = 200, seed: int = 0) ->
 # ---------------------------------------------------------------------------
 
 
-def _downsample(points: np.ndarray, limit: int = 400) -> np.ndarray:
-    if len(points) <= limit:
+def _downsample(points: np.ndarray) -> np.ndarray:
+    """At most 400 of ``points``, evenly spaced, keeping both ends."""
+    if len(points) <= 400:
         return points
-    idx = np.linspace(0, len(points) - 1, limit).round().astype(int)
+    idx = np.linspace(0, len(points) - 1, 400).round().astype(int)
     return points[idx]
 
 
-def emit_svg(pt: Playthrough, domain, size: int = 480) -> str:
-    """Render the domain, both trajectories and the outcome annotation as SVG.
+def emit_svg(pt: Playthrough, domain) -> str:
+    """Render the domain, both trajectories and the outcome annotation as a
+    480 x 480 SVG.
 
     Trajectories are polylines stroked with time-gradient colors; a degenerate
     (single-point) trajectory becomes a small square marker instead.
     """
+    size = 480
     pts = np.vstack([pt.escaper_path.points, pt.pursuer_path.points])
     if isinstance(domain, DiskDomain):
         lo = np.array([-1.1, -1.1])

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -190,23 +189,15 @@ def reference_min_feature_size(poly):
     return float(best)
 
 
-@functools.lru_cache(maxsize=1)  # both prune values reuse one evaluation
-def _all_pair_metrics(ctx, spacing):
-    params, pts = ratio.boundary_samples(ctx, spacing)
-    iu, ju = np.triu_indices(len(params), k=1)
-    return (params, pts, iu, ju, ratio._pairwise_dh(ctx, pts, iu, ju),
-            ratio._pairwise_dz(ctx, params, pts, iu, ju))
-
-
-def all_pairs_max_ratio(ctx, spacing, prune=False):
+def all_pairs_max_ratio(ctx, spacing):
     """``max_ratio`` with every sample pair evaluated exactly: the all-pairs
     argmax and inflation that its branch and bound replaced, as its oracle."""
     poly = ctx.polygon
-    params, pts, iu, ju, dh_u, dz_u = _all_pair_metrics(ctx, spacing)
+    params, pts = ratio.boundary_samples(ctx, spacing)
+    iu, ju = np.triu_indices(len(params), k=1)
+    dh_u = ratio._pairwise_dh(ctx, pts, iu, ju)
+    dz_u = ratio._pairwise_dz(ctx, params, pts, iu, ju)
     valid = dh_u > poly.tol
-    if prune and not poly.is_convex:
-        chord = np.hypot(*(pts[ju] - pts[iu]).T)
-        valid &= np.abs(chord - dh_u) <= 10 * poly.tol
     ratios = np.where(valid, dz_u / np.maximum(dh_u, poly.tol), -np.inf)
     k = int(np.argmax(ratios))  # ties: smallest (i, j) in lexicographic order
     tp, tq, refined, *_ = ratio._refine_pair(ctx, float(params[iu[k]]), float(params[ju[k]]),

@@ -80,8 +80,9 @@ class TestRatio:
 
     @pytest.mark.parametrize("body", [
         "[[0,0],[1,0],[NaN,1]]", "[[0,0],[1,0],[Infinity,1]]", '[[0,0],[1,0],["a",1]]',
-        "[[0,0],[1,0],[1,1,1]]", '{"a":1}',
-    ], ids=["nan", "infinity", "string", "ragged", "object"])
+        "[[0,0],[1,0],[1,1,1]]", '{"a":1}', '[[0,0],[1,0],[1,"1"],[0,1]]',
+        "[[false,false],[2,0],[2,2],[false,true]]",
+    ], ids=["nan", "infinity", "string", "ragged", "object", "numeric-string", "boolean"])
     def test_malformed_coordinates_exit_2(self, capsys, tmp_path, body):
         bad = tmp_path / "bad.json"
         bad.write_text(body)
@@ -334,10 +335,11 @@ class TestNumericFlags:
         ([*COMMANDS["ratio"], "--polygon", "p.json", "--seed", "3"], "--seed"),
         ([*COMMANDS["approximate"], "--polygon", "p.json", "--seed", "3"], "--seed"),
         ([*COMMANDS["simulate"], "--seed", "3"], "--seed"),
+        ([*COMMANDS["ratio"], "--polygon", "p.json", "--prune"], "--prune"),
     ])
     def test_flag_the_command_does_not_read_exits_2(self, capsys, argv, flag):
         # only discrete-solve reads --seed (for --verify-net); exact reads
-        # no polygon
+        # no polygon; ratio has no --prune
         assert run(argv) == 2
         assert flag in capsys.readouterr().err
 

@@ -330,6 +330,12 @@ class TestBuildGame:
             build_game(square_moat, r=3.0, delta=0.5, gamma=0.1, state_cap=1e10,
                        samples=s, e_h=e_h[:-1, :-1])
 
+    def test_samples_must_match_gamma(self, square_moat):
+        s = gamma_sample(square_moat, 0.1)
+        for gamma in (0.2, float(np.nextafter(0.1, 1.0))):
+            with pytest.raises(ValueError, match="gamma"):
+                build_game(square_moat, r=3.0, delta=0.5, gamma=gamma, state_cap=1e10, samples=s)
+
     def test_state_cap(self, square_moat):
         with pytest.raises(BudgetExceeded):
             build_game(square_moat, r=4.0, delta=0.5, gamma=0.1, state_cap=1e3)

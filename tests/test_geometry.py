@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from escape_ratio import discrete, geometry
 from escape_ratio.errors import (
     DegenerateEdge,
+    InvalidCoordinates,
     OutsideDomain,
     SelfIntersecting,
     TooFewVertices,
@@ -109,6 +110,25 @@ class TestValidate:
     def test_vertex_on_nonadjacent_edge(self):
         with pytest.raises(SelfIntersecting):
             validate_polygon([(0, 0), (2, 0), (2, 2), (1, 0), (0, 2)])
+
+    @pytest.mark.parametrize("points", [
+        [[0, 0], [1, 0], [1, "1"], [0, 1]],
+        [[False, False], [2, 0], [2, 2], [False, True]],
+        [[0, 0], [1, 0], [1, 1.0], [0, True]],
+        np.array(SQUARE, dtype=bool),
+        np.array(SQUARE).astype(str),
+    ], ids=["numeric-string", "booleans", "one-boolean", "bool-array", "str-array"])
+    def test_booleans_and_strings_rejected(self, points):
+        # a float cast would read these as numbers
+        with pytest.raises(InvalidCoordinates, match="booleans or strings"):
+            validate_polygon(points)
+
+    @pytest.mark.parametrize("points", [
+        np.array(SQUARE, dtype=np.int32), np.array(SQUARE, dtype=np.float32),
+        [np.array([0.0, 0.0]), (1, 0), [np.int64(1), 1], (0.0, np.float32(1))],
+    ], ids=["int32-array", "float32-array", "mixed-rows"])
+    def test_numpy_numbers_accepted(self, points):
+        assert validate_polygon(points).vertices.tolist() == [[0, 0], [1, 0], [1, 1], [0, 1]]
 
 
 class TestTriangulate:

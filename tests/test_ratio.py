@@ -159,28 +159,23 @@ class TestMaxRatio:
             bound = max_ratio(ctx, s)
             assert bound.upper_estimate / bound.lower_certified >= UPPER_FACTOR - 1e-9
 
-    def test_prune_keeps_square_maximum(self, square_moat):
-        pruned = max_ratio(square_moat, 0.05, prune=True)
-        plain = max_ratio(square_moat, 0.05)
-        assert pruned.lower_certified == pytest.approx(plain.lower_certified)
-
 
 @pytest.mark.parametrize(
     "points,model,lower,upper",
     [
         (L_SHAPE, "moat", 3.1622776601683795, 39.253524465491196),
         (L_SHAPE, "exterior", 3.1622776601683795, 39.253524465491196),
-        (COMB, "moat", 6.0, 69.40929040808048),
-        (COMB, "exterior", 5.618033988749895, 65.02714333355574),
     ],
 )
 def test_prune_keeps_nonconvex_maximum(points, model, lower, upper):
-    # prune runs only on nonconvex polygons, where it drops the pairs whose
-    # interior path bends; a maximizing pair has a direct path
+    # the branch and bound prunes pairs by their arc/chord bound alone, with
+    # no test of whether the interior path bends; on the L-shape the maximum
+    # it keeps is a pair that sees the other directly
     ctx = MetricContext(validate_polygon(points), PursuerModel(model))
-    for prune in (True, False):
-        bound = max_ratio(ctx, 0.1, prune=prune)
-        assert (bound.lower_certified, bound.upper_estimate) == (lower, upper)
+    bound = max_ratio(ctx, 0.1)
+    assert (bound.lower_certified, bound.upper_estimate) == (lower, upper)
+    p, q = bound.witness_p, bound.witness_q
+    assert ctx.interior_distance(p, q) == pytest.approx(math.dist(p, q), rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -192,6 +187,8 @@ def test_prune_keeps_nonconvex_maximum(points, model, lower, upper):
         (L_SHAPE, 0.1, "exterior", 3.1622776601683795, 39.253524465491196),
         (COMB, 0.2, "moat", 6.0, 73.87086095772752),
         (COMB, 0.2, "exterior", 5.618033988749895, 69.2452612679514),
+        (COMB, 0.1, "moat", 6.0, 69.40929040808048),
+        (COMB, 0.1, "exterior", 5.618033988749895, 65.02714333355574),
     ],
 )
 def test_sandwich_values_are_pinned(points, spacing, model, lower, upper):
@@ -237,11 +234,10 @@ class TestBranchAndBound:
     def test_matches_all_pairs(self, points, spacing, model, monkeypatch):
         # a first batch of one pair makes the search stop in later batches
         ctx = MetricContext(validate_polygon(points), model)
-        for prune in (False, True):
-            ref = _bits(all_pairs_max_ratio(ctx, spacing, prune))
-            for first in (ratio._BOUND_BATCH, 1):
-                monkeypatch.setattr(ratio, "_BOUND_BATCH", first)
-                assert _bits(max_ratio(ctx, spacing, prune=prune)) == ref, (prune, first)
+        ref = _bits(all_pairs_max_ratio(ctx, spacing))
+        for first in (ratio._BOUND_BATCH, 1):
+            monkeypatch.setattr(ratio, "_BOUND_BATCH", first)
+            assert _bits(max_ratio(ctx, spacing)) == ref, first
 
     @pytest.mark.parametrize("points,spacing,model", _BOUND_CASES)
     def test_bounds_hold_on_every_pair(self, points, spacing, model):

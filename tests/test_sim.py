@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from escape_ratio.errors import DomainViolation, SpeedViolation
+from escape_ratio.errors import DomainViolation, OutsideDomain, SpeedViolation
 from escape_ratio.exact import AploParams, DiskAploEscaper, aplo_position, disk_strategies
+from escape_ratio.geometry import MetricContext, PursuerModel
 from escape_ratio.sim import (
     DiskDomain,
     HalfplaneDomain,
@@ -631,3 +632,64 @@ class TestViewContract:
         view = PathView(np.zeros(3), np.ones((3, 2)), 0)
         with pytest.raises(IndexError):
             view.last
+
+
+class _Walker(Strategy):
+    """Holds at ``a`` until t = 0.05, then runs at unit speed towards ``b``."""
+
+    def __init__(self, a, b):
+        self.start_point = np.asarray(a, dtype=float)
+        self._b = np.asarray(b, dtype=float)
+
+    def position(self, opp, t):
+        d = self._b - self.start_point
+        w = min(1.0, max(0.0, t - 0.05) / float(np.hypot(*d)))
+        return self.start_point + w * d
+
+
+class TestPolygonDomain:
+    @pytest.mark.parametrize("model,escaper,pursuer,who", [
+        # the escaper crosses the bottom edge
+        ("moat", _Walker((0.5, 0.5), (0.5, -0.5)), _CampingPursuer(), "escaper"),
+        # a moat pursuer steps off the boundary into the square
+        ("moat", StraightRunEscaper([(0.5, 0.5)]), _Walker((0.5, 0.0), (0.5, 0.5)), "pursuer"),
+        # an exterior pursuer steps out of the hull (the square itself)
+        ("exterior", StraightRunEscaper([(0.5, 0.5)]), _Walker((0.5, 0.0), (0.5, -0.5)),
+         "pursuer"),
+    ], ids=["escaper-out", "moat-pursuer-in", "exterior-pursuer-beyond-hull"])
+    def test_leaving_raises_domain_violation(self, square, model, escaper, pursuer, who):
+        # containment is checked before the step is measured, so the metric's
+        # own OutsideDomain never preempts the contract error
+        domain = PolygonDomain(MetricContext(square, PursuerModel(model)))
+        with pytest.raises(DomainViolation, match=f"{who} left its domain"):
+            playthrough(escaper, pursuer, dt=0.01, t_max=1.0, epsilon=10.0, domain=domain)
+
+    @pytest.mark.parametrize("model", list(PursuerModel))
+    def test_pursuer_contains_matches_metric(self, l_shape, model):
+        # a grid around the L-shape, plus points just within and just beyond
+        # tol of each edge's midpoint and of each vertex
+        ctx = MetricContext(l_shape, model)
+        domain = PolygonDomain(ctx)
+        poly = ctx.polygon
+        tol = 1e-9 * max(1.0, domain.scale())
+        xs = np.linspace(-0.5, 2.5, 25)
+        pts = [np.array((x, y)) for x in xs for y in xs]
+        mids = poly.vertices + poly._edge_vecs / 2
+        normals = np.column_stack([poly._edge_vecs[:, 1], -poly._edge_vecs[:, 0]])
+        normals /= np.hypot(*normals.T)[:, None]
+        for base in (*mids, *poly.vertices):
+            for nrm in normals:
+                for k in (-1.001, -0.999, 0.999, 1.001):
+                    pts.append(base + k * poly.tol * nrm)
+        anchor = poly.vertices[0]
+        verdicts = set()
+        for p in pts:
+            accepted = domain.pursuer_contains(p, tol)
+            try:
+                ctx.pursuer_distance(p, anchor)
+                measured = True
+            except OutsideDomain:
+                measured = False
+            assert accepted == measured, p
+            verdicts.add(accepted)
+        assert verdicts == {True, False}
