@@ -18,13 +18,16 @@ which folds the pursuer-turn layer into one step.  Sweeps are Jacobi steps
 marked it.  Evaluation is semi-naive: a sweep re-evaluates a move h->h' only
 when row h' of W changed in the sweep before, since the move's contribution
 depends on W[h'] and the threat row of h alone; this skips work without
-changing any rank or the sweep count.  The selected moves are evaluated in
-blocks, and a move's contribution depends only on its covered row
-W[h'] | P[h], so each block evaluates one move per distinct covered row:
-moat-model games count bad replies in circular windows through prefix sums
-(the pursuer's move set is an arc interval); other games use a dense
-float32 matrix product.  The marking is order-independent, so the result is
-deterministic.
+changing any rank or the sweep count.  A move's contribution depends only
+on its covered row W[h'] | P[h], so each sweep evaluates one move per
+distinct covered row.  The distinct rows of P are numbered once per solve
+and those of W once per sweep; the pair of numbers keys each selected move
+exactly, and an int32 table of n_p * n_w entries (distinct P rows times
+distinct W rows) maps each key to its evaluated row.  The keys' covered
+rows are evaluated in blocks: moat-model games count bad replies in
+circular windows through prefix sums (the pursuer's move set is an arc
+interval); other games use a dense float32 matrix product.  The marking is
+order-independent, so the result is deterministic.
 """
 
 from __future__ import annotations
@@ -51,10 +54,11 @@ from .ratio import boundary_samples
 
 logger = logging.getLogger(__name__)
 
-# Solver block size: a block holds this many packed words of covered rows
-# (pairs x words per row), and its distinct rows are evaluated in chunks of
-# this many (rows x n_z) bools.  The working set stays near 1 MB: the window
-# path's int32 prefix counts over one chunk.
+# Solver block size: a block of (h, h') pairs or of distinct row keys holds
+# this many packed words of rows (pairs or keys x words per row), and the
+# distinct rows are evaluated in chunks of this many (rows x n_z) bools.  The
+# working set stays near 1 MB: the window path's int32 prefix counts over
+# one chunk.
 _BLOCK_ELEMENTS = 2**16
 
 
@@ -220,13 +224,13 @@ def _nearest_intrinsic(metric, tree, pts, p) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _threshold_distances(poly, pts, limit, interior) -> csr_matrix:
-    """Bool CSR move relation: intrinsic distance <= limit (+ tol), true diagonal.
+def _threshold_distances(poly, pts, limit, interior):
+    """Pairs (i, j), i < j, of the move relation: intrinsic distance <= limit (+ tol).
 
     The candidates are the KD-tree pairs within the cap of ``pair_geodesics``;
     a convex interior takes every pair within limit + tol (chords lie in it).
+    ``_csr_relation`` and ``_dense_relation`` turn the pairs into a relation.
     """
-    m = len(pts)
     tol = poly.tol
     chords = interior and poly.is_convex
     cap = limit + tol if chords else limit * (1 + 1e-12) + tol
@@ -234,9 +238,31 @@ def _threshold_distances(poly, pts, limit, interior) -> csr_matrix:
     if not chords:
         keep = pair_geodesics(poly, pts, i, j, interior, limit) <= limit + tol
         i, j = i[keep], j[keep]
-    rows = np.concatenate([i, j, np.arange(m)])
-    cols = np.concatenate([j, i, np.arange(m)])
-    return csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=(m, m))
+    return i, j
+
+
+def _csr_relation(i, j, m: int) -> csr_matrix:
+    """Bool CSR relation on m vertices: the pairs both ways plus the diagonal.
+
+    Built from the sorted keys row * m + col, so each row's indices are
+    sorted (``SolveResult.escaper_move`` walks them in that order).
+    """
+    key = np.concatenate([i * m + j, j * m + i, np.arange(m) * (m + 1)])
+    key.sort()
+    rows, cols = np.divmod(key, m)
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+    return csr_matrix((np.ones(len(key), dtype=bool), cols.astype(np.int32), indptr),
+                      shape=(m, m))
+
+
+def _dense_relation(i, j, m: int) -> np.ndarray:
+    """Dense bool relation on m vertices: the pairs both ways plus the diagonal."""
+    e = np.zeros((m, m), dtype=bool)
+    e[i, j] = True
+    e[j, i] = True
+    np.fill_diagonal(e, True)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +276,8 @@ class DiscreteGame:
 
     ``e_h`` is CSR boolean over escaper samples (d_h <= delta, self-loops
     included); ``e_z`` is dense boolean over pursuer samples (d_z <= r*delta).
-    ``_threshold_distances`` builds both, except the moat model's arc ``e_z``.
+    ``_threshold_distances`` finds the pairs of both, except the moat model's
+    arc ``e_z``.
     ``z_windows`` holds ``(lo, hi)`` when the pursuer move set is a circular
     interval (moat model): per-sample doubled-index arc windows.
     """
@@ -292,7 +319,9 @@ def check_state_cap(n_h: int, n_z: int, state_cap: float) -> None:
 
 def escaper_moves(ctx: MetricContext, samples: SampleSet, delta: float) -> csr_matrix:
     """The escaper move relation ``e_h`` that ``build_game`` uses: d_h <= delta."""
-    return _threshold_distances(ctx.polygon, samples.escaper_samples, delta, interior=True)
+    pts = samples.escaper_samples
+    i, j = _threshold_distances(ctx.polygon, pts, delta, interior=True)
+    return _csr_relation(i, j, len(pts))
 
 
 def build_game(
@@ -336,7 +365,8 @@ def build_game(
         e_z = poly.arc_distance(t[:, None], t[None, :]) <= reach + tol
         z_windows = _arc_windows(t, poly.perimeter, reach + tol)
     else:
-        e_z = _threshold_distances(poly, samples.pursuer_samples, reach, interior=False).toarray()
+        i, j = _threshold_distances(poly, samples.pursuer_samples, reach, interior=False)
+        e_z = _dense_relation(i, j, n_z)
     return DiscreteGame(
         samples=samples, e_h=e_h, e_z=e_z, r=float(r),
         delta=float(delta), z_windows=z_windows,
@@ -487,15 +517,13 @@ def solve(game: DiscreteGame) -> SolveResult:
     skipping it changes neither ``rank`` nor ``iterations``.  In the first
     sweep W is empty, so every move of h contributes what staying at h does
     (``e_h`` holds every self-loop) and only the pairs (h, h) are evaluated.
-    Selected pairs are taken in CSR order, hence grouped by h, and processed
-    in blocks of a bounded number of packed words.  A pair's contribution is
-    ``good = no reply z' with bad[z']`` where ``bad = ~(W[h'] | P[h])``, so
-    it depends only on the covered row ``W[h'] | P[h]``: each block groups
-    its pairs by that row (compared exactly, as packed bit words), evaluates
-    one pair per distinct row, in dense chunks of bounded size, and scatters
-    the result back to every pair of the group.
-    Each sweep logs one DEBUG line with its pairs evaluated, the distinct
-    covered rows (summed over blocks) and the states newly marked.
+    A pair's contribution is ``good = no reply z' with bad[z']`` where
+    ``bad = ~(W[h'] | P[h])``, so it depends only on the covered row
+    ``W[h'] | P[h]``, and ``_sweep`` evaluates each distinct covered row of
+    a sweep once: it keys each pair by the distinct rows of P (grouped once
+    per solve) and of W (once per sweep) that it reads, in a table of
+    n_p * n_w entries.  Each sweep logs one DEBUG line with its pairs
+    evaluated, its distinct covered rows and the states newly marked.
 
     Always terminates: marking is monotone over the finite state lattice.
     The overall winner quantifies over placements: the escaper wins iff some
@@ -510,14 +538,28 @@ def solve(game: DiscreteGame) -> SolveResult:
     degree = np.diff(game.e_h.indptr)
     row_of = np.repeat(np.arange(n_h, dtype=indices.dtype), degree)
     P_words = _pack_rows(P)
+    pid, p_reps = _group_rows(P_words)
+    P_rows = np.take(P_words, p_reps, axis=0)
+    pid = pid.astype(np.int32)
     windows = game.z_windows
     if windows is not None:
         lo, hi = windows
     else:
         ez = game.e_z.astype(np.float32)
-    n_words = P_words.shape[1]
-    block = max(1, _BLOCK_ELEMENTS // n_words)
+    block = max(1, _BLOCK_ELEMENTS // P_words.shape[1])
     chunk = max(1, _BLOCK_ELEMENTS // n_z)
+
+    def good_words(covered):
+        """Packed good rows of the covered rows, in dense chunks."""
+        good = []
+        for c0 in range(0, len(covered), chunk):
+            bad = _unpack_rows(~covered[c0 : c0 + chunk], n_z)
+            if windows is None:
+                # reply counts are integers below 2**24: exact in float32
+                good.append(_pack_rows((bad.astype(np.float32) @ ez) < 0.5))
+            else:
+                good.append(_pack_rows(_window_good(bad, lo, hi)))
+        return good
 
     iteration = 0
     changed = np.ones(n_h, dtype=bool)  # rows of W that changed last sweep
@@ -527,39 +569,8 @@ def solve(game: DiscreteGame) -> SolveResult:
         sel = np.take(changed, indices) & np.repeat(~W.all(axis=1), degree)
         if iteration == 1:
             sel &= indices == row_of  # W is empty: every move acts as staying put
-        pos = np.flatnonzero(sel)
-        h_sel = np.take(row_of, pos)
-        hp_sel = np.take(indices, pos)
-        # pairs come in CSR order, grouped by h; every block starts a new
-        # run, so a row split over two blocks is OR-ed into W_next from both
-        run_start = np.ones(len(h_sel), dtype=bool)
-        run_start[1:] = h_sel[1:] != h_sel[:-1]
-        run_start[::block] = True
-        W_words = _pack_rows(W)
-        W_next = W.copy()
-        distinct = 0
-        for b0 in range(0, len(h_sel), block):
-            hs = h_sel[b0 : b0 + block]
-            hps = hp_sel[b0 : b0 + block]
-            # a pair's contribution depends only on its covered row
-            # W[h'] | P[h]: evaluate one representative pair per distinct row
-            covered = np.take(W_words, hps, axis=0) | np.take(P_words, hs, axis=0)
-            group, reps = _group_rows(covered)
-            distinct += len(reps)
-            good = np.empty((len(reps), n_words), dtype=np.uint64)
-            for c0 in range(0, len(reps), chunk):
-                bad = _unpack_rows(~covered[reps[c0 : c0 + chunk]], n_z)
-                if windows is None:
-                    # reply counts are integers below 2**24: exact in float32
-                    good_rows = (bad.astype(np.float32) @ ez) < 0.5
-                else:
-                    good_rows = _window_good(bad, lo, hi)
-                good[c0 : c0 + chunk] = _pack_rows(good_rows)
-            # OR each run's good rows into W_next as packed words, which makes
-            # the per-pair gather and reduction 8x smaller than bools
-            starts = np.flatnonzero(run_start[b0 : b0 + block])
-            runs = np.bitwise_or.reduceat(np.take(good, group, axis=0), starts, axis=0)
-            W_next[hs[starts]] |= _unpack_rows(runs, n_z)
+        h_sel = row_of[sel]
+        W_next, distinct = _sweep(W, h_sel, indices[sel], pid, P_rows, block, good_words)
         newly = W_next & ~W
         marked = int(np.count_nonzero(newly))
         logger.debug("sweep %d: %d pairs evaluated, %d distinct rows, %d states newly marked",
@@ -584,6 +595,75 @@ def solve(game: DiscreteGame) -> SolveResult:
         witness_h0=witness,
         iterations=iteration,
     )
+
+
+def _sweep(W, h_sel, hp_sel, pid, P_rows, block, good_words):
+    """One Jacobi sweep over the pairs (h_sel[k], hp_sel[k]), in CSR order.
+
+    Returns W_next, which is W with each pair's good row OR-ed into row h,
+    and the number of distinct covered rows evaluated.  ``pid`` numbers the
+    distinct rows ``P_rows`` of P; the distinct rows of W are numbered here,
+    so the key pid[h] * n_w + wid[h'] names a pair's covered row exactly.
+    Pass 1 marks the sweep's keys in an int32 table of n_p * n_w entries and
+    has ``_evaluate_keys`` evaluate each distinct covered row once; pass 2
+    reads each pair's good row through the table.  Both passes go over the
+    pairs in blocks of ``block``, so no array holds a word row per pair.
+    """
+    n_z = W.shape[1]
+    W_words = _pack_rows(W)
+    wid, w_reps = _group_rows(W_words)
+    n_w = len(w_reps)
+    if len(P_rows) * n_w > np.iinfo(np.int32).max:
+        raise MemoryError(f"{len(P_rows)} x {n_w} distinct rows overflow the int32 row keys")
+    wid = wid.astype(np.int32)
+
+    def pair_keys(b0):
+        key = np.take(pid, h_sel[b0 : b0 + block])
+        key *= n_w
+        key += np.take(wid, hp_sel[b0 : b0 + block])
+        return key
+
+    table = np.zeros(len(P_rows) * n_w, dtype=np.int32)
+    for b0 in range(0, len(h_sel), block):
+        table[pair_keys(b0)] = 1
+    good, distinct = _evaluate_keys(table, n_w, np.take(W_words, w_reps, axis=0), P_rows,
+                                    block, good_words)
+    # pairs come in CSR order, grouped by h; every block starts a new run,
+    # so a row split over two blocks is OR-ed into W_next from both
+    run_start = np.ones(len(h_sel), dtype=bool)
+    run_start[1:] = h_sel[1:] != h_sel[:-1]
+    run_start[::block] = True
+    W_next = W.copy()
+    for b0 in range(0, len(h_sel), block):
+        # OR each run's good rows into W_next as packed words, which makes
+        # the per-pair gather and reduction 8x smaller than bools
+        rows = np.take(good, np.take(table, pair_keys(b0)), axis=0)
+        starts = np.flatnonzero(run_start[b0 : b0 + block])
+        runs = np.bitwise_or.reduceat(rows, starts, axis=0)
+        W_next[h_sel[b0 + starts]] |= _unpack_rows(runs, n_z)
+    return W_next, distinct
+
+
+def _evaluate_keys(table, n_w, W_rows, P_rows, block, good_words):
+    """Evaluate the covered row W_rows[w] | P_rows[p] of each key p * n_w + w
+    marked nonzero in ``table``, once per distinct row.
+
+    Returns the packed good rows and their count, and leaves in each marked
+    entry the index of its key's good row.  The keys are taken in blocks of
+    ``block`` rows, and each block is grouped exactly by ``_group_rows``:
+    distinct keys can still cover equal rows.
+    """
+    keys = np.flatnonzero(table != 0)  # several times faster than on int32
+    good = [np.empty((0, W_rows.shape[1]), dtype=np.uint64)]
+    distinct = 0
+    for k0 in range(0, len(keys), block):
+        p, w = np.divmod(keys[k0 : k0 + block], n_w)
+        covered = np.take(W_rows, w, axis=0) | np.take(P_rows, p, axis=0)
+        group, reps = _group_rows(covered)
+        good += good_words(covered[reps])
+        table[keys[k0 : k0 + block]] = distinct + group
+        distinct += len(reps)
+    return np.concatenate(good), distinct
 
 
 def _pack_rows(M: np.ndarray) -> np.ndarray:

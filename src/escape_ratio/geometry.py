@@ -158,12 +158,11 @@ class Polygon:
 
         Two disjoint segments are closest at an endpoint of one of them, and
         for n >= 4 every vertex off edge e ends an edge not adjacent to e.
+        ``validate_polygon`` leaves f in the cache of a counterclockwise
+        input, from the matrix it checked simplicity with.
         """
-        v, n = self.vertices, self.n
-        d2 = _edge_projections(self, v[:, 0], v[:, 1])[1]
-        k = np.arange(n)
-        d2[k, k] = d2[(k + 1) % n, k] = np.inf
-        return float(np.sqrt(d2.min()))
+        v = self.vertices
+        return _min_feature_size(_edge_projections(self, v[:, 0], v[:, 1])[1])
 
     @cached_property
     def min_interior_angle(self) -> float:
@@ -264,7 +263,8 @@ def validate_polygon(points) -> Polygon:
     )
     # segments that do not cross are closest at an endpoint of one of them,
     # so edges i and j touch when an end of one lies within tol of the other
-    near = _edge_projections(poly, v[:, 0], v[:, 1])[1] <= tol2
+    d2 = _edge_projections(poly, v[:, 0], v[:, 1])[1]
+    near = d2 <= tol2
     touch = near[i, j] | near[(i + 1) % n, j] | near[j, i] | near[(j + 1) % n, i]
     bad = np.flatnonzero(cross | touch)
     if len(bad):
@@ -276,6 +276,8 @@ def validate_polygon(points) -> Polygon:
         raise ZeroArea("polygon has (near) zero area")
     if area < 0:
         return Polygon(vertices=arr[::-1].copy(), tol=tol)
+    # the candidate is the polygon returned: its f reads the same matrix
+    object.__setattr__(poly, "min_feature_size", _min_feature_size(d2))
     return poly
 
 
@@ -435,6 +437,16 @@ def _edge_projections(poly: Polygon, x, y):
     px = v[:, 0] + t * e[:, 0] - x
     py = v[:, 1] + t * e[:, 1] - y
     return t, px * px + py * py
+
+
+def _min_feature_size(d2: np.ndarray) -> float:
+    """``Polygon.min_feature_size`` from the squared distances d2[vertex,
+    edge] of the vertices to the edges; overwrites the entries of each
+    edge's own two vertices."""
+    n = len(d2)
+    k = np.arange(n)
+    d2[k, k] = d2[(k + 1) % n, k] = np.inf
+    return float(np.sqrt(d2.min()))
 
 
 def _boundary_distance2(poly: Polygon, pts: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from escape_ratio import ratio
+from escape_ratio.discrete import SolveResult, threat_matrix
 from escape_ratio.errors import DegenerateEdge, SelfIntersecting, TooFewVertices, ZeroArea
 from escape_ratio.geometry import (
     TOL_SCALE,
@@ -223,6 +224,65 @@ def random_point_inside(rng, poly):
         p = lo + rng.random(2) * (hi - lo)
         if reference_classify(poly, p) == "inside":
             return p
+
+
+def reference_solve(game):
+    """Per-row Jacobi sweeps: every active row against all of its moves.
+
+    The exact slow path that the semi-naive keyed solver replaced:
+    ``discrete.solve`` must match it on every output.
+    """
+    n_h, n_z = game.n_h, game.n_z
+    P = threat_matrix(game)
+    W = np.zeros((n_h, n_z), dtype=bool)
+    rank = np.zeros((n_h, n_z), dtype=np.int32)
+    indptr = game.e_h.indptr
+    indices = game.e_h.indices
+    use_windows = game.z_windows is not None
+    if use_windows:
+        lo, hi = game.z_windows
+    ez_f = game.e_z.astype(np.float32)
+
+    iteration = 0
+    changed = np.ones(n_h, dtype=bool)
+    while True:
+        iteration += 1
+        U = ~W
+        R = ~P
+        W_new = W.copy()
+        active = np.asarray(game.e_h.dot(changed.astype(np.int32))).ravel() > 0
+        changed = np.zeros(n_h, dtype=bool)
+        for h in np.nonzero(active)[0]:
+            if W[h].all():
+                continue
+            rows = indices[indptr[h] : indptr[h + 1]]
+            M_bad = U[rows] & R[h][None, :]
+            if use_windows:
+                C = np.cumsum(M_bad, axis=1, dtype=np.int32)
+                total = C[:, -1][:, None]
+                lowpart = np.where(lo > 0, C[:, np.maximum(lo - 1, 0)], 0)
+                wrap = hi >= n_z
+                cnt_wrap = total - lowpart + C[:, np.where(wrap, hi - n_z, 0)]
+                cnt_flat = C[:, np.minimum(hi, n_z - 1)] - lowpart
+                good = np.where(wrap, cnt_wrap, cnt_flat) == 0
+            else:
+                good = (M_bad.astype(np.float32) @ ez_f) < 0.5
+            newly = good.any(axis=0) & ~W[h]
+            if newly.any():
+                W_new[h, newly] = True
+                rank[h, newly] = iteration
+                changed[h] = True
+        if not changed.any():
+            break
+        W = W_new
+
+    full_rows = W.all(axis=1)
+    escaper_wins = bool(full_rows.any())
+    return SolveResult(
+        game=game, escaper_wins=escaper_wins, win_mask=W, rank=rank, threat=P,
+        witness_h0=int(np.argmax(full_rows)) if escaper_wins else None,
+        iterations=iteration,
+    )
 
 
 def minimax_escaper_wins(game, h0, z0, depth=None):

@@ -4,7 +4,8 @@ Two 200-vertex stars (the second turned a quarter), four random radially
 sorted 200-vertex polygons and a 50-tooth comb whose middle gap pinches to
 tol * (1 -+ 1e-3) at its mouth.  Validation must give the oracle's
 outcome (the same exception and message, or the same vertices and tol), and
-f must lie within 1e-15 of the bounding-box diagonal of the oracle's value.
+f must lie within 1e-15 of the bounding-box diagonal of the oracle's value,
+both on the oracle's polygon and as validation leaves it.
 The tier-1 class ``TestPolygonChecksAgreement`` runs the same comparisons on
 small polygons; the oracle takes about 2 s per polygon here, so this is a
 script that pytest does not collect:
@@ -60,7 +61,8 @@ def main() -> int:
             f, t_f = timed(lambda: poly.min_feature_size)
             f_ref, t_f_ref = timed(reference_min_feature_size, poly)
             close = abs(f - f_ref) <= 1e-15 * float(np.hypot(*np.subtract(*poly.bbox)))
-            same &= close
+            # validation's own polygon too (a CCW input keeps the f it cached)
+            same &= close and validate_polygon(points).min_feature_size == f
             line += (f"; f {'bit-equal' if f == f_ref else 'close' if close else 'DIFFERENT'}"
                      f" ({t_f_ref:.3f} s -> {t_f:.4f} s)")
         else:

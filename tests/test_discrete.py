@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import logging
 import math
 import re
@@ -9,14 +10,12 @@ import pytest
 from escape_ratio import discrete
 from escape_ratio.errors import BudgetExceeded, GammaTooCoarse, InconsistentTables
 from escape_ratio.discrete import (
-    SolveResult,
     build_game,
     escaper_moves,
     escaper_win_predicate,
     gamma_sample,
     play_discrete,
     solve,
-    threat_matrix,
     toy_game,
     verify_net,
 )
@@ -31,7 +30,14 @@ from escape_ratio.geometry import (
 )
 from escape_ratio.ratio import boundary_samples
 
-from conftest import COMB, L_SHAPE, SQUARE, minimax_escaper_wins, reference_classify
+from conftest import (
+    COMB,
+    L_SHAPE,
+    SQUARE,
+    minimax_escaper_wins,
+    reference_classify,
+    reference_solve,
+)
 
 
 def _scalar_gamma_sample(ctx, gamma):
@@ -52,67 +58,8 @@ def _scalar_gamma_sample(ctx, gamma):
     return np.vstack([boundary, interior]), np.vstack([boundary, grid[keep]])
 
 
-def _reference_solve(game):
-    """Per-row Jacobi sweeps: every active row against all of its moves.
-
-    The exact slow path the semi-naive block solver replaced; ``solve`` must
-    match it on every output.
-    """
-    n_h, n_z = game.n_h, game.n_z
-    P = threat_matrix(game)
-    W = np.zeros((n_h, n_z), dtype=bool)
-    rank = np.zeros((n_h, n_z), dtype=np.int32)
-    indptr = game.e_h.indptr
-    indices = game.e_h.indices
-    use_windows = game.z_windows is not None
-    if use_windows:
-        lo, hi = game.z_windows
-    ez_f = game.e_z.astype(np.float32)
-
-    iteration = 0
-    changed = np.ones(n_h, dtype=bool)
-    while True:
-        iteration += 1
-        U = ~W
-        R = ~P
-        W_new = W.copy()
-        active = np.asarray(game.e_h.dot(changed.astype(np.int32))).ravel() > 0
-        changed = np.zeros(n_h, dtype=bool)
-        for h in np.nonzero(active)[0]:
-            if W[h].all():
-                continue
-            rows = indices[indptr[h] : indptr[h + 1]]
-            M_bad = U[rows] & R[h][None, :]
-            if use_windows:
-                C = np.cumsum(M_bad, axis=1, dtype=np.int32)
-                total = C[:, -1][:, None]
-                lowpart = np.where(lo > 0, C[:, np.maximum(lo - 1, 0)], 0)
-                wrap = hi >= n_z
-                cnt_wrap = total - lowpart + C[:, np.where(wrap, hi - n_z, 0)]
-                cnt_flat = C[:, np.minimum(hi, n_z - 1)] - lowpart
-                good = np.where(wrap, cnt_wrap, cnt_flat) == 0
-            else:
-                good = (M_bad.astype(np.float32) @ ez_f) < 0.5
-            newly = good.any(axis=0) & ~W[h]
-            if newly.any():
-                W_new[h, newly] = True
-                rank[h, newly] = iteration
-                changed[h] = True
-        if not changed.any():
-            break
-        W = W_new
-
-    full_rows = W.all(axis=1)
-    escaper_wins = bool(full_rows.any())
-    return SolveResult(
-        game=game, escaper_wins=escaper_wins, win_mask=W, rank=rank, threat=P,
-        witness_h0=int(np.argmax(full_rows)) if escaper_wins else None,
-        iterations=iteration,
-    )
-
-
 def _assert_same_solution(game):
-    got, ref = solve(game), _reference_solve(game)
+    got, ref = solve(game), reference_solve(game)
     assert np.array_equal(got.win_mask, ref.win_mask)
     assert np.array_equal(got.rank, ref.rank) and got.rank.dtype == ref.rank.dtype
     assert got.iterations == ref.iterations
@@ -472,6 +419,65 @@ class TestSolve:
             group, reps = discrete._group_rows(keys)
             assert np.array_equal(keys[reps[group]], keys)
             assert len(np.unique(keys[reps], axis=0)) == len(reps)
+
+    def test_keys_span_several_key_blocks(self, monkeypatch):
+        # a sweep evaluates its distinct (P-row, W-row) keys in blocks of
+        # ``block`` rows: blocks of five rows split most sweeps' keys
+        marked = []
+        evaluate_keys = discrete._evaluate_keys
+
+        def spy(table, *args):
+            marked.append(np.count_nonzero(table))
+            return evaluate_keys(table, *args)
+
+        monkeypatch.setattr(discrete, "_evaluate_keys", spy)
+        for game in _oracle_games():
+            monkeypatch.setattr(discrete, "_BLOCK_ELEMENTS", 5 * -(-game.n_z // 64))
+            _assert_same_solution(game)
+        assert sum(keys > 3 * 5 for keys in marked) >= 8
+
+    def test_sweeps_whose_w_rows_are_all_equal(self, monkeypatch):
+        # every escaper vertex moves to every other, so P and then W have
+        # equal rows: each sweep keys all its pairs by one W row (n_w = 1)
+        widths = []
+        evaluate_keys = discrete._evaluate_keys
+
+        def spy(table, n_w, *args):
+            widths.append((n_w, np.count_nonzero(table)))
+            return evaluate_keys(table, n_w, *args)
+
+        monkeypatch.setattr(discrete, "_evaluate_keys", spy)
+        rng = np.random.default_rng(11)
+        later_sweeps = 0
+        for _ in range(40):
+            toy = _random_toy_game(rng)
+            game = dataclasses.replace(toy, e_h=toy_game(
+                np.ones((toy.n_h, toy.n_h)), toy.e_z, toy.samples.exit_idx_h,
+                toy.samples.exit_idx_z).e_h)
+            widths.clear()
+            _assert_same_solution(game)
+            assert all(n_w == 1 for n_w, _ in widths)
+            later_sweeps += sum(keys > 0 for _, keys in widths[1:])
+        assert later_sweeps > 0
+
+    def test_canonical_l_shape_game_is_pinned(self):
+        # the benchmark's game (exterior L-shape, r = 3, delta = 0.3, grid
+        # spacing 1/18): sizes, relations, marking and ranks to the bit
+        ctx = MetricContext(validate_polygon(L_SHAPE), PursuerModel.EXTERIOR)
+        game = build_game(ctx, r=3.0, delta=0.3, gamma=2 * math.sqrt(2) / 36, state_cap=1e13)
+        res = solve(game)
+
+        def digest(*arrays):
+            return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()[:16]
+
+        assert (game.n_h, game.n_z) == (1149, 401)
+        assert (game.e_h.nnz, np.count_nonzero(game.e_z)) == (96_225, 58_439)
+        assert game.e_h.has_sorted_indices
+        assert digest(game.e_h.indptr, game.e_h.indices) == "8ff619a8a799ee8e"
+        assert digest(game.e_z) == "f9ca8b5579180307"
+        assert (res.iterations, res.win_count) == (10, 460_749)
+        assert digest(res.win_mask) == "1065becc40bbe536"
+        assert digest(res.rank) == "201b2962cc2853d0"
 
     def test_logs_one_line_per_sweep(self, square_moat, caplog):
         game = build_game(square_moat, r=2.0, delta=0.5, gamma=0.2, state_cap=1e10)

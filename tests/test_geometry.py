@@ -271,6 +271,18 @@ class TestPolygonChecksAgreement:
         poly = validate_polygon([(0, 0), (1, 0), (0.5, 0.866)])
         assert poly.min_feature_size == reference_min_feature_size(poly)
 
+    @pytest.mark.parametrize("points", [SQUARE, L_SHAPE, TRIANGLE, COMB, SPIRAL, NOTCH],
+                             ids=["square", "l", "triangle", "comb", "spiral", "notch"])
+    def test_validation_caches_feature_size_of_ccw_input(self, points):
+        # validation reads the vertex-to-edge matrix that f reads: a CCW
+        # input leaves f in the cache, a reversed (CW) input does not
+        ccw = validate_polygon(points)
+        assert "min_feature_size" in vars(ccw)
+        assert ccw.min_feature_size == reference_min_feature_size(ccw)
+        cw = validate_polygon(np.asarray(points, dtype=float)[::-1])
+        assert "min_feature_size" not in vars(cw)
+        assert cw.min_feature_size == reference_min_feature_size(cw)
+
     def test_feature_size_near_oracle(self):
         """Off the named polygons f may move by a few ulps.  The roundoff of
         a projection scales with the coordinates, not with f: on a thin
@@ -916,7 +928,7 @@ class TestGeodesicMatrix:
         assert np.hypot(*(poly.vertices - b).T).min() > 1
         pts = np.array([a, b])
         assert np.isinf(pair_geodesics(poly, pts, [0], [1], True, 1.0)[0])
-        assert not discrete._threshold_distances(poly, pts, 1.0, interior=True)[0, 1]
+        assert len(discrete._threshold_distances(poly, pts, 1.0, interior=True)[0]) == 0
         # uncapped, the path goes around the slit's foot
         around = 2 * math.hypot(0.35, 3.0) + 0.1
         assert pair_geodesics(poly, pts, [0], [1], True)[0] == pytest.approx(around)
