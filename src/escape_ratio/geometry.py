@@ -152,6 +152,43 @@ class Polygon:
         return graphs
 
     @cached_property
+    def _hull(self) -> np.ndarray:
+        """The convex hull's vertices (``convex_hull``: CCW, collinear points
+        dropped), shared by ``MetricContext.hull`` and the pockets."""
+        return convex_hull(self.vertices)
+
+    @cached_property
+    def _triangles(self) -> list[np.ndarray]:
+        """The polygon's ear clipping (``triangulate``), built once."""
+        return triangulate(self)
+
+    @cached_property
+    def _pieces(self) -> tuple:
+        """Closed convex pieces of each side, for ``pair_geodesics``: per
+        side a ``(triangles [k, 3, 2], edges)`` pair.  Side 0 takes the ear
+        clipping of the polygon, side 1 that of each hull pocket, slivers
+        dropped (``_stout``); both take the tol/2 neighbourhood of every edge.
+
+        A pocket is the polygon chain between two consecutive vertices on
+        the hull boundary, closed by its lid.  ``convex_hull`` drops
+        collinear points, so every vertex within tol of the hull boundary
+        ends a chain: an unsplit pocket would have vertices on its own lid
+        (the comb's tooth tops) and no ear.  A chain of one edge is no
+        pocket, so a convex or collinear stretch adds no zero-area pocket.
+        """
+        v, n = self.vertices, self.n
+        hull = Polygon(self._hull, self.tol)
+        on_hull = np.flatnonzero(_boundary_distance2(hull, v) <= self.tol**2)
+        pockets = []
+        for a, b in zip(on_hull, np.roll(on_hull, -1)):
+            chain = np.arange(a, b + 1 if b > a else b + n + 1) % n
+            if len(chain) > 2:
+                # the pocket lies right of the CCW chain: reversed, it is CCW
+                pockets += triangulate(Polygon(v[chain[::-1]], self.tol))
+        edges = np.arange(n)
+        return (_stout(self._triangles), edges), (_stout(pockets), edges)
+
+    @cached_property
     def min_feature_size(self) -> float:
         """Minimum distance between nonadjacent edges (a triangle's smallest
         altitude): the nearest vertex to an edge it does not end.
@@ -321,6 +358,20 @@ def triangulate(poly: Polygon) -> list[np.ndarray]:
             raise SelfIntersecting("no ear found; polygon not simple?")
     tris.append(np.array([v[idx[0]], v[idx[1]], v[idx[2]]]))
     return tris
+
+
+def _stout(tris) -> np.ndarray:
+    """Triangles as a [k, 3, 2] array, less those whose smallest angle has
+    sine below 1e-6 (zero-area ones included).  Float cross signs accept
+    points about d / sin(a) beyond a corner of angle a, for a roundoff d of
+    about 1e-16 times the diagonal: under tol only for a stout triangle."""
+    t = np.array(tris, dtype=float).reshape(-1, 3, 2)
+    e = t[:, [1, 2, 0]] - t
+    sides = np.hypot(e[..., 0], e[..., 1])
+    # the sine at a corner is 2 area over the product of its two sides, and
+    # the smallest angle faces the shortest side
+    sine = _cross(t[:, 0].T, t[:, 1].T, t[:, 2].T) * sides.min(axis=1) / sides.prod(axis=1)
+    return t[sine >= 1e-6]
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +548,14 @@ def pair_geodesics(poly: Polygon, pts, i, j, interior: bool, limit: float = math
     within the cap of a point get a fan.  A pair whose endpoints' clearance
     disks cover it, with clearances summing to more than its length + 4 tol,
     keeps every point more than 2 tol from every edge, so it takes its
-    deeper endpoint's class without a kernel test.  Logs one DEBUG line per
-    call with the segments tested and the pairs that bend.
+    deeper endpoint's class without a kernel test.  Nor does a pair whose
+    endpoints both lie in one closed piece of its side (``Polygon._pieces``:
+    a triangle by exact float cross signs, no slack, or the tol/2
+    neighbourhood of an edge): every point of its segment lies within
+    roundoff of the piece, so every midpoint the kernel would classify is
+    within tol of the side's closed domain and the kernel would pass it.
+    Logs one DEBUG line per call with the segments tested, the pairs that
+    share a piece and the pairs that bend.
     """
     pts = np.asarray(pts, dtype=float)
     i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
@@ -517,26 +574,49 @@ def pair_geodesics(poly: Polygon, pts, i, j, interior: bool, limit: float = math
     rows = max(1, _PAIR_BLOCK // poly.n)
     for lo in range(0, len(pts), rows):
         paths[lo : lo + rows] = _relax(fans[lo : lo + rows], graph)
-    clearance = np.sqrt(_boundary_distance2(poly, pts))
+    d2 = _edge_projections(poly, pts[:, 0], pts[:, 1])[1]
+    clearance = np.sqrt(d2.min(axis=1))
     own_side = point_classes(poly, pts) == (1 if interior else -1)
+    pieces = _piece_bits(poly, pts, d2, side)
     out = np.empty(len(i))
-    tested = bends = 0
+    tested = shared = bends = 0
     for lo in range(0, len(i), _PAIR_BLOCK):
         a, b = i[lo : lo + _PAIR_BLOCK], j[lo : lo + _PAIR_BLOCK]
         d = np.hypot(*(pts[b] - pts[a]).T)
         ca, cb = clearance[a], clearance[b]
         bent = ~own_side[np.where(ca >= cb, a, b)]
-        test = ca + cb <= d + 4 * tol
+        test = np.flatnonzero(ca + cb <= d + 4 * tol)
+        share = (pieces[a[test]] & pieces[b[test]]).any(axis=1)
+        bent[test[share]] = False
+        test = test[~share]
         bent[test] = ~segment_visibility(poly, pts[a[test]], pts[b[test]])[side]
         d[bent] = (paths[a[bent]] + fans[b[bent]]).min(axis=1)
         d[d <= tol] = 0.0  # coincident points, as a query has them
         out[lo : lo + _PAIR_BLOCK] = d
-        tested += int(np.count_nonzero(test))
+        tested += len(test)
+        shared += int(np.count_nonzero(share))
         bends += int(np.count_nonzero(bent))
     out[out > cap] = np.inf
     logger.debug("pair_geodesics: %d points, %d pairs, %d fan segments tested, "
-                 "%d pair segments tested, %d pairs bent", len(pts), len(i), len(k), tested, bends)
+                 "%d pairs share a piece, %d pair segments tested, %d pairs bent",
+                 len(pts), len(i), len(k), shared, tested, bends)
     return out
+
+
+def _piece_bits(poly: Polygon, pts: np.ndarray, d2: np.ndarray, side: int) -> np.ndarray:
+    """Which pieces of ``side`` hold each point, as packed bits per row: two
+    points share a piece when their rows share a bit.  ``d2`` holds the
+    squared distances from the points to the edges."""
+    tris, edges = poly._pieces[side]
+    x, y = pts[:, 0, None], pts[:, 1, None]
+    held = np.ones((len(pts), len(tris)), dtype=bool)
+    # exact signs on the CCW triangles, no slack: near a sharp corner a
+    # slack on the cross product admits points without bound in distance
+    for k in range(3):
+        o, e = tris[:, k], tris[:, (k + 1) % 3] - tris[:, k]
+        held &= e[:, 0] * (y - o[:, 1]) - e[:, 1] * (x - o[:, 0]) >= 0
+    near = d2[:, edges] <= (0.5 * poly.tol) ** 2
+    return np.packbits(np.concatenate([held, near], axis=1), axis=1)
 
 
 def _relax(fans: np.ndarray, graph: np.ndarray) -> np.ndarray:
@@ -595,8 +675,8 @@ def point_in_convex_hull(hull: np.ndarray, p, tol: float):
 
 class MetricContext:
     """Immutable bundle of a polygon, pursuer model and convex hull; the
-    triangulation is built on first use, and the vertex visibility graphs
-    behind both metrics are cached on the polygon.
+    hull, the triangulation and the vertex visibility graphs behind both
+    metrics are cached on the polygon, each built on first use.
 
     Safe to share across threads once constructed; the lazy caches are filled
     by pure recomputation, so a benign race only repeats work.
@@ -607,12 +687,14 @@ class MetricContext:
             model = PursuerModel(model)
         self.polygon = polygon
         self.model = model
-        self.hull = convex_hull(polygon.vertices)
+        self.hull = polygon._hull
 
     @cached_property
     def triangulation(self) -> list[np.ndarray]:
-        """Ear-clipping triangles (O(n^3)); only ``scheme.epsilon0`` reads them."""
-        return triangulate(self.polygon)
+        """The polygon's cached ear clipping (O(n^3), built on first use):
+        ``scheme.epsilon0`` reads it, and the interior pieces of
+        ``pair_geodesics`` come from it."""
+        return self.polygon._triangles
 
     # -- visibility graphs over polygon vertices ---------------------------
 

@@ -14,7 +14,9 @@ reused across runs.
 A domain is five methods: ``escaper_contains(p, tol)`` and
 ``pursuer_contains(p, tol)`` test membership of the two domains,
 ``escaper_distance(p, q)`` and ``pursuer_distance(p, q)`` measure a step in
-each, and ``scale()`` sizes the engine's tolerance.  The escaper wins at the
+each, and ``scale()`` sizes the engine's tolerance.  The engine passes its
+tol, 1e-9 * max(1, ``scale()``), to both predicates; a domain may apply its
+own tolerance instead (``PolygonDomain`` does).  The escaper wins at the
 boundary, where the two domains meet, so an escaper position is an exit
 exactly when ``pursuer_contains`` accepts it too.
 
@@ -146,7 +148,10 @@ class WedgeDomain:
 
 class PolygonDomain:
     """Polygon escaper domain backed by a MetricContext.  Its predicates run
-    the metrics' own domain tests, with the polygon's tol."""
+    the metrics' own domain tests and ignore the ``tol`` they are passed:
+    they apply ``polygon.tol`` (1e-9 times the bounding-box diagonal), as the
+    metrics they guard do, so a point the metrics reject is never accepted.
+    The two differ for a polygon whose diagonal is below 1."""
 
     name = "polygon"
 

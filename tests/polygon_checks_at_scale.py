@@ -1,4 +1,5 @@
-"""``validate_polygon`` and ``min_feature_size`` against their scalar oracles at n = 200.
+"""``validate_polygon`` and ``min_feature_size`` against their scalar oracles at n = 200,
+and the move relations' piece rule against the kernel at game-net sizes.
 
 Two 200-vertex stars (the second turned a quarter), four random radially
 sorted 200-vertex polygons and a 50-tooth comb whose middle gap pinches to
@@ -12,17 +13,40 @@ script that pytest does not collect:
 
     PYTHONPATH=src python -W error::RuntimeWarning tests/polygon_checks_at_scale.py
 
-Prints one line per polygon with both timings and exits 1 on any difference.
+The move relations ``e_h`` (d_h <= delta on the escaper net) and ``e_z``
+(exterior d_z <= 3 delta on the pursuer net) from ``_threshold_distances``
+must equal the kernel-only oracle's, the same polygon with its piece cache
+set empty, on the 48-vertex star and on game nets of the comb, notch,
+spiral, slit and collinear L (about 1,500 escaper samples each).
+
+Prints one line per polygon and relation with both timings and exits 1 on
+any difference.
 """
 
 import sys
 import time
 
 import numpy as np
-from conftest import reference_min_feature_size, reference_validate
-from test_geometry import _radial_polygon, _star, _validation_outcome
+from conftest import COMB, SPIRAL, reference_min_feature_size, reference_validate
+from test_geometry import (
+    L_COLLINEAR,
+    NOTCH,
+    SLIT,
+    _radial_polygon,
+    _star,
+    _validation_outcome,
+    _without_pieces,
+)
 
-from escape_ratio.geometry import TOL_SCALE, Polygon, validate_polygon
+from escape_ratio.discrete import _grid_points, _threshold_distances
+from escape_ratio.geometry import (
+    TOL_SCALE,
+    Polygon,
+    convex_hull,
+    point_classes,
+    point_in_convex_hull,
+    validate_polygon,
+)
 
 
 def pinched_comb(teeth, factor):
@@ -42,6 +66,41 @@ def timed(fn, *args):
     t0 = time.perf_counter()
     out = fn(*args)
     return out, time.perf_counter() - t0
+
+
+def game_nets(poly, samples):
+    """The escaper and exterior pursuer nets ``discrete.gamma_sample`` takes
+    at the gamma that gives about ``samples`` escaper grid points, without
+    its gamma <= f/4 bound (the slit's f/4 would need 300,000 samples), and
+    that gamma."""
+    lo, hi = poly.bbox
+    gamma = float(np.sqrt(2 * np.prod(hi - lo) / samples))
+    ts = np.arange(0.0, poly.perimeter, gamma)
+    boundary = poly.boundary_point(ts)
+    grid = _grid_points(lo, hi, gamma / np.sqrt(2))
+    classes = point_classes(poly, grid)
+    inside = point_in_convex_hull(convex_hull(poly.vertices), grid, poly.tol)
+    return (np.vstack([boundary, grid[classes >= 0]]),
+            np.vstack([boundary, grid[(classes <= 0) & inside]]), gamma)
+
+
+def piece_rule_failures() -> int:
+    failed = 0
+    cases = [("star48", _star(24)), ("comb", COMB), ("notch", NOTCH), ("spiral", SPIRAL),
+             ("slit", SLIT), ("l_collinear", L_COLLINEAR)]
+    for name, points in cases:
+        poly = validate_polygon(points)
+        escaper, pursuer, gamma = game_nets(poly, 1500)
+        delta = 4 * gamma
+        for what, pts, limit, interior in (("e_h", escaper, delta, True),
+                                          ("e_z", pursuer, 3 * delta, False)):
+            got, t_got = timed(_threshold_distances, poly, pts, limit, interior)
+            ref, t_ref = timed(_threshold_distances, _without_pieces(poly), pts, limit, interior)
+            same = all(np.array_equal(g, r) for g, r in zip(got, ref))
+            failed += not same
+            print(f"{name} {what}: {len(pts)} points, {len(got[0])} pairs, "
+                  f"{'same' if same else 'DIFFERENT'} ({t_ref:.3f} s -> {t_got:.3f} s)", flush=True)
+    return failed
 
 
 def main() -> int:
@@ -69,6 +128,7 @@ def main() -> int:
             line += f"; {ref[0].__name__}: {ref[1]}"
         failed += not same
         print(line, flush=True)
+    failed += piece_rule_failures()
     return 1 if failed else 0
 
 

@@ -20,6 +20,7 @@ from escape_ratio.errors import (
 from escape_ratio.geometry import (
     MetricContext,
     PursuerModel,
+    convex_hull,
     dumps_polygon,
     loads_polygon,
     pair_geodesics,
@@ -54,6 +55,10 @@ NOTCH = [(0, -1), (8, -1), (8, 1), (4.5, 1), (4.05, 0), (4, -0.5), (3.95, 0), (3
 SLIT = [(0, 0), (10, 0), (10, 10), (5.05, 10), (5.05, 3), (4.95, 3), (4.95, 10), (0, 10)]
 # the L-shape with a vertex in the middle of each of its three long edges
 L_COLLINEAR = [(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+# a 2 x 1 rectangle whose bottom edge bends out by 1e-12 at its first vertex,
+# a thin ear that ear clipping cuts first, and whose top edge bends in by
+# 1e-7, a thin pocket; both triangles are slivers
+THIN = [(1, -1e-12), (2, 0), (2, 1), (1, 1 - 1e-7), (0, 1), (0, 0)]
 
 
 def _relabellings(points):
@@ -885,10 +890,10 @@ class TestGeodesicQuery:
 
 
 def _geodesic_log(caplog):
-    """(points, pairs, fan segments, pair segments, bent pairs) per
-    ``pair_geodesics`` DEBUG line."""
+    """(points, pairs, fan segments, pairs sharing a piece, pair segments,
+    bent pairs) per ``pair_geodesics`` DEBUG line."""
     pattern = (r"pair_geodesics: (\d+) points, (\d+) pairs, (\d+) fan segments tested, "
-               r"(\d+) pair segments tested, (\d+) pairs bent")
+               r"(\d+) pairs share a piece, (\d+) pair segments tested, (\d+) pairs bent")
     lines = [r.getMessage() for r in caplog.records if r.name == "escape_ratio.geometry"]
     return [tuple(map(int, re.fullmatch(pattern, line).groups())) for line in lines]
 
@@ -943,7 +948,7 @@ class TestGeodesicMatrix:
         assert clearance.max() <= d + 2 * tol < clearance.sum() - 2 * tol
         with caplog.at_level(logging.DEBUG, logger="escape_ratio.geometry"):
             got = pair_geodesics(poly, pts, [0], [1], True)
-        assert _geodesic_log(caplog)[-1][3:] == (0, 0)
+        assert _geodesic_log(caplog)[-1][3:] == (0, 0, 0)
         ctx = MetricContext(poly, PursuerModel.EXTERIOR)
         assert got[0] == _reference_geodesic(ctx, pts[0], pts[1], True)
 
@@ -955,7 +960,7 @@ class TestGeodesicMatrix:
         assert clearance.sum() <= 0.8
         with caplog.at_level(logging.DEBUG, logger="escape_ratio.geometry"):
             got = pair_geodesics(poly, pts, [0], [1], True)
-        assert _geodesic_log(caplog)[-1] == (2, 1, 2 * poly.n, 1, 1)
+        assert _geodesic_log(caplog)[-1] == (2, 1, 2 * poly.n, 0, 1, 1)
         ctx = MetricContext(poly, PursuerModel.EXTERIOR)
         assert got[0] == _reference_geodesic(ctx, pts[0], pts[1], True) > 0.8
 
@@ -965,7 +970,8 @@ class TestGeodesicMatrix:
         with caplog.at_level(logging.DEBUG, logger="escape_ratio.geometry"):
             discrete.build_game(ctx, r=3.0, delta=0.3, gamma=2 * math.sqrt(2) / 12,
                                 state_cap=1e13)
-        assert _geodesic_log(caplog) == [(171, 750, 46, 473, 4), (101, 1481, 157, 1417, 361)]
+        # the clearance rule leaves 473 and 1,417 pairs; all but 27 and 491 share a piece
+        assert _geodesic_log(caplog) == [(171, 750, 46, 446, 27, 4), (101, 1481, 157, 926, 491, 361)]
 
     @pytest.mark.parametrize("points", [L_SHAPE, COMB, NOTCH, SPIRAL, L_COLLINEAR, SLIT])
     @pytest.mark.parametrize("interior", [True, False])
@@ -989,6 +995,76 @@ class TestGeodesicMatrix:
             capped = pair_geodesics(poly, pts, i, j, interior, limit)
             masked = np.where(full <= cap, full, np.inf)
             assert capped.tobytes() == masked.tobytes()
+
+
+def _without_pieces(poly):
+    """A copy of ``poly`` whose piece cache is set empty: ``pair_geodesics``
+    on it runs the kernel on every pair the clearance rule leaves."""
+    bare = geometry.Polygon(poly.vertices, poly.tol)
+    none = (np.empty((0, 3, 2)), np.empty(0, dtype=np.intp))
+    object.__setattr__(bare, "_pieces", (none, none))
+    return bare
+
+
+def _piece_area(tris):
+    return float(sum(tri_area(t) for t in tris))
+
+
+class TestConvexPieces:
+    @pytest.mark.parametrize("points", [L_SHAPE, L_COLLINEAR, COMB, NOTCH, SPIRAL, SLIT, THIN],
+                             ids=["l", "l_collinear", "comb", "notch", "spiral", "slit", "thin"])
+    @pytest.mark.parametrize("interior", [True, False])
+    def test_pair_geodesics_match_the_kernel_only_oracle(self, points, interior, caplog):
+        # the pieces' corners, side quarters (diagonals and lids among them)
+        # and centroids, a grid over the box, and points in the slivers'
+        # sharp corners, kept where they lie in the side's domain
+        poly = validate_polygon(points)
+        side = 0 if interior else 1
+        tris = np.concatenate([poly._pieces[side][0], np.array(poly._triangles)])
+        fracs = np.array([0.0, 0.25, 0.5, 0.75])[:, None, None]
+        rims = tris + fracs[:, :, :, None] * (np.roll(tris, -1, axis=1) - tris)[None]
+        lo, hi = poly.bbox
+        grid = np.stack(np.meshgrid(*np.linspace(lo, hi, 17).T), axis=-1).reshape(-1, 2)
+        corners = [(1e-3, -1e-15), (1e-3, -2e-15), (1.5, -5e-13), (0.5, 1 - 5e-8), (1e-3, 1)]
+        cloud = np.unique(np.vstack([rims.reshape(-1, 2), tris.mean(axis=1), grid, corners]),
+                          axis=0)
+        classes = point_classes(poly, cloud)
+        if interior:
+            pts = cloud[classes >= 0]
+        else:
+            pts = cloud[(classes <= 0) & point_in_convex_hull(convex_hull(poly.vertices), cloud,
+                                                              poly.tol)]
+        i, j = np.triu_indices(len(pts), k=1)
+        with caplog.at_level(logging.DEBUG, logger="escape_ratio.geometry"):
+            got = pair_geodesics(poly, pts, i, j, interior)
+            ref = pair_geodesics(_without_pieces(poly), pts, i, j, interior)
+        assert got.tobytes() == ref.tobytes()
+        (*_, shared, tested, _), (*_, none, every, _) = _geodesic_log(caplog)
+        assert shared > 0 and none == 0 and shared + tested == every
+
+    @pytest.mark.parametrize("points", [L_SHAPE, L_COLLINEAR, COMB, NOTCH, SPIRAL, SLIT, SQUARE])
+    def test_pieces_tile_the_polygon_and_its_pockets(self, points):
+        poly = validate_polygon(points)
+        (inner, edges), (pockets, _) = poly._pieces
+        hull = geometry.Polygon(convex_hull(poly.vertices), poly.tol)
+        assert len(inner) == poly.n - 2 and edges.tolist() == list(range(poly.n))
+        assert _piece_area(inner) == pytest.approx(poly.area, rel=1e-12)
+        assert _piece_area(pockets) == pytest.approx(hull.area - poly.area, rel=1e-12, abs=1e-12)
+
+    def test_slivers_are_dropped(self):
+        poly = validate_polygon(THIN)
+        (inner, _), (pockets, _) = poly._pieces
+        assert len(poly._triangles) == 4 and len(inner) == 3 and len(pockets) == 0
+        assert _piece_area(inner) == pytest.approx(poly.area - 1e-12, rel=1e-12)
+
+    def test_comb_has_one_square_pocket(self):
+        # the tooth tops lie on the lid, so the pocket ends at both of them
+        pockets = validate_polygon(COMB)._pieces[1][0]
+        assert len(pockets) == 2 and _piece_area(pockets) == 4.0
+        assert {tuple(p) for p in pockets.reshape(-1, 2)} == {(2, 2), (4, 2), (4, 4), (2, 4)}
+
+    def test_context_triangulation_is_the_polygons(self, l_shape):
+        assert MetricContext(l_shape).triangulation is l_shape._triangles
 
 
 class TestPolygonIO:

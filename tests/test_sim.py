@@ -6,7 +6,7 @@ import pytest
 
 from escape_ratio.errors import DomainViolation, OutsideDomain, SpeedViolation
 from escape_ratio.exact import AploParams, DiskAploEscaper, aplo_position, disk_strategies
-from escape_ratio.geometry import MetricContext, PursuerModel
+from escape_ratio.geometry import MetricContext, PursuerModel, validate_polygon
 from escape_ratio.sim import (
     DiskDomain,
     HalfplaneDomain,
@@ -663,6 +663,20 @@ class TestPolygonDomain:
         domain = PolygonDomain(MetricContext(square, PursuerModel(model)))
         with pytest.raises(DomainViolation, match=f"{who} left its domain"):
             playthrough(escaper, pursuer, dt=0.01, t_max=1.0, epsilon=10.0, domain=domain)
+
+    @pytest.mark.parametrize("model", list(PursuerModel))
+    def test_predicates_apply_the_polygons_tol(self, l_shape, model):
+        # the L-shape at 1/8 scale has diagonal 0.35, so polygon.tol is 3.5e-10,
+        # below the 1e-9 that playthrough passes: a point 2 polygon.tol below
+        # the bottom edge is rejected, one polygon.tol / 2 below is not
+        poly = validate_polygon(l_shape.vertices / 8)
+        domain = PolygonDomain(MetricContext(poly, model))
+        tol = 1e-9 * max(1.0, domain.scale())
+        assert tol > 2 * poly.tol
+        far, near = (0.125, -2 * poly.tol), (0.125, -poly.tol / 2)
+        assert not domain.escaper_contains(far, tol) and domain.escaper_contains(near, tol)
+        if model is PursuerModel.MOAT:
+            assert not domain.pursuer_contains(far, tol) and domain.pursuer_contains(near, tol)
 
     @pytest.mark.parametrize("model", list(PursuerModel))
     def test_pursuer_contains_matches_metric(self, l_shape, model):
