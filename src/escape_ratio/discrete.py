@@ -45,7 +45,7 @@ from .errors import BudgetExceeded, GammaTooCoarse, InconsistentTables
 from .geometry import (
     MetricContext,
     PursuerModel,
-    pair_geodesics,
+    pairs_within,
     point_classes,
     point_in_convex_hull,
 )
@@ -227,16 +227,20 @@ def _nearest_intrinsic(metric, tree, pts, p) -> float:
 def _threshold_distances(poly, pts, limit, interior):
     """Pairs (i, j), i < j, of the move relation: intrinsic distance <= limit (+ tol).
 
-    The candidates are the KD-tree pairs within the cap of ``pair_geodesics``;
-    a convex interior takes every pair within limit + tol (chords lie in it).
-    ``_csr_relation`` and ``_dense_relation`` turn the pairs into a relation.
+    The candidates are the KD-tree pairs within limit widened by a relative
+    1e-12 and by tol; ``pairs_within`` keeps those at most limit + tol
+    apart, as ``pair_geodesics`` would, and keeps a pair with a path through
+    a vertex short enough before any segment test.  A convex interior takes
+    every pair within limit + tol (chords lie in it).  ``_csr_relation`` and
+    ``_dense_relation`` turn the pairs into a relation.
     """
     tol = poly.tol
     chords = interior and poly.is_convex
     cap = limit + tol if chords else limit * (1 + 1e-12) + tol
-    i, j = cKDTree(pts).query_pairs(r=cap, output_type="ndarray").T
+    # rows of the transposed copy are contiguous, for the gathers of pairs_within
+    i, j = cKDTree(pts).query_pairs(r=cap, output_type="ndarray").T.copy()
     if not chords:
-        keep = pair_geodesics(poly, pts, i, j, interior, limit) <= limit + tol
+        keep = pairs_within(poly, pts, i, j, interior, limit)
         i, j = i[keep], j[keep]
     return i, j
 

@@ -19,6 +19,7 @@ import json
 import logging
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -531,9 +532,85 @@ def point_classes(poly: Polygon, pts) -> np.ndarray:
     return np.where(on_b, 0, np.where(inside, 1, -1))
 
 
-# Pairs per block of ``pair_geodesics``: a block's fan sums (pairs x n), like
+# Pairs per block of the pair stages: a block's fan sums (pairs x n), like
 # the relaxation's (rows x n x n), hold 2**14 * n floats, about 1 MB at n = 9.
 _PAIR_BLOCK = 2**14
+
+
+class _PointStage(NamedTuple):
+    """What the pair stages read of each point, for one side: coordinates
+    (``pts``, and ``x`` and ``y`` contiguous), the fan to each vertex
+    within the cap that the point sees (inf elsewhere), the fan relaxed
+    over the side's vertex graph, the distance to the nearest edge, whether
+    the point lies strictly in the side's open domain, its piece bits
+    (``_piece_bits``), and the fan segments the kernel tested."""
+
+    pts: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    fans: np.ndarray
+    paths: np.ndarray
+    clearance: np.ndarray
+    own_side: np.ndarray
+    pieces: np.ndarray
+    fan_segments: int
+
+
+def _point_stage(poly: Polygon, pts: np.ndarray, side: int, cap: float) -> _PointStage:
+    """The per-point stage of ``pair_geodesics`` and ``pairs_within``: one
+    kernel call over the fans within ``cap``, and ``_relax`` on the rows
+    with a finite fan only (an all-inf row stays all-inf)."""
+    v = poly.vertices
+    diff = v - pts[:, None]
+    fans = np.hypot(diff[..., 0], diff[..., 1])
+    near = fans <= cap
+    k, u = np.nonzero(near)
+    near[k, u] = segment_visibility(poly, np.take(pts, k, axis=0), np.take(v, u, axis=0))[side]
+    fans[~near] = np.inf
+    graph = poly._vertex_graphs[side]
+    paths = fans.copy()
+    live = np.flatnonzero(near.any(axis=1))
+    rows = max(1, _PAIR_BLOCK // poly.n)
+    for lo in range(0, len(live), rows):
+        sel = live[lo : lo + rows]
+        paths[sel] = _relax(np.take(fans, sel, axis=0), graph)
+    d2 = _edge_projections(poly, pts[:, 0], pts[:, 1])[1]
+    return _PointStage(
+        pts=pts, x=pts[:, 0].copy(), y=pts[:, 1].copy(), fans=fans, paths=paths,
+        clearance=np.sqrt(d2.min(axis=1)),
+        own_side=point_classes(poly, pts) == (-1 if side else 1),
+        pieces=_piece_bits(poly, pts, d2, side), fan_segments=len(k),
+    )
+
+
+def _pair_filter(st: _PointStage, a: np.ndarray, b: np.ndarray, tol: float):
+    """The pair rules that need no kernel: returns the chords |pq|, whether
+    each pair is bent as far as the rules decide, the pairs left for the
+    kernel (positions in ``a``) and how many pairs share a piece.
+
+    A pair whose endpoints' clearance disks cover it, with clearances
+    summing to more than its length + 4 tol, keeps every point more than
+    2 tol from every edge, so it takes its deeper endpoint's class.  A pair
+    whose endpoints share a piece is not bent.
+    """
+    d = np.hypot(st.x.take(b) - st.x.take(a), st.y.take(b) - st.y.take(a))
+    ca, cb = st.clearance.take(a), st.clearance.take(b)
+    bent = ~st.own_side.take(np.where(ca >= cb, a, b))
+    test = np.flatnonzero(ca + cb <= d + 4 * tol)
+    share = (np.take(st.pieces, a.take(test), axis=0)
+             & np.take(st.pieces, b.take(test), axis=0)).any(axis=1)
+    bent[test[share]] = False
+    return d, bent, test[~share], int(np.count_nonzero(share))
+
+
+def _bend(poly: Polygon, st: _PointStage, side: int, a, b, d, bent, test) -> None:
+    """Test the pairs ``test`` in one kernel call, then set each bent pair's
+    ``d`` to the minimum over v of a's relaxed path plus b's fan."""
+    at, bt = a.take(test), b.take(test)
+    bent[test] = ~segment_visibility(poly, np.take(st.pts, at, axis=0),
+                                     np.take(st.pts, bt, axis=0))[side]
+    k = np.flatnonzero(bent)
+    d[k] = (np.take(st.paths, a.take(k), axis=0) + np.take(st.fans, b.take(k), axis=0)).min(axis=1)
 
 
 def pair_geodesics(poly: Polygon, pts, i, j, interior: bool, limit: float = math.inf):
@@ -546,61 +623,86 @@ def pair_geodesics(poly: Polygon, pts, i, j, interior: bool, limit: float = math
     minimum over v of p's fan relaxed over the vertex graph plus q's fan to
     v: the sums a ``MetricContext`` query forms, to the bit.  Only vertices
     within the cap of a point get a fan.  A pair whose endpoints' clearance
-    disks cover it, with clearances summing to more than its length + 4 tol,
-    keeps every point more than 2 tol from every edge, so it takes its
-    deeper endpoint's class without a kernel test.  Nor does a pair whose
-    endpoints both lie in one closed piece of its side (``Polygon._pieces``:
-    a triangle by exact float cross signs, no slack, or the tol/2
-    neighbourhood of an edge): every point of its segment lies within
-    roundoff of the piece, so every midpoint the kernel would classify is
-    within tol of the side's closed domain and the kernel would pass it.
-    Logs one DEBUG line per call with the segments tested, the pairs that
-    share a piece and the pairs that bend.
+    disks cover it takes its deeper endpoint's class without a kernel test
+    (``_pair_filter``).  Nor does a pair whose endpoints both lie in one
+    closed piece of its side (``Polygon._pieces``: a triangle by exact float
+    cross signs, no slack, or the tol/2 neighbourhood of an edge): every
+    point of its segment lies within roundoff of the piece, so every
+    midpoint the kernel would classify is within tol of the side's closed
+    domain and the kernel would pass it.  Logs one DEBUG line per call with
+    the segments tested, the pairs that share a piece and the pairs that bend.
     """
     pts = np.asarray(pts, dtype=float)
-    i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
-    v = poly.vertices
+    i, j = np.ascontiguousarray(i, dtype=np.intp), np.ascontiguousarray(j, dtype=np.intp)
     tol = poly.tol
     side = 0 if interior else 1
     cap = limit * (1 + 1e-12) + tol
-    diff = v - pts[:, None]
-    fans = np.hypot(diff[..., 0], diff[..., 1])
-    near = fans <= cap
-    k, u = np.nonzero(near)
-    near[k, u] = segment_visibility(poly, pts[k], v[u])[side]
-    fans[~near] = np.inf
-    graph = poly._vertex_graphs[side]
-    paths = np.empty_like(fans)
-    rows = max(1, _PAIR_BLOCK // poly.n)
-    for lo in range(0, len(pts), rows):
-        paths[lo : lo + rows] = _relax(fans[lo : lo + rows], graph)
-    d2 = _edge_projections(poly, pts[:, 0], pts[:, 1])[1]
-    clearance = np.sqrt(d2.min(axis=1))
-    own_side = point_classes(poly, pts) == (1 if interior else -1)
-    pieces = _piece_bits(poly, pts, d2, side)
+    st = _point_stage(poly, pts, side, cap)
     out = np.empty(len(i))
     tested = shared = bends = 0
     for lo in range(0, len(i), _PAIR_BLOCK):
         a, b = i[lo : lo + _PAIR_BLOCK], j[lo : lo + _PAIR_BLOCK]
-        d = np.hypot(*(pts[b] - pts[a]).T)
-        ca, cb = clearance[a], clearance[b]
-        bent = ~own_side[np.where(ca >= cb, a, b)]
-        test = np.flatnonzero(ca + cb <= d + 4 * tol)
-        share = (pieces[a[test]] & pieces[b[test]]).any(axis=1)
-        bent[test[share]] = False
-        test = test[~share]
-        bent[test] = ~segment_visibility(poly, pts[a[test]], pts[b[test]])[side]
-        d[bent] = (paths[a[bent]] + fans[b[bent]]).min(axis=1)
+        d, bent, test, share = _pair_filter(st, a, b, tol)
+        _bend(poly, st, side, a, b, d, bent, test)
         d[d <= tol] = 0.0  # coincident points, as a query has them
         out[lo : lo + _PAIR_BLOCK] = d
         tested += len(test)
-        shared += int(np.count_nonzero(share))
+        shared += share
         bends += int(np.count_nonzero(bent))
     out[out > cap] = np.inf
     logger.debug("pair_geodesics: %d points, %d pairs, %d fan segments tested, "
                  "%d pairs share a piece, %d pair segments tested, %d pairs bent",
-                 len(pts), len(i), len(k), shared, tested, bends)
+                 len(pts), len(i), st.fan_segments, shared, tested, bends)
     return out
+
+
+def pairs_within(poly: Polygon, pts, i, j, interior: bool, limit: float) -> np.ndarray:
+    """Whether each pair's intrinsic distance is at most ``limit`` + tol:
+    ``pair_geodesics(poly, pts, i, j, interior, limit) <= limit + tol``, to
+    the bit, with fewer segment tests.
+
+    Of the pairs that ``_pair_filter`` leaves for the kernel, one is kept
+    with no test when its through-vertex bound min_v(paths[p, v] +
+    paths[q, v]) is at most (limit + tol)(1 - 1e-9).  This is sound: the
+    bound is the length of a path p -> v -> q (p's relaxed path to v, then
+    q's reversed), so the kernel's value is no larger.  That value is |pq|
+    when the segment is visible, at most the bound by the triangle
+    inequality; otherwise it is the minimum over u of paths[p, u] +
+    fans[q, u], and the path through v ends with q's fan to some u, so
+    paths[p, u] (a shortest fan-then-graph length) + fans[q, u] is at most
+    the bound.  Each sum adds at most 2n edges, so float rounding moves it
+    by a relative 2n * 2**-53 or so (4e-14 at n = 200), far below the 1e-9
+    margin.  The bound is kept finite, so a pair with no path through a
+    vertex is never admitted.  Logs one DEBUG line per call like
+    ``pair_geodesics``, with the pairs admitted.
+    """
+    pts = np.asarray(pts, dtype=float)
+    i, j = np.ascontiguousarray(i, dtype=np.intp), np.ascontiguousarray(j, dtype=np.intp)
+    tol = poly.tol
+    side = 0 if interior else 1
+    st = _point_stage(poly, pts, side, limit * (1 + 1e-12) + tol)
+    bound = min((limit + tol) * (1 - 1e-9), sys.float_info.max)
+    keep = np.empty(len(i), dtype=bool)
+    tested = shared = admitted = bends = 0
+    for lo in range(0, len(i), _PAIR_BLOCK):
+        a, b = i[lo : lo + _PAIR_BLOCK], j[lo : lo + _PAIR_BLOCK]
+        d, bent, test, share = _pair_filter(st, a, b, tol)
+        through = (np.take(st.paths, a.take(test), axis=0)
+                   + np.take(st.paths, b.take(test), axis=0)).min(axis=1)
+        admit, test = test[through <= bound], test[through > bound]
+        bent[admit] = False
+        _bend(poly, st, side, a, b, d, bent, test)
+        ok = d <= limit + tol
+        ok[admit] = True
+        keep[lo : lo + _PAIR_BLOCK] = ok
+        tested += len(test)
+        shared += share
+        admitted += len(admit)
+        bends += int(np.count_nonzero(bent))
+    logger.debug("pairs_within: %d points, %d pairs, %d fan segments tested, "
+                 "%d pairs share a piece, %d pairs admitted, %d pair segments tested, "
+                 "%d pairs bent", len(pts), len(i), st.fan_segments, shared, admitted, tested, bends)
+    return keep
 
 
 def _piece_bits(poly: Polygon, pts: np.ndarray, d2: np.ndarray, side: int) -> np.ndarray:
@@ -658,14 +760,14 @@ def point_in_convex_hull(hull: np.ndarray, p, tol: float):
     """Whether ``p`` lies in the CCW convex ``hull`` (within tol).
 
     ``p`` is one point or an array of points over leading axes; the answer
-    has the leading shape (a numpy bool for one point).
+    has the leading shape (a numpy bool for one point).  The slack is a
+    distance: a point passes an edge when it lies at most tol beyond the
+    edge's line (cross product >= -tol * edge length), wherever the hull is.
     """
     p = np.asarray(p, dtype=float)
-    w = np.roll(hull, -1, axis=0)
-    cr = (w[:, 0] - hull[:, 0]) * (p[..., 1, None] - hull[:, 1]) - (w[:, 1] - hull[:, 1]) * (
-        p[..., 0, None] - hull[:, 0]
-    )
-    return np.all(cr >= -tol * max(1.0, np.abs(hull).max()), axis=-1)
+    e = np.roll(hull, -1, axis=0) - hull
+    cr = e[:, 0] * (p[..., 1, None] - hull[:, 1]) - e[:, 1] * (p[..., 0, None] - hull[:, 0])
+    return np.all(cr >= -tol * np.hypot(e[:, 0], e[:, 1]), axis=-1)
 
 
 # ---------------------------------------------------------------------------

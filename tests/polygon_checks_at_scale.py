@@ -1,5 +1,5 @@
 """``validate_polygon`` and ``min_feature_size`` against their scalar oracles at n = 200,
-and the move relations' piece rule against the kernel at game-net sizes.
+and the move relations' piece and admission rules against the kernel at game-net sizes.
 
 Two 200-vertex stars (the second turned a quarter), four random radially
 sorted 200-vertex polygons and a 50-tooth comb whose middle gap pinches to
@@ -15,9 +15,11 @@ script that pytest does not collect:
 
 The move relations ``e_h`` (d_h <= delta on the escaper net) and ``e_z``
 (exterior d_z <= 3 delta on the pursuer net) from ``_threshold_distances``
-must equal the kernel-only oracle's, the same polygon with its piece cache
-set empty, on the 48-vertex star and on game nets of the comb, notch,
-spiral, slit and collinear L (about 1,500 escaper samples each).
+must equal the kernel-only oracle's on the 48-vertex star and on game nets
+of the comb, notch, spiral, slit and collinear L (about 1,500 escaper
+samples each).  The oracle keeps a candidate pair when ``pair_geodesics``
+on the polygon with its piece cache set empty puts it within limit + tol,
+so neither the piece rule nor the through-vertex admission decides a pair.
 
 Prints one line per polygon and relation with both timings and exits 1 on
 any difference.
@@ -28,6 +30,7 @@ import time
 
 import numpy as np
 from conftest import COMB, SPIRAL, reference_min_feature_size, reference_validate
+from scipy.spatial import cKDTree
 from test_geometry import (
     L_COLLINEAR,
     NOTCH,
@@ -43,6 +46,7 @@ from escape_ratio.geometry import (
     TOL_SCALE,
     Polygon,
     convex_hull,
+    pair_geodesics,
     point_classes,
     point_in_convex_hull,
     validate_polygon,
@@ -84,7 +88,7 @@ def game_nets(poly, samples):
             np.vstack([boundary, grid[(classes <= 0) & inside]]), gamma)
 
 
-def piece_rule_failures() -> int:
+def relation_failures() -> int:
     failed = 0
     cases = [("star48", _star(24)), ("comb", COMB), ("notch", NOTCH), ("spiral", SPIRAL),
              ("slit", SLIT), ("l_collinear", L_COLLINEAR)]
@@ -95,12 +99,23 @@ def piece_rule_failures() -> int:
         for what, pts, limit, interior in (("e_h", escaper, delta, True),
                                           ("e_z", pursuer, 3 * delta, False)):
             got, t_got = timed(_threshold_distances, poly, pts, limit, interior)
-            ref, t_ref = timed(_threshold_distances, _without_pieces(poly), pts, limit, interior)
+            ref, t_ref = timed(kernel_only_relation, poly, pts, limit, interior)
             same = all(np.array_equal(g, r) for g, r in zip(got, ref))
             failed += not same
             print(f"{name} {what}: {len(pts)} points, {len(got[0])} pairs, "
                   f"{'same' if same else 'DIFFERENT'} ({t_ref:.3f} s -> {t_got:.3f} s)", flush=True)
     return failed
+
+
+def kernel_only_relation(poly, pts, limit, interior):
+    """The pairs of ``_threshold_distances``' candidates (none of these
+    polygons is convex) whose kernel-only distance is at most limit + tol:
+    ``pair_geodesics`` on the polygon with its piece cache set empty, so
+    neither the piece rule nor the through-vertex admission decides a pair."""
+    cap = limit * (1 + 1e-12) + poly.tol
+    i, j = cKDTree(pts).query_pairs(r=cap, output_type="ndarray").T
+    keep = pair_geodesics(_without_pieces(poly), pts, i, j, interior, limit) <= limit + poly.tol
+    return i[keep], j[keep]
 
 
 def main() -> int:
@@ -128,7 +143,7 @@ def main() -> int:
             line += f"; {ref[0].__name__}: {ref[1]}"
         failed += not same
         print(line, flush=True)
-    failed += piece_rule_failures()
+    failed += relation_failures()
     return 1 if failed else 0
 
 

@@ -367,6 +367,22 @@ class TestPursuerDistance:
             assert ext.pursuer_distance(p, q) <= moat.pursuer_distance(p, q) + 1e-9 * F
 
 
+class TestPointInConvexHull:
+    @pytest.mark.parametrize("offset", [0.0, 1024.0, 2.0**20])
+    def test_slack_is_a_distance(self, offset):
+        # the L-shape moved by offset keeps its tol (2.8e-9); its hull's
+        # diagonal edge runs from (2, 1) to (1, 2), and (1.5, 1.5) is exact
+        poly = validate_polygon(np.array(L_SHAPE, dtype=float) + offset)
+        hull = convex_hull(poly.vertices)
+        tol = poly.tol
+        assert tol == pytest.approx(2 * math.sqrt(2) * 1e-9)
+        on_edge = np.array([1.5, 1.5]) + offset
+        out = np.array([1.0, 1.0]) / math.sqrt(2)
+        assert point_in_convex_hull(hull, on_edge, tol)
+        assert point_in_convex_hull(hull, on_edge + 0.5 * tol * out, tol)
+        assert not point_in_convex_hull(hull, on_edge + 2 * tol * out, tol)
+
+
 class TestMetricAxioms:
     @pytest.mark.parametrize("points", [SQUARE, L_SHAPE, COMB])
     def test_interior_metric_axioms(self, points):
@@ -891,11 +907,14 @@ class TestGeodesicQuery:
 
 def _geodesic_log(caplog):
     """(points, pairs, fan segments, pairs sharing a piece, pair segments,
-    bent pairs) per ``pair_geodesics`` DEBUG line."""
-    pattern = (r"pair_geodesics: (\d+) points, (\d+) pairs, (\d+) fan segments tested, "
-               r"(\d+) pairs share a piece, (\d+) pair segments tested, (\d+) pairs bent")
+    bent pairs) per ``pair_geodesics`` DEBUG line; a ``pairs_within`` line
+    has the pairs admitted by a through-vertex path before the pair segments."""
+    pattern = (r"(?:pair_geodesics|pairs_within): (\d+) points, (\d+) pairs, "
+               r"(\d+) fan segments tested, (\d+) pairs share a piece, "
+               r"(?:(\d+) pairs admitted, )?(\d+) pair segments tested, (\d+) pairs bent")
     lines = [r.getMessage() for r in caplog.records if r.name == "escape_ratio.geometry"]
-    return [tuple(map(int, re.fullmatch(pattern, line).groups())) for line in lines]
+    return [tuple(int(g) for g in re.fullmatch(pattern, line).groups() if g is not None)
+            for line in lines]
 
 
 class TestGeodesicMatrix:
@@ -970,8 +989,10 @@ class TestGeodesicMatrix:
         with caplog.at_level(logging.DEBUG, logger="escape_ratio.geometry"):
             discrete.build_game(ctx, r=3.0, delta=0.3, gamma=2 * math.sqrt(2) / 12,
                                 state_cap=1e13)
-        # the clearance rule leaves 473 and 1,417 pairs; all but 27 and 491 share a piece
-        assert _geodesic_log(caplog) == [(171, 750, 46, 446, 27, 4), (101, 1481, 157, 926, 491, 361)]
+        # the clearance rule leaves 473 and 1,417 pairs; all but 27 and 491 share a
+        # piece, and a path through a vertex admits 0 and 250 of those
+        assert _geodesic_log(caplog) == [(171, 750, 46, 446, 0, 27, 4),
+                                         (101, 1481, 157, 926, 250, 241, 159)]
 
     @pytest.mark.parametrize("points", [L_SHAPE, COMB, NOTCH, SPIRAL, L_COLLINEAR, SLIT])
     @pytest.mark.parametrize("interior", [True, False])
@@ -1006,6 +1027,25 @@ def _without_pieces(poly):
     return bare
 
 
+def _piece_cloud(poly, interior):
+    """The pieces' corners, side quarters (diagonals and lids among them)
+    and centroids, a grid over the box, and points in the slivers' sharp
+    corners, kept where they lie in the side's domain."""
+    side = 0 if interior else 1
+    tris = np.concatenate([poly._pieces[side][0], np.array(poly._triangles)])
+    fracs = np.array([0.0, 0.25, 0.5, 0.75])[:, None, None]
+    rims = tris + fracs[:, :, :, None] * (np.roll(tris, -1, axis=1) - tris)[None]
+    lo, hi = poly.bbox
+    grid = np.stack(np.meshgrid(*np.linspace(lo, hi, 17).T), axis=-1).reshape(-1, 2)
+    corners = [(1e-3, -1e-15), (1e-3, -2e-15), (1.5, -5e-13), (0.5, 1 - 5e-8), (1e-3, 1)]
+    cloud = np.unique(np.vstack([rims.reshape(-1, 2), tris.mean(axis=1), grid, corners]), axis=0)
+    classes = point_classes(poly, cloud)
+    if interior:
+        return cloud[classes >= 0]
+    in_hull = point_in_convex_hull(convex_hull(poly.vertices), cloud, poly.tol)
+    return cloud[(classes <= 0) & in_hull]
+
+
 def _piece_area(tris):
     return float(sum(tri_area(t) for t in tris))
 
@@ -1015,25 +1055,8 @@ class TestConvexPieces:
                              ids=["l", "l_collinear", "comb", "notch", "spiral", "slit", "thin"])
     @pytest.mark.parametrize("interior", [True, False])
     def test_pair_geodesics_match_the_kernel_only_oracle(self, points, interior, caplog):
-        # the pieces' corners, side quarters (diagonals and lids among them)
-        # and centroids, a grid over the box, and points in the slivers'
-        # sharp corners, kept where they lie in the side's domain
         poly = validate_polygon(points)
-        side = 0 if interior else 1
-        tris = np.concatenate([poly._pieces[side][0], np.array(poly._triangles)])
-        fracs = np.array([0.0, 0.25, 0.5, 0.75])[:, None, None]
-        rims = tris + fracs[:, :, :, None] * (np.roll(tris, -1, axis=1) - tris)[None]
-        lo, hi = poly.bbox
-        grid = np.stack(np.meshgrid(*np.linspace(lo, hi, 17).T), axis=-1).reshape(-1, 2)
-        corners = [(1e-3, -1e-15), (1e-3, -2e-15), (1.5, -5e-13), (0.5, 1 - 5e-8), (1e-3, 1)]
-        cloud = np.unique(np.vstack([rims.reshape(-1, 2), tris.mean(axis=1), grid, corners]),
-                          axis=0)
-        classes = point_classes(poly, cloud)
-        if interior:
-            pts = cloud[classes >= 0]
-        else:
-            pts = cloud[(classes <= 0) & point_in_convex_hull(convex_hull(poly.vertices), cloud,
-                                                              poly.tol)]
+        pts = _piece_cloud(poly, interior)
         i, j = np.triu_indices(len(pts), k=1)
         with caplog.at_level(logging.DEBUG, logger="escape_ratio.geometry"):
             got = pair_geodesics(poly, pts, i, j, interior)
@@ -1041,6 +1064,35 @@ class TestConvexPieces:
         assert got.tobytes() == ref.tobytes()
         (*_, shared, tested, _), (*_, none, every, _) = _geodesic_log(caplog)
         assert shared > 0 and none == 0 and shared + tested == every
+
+    @pytest.mark.parametrize("points", [L_SHAPE, L_COLLINEAR, COMB, NOTCH, SPIRAL, SLIT, THIN],
+                             ids=["l", "l_collinear", "comb", "notch", "spiral", "slit", "thin"])
+    @pytest.mark.parametrize("interior", [True, False])
+    def test_pairs_within_match_the_kernel_only_oracle(self, points, interior, caplog):
+        # the move relations' keep-only stage keeps what the kernel-only
+        # distances keep, and each pair it admits by a path through a vertex
+        # is no longer than that path
+        poly = validate_polygon(points)
+        pts = _piece_cloud(poly, interior)
+        i, j = np.triu_indices(len(pts), k=1)
+        tol, side = poly.tol, 0 if interior else 1
+        diagonal = float(np.hypot(*np.subtract(*poly.bbox)))
+        admitted_any = False
+        for limit in (0.15 * diagonal, 0.4 * diagonal):
+            with caplog.at_level(logging.DEBUG, logger="escape_ratio.geometry"):
+                got = geometry.pairs_within(poly, pts, i, j, interior, limit)
+            admitted = _geodesic_log(caplog)[-1][4]
+            oracle = pair_geodesics(_without_pieces(poly), pts, i, j, interior, limit)
+            assert np.array_equal(got, oracle <= limit + tol), limit
+            stage = geometry._point_stage(poly, pts, side, limit * (1 + 1e-12) + tol)
+            test = geometry._pair_filter(stage, i, j, tol)[2]
+            through = (stage.paths[i[test]] + stage.paths[j[test]]).min(axis=1)
+            admit = through <= (limit + tol) * (1 - 1e-9)
+            assert np.count_nonzero(admit) == admitted
+            kernel = oracle[test[admit]]
+            assert (kernel <= limit + tol).all() and (kernel <= through[admit] * (1 + 1e-12)).all()
+            admitted_any |= bool(admit.any())
+        assert admitted_any or points is not L_SHAPE
 
     @pytest.mark.parametrize("points", [L_SHAPE, L_COLLINEAR, COMB, NOTCH, SPIRAL, SLIT, SQUARE])
     def test_pieces_tile_the_polygon_and_its_pockets(self, points):

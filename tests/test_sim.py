@@ -668,15 +668,15 @@ class TestPolygonDomain:
     def test_predicates_apply_the_polygons_tol(self, l_shape, model):
         # the L-shape at 1/8 scale has diagonal 0.35, so polygon.tol is 3.5e-10,
         # below the 1e-9 that playthrough passes: a point 2 polygon.tol below
-        # the bottom edge is rejected, one polygon.tol / 2 below is not
+        # the bottom edge is rejected, one polygon.tol / 2 below is not (in
+        # the exterior model the hull test measures that distance too)
         poly = validate_polygon(l_shape.vertices / 8)
         domain = PolygonDomain(MetricContext(poly, model))
         tol = 1e-9 * max(1.0, domain.scale())
         assert tol > 2 * poly.tol
         far, near = (0.125, -2 * poly.tol), (0.125, -poly.tol / 2)
         assert not domain.escaper_contains(far, tol) and domain.escaper_contains(near, tol)
-        if model is PursuerModel.MOAT:
-            assert not domain.pursuer_contains(far, tol) and domain.pursuer_contains(near, tol)
+        assert not domain.pursuer_contains(far, tol) and domain.pursuer_contains(near, tol)
 
     @pytest.mark.parametrize("model", list(PursuerModel))
     def test_pursuer_contains_matches_metric(self, l_shape, model):
