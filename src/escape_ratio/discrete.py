@@ -171,12 +171,12 @@ def verify_net(ctx: MetricContext, samples: SampleSet, probes: int, seed: int = 
         worst = max(worst, _nearest_intrinsic(ctx.interior_distance, tree_h,
                                               samples.escaper_samples, p))
 
-    tree_z = cKDTree(samples.pursuer_samples)
     if ctx.model is PursuerModel.MOAT:
         for _ in range(probes):
             t = rng.random() * poly.perimeter
             worst = max(worst, float(poly.arc_distance(samples.boundary_params, t).min()))
     else:
+        tree_z = cKDTree(samples.pursuer_samples)
         # the boundary is always part of the pursuer domain; the hull pockets
         # have positive area only for nonconvex polygons (a convex one has
         # none to sample), and the rejection attempts are capped for pockets
@@ -228,11 +228,12 @@ def _threshold_distances(poly, pts, limit, interior):
     """Pairs (i, j), i < j, of the move relation: intrinsic distance <= limit (+ tol).
 
     The candidates are the KD-tree pairs within limit widened by a relative
-    1e-12 and by tol; ``pairs_within`` keeps those at most limit + tol
-    apart, as ``pair_geodesics`` would, and keeps a pair with a path through
-    a vertex short enough before any segment test.  A convex interior takes
-    every pair within limit + tol (chords lie in it).  ``_csr_relation`` and
-    ``_dense_relation`` turn the pairs into a relation.
+    1e-12 and by tol; ``pairs_within`` keeps those whose exact distance
+    (``pair_geodesics(..., (side,))[0]``) is at most limit + tol, and keeps
+    a pair with a path through a vertex short enough before any segment
+    test.  A convex interior takes every pair within limit + tol (chords lie
+    in it), so the KD-tree alone decides which ties at the radius it keeps.
+    ``_csr_relation`` and ``_dense_relation`` turn the pairs into a relation.
     """
     tol = poly.tol
     chords = interior and poly.is_convex

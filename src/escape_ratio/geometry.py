@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import numbers
 import sys
 from dataclasses import dataclass, field
@@ -165,8 +164,9 @@ class Polygon:
 
     @cached_property
     def _pieces(self) -> tuple:
-        """Closed convex pieces of each side, for ``pair_geodesics``: per
-        side a ``(triangles [k, 3, 2], edges)`` pair.  Side 0 takes the ear
+        """Closed convex pieces of each side, for the piece rule of
+        ``pairs_within`` (the move relations) alone: per side a
+        ``(triangles [k, 3, 2], edges)`` pair.  Side 0 takes the ear
         clipping of the polygon, side 1 that of each hull pocket, slivers
         dropped (``_stout``); both take the tol/2 neighbourhood of every edge.
 
@@ -538,12 +538,12 @@ _PAIR_BLOCK = 2**14
 
 
 class _PointStage(NamedTuple):
-    """What the pair stages read of each point, for one side: coordinates
-    (``pts``, and ``x`` and ``y`` contiguous), the fan to each vertex
-    within the cap that the point sees (inf elsewhere), the fan relaxed
-    over the side's vertex graph, the distance to the nearest edge, whether
-    the point lies strictly in the side's open domain, its piece bits
-    (``_piece_bits``), and the fan segments the kernel tested."""
+    """What the pair stage of ``pairs_within`` reads of each point, for one
+    side: coordinates (``pts``, and ``x`` and ``y`` contiguous), the fan to
+    each vertex within the cap that the point sees (inf elsewhere), the fan
+    relaxed over the side's vertex graph, the distance to the nearest edge,
+    whether the point lies strictly in the side's open domain, its piece
+    bits (``_piece_bits``), and the fan segments the kernel tested."""
 
     pts: np.ndarray
     x: np.ndarray
@@ -557,9 +557,9 @@ class _PointStage(NamedTuple):
 
 
 def _point_stage(poly: Polygon, pts: np.ndarray, side: int, cap: float) -> _PointStage:
-    """The per-point stage of ``pair_geodesics`` and ``pairs_within``: one
-    kernel call over the fans within ``cap``, and ``_relax`` on the rows
-    with a finite fan only (an all-inf row stays all-inf)."""
+    """The per-point stage of ``pairs_within``: one kernel call over the
+    fans within ``cap``, and ``_relaxed`` on the rows with a finite fan only
+    (an all-inf row stays all-inf)."""
     v = poly.vertices
     diff = v - pts[:, None]
     fans = np.hypot(diff[..., 0], diff[..., 1])
@@ -567,16 +567,10 @@ def _point_stage(poly: Polygon, pts: np.ndarray, side: int, cap: float) -> _Poin
     k, u = np.nonzero(near)
     near[k, u] = segment_visibility(poly, np.take(pts, k, axis=0), np.take(v, u, axis=0))[side]
     fans[~near] = np.inf
-    graph = poly._vertex_graphs[side]
-    paths = fans.copy()
-    live = np.flatnonzero(near.any(axis=1))
-    rows = max(1, _PAIR_BLOCK // poly.n)
-    for lo in range(0, len(live), rows):
-        sel = live[lo : lo + rows]
-        paths[sel] = _relax(np.take(fans, sel, axis=0), graph)
     d2 = _edge_projections(poly, pts[:, 0], pts[:, 1])[1]
     return _PointStage(
-        pts=pts, x=pts[:, 0].copy(), y=pts[:, 1].copy(), fans=fans, paths=paths,
+        pts=pts, x=pts[:, 0].copy(), y=pts[:, 1].copy(), fans=fans,
+        paths=_relaxed(poly, fans, side, np.flatnonzero(near.any(axis=1))),
         clearance=np.sqrt(d2.min(axis=1)),
         own_side=point_classes(poly, pts) == (-1 if side else 1),
         pieces=_piece_bits(poly, pts, d2, side), fan_segments=len(k),
@@ -603,78 +597,85 @@ def _pair_filter(st: _PointStage, a: np.ndarray, b: np.ndarray, tol: float):
     return d, bent, test[~share], int(np.count_nonzero(share))
 
 
-def _bend(poly: Polygon, st: _PointStage, side: int, a, b, d, bent, test) -> None:
-    """Test the pairs ``test`` in one kernel call, then set each bent pair's
-    ``d`` to the minimum over v of a's relaxed path plus b's fan."""
-    at, bt = a.take(test), b.take(test)
-    bent[test] = ~segment_visibility(poly, np.take(st.pts, at, axis=0),
-                                     np.take(st.pts, bt, axis=0))[side]
-    k = np.flatnonzero(bent)
-    d[k] = (np.take(st.paths, a.take(k), axis=0) + np.take(st.fans, b.take(k), axis=0)).min(axis=1)
+def pair_geodesics(poly: Polygon, pts, i, j, sides) -> np.ndarray:
+    """Shortest path lengths from ``pts[i]`` to ``pts[j]`` for each index
+    pair, one output row per entry of ``sides``: 0 for paths within the
+    closed polygon (d_h), 1 for paths around its open interior
+    (exterior-model d_z).
 
-
-def pair_geodesics(poly: Polygon, pts, i, j, interior: bool, limit: float = math.inf):
-    """Intrinsic distance from ``pts[i]`` to ``pts[j]`` for each index pair; inf above the cap.
-
-    ``interior`` picks paths within the closed polygon (d_h); otherwise paths
-    around its open interior (exterior-model d_z).  The cap is ``limit``
-    widened by a relative 1e-12 and by tol (the default is uncapped).  A pair
-    is |pq| when the segment p -> q passes the kernel, and otherwise the
-    minimum over v of p's fan relaxed over the vertex graph plus q's fan to
-    v: the sums a ``MetricContext`` query forms, to the bit.  Only vertices
-    within the cap of a point get a fan.  A pair whose endpoints' clearance
-    disks cover it takes its deeper endpoint's class without a kernel test
-    (``_pair_filter``).  Nor does a pair whose endpoints both lie in one
-    closed piece of its side (``Polygon._pieces``: a triangle by exact float
-    cross signs, no slack, or the tol/2 neighbourhood of an edge): every
-    point of its segment lies within roundoff of the piece, so every
-    midpoint the kernel would classify is within tol of the side's closed
-    domain and the kernel would pass it.  Logs one DEBUG line per call with
-    the segments tested, the pairs that share a piece and the pairs that bend.
+    A pair is |pq| when the segment p -> q passes the kernel, and otherwise
+    the minimum over v of p's fan relaxed over the side's vertex graph plus
+    q's fan to v; a pair at most tol apart is 0.  One kernel call tests
+    every pair's segment and each point's fan to every vertex, and gives
+    both predicates.  Side 0 of a convex polygon is the chord, with no test.
     """
-    pts = np.asarray(pts, dtype=float)
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     i, j = np.ascontiguousarray(i, dtype=np.intp), np.ascontiguousarray(j, dtype=np.intp)
-    tol = poly.tol
-    side = 0 if interior else 1
-    cap = limit * (1 + 1e-12) + tol
-    st = _point_stage(poly, pts, side, cap)
-    out = np.empty(len(i))
-    tested = shared = bends = 0
-    for lo in range(0, len(i), _PAIR_BLOCK):
-        a, b = i[lo : lo + _PAIR_BLOCK], j[lo : lo + _PAIR_BLOCK]
-        d, bent, test, share = _pair_filter(st, a, b, tol)
-        _bend(poly, st, side, a, b, d, bent, test)
-        d[d <= tol] = 0.0  # coincident points, as a query has them
-        out[lo : lo + _PAIR_BLOCK] = d
-        tested += len(test)
-        shared += share
-        bends += int(np.count_nonzero(bent))
-    out[out > cap] = np.inf
-    logger.debug("pair_geodesics: %d points, %d pairs, %d fan segments tested, "
-                 "%d pairs share a piece, %d pair segments tested, %d pairs bent",
-                 len(pts), len(i), st.fan_segments, shared, tested, bends)
+    v, n = poly.vertices, poly.n
+    rows = len(i)
+    # the kernel's segments: pq, then each point's fan
+    a, b = np.empty((2, rows + len(pts) * n, 2))
+    a[:rows], b[:rows] = np.take(pts, i, axis=0), np.take(pts, j, axis=0)
+    d0 = np.hypot(b[:rows, 0] - a[:rows, 0], b[:rows, 1] - a[:rows, 1])
+    d0[d0 <= poly.tol] = 0.0
+    out = np.empty((len(sides), rows))
+    out[:] = d0
+    tested = [k for k, side in enumerate(sides) if side or not poly.is_convex]
+    if not (tested and d0.any()):
+        return out
+    a[rows:].reshape(-1, n, 2)[:] = pts[:, None]
+    b[rows:].reshape(-1, n, 2)[:] = v
+    ok = segment_visibility(poly, a, b)
+    del a, b  # freed before the bent sums: on a large batch each is megabytes
+    diff = v - pts[:, None]
+    fans = np.hypot(diff[..., 0], diff[..., 1])
+    for k in tested:
+        vis = ok[sides[k]]
+        bent = np.flatnonzero(~vis[:rows] & (d0 > 0))
+        if not len(bent):
+            continue
+        w = np.where(vis[rows:].reshape(-1, n), fans, np.inf)
+        paths = _relaxed(poly, w, sides[k], np.arange(len(pts)))
+        for lo in range(0, len(bent), _PAIR_BLOCK):
+            block = bent[lo : lo + _PAIR_BLOCK]
+            sums = np.take(paths, i.take(block), axis=0)
+            sums += np.take(w, j.take(block), axis=0)
+            out[k, block] = sums.min(axis=1)
     return out
 
 
 def pairs_within(poly: Polygon, pts, i, j, interior: bool, limit: float) -> np.ndarray:
     """Whether each pair's intrinsic distance is at most ``limit`` + tol:
-    ``pair_geodesics(poly, pts, i, j, interior, limit) <= limit + tol``, to
-    the bit, with fewer segment tests.
+    ``pair_geodesics(poly, pts, i, j, (side,))[0] <= limit + tol`` (side 0
+    when ``interior``, else 1), to the bit, with fewer segment tests.
 
-    Of the pairs that ``_pair_filter`` leaves for the kernel, one is kept
-    with no test when its through-vertex bound min_v(paths[p, v] +
-    paths[q, v]) is at most (limit + tol)(1 - 1e-9).  This is sound: the
-    bound is the length of a path p -> v -> q (p's relaxed path to v, then
-    q's reversed), so the kernel's value is no larger.  That value is |pq|
-    when the segment is visible, at most the bound by the triangle
-    inequality; otherwise it is the minimum over u of paths[p, u] +
-    fans[q, u], and the path through v ends with q's fan to some u, so
-    paths[p, u] (a shortest fan-then-graph length) + fans[q, u] is at most
-    the bound.  Each sum adds at most 2n edges, so float rounding moves it
-    by a relative 2n * 2**-53 or so (4e-14 at n = 200), far below the 1e-9
-    margin.  The bound is kept finite, so a pair with no path through a
-    vertex is never admitted.  Logs one DEBUG line per call like
-    ``pair_geodesics``, with the pairs admitted.
+    Only vertices within the cap (``limit`` widened by a relative 1e-12 and
+    by tol) of a point get a fan: a path using a longer fan is over the cap.
+    A pair whose endpoints' clearance disks cover it takes its deeper
+    endpoint's class without a kernel test (``_pair_filter``).  Nor does a
+    pair whose endpoints both lie in one closed piece of its side
+    (``Polygon._pieces``: a triangle by exact float cross signs, no slack,
+    or the tol/2 neighbourhood of an edge): every point of its segment lies
+    within roundoff of the piece, so every midpoint the kernel would
+    classify is within tol of the side's closed domain and the kernel would
+    pass it.
+
+    Of the pairs left for the kernel, one is kept with no test when its
+    through-vertex bound min_v(paths[p, v] + paths[q, v]) is at most
+    (limit + tol)(1 - 1e-9).  This is sound: the bound is the length of a
+    path p -> v -> q (p's relaxed path to v, then q's reversed), so the
+    kernel's value is no larger.  That value is |pq| when the segment is
+    visible, at most the bound by the triangle inequality; otherwise it is
+    the minimum over u of paths[p, u] + fans[q, u], and the path through v
+    ends with q's fan to some u, so paths[p, u] (a shortest fan-then-graph
+    length) + fans[q, u] is at most the bound.  Each sum adds at most 2n
+    edges, so float rounding moves it by a relative 2n * 2**-53 or so
+    (4e-14 at n = 200), far below the 1e-9 margin.  The bound is kept
+    finite, so a pair with no path through a vertex is never admitted.  The
+    rest are tested in one kernel call per block of pairs; a bent one is the
+    minimum over v of p's relaxed path plus q's fan.  Logs one DEBUG line
+    per call with the fan segments tested, the pairs that share a piece, the
+    pairs admitted, the pair segments tested and the pairs that bend.
     """
     pts = np.asarray(pts, dtype=float)
     i, j = np.ascontiguousarray(i, dtype=np.intp), np.ascontiguousarray(j, dtype=np.intp)
@@ -691,14 +692,18 @@ def pairs_within(poly: Polygon, pts, i, j, interior: bool, limit: float) -> np.n
                    + np.take(st.paths, b.take(test), axis=0)).min(axis=1)
         admit, test = test[through <= bound], test[through > bound]
         bent[admit] = False
-        _bend(poly, st, side, a, b, d, bent, test)
+        bent[test] = ~segment_visibility(poly, np.take(st.pts, a.take(test), axis=0),
+                                         np.take(st.pts, b.take(test), axis=0))[side]
+        k = np.flatnonzero(bent)
+        d[k] = (np.take(st.paths, a.take(k), axis=0)
+                + np.take(st.fans, b.take(k), axis=0)).min(axis=1)
         ok = d <= limit + tol
         ok[admit] = True
         keep[lo : lo + _PAIR_BLOCK] = ok
         tested += len(test)
         shared += share
         admitted += len(admit)
-        bends += int(np.count_nonzero(bent))
+        bends += len(k)
     logger.debug("pairs_within: %d points, %d pairs, %d fan segments tested, "
                  "%d pairs share a piece, %d pairs admitted, %d pair segments tested, "
                  "%d pairs bent", len(pts), len(i), st.fan_segments, shared, admitted, tested, bends)
@@ -719,6 +724,19 @@ def _piece_bits(poly: Polygon, pts: np.ndarray, d2: np.ndarray, side: int) -> np
         held &= e[:, 0] * (y - o[:, 1]) - e[:, 1] * (x - o[:, 0]) >= 0
     near = d2[:, edges] <= (0.5 * poly.tol) ** 2
     return np.packbits(np.concatenate([held, near], axis=1), axis=1)
+
+
+def _relaxed(poly: Polygon, fans: np.ndarray, side: int, rows: np.ndarray) -> np.ndarray:
+    """``fans`` with the rows ``rows`` relaxed over the side's vertex graph
+    (``_relax``), a block of ``_PAIR_BLOCK`` // n rows at a time; the other
+    rows as given.  Each row's result is independent of its block."""
+    graph = poly._vertex_graphs[side]
+    paths = fans.copy()
+    block = max(1, _PAIR_BLOCK // poly.n)
+    for lo in range(0, len(rows), block):
+        sel = rows[lo : lo + block]
+        paths[sel] = _relax(np.take(fans, sel, axis=0), graph)
+    return paths
 
 
 def _relax(fans: np.ndarray, graph: np.ndarray) -> np.ndarray:
@@ -795,7 +813,7 @@ class MetricContext:
     def triangulation(self) -> list[np.ndarray]:
         """The polygon's cached ear clipping (O(n^3), built on first use):
         ``scheme.epsilon0`` reads it, and the interior pieces of
-        ``pair_geodesics`` come from it."""
+        ``pairs_within`` come from it."""
         return self.polygon._triangles
 
     # -- visibility graphs over polygon vertices ---------------------------
@@ -809,46 +827,6 @@ class MetricContext:
     def exterior_visibility(self) -> np.ndarray:
         return self.polygon._vertex_graphs[1]
 
-    def _geodesics(self, P, Q, sides) -> np.ndarray:
-        """Shortest path lengths from each row of ``P`` to the same row of
-        ``Q``, one output row per entry of ``sides``: 0 for paths within the
-        closed polygon (d_h), 1 for paths around its open interior
-        (exterior-model d_z).  ``P`` or ``Q`` may be one point that every
-        row shares.  One batched test covers every row's ``pq`` and the fan
-        ``x -> v_k`` of each given point x and gives both predicates, and
-        ``_relax`` extends p's fan as ``pair_geodesics`` does, so both give
-        the same float minimum.  Interior paths in a convex polygon are the
-        segment, with no test."""
-        poly = self.polygon
-        v, n = poly.vertices, poly.n
-        P = np.asarray(P, dtype=float).reshape(-1, 2)
-        Q = np.asarray(Q, dtype=float).reshape(-1, 2)
-        d0 = np.hypot(Q[:, 0] - P[:, 0], Q[:, 1] - P[:, 1])
-        d0[d0 <= poly.tol] = 0.0
-        out = np.empty((len(sides), len(d0)))
-        out[:] = d0
-        tested = [k for k, side in enumerate(sides) if side or not poly.is_convex]
-        if not (tested and d0.any()):
-            return out
-        rows = len(d0)
-        ends = np.concatenate([P, Q])
-        # segments pq, then each end's fan
-        a, b = np.empty((2, rows + len(ends) * n, 2))
-        a[:rows], b[:rows] = P, Q
-        a[rows:] = np.repeat(ends, n, axis=0)
-        b[rows:].reshape(-1, n, 2)[:] = v
-        ok = segment_visibility(poly, a, b)
-        diff = v - ends[:, None]
-        fans = np.hypot(diff[..., 0], diff[..., 1])
-        for k in tested:
-            vis = ok[sides[k]]
-            bent = ~vis[:rows] & (d0 > 0)
-            if bent.any():
-                w = np.where(vis[rows:].reshape(-1, n), fans, np.inf)
-                paths = _relax(w[: len(P)], poly._vertex_graphs[sides[k]])
-                out[k, bent] = (paths + w[len(P) :]).min(axis=-1)[bent]
-        return out
-
     # -- escaper metric -----------------------------------------------------
 
     def interior_distance(self, p, q) -> float:
@@ -856,7 +834,7 @@ class MetricContext:
         pq = np.array([p, q], dtype=float)
         if np.any(point_classes(self.polygon, pq) < 0):
             raise OutsideDomain("point not in the escaper domain")
-        return float(self._geodesics(pq[0], pq[1], (0,))[0, 0])
+        return float(pair_geodesics(self.polygon, pq, [0], [1], (0,))[0, 0])
 
     # -- pursuer metric -----------------------------------------------------
 
@@ -882,7 +860,7 @@ class MetricContext:
                 raise OutsideDomain("point inside the escaper domain")
             if not hull_ok:
                 raise OutsideDomain("point beyond the convex hull of the boundary")
-        return float(self._geodesics(pq[0], pq[1], (1,))[0, 0])
+        return float(pair_geodesics(poly, pq, [0], [1], (1,))[0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -112,9 +112,7 @@ def boundary_samples(ctx: MetricContext, spacing: float):
 
 def _pairwise_dh(ctx: MetricContext, pts: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Interior geodesic distances between boundary samples ``i`` and ``j``."""
-    if ctx.polygon.is_convex:
-        return np.hypot(*(pts[j] - pts[i]).T)
-    return pair_geodesics(ctx.polygon, pts, i, j, interior=True)
+    return pair_geodesics(ctx.polygon, pts, i, j, (0,))[0]
 
 
 def _pairwise_dz(ctx: MetricContext, params: np.ndarray, pts: np.ndarray,
@@ -122,7 +120,7 @@ def _pairwise_dz(ctx: MetricContext, params: np.ndarray, pts: np.ndarray,
     """Pursuer distances between boundary samples ``i`` and ``j``."""
     if ctx.model is PursuerModel.MOAT:
         return ctx.polygon.arc_distance(params[i], params[j])
-    return pair_geodesics(ctx.polygon, pts, i, j, interior=False)
+    return pair_geodesics(ctx.polygon, pts, i, j, (1,))[0]
 
 
 def _pair_rows(m: int, k: np.ndarray):
@@ -173,7 +171,9 @@ def _branch_and_bound(bound: np.ndarray, best: float, evaluate) -> int:
         if not n_live:
             return batches
         if n_live > size:
-            k = np.argpartition(bound, len(bound) - size)[-size:]
+            # a copy: ``evaluate`` may keep k, and a view would keep the
+            # whole partition (8 bytes a pair) alive with it
+            k = np.argpartition(bound, len(bound) - size)[-size:].copy()
         else:
             k = np.flatnonzero(live)
         best = max(best, evaluate(k))
@@ -190,11 +190,14 @@ def _pair_ratios(ctx: MetricContext, T: np.ndarray) -> np.ndarray:
         raise OutsideDomain("ratio pairs must lie on the polygon boundary")
     # a batch of one golden search holds one end fixed: pass it once
     P, Q = (pts[:1, i] if np.all(T[:, i] == T[0, i]) else pts[:, i] for i in (0, 1))
+    rows = np.arange(len(T))
+    i, j = rows % len(P), len(P) + rows % len(Q)
+    ends = np.concatenate([P, Q])
     if ctx.model is PursuerModel.MOAT:
-        (dh,) = ctx._geodesics(P, Q, (0,))
+        (dh,) = pair_geodesics(poly, ends, i, j, (0,))
         dz = poly.arc_distance(*poly.boundary_parameter(pts).T)
     else:
-        dh, dz = ctx._geodesics(P, Q, (0, 1))
+        dh, dz = pair_geodesics(poly, ends, i, j, (0, 1))
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(dh <= poly.tol, -np.inf, dz / dh)
 

@@ -1,5 +1,6 @@
 """``validate_polygon`` and ``min_feature_size`` against their scalar oracles at n = 200,
-and the move relations' piece and admission rules against the kernel at game-net sizes.
+the move relations' piece and admission rules against the kernel at game-net sizes,
+and ``pair_geodesics`` against the per-query reference on the star's nets.
 
 Two 200-vertex stars (the second turned a quarter), four random radially
 sorted 200-vertex polygons and a 50-tooth comb whose middle gap pinches to
@@ -17,9 +18,13 @@ The move relations ``e_h`` (d_h <= delta on the escaper net) and ``e_z``
 (exterior d_z <= 3 delta on the pursuer net) from ``_threshold_distances``
 must equal the kernel-only oracle's on the 48-vertex star and on game nets
 of the comb, notch, spiral, slit and collinear L (about 1,500 escaper
-samples each).  The oracle keeps a candidate pair when ``pair_geodesics``
-on the polygon with its piece cache set empty puts it within limit + tol,
-so neither the piece rule nor the through-vertex admission decides a pair.
+samples each).  The oracle keeps a candidate pair when the exact
+``pair_geodesics(poly, pts, i, j, (side,))[0]``, which tests every pair's
+segment, puts it within limit + tol, so neither the piece rule nor the
+through-vertex admission decides a pair.  On a seeded sample of 2,000 pairs
+of each 48-star net, ``pair_geodesics`` must equal the scalar
+``_reference_geodesic`` (one kernel call per segment and fan, a heap
+Dijkstra) to the bit.
 
 Prints one line per polygon and relation with both timings and exits 1 on
 any difference.
@@ -37,14 +42,16 @@ from test_geometry import (
     SLIT,
     _radial_polygon,
     _star,
+    _reference_geodesic,
     _validation_outcome,
-    _without_pieces,
 )
 
 from escape_ratio.discrete import _grid_points, _threshold_distances
 from escape_ratio.geometry import (
     TOL_SCALE,
+    MetricContext,
     Polygon,
+    PursuerModel,
     convex_hull,
     pair_geodesics,
     point_classes,
@@ -109,13 +116,34 @@ def relation_failures() -> int:
 
 def kernel_only_relation(poly, pts, limit, interior):
     """The pairs of ``_threshold_distances``' candidates (none of these
-    polygons is convex) whose kernel-only distance is at most limit + tol:
-    ``pair_geodesics`` on the polygon with its piece cache set empty, so
-    neither the piece rule nor the through-vertex admission decides a pair."""
+    polygons is convex) whose exact distance is at most limit + tol:
+    ``pair_geodesics`` tests every pair's segment, so neither the piece rule
+    nor the through-vertex admission decides a pair."""
     cap = limit * (1 + 1e-12) + poly.tol
     i, j = cKDTree(pts).query_pairs(r=cap, output_type="ndarray").T
-    keep = pair_geodesics(_without_pieces(poly), pts, i, j, interior, limit) <= limit + poly.tol
+    keep = pair_geodesics(poly, pts, i, j, (0 if interior else 1,))[0] <= limit + poly.tol
     return i[keep], j[keep]
+
+
+def geodesic_failures(pairs=2000) -> int:
+    """``pair_geodesics`` against ``_reference_geodesic`` on ``pairs``
+    seeded pairs of each 48-star net, d_h on the escaper net and exterior
+    d_z on the pursuer net."""
+    poly = validate_polygon(_star(24))
+    ctx = MetricContext(poly, PursuerModel.EXTERIOR)
+    escaper, pursuer, _ = game_nets(poly, 1500)
+    rng = np.random.default_rng(48)
+    failed = 0
+    for what, pts, side in (("d_h", escaper, 0), ("d_z", pursuer, 1)):
+        i, j = rng.integers(0, len(pts), (2, pairs))
+        got, t_got = timed(pair_geodesics, poly, pts, i, j, (side,))
+        ref, t_ref = timed(lambda: np.array([_reference_geodesic(ctx, pts[a], pts[b], side == 0)
+                                             for a, b in zip(i, j)]))
+        same = got[0].tobytes() == ref.tobytes()
+        failed += not same
+        print(f"star48 {what}: {pairs} pairs of {len(pts)} points, "
+              f"{'same' if same else 'DIFFERENT'} ({t_ref:.3f} s -> {t_got:.3f} s)", flush=True)
+    return failed
 
 
 def main() -> int:
@@ -144,6 +172,7 @@ def main() -> int:
         failed += not same
         print(line, flush=True)
     failed += relation_failures()
+    failed += geodesic_failures()
     return 1 if failed else 0
 
 

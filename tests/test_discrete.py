@@ -240,10 +240,14 @@ class TestBuildGame:
         notch = [(0, -1), (8, -1), (8, 1), (4.5, 1), (4.05, 0), (4, -0.5), (3.95, 0),
                  (3.5, 1), (0, 1)]
         ctx = MetricContext(validate_polygon(notch), PursuerModel.MOAT)
-        dist = pair_geodesics(ctx.polygon, [[0.3, 0], [7.5, 0]], [0], [1], True, 8)
+        pts = np.array([[0.3, 0], [7.5, 0]])
+        (dist,) = pair_geodesics(ctx.polygon, pts, [0], [1], (0,))
         exact = ctx.interior_distance((0.3, 0), (7.5, 0))
         assert exact == 7.269164846451632
         assert dist[0] == exact
+        # the move relation keeps the pair at that limit and not just below it
+        for limit, kept in ((exact, 1), (7.26, 0)):
+            assert len(discrete._threshold_distances(ctx.polygon, pts, limit, True)[0]) == kept
 
     def test_threshold_monotone_in_r(self, square_moat):
         s = gamma_sample(square_moat, 0.1)

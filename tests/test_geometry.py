@@ -906,15 +906,14 @@ class TestGeodesicQuery:
 
 
 def _geodesic_log(caplog):
-    """(points, pairs, fan segments, pairs sharing a piece, pair segments,
-    bent pairs) per ``pair_geodesics`` DEBUG line; a ``pairs_within`` line
-    has the pairs admitted by a through-vertex path before the pair segments."""
-    pattern = (r"(?:pair_geodesics|pairs_within): (\d+) points, (\d+) pairs, "
-               r"(\d+) fan segments tested, (\d+) pairs share a piece, "
-               r"(?:(\d+) pairs admitted, )?(\d+) pair segments tested, (\d+) pairs bent")
+    """(points, pairs, fan segments, pairs sharing a piece, pairs admitted
+    by a through-vertex path, pair segments, bent pairs) per
+    ``pairs_within`` DEBUG line."""
+    pattern = (r"pairs_within: (\d+) points, (\d+) pairs, (\d+) fan segments tested, "
+               r"(\d+) pairs share a piece, (\d+) pairs admitted, "
+               r"(\d+) pair segments tested, (\d+) pairs bent")
     lines = [r.getMessage() for r in caplog.records if r.name == "escape_ratio.geometry"]
-    return [tuple(int(g) for g in re.fullmatch(pattern, line).groups() if g is not None)
-            for line in lines]
+    return [tuple(int(g) for g in re.fullmatch(pattern, line).groups()) for line in lines]
 
 
 class TestGeodesicMatrix:
@@ -932,16 +931,44 @@ class TestGeodesicMatrix:
         ctx = MetricContext(poly, PursuerModel.EXTERIOR)
         classes = point_classes(poly, cloud)
         in_hull = point_in_convex_hull(ctx.hull, cloud, poly.tol)
-        for interior in (True, False):
-            pts = cloud[classes >= 0] if interior else cloud[(classes <= 0) & in_hull]
+        for side in (0, 1):
+            pts = cloud[classes >= 0] if side == 0 else cloud[(classes <= 0) & in_hull]
             i, j = np.triu_indices(len(pts), k=1)
-            ref = np.array([_reference_geodesic(ctx, pts[a], pts[b], interior)
+            ref = np.array([_reference_geodesic(ctx, pts[a], pts[b], side == 0)
                             for a, b in zip(i, j)])
-            for limit in (0.5, 1.5, math.inf):
-                cap = limit * (1 + 1e-12) + poly.tol
-                got = pair_geodesics(poly, pts, i, j, interior, limit)
-                masked = np.where(ref <= cap, ref, np.inf)
-                assert got.tobytes() == masked.tobytes(), (interior, limit)
+            got = pair_geodesics(poly, pts, i, j, (side,))
+            assert got.shape == (1, len(i)) and got.tobytes() == ref.tobytes(), side
+
+    def test_both_sides_in_one_kernel_call(self, monkeypatch):
+        # boundary points lie in both domains; one call gives each side's
+        # row as a call for that side alone does
+        calls = []
+        kernel = geometry.segment_visibility
+        monkeypatch.setattr(geometry, "segment_visibility",
+                            lambda poly, a, b: calls.append(len(a)) or kernel(poly, a, b))
+        poly = validate_polygon(SPIRAL)
+        pts = poly.boundary_point(np.linspace(0, poly.perimeter, 23, endpoint=False))
+        i, j = np.triu_indices(len(pts), k=1)
+        poly._vertex_graphs  # build the cached graphs first
+        calls.clear()
+        both = pair_geodesics(poly, pts, i, j, (0, 1))
+        assert calls == [len(i) + len(pts) * poly.n]
+        for side in (0, 1):
+            assert both[side].tobytes() == pair_geodesics(poly, pts, i, j, (side,))[0].tobytes()
+        assert (both[1] != both[0]).any()
+
+    def test_convex_interior_is_the_chord_with_no_kernel_call(self, monkeypatch):
+        calls = []
+        kernel = geometry.segment_visibility
+        monkeypatch.setattr(geometry, "segment_visibility",
+                            lambda poly, a, b: calls.append(len(a)) or kernel(poly, a, b))
+        poly = validate_polygon(SQUARE)
+        pts = np.array([(0, 0), (1, 0.5), (0.25, 1), (0.5, 0.5), (0.5, 0.5)])
+        i, j = np.triu_indices(len(pts), k=1)
+        got = pair_geodesics(poly, pts, i, j, (0,))[0]
+        chords = np.hypot(*(pts[j] - pts[i]).T)
+        assert calls == [] and got.tobytes() == np.where(chords <= poly.tol, 0.0, chords).tobytes()
+        assert got[-1] == 0.0  # the coincident pair
 
     def test_slit_far_from_vertices_blocks(self):
         # the segment is 0.8 long and crosses both slit edges, while every
@@ -951,11 +978,11 @@ class TestGeodesicMatrix:
         assert np.hypot(*(poly.vertices - a).T).min() > 1
         assert np.hypot(*(poly.vertices - b).T).min() > 1
         pts = np.array([a, b])
-        assert np.isinf(pair_geodesics(poly, pts, [0], [1], True, 1.0)[0])
+        assert not geometry.pairs_within(poly, pts, [0], [1], True, 1.0)[0]
         assert len(discrete._threshold_distances(poly, pts, 1.0, interior=True)[0]) == 0
-        # uncapped, the path goes around the slit's foot
+        # the path goes around the slit's foot
         around = 2 * math.hypot(0.35, 3.0) + 0.1
-        assert pair_geodesics(poly, pts, [0], [1], True)[0] == pytest.approx(around)
+        assert pair_geodesics(poly, pts, [0], [1], (0,))[0, 0] == pytest.approx(around)
 
     def test_two_clearance_disks_skip_the_kernel(self, caplog):
         # neither endpoint's clearance (0.5) reaches the other end 0.7 away,
@@ -965,23 +992,31 @@ class TestGeodesicMatrix:
         clearance = np.sqrt(geometry._boundary_distance2(poly, pts))
         d, tol = 0.7, poly.tol
         assert clearance.max() <= d + 2 * tol < clearance.sum() - 2 * tol
-        with caplog.at_level(logging.DEBUG, logger="escape_ratio.geometry"):
-            got = pair_geodesics(poly, pts, [0], [1], True)
-        assert _geodesic_log(caplog)[-1][3:] == (0, 0, 0)
         ctx = MetricContext(poly, PursuerModel.EXTERIOR)
-        assert got[0] == _reference_geodesic(ctx, pts[0], pts[1], True)
+        ref = _reference_geodesic(ctx, pts[0], pts[1], True)
+        for limit in (0.69, 0.71):
+            with caplog.at_level(logging.DEBUG, logger="escape_ratio.geometry"):
+                got = geometry.pairs_within(poly, pts, [0], [1], True, limit)
+            assert _geodesic_log(caplog)[-1][3:] == (0, 0, 0, 0)
+            assert got[0] == (ref <= limit + tol)
 
     def test_pair_across_the_slit_wall_is_tested(self, caplog):
-        # the clearances (0.35 each) sum to less than the length 0.8
+        # the clearances (0.35 each) sum to less than the length 0.8; below
+        # the way round the slit's foot (6.14), no path through a vertex
+        # admits the pair either
         poly = validate_polygon(SLIT)
         pts = np.array([(4.6, 6.0), (5.4, 6.0)])
         clearance = np.sqrt(geometry._boundary_distance2(poly, pts))
         assert clearance.sum() <= 0.8
-        with caplog.at_level(logging.DEBUG, logger="escape_ratio.geometry"):
-            got = pair_geodesics(poly, pts, [0], [1], True)
-        assert _geodesic_log(caplog)[-1] == (2, 1, 2 * poly.n, 0, 1, 1)
         ctx = MetricContext(poly, PursuerModel.EXTERIOR)
-        assert got[0] == _reference_geodesic(ctx, pts[0], pts[1], True) > 0.8
+        ref = _reference_geodesic(ctx, pts[0], pts[1], True)
+        assert 6.1 < ref < 6.2
+        limit = 5.0
+        fans = int(np.count_nonzero(np.hypot(*(poly.vertices - pts[:, None]).T) <= limit + 1e-6))
+        with caplog.at_level(logging.DEBUG, logger="escape_ratio.geometry"):
+            got = geometry.pairs_within(poly, pts, [0], [1], True, limit)
+        assert _geodesic_log(caplog)[-1] == (2, 1, fans, 0, 0, 1, 1) and fans > 0
+        assert not got[0]
 
     def test_logs_segment_traffic(self, caplog):
         # the move relations of a small L-shape game, one line per relation
@@ -997,6 +1032,8 @@ class TestGeodesicMatrix:
     @pytest.mark.parametrize("points", [L_SHAPE, COMB, NOTCH, SPIRAL, L_COLLINEAR, SLIT])
     @pytest.mark.parametrize("interior", [True, False])
     def test_cap_masks_the_uncapped_matrix(self, points, interior):
+        # the keep-only stage, whose fans stop at its cap, keeps what the
+        # exact matrix puts within limit + tol
         poly = validate_polygon(points)
         rng = np.random.default_rng(3)
         lo, hi = poly.bbox
@@ -1007,24 +1044,13 @@ class TestGeodesicMatrix:
         # the vertices and the first boundary points once more
         pts = np.vstack([pts, pts[-poly.n :], pts[:3]])
         i, j = np.triu_indices(len(pts), k=1)
-        full = pair_geodesics(poly, pts, i, j, interior)
+        (full,) = pair_geodesics(poly, pts, i, j, (0 if interior else 1,))
         assert np.isfinite(full).all()
         dup = (pts[i] == pts[j]).all(axis=1)
         assert dup.sum() == poly.n + 3 and (full[dup] == 0.0).all()
         for limit in (0.3, 1.0, 2.5, 0.25 * poly.perimeter):
-            cap = limit * (1 + 1e-12) + poly.tol
-            capped = pair_geodesics(poly, pts, i, j, interior, limit)
-            masked = np.where(full <= cap, full, np.inf)
-            assert capped.tobytes() == masked.tobytes()
-
-
-def _without_pieces(poly):
-    """A copy of ``poly`` whose piece cache is set empty: ``pair_geodesics``
-    on it runs the kernel on every pair the clearance rule leaves."""
-    bare = geometry.Polygon(poly.vertices, poly.tol)
-    none = (np.empty((0, 3, 2)), np.empty(0, dtype=np.intp))
-    object.__setattr__(bare, "_pieces", (none, none))
-    return bare
+            got = geometry.pairs_within(poly, pts, i, j, interior, limit)
+            assert np.array_equal(got, full <= limit + poly.tol), limit
 
 
 def _piece_cloud(poly, interior):
@@ -1054,42 +1080,46 @@ class TestConvexPieces:
     @pytest.mark.parametrize("points", [L_SHAPE, L_COLLINEAR, COMB, NOTCH, SPIRAL, SLIT, THIN],
                              ids=["l", "l_collinear", "comb", "notch", "spiral", "slit", "thin"])
     @pytest.mark.parametrize("interior", [True, False])
-    def test_pair_geodesics_match_the_kernel_only_oracle(self, points, interior, caplog):
+    def test_pair_geodesics_match_the_kernel_only_oracle(self, points, interior):
+        # the pieces' corners, rims and slivers are where a rule that skips
+        # the kernel would err: the exact function tests every pair there
+        # and matches the per-query reference on a seeded sample
         poly = validate_polygon(points)
         pts = _piece_cloud(poly, interior)
         i, j = np.triu_indices(len(pts), k=1)
-        with caplog.at_level(logging.DEBUG, logger="escape_ratio.geometry"):
-            got = pair_geodesics(poly, pts, i, j, interior)
-            ref = pair_geodesics(_without_pieces(poly), pts, i, j, interior)
+        k = np.random.default_rng(len(pts)).choice(len(i), size=min(len(i), 300), replace=False)
+        i, j = i[k], j[k]
+        ctx = MetricContext(poly, PursuerModel.EXTERIOR)
+        ref = np.array([_reference_geodesic(ctx, pts[a], pts[b], interior) for a, b in zip(i, j)])
+        got = pair_geodesics(poly, pts, i, j, (0 if interior else 1,))[0]
         assert got.tobytes() == ref.tobytes()
-        (*_, shared, tested, _), (*_, none, every, _) = _geodesic_log(caplog)
-        assert shared > 0 and none == 0 and shared + tested == every
 
     @pytest.mark.parametrize("points", [L_SHAPE, L_COLLINEAR, COMB, NOTCH, SPIRAL, SLIT, THIN],
                              ids=["l", "l_collinear", "comb", "notch", "spiral", "slit", "thin"])
     @pytest.mark.parametrize("interior", [True, False])
     def test_pairs_within_match_the_kernel_only_oracle(self, points, interior, caplog):
-        # the move relations' keep-only stage keeps what the kernel-only
-        # distances keep, and each pair it admits by a path through a vertex
-        # is no longer than that path
+        # the move relations' keep-only stage keeps what the exact distances
+        # keep, some pairs share a piece, and each pair it admits by a path
+        # through a vertex is no longer than that path
         poly = validate_polygon(points)
         pts = _piece_cloud(poly, interior)
         i, j = np.triu_indices(len(pts), k=1)
         tol, side = poly.tol, 0 if interior else 1
+        (exact,) = pair_geodesics(poly, pts, i, j, (side,))
         diagonal = float(np.hypot(*np.subtract(*poly.bbox)))
         admitted_any = False
         for limit in (0.15 * diagonal, 0.4 * diagonal):
             with caplog.at_level(logging.DEBUG, logger="escape_ratio.geometry"):
                 got = geometry.pairs_within(poly, pts, i, j, interior, limit)
-            admitted = _geodesic_log(caplog)[-1][4]
-            oracle = pair_geodesics(_without_pieces(poly), pts, i, j, interior, limit)
-            assert np.array_equal(got, oracle <= limit + tol), limit
+            *_, shared, admitted, _, _ = _geodesic_log(caplog)[-1]
+            assert np.array_equal(got, exact <= limit + tol), limit
+            assert shared > 0
             stage = geometry._point_stage(poly, pts, side, limit * (1 + 1e-12) + tol)
             test = geometry._pair_filter(stage, i, j, tol)[2]
             through = (stage.paths[i[test]] + stage.paths[j[test]]).min(axis=1)
             admit = through <= (limit + tol) * (1 - 1e-9)
             assert np.count_nonzero(admit) == admitted
-            kernel = oracle[test[admit]]
+            kernel = exact[test[admit]]
             assert (kernel <= limit + tol).all() and (kernel <= through[admit] * (1 + 1e-12)).all()
             admitted_any |= bool(admit.any())
         assert admitted_any or points is not L_SHAPE

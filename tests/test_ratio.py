@@ -402,9 +402,9 @@ class TestRefinementWork:
         kernel = geometry.segment_visibility
         monkeypatch.setattr(geometry, "segment_visibility",
                             lambda poly, a, b: kernel_calls.append(1) or kernel(poly, a, b))
-        geodesics = ctx._geodesics
-        monkeypatch.setattr(ctx, "_geodesics", lambda P, Q, sides: (
-            rows.extend(map(tuple, np.hstack(np.broadcast_arrays(P, Q)))) or geodesics(P, Q, sides)))
+        geodesics = ratio.pair_geodesics
+        monkeypatch.setattr(ratio, "pair_geodesics", lambda poly, pts, i, j, sides: (
+            rows.extend(map(tuple, np.hstack([pts[i], pts[j]]))) or geodesics(poly, pts, i, j, sides)))
         for name in ("interior_distance", "pursuer_distance"):
             monkeypatch.delattr(MetricContext, name)  # no scalar query
         # the best sample pair at spacing 0.1; the later rounds repeat searches
@@ -412,6 +412,13 @@ class TestRefinementWork:
         assert len(rows) == len(set(rows)) == evaluated
         assert len(kernel_calls) == batches  # one kernel call per batch, both metrics
         assert (requested, distinct, evaluated, batches) == (253, 127, 391, 31)
+
+    @pytest.mark.parametrize("model", list(PursuerModel))
+    def test_sandwich_builds_no_pieces(self, model):
+        # the convex pieces serve the move relations' piece rule alone
+        ctx = MetricContext(validate_polygon(L_SHAPE), model)
+        max_ratio(ctx, 0.1)
+        assert "_pieces" not in ctx.polygon.__dict__
 
     def test_lookahead_depth_per_vertex_count(self):
         # the depths measured fastest; they do not follow the kernel's block size
