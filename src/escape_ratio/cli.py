@@ -210,8 +210,6 @@ def _cmd_discrete_solve(args) -> int:
 
 def _reachable_tables(game, result) -> dict:
     """Move tables restricted to states reachable under the extracted policies."""
-    from .discrete import escaper_win_predicate
-
     esc: dict = {}
     purs: dict = {}
     if result.escaper_wins:
@@ -232,7 +230,7 @@ def _reachable_tables(game, result) -> dict:
         esc[f"{h},{z}"] = int(h2)
         z2 = result.pursuer_move(h, h2, z)
         purs[f"{h},{h2},{z}"] = int(z2)
-        if not escaper_win_predicate(game, h, z2):
+        if not result.threat[h, z2]:
             stack.append((h2, z2))
     return {
         "escaper_moves": esc,

@@ -45,6 +45,7 @@ from .errors import BudgetExceeded, GammaTooCoarse, InconsistentTables
 from .geometry import (
     MetricContext,
     PursuerModel,
+    pair_geodesics,
     pairs_within,
     point_classes,
     point_in_convex_hull,
@@ -153,70 +154,67 @@ def gamma_sample(ctx: MetricContext, gamma: float) -> SampleSet:
 
 
 def verify_net(ctx: MetricContext, samples: SampleSet, probes: int, seed: int = 0) -> float:
-    """Max intrinsic distance from random domain points to their nearest sample."""
+    """Max intrinsic distance from random domain points to their nearest
+    sample: each domain's probes come from batched draws (``_draw``) and are
+    measured together (``_nearest_gap``)."""
     if probes < 1:
         raise ValueError("probes must be >= 1")
     poly = ctx.polygon
     rng = np.random.default_rng(seed)
-    lo, hi = poly.bbox
-    worst = 0.0
-
-    tree_h = cKDTree(samples.escaper_samples)
-    drawn = 0
-    while drawn < probes:
-        p = lo + rng.random(2) * (hi - lo)
-        if poly.classify(p) == "outside":
-            continue
-        drawn += 1
-        worst = max(worst, _nearest_intrinsic(ctx.interior_distance, tree_h,
-                                              samples.escaper_samples, p))
-
+    inside = _draw(rng, *poly.bbox, probes, lambda p: point_classes(poly, p) >= 0)
+    worst = _nearest_gap(ctx, samples.escaper_samples, inside, 0)
+    t = rng.random(probes) * poly.perimeter
     if ctx.model is PursuerModel.MOAT:
-        for _ in range(probes):
-            t = rng.random() * poly.perimeter
-            worst = max(worst, float(poly.arc_distance(samples.boundary_params, t).min()))
-    else:
-        tree_z = cKDTree(samples.pursuer_samples)
-        # the boundary is always part of the pursuer domain; the hull pockets
-        # have positive area only for nonconvex polygons (a convex one has
-        # none to sample), and the rejection attempts are capped for pockets
-        # too thin to hit
-        for _ in range(probes):
-            t = rng.random() * poly.perimeter
-            p = poly.boundary_point(t)
-            worst = max(worst, _nearest_intrinsic(ctx.pursuer_distance, tree_z,
-                                                  samples.pursuer_samples, p))
-        if poly.is_convex:
-            return worst
+        gaps = poly.arc_distance(samples.boundary_params, t[:, None]).min(axis=1)
+        return max(worst, float(gaps.max()))
+    # the boundary is always part of the pursuer domain; the hull pockets
+    # have positive area only for nonconvex polygons (a convex one has
+    # none to sample), and the draws are capped for pockets too thin to hit
+    outside = poly.boundary_point(t)
+    if not poly.is_convex:
         hull = ctx.hull
-        hlo, hhi = hull.min(axis=0), hull.max(axis=0)
-        drawn = 0
-        attempts = 0
-        while drawn < probes and attempts < 60 * probes:
-            attempts += 1
-            p = hlo + rng.random(2) * (hhi - hlo)
-            if not point_in_convex_hull(hull, p, poly.tol):
-                continue
-            if poly.classify(p) != "outside":
-                continue
-            drawn += 1
-            worst = max(worst, _nearest_intrinsic(ctx.pursuer_distance, tree_z,
-                                                  samples.pursuer_samples, p))
-    return worst
+        pockets = _draw(rng, hull.min(axis=0), hull.max(axis=0), probes,
+                        lambda p: point_in_convex_hull(hull, p, poly.tol)
+                        & (point_classes(poly, p) < 0), cap=60 * probes)
+        outside = np.concatenate([outside, pockets])
+    return max(worst, _nearest_gap(ctx, samples.pursuer_samples, outside, 1))
 
 
-def _nearest_intrinsic(metric, tree, pts, p) -> float:
-    """Nearest-sample distance under ``metric``, shortlisted by Euclid."""
-    k = min(8, len(pts))
-    eu, idx = tree.query(p, k=k)
-    eu = np.atleast_1d(eu)
-    idx = np.atleast_1d(idx)
-    best = math.inf
-    for e, i in zip(eu, idx):
-        if e >= best:
+def _draw(rng, lo, hi, count: int, keep, cap=math.inf) -> np.ndarray:
+    """Up to ``count`` uniform points of the box [lo, hi] that ``keep``
+    accepts, from at most ``cap`` draws.  A batch draws at most the points
+    still needed and the draws left, so the generator is consumed exactly as
+    by one draw at a time until enough points are kept."""
+    kept, drawn = [], 0
+    while count and drawn < cap:
+        batch = lo + rng.random((min(count, cap - drawn), 2)) * (hi - lo)
+        drawn += len(batch)
+        kept.append(batch[keep(batch)])
+        count -= len(kept[-1])
+    return np.concatenate(kept)
+
+
+def _nearest_gap(ctx: MetricContext, samples: np.ndarray, probes: np.ndarray, side: int) -> float:
+    """Max over ``probes`` of the side's distance (d_h or exterior d_z) to
+    the nearest sample.  Round r measures, in one ``pair_geodesics`` call,
+    the r-th of the 8 Euclid-nearest samples of every probe whose Euclid
+    distance to it is still below the probe's best: a scan of each shortlist
+    with an early break, so the pairs and values are the scan's.  A sample
+    measured outside its domain raises ``OutsideDomain``."""
+    k = min(8, len(samples))
+    eu, idx = (a.reshape(len(probes), k) for a in cKDTree(samples).query(probes, k=k))
+    best = np.full(len(probes), math.inf)
+    for r in range(k):
+        live = np.flatnonzero(eu[:, r] < best)
+        if not len(live):
             break
-        best = min(best, metric(p, pts[i]))
-    return best
+        near = samples[idx[live, r]]
+        ctx._check_domain(near, side)
+        m = np.arange(len(live))
+        ends = np.concatenate([probes[live], near])
+        d = pair_geodesics(ctx.polygon, ends, m, m + len(m), (side,))[0]
+        best[live] = np.minimum(best[live], d)
+    return float(best.max())
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +427,7 @@ def toy_game(e_h, e_z, exit_idx_h, exit_idx_z, r: float = 1.0, delta: float = 1.
 
 
 # ---------------------------------------------------------------------------
-# win predicate and solver
+# threat matrix and solver
 # ---------------------------------------------------------------------------
 
 
@@ -440,13 +438,6 @@ def threat_matrix(game: DiscreteGame) -> np.ndarray:
     open_zx = (~adj_zx).astype(np.float32)
     counts = adj_hx.astype(np.float32) @ open_zx.T
     return counts > 0.5
-
-
-def escaper_win_predicate(game: DiscreteGame, h_threat: int, z: int) -> bool:
-    """Direct evaluation of the two-reply exit threat for one state."""
-    hx = game.e_h[h_threat, game.samples.exit_idx_h].toarray().ravel()
-    zx = game.e_z[z, game.samples.exit_idx_z]
-    return bool(np.any(hx & ~zx))
 
 
 @dataclass
@@ -774,11 +765,12 @@ def play_discrete(
         if not (_is_index(z2, game.n_z) and e_z[z, z2]):
             raise InconsistentTables(f"illegal pursuer move {z}->{z2!r}")
         moves.append(("pursuer", z2))
-        if escaper_win_predicate(game, h, z2):
-            hx = e_h[h, game.samples.exit_idx_h].toarray().ravel()
-            zx = e_z[z2, game.samples.exit_idx_z]
-            exit_pos = int(np.argmax(hx & ~zx))
-            return Transcript(moves=moves, decisive=(h, z2, exit_pos), turns=turn + 1)
+        # the exits within reach from h that z2 leaves uncovered
+        open_x = (e_h[h, game.samples.exit_idx_h].toarray().ravel()
+                  & ~e_z[z2, game.samples.exit_idx_z])
+        if open_x.any():
+            return Transcript(moves=moves, decisive=(h, z2, int(np.argmax(open_x))),
+                              turns=turn + 1)
         h, z = h2, z2
     return Transcript(moves=moves, decisive=None, turns=max_turns)
 

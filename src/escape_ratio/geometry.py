@@ -831,10 +831,7 @@ class MetricContext:
 
     def interior_distance(self, p, q) -> float:
         """Geodesic distance inside the closed polygon (d_h)."""
-        pq = np.array([p, q], dtype=float)
-        if np.any(point_classes(self.polygon, pq) < 0):
-            raise OutsideDomain("point not in the escaper domain")
-        return float(pair_geodesics(self.polygon, pq, [0], [1], (0,))[0, 0])
+        return self._geodesic(p, q, 0)
 
     # -- pursuer metric -----------------------------------------------------
 
@@ -842,7 +839,7 @@ class MetricContext:
         """Distance in the pursuer domain (d_z) under the configured model."""
         if self.model is PursuerModel.MOAT:
             return self._moat_distance(p, q)
-        return self._exterior_distance(p, q)
+        return self._geodesic(p, q, 1)
 
     def _moat_distance(self, p, q) -> float:
         poly = self.polygon
@@ -851,16 +848,25 @@ class MetricContext:
             raise OutsideDomain("point not on the boundary (moat model)")
         return float(poly.arc_distance(*poly.boundary_parameter(pq)))
 
-    def _exterior_distance(self, p, q) -> float:
-        poly = self.polygon
+    def _geodesic(self, p, q, side: int) -> float:
         pq = np.array([p, q], dtype=float)
-        in_hull = point_in_convex_hull(self.hull, pq, poly.tol)
-        for cls, hull_ok in zip(point_classes(poly, pq), in_hull):
-            if cls == 1:
-                raise OutsideDomain("point inside the escaper domain")
-            if not hull_ok:
-                raise OutsideDomain("point beyond the convex hull of the boundary")
-        return float(pair_geodesics(poly, pq, [0], [1], (1,))[0, 0])
+        self._check_domain(pq, side)
+        return float(pair_geodesics(self.polygon, pq, [0], [1], (side,))[0, 0])
+
+    def _check_domain(self, pts: np.ndarray, side: int) -> None:
+        """Raise ``OutsideDomain`` at the first point outside the escaper
+        domain (side 0: the closed polygon) or the exterior pursuer domain
+        (side 1: the hull less the open interior; interior test first)."""
+        poly = self.polygon
+        cls = point_classes(poly, pts)
+        if side == 0:
+            if np.any(cls < 0):
+                raise OutsideDomain("point not in the escaper domain")
+            return
+        bad = (cls == 1) | ~point_in_convex_hull(self.hull, pts, poly.tol)
+        if bad.any():
+            raise OutsideDomain("point inside the escaper domain" if cls[bad.argmax()] == 1
+                                else "point beyond the convex hull of the boundary")
 
 
 # ---------------------------------------------------------------------------

@@ -81,14 +81,10 @@ class RatioBound:
 
 def ratio_of_pair(ctx: MetricContext, p, q) -> float:
     """d_z(p,q) / d_h(p,q) for two boundary points; a lower bound on r*."""
-    poly = ctx.polygon
-    if np.any(_boundary_distance2(poly, np.array([p, q], dtype=float)) > poly.tol**2):
-        raise OutsideDomain("ratio pairs must lie on the polygon boundary")
-    dh = ctx.interior_distance(p, q)
-    if dh <= poly.tol:
+    ratio = float(_pair_ratios(ctx, np.array([[p, q]], dtype=float))[0])
+    if ratio == -np.inf:
         raise DegeneratePair("d_h(p, q) is below tolerance")
-    dz = ctx.pursuer_distance(p, q)
-    return dz / dh
+    return ratio
 
 
 def boundary_samples(ctx: MetricContext, spacing: float):
@@ -181,16 +177,16 @@ def _branch_and_bound(bound: np.ndarray, best: float, evaluate) -> int:
         size *= 2
 
 
-def _pair_ratios(ctx: MetricContext, T: np.ndarray) -> np.ndarray:
-    """d_z/d_h for each row (tp, tq) of ``T``, -inf where d_h is below tol:
-    one domain test and at most one kernel call for the whole batch."""
+def _pair_ratios(ctx: MetricContext, pts: np.ndarray) -> np.ndarray:
+    """d_z/d_h for each boundary point pair (p, q), rows of ``pts``
+    [k, 2, 2], -inf where d_h is below tol: one domain test and at most one
+    kernel call for the whole batch."""
     poly = ctx.polygon
-    pts = poly.boundary_point(T)
     if np.any(_boundary_distance2(poly, pts.reshape(-1, 2)) > poly.tol**2):
         raise OutsideDomain("ratio pairs must lie on the polygon boundary")
     # a batch of one golden search holds one end fixed: pass it once
-    P, Q = (pts[:1, i] if np.all(T[:, i] == T[0, i]) else pts[:, i] for i in (0, 1))
-    rows = np.arange(len(T))
+    P, Q = (pts[:1, i] if np.all(pts[:, i] == pts[0, i]) else pts[:, i] for i in (0, 1))
+    rows = np.arange(len(pts))
     i, j = rows % len(P), len(P) + rows % len(Q)
     ends = np.concatenate([P, Q])
     if ctx.model is PursuerModel.MOAT:
@@ -236,7 +232,8 @@ def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float):
         nonlocal batches
         new = [key for key in dict.fromkeys(pairs) if key not in memo]
         batches += 1
-        memo.update(zip(new, _pair_ratios(ctx, np.array(new)).tolist()))
+        pts = ctx.polygon.boundary_point(np.array(new))
+        memo.update(zip(new, _pair_ratios(ctx, pts).tolist()))
 
     def value(tp, tq) -> float:
         nonlocal requested

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from escape_ratio import ratio
 from escape_ratio.discrete import SolveResult, threat_matrix
@@ -13,6 +14,7 @@ from escape_ratio.geometry import (
     PursuerModel,
     _as_point_array,
     _cross,
+    point_in_convex_hull,
     validate_polygon,
 )
 
@@ -224,6 +226,83 @@ def random_point_inside(rng, poly):
         p = lo + rng.random(2) * (hi - lo)
         if reference_classify(poly, p) == "inside":
             return p
+
+
+def reference_verify_net(ctx, samples, probes, seed=0):
+    """``verify_net`` one probe at a time: rejection loops that classify each
+    draw with the scalar ``Polygon.classify``, and one checked metric query
+    per shortlisted sample (``_reference_nearest``), as its oracle."""
+    if probes < 1:
+        raise ValueError("probes must be >= 1")
+    poly = ctx.polygon
+    rng = np.random.default_rng(seed)
+    lo, hi = poly.bbox
+    worst = 0.0
+
+    tree_h = cKDTree(samples.escaper_samples)
+    drawn = 0
+    while drawn < probes:
+        p = lo + rng.random(2) * (hi - lo)
+        if poly.classify(p) == "outside":
+            continue
+        drawn += 1
+        worst = max(worst, _reference_nearest(ctx.interior_distance, tree_h,
+                                              samples.escaper_samples, p))
+
+    if ctx.model is PursuerModel.MOAT:
+        for _ in range(probes):
+            t = rng.random() * poly.perimeter
+            worst = max(worst, float(poly.arc_distance(samples.boundary_params, t).min()))
+    else:
+        tree_z = cKDTree(samples.pursuer_samples)
+        # the boundary is always part of the pursuer domain; the hull pockets
+        # have positive area only for nonconvex polygons (a convex one has
+        # none to sample), and the rejection attempts are capped for pockets
+        # too thin to hit
+        for _ in range(probes):
+            t = rng.random() * poly.perimeter
+            p = poly.boundary_point(t)
+            worst = max(worst, _reference_nearest(ctx.pursuer_distance, tree_z,
+                                                  samples.pursuer_samples, p))
+        if poly.is_convex:
+            return worst
+        hull = ctx.hull
+        hlo, hhi = hull.min(axis=0), hull.max(axis=0)
+        drawn = 0
+        attempts = 0
+        while drawn < probes and attempts < 60 * probes:
+            attempts += 1
+            p = hlo + rng.random(2) * (hhi - hlo)
+            if not point_in_convex_hull(hull, p, poly.tol):
+                continue
+            if poly.classify(p) != "outside":
+                continue
+            drawn += 1
+            worst = max(worst, _reference_nearest(ctx.pursuer_distance, tree_z,
+                                                  samples.pursuer_samples, p))
+    return worst
+
+
+def _reference_nearest(metric, tree, pts, p) -> float:
+    """Nearest-sample distance under ``metric``, shortlisted by Euclid."""
+    k = min(8, len(pts))
+    eu, idx = tree.query(p, k=k)
+    eu = np.atleast_1d(eu)
+    idx = np.atleast_1d(idx)
+    best = math.inf
+    for e, i in zip(eu, idx):
+        if e >= best:
+            break
+        best = min(best, metric(p, pts[i]))
+    return best
+
+
+def escaper_win_predicate(game, h_threat, z):
+    """Direct evaluation of the two-reply exit threat for one state, as the
+    oracle of ``threat_matrix``."""
+    hx = game.e_h[h_threat, game.samples.exit_idx_h].toarray().ravel()
+    zx = game.e_z[z, game.samples.exit_idx_z]
+    return bool(np.any(hx & ~zx))
 
 
 def reference_solve(game):

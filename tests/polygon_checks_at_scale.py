@@ -1,6 +1,7 @@
 """``validate_polygon`` and ``min_feature_size`` against their scalar oracles at n = 200,
 the move relations' piece and admission rules against the kernel at game-net sizes,
-and ``pair_geodesics`` against the per-query reference on the star's nets.
+and ``pair_geodesics`` and ``verify_net`` against their per-query references on the
+star's nets.
 
 Two 200-vertex stars (the second turned a quarter), four random radially
 sorted 200-vertex polygons and a 50-tooth comb whose middle gap pinches to
@@ -24,7 +25,9 @@ segment, puts it within limit + tol, so neither the piece rule nor the
 through-vertex admission decides a pair.  On a seeded sample of 2,000 pairs
 of each 48-star net, ``pair_geodesics`` must equal the scalar
 ``_reference_geodesic`` (one kernel call per segment and fan, a heap
-Dijkstra) to the bit.
+Dijkstra) to the bit.  On the star's ``gamma_sample`` nets at gamma = f/4,
+``verify_net`` with 500 probes must equal ``reference_verify_net`` (one
+scalar draw and one checked query at a time) to the bit in both models.
 
 Prints one line per polygon and relation with both timings and exits 1 on
 any difference.
@@ -34,7 +37,13 @@ import sys
 import time
 
 import numpy as np
-from conftest import COMB, SPIRAL, reference_min_feature_size, reference_validate
+from conftest import (
+    COMB,
+    SPIRAL,
+    reference_min_feature_size,
+    reference_validate,
+    reference_verify_net,
+)
 from scipy.spatial import cKDTree
 from test_geometry import (
     L_COLLINEAR,
@@ -46,7 +55,7 @@ from test_geometry import (
     _validation_outcome,
 )
 
-from escape_ratio.discrete import _grid_points, _threshold_distances
+from escape_ratio.discrete import _grid_points, _threshold_distances, gamma_sample, verify_net
 from escape_ratio.geometry import (
     TOL_SCALE,
     MetricContext,
@@ -146,6 +155,23 @@ def geodesic_failures(pairs=2000) -> int:
     return failed
 
 
+def net_failures(probes=500) -> int:
+    """``verify_net`` against ``reference_verify_net`` on the 48-star's
+    gamma = f/4 nets in both models."""
+    poly = validate_polygon(_star(24))
+    failed = 0
+    for model in PursuerModel:
+        ctx = MetricContext(poly, model)
+        samples = gamma_sample(ctx, poly.min_feature_size / 4)
+        got, t_got = timed(verify_net, ctx, samples, probes, 0)
+        ref, t_ref = timed(reference_verify_net, ctx, samples, probes, 0)
+        same = got == ref
+        failed += not same
+        print(f"star48 verify_net {model.value}: {probes} probes, gap {got!r}, "
+              f"{'same' if same else 'DIFFERENT'} ({t_ref:.3f} s -> {t_got:.3f} s)", flush=True)
+    return failed
+
+
 def main() -> int:
     rng = np.random.default_rng(2)
     star = _star(100)
@@ -173,6 +199,7 @@ def main() -> int:
         print(line, flush=True)
     failed += relation_failures()
     failed += geodesic_failures()
+    failed += net_failures()
     return 1 if failed else 0
 
 

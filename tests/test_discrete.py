@@ -8,23 +8,24 @@ import numpy as np
 import pytest
 
 from escape_ratio import discrete
-from escape_ratio.errors import BudgetExceeded, GammaTooCoarse, InconsistentTables
+from escape_ratio.errors import BudgetExceeded, GammaTooCoarse, InconsistentTables, OutsideDomain
 from escape_ratio.discrete import (
     build_game,
     escaper_moves,
-    escaper_win_predicate,
     gamma_sample,
     play_discrete,
     solve,
     toy_game,
     verify_net,
 )
-from escape_ratio.discrete import _grid_points
+from escape_ratio.discrete import SampleSet, _grid_points
 from escape_ratio.geometry import (
     MetricContext,
+    Polygon,
     PursuerModel,
     convex_hull,
     pair_geodesics,
+    point_classes,
     point_in_convex_hull,
     validate_polygon,
 )
@@ -33,11 +34,16 @@ from escape_ratio.ratio import boundary_samples
 from conftest import (
     COMB,
     L_SHAPE,
+    SPIRAL,
     SQUARE,
+    TRIANGLE,
+    escaper_win_predicate,
     minimax_escaper_wins,
     reference_classify,
     reference_solve,
+    reference_verify_net,
 )
+from test_geometry import NOTCH, SLIT
 
 
 def _scalar_gamma_sample(ctx, gamma):
@@ -158,6 +164,14 @@ class TestGammaSample:
             assert s.exterior_count == len(pursuer) - s.boundary_count
 
 
+_NET_POLYGONS = {"square": SQUARE, "triangle": TRIANGLE, "L": L_SHAPE, "comb": COMB,
+                 "spiral": SPIRAL, "notch": NOTCH, "slit": SLIT}
+# the probe counts cycle so that each model sees 1, 37 and 150; the seeds
+# vary with the case
+_NET_CASES = [(name, model, (1, 37, 150)[k % 3], 11 * k + 3) for k, (name, model) in
+              enumerate((name, model) for name in _NET_POLYGONS for model in ("moat", "exterior"))]
+
+
 class TestVerifyNet:
     def test_square_net_within_gamma(self, square_moat):
         s = gamma_sample(square_moat, 0.25)
@@ -179,6 +193,7 @@ class TestVerifyNet:
         )
         gap = verify_net(square_moat, broken, probes=400, seed=3)
         assert gap > 0.25  # the four corners are no 0.25-net
+        assert gap == reference_verify_net(square_moat, broken, probes=400, seed=3)
 
     def test_exterior_model_net(self, square_exterior):
         # a convex polygon has no hull pocket to probe
@@ -204,6 +219,77 @@ class TestVerifyNet:
         s = gamma_sample(square_moat, 0.25)
         with pytest.raises(ValueError):
             verify_net(square_moat, s, probes=0)
+
+    @pytest.mark.parametrize("name, model, probes, seed", _NET_CASES)
+    def test_matches_reference(self, name, model, probes, seed):
+        ctx = MetricContext(validate_polygon(_NET_POLYGONS[name]), model)
+        s = _coarse_net(ctx, 300)
+        assert verify_net(ctx, s, probes, seed) == reference_verify_net(ctx, s, probes, seed)
+
+    def test_no_scalar_query(self, monkeypatch):
+        # the L's exterior probes the boundary and the hull pocket; each
+        # domain's shortlist of 8 takes at most 8 rounds
+        ctx = MetricContext(validate_polygon(L_SHAPE), PursuerModel.EXTERIOR)
+        s = gamma_sample(ctx, 0.25)
+
+        def refuse(*args):
+            raise AssertionError("scalar call")
+
+        sides = []
+
+        def counted(poly, pts, i, j, side):
+            sides.append(side)
+            return pair_geodesics(poly, pts, i, j, side)
+
+        monkeypatch.setattr(Polygon, "classify", refuse)
+        monkeypatch.setattr(MetricContext, "interior_distance", refuse)
+        monkeypatch.setattr(MetricContext, "pursuer_distance", refuse)
+        monkeypatch.setattr(discrete, "pair_geodesics", counted)
+        verify_net(ctx, s, probes=300, seed=9)
+        assert 1 <= sides.count((0,)) <= 8 and 1 <= sides.count((1,)) <= 8
+        assert len(sides) == sides.count((0,)) + sides.count((1,))
+
+    def test_sample_outside_its_domain_raises(self, square_moat):
+        # an escaper sample moved 1e-6 below the square, and an exterior-model
+        # pursuer sample moved 1e-6 into the L: each stays some probe's nearest
+        s = gamma_sample(square_moat, 0.25)
+        esc = s.escaper_samples.copy()
+        k = int(np.argmin(np.hypot(esc[:, 0] - 0.5, esc[:, 1])))
+        esc[k, 1] = -1e-6
+        moved = dataclasses.replace(s, escaper_samples=esc)
+        for net_gap in (verify_net, reference_verify_net):
+            with pytest.raises(OutsideDomain, match="not in the escaper domain"):
+                net_gap(square_moat, moved, probes=200, seed=1)
+        ctx = MetricContext(validate_polygon(L_SHAPE), PursuerModel.EXTERIOR)
+        s = gamma_sample(ctx, 0.25)
+        purs = s.pursuer_samples.copy()
+        k = int(np.argmin(np.hypot(purs[:, 0] - 1, purs[:, 1])))
+        purs[k, 1] = 1e-6
+        moved = dataclasses.replace(s, pursuer_samples=purs)
+        for net_gap in (verify_net, reference_verify_net):
+            with pytest.raises(OutsideDomain, match="inside the escaper domain"):
+                net_gap(ctx, moved, probes=200, seed=1)
+
+
+def _coarse_net(ctx, cells):
+    """``gamma_sample``'s nets at the gamma that gives about ``cells`` grid
+    cells of the bounding box, above its f/4 bound (the slit's f/4 net would
+    hold over 300,000 samples)."""
+    poly = ctx.polygon
+    lo, hi = poly.bbox
+    gamma = float(np.sqrt(np.prod(hi - lo) / cells))
+    params, boundary = boundary_samples(ctx, gamma)
+    grid = _grid_points(lo, hi, gamma / math.sqrt(2.0))
+    escaper = np.vstack([boundary, grid[point_classes(poly, grid) >= 0]])
+    pursuer = boundary
+    if ctx.model is PursuerModel.EXTERIOR:
+        hull = ctx.hull
+        grid = _grid_points(hull.min(axis=0), hull.max(axis=0), gamma / math.sqrt(2.0))
+        keep = point_in_convex_hull(hull, grid, poly.tol) & (point_classes(poly, grid) != 1)
+        pursuer = np.vstack([boundary, grid[keep]])
+    nb = len(boundary)
+    return SampleSet(escaper, pursuer, boundary, gamma, np.arange(nb), np.arange(nb), nb,
+                     len(escaper) - nb, len(pursuer) - nb, params)
 
 
 class TestBuildGame:
