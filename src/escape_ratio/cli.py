@@ -2,7 +2,7 @@
 
 One result document per invocation: JSON on stdout (machine format) or a
 human-readable text rendering.  Exit codes: 0 success, 2 validation problems
-(bad flags, unreadable polygon files), 3 state budget exceeded.
+(bad or unread flags, unreadable polygon or tables files), 3 state budget exceeded.
 """
 
 from __future__ import annotations
@@ -42,9 +42,8 @@ def _add_output(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=["json", "text"], default="json")
 
 
-def _add_common(p: argparse.ArgumentParser, polygon_required=True):
-    p.add_argument("--polygon", help="polygon file (JSON array of [x, y] pairs)",
-                   required=polygon_required)
+def _add_common(p: argparse.ArgumentParser):
+    p.add_argument("--polygon", required=True, help="polygon file (JSON array of [x, y] pairs)")
     p.add_argument("--model", choices=["moat", "exterior"], default="moat")
     _add_output(p)
 
@@ -73,27 +72,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tables-out", help="dump reachable strategy tables to this JSON file")
     p.add_argument("--verify-net", type=_count, metavar="PROBES", default=0,
                    help="also report the sampled net gap from this many random probes")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the --verify-net probes (reproducibility)")
+    p.add_argument("--seed", type=int, help="seed for the --verify-net probes (default 0)")
+
+    p = sub.add_parser("replay", help="replay the tables of discrete-solve --tables-out")
+    p.add_argument("--polygon", required=True, help="the polygon the tables were solved on")
+    p.add_argument("--tables", required=True, help="strategy tables JSON from discrete-solve")
+    _add_output(p)
 
     p = sub.add_parser("approximate", help="bracket r* by binary search")
     _add_common(p)
     p.add_argument("--epsilon", type=_fraction, required=True)
     p.add_argument("--budget", type=_positive, default=5e7)
-    p.add_argument("--override-delta", type=_positive)
-    p.add_argument("--override-gamma", type=_positive)
+    p.add_argument("--override", nargs=2, type=_positive, metavar=("DELTA", "GAMMA"),
+                   help="the (delta, gamma) of a probe over the budget (heuristic)")
 
     p = sub.add_parser("simulate", help="run a continuous playthrough")
-    _add_common(p, polygon_required=False)
-    p.add_argument("--scenario", choices=["disk", "halfplane", "wedge", "polygon"],
-                   required=True)
+    _add_output(p)
+    p.add_argument("--scenario", choices=["disk", "halfplane", "wedge"], required=True)
     p.add_argument("-r", "--speed-ratio", type=_positive, required=True)
     p.add_argument("--dt", type=_positive, default=1e-3)
     p.add_argument("--t-max", type=_nonnegative, default=10.0)
     p.add_argument("--epsilon", type=_positive, default=0.05)
-    p.add_argument("--theta", type=_angle, default=math.pi / 2,
-                   help="halfplane angle or wedge half-angle (radians)")
-    p.add_argument("--tables", help="strategy tables JSON from discrete-solve (polygon scenario)")
+    p.add_argument("--theta", type=_angle,
+                   help="halfplane angle or wedge half-angle (radians, default pi/2)")
     p.add_argument("--svg-out", help="write an SVG rendering of the playthrough")
     return ap
 
@@ -110,14 +111,14 @@ def _emit(doc: dict, args, text_renderer) -> None:
         print(out)
 
 
-def _load_ctx(args) -> MetricContext:
+def _load_ctx(path: str, model: str) -> MetricContext:
     try:
-        poly = load_polygon(args.polygon)
+        poly = load_polygon(path)
     except FileNotFoundError:
-        raise errors.EscapeRatioError(f"--polygon: cannot read file {args.polygon!r}")
+        raise errors.EscapeRatioError(f"--polygon: cannot read file {path!r}")
     except json.JSONDecodeError as exc:
-        raise errors.EscapeRatioError(f"--polygon: {args.polygon!r} is not valid JSON ({exc})")
-    return MetricContext(poly, PursuerModel(args.model))
+        raise errors.EscapeRatioError(f"--polygon: {path!r} is not valid JSON ({exc})")
+    return MetricContext(poly, PursuerModel(model))
 
 
 def _cmd_exact(args) -> int:
@@ -151,7 +152,7 @@ def _cmd_exact(args) -> int:
 def _cmd_ratio(args) -> int:
     from .ratio import max_ratio
 
-    ctx = _load_ctx(args)
+    ctx = _load_ctx(args.polygon, args.model)
     bound = max_ratio(ctx, args.spacing)
     doc = bound.to_document()
 
@@ -171,7 +172,9 @@ def _cmd_ratio(args) -> int:
 def _cmd_discrete_solve(args) -> int:
     from .discrete import build_game, solve, verify_net
 
-    ctx = _load_ctx(args)
+    if args.seed is not None and not args.verify_net:
+        raise errors.EscapeRatioError("--seed: seeds the --verify-net probes; give --verify-net")
+    ctx = _load_ctx(args.polygon, args.model)
     t0 = time.perf_counter()
     game = build_game(ctx, r=args.speed_ratio, delta=args.delta, gamma=args.gamma,
                       state_cap=args.state_cap)
@@ -185,7 +188,7 @@ def _cmd_discrete_solve(args) -> int:
         "elapsed": elapsed,
     }
     if args.verify_net:
-        doc["net_gap"] = verify_net(ctx, game.samples, args.verify_net, seed=args.seed)
+        doc["net_gap"] = verify_net(ctx, game.samples, args.verify_net, seed=args.seed or 0)
         doc["gamma"] = args.gamma
     if args.tables_out:
         tables = _reachable_tables(game, result)
@@ -213,10 +216,9 @@ def _reachable_tables(game, result) -> dict:
     esc: dict = {}
     purs: dict = {}
     if result.escaper_wins:
-        h0 = result.witness_h0
-        starts = [(h0, z0) for z0 in range(game.n_z)]
+        starts = [(result.witness_h0, z0) for z0 in range(game.n_z)]
     else:
-        starts = [(h0, int(game.z_neighbors(0)[0])) for h0 in range(min(game.n_h, 8))]
+        starts = [(h0, 0) for h0 in range(min(game.n_h, 8))]
     seen = set()
     stack = list(starts)
     budget = 200000
@@ -252,14 +254,18 @@ def _polygon_fingerprint(ctx: MetricContext) -> dict:
     }
 
 
+def _field(tables, key: str):
+    """``tables[key]``; exit code 2 if the tables are no JSON object or lack the field."""
+    if not isinstance(tables, dict) or key not in tables:
+        raise errors.InconsistentTables(
+            f"--tables: no {key!r} field; re-run discrete-solve --tables-out")
+    return tables[key]
+
+
 def _check_tables(tables: dict, expected: dict) -> None:
     """Refuse tables solved on another game (exit code 2)."""
     for key, value in expected.items():
-        if key not in tables:
-            raise errors.InconsistentTables(
-                f"--tables: no {key!r} field; re-run discrete-solve --tables-out"
-            )
-        if tables[key] != value:
+        if _field(tables, key) != value:
             raise errors.InconsistentTables(
                 f"--tables: field {key!r} is {tables[key]!r}, but this replay has {value!r}"
             )
@@ -268,16 +274,9 @@ def _check_tables(tables: dict, expected: dict) -> None:
 def _cmd_approximate(args) -> int:
     from .scheme import approximate_r_star
 
-    ctx = _load_ctx(args)
-    override = None
-    if (args.override_delta is None) != (args.override_gamma is None):
-        raise errors.EscapeRatioError(
-            "--override-delta and --override-gamma must be given together"
-        )
-    if args.override_delta is not None:
-        override = (args.override_delta, args.override_gamma)
+    ctx = _load_ctx(args.polygon, args.model)
     res = approximate_r_star(ctx, epsilon=args.epsilon, budget=args.budget,
-                             override=override)
+                             override=args.override)
     doc = res.to_document()
 
     def text(doc):
@@ -300,11 +299,13 @@ def _cmd_approximate(args) -> int:
 def _cmd_simulate(args) -> int:
     from . import exact, sim
 
+    theta = math.pi / 2 if args.theta is None else args.theta
     if args.scenario == "disk":
+        if args.theta is not None:
+            raise errors.EscapeRatioError("--theta: the disk scenario has no angle")
         domain = sim.DiskDomain()
         escaper, pursuer = exact.disk_strategies(args.speed_ratio)
     elif args.scenario == "halfplane":
-        theta = args.theta
         domain = sim.HalfplaneDomain(theta)
         if theta >= math.pi / 2 - 1e-12:
             waypoints = [(1.0, 0.0), (0.0, 0.0), (0.0, 1.0)]
@@ -312,15 +313,12 @@ def _cmd_simulate(args) -> int:
             waypoints = [(1.0, 0.0), (1.0, math.tan(theta))]
         escaper = sim.StraightRunEscaper(waypoints)
         pursuer = sim.HalfplaneProjectionPursuer(theta, args.speed_ratio)
-    elif args.scenario == "wedge":
-        theta = args.theta
+    else:
         domain = sim.WedgeDomain(theta)
         start = (math.cos(theta), 0.0)
         target = (math.cos(theta), math.sin(theta))
         escaper = sim.StraightRunEscaper([start, target])
         pursuer = sim.WedgeProjectionPursuer(theta, args.speed_ratio)
-    else:
-        return _simulate_polygon_tables(args)
 
     pt = sim.playthrough(escaper, pursuer, dt=args.dt, t_max=args.t_max,
                          epsilon=args.epsilon, domain=domain)
@@ -344,31 +342,34 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _simulate_polygon_tables(args) -> int:
-    """Replay discrete strategy tables over a polygon as a timed transcript."""
+def _cmd_replay(args) -> int:
+    """Replay discrete-solve tables at the r, delta, gamma and model they record."""
     from .discrete import build_game, play_discrete
 
-    if not args.polygon:
-        raise errors.EscapeRatioError("--polygon: required for the polygon scenario")
-    if not args.tables:
-        raise errors.EscapeRatioError("--tables: required for the polygon scenario")
-    ctx = _load_ctx(args)
     try:
         with open(args.tables, "r", encoding="utf-8") as fh:
             tables = json.load(fh)
-    except FileNotFoundError:
-        raise errors.EscapeRatioError(f"--tables: cannot read file {args.tables!r}")
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        raise errors.EscapeRatioError(f"--tables: cannot read {args.tables!r} ({exc})")
+    esc, purs, model = (_field(tables, key) for key in ("escaper_moves", "pursuer_moves", "model"))
+    if not (isinstance(esc, dict) and isinstance(purs, dict)):
+        raise errors.InconsistentTables("--tables: 'escaper_moves' or 'pursuer_moves' is no object")
+    if model not in [m.value for m in PursuerModel]:
+        raise errors.InconsistentTables(f"--tables: field 'model' is {model!r}")
+    numbers = []  # r, delta and gamma as build_game takes them
+    for key, parse in (("r", _nonnegative), ("delta", _nonnegative), ("gamma", _positive)):
+        try:  # the repr of a string, boolean or null is no number
+            numbers.append(parse(repr(_field(tables, key))))
+        except (ValueError, argparse.ArgumentTypeError):
+            raise errors.InconsistentTables(f"--tables: field {key!r} is {tables[key]!r}")
+    ctx = _load_ctx(args.polygon, model)
     _check_tables(tables, _polygon_fingerprint(ctx))
-    game = build_game(ctx, r=tables["r"], delta=tables["delta"], gamma=tables["gamma"],
-                      state_cap=1e12)
+    game = build_game(ctx, *numbers, state_cap=1e12)
     _check_tables(tables, {"n_h": game.n_h, "n_z": game.n_z})
-    esc = tables["escaper_moves"]
-    purs = tables["pursuer_moves"]
-    h0 = tables.get("witness_h0") or 0
-    z0 = 0
     transcript = play_discrete(game, lambda h, z: esc[f"{h},{z}"],
                                lambda h, h2, z: purs[f"{h},{h2},{z}"],
-                               max_turns=game.n_h * game.n_z + 1, h0=h0, z0=z0)
+                               max_turns=game.n_h * game.n_z + 1,
+                               h0=tables.get("witness_h0") or 0, z0=0)
     doc = {
         "scenario": "polygon",
         "r": game.r,
@@ -389,6 +390,7 @@ _COMMANDS = {
     "exact": _cmd_exact,
     "ratio": _cmd_ratio,
     "discrete-solve": _cmd_discrete_solve,
+    "replay": _cmd_replay,
     "approximate": _cmd_approximate,
     "simulate": _cmd_simulate,
 }
@@ -406,10 +408,7 @@ def run(argv=None) -> int:
     except errors.BudgetExceeded as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except errors.EscapeRatioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (errors.EscapeRatioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -225,8 +225,6 @@ def _precheck_budget(ctx: MetricContext, gamma: float, budget: float) -> None:
     cap exactly afterwards.
     """
     poly = ctx.polygon
-    if gamma <= 0 or not math.isfinite(gamma):
-        raise BudgetExceeded("degenerate gamma", state_count=math.inf)
     nb = poly.perimeter / gamma
     spacing = gamma / math.sqrt(2.0)
     n_h = nb + abs(poly.area) / (spacing * spacing)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from escape_ratio.cli import run
 
 SQUARE_JSON = "[[0,0],[1,0],[1,1],[0,1]]"
+L_SHAPE_JSON = "[[0,0],[2,0],[2,1],[1,1],[1,2],[0,2]]"
 
 
 @pytest.fixture()
@@ -142,13 +144,33 @@ class TestDiscreteSolve:
                   "--tables-out", str(tables)])
         assert rc == 0
         capsys.readouterr()
-        rc, doc = run_json(
-            capsys,
-            ["simulate", "--scenario", "polygon", "--polygon", square_file,
-             "--tables", str(tables), "-r", "2"],
-        )
+        rc, doc = run_json(capsys, ["replay", "--polygon", square_file, "--tables", str(tables)])
         assert rc == 0
         assert doc["escaper_won"] is True
+
+    # sha256 of the replay document (stdout) that simulate --scenario polygon
+    # printed for these tables before replay became its own command
+    @pytest.mark.parametrize("polygon,model,r,digest", [
+        (SQUARE_JSON, "moat", "2",
+         "8f61b8ee695a5107d16624941c2fba1e33a7606cdc76ff408f65fd1f368e7702"),
+        (SQUARE_JSON, "exterior", "3",
+         "0cb3f18ce9aabfd28c29dfb1e0f46e6b2f88f3ab3c54343de81541f7dbd6b7d7"),
+        (L_SHAPE_JSON, "moat", "3",
+         "adfadd20cbe1d91db28ed564f2f6f799d9d82b31de250c8afb2532b5f48df6c9"),
+        (L_SHAPE_JSON, "exterior", "2",
+         "756b0cde37c1190da6635da9da97ba44a7e47c7f068644eefb150cfea5f40082"),
+    ], ids=["square-moat-escaper", "square-exterior-pursuer", "lshape-moat-escaper",
+            "lshape-exterior-escaper"])
+    def test_replay_document_pinned(self, capsys, tmp_path, polygon, model, r, digest):
+        poly = tmp_path / "polygon.json"
+        poly.write_text(polygon)
+        tables = tmp_path / "tables.json"
+        assert run(["discrete-solve", "--polygon", str(poly), "--model", model, "-r", r,
+                    "--delta", "0.5", "--gamma", "0.25", "--tables-out", str(tables)]) == 0
+        capsys.readouterr()
+        assert run(["replay", "--polygon", str(poly), "--tables", str(tables)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestTableFingerprint:
@@ -163,9 +185,8 @@ class TestTableFingerprint:
         capsys.readouterr()
         return path
 
-    def replay(self, capsys, polygon, tables, *extra):
-        rc = run(["simulate", "--scenario", "polygon", "--polygon", polygon,
-                  "--tables", str(tables), "-r", "2", *extra])
+    def replay(self, capsys, polygon, tables):
+        rc = run(["replay", "--polygon", polygon, "--tables", str(tables)])
         return rc, capsys.readouterr().err
 
     def test_tables_record_the_game(self, tables):
@@ -175,29 +196,63 @@ class TestTableFingerprint:
         assert doc["n_h"] > 0 and doc["n_z"] > 0
 
     def test_same_model_replays(self, capsys, square_file, tables):
-        rc, err = self.replay(capsys, square_file, tables, "--model", "exterior")
+        rc, err = self.replay(capsys, square_file, tables)
         assert rc == 0, err
 
-    def test_exterior_tables_on_default_model_exit_2(self, capsys, square_file, tables):
-        rc, err = self.replay(capsys, square_file, tables)
-        assert rc == 2
-        assert "'model'" in err
+    def test_exterior_tables_replay_under_exterior_model(self, capsys, square_file, tables):
+        from escape_ratio.discrete import build_game, play_discrete
+        from escape_ratio.geometry import MetricContext, PursuerModel, load_polygon
+
+        rc, doc = run_json(capsys, ["replay", "--polygon", square_file, "--tables", str(tables)])
+        assert rc == 0
+        t = json.loads(tables.read_text())
+        ctx = MetricContext(load_polygon(square_file), PursuerModel.EXTERIOR)
+        game = build_game(ctx, r=2, delta=0.5, gamma=0.2)
+        transcript = play_discrete(game, lambda h, z: t["escaper_moves"][f"{h},{z}"],
+                                   lambda h, h2, z: t["pursuer_moves"][f"{h},{h2},{z}"],
+                                   max_turns=game.n_h * game.n_z + 1,
+                                   h0=t["witness_h0"] or 0, z0=0)
+        assert doc["moves"] == [list(m) for m in transcript.moves[:200]]
+        assert (doc["turns"], doc["escaper_won"]) == (transcript.turns, transcript.escaper_won)
 
     def test_other_polygon_exit_2(self, capsys, tables, tmp_path):
         other = tmp_path / "rect.json"
         other.write_text("[[0,0],[2,0],[2,1],[0,1]]")
-        rc, err = self.replay(capsys, str(other), tables, "--model", "exterior")
+        rc, err = self.replay(capsys, str(other), tables)
         assert rc == 2
         assert "'polygon_sha256'" in err
 
-    @pytest.mark.parametrize("field", ["polygon_sha256", "model", "n_h", "n_z"])
+    @pytest.mark.parametrize("field", ["polygon_sha256", "model", "n_h", "n_z", "r", "delta",
+                                       "gamma", "escaper_moves", "pursuer_moves"])
     def test_missing_field_exit_2(self, capsys, square_file, tables, field):
         doc = json.loads(tables.read_text())
         del doc[field]
         tables.write_text(json.dumps(doc))
-        rc, err = self.replay(capsys, square_file, tables, "--model", "exterior")
+        rc, err = self.replay(capsys, square_file, tables)
         assert rc == 2
         assert repr(field) in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("r", "fast"), ("r", -1), ("r", "2"), ("r", math.inf), ("delta", math.nan),
+        ("delta", None), ("gamma", True), ("gamma", 0), ("model", "inside"),
+        ("model", ["exterior"]), ("escaper_moves", [1, 2]), ("pursuer_moves", "38"),
+    ])
+    def test_malformed_field_exit_2(self, capsys, square_file, tables, field, value):
+        doc = json.loads(tables.read_text())
+        doc[field] = value
+        tables.write_text(json.dumps(doc))
+        rc, err = self.replay(capsys, square_file, tables)
+        assert rc == 2
+        assert repr(field) in err
+
+    @pytest.mark.parametrize("body", [b"not json at all", b'{"r": 2', b"\xff\xfe{}", b"[]",
+                                      b'"model"'],
+                             ids=["text", "truncated", "not-utf8", "array", "string"])
+    def test_malformed_tables_file_exit_2(self, capsys, square_file, tables, body):
+        tables.write_bytes(body)
+        rc, err = self.replay(capsys, square_file, tables)
+        assert rc == 2
+        assert err.startswith("error: --tables:")
 
     @pytest.mark.parametrize("side", ["escaper", "pursuer"])
     @pytest.mark.parametrize("value", ["38", 2.0, 1e9, -1, True])
@@ -210,7 +265,7 @@ class TestTableFingerprint:
         else:
             doc["pursuer_moves"][f"{h0},{h2},0"] = value
         tables.write_text(json.dumps(doc))
-        rc, err = self.replay(capsys, square_file, tables, "--model", "exterior")
+        rc, err = self.replay(capsys, square_file, tables)
         assert rc == 2
         assert f"illegal {side} move" in err
 
@@ -219,7 +274,7 @@ class TestTableFingerprint:
         doc = json.loads(tables.read_text())
         doc["witness_h0"] = value
         tables.write_text(json.dumps(doc))
-        rc, err = self.replay(capsys, square_file, tables, "--model", "exterior")
+        rc, err = self.replay(capsys, square_file, tables)
         assert rc == 2
         assert "illegal start state" in err
 
@@ -227,7 +282,7 @@ class TestTableFingerprint:
         doc = json.loads(tables.read_text())
         doc["n_z"] += 1
         tables.write_text(json.dumps(doc))
-        rc, err = self.replay(capsys, square_file, tables, "--model", "exterior")
+        rc, err = self.replay(capsys, square_file, tables)
         assert rc == 2
         assert "'n_z'" in err
 
@@ -237,7 +292,7 @@ class TestApproximate:
         rc, doc = run_json(
             capsys,
             ["approximate", "--polygon", square_file, "--epsilon", "0.5",
-             "--budget", "1e10", "--override-delta", "0.5", "--override-gamma", "0.1"],
+             "--budget", "1e10", "--override", "0.5", "0.1"],
         )
         assert rc == 0
         assert doc["heuristic"] is True
@@ -251,16 +306,16 @@ class TestApproximate:
 
     def test_text_format(self, capsys, square_file):
         rc = run(["approximate", "--polygon", square_file, "--epsilon", "0.5",
-                  "--budget", "1e10", "--override-delta", "0.5",
-                  "--override-gamma", "0.1", "--format", "text"])
+                  "--budget", "1e10", "--override", "0.5", "0.1", "--format", "text"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "r_lo" in out and "heuristic" in out and "probes:" in out
 
     def test_partial_override_rejected(self, capsys, square_file):
         rc = run(["approximate", "--polygon", square_file, "--epsilon", "0.5",
-                  "--override-delta", "0.5"])
+                  "--override", "0.5"])
         assert rc == 2
+        assert "--override" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -303,6 +358,7 @@ class TestNumericFlags:
         "discrete-solve": ["discrete-solve", "-r", "2", "--delta", "0.5", "--gamma", "0.2"],
         "approximate": ["approximate", "--epsilon", "0.5"],
         "simulate": ["simulate", "--scenario", "disk", "-r", "4.4"],
+        "replay": ["replay", "--polygon", "p.json", "--tables", "t.json"],
     }
 
     @pytest.mark.parametrize("command,flag,values", [
@@ -317,15 +373,15 @@ class TestNumericFlags:
         ("simulate", "-r", ["-1", "nan"]),
         ("simulate", "--dt", ["0", "nan", "-0.001"]),
         ("simulate", "--t-max", ["-1", "nan", "inf"]),
-        ("approximate", "--override-delta", ["-0.5", "nan", "0"]),
-        ("approximate", "--override-gamma", ["-0.1", "nan", "inf"]),
+        ("approximate", "--override", ["-0.5 0.1", "nan 0.1", "0 0.1"]),
+        ("approximate", "--override", ["0.5 -0.1", "0.5 nan", "0.5 inf"]),
         ("simulate", "--epsilon", ["nan", "-1", "0"]),
         ("simulate", "--theta", ["inf", "nan", "0", "-1", "2"]),
     ])
     def test_bad_value_exits_2(self, capsys, square_file, command, flag, values):
         argv = self.COMMANDS[command] + ["--polygon", square_file]
         for value in values:
-            assert run([*argv, flag, value]) == 2, value
+            assert run([*argv, flag, *value.split()]) == 2, value
             assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,flag", [
@@ -336,10 +392,25 @@ class TestNumericFlags:
         ([*COMMANDS["approximate"], "--polygon", "p.json", "--seed", "3"], "--seed"),
         ([*COMMANDS["simulate"], "--seed", "3"], "--seed"),
         ([*COMMANDS["ratio"], "--polygon", "p.json", "--prune"], "--prune"),
+        ([*COMMANDS["simulate"], "--polygon", "p.json"], "--polygon"),
+        ([*COMMANDS["simulate"], "--model", "moat"], "--model"),
+        ([*COMMANDS["simulate"], "--tables", "t.json"], "--tables"),
+        ([*COMMANDS["replay"], "-r", "2"], "-r"),
+        ([*COMMANDS["replay"], "--dt", "0.01"], "--dt"),
+        ([*COMMANDS["replay"], "--t-max", "5"], "--t-max"),
+        ([*COMMANDS["replay"], "--epsilon", "0.05"], "--epsilon"),
+        ([*COMMANDS["replay"], "--theta", "0.3"], "--theta"),
+        ([*COMMANDS["replay"], "--svg-out", "x.svg"], "--svg-out"),
+        ([*COMMANDS["replay"], "--model", "exterior"], "--model"),
+        ([*COMMANDS["simulate"], "--theta", "0.3"], "--theta"),
+        ([*COMMANDS["discrete-solve"], "--polygon", "p.json", "--seed", "3"], "--seed"),
+        ([*COMMANDS["approximate"], "--polygon", "p.json", "--override-delta", "0.5"],
+         "--override-delta"),
     ])
     def test_flag_the_command_does_not_read_exits_2(self, capsys, argv, flag):
-        # only discrete-solve reads --seed (for --verify-net); exact reads
-        # no polygon; ratio has no --prune
+        # exact reads no polygon; ratio has no --prune; simulate (disk) no
+        # polygon, tables or angle; replay takes r, the game and the model
+        # from its tables; discrete-solve reads --seed only for --verify-net
         assert run(argv) == 2
         assert flag in capsys.readouterr().err
 
