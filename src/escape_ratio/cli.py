@@ -368,7 +368,6 @@ def _cmd_replay(args) -> int:
     _check_tables(tables, {"n_h": game.n_h, "n_z": game.n_z})
     transcript = play_discrete(game, lambda h, z: esc[f"{h},{z}"],
                                lambda h, h2, z: purs[f"{h},{h2},{z}"],
-                               max_turns=game.n_h * game.n_z + 1,
                                h0=tables.get("witness_h0") or 0, z0=0)
     doc = {
         "scenario": "polygon",

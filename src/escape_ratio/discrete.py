@@ -42,15 +42,12 @@ from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from .errors import BudgetExceeded, GammaTooCoarse, InconsistentTables
-from .geometry import (
-    MetricContext,
-    PursuerModel,
-    pair_geodesics,
-    pairs_within,
-    point_classes,
-    point_in_convex_hull,
-)
+from .geometry import MetricContext, PursuerModel, pair_geodesics, pairs_within
 from .ratio import boundary_samples
+
+# Not called here: kept so ``escape_ratio.discrete.point_classes`` still
+# resolves for the layer tracer in perfbench/tracing.py.
+from .geometry import point_classes  # noqa: F401
 
 
 logger = logging.getLogger(__name__)
@@ -109,8 +106,10 @@ def gamma_sample(ctx: MetricContext, gamma: float) -> SampleSet:
     """Sample both domains so every domain point is within gamma of a sample.
 
     Boundary samples at arc spacing <= gamma double as the exit samples;
-    interior (and exterior, for that model) points come from an axis-aligned
-    grid of spacing gamma/sqrt(2) so cell half-diagonals stay below gamma/2.
+    interior (and exterior, for that model) points come from one
+    axis-aligned grid of spacing gamma/sqrt(2) over the bounding box (the
+    hull's too), so cell half-diagonals stay below gamma/2, and one
+    ``MetricContext.contains`` call sorts the grid into the two domains.
     """
     poly = ctx.polygon
     if not 0 < gamma < math.inf:
@@ -123,7 +122,8 @@ def gamma_sample(ctx: MetricContext, gamma: float) -> SampleSet:
     spacing = gamma / math.sqrt(2.0)
     lo, hi = poly.bbox
     grid = _grid_points(lo, hi, spacing)
-    interior = grid[point_classes(poly, grid) >= 0]
+    member = ctx.contains(grid)
+    interior = grid[member[0]]
 
     escaper = np.vstack([boundary, interior])
     nb = len(boundary)
@@ -132,10 +132,7 @@ def gamma_sample(ctx: MetricContext, gamma: float) -> SampleSet:
         pursuer = boundary.copy()
         exterior_count = 0
     else:
-        hull = ctx.hull
-        grid = _grid_points(hull.min(axis=0), hull.max(axis=0), spacing)
-        keep = point_in_convex_hull(hull, grid, poly.tol) & (point_classes(poly, grid) != 1)
-        ext = grid[keep]
+        ext = grid[member[1]]
         pursuer = np.vstack([boundary, ext])
         exterior_count = len(ext)
 
@@ -161,21 +158,23 @@ def verify_net(ctx: MetricContext, samples: SampleSet, probes: int, seed: int = 
         raise ValueError("probes must be >= 1")
     poly = ctx.polygon
     rng = np.random.default_rng(seed)
-    inside = _draw(rng, *poly.bbox, probes, lambda p: point_classes(poly, p) >= 0)
+    inside = _draw(rng, *poly.bbox, probes, lambda p: ctx.contains(p)[0])
     worst = _nearest_gap(ctx, samples.escaper_samples, inside, 0)
     t = rng.random(probes) * poly.perimeter
     if ctx.model is PursuerModel.MOAT:
         gaps = poly.arc_distance(samples.boundary_params, t[:, None]).min(axis=1)
         return max(worst, float(gaps.max()))
     # the boundary is always part of the pursuer domain; the hull pockets
-    # have positive area only for nonconvex polygons (a convex one has
-    # none to sample), and the draws are capped for pockets too thin to hit
+    # (pursuer points off the escaper domain) have positive area only for
+    # nonconvex polygons (a convex one has none to sample), and the draws
+    # are capped for pockets too thin to hit
     outside = poly.boundary_point(t)
     if not poly.is_convex:
-        hull = ctx.hull
-        pockets = _draw(rng, hull.min(axis=0), hull.max(axis=0), probes,
-                        lambda p: point_in_convex_hull(hull, p, poly.tol)
-                        & (point_classes(poly, p) < 0), cap=60 * probes)
+        def in_pocket(p):
+            escaper, pursuer = ctx.contains(p)
+            return pursuer & ~escaper
+
+        pockets = _draw(rng, *poly.bbox, probes, in_pocket, cap=60 * probes)
         outside = np.concatenate([outside, pockets])
     return max(worst, _nearest_gap(ctx, samples.pursuer_samples, outside, 1))
 
@@ -728,16 +727,18 @@ def play_discrete(
     game: DiscreteGame,
     escaper_move,
     pursuer_move,
-    max_turns: int,
     h0: int,
     z0: int,
 ) -> Transcript:
-    """Replay two strategies from (h0, z0) for up to max_turns rounds.
+    """Replay two strategies from (h0, z0) until a decisive threat or a cycle.
 
     ``escaper_move(h, z)`` gives the escaper's next sample and
     ``pursuer_move(h_threat, h_cur, z)`` the pursuer's reply after the escaper
     moved h_threat -> h_cur, as ``SolveResult``'s methods of those names do.
-    Ends at the first decisive two-reply threat or at the turn cap; raises
+    Both must be functions of their arguments, as those methods and table
+    lookups are, so the state (h, z) decides the rest of the play: it ends
+    at the first decisive two-reply threat, or before it would play from a
+    state a second time (a cycle; at most n_h * n_z turns).  Raises
     InconsistentTables when a move function raises KeyError (a table with no
     entry for the state) or returns an illegal move: anything but an integer
     sample index in range (``bool`` included), or a hop the move relation
@@ -750,7 +751,9 @@ def play_discrete(
     e_z = game.e_z
     moves = []
     h, z = int(h0), int(z0)
-    for turn in range(max_turns):
+    played = set()
+    while (h, z) not in played:
+        played.add((h, z))
         try:
             h2 = escaper_move(h, z)
         except KeyError as exc:
@@ -770,9 +773,9 @@ def play_discrete(
                   & ~e_z[z2, game.samples.exit_idx_z])
         if open_x.any():
             return Transcript(moves=moves, decisive=(h, z2, int(np.argmax(open_x))),
-                              turns=turn + 1)
+                              turns=len(played))
         h, z = h2, z2
-    return Transcript(moves=moves, decisive=None, turns=max_turns)
+    return Transcript(moves=moves, decisive=None, turns=len(played))
 
 
 def _is_index(value, n: int) -> bool:

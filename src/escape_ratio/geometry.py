@@ -19,7 +19,7 @@ import json
 import logging
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -79,7 +79,7 @@ class Polygon:
     """
 
     vertices: np.ndarray
-    tol: float = field(default=0.0)
+    tol: float
 
     def __post_init__(self):
         v = self.vertices
@@ -831,42 +831,53 @@ class MetricContext:
 
     def interior_distance(self, p, q) -> float:
         """Geodesic distance inside the closed polygon (d_h)."""
-        return self._geodesic(p, q, 0)
+        return self._distance(p, q, 0)
 
     # -- pursuer metric -----------------------------------------------------
 
     def pursuer_distance(self, p, q) -> float:
         """Distance in the pursuer domain (d_z) under the configured model."""
-        if self.model is PursuerModel.MOAT:
-            return self._moat_distance(p, q)
-        return self._geodesic(p, q, 1)
+        return self._distance(p, q, 1)
 
-    def _moat_distance(self, p, q) -> float:
+    def _distance(self, p, q, side: int) -> float:
+        """The side's distance between two points of its domain: the moat
+        pursuer's is the boundary arc, every other a ``pair_geodesics``."""
         poly = self.polygon
-        pq = np.array([p, q], dtype=float)
-        if np.any(_boundary_distance2(poly, pq) > poly.tol**2):
-            raise OutsideDomain("point not on the boundary (moat model)")
-        return float(poly.arc_distance(*poly.boundary_parameter(pq)))
-
-    def _geodesic(self, p, q, side: int) -> float:
         pq = np.array([p, q], dtype=float)
         self._check_domain(pq, side)
-        return float(pair_geodesics(self.polygon, pq, [0], [1], (side,))[0, 0])
+        if side and self.model is PursuerModel.MOAT:
+            return float(poly.arc_distance(*poly.boundary_parameter(pq)))
+        return float(pair_geodesics(poly, pq, [0], [1], (side,))[0, 0])
+
+    # -- domains --------------------------------------------------------------
+
+    def contains(self, pts) -> np.ndarray:
+        """Which domains each point lies in, from one ``point_classes`` call:
+        a [2, len(pts)] bool array whose row 0 is the escaper domain (the
+        closed polygon) and row 1 the pursuer domain: the boundary in the
+        moat model, the convex hull less the open interior in the exterior
+        model (the hull test, within tol, runs in that model only).  The
+        boundary, where the escaper escapes, lies in both."""
+        pts = np.asarray(pts, dtype=float)
+        cls = point_classes(self.polygon, pts)
+        if self.model is PursuerModel.MOAT:
+            return np.stack([cls >= 0, cls == 0])
+        hull = point_in_convex_hull(self.hull, pts, self.polygon.tol)
+        return np.stack([cls >= 0, (cls <= 0) & hull])
 
     def _check_domain(self, pts: np.ndarray, side: int) -> None:
-        """Raise ``OutsideDomain`` at the first point outside the escaper
-        domain (side 0: the closed polygon) or the exterior pursuer domain
-        (side 1: the hull less the open interior; interior test first)."""
-        poly = self.polygon
-        cls = point_classes(poly, pts)
-        if side == 0:
-            if np.any(cls < 0):
-                raise OutsideDomain("point not in the escaper domain")
+        """Raise ``OutsideDomain`` at the first point outside the side's
+        domain (row ``side`` of ``contains``)."""
+        member = self.contains(pts)
+        bad = ~member[side]
+        if not bad.any():
             return
-        bad = (cls == 1) | ~point_in_convex_hull(self.hull, pts, poly.tol)
-        if bad.any():
-            raise OutsideDomain("point inside the escaper domain" if cls[bad.argmax()] == 1
-                                else "point beyond the convex hull of the boundary")
+        if side == 0:
+            raise OutsideDomain("point not in the escaper domain")
+        if self.model is PursuerModel.MOAT:
+            raise OutsideDomain("point not on the boundary (moat model)")
+        raise OutsideDomain("point inside the escaper domain" if member[0, bad.argmax()]
+                            else "point beyond the convex hull of the boundary")
 
 
 # ---------------------------------------------------------------------------

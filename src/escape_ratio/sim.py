@@ -11,14 +11,14 @@ Strategies are stateful objects queried monotonically in time; the engine
 resets them at the start of every playthrough, so a strategy instance can be
 reused across runs.
 
-A domain is five methods: ``escaper_contains(p, tol)`` and
-``pursuer_contains(p, tol)`` test membership of the two domains,
+A domain is three methods and a tolerance: ``contains(p)`` answers which
+domains p lies in as a pair of bools (escaper, pursuer),
 ``escaper_distance(p, q)`` and ``pursuer_distance(p, q)`` measure a step in
-each, and ``scale()`` sizes the engine's tolerance.  The engine passes its
-tol, 1e-9 * max(1, ``scale()``), to both predicates; a domain may apply its
-own tolerance instead (``PolygonDomain`` does).  The escaper wins at the
+each, and ``tol`` is the slack of the speed checks.  The escaper wins at the
 boundary, where the two domains meet, so an escaper position is an exit
-exactly when ``pursuer_contains`` accepts it too.
+exactly when ``contains`` puts it in the pursuer's domain too: the engine
+reads that from the answer it got when it checked the position, so a step
+asks two membership questions, one per mover.
 
 The analytic domains (disk, halfplane, wedge) and strategies work on the two
 coordinates as Python floats, since a step handles single 2-vectors; a view's
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DomainViolation, SpeedViolation
 from .exact import halfplane_pursuer_position, wedge_pursuer_position
-from .geometry import MetricContext, PursuerModel, point_in_convex_hull
+from .geometry import MetricContext
 
 # ---------------------------------------------------------------------------
 # domains
@@ -53,12 +53,11 @@ class DiskDomain:
     """Unit disk escaper domain; pursuer on the unit circle (moat)."""
 
     name = "disk"
+    tol = 1e-9
 
-    def escaper_contains(self, p, tol):
-        return math.hypot(p[0], p[1]) <= 1.0 + tol
-
-    def pursuer_contains(self, p, tol):
-        return abs(math.hypot(p[0], p[1]) - 1.0) <= tol
+    def contains(self, p):
+        r, tol = math.hypot(p[0], p[1]), self.tol
+        return r <= 1.0 + tol, abs(r - 1.0) <= tol
 
     def escaper_distance(self, p, q):
         return math.hypot(q[0] - p[0], q[1] - p[1])  # speed checks only
@@ -69,9 +68,6 @@ class DiskDomain:
         d = abs(a - b) % (2.0 * math.pi)
         return min(d, 2.0 * math.pi - d)
 
-    def scale(self):
-        return 1.0
-
 
 class HalfplaneDomain:
     """Halfplane game frame: boundary through the origin at angle theta.
@@ -81,6 +77,7 @@ class HalfplaneDomain:
     """
 
     name = "halfplane"
+    tol = 1e-9
 
     def __init__(self, theta: float):
         self.theta = float(theta)
@@ -94,11 +91,9 @@ class HalfplaneDomain:
         # predicates only: a hand-written dot may differ from ``@`` in the last bit
         return p[0] * self._nx + p[1] * self._ny
 
-    def escaper_contains(self, p, tol):
-        return self._offset(p) >= -tol
-
-    def pursuer_contains(self, p, tol):
-        return abs(self._offset(p)) <= tol
+    def contains(self, p):
+        offset, tol = self._offset(p), self.tol
+        return offset >= -tol, abs(offset) <= tol
 
     def escaper_distance(self, p, q):
         return math.hypot(q[0] - p[0], q[1] - p[1])  # speed checks only
@@ -107,14 +102,12 @@ class HalfplaneDomain:
         # separations are stored, so keep the ``@`` arithmetic
         return abs(float(self.direction @ p) - float(self.direction @ q))
 
-    def scale(self):
-        return 1.0
-
 
 class WedgeDomain:
     """Wedge with apex at the origin, bisector +x, half-angle theta."""
 
     name = "wedge"
+    tol = 1e-9
 
     def __init__(self, half_angle: float):
         self.half_angle = float(half_angle)
@@ -126,15 +119,10 @@ class WedgeDomain:
         r = float(np.hypot(p[0], p[1]))
         return r if p[1] >= 0 else -r
 
-    def escaper_contains(self, p, tol):
-        x, y = float(p[0]), float(p[1])
-        return abs(y) <= x * self._tan + tol
-
-    def pursuer_contains(self, p, tol):
-        x, y = float(p[0]), float(p[1])
-        if x < -tol:
-            return False
-        return abs(abs(y) - x * self._tan) <= tol * (1 + x)
+    def contains(self, p):
+        x, y, tol = float(p[0]), float(p[1]), self.tol
+        return (abs(y) <= x * self._tan + tol,
+                x >= -tol and abs(abs(y) - x * self._tan) <= tol * (1 + x))
 
     def escaper_distance(self, p, q):
         return math.hypot(q[0] - p[0], q[1] - p[1])  # speed checks only
@@ -142,41 +130,31 @@ class WedgeDomain:
     def pursuer_distance(self, p, q):
         return abs(self._boundary_param(p) - self._boundary_param(q))
 
-    def scale(self):
-        return 1.0
-
 
 class PolygonDomain:
-    """Polygon escaper domain backed by a MetricContext.  Its predicates run
-    the metrics' own domain tests and ignore the ``tol`` they are passed:
-    they apply ``polygon.tol`` (1e-9 times the bounding-box diagonal), as the
-    metrics they guard do, so a point the metrics reject is never accepted.
-    The two differ for a polygon whose diagonal is below 1."""
+    """Polygon escaper domain backed by a MetricContext.  ``contains`` is
+    one column of ``MetricContext.contains``, the test the metrics guard
+    their own inputs with, so a point the metrics reject is never accepted;
+    it applies ``polygon.tol`` (1e-9 times the bounding-box diagonal).  The
+    speed checks' ``tol`` is 1e-9 * max(1, that diagonal): the two differ
+    for a polygon whose diagonal is below 1."""
 
     name = "polygon"
 
     def __init__(self, ctx: MetricContext):
         self.ctx = ctx
+        lo, hi = ctx.polygon.bbox
+        self.tol = 1e-9 * max(1.0, float(np.hypot(*(hi - lo))))
 
-    def escaper_contains(self, p, tol):
-        return self.ctx.polygon.classify(p) != "outside"
-
-    def pursuer_contains(self, p, tol):
-        poly = self.ctx.polygon
-        where = poly.classify(p)
-        if self.ctx.model is PursuerModel.MOAT:
-            return where == "boundary"
-        return where != "inside" and bool(point_in_convex_hull(self.ctx.hull, p, poly.tol))
+    def contains(self, p):
+        escaper, pursuer = self.ctx.contains([p])[:, 0]
+        return bool(escaper), bool(pursuer)
 
     def escaper_distance(self, p, q):
         return self.ctx.interior_distance(p, q)
 
     def pursuer_distance(self, p, q):
         return self.ctx.pursuer_distance(p, q)
-
-    def scale(self):
-        lo, hi = self.ctx.polygon.bbox
-        return float(np.hypot(*(hi - lo)))
 
 
 # ---------------------------------------------------------------------------
@@ -461,15 +439,14 @@ def playthrough(
     """Run the alternating dt-grid game until escape or t_max.
 
     Escape fires at the first grid time the escaper is on an exit (a point of
-    its domain that ``pursuer_contains`` accepts) with pursuer-metric
-    separation >= epsilon.  Each new position is checked before it is
-    measured: DomainViolation when a start or a step leaves the mover's
-    domain, then SpeedViolation when a step is longer than max_speed * dt in
-    the mover's metric (tolerance tol absorbs roundoff in both).
+    its domain that ``contains`` puts in the pursuer's domain too) with
+    pursuer-metric separation >= epsilon.  Each new position is checked
+    before it is measured: DomainViolation when a start or a step leaves the
+    mover's domain, then SpeedViolation when a step is longer than
+    max_speed * dt + ``domain.tol`` in the mover's metric.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    tol = 1e-9 * max(1.0, domain.scale())
     n_steps = int(math.floor(t_max / dt + 1e-12))
     times = np.arange(n_steps + 1) * dt  # the same products as (k + 1) * dt
     h_pts = np.zeros((n_steps + 1, 2))
@@ -481,7 +458,8 @@ def playthrough(
     if escaper.start_point is None:
         raise ValueError("escaper strategy must declare a start point")
     h_pts[0] = np.asarray(escaper.start_point, dtype=float)
-    if not domain.escaper_contains(h_pts[0], tol):
+    in_escaper, on_exit = domain.contains(h_pts[0])
+    if not in_escaper:
         raise DomainViolation("escaper start outside its domain")
     # One view per side for the whole run.  Before each call the engine
     # advances its length: the escaper sees the pursuer's k + 1 points up to
@@ -493,30 +471,27 @@ def playthrough(
     purs_view = PathView(times, h_pts, 1)
     purs_view._last = h
     z_pts[0] = np.asarray(pursuer.position(purs_view, 0.0), dtype=float)
-    if not domain.pursuer_contains(z_pts[0], tol):
+    if not domain.contains(z_pts[0])[1]:
         raise DomainViolation("pursuer start outside its domain")
     z = (float(z_pts[0, 0]), float(z_pts[0, 1]))
 
     s_h = float(escaper.max_speed)
     s_z = float(pursuer.max_speed)
-    step_h_max = s_h * dt + tol
-    step_z_max = s_z * dt + tol
+    step_h_max = s_h * dt + domain.tol
+    step_z_max = s_z * dt + domain.tol
     touches = []
     escaper_position, pursuer_position = escaper.position, pursuer.position
     escaper_distance, pursuer_distance = domain.escaper_distance, domain.pursuer_distance
-    escaper_contains, pursuer_contains = domain.escaper_contains, domain.pursuer_contains
+    contains = domain.contains
 
     def check_escape(h, z, t):
-        # h was accepted by escaper_contains: it is an exit iff it is also
-        # in the pursuer's domain
-        if pursuer_contains(h, tol):
-            sep = pursuer_distance(h, z)
-            touches.append((t, sep))
-            if sep >= epsilon:
-                return sep
-        return None
+        # h is an exit (in both domains): record the touch, and escape at a
+        # separation of at least epsilon
+        sep = pursuer_distance(h, z)
+        touches.append((t, sep))
+        return sep if sep >= epsilon else None
 
-    sep = check_escape(h, z, 0.0)
+    sep = check_escape(h, z, 0.0) if on_exit else None
     k_end = 0
     escaped_at = None
     if sep is None:
@@ -525,7 +500,8 @@ def playthrough(
             esc_view._len, esc_view._last = k + 1, z
             x, y = escaper_position(esc_view, t_next)
             h_next = (float(x), float(y))
-            if not escaper_contains(h_next, tol):
+            in_escaper, on_exit = contains(h_next)
+            if not in_escaper:
                 raise DomainViolation(f"escaper left its domain at t={t_next:.4g}")
             step_h = escaper_distance(h, h_next)
             if step_h > step_h_max:
@@ -537,7 +513,7 @@ def playthrough(
             purs_view._len, purs_view._last = k + 2, h
             x, y = pursuer_position(purs_view, t_next)
             z_next = (float(x), float(y))
-            if not pursuer_contains(z_next, tol):
+            if not contains(z_next)[1]:
                 raise DomainViolation(f"pursuer left its domain at t={t_next:.4g}")
             step_z = pursuer_distance(z, z_next)
             if step_z > step_z_max:
@@ -547,10 +523,11 @@ def playthrough(
             z = z_next
             z_pts[k + 1, 0], z_pts[k + 1, 1] = z
             k_end = k + 1
-            sep = check_escape(h, z, t_next)
-            if sep is not None:
-                escaped_at = t_next
-                break
+            if on_exit:
+                sep = check_escape(h, z, t_next)
+                if sep is not None:
+                    escaped_at = t_next
+                    break
     else:
         escaped_at = 0.0
 
@@ -593,7 +570,7 @@ def validate_speed(path: MotionPath, domain, pairs: int = 200, seed: int = 0) ->
     """
     if len(path) == 0:
         raise ValueError("empty path")
-    tol = 1e-9 * max(1.0, domain.scale())
+    tol = domain.tol
     dist = (
         domain.escaper_distance
         if path.domain_tag == "escaper"

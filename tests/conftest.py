@@ -114,6 +114,33 @@ def reference_classify(poly, p):
     return "inside" if crossings % 2 == 1 else "outside"
 
 
+def reference_in_hull(hull, p, tol) -> bool:
+    """Whether ``p`` lies at most tol beyond every edge line of the CCW
+    convex ``hull``, one edge at a time in Python floats: the scalar oracle
+    for ``point_in_convex_hull``."""
+    x, y = float(p[0]), float(p[1])
+    for (ax, ay), (bx, by) in zip(hull.tolist(), np.roll(hull, -1, axis=0).tolist()):
+        ex, ey = bx - ax, by - ay
+        if ex * (y - ay) - ey * (x - ax) < -tol * math.hypot(ex, ey):
+            return False
+    return True
+
+
+def reference_contains(ctx, pts) -> np.ndarray:
+    """The scalar oracle for ``MetricContext.contains``: ``reference_classify``
+    and ``reference_in_hull`` one point at a time."""
+    poly = ctx.polygon
+    rows = []
+    for p in pts:
+        where = reference_classify(poly, p)
+        if ctx.model is PursuerModel.MOAT:
+            pursuer = where == "boundary"
+        else:
+            pursuer = where != "inside" and reference_in_hull(ctx.hull, p, poly.tol)
+        rows.append((where != "outside", pursuer))
+    return np.array(rows, dtype=bool).reshape(-1, 2).T
+
+
 def _point_segment_distance(p, a, b) -> float:
     ab = np.subtract(b, a)
     denom = float(ab @ ab)

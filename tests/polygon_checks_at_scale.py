@@ -1,6 +1,7 @@
 """``validate_polygon`` and ``min_feature_size`` against their scalar oracles at n = 200,
-the move relations' piece and admission rules against the kernel at game-net sizes,
-and ``pair_geodesics`` and ``verify_net`` against their per-query references on the
+``MetricContext.contains`` against the scalar membership oracles and the move
+relations' piece and admission rules against the kernel at game-net sizes, and
+``pair_geodesics`` and ``verify_net`` against their per-query references on the
 star's nets.
 
 Two 200-vertex stars (the second turned a quarter), four random radially
@@ -15,11 +16,14 @@ script that pytest does not collect:
 
     PYTHONPATH=src python -W error::RuntimeWarning tests/polygon_checks_at_scale.py
 
-The move relations ``e_h`` (d_h <= delta on the escaper net) and ``e_z``
-(exterior d_z <= 3 delta on the pursuer net) from ``_threshold_distances``
-must equal the kernel-only oracle's on the 48-vertex star and on game nets
-of the comb, notch, spiral, slit and collinear L (about 1,500 escaper
-samples each).  The oracle keeps a candidate pair when the exact
+On the grid of the game nets below (about 1,500 points),
+``MetricContext.contains`` must equal ``reference_contains``
+(``reference_classify`` plus a scalar hull test, one point at a time) in
+both models.  The move relations ``e_h`` (d_h <= delta on the escaper net)
+and ``e_z`` (exterior d_z <= 3 delta on the pursuer net) from
+``_threshold_distances`` must equal the kernel-only oracle's on the
+48-vertex star and on game nets of the comb, notch, spiral, slit and
+collinear L (about 1,500 escaper samples each).  The oracle keeps a candidate pair when the exact
 ``pair_geodesics(poly, pts, i, j, (side,))[0]``, which tests every pair's
 segment, puts it within limit + tol, so neither the piece rule nor the
 through-vertex admission decides a pair.  On a seeded sample of 2,000 pairs
@@ -29,8 +33,8 @@ Dijkstra) to the bit.  On the star's ``gamma_sample`` nets at gamma = f/4,
 ``verify_net`` with 500 probes must equal ``reference_verify_net`` (one
 scalar draw and one checked query at a time) to the bit in both models.
 
-Prints one line per polygon and relation with both timings and exits 1 on
-any difference.
+Prints one line per polygon and check with both timings and exits 1 on any
+difference.
 """
 
 import sys
@@ -40,6 +44,7 @@ import numpy as np
 from conftest import (
     COMB,
     SPIRAL,
+    reference_contains,
     reference_min_feature_size,
     reference_validate,
     reference_verify_net,
@@ -88,27 +93,53 @@ def timed(fn, *args):
     return out, time.perf_counter() - t0
 
 
+def game_grid(poly, samples):
+    """The grid of ``game_nets`` and its gamma."""
+    lo, hi = poly.bbox
+    gamma = float(np.sqrt(2 * np.prod(hi - lo) / samples))
+    return _grid_points(lo, hi, gamma / np.sqrt(2)), gamma
+
+
 def game_nets(poly, samples):
     """The escaper and exterior pursuer nets ``discrete.gamma_sample`` takes
     at the gamma that gives about ``samples`` escaper grid points, without
     its gamma <= f/4 bound (the slit's f/4 would need 300,000 samples), and
     that gamma."""
-    lo, hi = poly.bbox
-    gamma = float(np.sqrt(2 * np.prod(hi - lo) / samples))
+    grid, gamma = game_grid(poly, samples)
     ts = np.arange(0.0, poly.perimeter, gamma)
     boundary = poly.boundary_point(ts)
-    grid = _grid_points(lo, hi, gamma / np.sqrt(2))
     classes = point_classes(poly, grid)
     inside = point_in_convex_hull(convex_hull(poly.vertices), grid, poly.tol)
     return (np.vstack([boundary, grid[classes >= 0]]),
             np.vstack([boundary, grid[(classes <= 0) & inside]]), gamma)
 
 
+RELATION_POLYGONS = [("star48", _star(24)), ("comb", COMB), ("notch", NOTCH),
+                     ("spiral", SPIRAL), ("slit", SLIT), ("l_collinear", L_COLLINEAR)]
+
+
+def membership_failures() -> int:
+    """``MetricContext.contains`` against ``reference_contains`` (the scalar
+    classify and hull oracles) on the grid of each relation polygon's game
+    nets, in both models."""
+    failed = 0
+    for name, points in RELATION_POLYGONS:
+        poly = validate_polygon(points)
+        grid, _ = game_grid(poly, 1500)
+        for model in PursuerModel:
+            ctx = MetricContext(poly, model)
+            got, t_got = timed(ctx.contains, grid)
+            ref, t_ref = timed(reference_contains, ctx, grid)
+            same = np.array_equal(got, ref)
+            failed += not same
+            print(f"{name} contains {model.value}: {len(grid)} points, "
+                  f"{'same' if same else 'DIFFERENT'} ({t_ref:.3f} s -> {t_got:.4f} s)", flush=True)
+    return failed
+
+
 def relation_failures() -> int:
     failed = 0
-    cases = [("star48", _star(24)), ("comb", COMB), ("notch", NOTCH), ("spiral", SPIRAL),
-             ("slit", SLIT), ("l_collinear", L_COLLINEAR)]
-    for name, points in cases:
+    for name, points in RELATION_POLYGONS:
         poly = validate_polygon(points)
         escaper, pursuer, gamma = game_nets(poly, 1500)
         delta = 4 * gamma
@@ -197,6 +228,7 @@ def main() -> int:
             line += f"; {ref[0].__name__}: {ref[1]}"
         failed += not same
         print(line, flush=True)
+    failed += membership_failures()
     failed += relation_failures()
     failed += geodesic_failures()
     failed += net_failures()

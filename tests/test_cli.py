@@ -149,12 +149,14 @@ class TestDiscreteSolve:
         assert doc["escaper_won"] is True
 
     # sha256 of the replay document (stdout) that simulate --scenario polygon
-    # printed for these tables before replay became its own command
+    # printed for these tables before replay became its own command; the
+    # pursuer win's replay ends at its first repeated state (turn 1), where
+    # that command played it to the n_h * n_z + 1 turn cap
     @pytest.mark.parametrize("polygon,model,r,digest", [
         (SQUARE_JSON, "moat", "2",
          "8f61b8ee695a5107d16624941c2fba1e33a7606cdc76ff408f65fd1f368e7702"),
         (SQUARE_JSON, "exterior", "3",
-         "0cb3f18ce9aabfd28c29dfb1e0f46e6b2f88f3ab3c54343de81541f7dbd6b7d7"),
+         "2d4f7a8d20261b6b834e05c79b92e4ab4f4ec77aaec9f9b58a88a10d3b19dfaf"),
         (L_SHAPE_JSON, "moat", "3",
          "adfadd20cbe1d91db28ed564f2f6f799d9d82b31de250c8afb2532b5f48df6c9"),
         (L_SHAPE_JSON, "exterior", "2",
@@ -210,7 +212,6 @@ class TestTableFingerprint:
         game = build_game(ctx, r=2, delta=0.5, gamma=0.2)
         transcript = play_discrete(game, lambda h, z: t["escaper_moves"][f"{h},{z}"],
                                    lambda h, h2, z: t["pursuer_moves"][f"{h},{h2},{z}"],
-                                   max_turns=game.n_h * game.n_z + 1,
                                    h0=t["witness_h0"] or 0, z0=0)
         assert doc["moves"] == [list(m) for m in transcript.moves[:200]]
         assert (doc["turns"], doc["escaper_won"]) == (transcript.turns, transcript.escaper_won)

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from escape_ratio import discrete
+from escape_ratio import discrete, geometry
 from escape_ratio.errors import BudgetExceeded, GammaTooCoarse, InconsistentTables, OutsideDomain
 from escape_ratio.discrete import (
     build_game,
@@ -147,6 +147,21 @@ class TestGammaSample:
         s = gamma_sample(square_exterior, 0.2)
         assert s.exterior_count > 0
         assert s.n_pursuer == s.boundary_count + s.exterior_count
+
+    @pytest.mark.parametrize("model", list(PursuerModel))
+    def test_one_classification(self, monkeypatch, model):
+        # one grid over the bounding box serves both nets, classified once
+        calls = []
+
+        def counted(poly, pts):
+            calls.append(len(pts))
+            return point_classes(poly, pts)
+
+        monkeypatch.setattr(geometry, "point_classes", counted)
+        monkeypatch.setattr(discrete, "point_classes", counted)
+        s = gamma_sample(MetricContext(validate_polygon(L_SHAPE), model), 0.1)
+        assert len(calls) == 1
+        assert calls[0] >= s.interior_count + s.exterior_count
 
     @pytest.mark.parametrize("model", ["moat", "exterior"])
     @pytest.mark.parametrize(
@@ -592,10 +607,9 @@ class TestReplay:
         game = build_game(square_moat, r=2.0, delta=0.5, gamma=0.2, state_cap=1e10)
         res = solve(game)
         assert res.escaper_wins
-        cap = game.n_h * game.n_z + 1
         for z0 in range(game.n_z):
             tr = play_discrete(game, res.escaper_move, res.pursuer_move,
-                               max_turns=cap, h0=res.witness_h0, z0=z0)
+                               h0=res.witness_h0, z0=z0)
             assert tr.escaper_won
             h_threat, z_final, _ = tr.decisive
             assert escaper_win_predicate(game, h_threat, z_final)
@@ -605,10 +619,9 @@ class TestReplay:
         res = solve(game)
         rng = np.random.default_rng(13)
         hs, zs = np.nonzero(res.win_mask)
-        cap = game.n_h * game.n_z + 1
         for k in rng.choice(len(hs), size=12, replace=False):
             tr = play_discrete(game, res.escaper_move, res.pursuer_move,
-                               max_turns=cap, h0=int(hs[k]), z0=int(zs[k]))
+                               h0=int(hs[k]), z0=int(zs[k]))
             assert tr.escaper_won
             assert tr.turns <= int(res.rank[hs[k], zs[k]])
 
@@ -631,21 +644,18 @@ class TestReplay:
             z = int(rng.integers(0, game.n_z))
             assert escaper_win_predicate(game, h, z) == bool(P[h, z])
 
-    def test_pursuer_win_replay_times_out(self, square_moat):
+    def test_pursuer_win_replay_ends_at_a_repeated_state(self, square_moat):
+        # the moves are functions of the state (h, z), so a play that comes
+        # back to a state cycles: it ends there, each earlier state played once
         game = build_game(square_moat, r=40.0, delta=0.5, gamma=0.2, state_cap=1e10)
         res = solve(game)
         assert not res.escaper_wins
-        tr = play_discrete(game, res.escaper_move, res.pursuer_move,
-                           max_turns=25, h0=0, z0=0)
+        tr = play_discrete(game, res.escaper_move, res.pursuer_move, h0=0, z0=0)
         assert not tr.escaper_won
-        assert tr.turns == 25
-
-    def test_zero_turns_empty_transcript(self, square_moat):
-        game = build_game(square_moat, r=2.0, delta=0.5, gamma=0.2, state_cap=1e10)
-        res = solve(game)
-        tr = play_discrete(game, res.escaper_move, res.pursuer_move,
-                           max_turns=0, h0=0, z0=0)
-        assert tr.moves == [] and not tr.escaper_won
+        assert len(tr.moves) == 2 * tr.turns
+        states = [(0, 0)] + [(h, z) for (_, h), (_, z) in zip(tr.moves[::2], tr.moves[1::2])]
+        assert len(set(states[:-1])) == tr.turns
+        assert states[-1] in states[:-1]
 
     def test_inconsistent_tables_detected(self, square_moat):
         game = build_game(square_moat, r=2.0, delta=0.5, gamma=0.2, state_cap=1e10)
@@ -653,13 +663,13 @@ class TestReplay:
         empty = {}
         with pytest.raises(InconsistentTables, match="no move"):
             play_discrete(game, lambda h, z: empty[(h, z)], res.pursuer_move,
-                          max_turns=5, h0=0, z0=0)
+                          h0=0, z0=0)
         with pytest.raises(InconsistentTables, match="no move"):
             play_discrete(game, res.escaper_move, lambda h, h2, z: empty[(h, h2, z)],
-                          max_turns=5, h0=0, z0=0)
+                          h0=0, z0=0)
         far = int(np.flatnonzero(~game.e_h[0].toarray().ravel())[0])
         with pytest.raises(InconsistentTables, match="illegal escaper move"):
-            play_discrete(game, lambda h, z: far, res.pursuer_move, max_turns=5, h0=0, z0=0)
+            play_discrete(game, lambda h, z: far, res.pursuer_move, h0=0, z0=0)
 
     @pytest.mark.parametrize("value", ["38", 2.0, 1e9, -1, True, None])
     def test_non_index_moves_refused(self, square_moat, value):
@@ -668,16 +678,16 @@ class TestReplay:
         game = build_game(square_moat, r=2.0, delta=0.5, gamma=0.2, state_cap=1e10)
         res = solve(game)
         with pytest.raises(InconsistentTables, match="illegal escaper move"):
-            play_discrete(game, lambda h, z: value, res.pursuer_move, max_turns=5, h0=0, z0=0)
+            play_discrete(game, lambda h, z: value, res.pursuer_move, h0=0, z0=0)
         with pytest.raises(InconsistentTables, match="illegal pursuer move"):
             play_discrete(game, res.escaper_move, lambda h, h2, z: value,
-                          max_turns=5, h0=0, z0=0)
+                          h0=0, z0=0)
         with pytest.raises(InconsistentTables, match="illegal start state"):
             play_discrete(game, res.escaper_move, res.pursuer_move,
-                          max_turns=5, h0=value, z0=0)
+                          h0=value, z0=0)
         with pytest.raises(InconsistentTables, match="illegal start state"):
             play_discrete(game, res.escaper_move, res.pursuer_move,
-                          max_turns=5, h0=0, z0=value)
+                          h0=0, z0=value)
 
 
 class TestMonotonicityInR:

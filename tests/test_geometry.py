@@ -44,6 +44,7 @@ from conftest import (
     random_convex_polygon,
     random_point_inside,
     reference_classify,
+    reference_contains,
     reference_distance_to_boundary,
     reference_min_feature_size,
     reference_validate,
@@ -749,6 +750,48 @@ class TestMembershipAgreement:
         ref = np.array([reference_classify(poly, p) for p in pts])
         band = np.array([reference_distance_to_boundary(poly, p) == tol for p in pts])
         assert np.array_equal(names[~band], ref[~band])
+
+
+def membership_probes(poly):
+    """A 13 x 13 grid over the polygon's bounding box widened by an eighth
+    on each side, plus points 0.999 and 1.001 tol either side of each edge's
+    midpoint (along its normal) and away from each vertex (in eight
+    directions)."""
+    lo, hi = poly.bbox
+    pad = (hi - lo) / 8
+    xs, ys = (np.linspace(a, b, 13) for a, b in zip(lo - pad, hi + pad))
+    grid = np.column_stack([g.ravel() for g in np.meshgrid(xs, ys)])
+    steps = poly.tol * np.array([-1.001, -0.999, 0.999, 1.001])
+    e = poly._edge_vecs
+    normal = np.column_stack([e[:, 1], -e[:, 0]]) / poly.edge_lengths[:, None]
+    mids = poly.vertices + e / 2
+    ang = np.arange(8) * math.pi / 4
+    dirs = np.column_stack([np.cos(ang), np.sin(ang)])
+    return np.vstack([
+        grid,
+        (mids[:, None] + steps[:, None] * normal[:, None]).reshape(-1, 2),
+        (poly.vertices[:, None, None] + steps[2:, None, None] * dirs).reshape(-1, 2),
+    ])
+
+
+class TestDomainMembership:
+    @pytest.mark.parametrize("scale,shift", [(1, 0), (1, 1024), (1, 2**20), (2**-3, 0), (2**5, 0)],
+                             ids=["plain", "shift1024", "shift2^20", "scale2^-3", "scale2^5"])
+    @pytest.mark.parametrize("points", [SQUARE, TRIANGLE, L_SHAPE, COMB, SPIRAL, NOTCH, SLIT],
+                             ids=["square", "triangle", "l", "comb", "spiral", "notch", "slit"])
+    def test_contains_matches_scalar_oracles(self, points, scale, shift):
+        """``MetricContext.contains`` answers as ``reference_classify`` and
+        the scalar hull test do, in both models, on each polygon moved and
+        scaled (the oracles run on the same moved points)."""
+        poly = validate_polygon(np.array(points, dtype=float) * scale + shift)
+        pts = membership_probes(poly)
+        for model in PursuerModel:
+            ctx = MetricContext(poly, model)
+            got = ctx.contains(pts)
+            assert got.shape == (2, len(pts)) and got.dtype == bool
+            assert np.array_equal(got, reference_contains(ctx, pts)), model
+            # the probes fall both in and out of each domain
+            assert got.any(axis=1).all() and not got.all(axis=1).any()
 
 
 def _two_point_dijkstra(base: np.ndarray, wp: np.ndarray, wq: np.ndarray, direct: float) -> float:

@@ -634,6 +634,26 @@ class TestViewContract:
             view.last
 
 
+class _CountingDisk(DiskDomain):
+    def __init__(self):
+        self.calls = 0
+
+    def contains(self, p):
+        self.calls += 1
+        return super().contains(p)
+
+
+@pytest.mark.parametrize("r", [4.4, 4.8], ids=["escape", "hold"])
+def test_step_asks_two_membership_questions(r):
+    # one per mover: the exit test reads the escaper's own answer
+    domain = _CountingDisk()
+    esc, purs = disk_strategies(r)
+    pt = playthrough(esc, purs, dt=0.01, t_max=3.0, epsilon=0.01, domain=domain)
+    steps = len(pt.escaper_path) - 1
+    assert steps > 100
+    assert domain.calls == 2 + 2 * steps
+
+
 class _Walker(Strategy):
     """Holds at ``a`` until t = 0.05, then runs at unit speed towards ``b``."""
 
@@ -667,16 +687,16 @@ class TestPolygonDomain:
     @pytest.mark.parametrize("model", list(PursuerModel))
     def test_predicates_apply_the_polygons_tol(self, l_shape, model):
         # the L-shape at 1/8 scale has diagonal 0.35, so polygon.tol is 3.5e-10,
-        # below the 1e-9 that playthrough passes: a point 2 polygon.tol below
+        # below the domain's 1e-9 speed-check tol: a point 2 polygon.tol below
         # the bottom edge is rejected, one polygon.tol / 2 below is not (in
         # the exterior model the hull test measures that distance too)
         poly = validate_polygon(l_shape.vertices / 8)
         domain = PolygonDomain(MetricContext(poly, model))
-        tol = 1e-9 * max(1.0, domain.scale())
+        tol = domain.tol
         assert tol > 2 * poly.tol
         far, near = (0.125, -2 * poly.tol), (0.125, -poly.tol / 2)
-        assert not domain.escaper_contains(far, tol) and domain.escaper_contains(near, tol)
-        assert not domain.pursuer_contains(far, tol) and domain.pursuer_contains(near, tol)
+        assert not domain.contains(far)[0] and domain.contains(near)[0]
+        assert not domain.contains(far)[1] and domain.contains(near)[1]
 
     @pytest.mark.parametrize("model", list(PursuerModel))
     def test_pursuer_contains_matches_metric(self, l_shape, model):
@@ -685,7 +705,6 @@ class TestPolygonDomain:
         ctx = MetricContext(l_shape, model)
         domain = PolygonDomain(ctx)
         poly = ctx.polygon
-        tol = 1e-9 * max(1.0, domain.scale())
         xs = np.linspace(-0.5, 2.5, 25)
         pts = [np.array((x, y)) for x in xs for y in xs]
         mids = poly.vertices + poly._edge_vecs / 2
@@ -698,7 +717,7 @@ class TestPolygonDomain:
         anchor = poly.vertices[0]
         verdicts = set()
         for p in pts:
-            accepted = domain.pursuer_contains(p, tol)
+            accepted = domain.contains(p)[1]
             try:
                 ctx.pursuer_distance(p, anchor)
                 measured = True
