@@ -28,6 +28,10 @@ rows are evaluated in blocks: moat-model games count bad replies in
 circular windows through prefix sums (the pursuer's move set is an arc
 interval); other games use a dense float32 matrix product.  The marking is
 order-independent, so the result is deterministic.
+
+scipy is imported inside the functions that call it, so importing this
+module (and the package) does not load it: only building a game or
+checking a net does.
 """
 
 from __future__ import annotations
@@ -35,11 +39,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.spatial import cKDTree
+
+# scipy.sparse and scipy.spatial are imported where they are called: the
+# commands that never build a game (exact, ratio, simulate) do not load them
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 from .errors import BudgetExceeded, GammaTooCoarse, InconsistentTables
 from .geometry import MetricContext, PursuerModel, pair_geodesics, pairs_within
@@ -200,6 +207,8 @@ def _nearest_gap(ctx: MetricContext, samples: np.ndarray, probes: np.ndarray, si
     distance to it is still below the probe's best: a scan of each shortlist
     with an early break, so the pairs and values are the scan's.  A sample
     measured outside its domain raises ``OutsideDomain``."""
+    from scipy.spatial import cKDTree
+
     k = min(8, len(samples))
     eu, idx = (a.reshape(len(probes), k) for a in cKDTree(samples).query(probes, k=k))
     best = np.full(len(probes), math.inf)
@@ -232,6 +241,8 @@ def _threshold_distances(poly, pts, limit, interior):
     in it), so the KD-tree alone decides which ties at the radius it keeps.
     ``_csr_relation`` and ``_dense_relation`` turn the pairs into a relation.
     """
+    from scipy.spatial import cKDTree
+
     tol = poly.tol
     chords = interior and poly.is_convex
     cap = limit + tol if chords else limit * (1 + 1e-12) + tol
@@ -249,6 +260,8 @@ def _csr_relation(i, j, m: int) -> csr_matrix:
     Built from the sorted keys row * m + col, so each row's indices are
     sorted (``SolveResult.escaper_move`` walks them in that order).
     """
+    from scipy.sparse import csr_matrix
+
     key = np.concatenate([i * m + j, j * m + i, np.arange(m) * (m + 1)])
     key.sort()
     rows, cols = np.divmod(key, m)
@@ -392,37 +405,6 @@ def _arc_windows(t: np.ndarray, F: float, reach: float):
     hi3 = np.searchsorted(ext, t + reach, side="right") - 1
     lo = (lo3 - n) % n
     return (lo, lo + (hi3 - lo3))
-
-
-def toy_game(e_h, e_z, exit_idx_h, exit_idx_z, r: float = 1.0, delta: float = 1.0) -> DiscreteGame:
-    """Abstract game from explicit move relations; test and graph-model scaffolding.
-
-    Matrices must be symmetric with true diagonals; exit index arrays give the
-    shared exit samples' positions in each vertex set.
-    """
-    e_h = np.asarray(e_h, dtype=bool)
-    e_z = np.asarray(e_z, dtype=bool)
-    if not (np.array_equal(e_h, e_h.T) and np.array_equal(e_z, e_z.T)):
-        raise ValueError("move relations must be symmetric")
-    if not (e_h.diagonal().all() and e_z.diagonal().all()):
-        raise ValueError("standing still must be legal (true diagonals)")
-    exit_idx_h = np.asarray(exit_idx_h, dtype=int)
-    exit_idx_z = np.asarray(exit_idx_z, dtype=int)
-    if len(exit_idx_h) != len(exit_idx_z):
-        raise ValueError("exit index arrays must pair up")
-    n_h, n_z, n_x = len(e_h), len(e_z), len(exit_idx_h)
-    samples = SampleSet(
-        escaper_samples=np.column_stack([np.arange(n_h), np.zeros(n_h)]),
-        pursuer_samples=np.column_stack([np.arange(n_z), np.ones(n_z)]),
-        exit_samples=np.column_stack([np.arange(n_x), 0.5 * np.ones(n_x)]),
-        gamma=1.0,
-        exit_idx_h=exit_idx_h,
-        exit_idx_z=exit_idx_z,
-        boundary_count=n_x,
-        interior_count=n_h - n_x,
-        exterior_count=0,
-    )
-    return DiscreteGame(samples=samples, e_h=csr_matrix(e_h), e_z=e_z, r=r, delta=delta)
 
 
 # ---------------------------------------------------------------------------

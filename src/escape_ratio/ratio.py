@@ -97,13 +97,18 @@ def boundary_samples(ctx: MetricContext, spacing: float):
     """
     poly = ctx.polygon
     params = []
-    for i in range(poly.n):
+    for i, m in enumerate(edge_pieces(poly, spacing).astype(int).tolist()):
         L = poly.edge_lengths[i]
-        m = max(1, int(np.ceil(L / spacing - 1e-12)))
         t0 = poly.cumulative_lengths[i]
         params.extend(t0 + L * k / m for k in range(m))
     params = np.array(sorted(params))
     return params, poly.boundary_point(params)
+
+
+def edge_pieces(poly, spacing: float) -> np.ndarray:
+    """Pieces of each edge in ``boundary_samples``: ceil(len/spacing), at least
+    1, as floats, so that a spacing too fine to sample still gives a count."""
+    return np.maximum(1.0, np.ceil(poly.edge_lengths / spacing - 1e-12))
 
 
 def _pairwise_dh(ctx: MetricContext, pts: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import BudgetExceeded
 from .geometry import MetricContext
 from .discrete import build_game, check_state_cap, escaper_moves, gamma_sample, solve
-from .ratio import UPPER_FACTOR
+from .ratio import UPPER_FACTOR, edge_pieces
 
 
 def r_upper_bound_easy(ctx: MetricContext) -> float:
@@ -218,18 +218,24 @@ def approximate_r_star(
 
 
 def _precheck_budget(ctx: MetricContext, gamma: float, budget: float) -> None:
-    """Estimate the sampled state count without materializing the samples.
+    """Refuse a game over budget without materializing the samples.
 
-    Underestimates (pursuer count taken as the boundary net only), so it never
-    refuses a game the real construction would admit; build_game enforces the
-    cap exactly afterwards.
+    The estimate is a lower bound on the state count n_h^2 * n_z, so it never
+    refuses a game the real construction would admit; build_game enforces
+    the cap exactly afterwards.  The boundary count is the sampler's own and
+    the pursuer count is taken as the boundary net only.  Interior: each point
+    of the polygon lies within gamma (the diagonal of a grid cell of spacing
+    s = gamma/sqrt(2)) of its cell's lower-left grid point, so the points
+    whose corner is no interior sample lie within w = gamma + tol of the
+    boundary, in a strip of area at most P*w + n*pi*w^2/2; at least
+    (A - P*w - n*pi*w^2/2) / s^2 grid points are interior.
     """
     poly = ctx.polygon
-    nb = poly.perimeter / gamma
-    spacing = gamma / math.sqrt(2.0)
-    n_h = nb + abs(poly.area) / (spacing * spacing)
-    n_z = nb
-    est = n_h * n_h * n_z
+    nb = float(edge_pieces(poly, gamma).sum())
+    w = gamma + poly.tol
+    strip = poly.perimeter * w + poly.n * math.pi * w * w / 2.0
+    n_h = nb + max(0.0, 2.0 * (abs(poly.area) - strip) / (gamma * gamma))
+    est = n_h * n_h * nb
     if est > budget:
         raise BudgetExceeded(
             f"estimated state count {est:.3g} exceeds budget {budget:.3g}",

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from escape_ratio import ratio
-from escape_ratio.discrete import SolveResult, threat_matrix
+from escape_ratio.discrete import DiscreteGame, SampleSet, SolveResult, threat_matrix
 from escape_ratio.errors import DegenerateEdge, SelfIntersecting, TooFewVertices, ZeroArea
 from escape_ratio.geometry import (
     TOL_SCALE,
@@ -322,6 +323,37 @@ def _reference_nearest(metric, tree, pts, p) -> float:
             break
         best = min(best, metric(p, pts[i]))
     return best
+
+
+def toy_game(e_h, e_z, exit_idx_h, exit_idx_z, r: float = 1.0, delta: float = 1.0) -> DiscreteGame:
+    """Abstract game from explicit move relations, for the solver tests.
+
+    Matrices must be symmetric with true diagonals; exit index arrays give the
+    shared exit samples' positions in each vertex set.
+    """
+    e_h = np.asarray(e_h, dtype=bool)
+    e_z = np.asarray(e_z, dtype=bool)
+    if not (np.array_equal(e_h, e_h.T) and np.array_equal(e_z, e_z.T)):
+        raise ValueError("move relations must be symmetric")
+    if not (e_h.diagonal().all() and e_z.diagonal().all()):
+        raise ValueError("standing still must be legal (true diagonals)")
+    exit_idx_h = np.asarray(exit_idx_h, dtype=int)
+    exit_idx_z = np.asarray(exit_idx_z, dtype=int)
+    if len(exit_idx_h) != len(exit_idx_z):
+        raise ValueError("exit index arrays must pair up")
+    n_h, n_z, n_x = len(e_h), len(e_z), len(exit_idx_h)
+    samples = SampleSet(
+        escaper_samples=np.column_stack([np.arange(n_h), np.zeros(n_h)]),
+        pursuer_samples=np.column_stack([np.arange(n_z), np.ones(n_z)]),
+        exit_samples=np.column_stack([np.arange(n_x), 0.5 * np.ones(n_x)]),
+        gamma=1.0,
+        exit_idx_h=exit_idx_h,
+        exit_idx_z=exit_idx_z,
+        boundary_count=n_x,
+        interior_count=n_h - n_x,
+        exterior_count=0,
+    )
+    return DiscreteGame(samples=samples, e_h=csr_matrix(e_h), e_z=e_z, r=r, delta=delta)
 
 
 def escaper_win_predicate(game, h_threat, z):

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from escape_ratio import exact, sim
-from escape_ratio.discrete import build_game, gamma_sample, solve, toy_game
+from escape_ratio.discrete import build_game, gamma_sample, solve
 from escape_ratio.geometry import MetricContext, PursuerModel, validate_polygon
 from escape_ratio.ratio import UPPER_FACTOR, max_ratio
 from escape_ratio.scheme import approximate_r_star, decide_r
 
-from conftest import minimax_escaper_wins, random_convex_polygon
+from conftest import minimax_escaper_wins, random_convex_polygon, toy_game
 from test_ratio import square_dense_oracle
 
 

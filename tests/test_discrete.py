@@ -15,7 +15,6 @@ from escape_ratio.discrete import (
     gamma_sample,
     play_discrete,
     solve,
-    toy_game,
     verify_net,
 )
 from escape_ratio.discrete import SampleSet, _grid_points
@@ -42,6 +41,7 @@ from conftest import (
     reference_classify,
     reference_solve,
     reference_verify_net,
+    toy_game,
 )
 from test_geometry import NOTCH, SLIT
 

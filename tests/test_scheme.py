@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 
 from escape_ratio import scheme
+from escape_ratio.discrete import gamma_sample
 from escape_ratio.errors import BudgetExceeded
 from escape_ratio.geometry import MetricContext, PursuerModel, validate_polygon
 from escape_ratio.ratio import UPPER_FACTOR, max_ratio
 from escape_ratio.scheme import (
     _gamma_for,
+    _precheck_budget,
     approximate_r_star,
     decide_r,
     epsilon0,
     r_upper_bound_easy,
 )
+
+from conftest import COMB, L_SHAPE, SQUARE
 
 
 class TestUpperBoundEasy:
@@ -88,6 +92,22 @@ class TestGammaFor:
                 delta = 0.3
                 g = _gamma_for(r, delta, eps)
                 assert 0 < g < min(0.25, r / 2, eps * r / 2) * delta
+
+
+class TestPrecheckBudget:
+    # a thin triangle whose grid keeps fewer interior points than
+    # area / spacing^2: at gamma = f/5 (moat, n_h 707, n_z 222) an estimate
+    # from the area alone refused the game at budget 1.18e8
+    THIN = [(0, 0), (0.566647, 12.73404), (-0.028331, 12.760516)]
+
+    @pytest.mark.parametrize("points", [SQUARE, L_SHAPE, COMB, THIN])
+    @pytest.mark.parametrize("divisor", [4, 5, 7, 11])
+    def test_never_refuses_a_game_within_budget(self, points, divisor):
+        for model in PursuerModel:
+            ctx = MetricContext(validate_polygon(points), model)
+            samples = gamma_sample(ctx, ctx.polygon.min_feature_size / divisor)
+            states = samples.n_escaper**2 * samples.n_pursuer
+            _precheck_budget(ctx, samples.gamma, states)
 
 
 class TestApproximate:
