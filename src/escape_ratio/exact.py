@@ -6,6 +6,9 @@ APLO ("axially progressing laterally opposing") moves the escaper forward
 along a fixed axis at constant speed while the lateral offset mirrors the
 pursuer's net signed boundary progress, scaled by 1/r'.  It is the building
 block of the optimal escaper strategies for the disk, triangle and square.
+
+The strategy protocol ``Strategy`` lives here (``sim`` re-exports it), with
+``_Tracker``, the one step rule every pursuer chases its target with.
 """
 
 from __future__ import annotations
@@ -179,6 +182,63 @@ def halfplane_pursuer_position(theta: float, h) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# strategies
+# ---------------------------------------------------------------------------
+
+
+class Strategy:
+    """Callback contract: position(opponent prefix up to time t, t) -> point.
+
+    The prefix is a ``sim.PathView``; ``opponent.last`` is its most recent
+    point as an (x, y) tuple of Python floats, read without slicing
+    ``opponent.points``.  The view is valid only during the call.  A point
+    returned is any 2-sequence of floats (a tuple or an array); the engine
+    copies it.  No-lookahead: the output at t may depend only on the prefix.
+    Escaper strategies additionally declare ``start_point`` (independent of the
+    opponent).  ``max_speed`` is the licensed speed of the paths the strategy
+    emits.  Instances may keep incremental state between the engine's monotone
+    queries; ``reset`` returns them to the initial state.
+    """
+
+    start_point: np.ndarray | None = None
+    max_speed: float = 1.0
+
+    def reset(self):
+        pass
+
+    def position(self, opponent, t: float) -> np.ndarray:
+        raise NotImplementedError
+
+
+class _Tracker(Strategy):
+    """A pursuer chasing a target boundary coordinate ``_s`` at speed ``r``.
+
+    The first call lands on the target.  After that a step lands on it when
+    it is within reach r*dt, else takes a full step toward it; ``gap``, when
+    given, is the signed distance to cover in place of ``target - _s``.
+    """
+
+    def __init__(self, r: float):
+        self.r = float(r)
+        self.max_speed = float(r)
+        self.reset()
+
+    def reset(self):
+        self._s = None
+        self._last_t = 0.0
+
+    def _track(self, target: float, t: float, gap: float | None = None) -> float:
+        s = self._s
+        if s is not None:
+            reach = self.r * (t - self._last_t)
+            d = target - s if gap is None else gap
+            target = target if abs(d) <= reach else s + math.copysign(reach, d)
+        self._s = target
+        self._last_t = t
+        return target
+
+
+# ---------------------------------------------------------------------------
 # disk strategies
 # ---------------------------------------------------------------------------
 
@@ -203,7 +263,7 @@ def _radius_near(x: float, y: float, threshold: float) -> float:
     return rad
 
 
-class DiskAploEscaper:
+class DiskAploEscaper(Strategy):
     """Escaper strategy for the unit disk at speed ratio r.
 
     Starts on the inner circle of radius 1/r*, circles at full speed until
@@ -218,7 +278,6 @@ class DiskAploEscaper:
 
     def __init__(self, r: float):
         self.r = float(r)
-        self.max_speed = 1.0
         self.r_star = disk_r_star()
         self.inner_radius = 1.0 / self.r_star
         self.start_point = np.array([self.inner_radius, 0.0])
@@ -295,49 +354,43 @@ class DiskAploEscaper:
         return (x, y)
 
 
-class DiskArcChasingPursuer:
+class DiskArcChasingPursuer(_Tracker):
     """Pursuer strategy for the unit disk at speed ratio r.
 
     Starts at the boundary point nearest the escaper; whenever the escaper is
     strictly outside the inner circle of radius 1/r*, runs at full speed along
     the shorter arc toward the escaper's closest boundary point, otherwise
     stands still.  Near-antipodal ties keep the previous running direction so
-    grid-scale dithering cannot freeze the chase.
+    grid-scale dithering cannot freeze the chase.  The tracked coordinate is
+    the pursuer's angle.
     """
 
     TIE_BAND = 0.05  # radians around the antipode treated as a tie
 
     def __init__(self, r: float):
-        self.r = float(r)
-        self.max_speed = float(r)
         self.gate_radius = 1.0 / disk_r_star()
-        self.reset()
+        super().__init__(r)
 
     def reset(self):
-        self._angle = None
-        self._last_t = 0.0
+        super().reset()
         self._direction = 1.0
 
     def position(self, opp, t: float):
         h = opp.last
-        target = math.atan2(h[1], h[0])
-        if self._angle is None:
-            self._angle = target
-            self._last_t = t
-            return (math.cos(self._angle), math.sin(self._angle))
-        dt = t - self._last_t
-        self._last_t = t
-        gate = self.gate_radius * (1.0 + 1e-9)
-        if _radius_near(h[0], h[1], gate) > gate:
-            delta = _wrap_angle(target - self._angle)
-            if abs(delta) >= math.pi - self.TIE_BAND:
-                # near-antipodal tie: keep running the committed way
-                self._angle += self._direction * self.r * dt
+        target, s, gap = math.atan2(h[1], h[0]), self._s, None
+        if s is not None:
+            gate = self.gate_radius * (1.0 + 1e-9)
+            if _radius_near(h[0], h[1], gate) > gate:
+                gap = _wrap_angle(target - s)
+                if abs(gap) >= math.pi - self.TIE_BAND:
+                    # near-antipodal tie: keep running the committed way
+                    gap = self._direction * math.inf
+                else:
+                    self._direction = 1.0 if gap >= 0 else -1.0
             else:
-                self._direction = 1.0 if delta >= 0 else -1.0
-                step = min(self.r * dt, abs(delta))
-                self._angle = target if step >= abs(delta) else self._angle + self._direction * step
-        return (math.cos(self._angle), math.sin(self._angle))
+                target = s  # escaper within the gate: stand still
+        s = self._track(target, t, gap)
+        return (math.cos(s), math.sin(s))
 
 
 def _dt_hint(opp) -> float:

@@ -9,7 +9,8 @@ explicitly delay-tolerant.
 
 Strategies are stateful objects queried monotonically in time; the engine
 resets them at the start of every playthrough, so a strategy instance can be
-reused across runs.
+reused across runs.  ``Strategy`` (re-exported here) and ``_Tracker``, the
+one step rule every pursuer chases its target with, live in ``exact``.
 
 A domain is three methods and a tolerance: ``contains(p)`` answers which
 domains p lies in as a pair of bools (escaper, pursuer),
@@ -41,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainViolation, SpeedViolation
-from .exact import halfplane_pursuer_position, wedge_pursuer_position
+from .exact import Strategy, _Tracker, halfplane_pursuer_position, wedge_pursuer_position
 from .geometry import MetricContext
 
 # ---------------------------------------------------------------------------
@@ -49,18 +50,21 @@ from .geometry import MetricContext
 # ---------------------------------------------------------------------------
 
 
-class DiskDomain:
-    """Unit disk escaper domain; pursuer on the unit circle (moat)."""
+class _AnalyticDomain:
+    """Tolerance and Euclidean escaper metric of the disk, halfplane and wedge."""
 
-    name = "disk"
     tol = 1e-9
+
+    def escaper_distance(self, p, q):
+        return math.hypot(q[0] - p[0], q[1] - p[1])  # speed checks only
+
+
+class DiskDomain(_AnalyticDomain):
+    """Unit disk escaper domain; pursuer on the unit circle (moat)."""
 
     def contains(self, p):
         r, tol = math.hypot(p[0], p[1]), self.tol
         return r <= 1.0 + tol, abs(r - 1.0) <= tol
-
-    def escaper_distance(self, p, q):
-        return math.hypot(q[0] - p[0], q[1] - p[1])  # speed checks only
 
     def pursuer_distance(self, p, q):
         a = math.atan2(p[1], p[0])
@@ -69,23 +73,19 @@ class DiskDomain:
         return min(d, 2.0 * math.pi - d)
 
 
-class HalfplaneDomain:
+class HalfplaneDomain(_AnalyticDomain):
     """Halfplane game frame: boundary through the origin at angle theta.
 
     The escaper domain is the side containing (1, 0); the pursuer walks the
     boundary line.  theta = pi/2 makes the boundary the y-axis.
     """
 
-    name = "halfplane"
-    tol = 1e-9
-
     def __init__(self, theta: float):
         self.theta = float(theta)
         self.direction = np.array([math.cos(self.theta), math.sin(self.theta)])
-        self.normal = np.array([math.sin(self.theta), -math.cos(self.theta)])
-        if self.normal @ np.array([1.0, 0.0]) < 0:
-            self.normal = -self.normal
-        self._nx, self._ny = float(self.normal[0]), float(self.normal[1])
+        # unit normal pointing to the escaper's side, the one holding (1, 0)
+        nx, ny = math.sin(self.theta), -math.cos(self.theta)
+        self._nx, self._ny = (-nx, -ny) if nx < 0 else (nx, ny)
 
     def _offset(self, p):
         # predicates only: a hand-written dot may differ from ``@`` in the last bit
@@ -95,19 +95,13 @@ class HalfplaneDomain:
         offset, tol = self._offset(p), self.tol
         return offset >= -tol, abs(offset) <= tol
 
-    def escaper_distance(self, p, q):
-        return math.hypot(q[0] - p[0], q[1] - p[1])  # speed checks only
-
     def pursuer_distance(self, p, q):
         # separations are stored, so keep the ``@`` arithmetic
         return abs(float(self.direction @ p) - float(self.direction @ q))
 
 
-class WedgeDomain:
+class WedgeDomain(_AnalyticDomain):
     """Wedge with apex at the origin, bisector +x, half-angle theta."""
-
-    name = "wedge"
-    tol = 1e-9
 
     def __init__(self, half_angle: float):
         self.half_angle = float(half_angle)
@@ -124,9 +118,6 @@ class WedgeDomain:
         return (abs(y) <= x * self._tan + tol,
                 x >= -tol and abs(abs(y) - x * self._tan) <= tol * (1 + x))
 
-    def escaper_distance(self, p, q):
-        return math.hypot(q[0] - p[0], q[1] - p[1])  # speed checks only
-
     def pursuer_distance(self, p, q):
         return abs(self._boundary_param(p) - self._boundary_param(q))
 
@@ -138,8 +129,6 @@ class PolygonDomain:
     it applies ``polygon.tol`` (1e-9 times the bounding-box diagonal).  The
     speed checks' ``tol`` is 1e-9 * max(1, that diagonal): the two differ
     for a polygon whose diagonal is below 1."""
-
-    name = "polygon"
 
     def __init__(self, ctx: MetricContext):
         self.ctx = ctx
@@ -241,30 +230,6 @@ class PathView:
 # ---------------------------------------------------------------------------
 
 
-class Strategy:
-    """Callback contract: position(opponent prefix up to time t, t) -> point.
-
-    The prefix is a ``PathView``; ``opponent.last`` is its most recent point
-    as an (x, y) tuple of Python floats, read without slicing
-    ``opponent.points``.  The view is valid only during the call.  A point
-    returned is any 2-sequence of floats (a tuple or an array); the engine
-    copies it.  No-lookahead: the output at t may depend only on the prefix.
-    Escaper strategies additionally declare ``start_point`` (independent of the
-    opponent).  ``max_speed`` is the licensed speed of the paths the strategy
-    emits.  Instances may keep incremental state between the engine's monotone
-    queries; ``reset`` returns them to the initial state.
-    """
-
-    start_point: Optional[np.ndarray] = None
-    max_speed: float = 1.0
-
-    def reset(self):
-        pass
-
-    def position(self, opponent: PathView, t: float) -> np.ndarray:
-        raise NotImplementedError
-
-
 class StraightRunEscaper(Strategy):
     """Runs at full speed through a fixed sequence of waypoints, then holds."""
 
@@ -291,24 +256,7 @@ class StraightRunEscaper(Strategy):
         return self._final
 
 
-class _BoundaryTracker(Strategy):
-    """Chases a target boundary coordinate ``_s`` at the licensed speed ``r``."""
-
-    def reset(self):
-        self._s = None  # arc coordinate along the boundary
-        self._last_t = 0.0
-
-    def _track(self, target: float, t: float) -> float:
-        if self._s is None:
-            self._s = target
-        else:
-            dt = t - self._last_t
-            self._s += min(max(target - self._s, -self.r * dt), self.r * dt)
-        self._last_t = t
-        return self._s
-
-
-class HalfplaneProjectionPursuer(_BoundaryTracker):
+class HalfplaneProjectionPursuer(_Tracker):
     """Tracks the boundary projection of the escaper in the halfplane frame.
 
     The target point at height y is (y/tan(theta), y) on the boundary line;
@@ -317,10 +265,8 @@ class HalfplaneProjectionPursuer(_BoundaryTracker):
 
     def __init__(self, theta: float, r: float):
         self.theta = float(theta)
-        self.r = float(r)
-        self.max_speed = float(r)
         self.domain = HalfplaneDomain(theta)
-        self.reset()
+        super().__init__(r)
 
     def _target_s(self, h) -> float:
         # steers the chase, so it keeps the ``@`` arithmetic
@@ -333,15 +279,13 @@ class HalfplaneProjectionPursuer(_BoundaryTracker):
         return (s * d[0], s * d[1])
 
 
-class WedgeProjectionPursuer(_BoundaryTracker):
+class WedgeProjectionPursuer(_Tracker):
     """Tracks (|y|/tan(theta), y) on the wedge boundary, speed-clamped."""
 
     def __init__(self, half_angle: float, r: float):
         self.half_angle = float(half_angle)
-        self.r = float(r)
-        self.max_speed = float(r)
         self.domain = WedgeDomain(half_angle)
-        self.reset()
+        super().__init__(r)
 
     def position(self, opponent, t):
         z = wedge_pursuer_position(self.half_angle, opponent.last)

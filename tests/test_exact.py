@@ -166,7 +166,13 @@ class TestDiskStrategies:
 
 class _NpHypotArcChaser(DiskArcChasingPursuer):
     """The pursuer's step with its gate on ``np.hypot`` every step, as the
-    disk trajectories were pinned with."""
+    disk trajectories were pinned with.  It keeps its own state, so only the
+    constants (r, gate radius, tie band) come from the class it checks."""
+
+    def reset(self):
+        self._angle = None
+        self._last_t = 0.0
+        self._direction = 1.0
 
     def position(self, opp, t):
         h = opp.last
@@ -242,12 +248,49 @@ class TestHypotBand:
             for strat in (new, ref):
                 strat.reset()
                 strat.position(PathView(times, pts, 1), 0.0)
-                start = strat._angle
                 outs.append(strat.position(PathView(times, pts, 2), 0.01))
             assert _bits(outs[0]) == _bits(outs[1]), (x, y)
-            assert (new._angle, new._direction) == (ref._angle, ref._direction)
-            moved += ref._angle != start
+            assert (new._s, new._direction) == (ref._angle, ref._direction)
+            moved += ref._angle != math.atan2(pts[0, 1], pts[0, 0])
         assert 0 < moved < len(points)  # both branches taken
+
+    def test_pursuer_tie_band_matches_oracle(self):
+        # the escaper steps to near the pursuer's antipode, on either side of
+        # it, after the pursuer committed to either direction: within the tie
+        # band the pursuer keeps running the committed way, outside it chases
+        from escape_ratio.sim import PathView
+
+        times = np.array([0.0, 0.01, 0.02])
+        new, ref = DiskArcChasingPursuer(4.8), _NpHypotArcChaser(4.8)
+        band = ref.TIE_BAND
+        offsets = [0.0, 1e-12, 0.01, 0.03, band - 1e-9, band, band + 1e-9, 0.07, 0.1]
+        rng = np.random.default_rng(3)
+        branches = set()
+        for a in [math.pi, -math.pi / 2, *rng.uniform(-math.pi, math.pi, 20)]:
+            for direction in (1.0, -1.0):
+                b = a + direction * 0.01  # within reach: commits to direction
+                for off in offsets:
+                    for side in (1.0, -1.0):
+                        c = b + math.pi + side * off
+                        pts = np.array([[0.5 * math.cos(a), 0.5 * math.sin(a)],
+                                        [0.9 * math.cos(b), 0.9 * math.sin(b)],
+                                        [0.9 * math.cos(c), 0.9 * math.sin(c)]])
+                        outs = []
+                        for strat in (new, ref):
+                            strat.reset()
+                            strat.position(PathView(times, pts, 1), 0.0)
+                            strat.position(PathView(times, pts, 2), 0.01)
+                            assert strat._direction == direction
+                            outs.append(strat.position(PathView(times, pts, 3), 0.02))
+                        assert _bits(outs[0]) == _bits(outs[1]), (a, direction, off, side)
+                        assert (new._s, new._direction) == (ref._angle, ref._direction)
+                        gap = _wrap_angle(math.atan2(pts[2, 1], pts[2, 0])
+                                          - math.atan2(pts[1, 1], pts[1, 0]))
+                        tie = abs(gap) >= math.pi - band
+                        assert ref._direction == direction or not tie
+                        branches.add((direction, side, tie))
+        # ties and chases on both sides of the antipode, both ways committed
+        assert len(branches) == 8
 
     def test_escaper_exit_matches_np_hypot(self):
         from escape_ratio.sim import PathView

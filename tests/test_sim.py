@@ -241,6 +241,21 @@ class TestNoLookahead:
             assert np.allclose(outs[0], outs[1])
 
 
+class TestTracker:
+    @pytest.mark.parametrize("r, lands", [(3.0, True), (1.0, False)])
+    def test_step_within_reach_lands_on_target(self, r, lands):
+        # theta = pi/2 puts the boundary on the y-axis, so the pursuer's
+        # target is the escaper's height: 2.25 away, within reach at r = 3,
+        # a full step of 1 at r = 1
+        y0, y1 = -1.9619555905256945, 0.29279256832891765
+        times = np.array([0.0, 1.0])
+        pts = np.array([[1.0, y0], [1.0, y1]])
+        purs = HalfplaneProjectionPursuer(math.pi / 2, r)
+        purs.position(PathView(times, pts, 1), 0.0)
+        _, y = purs.position(PathView(times, pts, 2), 1.0)
+        assert y == (y1 if lands else y0 + 1.0)
+
+
 class TestObliviate:
     def test_holds_start_until_delta(self):
         inner = StraightRunEscaper([(1, 0), (0, 0)])
