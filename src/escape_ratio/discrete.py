@@ -29,24 +29,20 @@ circular windows through prefix sums (the pursuer's move set is an arc
 interval); other games use a dense float32 matrix product.  The marking is
 order-independent, so the result is deterministic.
 
-scipy is imported inside the functions that call it, so importing this
-module (and the package) does not load it: only building a game or
-checking a net does.
+The module needs numpy alone: ``_close_pairs`` finds the candidate pairs of
+the move relations, ``MoveRelation`` holds ``e_h`` row-compressed, and
+``_nearest_samples`` shortlists the samples ``verify_net`` measures.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
-
-# scipy.sparse and scipy.spatial are imported where they are called: the
-# commands that never build a game (exact, ratio, simulate) do not load them
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
 
 from .errors import BudgetExceeded, GammaTooCoarse, InconsistentTables
 from .geometry import MetricContext, PursuerModel, pair_geodesics, pairs_within
@@ -65,6 +61,14 @@ logger = logging.getLogger(__name__)
 # working set stays near 1 MB: the window path's int32 prefix counts over
 # one chunk.
 _BLOCK_ELEMENTS = 2**16
+
+# Pair finder block: one pass of ``_close_pairs`` tests about this many
+# candidate pairs, so each of its index and distance arrays (64 KiB) stays
+# under glibc's default 128 KiB mmap threshold and comes from the heap's free
+# lists.  On a 2-CPU host, passes of 2**18 page-faulted about 900 more times
+# per game repetition and took 5 ms longer, and passes of 2**14 (arrays of
+# exactly 128 KiB) read about 38.5 ms of bracket wall_s against 34 ms at 2**13.
+_PAIR_CANDIDATES = 2**13
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +211,8 @@ def _nearest_gap(ctx: MetricContext, samples: np.ndarray, probes: np.ndarray, si
     distance to it is still below the probe's best: a scan of each shortlist
     with an early break, so the pairs and values are the scan's.  A sample
     measured outside its domain raises ``OutsideDomain``."""
-    from scipy.spatial import cKDTree
-
     k = min(8, len(samples))
-    eu, idx = (a.reshape(len(probes), k) for a in cKDTree(samples).query(probes, k=k))
+    eu, idx = _nearest_samples(samples, probes, k)
     best = np.full(len(probes), math.inf)
     for r in range(k):
         live = np.flatnonzero(eu[:, r] < best)
@@ -225,6 +227,36 @@ def _nearest_gap(ctx: MetricContext, samples: np.ndarray, probes: np.ndarray, si
     return float(best.max())
 
 
+def _nearest_samples(samples: np.ndarray, probes: np.ndarray, k: int):
+    """The k Euclid-nearest samples of each probe: ``(eu, idx)``, each of
+    shape (probes, k), ordered by (squared distance, index) with ties at
+    the k-th distance taken by index, and ``eu`` = sqrt(dx*dx + dy*dy).
+    Brute force over every sample, in blocks of probes of
+    ``_BLOCK_ELEMENTS`` distances.  This is the shortlist of
+    ``cKDTree.query(probes, k)`` to the bit, but for the order of equal
+    distances, which cKDTree leaves to its tree."""
+    n, m = len(samples), len(probes)
+    eu = np.empty((m, k))
+    idx = np.empty((m, k), dtype=np.intp)
+    block = max(1, _BLOCK_ELEMENTS // n)
+    for b0 in range(0, m, block):
+        p = probes[b0 : b0 + block]
+        dx = p[:, :1] - samples[:, 0]
+        dy = p[:, 1:] - samples[:, 1]
+        d2 = dx * dx + dy * dy
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+        # every row holds k or more samples at or below its k-th distance;
+        # nonzero lists them by (row, index), the sort by (row, distance)
+        rows, cols = np.nonzero(d2 <= kth)
+        vals = d2[rows, cols]
+        order = np.lexsort((vals, rows))
+        first = np.searchsorted(rows, np.arange(len(p)))
+        take = order[first[:, None] + np.arange(k)]
+        eu[b0 : b0 + len(p)] = np.sqrt(vals[take])
+        idx[b0 : b0 + len(p)] = cols[take]
+    return eu, idx
+
+
 # ---------------------------------------------------------------------------
 # move relations
 # ---------------------------------------------------------------------------
@@ -233,42 +265,141 @@ def _nearest_gap(ctx: MetricContext, samples: np.ndarray, probes: np.ndarray, si
 def _threshold_distances(poly, pts, limit, interior):
     """Pairs (i, j), i < j, of the move relation: intrinsic distance <= limit (+ tol).
 
-    The candidates are the KD-tree pairs within limit widened by a relative
-    1e-12 and by tol; ``pairs_within`` keeps those whose exact distance
-    (``pair_geodesics(..., (side,))[0]``) is at most limit + tol, and keeps
-    a pair with a path through a vertex short enough before any segment
-    test.  A convex interior takes every pair within limit + tol (chords lie
-    in it), so the KD-tree alone decides which ties at the radius it keeps.
-    ``_csr_relation`` and ``_dense_relation`` turn the pairs into a relation.
+    The candidates are the pairs of ``_close_pairs`` within limit widened by
+    a relative 1e-12 and by tol; ``pairs_within`` keeps those whose exact
+    distance (``pair_geodesics(..., (side,))[0]``) is at most limit + tol,
+    and keeps a pair with a path through a vertex short enough before any
+    segment test.  A convex interior takes every pair within limit + tol
+    (chords lie in it), so ``_close_pairs``' test alone decides which ties
+    at the radius it keeps.  ``_csr_relation`` and ``_dense_relation`` turn
+    the pairs into a relation.
     """
-    from scipy.spatial import cKDTree
-
     tol = poly.tol
     chords = interior and poly.is_convex
     cap = limit + tol if chords else limit * (1 + 1e-12) + tol
-    # rows of the transposed copy are contiguous, for the gathers of pairs_within
-    i, j = cKDTree(pts).query_pairs(r=cap, output_type="ndarray").T.copy()
+    i, j = _close_pairs(pts, cap)
     if not chords:
         keep = pairs_within(poly, pts, i, j, interior, limit)
         i, j = i[keep], j[keep]
     return i, j
 
 
-def _csr_relation(i, j, m: int) -> csr_matrix:
-    """Bool CSR relation on m vertices: the pairs both ways plus the diagonal.
+def _close_pairs(pts: np.ndarray, radius: float):
+    """Pairs (i, j), i < j, of points with dx*dx + dy*dy <= radius*radius.
+
+    This is the test, and so the pair set, of ``cKDTree.query_pairs`` in
+    2-D: ties at the radius fall the same way.  A strip sweep: the points
+    are cut into columns of width w, a hair over the radius, and ordered by
+    the integer key column * n + rank of y.  Each point meets two
+    contiguous runs of that order, each bounded by ``searchsorted``: the
+    later points of its own column with y up to its own + w, and the points
+    of the next column within w of its y.  The runs are expanded with
+    ``repeat``, about ``_PAIR_CANDIDATES`` candidates a pass, and the exact
+    test decides.  w exceeds the radius by 1e-12 of the radius plus the
+    largest coordinate magnitude, far above the rounding of the column and
+    bound arithmetic (a few 2**-53 of that), so every pair that passes the
+    test lies in a run: its columns differ by at most one and its y by at
+    most w.
+    """
+    n = len(pts)
+    if n < 2:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    x, y = pts[:, 0], pts[:, 1]
+    # w is 0 only when the radius is 0 and every point is at the origin
+    w = radius + 1e-12 * (radius + float(np.abs(pts).max())) or 1.0
+    ys = np.sort(y)
+    key = np.floor((x - x.min()) / w).astype(np.int64) * n + np.searchsorted(ys, y)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    xo, yo = x[order], y[order]
+    col = key - np.searchsorted(ys, yo)  # column * n
+    lo = np.searchsorted(ys, yo - w)
+    hi = np.searchsorted(ys, yo + w, side="right")
+    # run r < n covers the own column of the r-th point in key order, run n + r its next column
+    starts = np.concatenate([np.arange(1, n + 1), np.searchsorted(key, col + n + lo)])
+    ends = np.concatenate([np.searchsorted(key, col + hi), np.searchsorted(key, col + n + hi)])
+    counts = ends - starts
+    owner = np.concatenate([np.arange(n), np.arange(n)])
+    done = np.cumsum(counts)
+    cuts = np.searchsorted(done, np.arange(_PAIR_CANDIDATES, done[-1], _PAIR_CANDIDATES))
+    r2 = radius * radius
+    out_i, out_j = [], []
+    for r0, r1 in zip([0, *cuts], [*cuts, 2 * n]):
+        c = counts[r0:r1]
+        a = np.repeat(owner[r0:r1], c)
+        b = _run_positions(starts[r0:r1], c)
+        dx = xo[a] - xo[b]
+        dy = yo[a] - yo[b]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        hit = dx <= r2
+        i, j = order[a[hit]], order[b[hit]]
+        out_i.append(np.minimum(i, j))
+        out_j.append(np.maximum(i, j))
+    return np.concatenate(out_i), np.concatenate(out_j)
+
+
+def _run_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The positions starts[r] + t, 0 <= t < counts[r], run after run."""
+    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+
+
+@dataclass(frozen=True, eq=False)
+class MoveRelation:
+    """Symmetric boolean relation on m vertices, row-compressed (CSR
+    without values).
+
+    Row i relates to ``indices[indptr[i] : indptr[i + 1]]``, sorted
+    ascending; both arrays are int32.  ``e_h`` is one, built by
+    ``_csr_relation``.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        m = len(self.indptr) - 1
+        return (m, m)
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+    def row(self, i: int) -> np.ndarray:
+        """The vertices that vertex i relates to, ascending."""
+        return self.indices[self.indptr[i] : self.indptr[i + 1]]
+
+    def columns(self, cols) -> np.ndarray:
+        """Dense bool block [i, k]: vertex i relates to vertex cols[k].  By
+        symmetry column c is row c, so only the rows ``cols`` are read."""
+        cols = np.asarray(cols, dtype=np.intp)
+        starts = self.indptr[cols]
+        counts = self.indptr[cols + 1] - starts
+        block = np.zeros((self.shape[0], len(cols)), dtype=bool)
+        block[self.indices[_run_positions(starts, counts)],
+              np.repeat(np.arange(len(cols)), counts)] = True
+        return block
+
+    def toarray(self) -> np.ndarray:
+        """The relation as a dense (m, m) bool matrix."""
+        return self.columns(np.arange(self.shape[0]))
+
+
+def _csr_relation(i, j, m: int) -> MoveRelation:
+    """The relation on m vertices of the pairs both ways plus the diagonal.
 
     Built from the sorted keys row * m + col, so each row's indices are
-    sorted (``SolveResult.escaper_move`` walks them in that order).
+    sorted (``SolveResult.escaper_move`` walks them in that order); row r's
+    keys start at the first key >= r * m.
     """
-    from scipy.sparse import csr_matrix
-
     key = np.concatenate([i * m + j, j * m + i, np.arange(m) * (m + 1)])
     key.sort()
-    rows, cols = np.divmod(key, m)
-    indptr = np.zeros(m + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
-    return csr_matrix((np.ones(len(key), dtype=bool), cols.astype(np.int32), indptr),
-                      shape=(m, m))
+    starts = np.arange(m + 1) * m
+    indptr = np.searchsorted(key, starts).astype(np.int32)
+    key -= np.repeat(starts[:-1], np.diff(indptr))
+    return MoveRelation(indptr=indptr, indices=key.astype(np.int32))
 
 
 def _dense_relation(i, j, m: int) -> np.ndarray:
@@ -289,8 +420,9 @@ def _dense_relation(i, j, m: int) -> np.ndarray:
 class DiscreteGame:
     """Sampled game: vertex sets, symmetric move relations, and parameters.
 
-    ``e_h`` is CSR boolean over escaper samples (d_h <= delta, self-loops
-    included); ``e_z`` is dense boolean over pursuer samples (d_z <= r*delta).
+    ``e_h`` is a ``MoveRelation`` over escaper samples (d_h <= delta,
+    self-loops included); ``e_z`` is dense boolean over pursuer samples
+    (d_z <= r*delta).
     ``_threshold_distances`` finds the pairs of both, except the moat model's
     arc ``e_z``.
     ``z_windows`` holds ``(lo, hi)`` when the pursuer move set is a circular
@@ -298,7 +430,7 @@ class DiscreteGame:
     """
 
     samples: SampleSet
-    e_h: csr_matrix
+    e_h: MoveRelation
     e_z: np.ndarray
     r: float
     delta: float
@@ -313,8 +445,13 @@ class DiscreteGame:
         return self.samples.n_pursuer
 
     def h_neighbors(self, i: int) -> np.ndarray:
-        row = self.e_h
-        return row.indices[row.indptr[i] : row.indptr[i + 1]]
+        return self.e_h.row(i)
+
+    @functools.cached_property
+    def h_exits(self) -> np.ndarray:
+        """Dense bool [h, x]: escaper sample h moves to the x-th exit
+        (``e_h``'s exit columns), built once per game."""
+        return self.e_h.columns(self.samples.exit_idx_h)
 
     def z_neighbors(self, j: int) -> np.ndarray:
         return np.nonzero(self.e_z[j])[0]
@@ -332,7 +469,7 @@ def check_state_cap(n_h: int, n_z: int, state_cap: float) -> None:
         )
 
 
-def escaper_moves(ctx: MetricContext, samples: SampleSet, delta: float) -> csr_matrix:
+def escaper_moves(ctx: MetricContext, samples: SampleSet, delta: float) -> MoveRelation:
     """The escaper move relation ``e_h`` that ``build_game`` uses: d_h <= delta."""
     pts = samples.escaper_samples
     i, j = _threshold_distances(ctx.polygon, pts, delta, interior=True)
@@ -346,7 +483,7 @@ def build_game(
     gamma: float,
     state_cap: float = 5e7,
     samples: Optional[SampleSet] = None,
-    e_h: Optional[csr_matrix] = None,
+    e_h: Optional[MoveRelation] = None,
 ) -> DiscreteGame:
     """Materialize the discretized game; refuses games over the state cap.
 
@@ -414,7 +551,7 @@ def _arc_windows(t: np.ndarray, F: float, reach: float):
 
 def threat_matrix(game: DiscreteGame) -> np.ndarray:
     """P[h, z] = some exit is escaper-adjacent from h yet pursuer-uncovered from z."""
-    adj_hx = game.e_h[:, game.samples.exit_idx_h].toarray()
+    adj_hx = game.h_exits
     adj_zx = game.e_z[:, game.samples.exit_idx_z]
     open_zx = (~adj_zx).astype(np.float32)
     counts = adj_hx.astype(np.float32) @ open_zx.T
@@ -458,11 +595,8 @@ class SolveResult:
                     return int(h2)
             raise InconsistentTables("no rank-decreasing escaper move found")
         # losing states: press toward an exit threat if any move has one
-        exit_rows = game.e_h[:, game.samples.exit_idx_h]
-        for h2 in nbrs:
-            if exit_rows[h2].count_nonzero():
-                return int(h2)
-        return int(h)
+        threatens = game.h_exits[nbrs].any(axis=1)
+        return int(nbrs[np.argmax(threatens)]) if threatens.any() else int(h)
 
     def pursuer_move(self, h_threat: int, h_cur: int, z: int) -> int:
         """Pursuer reply at z after the escaper moved h_threat -> h_cur."""
@@ -729,7 +863,6 @@ def play_discrete(
     """
     if not (_is_index(h0, game.n_h) and _is_index(z0, game.n_z)):
         raise InconsistentTables(f"illegal start state {(h0, z0)!r}")
-    e_h = game.e_h
     e_z = game.e_z
     moves = []
     h, z = int(h0), int(z0)
@@ -740,7 +873,7 @@ def play_discrete(
             h2 = escaper_move(h, z)
         except KeyError as exc:
             raise InconsistentTables(f"escaper table has no move at {(h, z)}") from exc
-        if not (_is_index(h2, game.n_h) and e_h[h, h2]):
+        if not (_is_index(h2, game.n_h) and h2 in game.h_neighbors(h)):
             raise InconsistentTables(f"illegal escaper move {h}->{h2!r}")
         moves.append(("escaper", h2))
         try:
@@ -751,8 +884,7 @@ def play_discrete(
             raise InconsistentTables(f"illegal pursuer move {z}->{z2!r}")
         moves.append(("pursuer", z2))
         # the exits within reach from h that z2 leaves uncovered
-        open_x = (e_h[h, game.samples.exit_idx_h].toarray().ravel()
-                  & ~e_z[z2, game.samples.exit_idx_z])
+        open_x = game.h_exits[h] & ~e_z[z2, game.samples.exit_idx_z]
         if open_x.any():
             return Transcript(moves=moves, decisive=(h, z2, int(np.argmax(open_x))),
                               turns=len(played))

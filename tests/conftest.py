@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from escape_ratio import ratio
-from escape_ratio.discrete import DiscreteGame, SampleSet, SolveResult, threat_matrix
+from escape_ratio.discrete import (
+    DiscreteGame,
+    SampleSet,
+    SolveResult,
+    _csr_relation,
+    threat_matrix,
+)
 from escape_ratio.errors import DegenerateEdge, SelfIntersecting, TooFewVertices, ZeroArea
 from escape_ratio.geometry import (
     TOL_SCALE,
@@ -353,13 +358,15 @@ def toy_game(e_h, e_z, exit_idx_h, exit_idx_z, r: float = 1.0, delta: float = 1.
         interior_count=n_h - n_x,
         exterior_count=0,
     )
-    return DiscreteGame(samples=samples, e_h=csr_matrix(e_h), e_z=e_z, r=r, delta=delta)
+    e_h = _csr_relation(*np.nonzero(np.triu(e_h, 1)), n_h)
+    return DiscreteGame(samples=samples, e_h=e_h, e_z=e_z, r=r, delta=delta)
 
 
 def escaper_win_predicate(game, h_threat, z):
     """Direct evaluation of the two-reply exit threat for one state, as the
     oracle of ``threat_matrix``."""
-    hx = game.e_h[h_threat, game.samples.exit_idx_h].toarray().ravel()
+    indptr, indices = game.e_h.indptr, game.e_h.indices
+    hx = np.isin(game.samples.exit_idx_h, indices[indptr[h_threat] : indptr[h_threat + 1]])
     zx = game.e_z[z, game.samples.exit_idx_z]
     return bool(np.any(hx & ~zx))
 
@@ -376,6 +383,7 @@ def reference_solve(game):
     rank = np.zeros((n_h, n_z), dtype=np.int32)
     indptr = game.e_h.indptr
     indices = game.e_h.indices
+    row_of = np.repeat(np.arange(n_h), np.diff(indptr))
     use_windows = game.z_windows is not None
     if use_windows:
         lo, hi = game.z_windows
@@ -388,7 +396,8 @@ def reference_solve(game):
         U = ~W
         R = ~P
         W_new = W.copy()
-        active = np.asarray(game.e_h.dot(changed.astype(np.int32))).ravel() > 0
+        # rows with a move into a row that changed
+        active = np.bincount(row_of[changed[indices]], minlength=n_h) > 0
         changed = np.zeros(n_h, dtype=bool)
         for h in np.nonzero(active)[0]:
             if W[h].all():

@@ -2,10 +2,12 @@ import dataclasses
 import hashlib
 import logging
 import math
+import random
 import re
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from escape_ratio import discrete, geometry
 from escape_ratio.errors import BudgetExceeded, GammaTooCoarse, InconsistentTables, OutsideDomain
@@ -43,7 +45,7 @@ from conftest import (
     reference_verify_net,
     toy_game,
 )
-from test_geometry import NOTCH, SLIT
+from test_geometry import NOTCH, SLIT, _relabellings
 
 
 def _scalar_gamma_sample(ctx, gamma):
@@ -307,6 +309,161 @@ def _coarse_net(ctx, cells):
                      len(escaper) - nb, len(pursuer) - nb, params)
 
 
+def _seed_relabelling(points, seed):
+    """The relabelling the benchmark workloads pick for ``seed``."""
+    rng = random.Random(seed)
+    shift = rng.randrange(len(points))
+    return _relabellings(points)[4 * shift + rng.randrange(4)]
+
+
+def _assert_kdtree_pairs(pts, radius) -> int:
+    """``_close_pairs`` gives ``cKDTree.query_pairs``' pair set, each pair
+    once with i < j; returns the pair count."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    n = len(pts)
+    i, j = discrete._close_pairs(pts, radius)
+    assert np.all(i < j)
+    ref = cKDTree(pts).query_pairs(r=radius, output_type="ndarray").reshape(-1, 2)
+    assert np.array_equal(np.sort(i * n + j), np.sort(ref[:, 0] * n + ref[:, 1]))
+    return len(i)
+
+
+class TestClosePairs:
+    """The pair finder against its oracle, ``cKDTree.query_pairs``."""
+
+    GAME_GAMMA = 2 * math.sqrt(2) / 36  # the game workload's net, grid spacing 1/18
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_workload_nets(self, seed):
+        # the caps _threshold_distances asks for: the game's e_h (delta 0.3)
+        # and e_z (r * delta = 0.9) on the L-shape, and the bracket's chord
+        # e_h (delta 0.2) on the square at gamma 0.05
+        l_ctx = MetricContext(validate_polygon(_seed_relabelling(L_SHAPE, seed)),
+                              PursuerModel.EXTERIOR)
+        net = gamma_sample(l_ctx, self.GAME_GAMMA)
+        tol = l_ctx.polygon.tol
+        assert _assert_kdtree_pairs(net.escaper_samples, 0.3 * (1 + 1e-12) + tol) > 40_000
+        assert _assert_kdtree_pairs(net.pursuer_samples, 0.9 * (1 + 1e-12) + tol) > 25_000
+        sq_ctx = MetricContext(validate_polygon(_seed_relabelling(SQUARE, seed)),
+                               PursuerModel.MOAT)
+        sq_net = gamma_sample(sq_ctx, 0.05)
+        assert _assert_kdtree_pairs(sq_net.escaper_samples, 0.2 + sq_ctx.polygon.tol) > 30_000
+
+    def test_criterion_6_net(self):
+        ctx = MetricContext(validate_polygon(SQUARE), PursuerModel.MOAT)
+        pts = gamma_sample(ctx, 0.02).escaper_samples
+        assert len(pts) == 5241
+        assert _assert_kdtree_pairs(pts, 0.2 + ctx.polygon.tol) > 1_000_000
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ties_at_the_radius(self, seed):
+        # radii k s and k s sqrt(2) (s the grid spacing) meet whole rows of
+        # grid pairs at the radius, which the grid's rounding keeps or drops
+        # differently at each relabelling
+        ctx = MetricContext(validate_polygon(_seed_relabelling(L_SHAPE, seed)),
+                            PursuerModel.EXTERIOR)
+        net = gamma_sample(ctx, self.GAME_GAMMA)
+        for k in (1, 2, 3, 4):
+            for radius in (k / 18, k / 18 * math.sqrt(2)):
+                _assert_kdtree_pairs(net.escaper_samples, radius)
+                _assert_kdtree_pairs(net.pursuer_samples, radius)
+
+    def test_tie_sets_differ_between_relabellings(self):
+        counts = []
+        for seed in (0, 1):
+            ctx = MetricContext(validate_polygon(_seed_relabelling(L_SHAPE, seed)),
+                                PursuerModel.EXTERIOR)
+            net = gamma_sample(ctx, self.GAME_GAMMA)
+            counts.append(_assert_kdtree_pairs(net.escaper_samples, 1 / 18))
+        assert counts == [470, 730]
+
+    def test_degenerate_inputs(self):
+        rng = np.random.default_rng(5)
+        cloud = rng.random((60, 2))
+        line = rng.random(80)
+        for pts, radius in [
+            (np.zeros((0, 2)), 1.0),
+            (np.zeros((1, 2)), 1.0),
+            ([(0.0, 0.0), (0.6, 0.8)], 1.0),  # exactly at the radius
+            ([(0.0, 0.0), (0.6, 0.8)], 0.999),
+            (np.zeros((5, 2)), 0.0),  # every point at the origin
+            (np.vstack([cloud, cloud]), 0.1),  # each point twice
+            (np.vstack([cloud, cloud]), 0.0),
+            (np.column_stack([np.full(80, 0.25), line]), 0.05),  # one vertical line
+            (np.column_stack([line, np.full(80, -0.25)]), 0.05),  # one horizontal line
+            (cloud - 7.0, 0.2),  # negative coordinates
+            (cloud + 1e6, 0.2),  # far from the origin
+            (cloud, 5.0),  # every pair
+        ]:
+            _assert_kdtree_pairs(pts, radius)
+
+    def test_translated_net_keeps_its_ties(self):
+        ctx = MetricContext(validate_polygon(L_SHAPE), PursuerModel.EXTERIOR)
+        pts = gamma_sample(ctx, self.GAME_GAMMA).escaper_samples + 1e6
+        for radius in (1 / 18, math.sqrt(2) / 18, 0.3):
+            _assert_kdtree_pairs(pts, radius)
+
+    def test_candidate_passes(self, monkeypatch):
+        # passes of a few hundred candidates give the one-pass pair set
+        ctx = MetricContext(validate_polygon(L_SHAPE), PursuerModel.EXTERIOR)
+        pts = gamma_sample(ctx, self.GAME_GAMMA).escaper_samples
+        whole = discrete._close_pairs(pts, 0.3)
+        monkeypatch.setattr(discrete, "_PAIR_CANDIDATES", 300)
+        split = discrete._close_pairs(pts, 0.3)
+        n = len(pts)
+        assert np.array_equal(np.sort(whole[0] * n + whole[1]), np.sort(split[0] * n + split[1]))
+
+
+class TestNearestSamples:
+    """``verify_net``'s shortlist against its oracle, ``cKDTree.query``."""
+
+    @staticmethod
+    def _assert_kdtree_shortlist(samples, probes, ties=False):
+        """The same distances and samples as ``cKDTree.query``; with
+        ``ties``, equal distances may list their samples in another order
+        (cKDTree's follows its tree) and a tie at the k-th distance may
+        take other samples of it."""
+        k = min(8, len(samples))
+        eu, idx = discrete._nearest_samples(samples, probes, k)
+        ref_eu, ref_idx = (a.reshape(len(probes), k)
+                           for a in cKDTree(samples).query(probes, k=k))
+        assert np.array_equal(eu, ref_eu)
+        d = probes[:, None] - samples[idx]
+        d2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+        assert np.array_equal(eu, np.sqrt(d2))
+        if not ties:
+            assert np.array_equal(idx, ref_idx)
+            return
+        for row in range(len(probes)):
+            inner = d2[row] < d2[row, -1]
+            assert set(idx[row, inner]) == set(ref_idx[row, inner])
+        # equal squared distances in ascending sample index
+        tied = d2[:, 1:] == d2[:, :-1]
+        assert tied.any()
+        assert np.all(idx[:, 1:][tied] > idx[:, :-1][tied])
+
+    def test_criterion_6_net(self):
+        ctx = MetricContext(validate_polygon(SQUARE), PursuerModel.MOAT)
+        samples = gamma_sample(ctx, 0.02).escaper_samples
+        rng = np.random.default_rng(3)
+        self._assert_kdtree_shortlist(samples, rng.random((500, 2)))
+
+    def test_ties(self):
+        # probes on samples and halfway between grid neighbours meet ties
+        # at equal distance, which the shortlist orders by index
+        ctx = MetricContext(validate_polygon(L_SHAPE), PursuerModel.EXTERIOR)
+        net = gamma_sample(ctx, TestClosePairs.GAME_GAMMA)
+        for samples in (net.escaper_samples, net.pursuer_samples):
+            probes = np.vstack([samples[::7], (samples[:-1:5] + samples[1::5]) / 2])
+            self._assert_kdtree_shortlist(samples, probes, ties=True)
+
+    def test_fewer_samples_than_the_shortlist(self):
+        rng = np.random.default_rng(4)
+        samples = rng.random((5, 2))
+        self._assert_kdtree_shortlist(samples, rng.random((20, 2)))
+        self._assert_kdtree_shortlist(np.vstack([samples, samples]), samples, ties=True)
+
+
 class TestBuildGame:
     def test_pursuer_reach_both_directions(self, square_moat):
         game = build_game(square_moat, r=4.0, delta=0.5, gamma=0.1, state_cap=1e10)
@@ -376,11 +533,13 @@ class TestBuildGame:
         shared = build_game(square_moat, r=3.0, delta=0.5, gamma=0.1, state_cap=1e10,
                             samples=s, e_h=e_h)
         assert shared.e_h is e_h
-        assert (fresh.e_h != e_h).nnz == 0
+        assert np.array_equal(fresh.e_h.indptr, e_h.indptr)
+        assert np.array_equal(fresh.e_h.indices, e_h.indices)
         assert np.array_equal(shared.e_z, fresh.e_z)
+        none = np.zeros(0, dtype=int)  # the identity relation, one vertex short
         with pytest.raises(ValueError, match="shape"):
             build_game(square_moat, r=3.0, delta=0.5, gamma=0.1, state_cap=1e10,
-                       samples=s, e_h=e_h[:-1, :-1])
+                       samples=s, e_h=discrete._csr_relation(none, none, s.n_escaper - 1))
 
     def test_samples_must_match_gamma(self, square_moat):
         s = gamma_sample(square_moat, 0.1)
@@ -405,9 +564,9 @@ class TestBuildGame:
         ia = int(np.argmin(np.hypot(pts[:, 0] - 2, pts[:, 1] - 1)))
         ib = int(np.argmin(np.hypot(pts[:, 0] - 1, pts[:, 1] - 2)))
         assert np.allclose(pts[ia], (2, 1)) and np.allclose(pts[ib], (1, 2))
-        assert not game.e_h[ia, ib]
+        assert ib not in game.e_h.row(ia)
         game2 = build_game(l_moat, r=1.0, delta=2.01, gamma=0.25, state_cap=1e10)
-        assert game2.e_h[ia, ib]
+        assert ib in game2.e_h.row(ia)
 
 
 class TestWinPredicate:
@@ -577,7 +736,8 @@ class TestSolve:
 
         assert (game.n_h, game.n_z) == (1149, 401)
         assert (game.e_h.nnz, np.count_nonzero(game.e_z)) == (96_225, 58_439)
-        assert game.e_h.has_sorted_indices
+        rows = np.split(game.e_h.indices, game.e_h.indptr[1:-1])
+        assert all(np.all(np.diff(row) > 0) for row in rows)
         assert digest(game.e_h.indptr, game.e_h.indices) == "8ff619a8a799ee8e"
         assert digest(game.e_z) == "f9ca8b5579180307"
         assert (res.iterations, res.win_count) == (10, 460_749)
@@ -667,7 +827,7 @@ class TestReplay:
         with pytest.raises(InconsistentTables, match="no move"):
             play_discrete(game, res.escaper_move, lambda h, h2, z: empty[(h, h2, z)],
                           h0=0, z0=0)
-        far = int(np.flatnonzero(~game.e_h[0].toarray().ravel())[0])
+        far = int(np.flatnonzero(~game.e_h.toarray()[0])[0])
         with pytest.raises(InconsistentTables, match="illegal escaper move"):
             play_discrete(game, lambda h, z: far, res.pursuer_move, h0=0, z0=0)
 
