@@ -15,19 +15,25 @@ iteration over the escaper-turn state matrix W[h, z]:
 
 which folds the pursuer-turn layer into one step.  Sweeps are Jacobi steps
 (each reads the previous sweep's W), so a state's rank is the sweep that
-marked it.  Evaluation is semi-naive: a sweep re-evaluates a move h->h' only
-when row h' of W changed in the sweep before, since the move's contribution
-depends on W[h'] and the threat row of h alone; this skips work without
-changing any rank or the sweep count.  A move's contribution depends only
-on its covered row W[h'] | P[h], so each sweep evaluates one move per
-distinct covered row.  The distinct rows of P are numbered once per solve
-and those of W once per sweep; the pair of numbers keys each selected move
-exactly, and an int32 table of n_p * n_w entries (distinct P rows times
-distinct W rows) maps each key to its evaluated row.  The keys' covered
-rows are evaluated in blocks: moat-model games count bad replies in
-circular windows through prefix sums (the pursuer's move set is an arc
-interval); other games use a dense float32 matrix product.  The marking is
-order-independent, so the result is deterministic.
+marked it.  A move h->h' contributes ``good(W[h'] | P[h])``, so it depends
+only on its covered row ``W[h'] | P[h]``.  Evaluation is semi-naive: a sweep
+re-evaluates a move only when h is open and its covered row changed in the
+sweep before, that is when ``newly[h'] & ~P[h]`` is nonzero (``newly`` holds
+the states that sweep marked; W only grows).  This is exact, by induction on
+``good(W_{k-1}[h'] | P[h]) <= W_k[h]`` for every move: sweep 1 evaluates
+every self-loop, and while W is empty every move's covered row is P[h]; a
+skipped move's covered row is the one it had in sweep k - 1, so its good row
+is already in W_{k-1}[h].  No rank and no sweep count changes.  Each sweep
+evaluates one move per distinct covered row.  The distinct rows of P are
+numbered once per solve and those of W that the sweep reads once per sweep;
+the pair of numbers keys each selected move exactly, and an int32 table of
+n_p * n_w entries (distinct P rows times distinct W rows read) maps each key
+to its evaluated row.
+The keys' covered rows are evaluated in blocks: moat-model games count bad
+replies in circular windows through prefix sums (the pursuer's move set is
+an arc interval); other games use a dense float32 matrix product.  W stays
+packed in uint64 words across the sweeps.  The marking is order-independent,
+so the result is deterministic.
 
 The module needs numpy alone: ``_close_pairs`` finds the candidate pairs of
 the move relations, ``MoveRelation`` holds ``e_h`` row-compressed, and
@@ -56,10 +62,11 @@ from .geometry import point_classes  # noqa: F401
 logger = logging.getLogger(__name__)
 
 # Solver block size: a block of (h, h') pairs or of distinct row keys holds
-# this many packed words of rows (pairs or keys x words per row), and the
-# distinct rows are evaluated in chunks of this many (rows x n_z) bools.  The
-# working set stays near 1 MB: the window path's int32 prefix counts over
-# one chunk.
+# this many packed words of rows (pairs or keys x words per row), the
+# covered-row test gathers this many words a block (two a move), and the
+# distinct rows are evaluated in chunks of this many (rows x n_z) bools.
+# The working set stays near 1 MB: the window path's int32 prefix counts
+# over one chunk.
 _BLOCK_ELEMENTS = 2**16
 
 # Pair finder block: one pass of ``_close_pairs`` tests about this many
@@ -620,21 +627,31 @@ def solve(game: DiscreteGame) -> SolveResult:
     Each sweep is a Jacobi step: every evaluation reads the marking W left by
     the previous sweep, so ``rank`` is the sweep that marked a state and
     ``escaper_move`` finds a strictly rank-decreasing move from every marked
-    state.  The sweep is semi-naive: it evaluates a pair (h, h') of an
-    escaper row and one of its moves only when row h' of W changed in the
-    previous sweep, and only when row h is not already full.  The pair's
-    contribution depends on W[h'] and P[h] alone, so an unchanged h' was
-    already evaluated against h in the sweep after its last change, and
-    skipping it changes neither ``rank`` nor ``iterations``.  In the first
-    sweep W is empty, so every move of h contributes what staying at h does
-    (``e_h`` holds every self-loop) and only the pairs (h, h) are evaluated.
-    A pair's contribution is ``good = no reply z' with bad[z']`` where
-    ``bad = ~(W[h'] | P[h])``, so it depends only on the covered row
-    ``W[h'] | P[h]``, and ``_sweep`` evaluates each distinct covered row of
-    a sweep once: it keys each pair by the distinct rows of P (grouped once
-    per solve) and of W (once per sweep) that it reads, in a table of
-    n_p * n_w entries.  Each sweep logs one DEBUG line with its pairs
-    evaluated, its distinct covered rows and the states newly marked.
+    state.  A move h->h' contributes ``good = no reply z' with bad[z']``
+    where ``bad = ~(W[h'] | P[h])``, so it depends only on its covered row
+    ``W[h'] | P[h]``.  The sweep is semi-naive: sweep k re-evaluates a move
+    only when row h is open (not full) and its covered row changed in sweep
+    k - 1, that is when ``newly[h'] & ~P[h]`` is nonzero, where ``newly``
+    holds the states sweep k - 1 marked (W only grows).  ``_select`` applies
+    the rule.  It is exact, by induction on ``good(W_{k-1}[h'] | P[h]) <=
+    W_k[h]`` for every move:
+
+    - sweep 1 evaluates every self-loop: W is empty, so every move's covered
+      row is P[h], the self-loop's (``e_h`` holds every self-loop);
+    - a skipped move's covered row is the one it had in sweep k - 1, so its
+      good row is already in ``W_{k-1}[h]``.
+
+    So skipping changes neither ``rank`` nor ``iterations``.  ``_sweep``
+    evaluates each distinct covered row of a sweep once: it keys each pair by
+    the distinct rows of P (grouped once per solve) and of W (grouped once
+    per sweep, over the rows the sweep's pairs read), in a table of
+    n_p * n_w entries.  W stays packed in uint64
+    words across the sweeps; ``rank`` is written on the rows that changed,
+    and ``win_mask`` is unpacked once, at the end.  Each sweep logs one DEBUG
+    line: ``sweep k: S moves selected, E pairs evaluated, D distinct rows, M
+    states newly marked``, with S the moves of open rows into rows that
+    changed (the row rule), E those whose covered row changed, D the
+    distinct covered rows evaluated and M the states marked.
 
     Always terminates: marking is monotone over the finite state lattice.
     The overall winner quantifies over placements: the escaper wins iff some
@@ -642,7 +659,6 @@ def solve(game: DiscreteGame) -> SolveResult:
     """
     n_h, n_z = game.n_h, game.n_z
     P = threat_matrix(game)
-    W = np.zeros((n_h, n_z), dtype=bool)
     rank = np.zeros((n_h, n_z), dtype=np.int32)
 
     indices = game.e_h.indices
@@ -652,6 +668,8 @@ def solve(game: DiscreteGame) -> SolveResult:
     pid, p_reps = _group_rows(P_words)
     P_rows = np.take(P_words, p_reps, axis=0)
     pid = pid.astype(np.int32)
+    uncovered = np.ascontiguousarray(~P_words.T)  # word-major, for the covered-row test
+    full = _pack_rows(np.ones((1, n_z), dtype=bool))
     windows = game.z_windows
     if windows is not None:
         lo, hi = windows
@@ -672,35 +690,39 @@ def solve(game: DiscreteGame) -> SolveResult:
                 good.append(_pack_rows(_window_good(bad, lo, hi)))
         return good
 
+    W = np.zeros_like(P_words)
+    # sweep 1: W is empty, so staying put covers every move
+    h_sel = hp_sel = np.arange(n_h, dtype=indices.dtype)
+    selected = n_h
     iteration = 0
-    changed = np.ones(n_h, dtype=bool)  # rows of W that changed last sweep
     while True:
         iteration += 1
-        # np.take and np.repeat gather several times faster than indexing
-        sel = np.take(changed, indices) & np.repeat(~W.all(axis=1), degree)
-        if iteration == 1:
-            sel &= indices == row_of  # W is empty: every move acts as staying put
-        h_sel = row_of[sel]
-        W_next, distinct = _sweep(W, h_sel, indices[sel], pid, P_rows, block, good_words)
+        evaluated = len(h_sel)
+        W_next, distinct = _sweep(W, h_sel, hp_sel, pid, P_rows, block, good_words)
         newly = W_next & ~W
-        marked = int(np.count_nonzero(newly))
-        logger.debug("sweep %d: %d pairs evaluated, %d distinct rows, %d states newly marked",
-                     iteration, len(h_sel), distinct, marked)
+        changed = newly.any(axis=1)
+        rows = np.flatnonzero(changed)
+        marks = _unpack_rows(newly[rows], n_z)
+        marked = int(np.count_nonzero(marks))
+        logger.debug("sweep %d: %d moves selected, %d pairs evaluated, %d distinct rows, "
+                     "%d states newly marked", iteration, selected, evaluated, distinct, marked)
         if not marked:
             break
-        rank[newly] = iteration
-        changed = newly.any(axis=1)
+        rank[rows] = np.where(marks, np.int32(iteration), rank[rows])
         W = W_next
         if iteration > n_h * n_z + 2:
             raise RuntimeError("fixpoint failed to stabilize (bug)")
+        selected, h_sel, hp_sel = _select((W != full).any(axis=1), newly, uncovered,
+                                          row_of, indices, degree)
 
-    full_rows = W.all(axis=1)
+    win_mask = _unpack_rows(W, n_z)
+    full_rows = (W == full).all(axis=1)
     escaper_wins = bool(full_rows.any())
     witness = int(np.argmax(full_rows)) if escaper_wins else None
     return SolveResult(
         game=game,
         escaper_wins=escaper_wins,
-        win_mask=W,
+        win_mask=win_mask,
         rank=rank,
         threat=P,
         witness_h0=witness,
@@ -708,25 +730,69 @@ def solve(game: DiscreteGame) -> SolveResult:
     )
 
 
+def _select(open_rows, newly, uncovered, row_of, indices, degree):
+    """The pairs the next sweep evaluates, in CSR order.
+
+    The row rule selects the moves h->h' with h open and row h' of ``newly``
+    (the states the last sweep marked) nonzero; the covered-row rule keeps
+    those with ``newly[h'] & ~P[h]`` nonzero (``uncovered`` is ~P,
+    word-major).  Returns the number selected and the kept pairs.  Both
+    rules run over blocks of ``_BLOCK_ELEMENTS // 2`` moves, the test word
+    by word over the words where ``newly`` has a bit, so no array holds
+    more than one word per move.
+    """
+    changed = newly.any(axis=1)
+    words = np.flatnonzero(newly.any(axis=0))
+    newly, uncovered = newly.T[words], uncovered[words]
+    sel = np.repeat(open_rows, degree)
+    selected = 0
+    kept_h, kept_hp = [], []
+    # each word of the test gathers two words a move: half a block of moves
+    size = max(1, _BLOCK_ELEMENTS // 2)
+    for b0 in range(0, len(indices), size):
+        block = slice(b0, b0 + size)
+        # gathers run several times faster on intp than on int32 indices
+        hp = indices[block].astype(np.intp)
+        pos = np.flatnonzero(np.take(changed, hp) & sel[block])
+        selected += len(pos)
+        hp = np.take(hp, pos)
+        h = np.take(row_of[block], pos)
+        hi = h.astype(np.intp)
+        hit = np.take(newly[0], hp) & np.take(uncovered[0], hi)
+        for new_w, open_w in zip(newly[1:], uncovered[1:]):
+            hit |= np.take(new_w, hp) & np.take(open_w, hi)
+        keep = np.flatnonzero(hit)
+        kept_h.append(np.take(h, keep))
+        kept_hp.append(np.take(hp, keep).astype(indices.dtype))
+    return selected, np.concatenate(kept_h), np.concatenate(kept_hp)
+
+
 def _sweep(W, h_sel, hp_sel, pid, P_rows, block, good_words):
     """One Jacobi sweep over the pairs (h_sel[k], hp_sel[k]), in CSR order.
 
-    Returns W_next, which is W with each pair's good row OR-ed into row h,
-    and the number of distinct covered rows evaluated.  ``pid`` numbers the
-    distinct rows ``P_rows`` of P; the distinct rows of W are numbered here,
-    so the key pid[h] * n_w + wid[h'] names a pair's covered row exactly.
-    Pass 1 marks the sweep's keys in an int32 table of n_p * n_w entries and
-    has ``_evaluate_keys`` evaluate each distinct covered row once; pass 2
-    reads each pair's good row through the table.  Both passes go over the
-    pairs in blocks of ``block``, so no array holds a word row per pair.
+    ``W`` is the marking packed into uint64 words.  Returns W_next, which is
+    W with each pair's good row OR-ed into row h, and the number of distinct
+    covered rows evaluated.  ``pid`` numbers the distinct rows ``P_rows`` of
+    P; the distinct rows of W that the pairs read are numbered here, so the
+    key pid[h] * n_w + wid[h'] names a pair's covered row exactly.  Pass 1
+    marks the sweep's keys in an int32 table of n_p * n_w entries and has
+    ``_evaluate_keys`` evaluate each distinct covered row once; pass 2 reads
+    each pair's good row through the table.  Both passes go over the pairs
+    in blocks of ``block``, so no array holds a word row per pair.
     """
-    n_z = W.shape[1]
-    W_words = _pack_rows(W)
-    wid, w_reps = _group_rows(W_words)
+    if not len(h_sel):
+        return W.copy(), 0
+    # number only the rows of W that the pairs read
+    read = np.zeros(len(W), dtype=bool)
+    read[hp_sel] = True
+    read = np.flatnonzero(read)
+    group, w_reps = _group_rows(W[read])
+    w_reps = read[w_reps]
+    wid = np.zeros(len(W), dtype=np.int32)
+    wid[read] = group
     n_w = len(w_reps)
     if len(P_rows) * n_w > np.iinfo(np.int32).max:
         raise MemoryError(f"{len(P_rows)} x {n_w} distinct rows overflow the int32 row keys")
-    wid = wid.astype(np.int32)
 
     def pair_keys(b0):
         key = np.take(pid, h_sel[b0 : b0 + block])
@@ -737,7 +803,7 @@ def _sweep(W, h_sel, hp_sel, pid, P_rows, block, good_words):
     table = np.zeros(len(P_rows) * n_w, dtype=np.int32)
     for b0 in range(0, len(h_sel), block):
         table[pair_keys(b0)] = 1
-    good, distinct = _evaluate_keys(table, n_w, np.take(W_words, w_reps, axis=0), P_rows,
+    good, distinct = _evaluate_keys(table, n_w, np.take(W, w_reps, axis=0), P_rows,
                                     block, good_words)
     # pairs come in CSR order, grouped by h; every block starts a new run,
     # so a row split over two blocks is OR-ed into W_next from both
@@ -746,12 +812,9 @@ def _sweep(W, h_sel, hp_sel, pid, P_rows, block, good_words):
     run_start[::block] = True
     W_next = W.copy()
     for b0 in range(0, len(h_sel), block):
-        # OR each run's good rows into W_next as packed words, which makes
-        # the per-pair gather and reduction 8x smaller than bools
         rows = np.take(good, np.take(table, pair_keys(b0)), axis=0)
         starts = np.flatnonzero(run_start[b0 : b0 + block])
-        runs = np.bitwise_or.reduceat(rows, starts, axis=0)
-        W_next[h_sel[b0 + starts]] |= _unpack_rows(runs, n_z)
+        W_next[h_sel[b0 + starts]] |= np.bitwise_or.reduceat(rows, starts, axis=0)
     return W_next, distinct
 
 

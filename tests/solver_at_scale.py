@@ -1,17 +1,20 @@
 """``solve`` against the per-row reference solver at scale, to the bit.
 
-Criterion 6's r = 2 game: the unit square, moat model, delta = 0.2 and
+Criterion 6's games: the unit square, moat model, delta = 0.2 and
 gamma = 0.02 (5,241 escaper by 200 pursuer samples, about 2.8 million
-escaper moves).  The tier-1 tests compare the two solvers on small games;
-the reference takes over half a minute here, so this is a script that
-pytest does not collect:
+escaper moves), at r = 2 (an escaper win in 8 sweeps) and r = 4 (a pursuer
+win in 2 sweeps, whose second sweep evaluates 299,180 of the 1,676,247
+moves into changed rows).  The tier-1 tests compare the two solvers on
+small games; the reference takes about half a minute at r = 2 and about
+10 s at r = 4, so this is a script that pytest does not collect:
 
     PYTHONPATH=src python -W error::RuntimeWarning tests/solver_at_scale.py
 
-It checks ``win_mask``, ``rank`` and ``iterations`` against the reference,
-and that the tracemalloc peak of ``solve`` stays under 80 MB: a table keyed
-over every pair of escaper rows (5,241 squared int32 entries, 110 MB) would
-exceed it.  Prints one line and exits 1 on any difference.
+For each game it checks ``win_mask``, ``rank`` and ``iterations`` against
+the reference, and that the tracemalloc peak of ``solve`` stays under
+80 MB: a table keyed over every pair of escaper rows (5,241 squared int32
+entries, 110 MB) would exceed it.  Prints one line per game and exits 1 on
+any difference.
 """
 
 import sys
@@ -21,15 +24,14 @@ import tracemalloc
 import numpy as np
 from conftest import SQUARE, reference_solve
 
-from escape_ratio.discrete import build_game, solve
+from escape_ratio.discrete import build_game, escaper_moves, gamma_sample, solve
 from escape_ratio.geometry import MetricContext, PursuerModel, validate_polygon
 
 PEAK_LIMIT_MB = 80.0
 
 
-def main() -> int:
-    ctx = MetricContext(validate_polygon(SQUARE), PursuerModel.MOAT)
-    game = build_game(ctx, r=2.0, delta=0.2, gamma=0.02, state_cap=1e13)
+def check(game) -> bool:
+    """Solve ``game`` under tracemalloc, compare with the reference and print one line."""
     tracemalloc.start()
     t0 = time.perf_counter()
     got = solve(game)
@@ -42,11 +44,24 @@ def main() -> int:
             and np.array_equal(got.rank, ref.rank) and got.rank.dtype == ref.rank.dtype
             and got.iterations == ref.iterations)
     small = peak_mb < PEAK_LIMIT_MB
-    print(f"criterion 6, r = 2 ({game.n_h} x {game.n_z}): {'same' if same else 'DIFFERENT'} "
+    print(f"criterion 6, r = {game.r:g} ({game.n_h} x {game.n_z}, {got.iterations} sweeps): "
+          f"{'same' if same else 'DIFFERENT'} "
           f"(solve {t1 - t0:.2f} s under tracemalloc, peak {peak_mb:.1f} MB"
           f"{'' if small else f' over {PEAK_LIMIT_MB:g} MB'}; reference {t2 - t1:.1f} s)",
           flush=True)
-    return 0 if same and small else 1
+    return same and small
+
+
+def main() -> int:
+    ctx = MetricContext(validate_polygon(SQUARE), PursuerModel.MOAT)
+    samples = gamma_sample(ctx, 0.02)
+    e_h = escaper_moves(ctx, samples, 0.2)
+    ok = True
+    for r in (2.0, 4.0):
+        game = build_game(ctx, r=r, delta=0.2, gamma=0.02, state_cap=1e13,
+                          samples=samples, e_h=e_h)
+        ok &= check(game)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

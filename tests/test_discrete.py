@@ -73,6 +73,7 @@ def _assert_same_solution(game):
     assert got.iterations == ref.iterations
     assert got.witness_h0 == ref.witness_h0
     assert np.array_equal(got.threat, ref.threat)
+    return ref
 
 
 def _random_toy_game(rng):
@@ -109,6 +110,60 @@ def _oracle_games():
     ):
         ctx = MetricContext(validate_polygon(points), PursuerModel(model))
         yield build_game(ctx, r=r, delta=delta, gamma=gamma, state_cap=1e10)
+
+
+_SWEEP_LINE = re.compile(r"sweep (\d+): (\d+) moves selected, (\d+) pairs evaluated, "
+                         r"(\d+) distinct rows, (\d+) states newly marked")
+
+
+def _logged_counts(records):
+    """(moves selected, pairs evaluated) of each sweep DEBUG line."""
+    counts = []
+    for rec in records:
+        m = _SWEEP_LINE.fullmatch(rec.getMessage())
+        assert m, rec.getMessage()
+        assert int(m[1]) == len(counts) + 1
+        counts.append((int(m[2]), int(m[3])))
+    return counts
+
+
+def _skip_rule_counts(game, ref):
+    """Brute-force (moves selected, pairs evaluated) of each sweep, from the
+    reference solver's ranks.  Sweep 1 evaluates the n_h self-loops; sweep k
+    selects the moves h->h' with h open (row h of W_{k-1} not full) and row
+    h' of ``rank == k - 1`` nonzero, and evaluates those with
+    ``(rank == k - 1)[h'] & ~P[h]`` nonzero."""
+    h = np.repeat(np.arange(game.n_h), np.diff(game.e_h.indptr))
+    hp = game.e_h.indices
+    counts = [(game.n_h, game.n_h)]
+    for k in range(2, ref.iterations + 1):
+        won = (ref.rank > 0) & (ref.rank < k)
+        newly = ref.rank == k - 1
+        selected = ~won.all(axis=1)[h] & newly.any(axis=1)[hp]
+        kept = selected & (newly[hp] & ~ref.threat[h]).any(axis=1)
+        counts.append((int(selected.sum()), int(kept.sum())))
+    return counts
+
+
+def _assert_logged_counts(game, caplog):
+    """``solve`` equals the reference on ``game``, and each sweep's DEBUG line
+    gives the brute-force counts of ``_skip_rule_counts``; returns them."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="escape_ratio.discrete"):
+        ref = _assert_same_solution(game)
+    counts = _logged_counts(caplog.records)
+    assert counts == _skip_rule_counts(game, ref)
+    return counts
+
+
+def _bracket_probe_games():
+    """The bracket benchmark's three probes: the unit square, moat model,
+    delta = 0.2 and gamma = 0.05 (921 escaper by 80 pursuer samples)."""
+    ctx = MetricContext(validate_polygon(SQUARE), PursuerModel.MOAT)
+    samples = gamma_sample(ctx, 0.05)
+    e_h = escaper_moves(ctx, samples, 0.2)
+    for r in (6.602720495543138, 2.569575936909267, 4.119003727054065):
+        yield build_game(ctx, r=r, delta=0.2, gamma=0.05, state_cap=1e13, samples=samples, e_h=e_h)
 
 
 class TestGammaSample:
@@ -629,6 +684,23 @@ class TestSolve:
             if game.z_windows is not None:
                 _assert_same_solution(dataclasses.replace(game, z_windows=None))
 
+    def test_matches_reference_on_bracket_probes(self, caplog):
+        # the reference takes about a second on the three games; the
+        # r = 4.119 probe evaluates 8,629 of the 51,979 moves its row rule
+        # selects
+        counts = [_assert_logged_counts(game, caplog) for game in _bracket_probe_games()]
+        assert counts[2] == [(921, 921), (51_058, 7_708)]
+
+    def test_skip_rule_matches_brute_force_counts(self, caplog):
+        # the moves each sweep selects and evaluates, against a count from
+        # the reference's ranks
+        rng = np.random.default_rng(29)
+        skipped = 0
+        for game in [*(_random_toy_game(rng) for _ in range(200)), *_oracle_games()]:
+            counts = _assert_logged_counts(game, caplog)
+            skipped += sum(selected - evaluated for selected, evaluated in counts)
+        assert skipped > 0
+
     def test_blocks_split_escaper_rows(self, monkeypatch):
         # blocks of one or three (h, h') pairs cut escaper rows' move lists
         # apart at block edges; a block holds _BLOCK_ELEMENTS packed words
@@ -664,12 +736,11 @@ class TestSolve:
             solve(game)
         pairs = distinct = 0
         for rec in caplog.records:
-            m = re.fullmatch(r"sweep \d+: (\d+) pairs evaluated, (\d+) distinct rows, "
-                             r"\d+ states newly marked", rec.getMessage())
+            m = _SWEEP_LINE.fullmatch(rec.getMessage())
             assert m, rec.getMessage()
-            assert int(m[2]) <= int(m[1])
-            pairs += int(m[1])
-            distinct += int(m[2])
+            assert int(m[4]) <= int(m[3]) <= int(m[2])
+            pairs += int(m[3])
+            distinct += int(m[4])
         assert 0 < distinct < pairs
         _assert_same_solution(game)
 
@@ -701,8 +772,12 @@ class TestSolve:
         assert sum(keys > 3 * 5 for keys in marked) >= 8
 
     def test_sweeps_whose_w_rows_are_all_equal(self, monkeypatch):
-        # every escaper vertex moves to every other, so P and then W have
-        # equal rows: each sweep keys all its pairs by one W row (n_w = 1)
+        # a sweep whose pairs read equal W rows keys them by P rows alone
+        # (n_w = 1).  When every escaper vertex moves to every other, P and
+        # then W have equal rows, so every sweep has n_w = 1; but then
+        # W_1 = good(P) lies in P (e_z holds every self-loop), so no covered
+        # row changes and sweep 2 has no pair to key.  Random toy games
+        # reach later n_w = 1 sweeps that key pairs.
         widths = []
         evaluate_keys = discrete._evaluate_keys
 
@@ -712,7 +787,6 @@ class TestSolve:
 
         monkeypatch.setattr(discrete, "_evaluate_keys", spy)
         rng = np.random.default_rng(11)
-        later_sweeps = 0
         for _ in range(40):
             toy = _random_toy_game(rng)
             game = dataclasses.replace(toy, e_h=toy_game(
@@ -721,7 +795,12 @@ class TestSolve:
             widths.clear()
             _assert_same_solution(game)
             assert all(n_w == 1 for n_w, _ in widths)
-            later_sweeps += sum(keys > 0 for _, keys in widths[1:])
+            assert len(widths) == 1
+        later_sweeps = 0
+        for _ in range(300):
+            widths.clear()
+            _assert_same_solution(_random_toy_game(rng))
+            later_sweeps += sum(n_w == 1 and keys > 0 for n_w, keys in widths[1:])
         assert later_sweeps > 0
 
     def test_canonical_l_shape_game_is_pinned(self):
