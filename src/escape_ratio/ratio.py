@@ -23,6 +23,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from itertools import chain, zip_longest
 
 import numpy as np
 
@@ -44,11 +45,16 @@ logger = logging.getLogger(__name__)
 UPPER_FACTOR = 2.0 * (3.0 + math.sqrt(6.0))  # < 10.89898
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-# most golden steps whose pairs one refinement batch fetches ahead
-_LOOKAHEAD = 3
-# segment x edge elements a lookahead batch may hold before it looks one
-# step less far: 3 steps for n <= 11, 2 for n = 12-16, 1 from n = 17
+# segment x edge elements a refinement batch may hold; half or twice this
+# measured no faster on the L-shape, comb and spiral
 _LOOKAHEAD_ELEMENTS = 2**12
+# fewest pairs a refinement batch may fetch; 2, 4 or 5 measured slower on
+# the 48- and 100-vertex polygons, where a pair costs about a kernel call
+_BATCH_FLOOR = 3
+# golden steps a refinement batch covers on both branches
+_TREE_STEPS = 2
+# golden steps of each predicted path a refinement batch covers
+_PATH_STEPS = 12
 # sample pairs the first branch-and-bound batch evaluates; each later batch
 # may take twice as many
 _BOUND_BATCH = 256
@@ -203,41 +209,81 @@ def _pair_ratios(ctx: MetricContext, pts: np.ndarray) -> np.ndarray:
         return np.where(dh <= poly.tol, -np.inf, dz / dh)
 
 
-def _lookahead_depth(n: int) -> int:
-    """Golden steps a refinement batch fetches ahead on an n-gon.
-
-    Looking L steps ahead evaluates 2^(L+1) - 1 pairs per batch, most of them
-    never asked for; measured, that pays while the batch at 1 + 2n segments a
-    pair against n edges stays within ``_LOOKAHEAD_ELEMENTS``.
-    """
-    depth = _LOOKAHEAD
-    while depth > 1 and (2 ** (depth + 1) - 1) * (1 + 2 * n) * n > _LOOKAHEAD_ELEMENTS:
-        depth -= 1
-    return depth
+def _batch_pairs(n: int) -> int:
+    """Pairs one refinement batch may fetch on an n-gon: as many as keep
+    its kernel call within ``_LOOKAHEAD_ELEMENTS`` at 1 + n segments a pair
+    (its own and its moving end's fan) against n edges, and never fewer than
+    ``_BATCH_FLOOR``."""
+    return max(_BATCH_FLOOR, _LOOKAHEAD_ELEMENTS // ((1 + n) * n))
 
 
-def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float):
+def _models(seen: dict) -> list:
+    """Two models of a search's known values ``seen`` {t: value}, each a
+    function of t: a parabola through the best point and its neighbours (a
+    smooth maximum) and one line on each side of the best point, through
+    the two known points nearest it there (a kink).  A model without the
+    points it needs is left out."""
+    pts = sorted((t, v) for t, v in seen.items() if math.isfinite(v))
+    k = max(range(len(pts)), key=lambda i: pts[i][1], default=0)
+    models = []
+    if 0 < k < len(pts) - 1:
+        (x0, y0), (x1, y1), (x2, y2) = pts[k - 1 : k + 2]
+
+        def parabola(t):
+            return (y0 * (t - x1) * (t - x2) / ((x0 - x1) * (x0 - x2))
+                    + y1 * (t - x0) * (t - x2) / ((x1 - x0) * (x1 - x2))
+                    + y2 * (t - x0) * (t - x1) / ((x2 - x0) * (x2 - x1)))
+
+        models.append(parabola)
+    if 2 <= k < len(pts) - 2:
+        (x0, y0), (x1, y1) = pts[k - 2 : k]
+        (x2, y2), (x3, y3) = pts[k + 1 : k + 3]
+        left, right = (y1 - y0) / (x1 - x0), (y3 - y2) / (x3 - x2)
+        models.append(lambda t: min(y1 + left * (t - x1), y2 + right * (t - x2)))
+    return models
+
+
+def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float,
+                 start: float | None = None):
     """Golden-section refinement of the ratio around a sample pair.
 
     Alternates one-dimensional searches along the boundary arc around each
     point, each over a window of +/- one spacing, accepting only improvements.
-    A pair missing from the memo is fetched in one batch with every pair the
-    next few steps could evaluate on either branch, so the steps taken are
-    those of a pair-at-a-time search.  Returns ``(tp, tq, ratio, evaluations
-    requested, distinct pairs requested, pairs evaluated, batches)``.
+    ``start`` is the start pair's ratio when it is known already.  The loop
+    reads only exact memoized ratios, so the steps taken are those of a
+    pair-at-a-time search; a pair missing from the memo is fetched in one
+    batch, of at most ``_batch_pairs(n)`` pairs, with the pairs the search
+    is likely to ask for next: every pair of the next ``_TREE_STEPS`` steps
+    on either branch, and the path of ``_PATH_STEPS`` steps the loop would
+    take under each of ``_models`` of the values known in this search, both
+    in the loop's own arithmetic.  Once the whole tree of the steps left
+    fits a batch, where float ties make predictions useless, it is fetched
+    instead.  A wrong prediction costs a batch and never changes a value.
+    Returns ``(tp, tq, ratio, evaluations requested, distinct pairs
+    requested, pairs evaluated, batches)``.
     """
     F = ctx.polygon.perimeter
-    depth = _lookahead_depth(ctx.polygon.n)
+    budget = _batch_pairs(ctx.polygon.n)
+    # the most steps whose whole tree, 2^(steps + 1) pairs, fits a batch
+    tail = budget.bit_length() - 2
     # later rounds repeat searches whose fixed end and window did not move
     memo: dict = {}
     used: set = set()
-    requested = batches = 0
+    requested = evaluated = batches = 0
 
     def fetch(pairs):
-        nonlocal batches
-        new = [key for key in dict.fromkeys(pairs) if key not in memo]
+        # the first ``budget`` distinct pairs missing from the memo; the
+        # predicted paths are computed only as far as they are read
+        nonlocal evaluated, batches
+        new: dict = {}  # an ordered set
+        for key in pairs:
+            if key not in memo:
+                new[key] = None
+                if len(new) == budget:
+                    break
+        evaluated += len(new)
         batches += 1
-        pts = ctx.polygon.boundary_point(np.array(new))
+        pts = ctx.polygon.boundary_point(np.array(list(new)))
         memo.update(zip(new, _pair_ratios(ctx, pts).tolist()))
 
     def value(tp, tq) -> float:
@@ -249,6 +295,10 @@ def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float):
         return memo[tp, tq]
 
     def golden(fix, lo, hi, which):
+        # t -> ratio for the models, from the window's centre: the current
+        # pair, of ratio ``best``
+        seen = {(lo + hi) / 2: best}
+
         def pair(t):
             return (t, fix) if which == 0 else (fix, t)
 
@@ -261,11 +311,38 @@ def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float):
                 yield from ahead(a, d, d - _GOLDEN * (d - a), c, steps - 1)
                 yield from ahead(c, b, d, c + _GOLDEN * (b - c), steps - 1)
 
+        def path(model, a, b, c, d):
+            # the pairs of the steps the loop takes from state (a, b, c, d)
+            # where known values are the memo's and others the model's
+            def guess(t):
+                return memo[pair(t)] if pair(t) in memo else model(t)
+
+            fc, fd = guess(c), guess(d)
+            for _ in range(_PATH_STEPS):
+                if fc >= fd:
+                    b, d, fd = d, c, fc
+                    c = b - _GOLDEN * (b - a)
+                    fc = guess(c)
+                    yield pair(c)
+                else:
+                    a, c, fc = c, d, fd
+                    d = a + _GOLDEN * (b - a)
+                    fd = guess(d)
+                    yield pair(d)
+
         def f(t, steps_left):
             # a miss fetches ahead from the loop's current (a, b, c, d)
             if pair(t) not in memo:
-                fetch(ahead(a, b, c, d, min(depth, steps_left)))
-            return value(*pair(t))
+                if steps_left <= tail:
+                    fetch(ahead(a, b, c, d, steps_left))
+                else:
+                    paths = [path(m, a, b, c, d) for m in _models(seen)]
+                    # the paths step by step, then the tree
+                    fetch(chain([pair(c), pair(d)],
+                                (key for step in zip_longest(*paths) for key in step if key),
+                                ahead(a, b, c, d, _TREE_STEPS)))
+            seen[t] = value(*pair(t))
+            return seen[t]
 
         a, b = lo, hi
         c = b - _GOLDEN * (b - a)
@@ -284,6 +361,8 @@ def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float):
         t = c if fc >= fd else d
         return t, max(fc, fd)
 
+    if start is not None:
+        memo[t_p, t_q] = start
     best = value(t_p, t_q)
     tp, tq = t_p, t_q
     for _ in range(3):
@@ -293,7 +372,7 @@ def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float):
         t, val = golden(tp, tq - spacing, tq + spacing, 1)
         if val > best:
             best, tq = val, t % F
-    return tp, tq, best, requested, len(used), len(memo), batches
+    return tp, tq, best, requested, len(used), evaluated, batches
 
 
 def max_ratio(ctx: MetricContext, spacing: float) -> RatioBound:
@@ -349,7 +428,9 @@ def max_ratio(ctx: MetricContext, spacing: float) -> RatioBound:
     i, j = _pair_rows(m, k[ratios == sample_max].min())
     t_p, t_q = float(params[i]), float(params[j])
     t1 = time.perf_counter()
-    tp, tq, refined, requested, distinct, evaluated, batches = _refine_pair(ctx, t_p, t_q, spacing)
+    # sample_max is the pair's ratio as _pair_ratios gives it, to the bit
+    tp, tq, refined, requested, distinct, evaluated, batches = _refine_pair(
+        ctx, t_p, t_q, spacing, sample_max)
     logger.debug("max_ratio: m=%d, %d pairs, %d evaluated in %d bound batches, "
                  "%d refinement evaluations (%d distinct), "
                  "%d pairs evaluated in %d batches, pairwise %.4f s, refine %.4f s",

@@ -11,7 +11,7 @@ from escape_ratio.geometry import MetricContext, PursuerModel, validate_polygon
 from escape_ratio.ratio import (
     _GOLDEN,
     UPPER_FACTOR,
-    _lookahead_depth,
+    _batch_pairs,
     _pair_bounds,
     _pair_rows,
     _pairwise_dh,
@@ -23,7 +23,7 @@ from escape_ratio.ratio import (
 )
 
 from conftest import COMB, L_SHAPE, RECT_1x10, SPIRAL, SQUARE, TRIANGLE, all_pairs_max_ratio
-from test_geometry import L_COLLINEAR
+from test_geometry import L_COLLINEAR, _relabellings
 
 _ANGLES = np.linspace(0, 2 * math.pi, 101)[:-1]
 GON_100 = np.column_stack([np.cos(_ANGLES), np.sin(_ANGLES)])
@@ -368,16 +368,18 @@ def _reference_refine(ctx, t_p, t_q, spacing):
     return tp, tq, best, requested
 
 
-@pytest.mark.parametrize(
-    "points,spacing,model",
-    [pytest.param(points, spacing, model, id=f"{name}-{model.value}")
-     for name, points, spacing in (("square", SQUARE, 0.1), ("triangle", TRIANGLE, 0.08),
-                                   ("L", L_SHAPE, 0.1), ("comb", COMB, 0.2),
-                                   ("spiral", SPIRAL, 0.5), ("100-gon", GON_100, 0.05))
-     for model in PursuerModel
-     # the 100-gon's exterior reference takes about 2 s per start
-     if not (points is GON_100 and model is PursuerModel.EXTERIOR)],
-)
+_REFINE_CASES = [
+    pytest.param(points, spacing, model, id=f"{name}-{model.value}")
+    for name, points, spacing in (("square", SQUARE, 0.1), ("triangle", TRIANGLE, 0.08),
+                                  ("L", L_SHAPE, 0.1), ("comb", COMB, 0.2),
+                                  ("spiral", SPIRAL, 0.5), ("100-gon", GON_100, 0.05))
+    for model in PursuerModel
+    # the 100-gon's exterior reference takes about 2 s per start
+    if not (points is GON_100 and model is PursuerModel.EXTERIOR)
+]
+
+
+@pytest.mark.parametrize("points,spacing,model", _REFINE_CASES)
 def test_batched_refinement_matches_pair_at_a_time(points, spacing, model):
     # from the best sample pair, from a pair with t_p == t_q (its first ratio
     # is -inf) and from one whose windows cross parameter 0 at both ends
@@ -392,6 +394,73 @@ def test_batched_refinement_matches_pair_at_a_time(points, spacing, model):
         got = _refine_pair(ctx, float(t_p), float(t_q), spacing)[:4]
         ref = _reference_refine(ctx, float(t_p), float(t_q), spacing)
         assert [float(x).hex() for x in got] == [float(x).hex() for x in ref], (t_p, t_q)
+
+
+class _Inverted(float):
+    """A predicted ratio whose every comparison answers the opposite, so a
+    path through it takes the other branch at each step it decides."""
+
+    def __ge__(self, other):
+        return not float.__ge__(self, other)
+
+    def __le__(self, other):
+        return not float.__le__(self, other)
+
+
+@pytest.mark.parametrize("points,spacing,model", _REFINE_CASES)
+def test_refinement_exact_under_any_prediction(points, spacing, model, monkeypatch):
+    # the loop reads only exact memoized ratios: predictions that always
+    # take the wrong branch, or none at all (the branch tree alone), change
+    # the batches and never a value or a request
+    ctx = MetricContext(validate_polygon(points), model)
+    F = ctx.polygon.perimeter
+    params, pts = boundary_samples(ctx, spacing)
+    i, j = np.triu_indices(len(params), k=1)
+    k = int(np.argmax(_pairwise_dz(ctx, params, pts, i, j) / _pairwise_dh(ctx, pts, i, j)))
+    rng = np.random.default_rng(len(points))
+    t, (u, w) = rng.uniform(0, F), rng.uniform(0, spacing, 2)
+    models = ratio._models
+
+    def wrong(seen):
+        return [lambda x, m=m: _Inverted(m(x)) for m in models(seen)]
+
+    distinct = []
+    monkeypatch.setattr(ctx, "interior_distance",  # called once a distinct pair
+                        lambda p, q, f=ctx.interior_distance: distinct.append(1) or f(p, q))
+    for t_p, t_q in ((float(params[i[k]]), float(params[j[k]])), (t, t), (u, F - w)):
+        distinct.clear()
+        ref = [float(x).hex() for x in _reference_refine(ctx, t_p, t_q, spacing)]
+        ref.append(len(distinct))
+        for predict in (wrong, lambda seen: []):
+            monkeypatch.setattr(ratio, "_models", predict)
+            got = _refine_pair(ctx, t_p, t_q, spacing)
+            assert [float(x).hex() for x in got[:4]] + [got[4]] == ref, (t_p, t_q)
+
+
+@pytest.mark.parametrize(
+    "points,spacing,model",
+    [pytest.param(points, spacing, model, id=f"{name}-{model.value}")
+     for name, points, spacing in (("L", L_SHAPE, 0.1), ("comb", COMB, 0.2), ("spiral", SPIRAL, 0.1),
+                                   ("square", SQUARE, 0.1), ("triangle", TRIANGLE, 0.085))
+     for model in PursuerModel],
+)
+def test_sample_ratio_seeds_refinement(points, spacing, model, monkeypatch):
+    # max_ratio passes the best sample pair's ratio in: it is the ratio the
+    # refinement's first batch would evaluate, to the bit, so the result is
+    # the same with one pair and one batch fewer
+    refine, calls = ratio._refine_pair, []
+    monkeypatch.setattr(ratio, "_refine_pair", lambda *args: calls.append(args) or refine(*args))
+    relabellings = _relabellings(points)
+    for k in range(4):  # shift k, k quarter-turns
+        ctx = MetricContext(validate_polygon(relabellings[5 * k % len(relabellings)]), model)
+        calls.clear()
+        max_ratio(ctx, spacing)
+        ((_, t_p, t_q, _, start),) = calls
+        pts = ctx.polygon.boundary_point(np.array([[t_p, t_q]]))
+        assert start.hex() == float(ratio._pair_ratios(ctx, pts)[0]).hex()
+        seeded, cold = refine(ctx, t_p, t_q, spacing, start), refine(ctx, t_p, t_q, spacing)
+        assert [float(x).hex() for x in seeded[:5]] == [float(x).hex() for x in cold[:5]]
+        assert (seeded[5], seeded[6]) == (cold[5] - 1, cold[6] - 1)
 
 
 class TestRefinementWork:
@@ -411,7 +480,7 @@ class TestRefinementWork:
         *_, requested, distinct, evaluated, batches = _refine_pair(ctx, 0.7, 4.0, 0.1)
         assert len(rows) == len(set(rows)) == evaluated
         assert len(kernel_calls) == batches  # one kernel call per batch, both metrics
-        assert (requested, distinct, evaluated, batches) == (253, 127, 391, 31)
+        assert (requested, distinct, evaluated, batches) == (253, 127, 285, 15)
 
     @pytest.mark.parametrize("model", list(PursuerModel))
     def test_sandwich_builds_no_pieces(self, model):
@@ -420,10 +489,11 @@ class TestRefinementWork:
         max_ratio(ctx, 0.1)
         assert "_pieces" not in ctx.polygon.__dict__
 
-    def test_lookahead_depth_per_vertex_count(self):
-        # the depths measured fastest; they do not follow the kernel's block size
-        depths = {n: _lookahead_depth(n) for n in (6, 11, 12, 16, 17, 24, 48)}
-        assert depths == {6: 3, 11: 3, 12: 2, 16: 2, 17: 1, 24: 1, 48: 1}
+    def test_batch_pairs_per_vertex_count(self):
+        # a batch of 1 + n segments a pair against n edges stays within the
+        # element budget, and holds at least the floor's pairs
+        budgets = {n: _batch_pairs(n) for n in (3, 4, 6, 8, 14, 24, 48, 100)}
+        assert budgets == {3: 341, 4: 204, 6: 97, 8: 56, 14: 19, 24: 6, 48: 3, 100: 3}
 
     def test_logs_one_debug_line(self, l_moat, caplog):
         with caplog.at_level(logging.DEBUG, logger="escape_ratio.ratio"):
