@@ -197,7 +197,11 @@ class Strategy:
     Escaper strategies additionally declare ``start_point`` (independent of the
     opponent).  ``max_speed`` is the licensed speed of the paths the strategy
     emits.  Instances may keep incremental state between the engine's monotone
-    queries; ``reset`` returns them to the initial state.
+    queries; ``reset`` returns them to the initial state.  The engine runs
+    the strategies a block of steps ahead of its checks, so it may query a
+    strategy up to one block past the end of a run (an escape, a violation
+    or another strategy's exception) and discards those positions, and any
+    exception raised there.
     """
 
     start_point: np.ndarray | None = None

@@ -12,25 +12,44 @@ resets them at the start of every playthrough, so a strategy instance can be
 reused across runs.  ``Strategy`` (re-exported here) and ``_Tracker``, the
 one step rule every pursuer chases its target with, live in ``exact``.
 
-A domain is three methods and a tolerance: ``contains(p)`` answers which
-domains p lies in as a pair of bools (escaper, pursuer),
-``escaper_distance(p, q)`` and ``pursuer_distance(p, q)`` measure a step in
-each, and ``tol`` is the slack of the speed checks.  The escaper wins at the
-boundary, where the two domains meet, so an escaper position is an exit
-exactly when ``contains`` puts it in the pursuer's domain too: the engine
-reads that from the answer it got when it checked the position, so a step
-asks two membership questions, one per mover.
+A domain asks three questions, each in a scalar and an array form, and has
+a tolerance: ``contains(p)`` answers which domains p lies in as a pair of
+bools (escaper, pursuer), ``escaper_distance(p, q)`` and
+``pursuer_distance(p, q)`` measure a step in each, and ``tol`` is the slack
+of the speed checks.  The array forms ``contains_many(pts)`` (a [2, N] bool
+array) and ``escaper_distances(pts, i, j)`` and
+``pursuer_distances(pts, i, j)`` (the N pairs ``pts[i]``, ``pts[j]``) answer
+for many points at once.  The escaper wins at the boundary, where the two
+domains meet, so an escaper position is an exit exactly when ``contains``
+puts it in the pursuer's domain too.
 
-The analytic domains (disk, halfplane, wedge) and strategies work on the two
-coordinates as Python floats, since a step handles single 2-vectors; a view's
-``last`` hands the newest point over as an (x, y) float tuple.  Tolerance
-comparisons (domain predicates, speed checks) use ``math.hypot``.  Every
-value that is stored keeps the numpy arithmetic the trajectories were pinned
-with (``np.hypot``, ``@``), whose last bit can differ.  A branch on a radius
-(the disk pursuer's gate, the disk escaper's exit test) compares
-``math.hypot`` with its threshold and calls ``np.hypot`` only within 1e-12 of
-it: both are within an ulp of the true value, so outside that band they take
-the same branch, and trajectories do not change.
+The engine checks a playthrough in blocks of ``_BLOCK`` steps.  It runs both
+strategies for a block, storing each position as it goes, then makes one
+``contains_many`` call over the block's positions and one distance call per
+mover over the steps whose endpoints passed membership, and finds the
+block's first event in the order a step checks: the escaper's domain and
+speed, the pursuer's domain and speed, then the exit test.  The strategies
+never read the checks, so this is the same run as checking each step before
+the next: the prefix up to the first event is kept, a strategy exception
+raised after it is discarded, and one raised before it is re-raised.  Each
+position is classified once.  Touch separations, the exit point and the
+figures of a violation's message are computed with the scalar forms, at the
+steps that need them only.
+
+The array forms only decide.  The analytic domains' scalar and array
+forms can differ in the last bit (``math.hypot`` and ``np.hypot``,
+``math.atan2`` and ``np.arctan2``, the halfplane's ``@`` and a hand-written
+dot), so a step length within ``_HYPOT_BAND`` (1e-12) of its limit, or a
+disk radius that close to 1 +- tol, is decided again by the scalar form;
+outside that band both take the same branch.  The analytic domains
+(disk, halfplane, wedge) and strategies work on the two coordinates as
+Python floats, since a strategy handles single 2-vectors; a view's ``last``
+hands the newest point over as an (x, y) float tuple.  Every value that is
+stored keeps the numpy arithmetic the trajectories were pinned with
+(``np.hypot``, ``@``).  A strategy's branch on a radius (the disk pursuer's
+gate, the disk escaper's exit test) compares ``math.hypot`` with its
+threshold and calls ``np.hypot`` only within the same band of it, so
+trajectories do not change.
 """
 
 from __future__ import annotations
@@ -42,8 +61,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainViolation, SpeedViolation
-from .exact import Strategy, _Tracker, halfplane_pursuer_position, wedge_pursuer_position
-from .geometry import MetricContext
+from .exact import (
+    _HYPOT_BAND,
+    Strategy,
+    _Tracker,
+    halfplane_pursuer_position,
+    wedge_pursuer_position,
+)
+from .geometry import MetricContext, PursuerModel, pair_geodesics
 
 # ---------------------------------------------------------------------------
 # domains
@@ -58,19 +83,41 @@ class _AnalyticDomain:
     def escaper_distance(self, p, q):
         return math.hypot(q[0] - p[0], q[1] - p[1])  # speed checks only
 
+    def escaper_distances(self, pts, i, j):
+        d = pts[j] - pts[i]
+        return np.hypot(d[:, 0], d[:, 1])
+
 
 class DiskDomain(_AnalyticDomain):
     """Unit disk escaper domain; pursuer on the unit circle (moat)."""
 
-    def contains(self, p):
-        r, tol = math.hypot(p[0], p[1]), self.tol
+    def _at_radius(self, r):
+        # the domains of a point at radius r; elementwise on arrays
+        tol = self.tol
         return r <= 1.0 + tol, abs(r - 1.0) <= tol
+
+    def contains(self, p):
+        return self._at_radius(math.hypot(p[0], p[1]))
+
+    def contains_many(self, pts):
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        member = np.stack(self._at_radius(r))
+        # both tests compare the radius with 1 +- tol: near it, the scalar
+        # form's math.hypot decides
+        for k in np.flatnonzero(np.abs(np.abs(r - 1.0) - self.tol) <= _HYPOT_BAND).tolist():
+            member[:, k] = self.contains(pts[k].tolist())
+        return member
 
     def pursuer_distance(self, p, q):
         a = math.atan2(p[1], p[0])
         b = math.atan2(q[1], q[0])
         d = abs(a - b) % (2.0 * math.pi)
         return min(d, 2.0 * math.pi - d)
+
+    def pursuer_distances(self, pts, i, j):
+        a = np.arctan2(pts[:, 1], pts[:, 0])  # one angle per point
+        d = np.abs(a[i] - a[j]) % (2.0 * math.pi)
+        return np.minimum(d, 2.0 * math.pi - d)
 
 
 class HalfplaneDomain(_AnalyticDomain):
@@ -92,12 +139,22 @@ class HalfplaneDomain(_AnalyticDomain):
         return p[0] * self._nx + p[1] * self._ny
 
     def contains(self, p):
+        # elementwise, so ``p`` may be a point or the [2, N] array pts.T
         offset, tol = self._offset(p), self.tol
         return offset >= -tol, abs(offset) <= tol
+
+    def contains_many(self, pts):
+        return np.stack(self.contains(pts.T))
 
     def pursuer_distance(self, p, q):
         # separations are stored, so keep the ``@`` arithmetic
         return abs(float(self.direction @ p) - float(self.direction @ q))
+
+    def pursuer_distances(self, pts, i, j):
+        # decisions only, hand-written like ``_offset``
+        d = self.direction
+        s = pts[:, 0] * d[0] + pts[:, 1] * d[1]
+        return np.abs(s[i] - s[j])
 
 
 class WedgeDomain(_AnalyticDomain):
@@ -114,12 +171,21 @@ class WedgeDomain(_AnalyticDomain):
         return r if p[1] >= 0 else -r
 
     def contains(self, p):
-        x, y, tol = float(p[0]), float(p[1]), self.tol
+        # elementwise, so ``p`` may be a point or the [2, N] array pts.T
+        x, y, tol = p[0], p[1], self.tol
         return (abs(y) <= x * self._tan + tol,
-                x >= -tol and abs(abs(y) - x * self._tan) <= tol * (1 + x))
+                (x >= -tol) & (abs(abs(y) - x * self._tan) <= tol * (1 + x)))
+
+    def contains_many(self, pts):
+        return np.stack(self.contains(pts.T))
 
     def pursuer_distance(self, p, q):
         return abs(self._boundary_param(p) - self._boundary_param(q))
+
+    def pursuer_distances(self, pts, i, j):
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        s = np.where(pts[:, 1] >= 0, r, -r)
+        return np.abs(s[i] - s[j])
 
 
 class PolygonDomain:
@@ -128,7 +194,13 @@ class PolygonDomain:
     their own inputs with, so a point the metrics reject is never accepted;
     it applies ``polygon.tol`` (1e-9 times the bounding-box diagonal).  The
     speed checks' ``tol`` is 1e-9 * max(1, that diagonal): the two differ
-    for a polygon whose diagonal is below 1."""
+    for a polygon whose diagonal is below 1.
+
+    The array forms are one ``MetricContext.contains`` call and one
+    ``pair_geodesics`` call (the moat pursuer's: the boundary arc), with the
+    scalar forms' arithmetic.  Unlike the scalar metrics they do not test
+    their points for membership: the engine measures only steps whose
+    endpoints passed ``contains_many``."""
 
     def __init__(self, ctx: MetricContext):
         self.ctx = ctx
@@ -139,11 +211,24 @@ class PolygonDomain:
         escaper, pursuer = self.ctx.contains([p])[:, 0]
         return bool(escaper), bool(pursuer)
 
+    def contains_many(self, pts):
+        return self.ctx.contains(pts)
+
     def escaper_distance(self, p, q):
         return self.ctx.interior_distance(p, q)
 
+    def escaper_distances(self, pts, i, j):
+        return pair_geodesics(self.ctx.polygon, pts, i, j, (0,))[0]
+
     def pursuer_distance(self, p, q):
         return self.ctx.pursuer_distance(p, q)
+
+    def pursuer_distances(self, pts, i, j):
+        poly = self.ctx.polygon
+        if self.ctx.model is PursuerModel.MOAT:
+            t = poly.boundary_parameter(pts)
+            return poly.arc_distance(t[i], t[j])
+        return pair_geodesics(poly, pts, i, j, (1,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +457,13 @@ class Playthrough:
         return doc
 
 
+# Steps the strategies run ahead of the checks.  A block's checks are a few
+# numpy calls whatever its length: on the disk, blocks of 32 steps kept a
+# third of the gain of 256, and 256 to 2048 ran alike.  The strategies may
+# run up to a block minus one step past the end of a run.
+_BLOCK = 256
+
+
 def playthrough(
     escaper: Strategy,
     pursuer: Strategy,
@@ -387,10 +479,19 @@ def playthrough(
     pursuer-metric separation >= epsilon.  Each new position is checked
     before it is measured: DomainViolation when a start or a step leaves the
     mover's domain, then SpeedViolation when a step is longer than
-    max_speed * dt + ``domain.tol`` in the mover's metric.
+    max_speed * dt + ``domain.tol`` in the mover's metric.  The steps are
+    checked a block at a time (see the module docstring), with the outcome
+    and errors of checking each step before the next.
+
+    ``dt`` and ``epsilon`` must be positive and finite and ``t_max`` zero or
+    more and finite, else ValueError.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not 0 <= t_max < math.inf:
+        raise ValueError(f"t_max must be zero or more and finite, got {t_max!r}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     n_steps = int(math.floor(t_max / dt + 1e-12))
     times = np.arange(n_steps + 1) * dt  # the same products as (k + 1) * dt
     h_pts = np.zeros((n_steps + 1, 2))
@@ -409,7 +510,8 @@ def playthrough(
     # advances its length: the escaper sees the pursuer's k + 1 points up to
     # k*dt, the pursuer the escaper's k + 2 points up to (k+1)*dt.
     # Each view's ``last`` is the newest (x, y) float tuple the engine holds.
-    # Per-step points travel as such tuples; the arrays keep the record.
+    # Per-step points travel as such tuples; the arrays keep the record, and
+    # are written before the next call, which may read them.
     h = (float(h_pts[0, 0]), float(h_pts[0, 1]))
     esc_view = PathView(times, z_pts, 0)
     purs_view = PathView(times, h_pts, 1)
@@ -421,76 +523,147 @@ def playthrough(
 
     s_h = float(escaper.max_speed)
     s_z = float(pursuer.max_speed)
-    step_h_max = s_h * dt + domain.tol
-    step_z_max = s_z * dt + domain.tol
+    limits = (s_h * dt + domain.tol, s_z * dt + domain.tol)
     touches = []
     escaper_position, pursuer_position = escaper.position, pursuer.position
-    escaper_distance, pursuer_distance = domain.escaper_distance, domain.pursuer_distance
-    contains = domain.contains
+    # flat float views of the records: storing a coordinate through one
+    # costs about half of a numpy item assignment
+    h_flat, z_flat = memoryview(h_pts.reshape(-1)), memoryview(z_pts.reshape(-1))
 
-    def check_escape(h, z, t):
-        # h is an exit (in both domains): record the touch, and escape at a
-        # separation of at least epsilon
-        sep = pursuer_distance(h, z)
-        touches.append((t, sep))
+    def check_escape(k):
+        # the escaper's position k is an exit: record the touch, and escape
+        # at a separation of at least epsilon
+        sep = domain.pursuer_distance(_point(h_pts, k), _point(z_pts, k))
+        touches.append((k * dt, sep))
         return sep if sep >= epsilon else None
 
-    sep = check_escape(h, z, 0.0) if on_exit else None
-    k_end = 0
-    escaped_at = None
-    if sep is None:
-        for k in range(n_steps):
-            t_next = (k + 1) * dt
-            esc_view._len, esc_view._last = k + 1, z
-            x, y = escaper_position(esc_view, t_next)
-            h_next = (float(x), float(y))
-            in_escaper, on_exit = contains(h_next)
-            if not in_escaper:
-                raise DomainViolation(f"escaper left its domain at t={t_next:.4g}")
-            step_h = escaper_distance(h, h_next)
-            if step_h > step_h_max:
-                raise SpeedViolation(
-                    f"escaper moved {step_h:.3g} in dt={dt:.3g} at t={t_next:.4g}"
-                )
-            h = h_next
-            h_pts[k + 1, 0], h_pts[k + 1, 1] = h
-            purs_view._len, purs_view._last = k + 2, h
-            x, y = pursuer_position(purs_view, t_next)
-            z_next = (float(x), float(y))
-            if not contains(z_next)[1]:
-                raise DomainViolation(f"pursuer left its domain at t={t_next:.4g}")
-            step_z = pursuer_distance(z, z_next)
-            if step_z > step_z_max:
-                raise SpeedViolation(
-                    f"pursuer moved {step_z:.3g} > r*dt={s_z * dt:.3g} at t={t_next:.4g}"
-                )
-            z = z_next
-            z_pts[k + 1, 0], z_pts[k + 1, 1] = z
-            k_end = k + 1
-            if on_exit:
-                sep = check_escape(h, z, t_next)
-                if sep is not None:
-                    escaped_at = t_next
-                    break
-    else:
-        escaped_at = 0.0
+    sep = check_escape(0) if on_exit else None
+    k_end = 0  # the last step checked
+    while sep is None and k_end < n_steps:
+        k = k_end
+        stop = min(k + _BLOCK, n_steps)
+        failure = None
+        try:
+            for j in range(k, stop):
+                t_next = (j + 1) * dt
+                esc_view._len, esc_view._last = j + 1, z
+                x, y = escaper_position(esc_view, t_next)
+                h = (float(x), float(y))
+                h_flat[2 * j + 2], h_flat[2 * j + 3] = h
+                purs_view._len, purs_view._last = j + 2, h
+                x, y = pursuer_position(purs_view, t_next)
+                z = (float(x), float(y))
+                z_flat[2 * j + 2], z_flat[2 * j + 3] = z
+        except Exception as exc:  # counts only if no check fails before it
+            failure, stop = exc, j
+        # the block's new positions: the escaper's k + 1 .. k + n_h (its view
+        # holds them) and the pursuer's k + 1 .. stop
+        n_h, n_z = purs_view._len - 1 - k, stop - k
+        on_exit, event = _first_violation(domain, h_pts, z_pts, k, n_h, n_z, limits)
+        if failure is not None:
+            # an escaper exception comes before anything else of its step, a
+            # pursuer exception after the escaper's checks of its step
+            failed_at = (n_z, 0 if n_h == n_z else 2)
+            event = failed_at if event is None else min(event, failed_at)
+        end = n_z if event is None else event[0]
+        for i in np.flatnonzero(on_exit[:end]).tolist():
+            sep = check_escape(k + 1 + i)
+            if sep is not None:
+                k_end = k + 1 + i
+                break
+        else:
+            if event is not None:
+                if failure is not None and event == failed_at:
+                    raise failure
+                raise _violation(domain, h_pts, z_pts, k + 1 + event[0], event[1], dt, s_z)
+            k_end = stop
 
     last = k_end + 1
     h_path = MotionPath(times[:last].copy(), h_pts[:last].copy(), s_h, "escaper")
     z_path = MotionPath(times[:last].copy(), z_pts[:last].copy(), s_z, "pursuer")
-    if escaped_at is not None:
+    if sep is not None:
         return Playthrough(
             h_path,
             z_path,
             "escaped",
             epsilon,
             dt,
-            escape_time=escaped_at,
+            escape_time=k_end * dt,
             exit_point=h_pts[k_end].copy(),
             separation=sep,
             touches=touches,
         )
     return Playthrough(h_path, z_path, "no_escape_by_tmax", epsilon, dt, touches=touches)
+
+
+def _point(pts: np.ndarray, k: int) -> tuple:
+    """Row k of ``pts`` as the (x, y) float tuple the scalar forms were given."""
+    return tuple(pts[k].tolist())
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True of ``mask``, or its length when it has none."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if len(hits) else len(mask)
+
+
+def _exceeds(d, limit, distance, pts, i, j) -> np.ndarray:
+    """``d > limit`` for the distances ``d`` an array form measured between
+    ``pts[i]`` and ``pts[j]``.  A value within ``_HYPOT_BAND`` of its limit
+    is measured again by the scalar form ``distance``, whose decisions the
+    array forms repeat."""
+    limit = np.broadcast_to(limit, d.shape)
+    over = d > limit
+    for k in np.flatnonzero(np.abs(d - limit) <= _HYPOT_BAND).tolist():
+        over[k] = distance(_point(pts, i[k]), _point(pts, j[k])) > limit[k]
+    return over
+
+
+def _first_violation(domain, h_pts, z_pts, k, n_h, n_z, limits):
+    """Check the block after step k: the escaper's positions k + 1 ..
+    k + n_h and the pursuer's k + 1 .. k + n_z (n_h is n_z or n_z + 1).
+
+    One ``contains_many`` call classifies every position; a step is measured
+    only when no membership check before it failed, so both its endpoints
+    passed.  Returns the escaper's exit flags and the first failed
+    check as (step in the block, order), ordered as a step checks: 0 the
+    escaper's domain, 1 its speed, 2 the pursuer's domain, 3 its speed; or
+    None.
+    """
+    member = domain.contains_many(
+        np.concatenate((h_pts[k + 1 : k + 1 + n_h], z_pts[k + 1 : k + 1 + n_z])))
+    out_h, out_z = _first(~member[0, :n_h]), _first(~member[1, n_h:])
+    events = [(out_h, 0)] if out_h < n_h else []
+    if out_z < n_z:
+        events.append((out_z, 2))
+    # the escaper's step s follows the pursuer's checks of step s - 1
+    for pts, m, order, many, one, limit in (
+        (h_pts, min(out_h, out_z + 1), 1,
+         domain.escaper_distances, domain.escaper_distance, limits[0]),
+        (z_pts, min(out_h, out_z), 3,
+         domain.pursuer_distances, domain.pursuer_distance, limits[1]),
+    ):
+        if m:
+            chain, i = pts[k : k + m + 1], np.arange(m)
+            fast = _first(_exceeds(many(chain, i, i + 1), limit, one, chain, i, i + 1))
+            if fast < m:
+                events.append((fast, order))
+    return member[1, :n_h], min(events, default=None)
+
+
+def _violation(domain, h_pts, z_pts, k, order, dt, s_z) -> Exception:
+    """The error of check ``order`` (as ``_first_violation``) failing at
+    position k; the step lengths it reports are the scalar forms'."""
+    t = k * dt
+    if order == 0:
+        return DomainViolation(f"escaper left its domain at t={t:.4g}")
+    if order == 2:
+        return DomainViolation(f"pursuer left its domain at t={t:.4g}")
+    if order == 1:
+        step = domain.escaper_distance(_point(h_pts, k - 1), _point(h_pts, k))
+        return SpeedViolation(f"escaper moved {step:.3g} in dt={dt:.3g} at t={t:.4g}")
+    step = domain.pursuer_distance(_point(z_pts, k - 1), _point(z_pts, k))
+    return SpeedViolation(f"pursuer moved {step:.3g} > r*dt={s_z * dt:.3g} at t={t:.4g}")
 
 
 # ---------------------------------------------------------------------------
@@ -510,35 +683,38 @@ def validate_speed(path: MotionPath, domain, pairs: int = 200, seed: int = 0) ->
     """Check the speed-limit contract over consecutive samples and random pairs.
 
     Passes iff every checked pair satisfies d <= max_speed * dt + tol (the
-    MotionPath invariant); the reported maxima are observed speeds.
+    MotionPath invariant), decided as the engine decides its speed checks;
+    the reported maxima are observed speeds.  The distances come from one
+    array-form call for the consecutive samples and one for the pairs, which
+    do not test membership: the points are taken to lie in the mover's
+    domain, as every playthrough's do.
     """
     if len(path) == 0:
         raise ValueError("empty path")
-    tol = domain.tol
-    dist = (
-        domain.escaper_distance
-        if path.domain_tag == "escaper"
-        else domain.pursuer_distance
-    )
-    limit = path.max_speed
-    max_cons = 0.0
-    ok = True
-    for k in range(1, len(path)):
-        d = dist(path.points[k - 1], path.points[k])
-        dt = path.times[k] - path.times[k - 1]
-        max_cons = max(max_cons, d / dt)
-        ok &= d <= limit * dt + tol
+    escaper = path.domain_tag == "escaper"
+    many = domain.escaper_distances if escaper else domain.pursuer_distances
+    one = domain.escaper_distance if escaper else domain.pursuer_distance
+    limit, tol, pts, times = path.max_speed, domain.tol, path.points, path.times
+
+    def speeds(i, j):
+        # the largest speed over the pairs, and whether every pair keeps the limit
+        if not len(i):
+            return 0.0, True
+        d, span = many(pts, i, j), times[j] - times[i]
+        within = ~_exceeds(d, limit * span + tol, one, pts, i, j) & ~np.isnan(d)
+        return max(0.0, float(np.max(d / span))), bool(within.all())
+
+    steps = np.arange(len(path) - 1)
+    max_cons, ok = speeds(steps, steps + 1)
     max_pair = 0.0
     if len(path) > 2:
         rng = np.random.default_rng(seed)
-        for _ in range(pairs):
-            i, j = sorted(rng.integers(0, len(path), size=2).tolist())
-            if i == j:
-                continue
-            d = dist(path.points[i], path.points[j])
-            span = path.times[j] - path.times[i]
-            max_pair = max(max_pair, d / span)
-            ok &= d <= limit * span + tol
+        # one draw of two per pair, the stream the pairs were first drawn with
+        drawn = [rng.integers(0, len(path), size=2) for _ in range(pairs)]
+        ij = np.sort(np.array(drawn, dtype=np.intp).reshape(-1, 2), axis=1)
+        ij = ij[ij[:, 0] != ij[:, 1]]
+        max_pair, ok_pairs = speeds(ij[:, 0], ij[:, 1])
+        ok &= ok_pairs
     return SpeedReport(max_cons, max_pair, limit, bool(ok))
 
 

@@ -12,7 +12,14 @@ from escape_ratio.discrete import (
     _csr_relation,
     threat_matrix,
 )
-from escape_ratio.errors import DegenerateEdge, SelfIntersecting, TooFewVertices, ZeroArea
+from escape_ratio.errors import (
+    DegenerateEdge,
+    DomainViolation,
+    SelfIntersecting,
+    SpeedViolation,
+    TooFewVertices,
+    ZeroArea,
+)
 from escape_ratio.geometry import (
     TOL_SCALE,
     MetricContext,
@@ -23,6 +30,7 @@ from escape_ratio.geometry import (
     point_in_convex_hull,
     validate_polygon,
 )
+from escape_ratio.sim import MotionPath, PathView, Playthrough, SpeedReport, Strategy
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 L_SHAPE = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
@@ -479,3 +487,167 @@ def minimax_escaper_wins(game, h0, z0, depth=None):
         return esc_win(h0, z0, depth)
     finally:
         sys.setrecursionlimit(old)
+
+
+def reference_playthrough(
+    escaper: Strategy,
+    pursuer: Strategy,
+    dt: float,
+    t_max: float,
+    epsilon: float,
+    domain,
+) -> Playthrough:
+    """The scalar oracle for ``sim.playthrough``: one step at a time, each
+    position checked with the domain's scalar ``contains`` and each step
+    measured with its scalar distances before the next strategy call.
+
+    Runs the alternating dt-grid game until escape or t_max.
+
+    Escape fires at the first grid time the escaper is on an exit (a point of
+    its domain that ``contains`` puts in the pursuer's domain too) with
+    pursuer-metric separation >= epsilon.  Each new position is checked
+    before it is measured: DomainViolation when a start or a step leaves the
+    mover's domain, then SpeedViolation when a step is longer than
+    max_speed * dt + ``domain.tol`` in the mover's metric.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    n_steps = int(math.floor(t_max / dt + 1e-12))
+    times = np.arange(n_steps + 1) * dt  # the same products as (k + 1) * dt
+    h_pts = np.zeros((n_steps + 1, 2))
+    z_pts = np.zeros((n_steps + 1, 2))
+
+    escaper.reset()
+    pursuer.reset()
+
+    if escaper.start_point is None:
+        raise ValueError("escaper strategy must declare a start point")
+    h_pts[0] = np.asarray(escaper.start_point, dtype=float)
+    in_escaper, on_exit = domain.contains(h_pts[0])
+    if not in_escaper:
+        raise DomainViolation("escaper start outside its domain")
+    # One view per side for the whole run.  Before each call the engine
+    # advances its length: the escaper sees the pursuer's k + 1 points up to
+    # k*dt, the pursuer the escaper's k + 2 points up to (k+1)*dt.
+    # Each view's ``last`` is the newest (x, y) float tuple the engine holds.
+    # Per-step points travel as such tuples; the arrays keep the record.
+    h = (float(h_pts[0, 0]), float(h_pts[0, 1]))
+    esc_view = PathView(times, z_pts, 0)
+    purs_view = PathView(times, h_pts, 1)
+    purs_view._last = h
+    z_pts[0] = np.asarray(pursuer.position(purs_view, 0.0), dtype=float)
+    if not domain.contains(z_pts[0])[1]:
+        raise DomainViolation("pursuer start outside its domain")
+    z = (float(z_pts[0, 0]), float(z_pts[0, 1]))
+
+    s_h = float(escaper.max_speed)
+    s_z = float(pursuer.max_speed)
+    step_h_max = s_h * dt + domain.tol
+    step_z_max = s_z * dt + domain.tol
+    touches = []
+    escaper_position, pursuer_position = escaper.position, pursuer.position
+    escaper_distance, pursuer_distance = domain.escaper_distance, domain.pursuer_distance
+    contains = domain.contains
+
+    def check_escape(h, z, t):
+        # h is an exit (in both domains): record the touch, and escape at a
+        # separation of at least epsilon
+        sep = pursuer_distance(h, z)
+        touches.append((t, sep))
+        return sep if sep >= epsilon else None
+
+    sep = check_escape(h, z, 0.0) if on_exit else None
+    k_end = 0
+    escaped_at = None
+    if sep is None:
+        for k in range(n_steps):
+            t_next = (k + 1) * dt
+            esc_view._len, esc_view._last = k + 1, z
+            x, y = escaper_position(esc_view, t_next)
+            h_next = (float(x), float(y))
+            in_escaper, on_exit = contains(h_next)
+            if not in_escaper:
+                raise DomainViolation(f"escaper left its domain at t={t_next:.4g}")
+            step_h = escaper_distance(h, h_next)
+            if step_h > step_h_max:
+                raise SpeedViolation(
+                    f"escaper moved {step_h:.3g} in dt={dt:.3g} at t={t_next:.4g}"
+                )
+            h = h_next
+            h_pts[k + 1, 0], h_pts[k + 1, 1] = h
+            purs_view._len, purs_view._last = k + 2, h
+            x, y = pursuer_position(purs_view, t_next)
+            z_next = (float(x), float(y))
+            if not contains(z_next)[1]:
+                raise DomainViolation(f"pursuer left its domain at t={t_next:.4g}")
+            step_z = pursuer_distance(z, z_next)
+            if step_z > step_z_max:
+                raise SpeedViolation(
+                    f"pursuer moved {step_z:.3g} > r*dt={s_z * dt:.3g} at t={t_next:.4g}"
+                )
+            z = z_next
+            z_pts[k + 1, 0], z_pts[k + 1, 1] = z
+            k_end = k + 1
+            if on_exit:
+                sep = check_escape(h, z, t_next)
+                if sep is not None:
+                    escaped_at = t_next
+                    break
+    else:
+        escaped_at = 0.0
+
+    last = k_end + 1
+    h_path = MotionPath(times[:last].copy(), h_pts[:last].copy(), s_h, "escaper")
+    z_path = MotionPath(times[:last].copy(), z_pts[:last].copy(), s_z, "pursuer")
+    if escaped_at is not None:
+        return Playthrough(
+            h_path,
+            z_path,
+            "escaped",
+            epsilon,
+            dt,
+            escape_time=escaped_at,
+            exit_point=h_pts[k_end].copy(),
+            separation=sep,
+            touches=touches,
+        )
+    return Playthrough(h_path, z_path, "no_escape_by_tmax", epsilon, dt, touches=touches)
+
+
+def reference_validate_speed(path: MotionPath, domain, pairs: int = 200, seed: int = 0) -> SpeedReport:
+    """The scalar oracle for ``sim.validate_speed``: one scalar distance call
+    per pair.
+
+    Check the speed-limit contract over consecutive samples and random pairs.
+
+    Passes iff every checked pair satisfies d <= max_speed * dt + tol (the
+    MotionPath invariant); the reported maxima are observed speeds.
+    """
+    if len(path) == 0:
+        raise ValueError("empty path")
+    tol = domain.tol
+    dist = (
+        domain.escaper_distance
+        if path.domain_tag == "escaper"
+        else domain.pursuer_distance
+    )
+    limit = path.max_speed
+    max_cons = 0.0
+    ok = True
+    for k in range(1, len(path)):
+        d = dist(path.points[k - 1], path.points[k])
+        dt = path.times[k] - path.times[k - 1]
+        max_cons = max(max_cons, d / dt)
+        ok &= d <= limit * dt + tol
+    max_pair = 0.0
+    if len(path) > 2:
+        rng = np.random.default_rng(seed)
+        for _ in range(pairs):
+            i, j = sorted(rng.integers(0, len(path), size=2).tolist())
+            if i == j:
+                continue
+            d = dist(path.points[i], path.points[j])
+            span = path.times[j] - path.times[i]
+            max_pair = max(max_pair, d / span)
+            ok &= d <= limit * span + tol
+    return SpeedReport(max_cons, max_pair, limit, bool(ok))

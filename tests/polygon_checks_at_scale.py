@@ -2,7 +2,7 @@
 ``MetricContext.contains`` against the scalar membership oracles and the move
 relations' piece and admission rules against the kernel at game-net sizes, and
 ``pair_geodesics`` and ``verify_net`` against their per-query references on the
-star's nets.
+star's nets, and ``sim.playthrough`` against the scalar engine on polygons.
 
 Two 200-vertex stars (the second turned a quarter), four random radially
 sorted 200-vertex polygons and a 50-tooth comb whose middle gap pinches to
@@ -35,6 +35,12 @@ Dijkstra) to the bit.  On the star's ``gamma_sample`` nets at gamma = f/4,
 ``verify_net`` with 500 probes must equal ``reference_verify_net`` (one
 scalar draw and one checked query at a time) to the bit in both models.
 
+On the 48-vertex star in both models and the L-shape in the exterior
+model, ``sim.playthrough`` must equal ``reference_playthrough`` (each step
+checked with the scalar ``contains`` and distances before the next) bit for
+bit: a straight run to a vertex at dt 1e-3 against a pursuer camping on
+the boundary, which the escaper then touches every step without escaping.
+
 Prints one line per polygon and check with both timings and exits 1 on any
 difference.
 """
@@ -45,9 +51,11 @@ import time
 import numpy as np
 from conftest import (
     COMB,
+    L_SHAPE,
     SPIRAL,
     reference_contains,
     reference_min_feature_size,
+    reference_playthrough,
     reference_validate,
     reference_verify_net,
 )
@@ -61,6 +69,7 @@ from test_geometry import (
     _reference_geodesic,
     _validation_outcome,
 )
+from test_sim import _Camp, _result
 
 from escape_ratio.discrete import _grid_points, _threshold_distances, gamma_sample, verify_net
 from escape_ratio.geometry import (
@@ -74,6 +83,7 @@ from escape_ratio.geometry import (
     point_in_convex_hull,
     validate_polygon,
 )
+from escape_ratio.sim import PolygonDomain, StraightRunEscaper, playthrough
 
 
 def pinched_comb(teeth, factor):
@@ -207,6 +217,40 @@ def net_failures(probes=500) -> int:
     return failed
 
 
+PLAYTHROUGHS = [
+    # polygon, model, escaper start, the vertex it runs to, the pursuer's camp
+    ("star48", _star(24), PursuerModel.MOAT, (0.0, 0.0), 0, 2),
+    ("star48", _star(24), PursuerModel.EXTERIOR, (0.0, 0.0), 0, 2),
+    ("L", L_SHAPE, PursuerModel.EXTERIOR, (0.5, 0.5), 3, 4),
+]
+
+
+def playthrough_failures(dt=1e-3) -> int:
+    """``playthrough`` against ``reference_playthrough``: the escaper runs
+    at unit speed to a vertex and holds there for 0.2 more, touching the
+    boundary every step; the pursuer camps on another vertex, and epsilon
+    is above every separation, so the run ends at t_max."""
+    failed = 0
+    for name, points, model, start, target, camp in PLAYTHROUGHS:
+        poly = validate_polygon(points)
+        domain = PolygonDomain(MetricContext(poly, model))
+        v = poly.vertices
+        t_max = float(np.hypot(*(v[target] - start))) + 0.2
+
+        def run(engine):
+            return engine(StraightRunEscaper([start, v[target]]), _Camp(v[camp]), dt=dt,
+                          t_max=t_max, epsilon=10.0, domain=domain)
+
+        got, t_got = timed(_result, lambda: run(playthrough))
+        ref, t_ref = timed(_result, lambda: run(reference_playthrough))
+        same = got == ref
+        failed += not same
+        print(f"{name} playthrough {model.value}: {len(got[4])} touches in "
+              f"{round(t_max / dt)} steps, {'same' if same else 'DIFFERENT'} "
+              f"({t_ref:.3f} s -> {t_got:.3f} s)", flush=True)
+    return failed
+
+
 def main() -> int:
     rng = np.random.default_rng(2)
     star = _star(100)
@@ -236,6 +280,7 @@ def main() -> int:
     failed += relation_failures()
     failed += geodesic_failures()
     failed += net_failures()
+    failed += playthrough_failures()
     return 1 if failed else 0
 
 

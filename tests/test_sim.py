@@ -1,9 +1,15 @@
+import functools
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from conftest import L_SHAPE, SQUARE, reference_playthrough, reference_validate_speed
+from test_exact import _points_near_circle
+
+from escape_ratio import sim
 from escape_ratio.errors import DomainViolation, OutsideDomain, SpeedViolation
 from escape_ratio.exact import AploParams, DiskAploEscaper, aplo_position, disk_strategies
 from escape_ratio.geometry import MetricContext, PursuerModel, validate_polygon
@@ -649,24 +655,60 @@ class TestViewContract:
             view.last
 
 
-class _CountingDisk(DiskDomain):
+class _ClassifyingDisk(DiskDomain):
+    """Counts its membership calls and records every point they classify."""
+
     def __init__(self):
-        self.calls = 0
+        self.calls, self.points = 0, []
 
     def contains(self, p):
         self.calls += 1
+        self.points.append(tuple(float(c) for c in p))
         return super().contains(p)
 
+    def contains_many(self, pts):
+        self.calls += 1
+        self.points += [tuple(p) for p in pts.tolist()]
+        return super().contains_many(pts)
 
+
+class _Outputs(Strategy):
+    """Logs the positions a strategy returns, then hands them on."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.start_point = getattr(inner, "start_point", None)
+        self.max_speed = inner.max_speed
+        self.out = []
+
+    def reset(self):
+        self.inner.reset()
+        self.out = []
+
+    def position(self, opp, t):
+        p = self.inner.position(opp, t)
+        self.out.append(tuple(float(c) for c in p))
+        return p
+
+
+@pytest.mark.parametrize("block", [3, sim._BLOCK])
 @pytest.mark.parametrize("r", [4.4, 4.8], ids=["escape", "hold"])
-def test_step_asks_two_membership_questions(r):
-    # one per mover: the exit test reads the escaper's own answer
-    domain = _CountingDisk()
-    esc, purs = disk_strategies(r)
+def test_each_position_is_classified_once(r, block, monkeypatch):
+    # a block of steps is one membership call, and every position a
+    # strategy returns, including those past the end of the run, is
+    # classified exactly once
+    monkeypatch.setattr(sim, "_BLOCK", block)
+    domain = _ClassifyingDisk()
+    esc, purs = (_Outputs(s) for s in disk_strategies(r))
     pt = playthrough(esc, purs, dt=0.01, t_max=3.0, epsilon=0.01, domain=domain)
     steps = len(pt.escaper_path) - 1
     assert steps > 100
-    assert domain.calls == 2 + 2 * steps
+    assert domain.calls <= math.ceil(steps / block) + 2
+    start = tuple(pt.escaper_path.points[0])
+    assert Counter(domain.points) == Counter([start] + esc.out + purs.out)
+    assert len(esc.out) - steps in range(block)
+    assert esc.out[:steps] == [tuple(p) for p in pt.escaper_path.points[1:].tolist()]
+    assert purs.out[: steps + 1] == [tuple(p) for p in pt.pursuer_path.points.tolist()]
 
 
 class _Walker(Strategy):
@@ -741,3 +783,422 @@ class TestPolygonDomain:
             assert accepted == measured, p
             verdicts.add(accepted)
         assert verdicts == {True, False}
+
+
+def _result(run):
+    """What a playthrough gave, to compare bit for bit: the outcome, escape
+    time, separation, exit point, times, both point arrays and touches, or
+    the class and message of the error it raised."""
+    try:
+        pt = run()
+    except Exception as exc:
+        return type(exc), str(exc)
+    exit_point = None if pt.exit_point is None else pt.exit_point.tobytes()
+    return (pt.outcome, pt.escape_time, pt.separation, exit_point, pt.touches,
+            pt.escaper_path.times.tobytes(), pt.pursuer_path.times.tobytes(),
+            pt.escaper_path.points.tobytes(), pt.pursuer_path.points.tobytes())
+
+
+class _Script(Strategy):
+    """Follows ``path(t)``; as an escaper it starts at ``path(0)``."""
+
+    def __init__(self, path, max_speed=1.0):
+        self.path = path
+        self.start_point = np.asarray(path(0.0), dtype=float)
+        self.max_speed = max_speed
+
+    def position(self, opp, t):
+        return self.path(t)
+
+
+class _Camp(Strategy):
+    """A pursuer holding ``point``."""
+
+    def __init__(self, point):
+        self.point = point
+
+    def position(self, opp, t):
+        return self.point
+
+
+class _RaisesOnOutsideEscaper(Strategy):
+    """A disk pursuer at (1, 0) that cannot place itself against an
+    escaper outside the disk."""
+
+    def position(self, opp, t):
+        if math.hypot(*opp.last) > 1.0 + 1e-9:
+            raise ValueError("escaper outside the disk")
+        return (1.0, 0.0)
+
+
+def _disk(r, dt):
+    epsilon = 5 * 4.8 * dt if r > 4.603 else 0.01
+    return lambda engine: engine(*disk_strategies(r), dt=dt, t_max=2.0, epsilon=epsilon,
+                                 domain=DiskDomain())
+
+
+def _polygon(points, model, escaper, pursuer, epsilon=10.0):
+    """A run at dt 0.01 to t = 1.5; ``escaper`` and ``pursuer`` make the
+    strategies."""
+    def run(engine):
+        domain = PolygonDomain(MetricContext(validate_polygon(points), model))
+        return engine(escaper(), pursuer(), dt=0.01, t_max=1.5, epsilon=epsilon, domain=domain)
+    return run
+
+
+class _Cheater(StraightRunEscaper):
+    def position(self, opp, t):
+        return np.array([1.0 - 5.0 * t, 0.0])
+
+
+class _Leaver(StraightRunEscaper):
+    def position(self, opp, t):
+        return np.array([-0.5, 0.0]) if t > 0.2 else self.start_point
+
+
+class _Still(Strategy):
+    start_point = np.array([0.0, 0.0])
+
+    def position(self, opp, t):
+        return self.start_point
+
+
+class _Mirror(Strategy):
+    max_speed = 6.0
+
+    def position(self, opp, t):
+        h = opp.points[-1]
+        a = math.atan2(h[1], h[0])
+        return np.array([math.cos(a), math.sin(a)])
+
+
+def _mirror_run(engine):
+    return engine(DiskAploEscaper(6.0), _Mirror(), dt=0.01, t_max=200.0, epsilon=0.05,
+                  domain=DiskDomain())
+
+
+# every case runs under the block engine and under the scalar reference
+ENGINE_CASES = {
+    **{f"disk r={r} dt={dt}": _disk(r, dt) for r in (3.0, 4.4, 4.8) for dt in (1e-4, 1e-3)},
+    "halfplane hold": lambda engine: engine(*halfplane_scenario(math.pi / 2, 1.0)[1:], dt=1e-3,
+                                            t_max=3.0, epsilon=0.05,
+                                            domain=HalfplaneDomain(math.pi / 2)),
+    "halfplane escape": lambda engine: engine(*halfplane_scenario(math.pi / 4, 0.9)[1:],
+                                              dt=1e-3, t_max=3.0, epsilon=0.05,
+                                              domain=HalfplaneDomain(math.pi / 4)),
+    **{f"wedge r={r}": (lambda r: lambda engine: engine(
+        StraightRunEscaper([(math.cos(math.pi / 4), 0.0), (math.cos(math.pi / 4),
+                                                           math.sin(math.pi / 4))]),
+        WedgeProjectionPursuer(math.pi / 4, r), dt=1e-3, t_max=3.0, epsilon=0.05,
+        domain=WedgeDomain(math.pi / 4)))(r) for r in (1.2, 1.5)},
+    "oblivious disk pursuer": lambda engine: engine(
+        disk_strategies(4.8)[0], obliviate(disk_strategies(4.8)[1], 0.05 / 9.6), dt=1e-3,
+        t_max=3.0, epsilon=0.075, domain=DiskDomain()),
+    # the square, moat model: a walk out through the top edge, and a run
+    # along the bottom edge that touches every step
+    "square walk out": _polygon(SQUARE, PursuerModel.MOAT,
+                                lambda: _Walker((0.5, 0.5), (0.5, 1.0)),
+                                lambda: _Camp((0.5, 0.0)), epsilon=0.5),
+    "square run along an edge": _polygon(SQUARE, PursuerModel.MOAT,
+                                         lambda: StraightRunEscaper([(0.2, 0.0), (0.9, 0.0)]),
+                                         lambda: _Camp((0.0, 0.0))),
+    # the L, exterior model: runs to the reflex vertex and to a convex one,
+    # against a pursuer camping in the notch
+    "L to the reflex vertex": _polygon(L_SHAPE, PursuerModel.EXTERIOR,
+                                       lambda: StraightRunEscaper([(0.5, 0.5), (1.0, 1.0)]),
+                                       lambda: _Camp((1.5, 1.5))),
+    "L to a convex vertex": _polygon(L_SHAPE, PursuerModel.EXTERIOR,
+                                     lambda: StraightRunEscaper([(1.0, 0.5), (2.0, 1.0)]),
+                                     lambda: _Camp((1.5, 1.5)), epsilon=0.6),
+    # the violation tests of this file and of test_exact
+    "escaper speed": lambda engine: engine(
+        _Cheater([(1, 0), (0, 0)]), HalfplaneProjectionPursuer(math.pi / 2, 1.0), dt=0.01,
+        t_max=1.0, epsilon=0.05, domain=HalfplaneDomain(math.pi / 2)),
+    "escaper domain": lambda engine: engine(
+        _Leaver([(1, 0)]), WedgeProjectionPursuer(math.pi / 4, 2.0), dt=0.1, t_max=1.0,
+        epsilon=0.05, domain=WedgeDomain(math.pi / 4)),
+    "square escaper out": _polygon(SQUARE, PursuerModel.MOAT,
+                                   lambda: _Walker((0.5, 0.5), (0.5, -0.5)),
+                                   lambda: _Camp((0.5, 0.0))),
+    "square moat pursuer in": _polygon(SQUARE, PursuerModel.MOAT,
+                                       lambda: StraightRunEscaper([(0.5, 0.5)]),
+                                       lambda: _Walker((0.5, 0.0), (0.5, 0.5))),
+    "square exterior pursuer beyond hull": _polygon(
+        SQUARE, PursuerModel.EXTERIOR, lambda: StraightRunEscaper([(0.5, 0.5)]),
+        lambda: _Walker((0.5, 0.0), (0.5, -0.5))),
+    "still escaper": lambda engine: engine(_Still(), disk_strategies(4.8)[1], dt=0.01,
+                                           t_max=1.0, epsilon=0.05, domain=DiskDomain()),
+    "circling cap": _mirror_run,
+    # a pursuer that fails on the escaper point the reference never hands it
+    "pursuer fails past an escaper violation": lambda engine: engine(
+        _Script(lambda t: (0.5, 0.0) if t < 0.035 else (1.02, 0.0)),
+        _RaisesOnOutsideEscaper(), dt=0.01, t_max=1.0, epsilon=0.05, domain=DiskDomain()),
+}
+
+
+@functools.cache
+def _reference_result(case):
+    return _result(lambda: ENGINE_CASES[case](reference_playthrough))
+
+
+@pytest.mark.parametrize("case", list(ENGINE_CASES))
+def test_block_engine_matches_reference(case):
+    assert _result(lambda: ENGINE_CASES[case](playthrough)) == _reference_result(case)
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("case", [c for c in ENGINE_CASES if "dt=0.0001" not in c])
+def test_small_blocks_match_reference(case, block, monkeypatch):
+    monkeypatch.setattr(sim, "_BLOCK", block)
+    assert _result(lambda: ENGINE_CASES[case](playthrough)) == _reference_result(case)
+
+
+def _after(at, before, after):
+    return lambda t: after if t > at else before
+
+
+def _raise_after(at, position):
+    def path(t):
+        if t > at:
+            raise RuntimeError(f"strategy failed at t={t:.4g}")
+        return position
+    return path
+
+
+def _event_at(kind, step, dt=1e-3):
+    """A disk run whose first event, of ``kind``, comes at ``step`` (at
+    t = (step + 1) dt); every kind but the escape first fails on that step."""
+    at = (step + 0.5) * dt
+    escaper, pursuer, epsilon = _Script(lambda t: (0.5, 0.0)), _Camp((1.0, 0.0)), 0.05
+    if kind == "escaper domain":
+        escaper = _Script(_after(at, (0.5, 0.0), (1.5, 0.0)))
+    elif kind == "escaper speed":
+        escaper = _Script(_after(at, (0.5, 0.0), (0.5, 0.5)))
+    elif kind == "escaper raises":
+        escaper = _Script(_raise_after(at, (0.5, 0.0)))
+    elif kind == "pursuer domain":
+        pursuer = _Script(_after(at, (1.0, 0.0), (0.9, 0.0)))
+    elif kind == "pursuer speed":
+        pursuer = _Script(_after(at, (1.0, 0.0), (0.0, 1.0)))
+    elif kind == "pursuer raises":
+        pursuer = _Script(_raise_after(at, (1.0, 0.0)))
+    else:  # the escaper reaches the circle at unit speed, far from the pursuer
+        escaper, pursuer = StraightRunEscaper([(1 - (step + 1) * dt, 0.0), (1.0, 0.0)]), _Camp((-1.0, 0.0))
+    return lambda engine: engine(escaper, pursuer, dt=dt, t_max=(step + 3) * dt,
+                                 epsilon=epsilon, domain=DiskDomain())
+
+
+EVENT_KINDS = ["escaper domain", "escaper speed", "escaper raises", "pursuer domain",
+               "pursuer speed", "pursuer raises", "escape"]
+
+
+@pytest.mark.parametrize("block", [3, sim._BLOCK])
+@pytest.mark.parametrize("where", ["first step", "last step"])
+@pytest.mark.parametrize("kind", EVENT_KINDS)
+def test_event_at_a_block_edge(kind, where, block, monkeypatch):
+    # the second block's first or last step
+    monkeypatch.setattr(sim, "_BLOCK", block)
+    step = block if where == "first step" else 2 * block - 1
+    run = _event_at(kind, step)
+    want = _result(lambda: run(reference_playthrough))
+    assert _result(lambda: run(playthrough)) == want
+    if kind == "escape":
+        assert want[:2] == ("escaped", (step + 1) * 1e-3)
+    else:
+        assert want[1].endswith(f"t={(step + 1) * 1e-3:.4g}")
+
+
+def _escaper_event(kind, step, dt=1e-3):
+    at = (step + 0.5) * dt
+    if kind == "escape":  # reaches the circle at unit speed
+        return StraightRunEscaper([(1 - (step + 1) * dt, 0.0), (1.0, 0.0)])
+    if kind == "raises":
+        return _Script(_raise_after(at, (0.5, 0.0)))
+    return _Script(_after(at, (0.5, 0.0), (1.5, 0.0) if kind == "domain" else (0.5, 0.5)))
+
+
+def _pursuer_event(kind, step, dt=1e-3):
+    at = (step + 0.5) * dt
+    if kind == "raises":
+        return _Script(_raise_after(at, (-1.0, 0.0)))
+    return _Script(_after(at, (-1.0, 0.0), (-0.9, 0.0) if kind == "domain" else (0.0, 1.0)))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("pursuer_kind", ["domain", "speed", "raises"])
+@pytest.mark.parametrize("escaper_kind", ["domain", "speed", "raises", "escape"])
+def test_two_events_in_one_block(escaper_kind, pursuer_kind, offset):
+    # an escaper event at step 20 and a pursuer event one step before, on
+    # the same step or one step after: the first in step order wins
+    def run(engine):
+        return engine(_escaper_event(escaper_kind, 20), _pursuer_event(pursuer_kind, 20 + offset),
+                      dt=1e-3, t_max=0.05, epsilon=0.05, domain=DiskDomain())
+
+    want = _result(lambda: run(reference_playthrough))
+    assert _result(lambda: run(playthrough)) == want
+    # within a step the exit test comes after the pursuer's checks
+    pursuer_first = offset < 0 or (offset == 0 and escaper_kind == "escape")
+    who, kind = ("pursuer", pursuer_kind) if pursuer_first else ("escaper", escaper_kind)
+    if kind == "escape":
+        assert want[0] == "escaped"
+    else:
+        expected = {"domain": f"{who} left its domain", "speed": f"{who} moved",
+                    "raises": "strategy failed"}[kind]
+        assert expected in want[1]
+
+
+def test_pursuer_failing_on_an_escaper_it_never_sees_is_a_domain_violation():
+    # the block runs the pursuer on the escaper's point outside the disk; the
+    # reference engine stops at that point first
+    got = _result(lambda: ENGINE_CASES["pursuer fails past an escaper violation"](playthrough))
+    assert got == (DomainViolation, "escaper left its domain at t=0.04")
+
+
+def _aplo_paths(seed, n, r, times, axial_offset=0.0):
+    # random APLO parameters against random admissible progress, as the
+    # contract suites draw them
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        if axial_offset:
+            frac = rng.uniform(0.02, 0.98)
+            h0, axial = rng.normal(size=2), rng.normal(size=2) + axial_offset
+        else:
+            ang = rng.uniform(0, 2 * np.pi)
+            frac = rng.uniform(0.05, 0.95)
+            h0, axial = None, (math.cos(ang), math.sin(ang))
+        du, dv = math.cos(frac * math.pi / 2), math.sin(frac * math.pi / 2)
+        params = AploParams(h0=rng.normal(size=2) if h0 is None else h0, axial=axial,
+                            r_prime=r, du=du, dv=dv)
+        steps = rng.uniform(-r, r, len(times) - 1) * np.diff(times)
+        progress = np.concatenate([[0.0], np.cumsum(steps)])
+        yield MotionPath(times, [aplo_position(params, D, t) for D, t in zip(progress, times)],
+                         1.0, "escaper")
+
+
+def _speed_cases():
+    """(path, domain, pairs, seed) of every validate_speed call in the tests
+    and the disk demo, and of the playthroughs compared with the reference
+    engine above."""
+    disk = DiskDomain()
+    times = np.linspace(0, 0.5, 26)
+    yield MotionPath(np.arange(5) * 0.1, np.tile([0.3, 0.2], (5, 1)), 1.0, "escaper"), disk, 200, 0
+    yield MotionPath(times, np.column_stack([times - 0.9, np.zeros_like(times)]), 1.0,
+                     "escaper"), disk, 200, 0
+    times = np.linspace(0, 0.4, 21)
+    yield MotionPath(times, np.column_stack([1.5 * times - 0.9, np.zeros_like(times)]), 1.0,
+                     "escaper"), disk, 200, 0
+    for path in _aplo_paths(77, 10, 3.0, np.linspace(0, 2.0, 101)):
+        yield path, disk, 50, 1
+    for path in _aplo_paths(7, 100, 3.5, np.linspace(0.0, 1.5, 76), axial_offset=1e-3):
+        yield path, disk, 60, 5
+    for case in ("disk r=4.4 dt=0.001", "disk r=4.8 dt=0.001", "halfplane hold",
+                 "halfplane escape", "wedge r=1.2", "wedge r=1.5", "square walk out",
+                 "square run along an edge", "L to the reflex vertex", "L to a convex vertex"):
+        domains = []
+
+        def engine(*args, domain, **kwargs):
+            domains.append(domain)
+            return playthrough(*args, domain=domain, **kwargs)
+
+        pt = ENGINE_CASES[case](engine)
+        for path in (pt.escaper_path, pt.pursuer_path):
+            yield path, domains[0], 100, 0
+
+
+def test_validate_speed_matches_scalar_loop():
+    cases = list(_speed_cases())
+    verdicts = set()
+    for path, domain, pairs, seed in cases:
+        got = validate_speed(path, domain, pairs=pairs, seed=seed)
+        want = reference_validate_speed(path, domain, pairs=pairs, seed=seed)
+        assert got.passed == want.passed
+        assert got.limit == want.limit
+        # the array forms' np.hypot, np.arctan2 and hand-written dot may
+        # move a coordinate, an angle or a radius by an ulp; a distance that
+        # subtracts two of them moves by up to 2 ulps of pi (the largest of
+        # them), and a speed by that over the shortest span
+        slack = 4 * np.spacing(math.pi) / np.diff(path.times).min()
+        assert got.max_consecutive == pytest.approx(want.max_consecutive, rel=0, abs=slack)
+        assert got.max_pairwise == pytest.approx(want.max_pairwise, rel=0, abs=slack)
+        verdicts.add(got.passed)
+    assert verdicts == {True, False}
+
+
+class TestArguments:
+    """``playthrough`` refuses a bad dt, t_max or epsilon with a ValueError
+    naming it, as the CLI flags do."""
+
+    @staticmethod
+    def _run(**kwargs):
+        args = dict(dt=1e-3, t_max=0.1, epsilon=0.05)
+        args.update(kwargs)
+        return playthrough(*disk_strategies(4.4), domain=DiskDomain(), **args)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+    def test_dt_must_be_positive_and_finite(self, dt):
+        with pytest.raises(ValueError, match="^dt must be positive and finite"):
+            self._run(dt=dt)
+
+    @pytest.mark.parametrize("t_max", [-1.0, math.nan, math.inf])
+    def test_t_max_must_be_zero_or_more_and_finite(self, t_max):
+        with pytest.raises(ValueError, match="^t_max must be zero or more and finite"):
+            self._run(t_max=t_max)
+        assert len(self._run(t_max=0.0).escaper_path) == 1
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
+    def test_epsilon_must_be_positive_and_finite(self, epsilon):
+        with pytest.raises(ValueError, match="^epsilon must be positive and finite"):
+            self._run(epsilon=epsilon)
+
+
+def _domains():
+    square = validate_polygon(SQUARE)
+    return [DiskDomain(), HalfplaneDomain(math.pi / 3), WedgeDomain(math.pi / 5),
+            PolygonDomain(MetricContext(square, PursuerModel.MOAT)),
+            PolygonDomain(MetricContext(square, PursuerModel.EXTERIOR))]
+
+
+class TestArrayForms:
+    """Each array form decides as the scalar form it stands for."""
+
+    def test_disk_membership_near_the_circle(self):
+        # radii within a few ulps and within 3e-12 of 1 +- tol, where
+        # np.hypot and math.hypot can fall on different sides
+        domain = DiskDomain()
+        pts = np.array([p for radius in (1 + domain.tol, 1 - domain.tol, 1.0)
+                        for p in _points_near_circle(radius, seed=4, angles=40)])
+        want = np.array([domain.contains(p) for p in pts.tolist()]).T
+        assert np.array_equal(domain.contains_many(pts), want)
+        assert want[0].any() and not want[0].all() and want[1].any() and not want[1].all()
+
+    @pytest.mark.parametrize("domain", _domains(), ids=lambda d: type(d).__name__)
+    def test_membership(self, domain):
+        rng = np.random.default_rng(5)
+        pts = np.vstack([rng.uniform(-1.5, 1.5, (400, 2)),
+                         [(0.0, 0.0), (1.0, 0.0), (0.5, 0.0), (0.0, 1.0), (0.5, 1e-12)]])
+        want = np.array([domain.contains(p) for p in pts.tolist()]).T
+        assert np.array_equal(domain.contains_many(pts), want)
+
+    @pytest.mark.parametrize("domain", _domains(), ids=lambda d: type(d).__name__)
+    @pytest.mark.parametrize("side", ["escaper", "pursuer"])
+    def test_speed_decisions_at_the_limit(self, domain, side):
+        # a limit equal to the scalar distance, and one ulp below it: the
+        # scalar form says within, then over; the array form must agree
+        # even where its last bit differs
+        rng = np.random.default_rng(6)
+        ang = rng.uniform(-math.pi, math.pi, 300)
+        if isinstance(domain, PolygonDomain):
+            poly = domain.ctx.polygon
+            pts = (poly.boundary_point(rng.uniform(0, poly.perimeter, 300)) if side == "pursuer"
+                   else rng.uniform(0, 1, (300, 2)))
+        elif side == "pursuer" and isinstance(domain, DiskDomain):
+            pts = np.column_stack([np.cos(ang), np.sin(ang)])
+        else:
+            pts = rng.uniform(-2, 2, (300, 2))
+        i, j = np.arange(299), np.arange(1, 300)
+        one = getattr(domain, f"{side}_distance")
+        many = getattr(domain, f"{side}_distances")
+        d = np.array([one(p, q) for p, q in zip(pts[i].tolist(), pts[j].tolist())])
+        assert np.allclose(many(pts, i, j), d, rtol=0, atol=1e-14)
+        for limit in (d, np.nextafter(d, -np.inf)):
+            assert np.array_equal(sim._exceeds(many(pts, i, j), limit, one, pts, i, j), d > limit)
