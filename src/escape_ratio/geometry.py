@@ -11,6 +11,17 @@ simple enough to trust at the target sizes (n <= 200).
 All coordinates are plain floats; a global tolerance ``tol`` equal to
 1e-9 times the bounding-box diagonal absorbs roundoff in orientation and
 membership predicates.
+
+The kernels (``_segment_block``, ``point_classes``, ``_edge_projections``)
+lay their tables out edge-major, [edge, point or segment], so that every
+reduction over edges runs over the leading axis.  numpy reduces a short
+trailing axis slowly: with numpy 2.4 on a 2-CPU Xeon, ``min(axis=1)`` on a
+(1200, 6) float table takes 63 us and ``min(axis=0)`` on the same data laid
+out (6, 1200) 2.5 to 4 us; ``any`` and ``sum`` over bool tables gain alike.
+Each value is the same float operations in the same order as in the
+point-major layout, and ``min``, ``any`` and counts do not depend on the
+order of reduction, so the layout moves no bit.  ``Polygon`` caches the
+per-edge columns ([n, 1]) the kernels read.
 """
 
 from __future__ import annotations
@@ -91,12 +102,22 @@ class Polygon:
         object.__setattr__(self, "_next", nxt)
         object.__setattr__(self, "_edge_vecs", edges)
         object.__setattr__(self, "_edge_lengths", lengths)
-        object.__setattr__(self, "_edge_lengths2", np.maximum(lengths**2, 1e-300))
-        # each edge's bounding box widened by 2 tol: a point outside all of
-        # them is more than 2 tol from the boundary
+        # the kernels' per-edge columns, each [n, 1] (see the module docstring)
+        col = np.ascontiguousarray
+        object.__setattr__(self, "_vx", col(v[:, :1]))
+        object.__setattr__(self, "_vy", col(v[:, 1:]))
+        object.__setattr__(self, "_wy", col(nxt[:, 1:]))
+        object.__setattr__(self, "_ex", col(edges[:, :1]))
+        object.__setattr__(self, "_ey", col(edges[:, 1:]))
+        object.__setattr__(self, "_edge_lengths2", np.maximum(lengths**2, 1e-300)[:, None])
+        # each edge's bounding box widened by 2 tol, as columns lo x, lo y,
+        # hi x, hi y: a point outside all of them is more than 2 tol from the
+        # boundary
         reach = 2.0 * self.tol
-        object.__setattr__(self, "_edge_boxes", (np.minimum(v, nxt) - reach,
-                                                 np.maximum(v, nxt) + reach))
+        boxes = np.hstack([np.minimum(v, nxt) - reach, np.maximum(v, nxt) + reach])
+        object.__setattr__(self, "_edge_boxes", tuple(col(c) for c in boxes.T[:, :, None]))
+        # row k of a table over edges, indexed by it, is edge k - 1's
+        object.__setattr__(self, "_prev_edge", np.arange(-1, len(v) - 1))
         cum = np.concatenate([[0.0], np.cumsum(lengths)])
         object.__setattr__(self, "_cum_lengths", cum)
 
@@ -241,10 +262,10 @@ class Polygon:
         the first wins.
         """
         p = np.asarray(p, dtype=float)
-        t, d2 = _edge_projections(self, p[..., 0], p[..., 1])
-        params = self._cum_lengths[:-1] + t * self._edge_lengths
-        i = d2.argmin(axis=-1)[..., None]
-        return np.take_along_axis(params, i, axis=-1)[..., 0][()]
+        t, d2 = _edge_projections(self, p[..., 0].ravel(), p[..., 1].ravel())
+        params = self._cum_lengths[:-1, None] + t * self._edge_lengths[:, None]
+        i = d2.argmin(axis=0)
+        return params[i, np.arange(len(i))].reshape(p.shape[:-1])[()]
 
     def distance_to_boundary(self, p) -> float:
         p = np.asarray(p, dtype=float).reshape(1, 2)
@@ -303,7 +324,7 @@ def validate_polygon(points) -> Polygon:
     # so edges i and j touch when an end of one lies within tol of the other
     d2 = _edge_projections(poly, v[:, 0], v[:, 1])[1]
     near = d2 <= tol2
-    touch = near[i, j] | near[(i + 1) % n, j] | near[j, i] | near[(j + 1) % n, i]
+    touch = near[j, i] | near[j, (i + 1) % n] | near[i, j] | near[i, (j + 1) % n]
     bad = np.flatnonzero(cross | touch)
     if len(bad):
         k = bad[0]
@@ -380,10 +401,12 @@ def _stout(tris) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# Segment x edge elements per kernel block: each (segments x edges) float
+# Edge x segment elements per kernel block: each (edges x segments) float
 # table of a block takes 2**14 * 8 bytes = 128 KB, and a full block peaks
 # near 1.7 MB on the L-shape (tracemalloc), more when most segments are cut.
-# Larger blocks spread the per-block numpy overhead over more segments.
+# Larger blocks spread the per-block numpy overhead over more segments.  The
+# tables are edge-major, so each reduction over edges runs over the leading
+# axis (see the module docstring).
 _SEGMENT_BLOCK_ELEMENTS = 2**14
 
 
@@ -414,48 +437,51 @@ def segment_visibility(poly: Polygon, a, b):
 def _segment_block(poly: Polygon, a: np.ndarray, b: np.ndarray):
     n = poly.n
     v = poly.vertices
-    e = poly._edge_vecs
     tol = poly.tol
     d = b - a
-    dx, dy = d[:, 0, None], d[:, 1, None]
-    seg_len = np.hypot(d[:, 0], d[:, 1])[:, None]
-    dvx = v[:, 0] - a[:, 0, None]
-    dvy = v[:, 1] - a[:, 1, None]
+    ax, ay = np.ascontiguousarray(a.T)
+    dx, dy = np.ascontiguousarray(d.T)
+    seg_len = np.hypot(dx, dy)
+    # [edge k, segment r] tables
+    dvx = poly._vx - ax
+    dvy = poly._vy - ay
+    ex, ey = poly._ex, poly._ey
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # a + t*d = v_k + s*e_k for every segment x edge
-        denom = dx * e[:, 1] - dy * e[:, 0]
-        t = (dvx * e[:, 1] - dvy * e[:, 0]) / denom
+        # a + t*d = v_k + s*e_k for every edge x segment
+        denom = dx * ey - dy * ex
+        t = (dvx * ey - dvy * ex) / denom
         s = (dvx * dy - dvy * dx) / denom
         eps = tol / seg_len
-        cut = np.isfinite(t) & (t > eps) & (t < 1 - eps) & (s >= -1e-12) & (s <= 1 + 1e-12)
+        # a NaN or infinite t fails t > eps or t < 1 - eps
+        cut = (t > eps) & (t < 1 - eps) & (s >= -1e-12) & (s <= 1 + 1e-12)
         # vertex k ends edges k-1 and k; it cuts the segment when one of them
         # is parallel to it and the vertex lies within tol of it
         par = np.abs(denom) <= tol * seg_len
-        # only these (segment r, vertex k) pairs can touch
-        r, k = (par | par[:, np.arange(-1, n - 1)]).nonzero()
+        # only these (vertex k, segment r) pairs can touch
+        k, r = (par | par[poly._prev_edge]).nonzero()
         tt = np.empty(0)
         if len(r):
-            rx, ry, rl, r_eps = dx[r, 0], dy[r, 0], seg_len[r, 0], eps[r, 0]
-            along = dvx[r, k] * rx + dvy[r, k] * ry
+            rx, ry, rl, r_eps = dx[r], dy[r], seg_len[r], eps[r]
+            along = dvx[k, r] * rx + dvy[k, r] * ry
             u = np.clip(along / (rx * rx + ry * ry), 0.0, 1.0)
-            gap = np.hypot(v[k, 0] - (a[r, 0] + u * rx), v[k, 1] - (a[r, 1] + u * ry))
+            gap = np.hypot(v[k, 0] - (ax[r] + u * rx), v[k, 1] - (ay[r] + u * ry))
             tt = along / (rl * rl)
             touch = (gap <= tol) & (tt > r_eps) & (tt < 1 - r_eps)
             r, k, tt = r[touch], k[touch], tt[touch]
-    split = cut.any(axis=1)
+    split = cut.any(axis=0)
     split[r] = True
-    d = np.where(seg_len <= tol, 0.0, d)
+    d = np.where(seg_len[:, None] <= tol, 0.0, d)
     mids = a + 0.5 * d
     if not split.any():
         cls = point_classes(poly, mids)
         return cls >= 0, cls <= 0
     whole = np.nonzero(~split)[0]
     parts = np.nonzero(split)[0]
-    # split segments: unused cut slots repeat t = 1 and leave empty pieces
-    # behind the sort
+    # split segments, one row each: unused cut slots repeat t = 1 and leave
+    # empty pieces behind the sort
     ts = np.ones((len(parts), 2 + 2 * n))
     ts[:, 0] = 0.0
-    ts[:, 2 : 2 + n] = np.where(cut[parts], t[parts], 1.0)
+    ts[:, 2 : 2 + n] = np.where(cut[:, parts], t[:, parts], 1.0).T
     ts[np.searchsorted(parts, r), 2 + n + k] = tt
     ts = np.sort(np.round(ts, 15), axis=1)
     live = ts[:, 1:] > ts[:, :-1]
@@ -479,31 +505,29 @@ def segment_avoids_interior(poly: Polygon, a, b) -> bool:
 
 
 def _edge_projections(poly: Polygon, x, y):
-    """Projection of each point ``(x, y)`` onto each edge: the clamped edge
-    parameter ``t`` and the squared distance ``d2``, both of shape
-    ``x.shape + (n,)``."""
-    v = poly.vertices
-    e = poly._edge_vecs
-    x, y = x[..., None], y[..., None]
-    t = np.clip(((x - v[:, 0]) * e[:, 0] + (y - v[:, 1]) * e[:, 1]) / poly._edge_lengths2, 0.0, 1.0)
-    px = v[:, 0] + t * e[:, 0] - x
-    py = v[:, 1] + t * e[:, 1] - y
+    """Projection of each point ``(x, y)`` (1-D arrays) onto each edge: the
+    clamped edge parameter ``t`` and the squared distance ``d2``, both
+    [edge, point]."""
+    vx, vy, ex, ey = poly._vx, poly._vy, poly._ex, poly._ey
+    t = np.clip(((x - vx) * ex + (y - vy) * ey) / poly._edge_lengths2, 0.0, 1.0)
+    px = vx + t * ex - x
+    py = vy + t * ey - y
     return t, px * px + py * py
 
 
 def _min_feature_size(d2: np.ndarray) -> float:
-    """``Polygon.min_feature_size`` from the squared distances d2[vertex,
-    edge] of the vertices to the edges; overwrites the entries of each
+    """``Polygon.min_feature_size`` from the squared distances d2[edge,
+    vertex] of the vertices to the edges; overwrites the entries of each
     edge's own two vertices."""
     n = len(d2)
     k = np.arange(n)
-    d2[k, k] = d2[(k + 1) % n, k] = np.inf
+    d2[k, k] = d2[k, (k + 1) % n] = np.inf
     return float(np.sqrt(d2.min()))
 
 
 def _boundary_distance2(poly: Polygon, pts: np.ndarray) -> np.ndarray:
     """Squared distance from each point to its nearest edge."""
-    return _edge_projections(poly, pts[:, 0], pts[:, 1])[1].min(axis=1)
+    return _edge_projections(poly, pts[:, 0], pts[:, 1])[1].min(axis=0)
 
 
 _CLASS_NAMES = {1: "inside", 0: "boundary", -1: "outside"}
@@ -516,19 +540,19 @@ def point_classes(poly: Polygon, pts) -> np.ndarray:
     measured against the edges; every other point is off the boundary.
     """
     pts = np.asarray(pts, dtype=float)
-    v, w = poly.vertices, poly._next
-    x = pts[:, 0][:, None]
-    y = pts[:, 1][:, None]
-    lo, hi = poly._edge_boxes
-    near = np.nonzero(((x >= lo[:, 0]) & (x <= hi[:, 0]) & (y >= lo[:, 1]) & (y <= hi[:, 1]))
-                      .any(axis=1))[0]
+    x, y = np.ascontiguousarray(pts.T)
+    lo_x, lo_y, hi_x, hi_y = poly._edge_boxes
+    near = np.nonzero(((x >= lo_x) & (x <= hi_x) & (y >= lo_y) & (y <= hi_y)).any(axis=0))[0]
     on_b = np.zeros(len(pts), dtype=bool)
     if len(near):
         on_b[near] = _boundary_distance2(poly, pts[near]) <= poly.tol**2
-    cond = (v[:, 1] <= y) != (w[:, 1] <= y)
+    vy = poly._vy
+    # [edge, point]: the ray from each point toward +x crosses the edge
+    cond = (vy <= y) != (poly._wy <= y)
     with np.errstate(divide="ignore", invalid="ignore"):
-        xs = v[:, 0] + (y - v[:, 1]) * (w[:, 0] - v[:, 0]) / (w[:, 1] - v[:, 1])
-    inside = (cond & (xs > x)).sum(axis=1) % 2 == 1
+        xs = poly._vx + (y - vy) * poly._ex / poly._ey
+    # an odd number of crossings: their parity, not their count
+    inside = np.logical_xor.reduce(cond & (xs > x), axis=0)
     return np.where(on_b, 0, np.where(inside, 1, -1))
 
 
@@ -571,7 +595,7 @@ def _point_stage(poly: Polygon, pts: np.ndarray, side: int, cap: float) -> _Poin
     return _PointStage(
         pts=pts, x=pts[:, 0].copy(), y=pts[:, 1].copy(), fans=fans,
         paths=_relaxed(poly, fans, side, np.flatnonzero(near.any(axis=1))),
-        clearance=np.sqrt(d2.min(axis=1)),
+        clearance=np.sqrt(d2.min(axis=0)),
         own_side=point_classes(poly, pts) == (-1 if side else 1),
         pieces=_piece_bits(poly, pts, d2, side), fan_segments=len(k),
     )
@@ -635,7 +659,8 @@ def pair_geodesics(poly: Polygon, pts, i, j, sides) -> np.ndarray:
         if not len(bent):
             continue
         w = np.where(vis[rows:].reshape(-1, n), fans, np.inf)
-        paths = _relaxed(poly, w, sides[k], np.arange(len(pts)))
+        # only the rows the bent pairs read
+        paths = _relaxed(poly, w, sides[k], np.unique(i.take(bent)))
         for lo in range(0, len(bent), _PAIR_BLOCK):
             block = bent[lo : lo + _PAIR_BLOCK]
             sums = np.take(paths, i.take(block), axis=0)
@@ -713,7 +738,7 @@ def pairs_within(poly: Polygon, pts, i, j, interior: bool, limit: float) -> np.n
 def _piece_bits(poly: Polygon, pts: np.ndarray, d2: np.ndarray, side: int) -> np.ndarray:
     """Which pieces of ``side`` hold each point, as packed bits per row: two
     points share a piece when their rows share a bit.  ``d2`` holds the
-    squared distances from the points to the edges."""
+    squared distances from the edges to the points, [edge, point]."""
     tris, edges = poly._pieces[side]
     x, y = pts[:, 0, None], pts[:, 1, None]
     held = np.ones((len(pts), len(tris)), dtype=bool)
@@ -722,7 +747,7 @@ def _piece_bits(poly: Polygon, pts: np.ndarray, d2: np.ndarray, side: int) -> np
     for k in range(3):
         o, e = tris[:, k], tris[:, (k + 1) % 3] - tris[:, k]
         held &= e[:, 0] * (y - o[:, 1]) - e[:, 1] * (x - o[:, 0]) >= 0
-    near = d2[:, edges] <= (0.5 * poly.tol) ** 2
+    near = (d2[edges] <= (0.5 * poly.tol) ** 2).T
     return np.packbits(np.concatenate([held, near], axis=1), axis=1)
 
 
@@ -741,12 +766,15 @@ def _relaxed(poly: Polygon, fans: np.ndarray, side: int, rows: np.ndarray) -> np
 
 def _relax(fans: np.ndarray, graph: np.ndarray) -> np.ndarray:
     """Shortest fan-then-graph path lengths to each vertex, per row of fans:
-    each path's edges are added left to right, as a Dijkstra would add them."""
-    d = fans
+    each path's edges are added left to right, as a Dijkstra would add them.
+    The sums are vertex-major, [u, v, row], so the minimum over the last
+    vertex u runs over the leading axis."""
+    d = np.ascontiguousarray(fans.T)
+    graph = graph[:, :, None]
     while True:
-        nxt = np.minimum(d, (d[..., :, None] + graph).min(axis=-2))
+        nxt = np.minimum(d, (d[:, None] + graph).min(axis=0))
         if np.array_equal(nxt, d):
-            return d
+            return d.T
         d = nxt
 
 
@@ -867,13 +895,16 @@ class MetricContext:
 
     def _check_domain(self, pts: np.ndarray, side: int) -> None:
         """Raise ``OutsideDomain`` at the first point outside the side's
-        domain (row ``side`` of ``contains``)."""
+        domain (row ``side`` of ``contains``).  Side 0 reads the classes
+        alone: the hull test never decides row 0."""
+        if side == 0:
+            if np.any(point_classes(self.polygon, pts) < 0):
+                raise OutsideDomain("point not in the escaper domain")
+            return
         member = self.contains(pts)
-        bad = ~member[side]
+        bad = ~member[1]
         if not bad.any():
             return
-        if side == 0:
-            raise OutsideDomain("point not in the escaper domain")
         if self.model is PursuerModel.MOAT:
             raise OutsideDomain("point not on the boundary (moat model)")
         raise OutsideDomain("point inside the escaper domain" if member[0, bad.argmax()]

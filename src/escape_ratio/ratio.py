@@ -87,7 +87,11 @@ class RatioBound:
 
 def ratio_of_pair(ctx: MetricContext, p, q) -> float:
     """d_z(p,q) / d_h(p,q) for two boundary points; a lower bound on r*."""
-    ratio = float(_pair_ratios(ctx, np.array([[p, q]], dtype=float))[0])
+    pts = np.array([[p, q]], dtype=float)
+    poly = ctx.polygon
+    if np.any(_boundary_distance2(poly, pts.reshape(-1, 2)) > poly.tol**2):
+        raise OutsideDomain("ratio pairs must lie on the polygon boundary")
+    ratio = float(_pair_ratios(ctx, pts)[0])
     if ratio == -np.inf:
         raise DegeneratePair("d_h(p, q) is below tolerance")
     return ratio
@@ -190,11 +194,10 @@ def _branch_and_bound(bound: np.ndarray, best: float, evaluate) -> int:
 
 def _pair_ratios(ctx: MetricContext, pts: np.ndarray) -> np.ndarray:
     """d_z/d_h for each boundary point pair (p, q), rows of ``pts``
-    [k, 2, 2], -inf where d_h is below tol: one domain test and at most one
-    kernel call for the whole batch."""
+    [k, 2, 2], -inf where d_h is below tol: at most one kernel call for the
+    whole batch.  The points are not checked: ``boundary_point`` made the
+    refinement's, and ``ratio_of_pair`` tests its own."""
     poly = ctx.polygon
-    if np.any(_boundary_distance2(poly, pts.reshape(-1, 2)) > poly.tol**2):
-        raise OutsideDomain("ratio pairs must lie on the polygon boundary")
     # a batch of one golden search holds one end fixed: pass it once
     P, Q = (pts[:1, i] if np.all(pts[:, i] == pts[0, i]) else pts[:, i] for i in (0, 1))
     rows = np.arange(len(pts))
@@ -405,8 +408,11 @@ def max_ratio(ctx: MetricContext, spacing: float) -> RatioBound:
         # only the batch's endpoints: every point passed gets its fan tested
         ends, inv = np.unique(np.concatenate([i, j]), return_inverse=True)
         a, b = inv[: len(k)], inv[len(k):]
-        dh = _pairwise_dh(ctx, pts[ends], a, b)
-        dz = _pairwise_dz(ctx, params[ends], pts[ends], a, b)
+        if ctx.model is PursuerModel.MOAT:
+            dh = _pairwise_dh(ctx, pts[ends], a, b)
+            dz = _pairwise_dz(ctx, params[ends], pts[ends], a, b)
+        else:  # both metrics from one kernel call
+            dh, dz = pair_geodesics(poly, pts[ends], a, b, (0, 1))
         valid = dh > poly.tol
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(valid, dz / np.maximum(dh, poly.tol), -np.inf)

@@ -155,6 +155,77 @@ def reference_contains(ctx, pts) -> np.ndarray:
     return np.array(rows, dtype=bool).reshape(-1, 2).T
 
 
+def _sorting_boundary_distance2(poly, pts):
+    """The 3-D form of ``_boundary_distance2``: (points, edges, 2) temporaries
+    reduced over the last axis."""
+    v = poly.vertices
+    e = poly._edge_vecs
+    lens2 = np.maximum(poly.edge_lengths**2, 1e-300)
+    diff = pts[:, None, :] - v[None, :, :]
+    t = np.clip((diff * e[None, :, :]).sum(-1) / lens2[None, :], 0.0, 1.0)
+    proj = v[None, :, :] + t[..., None] * e[None, :, :]
+    return ((proj - pts[:, None, :]) ** 2).sum(-1).min(axis=1)
+
+
+def _sorting_point_classes(poly, pts):
+    """``point_classes`` measuring every point against every edge, on
+    point-major (points x edges) tables."""
+    v = poly.vertices
+    on_b = _sorting_boundary_distance2(poly, pts) <= poly.tol**2
+    w = np.roll(v, -1, axis=0)
+    y = pts[:, 1][:, None]
+    x = pts[:, 0][:, None]
+    cond = (v[None, :, 1] <= y) != (w[None, :, 1] <= y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xs = v[None, :, 0] + (y - v[None, :, 1]) * (w[None, :, 0] - v[None, :, 0]) / (
+            w[None, :, 1] - v[None, :, 1]
+        )
+    inside = (np.where(cond, xs > x, False)).sum(axis=1) % 2 == 1
+    return np.where(on_b, 0, np.where(inside, 1, -1))
+
+
+def _sorting_segment_visibility(poly, a, b):
+    """The kernel that sorts every segment's cut table, evaluating the touch
+    arithmetic at every segment x vertex, in one block, on segment-major
+    (segments x edges) tables: the oracle for ``segment_visibility``.  Also
+    returns which segments have more than one piece."""
+    n = poly.n
+    v = poly.vertices
+    e = poly._edge_vecs
+    tol = poly.tol
+    d = b - a
+    dx, dy = d[:, 0, None], d[:, 1, None]
+    seg_len = np.hypot(d[:, 0], d[:, 1])[:, None]
+    dvx = v[:, 0] - a[:, 0, None]
+    dvy = v[:, 1] - a[:, 1, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        denom = dx * e[:, 1] - dy * e[:, 0]
+        t = (dvx * e[:, 1] - dvy * e[:, 0]) / denom
+        s = (dvx * dy - dvy * dx) / denom
+        eps = tol / seg_len
+        cut = np.isfinite(t) & (t > eps) & (t < 1 - eps) & (s >= -1e-12) & (s <= 1 + 1e-12)
+        par = np.abs(denom) <= tol * seg_len
+        along = dvx * dx + dvy * dy
+        u = np.clip(along / (dx * dx + dy * dy), 0.0, 1.0)
+        gap = np.hypot(v[:, 0] - (a[:, 0, None] + u * dx), v[:, 1] - (a[:, 1, None] + u * dy))
+        tt = along / (seg_len * seg_len)
+        touch = (par | par[:, np.arange(-1, n - 1)]) & (gap <= tol) & (tt > eps) & (tt < 1 - eps)
+    ts = np.ones((len(a), 2 + 2 * n))
+    ts[:, 0] = 0.0
+    ts[:, 2 : 2 + n] = np.where(cut, t, 1.0)
+    ts[:, 2 + n :] = np.where(touch, tt, 1.0)
+    ts = np.sort(np.round(ts, 15), axis=1)
+    live = ts[:, 1:] > ts[:, :-1]
+    rows = np.nonzero(live)[0]
+    mid_t = (0.5 * (ts[:, :-1] + ts[:, 1:]))[live]
+    d = np.where(seg_len <= tol, 0.0, d)
+    cls = _sorting_point_classes(poly, a[rows] + mid_t[:, None] * d[rows])
+    within = np.bincount(rows[cls < 0], minlength=len(a)) == 0
+    avoids = np.bincount(rows[cls > 0], minlength=len(a)) == 0
+    # segments with more than one piece: those an edge cuts or a vertex touches
+    return within, avoids, np.bincount(rows, minlength=len(a)) > 1
+
+
 def _point_segment_distance(p, a, b) -> float:
     ab = np.subtract(b, a)
     denom = float(ab @ ab)

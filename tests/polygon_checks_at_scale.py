@@ -41,6 +41,14 @@ checked with the scalar ``contains`` and distances before the next) bit for
 bit: a straight run to a vertex at dt 1e-3 against a pursuer camping on
 the boundary, which the escaper then touches every step without escaping.
 
+On every vertex pair of the 100- and 200-vertex stars, ``segment_visibility``
+must equal the segment-major sorting oracle ``_sorting_segment_visibility``,
+and ``point_classes`` and ``_boundary_distance2`` on the pairs' midpoints, the
+vertices and points on and 0.6 tol off the boundary must equal
+``_sorting_point_classes`` and ``_sorting_boundary_distance2``, bit for bit.
+The oracles run a block of 200 segments or points at a time, to bound their
+(segments x edges) tables.
+
 Prints one line per polygon and check with both timings and exits 1 on any
 difference.
 """
@@ -53,6 +61,9 @@ from conftest import (
     COMB,
     L_SHAPE,
     SPIRAL,
+    _sorting_boundary_distance2,
+    _sorting_point_classes,
+    _sorting_segment_visibility,
     reference_contains,
     reference_min_feature_size,
     reference_playthrough,
@@ -64,6 +75,7 @@ from test_geometry import (
     L_COLLINEAR,
     NOTCH,
     SLIT,
+    _near_boundary,
     _radial_polygon,
     _star,
     _reference_geodesic,
@@ -77,10 +89,12 @@ from escape_ratio.geometry import (
     MetricContext,
     Polygon,
     PursuerModel,
+    _boundary_distance2,
     convex_hull,
     pair_geodesics,
     point_classes,
     point_in_convex_hull,
+    segment_visibility,
     validate_polygon,
 )
 from escape_ratio.sim import PolygonDomain, StraightRunEscaper, playthrough
@@ -217,6 +231,39 @@ def net_failures(probes=500) -> int:
     return failed
 
 
+def blocked(fn, *arrays, block=200):
+    """``fn`` over ``block`` rows of ``arrays`` at a time: each of the
+    tuples it returns, concatenated."""
+    outs = [fn(*(x[lo : lo + block] for x in arrays)) for lo in range(0, len(arrays[0]), block)]
+    return [np.concatenate(col) for col in zip(*outs)]
+
+
+def sorting_failures() -> int:
+    """The kernels against the sorting oracles on every vertex pair of the
+    100- and 200-vertex stars (the vertex visibility graphs' segments)."""
+    failed = 0
+    for name, points in (("star100", _star(50)), ("star200", _star(100))):
+        poly = validate_polygon(points)
+        iu, ju = np.triu_indices(poly.n, k=1)
+        a, b = poly.vertices[iu], poly.vertices[ju]
+        got, t_got = timed(segment_visibility, poly, a, b)
+        ref, t_ref = timed(blocked, lambda a, b: _sorting_segment_visibility(poly, a, b)[:2], a, b)
+        same = all(np.array_equal(g, r) for g, r in zip(got, ref))
+        failed += not same
+        print(f"{name} segment_visibility: {len(a)} vertex pairs, {'same' if same else 'DIFFERENT'} "
+              f"({t_ref:.3f} s -> {t_got:.3f} s)", flush=True)
+        pts = np.vstack([0.5 * (a + b), _near_boundary(poly, poly.cumulative_lengths[:-1]),
+                         _near_boundary(poly, np.linspace(0, poly.perimeter, 1000))])
+        got, t_got = timed(lambda: (point_classes(poly, pts), _boundary_distance2(poly, pts)))
+        ref, t_ref = timed(blocked, lambda p: (_sorting_point_classes(poly, p),
+                                               _sorting_boundary_distance2(poly, p)), pts)
+        same = np.array_equal(got[0], ref[0]) and got[1].tobytes() == ref[1].tobytes()
+        failed += not same
+        print(f"{name} point_classes: {len(pts)} points, {'same' if same else 'DIFFERENT'} "
+              f"({t_ref:.3f} s -> {t_got:.3f} s)", flush=True)
+    return failed
+
+
 PLAYTHROUGHS = [
     # polygon, model, escaper start, the vertex it runs to, the pursuer's camp
     ("star48", _star(24), PursuerModel.MOAT, (0.0, 0.0), 0, 2),
@@ -276,6 +323,7 @@ def main() -> int:
             line += f"; {ref[0].__name__}: {ref[1]}"
         failed += not same
         print(line, flush=True)
+    failed += sorting_failures()
     failed += membership_failures()
     failed += relation_failures()
     failed += geodesic_failures()

@@ -41,6 +41,9 @@ from conftest import (
     SQUARE,
     TRIANGLE,
     _point_segment_distance,
+    _sorting_boundary_distance2,
+    _sorting_point_classes,
+    _sorting_segment_visibility,
     random_convex_polygon,
     random_point_inside,
     reference_classify,
@@ -317,6 +320,25 @@ class TestInteriorDistance:
         with pytest.raises(OutsideDomain):
             square_moat.interior_distance((2, 2), (0, 0))
 
+    def test_exterior_escaper_side_runs_no_hull_test(self, monkeypatch):
+        # row 0 of contains is the classes alone, so side 0 of _check_domain
+        # (every interior_distance, and verify_net's escaper rounds) never
+        # reaches the hull test; side 1 still does
+        ctx = MetricContext(validate_polygon(L_SHAPE), PursuerModel.EXTERIOR)
+        ref = _reference_geodesic(ctx, (0.5, 1.5), (1.5, 0.5), True)
+
+        def no_hull(*args):
+            raise AssertionError("hull test reached")
+
+        monkeypatch.setattr(geometry, "point_in_convex_hull", no_hull)
+        assert ctx.interior_distance((0.5, 1.5), (1.5, 0.5)) == ref
+        ctx._check_domain(np.array([(0.5, 0.5), (2.0, 1.0), (1.0, 2.0)]), 0)
+        for p in ((1.5, 1.5), (3.0, 3.0)):
+            with pytest.raises(OutsideDomain, match="^point not in the escaper domain$"):
+                ctx.interior_distance((0.5, 0.5), p)
+        with pytest.raises(AssertionError, match="hull test reached"):
+            ctx.pursuer_distance((2.0, 0.0), (2.0, 1.0))
+
     def test_lower_bounded_by_euclid(self, l_moat):
         rng = np.random.default_rng(11)
         poly = l_moat.polygon
@@ -567,74 +589,6 @@ class TestSegmentVisibility:
             assert np.array_equal(got[0], whole[0]) and np.array_equal(got[1], whole[1])
 
 
-def _sorting_boundary_distance2(poly, pts):
-    """The 3-D form of ``_boundary_distance2``: (points, edges, 2) temporaries
-    reduced over the last axis."""
-    v = poly.vertices
-    e = poly._edge_vecs
-    lens2 = np.maximum(poly.edge_lengths**2, 1e-300)
-    diff = pts[:, None, :] - v[None, :, :]
-    t = np.clip((diff * e[None, :, :]).sum(-1) / lens2[None, :], 0.0, 1.0)
-    proj = v[None, :, :] + t[..., None] * e[None, :, :]
-    return ((proj - pts[:, None, :]) ** 2).sum(-1).min(axis=1)
-
-
-def _sorting_point_classes(poly, pts):
-    """``point_classes`` measuring every point against every edge."""
-    v = poly.vertices
-    on_b = _sorting_boundary_distance2(poly, pts) <= poly.tol**2
-    w = np.roll(v, -1, axis=0)
-    y = pts[:, 1][:, None]
-    x = pts[:, 0][:, None]
-    cond = (v[None, :, 1] <= y) != (w[None, :, 1] <= y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xs = v[None, :, 0] + (y - v[None, :, 1]) * (w[None, :, 0] - v[None, :, 0]) / (
-            w[None, :, 1] - v[None, :, 1]
-        )
-    inside = (np.where(cond, xs > x, False)).sum(axis=1) % 2 == 1
-    return np.where(on_b, 0, np.where(inside, 1, -1))
-
-
-def _sorting_segment_visibility(poly, a, b):
-    """The kernel that sorts every segment's cut table, evaluating the touch
-    arithmetic at every segment x vertex, in one block."""
-    n = poly.n
-    v = poly.vertices
-    e = poly._edge_vecs
-    tol = poly.tol
-    d = b - a
-    dx, dy = d[:, 0, None], d[:, 1, None]
-    seg_len = np.hypot(d[:, 0], d[:, 1])[:, None]
-    dvx = v[:, 0] - a[:, 0, None]
-    dvy = v[:, 1] - a[:, 1, None]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        denom = dx * e[:, 1] - dy * e[:, 0]
-        t = (dvx * e[:, 1] - dvy * e[:, 0]) / denom
-        s = (dvx * dy - dvy * dx) / denom
-        eps = tol / seg_len
-        cut = np.isfinite(t) & (t > eps) & (t < 1 - eps) & (s >= -1e-12) & (s <= 1 + 1e-12)
-        par = np.abs(denom) <= tol * seg_len
-        along = dvx * dx + dvy * dy
-        u = np.clip(along / (dx * dx + dy * dy), 0.0, 1.0)
-        gap = np.hypot(v[:, 0] - (a[:, 0, None] + u * dx), v[:, 1] - (a[:, 1, None] + u * dy))
-        tt = along / (seg_len * seg_len)
-        touch = (par | par[:, np.arange(-1, n - 1)]) & (gap <= tol) & (tt > eps) & (tt < 1 - eps)
-    ts = np.ones((len(a), 2 + 2 * n))
-    ts[:, 0] = 0.0
-    ts[:, 2 : 2 + n] = np.where(cut, t, 1.0)
-    ts[:, 2 + n :] = np.where(touch, tt, 1.0)
-    ts = np.sort(np.round(ts, 15), axis=1)
-    live = ts[:, 1:] > ts[:, :-1]
-    rows = np.nonzero(live)[0]
-    mid_t = (0.5 * (ts[:, :-1] + ts[:, 1:]))[live]
-    d = np.where(seg_len <= tol, 0.0, d)
-    cls = _sorting_point_classes(poly, a[rows] + mid_t[:, None] * d[rows])
-    within = np.bincount(rows[cls < 0], minlength=len(a)) == 0
-    avoids = np.bincount(rows[cls > 0], minlength=len(a)) == 0
-    # segments with more than one piece: those an edge cuts or a vertex touches
-    return within, avoids, np.bincount(rows, minlength=len(a)) > 1
-
-
 def _degenerate_segments(poly, pool, rng, count):
     """Random pairs from ``pool``; at every vertex a zero-length segment; from
     1.05 tol beside every pool point along each axis, a segment 0.3 tol long
@@ -713,6 +667,26 @@ class TestSortingKernelAgreement:
         pool = np.vstack([grid, _near_boundary(poly, ts)])
         a, b = _degenerate_segments(poly, pool, rng, 1500)
         _assert_matches_sorting_kernel(poly, pool, a, b, monkeypatch)
+
+    @pytest.mark.parametrize("points", [L_COLLINEAR, COMB, _star(24)],
+                             ids=["l_collinear", "comb", "star48"])
+    def test_refinement_batches(self, points, monkeypatch):
+        # a refinement batch's segments: boundary points' fans to every
+        # vertex and their pairs to the points of +-spacing windows, each
+        # window centred on a start or on a vertex (the collinear ones among
+        # them), every point also taken 0.6 tol off the boundary
+        poly = validate_polygon(points)
+        spacing = poly.min_feature_size / 10
+        rng = np.random.default_rng(3)
+        cum = poly.cumulative_lengths[:-1]
+        t_starts = np.concatenate([cum[:2], rng.random(2) * poly.perimeter])
+        centres = np.concatenate([t_starts, cum[rng.permutation(poly.n)[:8]]])
+        starts = _near_boundary(poly, t_starts)
+        ends = _near_boundary(poly, (centres[:, None] + np.linspace(-spacing, spacing, 9)).ravel())
+        v = poly.vertices
+        a = np.repeat(starts, poly.n + len(ends), axis=0)
+        b = np.vstack([np.vstack([v, ends])] * len(starts))
+        _assert_matches_sorting_kernel(poly, np.vstack([starts, ends]), a, b, monkeypatch)
 
 
 class TestMembershipAgreement:

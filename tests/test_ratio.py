@@ -23,7 +23,7 @@ from escape_ratio.ratio import (
 )
 
 from conftest import COMB, L_SHAPE, RECT_1x10, SPIRAL, SQUARE, TRIANGLE, all_pairs_max_ratio
-from test_geometry import L_COLLINEAR, _relabellings
+from test_geometry import L_COLLINEAR, _relabellings, _star
 
 _ANGLES = np.linspace(0, 2 * math.pi, 101)[:-1]
 GON_100 = np.column_stack([np.cos(_ANGLES), np.sin(_ANGLES)])
@@ -71,6 +71,20 @@ class TestRatioOfPair:
     def test_interior_point_rejected(self, square_moat):
         with pytest.raises(OutsideDomain):
             ratio_of_pair(square_moat, (0.5, 0.5), (0.5, 0))
+
+    @pytest.mark.parametrize("model", list(PursuerModel))
+    def test_off_boundary_point_rejected_with_message(self, model):
+        # ratio_of_pair runs the boundary test that the refinement's
+        # batches skip; a point within tol of the boundary passes it
+        ctx = MetricContext(validate_polygon(L_SHAPE), model)
+        tol = ctx.polygon.tol
+        for p in ((0.5, 0.5), (0.5, -2 * tol), (1.5, 1.5), (3.0, 3.0)):
+            with pytest.raises(OutsideDomain, match="^ratio pairs must lie on the polygon boundary$"):
+                ratio_of_pair(ctx, (1.0, 0.0), p)
+            with pytest.raises(OutsideDomain, match="^ratio pairs must lie on the polygon boundary$"):
+                ratio_of_pair(ctx, p, (1.0, 0.0))
+        assert ratio_of_pair(ctx, (0.5, 0.6 * tol), (2.0, 0.5)) == pytest.approx(
+            ratio_of_pair(ctx, (0.5, 0.0), (2.0, 0.5)), rel=1e-8)
 
 
 class TestMaxRatio:
@@ -280,12 +294,33 @@ class TestBranchAndBound:
         i, j = np.triu_indices(len(twin[0]), k=1)
         assert ratio_ub[(i == 7) & (j == 8)] == np.inf
         seen = []
-        dh = ratio._pairwise_dh
-        monkeypatch.setattr(ratio, "_pairwise_dh", lambda ctx, pts, i, j: (
-            seen.extend(map(tuple, np.hstack([pts[i], pts[j]]))) or dh(ctx, pts, i, j)))
+        geodesics = ratio.pair_geodesics
+        monkeypatch.setattr(ratio, "pair_geodesics", lambda poly, pts, i, j, sides: (
+            seen.extend(map(tuple, np.hstack([pts[i], pts[j]]))) or geodesics(poly, pts, i, j, sides)))
         got = max_ratio(ctx, 0.1)
         assert tuple(np.hstack(twin[1][7:9])) in seen
         assert _bits(got) == _bits(all_pairs_max_ratio(ctx, 0.1))
+
+    @pytest.mark.parametrize("points,spacing", [(L_SHAPE, 0.1), (COMB, 0.2)], ids=["L", "comb"])
+    def test_exterior_bound_stage_one_kernel_call_per_batch(self, points, spacing, monkeypatch):
+        # each bound batch measures d_h and d_z in one pair_geodesics call,
+        # whose one kernel call tests both sides
+        ctx = MetricContext(validate_polygon(points), PursuerModel.EXTERIOR)
+        ctx.interior_visibility, ctx.exterior_visibility  # build the cached graphs first
+        batches, kernel_calls, sides = [], [], []
+        bound = ratio._branch_and_bound
+        monkeypatch.setattr(ratio, "_branch_and_bound", lambda bd, best, evaluate: bound(
+            bd, best, lambda k: batches.append(len(k)) or evaluate(k)))
+        kernel = geometry.segment_visibility
+        monkeypatch.setattr(geometry, "segment_visibility",
+                            lambda poly, a, b: kernel_calls.append(1) or kernel(poly, a, b))
+        geodesics = ratio.pair_geodesics
+        monkeypatch.setattr(ratio, "pair_geodesics", lambda poly, pts, i, j, s: (
+            sides.append(tuple(s)) or geodesics(poly, pts, i, j, s)))
+        monkeypatch.setattr(ratio, "_refine_pair", lambda *args: (*args[1:3], -math.inf, 0, 0, 0, 0))
+        max_ratio(ctx, spacing)
+        assert batches and sides == [(0, 1)] * len(batches)
+        assert len(kernel_calls) == len(batches)
 
 
 class TestExteriorModelRatio:
@@ -461,6 +496,26 @@ def test_sample_ratio_seeds_refinement(points, spacing, model, monkeypatch):
         seeded, cold = refine(ctx, t_p, t_q, spacing, start), refine(ctx, t_p, t_q, spacing)
         assert [float(x).hex() for x in seeded[:5]] == [float(x).hex() for x in cold[:5]]
         assert (seeded[5], seeded[6]) == (cold[5] - 1, cold[6] - 1)
+
+
+@pytest.mark.parametrize("points", [L_SHAPE, COMB, [tuple(p) for p in _star(24)]],
+                         ids=["L", "comb", "star48"])
+def test_refinement_batches_lie_on_the_boundary(points, monkeypatch):
+    # _pair_ratios runs no domain test: every pair _refine_pair fetches is
+    # within tol of the boundary, on the relabellings of seeds 0-5, from a
+    # random start at f/10 (boundary_point makes the points in either model)
+    batches, pair_ratios = [], ratio._pair_ratios
+    monkeypatch.setattr(ratio, "_pair_ratios", lambda ctx, pts: batches.append(pts)
+                        or pair_ratios(ctx, pts))
+    relabellings = _relabellings(points)
+    for seed in range(6):
+        poly = validate_polygon(relabellings[5 * seed % len(relabellings)])
+        t_p, t_q = np.random.default_rng(seed).uniform(0, poly.perimeter, 2)
+        batches.clear()
+        _refine_pair(MetricContext(poly, PursuerModel.EXTERIOR), t_p, t_q,
+                     poly.min_feature_size / 10)
+        pts = np.concatenate(batches).reshape(-1, 2)
+        assert np.all(geometry._boundary_distance2(poly, pts) <= poly.tol**2), seed
 
 
 class TestRefinementWork:
