@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tables-out", help="dump reachable strategy tables to this JSON file")
     p.add_argument("--verify-net", type=_count, metavar="PROBES", default=0,
                    help="also report the sampled net gap from this many random probes")
-    p.add_argument("--seed", type=int, help="seed for the --verify-net probes (default 0)")
+    p.add_argument("--seed", type=_count, help="seed for the --verify-net probes (default 0)")
 
     p = sub.add_parser("replay", help="replay the tables of discrete-solve --tables-out")
     p.add_argument("--polygon", required=True, help="the polygon the tables were solved on")

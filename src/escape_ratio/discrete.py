@@ -51,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceeded, GammaTooCoarse, InconsistentTables
-from .geometry import MetricContext, PursuerModel, pair_geodesics, pairs_within
+from .geometry import MetricContext, PursuerModel, pairs_within
 from .ratio import boundary_samples
 
 # Not called here: kept so ``escape_ratio.discrete.point_classes`` still
@@ -213,7 +213,7 @@ def _draw(rng, lo, hi, count: int, keep, cap=math.inf) -> np.ndarray:
 
 def _nearest_gap(ctx: MetricContext, samples: np.ndarray, probes: np.ndarray, side: int) -> float:
     """Max over ``probes`` of the side's distance (d_h or exterior d_z) to
-    the nearest sample.  Round r measures, in one ``pair_geodesics`` call,
+    the nearest sample.  Round r measures, in one ``pair_distances`` call,
     the r-th of the 8 Euclid-nearest samples of every probe whose Euclid
     distance to it is still below the probe's best: a scan of each shortlist
     with an early break, so the pairs and values are the scan's.  A sample
@@ -229,7 +229,7 @@ def _nearest_gap(ctx: MetricContext, samples: np.ndarray, probes: np.ndarray, si
         ctx._check_domain(near, side)
         m = np.arange(len(live))
         ends = np.concatenate([probes[live], near])
-        d = pair_geodesics(ctx.polygon, ends, m, m + len(m), (side,))[0]
+        d = ctx.pair_distances(ends, m, m + len(m), (side,))[0]
         best[live] = np.minimum(best[live], d)
     return float(best.max())
 
@@ -269,24 +269,24 @@ def _nearest_samples(samples: np.ndarray, probes: np.ndarray, k: int):
 # ---------------------------------------------------------------------------
 
 
-def _threshold_distances(poly, pts, limit, interior):
+def _threshold_distances(poly, pts, limit, side):
     """Pairs (i, j), i < j, of the move relation: intrinsic distance <= limit (+ tol).
 
     The candidates are the pairs of ``_close_pairs`` within limit widened by
     a relative 1e-12 and by tol; ``pairs_within`` keeps those whose exact
     distance (``pair_geodesics(..., (side,))[0]``) is at most limit + tol,
     and keeps a pair with a path through a vertex short enough before any
-    segment test.  A convex interior takes every pair within limit + tol
-    (chords lie in it), so ``_close_pairs``' test alone decides which ties
-    at the radius it keeps.  ``_csr_relation`` and ``_dense_relation`` turn
-    the pairs into a relation.
+    segment test.  A convex interior (side 0) takes every pair within
+    limit + tol (chords lie in it), so ``_close_pairs``' test alone decides
+    which ties at the radius it keeps.  ``_csr_relation`` and
+    ``_dense_relation`` turn the pairs into a relation.
     """
     tol = poly.tol
-    chords = interior and poly.is_convex
+    chords = side == 0 and poly.is_convex
     cap = limit + tol if chords else limit * (1 + 1e-12) + tol
     i, j = _close_pairs(pts, cap)
     if not chords:
-        keep = pairs_within(poly, pts, i, j, interior, limit)
+        keep = pairs_within(poly, pts, i, j, side, limit)
         i, j = i[keep], j[keep]
     return i, j
 
@@ -479,7 +479,7 @@ def check_state_cap(n_h: int, n_z: int, state_cap: float) -> None:
 def escaper_moves(ctx: MetricContext, samples: SampleSet, delta: float) -> MoveRelation:
     """The escaper move relation ``e_h`` that ``build_game`` uses: d_h <= delta."""
     pts = samples.escaper_samples
-    i, j = _threshold_distances(ctx.polygon, pts, delta, interior=True)
+    i, j = _threshold_distances(ctx.polygon, pts, delta, 0)
     return _csr_relation(i, j, len(pts))
 
 
@@ -524,7 +524,7 @@ def build_game(
         e_z = poly.arc_distance(t[:, None], t[None, :]) <= reach + tol
         z_windows = _arc_windows(t, poly.perimeter, reach + tol)
     else:
-        i, j = _threshold_distances(poly, samples.pursuer_samples, reach, interior=False)
+        i, j = _threshold_distances(poly, samples.pursuer_samples, reach, 1)
         e_z = _dense_relation(i, j, n_z)
     return DiscreteGame(
         samples=samples, e_h=e_h, e_z=e_z, r=float(r),

@@ -267,10 +267,6 @@ class Polygon:
         i = d2.argmin(axis=0)
         return params[i, np.arange(len(i))].reshape(p.shape[:-1])[()]
 
-    def distance_to_boundary(self, p) -> float:
-        p = np.asarray(p, dtype=float).reshape(1, 2)
-        return float(np.sqrt(_boundary_distance2(self, p)[0]))
-
     def arc_distance(self, t1, t2):
         """Boundary (moat) distance between arc parameters; broadcasts."""
         F = self.perimeter
@@ -669,10 +665,10 @@ def pair_geodesics(poly: Polygon, pts, i, j, sides) -> np.ndarray:
     return out
 
 
-def pairs_within(poly: Polygon, pts, i, j, interior: bool, limit: float) -> np.ndarray:
+def pairs_within(poly: Polygon, pts, i, j, side: int, limit: float) -> np.ndarray:
     """Whether each pair's intrinsic distance is at most ``limit`` + tol:
     ``pair_geodesics(poly, pts, i, j, (side,))[0] <= limit + tol`` (side 0
-    when ``interior``, else 1), to the bit, with fewer segment tests.
+    for d_h, 1 for exterior d_z), to the bit, with fewer segment tests.
 
     Only vertices within the cap (``limit`` widened by a relative 1e-12 and
     by tol) of a point get a fan: a path using a longer fan is over the cap.
@@ -705,7 +701,6 @@ def pairs_within(poly: Polygon, pts, i, j, interior: bool, limit: float) -> np.n
     pts = np.asarray(pts, dtype=float)
     i, j = np.ascontiguousarray(i, dtype=np.intp), np.ascontiguousarray(j, dtype=np.intp)
     tol = poly.tol
-    side = 0 if interior else 1
     st = _point_stage(poly, pts, side, limit * (1 + 1e-12) + tol)
     bound = min((limit + tol) * (1 - 1e-9), sys.float_info.max)
     keep = np.empty(len(i), dtype=bool)
@@ -868,14 +863,28 @@ class MetricContext:
         return self._distance(p, q, 1)
 
     def _distance(self, p, q, side: int) -> float:
-        """The side's distance between two points of its domain: the moat
-        pursuer's is the boundary arc, every other a ``pair_geodesics``."""
-        poly = self.polygon
+        """The side's distance between two points of its domain: one row of
+        ``pair_distances`` after ``_check_domain``."""
         pq = np.array([p, q], dtype=float)
         self._check_domain(pq, side)
-        if side and self.model is PursuerModel.MOAT:
-            return float(poly.arc_distance(*poly.boundary_parameter(pq)))
-        return float(pair_geodesics(poly, pq, [0], [1], (side,))[0, 0])
+        return float(self.pair_distances(pq, [0], [1], (side,))[0, 0])
+
+    def pair_distances(self, pts, i, j, sides) -> np.ndarray:
+        """The distances from ``pts[i]`` to ``pts[j]`` for each index pair,
+        one output row per entry of ``sides``: 0 for d_h, 1 for d_z.  The
+        points are not checked.  The moat pursuer's d_z is the boundary arc
+        between the points' ``boundary_parameter``; every other row is
+        ``pair_geodesics``, which alone answers when the model is exterior
+        or no d_z is asked for."""
+        poly = self.polygon
+        if self.model is PursuerModel.EXTERIOR or 1 not in sides:
+            return pair_geodesics(poly, pts, i, j, sides)
+        out = np.empty((len(sides), len(i)))
+        if 0 in sides:
+            out[:] = pair_geodesics(poly, pts, i, j, (0,))
+        t = poly.boundary_parameter(pts)
+        out[np.equal(sides, 1)] = poly.arc_distance(t.take(i), t.take(j))
+        return out
 
     # -- domains --------------------------------------------------------------
 

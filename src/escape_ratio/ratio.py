@@ -28,13 +28,7 @@ from itertools import chain, zip_longest
 import numpy as np
 
 from .errors import DegeneratePair, OutsideDomain, SpacingTooCoarse
-from .geometry import (
-    MetricContext,
-    Point2,
-    PursuerModel,
-    _boundary_distance2,
-    pair_geodesics,
-)
+from .geometry import MetricContext, Point2, _boundary_distance2
 
 # Not called here: kept so ``escape_ratio.ratio.segment_in_polygon`` still
 # resolves for the layer tracer in perfbench/tracing.py.
@@ -121,17 +115,16 @@ def edge_pieces(poly, spacing: float) -> np.ndarray:
     return np.maximum(1.0, np.ceil(poly.edge_lengths / spacing - 1e-12))
 
 
+# Not called here: the layer tracer in perfbench/tracing.py names both, and
+# the tests' all-pairs oracle measures with them.
 def _pairwise_dh(ctx: MetricContext, pts: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Interior geodesic distances between boundary samples ``i`` and ``j``."""
-    return pair_geodesics(ctx.polygon, pts, i, j, (0,))[0]
+    return ctx.pair_distances(pts, i, j, (0,))[0]
 
 
-def _pairwise_dz(ctx: MetricContext, params: np.ndarray, pts: np.ndarray,
-                 i: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _pairwise_dz(ctx: MetricContext, pts: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Pursuer distances between boundary samples ``i`` and ``j``."""
-    if ctx.model is PursuerModel.MOAT:
-        return ctx.polygon.arc_distance(params[i], params[j])
-    return pair_geodesics(ctx.polygon, pts, i, j, (1,))[0]
+    return ctx.pair_distances(pts, i, j, (1,))[0]
 
 
 def _pair_rows(m: int, k: np.ndarray):
@@ -202,12 +195,7 @@ def _pair_ratios(ctx: MetricContext, pts: np.ndarray) -> np.ndarray:
     P, Q = (pts[:1, i] if np.all(pts[:, i] == pts[0, i]) else pts[:, i] for i in (0, 1))
     rows = np.arange(len(pts))
     i, j = rows % len(P), len(P) + rows % len(Q)
-    ends = np.concatenate([P, Q])
-    if ctx.model is PursuerModel.MOAT:
-        (dh,) = pair_geodesics(poly, ends, i, j, (0,))
-        dz = poly.arc_distance(*poly.boundary_parameter(pts).T)
-    else:
-        dh, dz = pair_geodesics(poly, ends, i, j, (0, 1))
+    dh, dz = ctx.pair_distances(np.concatenate([P, Q]), i, j, (0, 1))
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(dh <= poly.tol, -np.inf, dz / dh)
 
@@ -407,12 +395,7 @@ def max_ratio(ctx: MetricContext, spacing: float) -> RatioBound:
         i, j = _pair_rows(m, k)
         # only the batch's endpoints: every point passed gets its fan tested
         ends, inv = np.unique(np.concatenate([i, j]), return_inverse=True)
-        a, b = inv[: len(k)], inv[len(k):]
-        if ctx.model is PursuerModel.MOAT:
-            dh = _pairwise_dh(ctx, pts[ends], a, b)
-            dz = _pairwise_dz(ctx, params[ends], pts[ends], a, b)
-        else:  # both metrics from one kernel call
-            dh, dz = pair_geodesics(poly, pts[ends], a, b, (0, 1))
+        dh, dz = ctx.pair_distances(pts[ends], inv[: len(k)], inv[len(k):], (0, 1))
         valid = dh > poly.tol
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(valid, dz / np.maximum(dh, poly.tol), -np.inf)
@@ -434,7 +417,8 @@ def max_ratio(ctx: MetricContext, spacing: float) -> RatioBound:
     i, j = _pair_rows(m, k[ratios == sample_max].min())
     t_p, t_q = float(params[i]), float(params[j])
     t1 = time.perf_counter()
-    # sample_max is the pair's ratio as _pair_ratios gives it, to the bit
+    # sample_max is the pair's ratio as _pair_ratios gives it, to the bit:
+    # both measure the pair with one pair_distances row per metric
     tp, tq, refined, requested, distinct, evaluated, batches = _refine_pair(
         ctx, t_p, t_q, spacing, sample_max)
     logger.debug("max_ratio: m=%d, %d pairs, %d evaluated in %d bound batches, "

@@ -19,9 +19,11 @@ bools (escaper, pursuer), ``escaper_distance(p, q)`` and
 of the speed checks.  The array forms ``contains_many(pts)`` (a [2, N] bool
 array) and ``escaper_distances(pts, i, j)`` and
 ``pursuer_distances(pts, i, j)`` (the N pairs ``pts[i]``, ``pts[j]``) answer
-for many points at once.  The escaper wins at the boundary, where the two
-domains meet, so an escaper position is an exit exactly when ``contains``
-puts it in the pursuer's domain too.
+for many points at once.  ``PolygonDomain`` measures both forms with
+``MetricContext.pair_distances``, so they agree to the bit in either pursuer
+model.  The escaper wins at the boundary, where the two domains meet, so an
+escaper position is an exit exactly when ``contains`` puts it in the
+pursuer's domain too.
 
 The engine checks a playthrough in blocks of ``_BLOCK`` steps.  It runs both
 strategies for a block, storing each position as it goes, then makes one
@@ -68,7 +70,7 @@ from .exact import (
     halfplane_pursuer_position,
     wedge_pursuer_position,
 )
-from .geometry import MetricContext, PursuerModel, pair_geodesics
+from .geometry import MetricContext
 
 # ---------------------------------------------------------------------------
 # domains
@@ -197,10 +199,10 @@ class PolygonDomain:
     for a polygon whose diagonal is below 1.
 
     The array forms are one ``MetricContext.contains`` call and one
-    ``pair_geodesics`` call (the moat pursuer's: the boundary arc), with the
-    scalar forms' arithmetic.  Unlike the scalar metrics they do not test
-    their points for membership: the engine measures only steps whose
-    endpoints passed ``contains_many``."""
+    ``MetricContext.pair_distances`` row, of which each scalar metric is one
+    pair, so both forms share their arithmetic in either pursuer model.
+    Unlike the scalar metrics they do not test their points for membership:
+    the engine measures only steps whose endpoints passed ``contains_many``."""
 
     def __init__(self, ctx: MetricContext):
         self.ctx = ctx
@@ -218,17 +220,13 @@ class PolygonDomain:
         return self.ctx.interior_distance(p, q)
 
     def escaper_distances(self, pts, i, j):
-        return pair_geodesics(self.ctx.polygon, pts, i, j, (0,))[0]
+        return self.ctx.pair_distances(pts, i, j, (0,))[0]
 
     def pursuer_distance(self, p, q):
         return self.ctx.pursuer_distance(p, q)
 
     def pursuer_distances(self, pts, i, j):
-        poly = self.ctx.polygon
-        if self.ctx.model is PursuerModel.MOAT:
-            t = poly.boundary_parameter(pts)
-            return poly.arc_distance(t[i], t[j])
-        return pair_geodesics(poly, pts, i, j, (1,))[0]
+        return self.ctx.pair_distances(pts, i, j, (1,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -255,18 +253,6 @@ class MotionPath:
 
     def __len__(self):
         return len(self.times)
-
-    def position_at(self, t: float) -> np.ndarray:
-        """Linear interpolation; clamps beyond the sampled range."""
-        ts = self.times
-        if t <= ts[0]:
-            return self.points[0]
-        if t >= ts[-1]:
-            return self.points[-1]
-        k = int(np.searchsorted(ts, t, side="right") - 1)
-        t0, t1 = ts[k], ts[k + 1]
-        w = (t - t0) / (t1 - t0)
-        return (1 - w) * self.points[k] + w * self.points[k + 1]
 
 
 class PathView:

@@ -102,7 +102,7 @@ def random_convex_polygon(rng, n):
 
 def reference_distance_to_boundary(poly, p):
     """Distance from ``p`` to its nearest edge, one point at a time: the
-    scalar oracle for ``Polygon.distance_to_boundary``."""
+    scalar oracle for the square root of ``geometry._boundary_distance2``."""
     p = np.asarray(p, dtype=float)
     v = poly.vertices
     e = np.roll(v, -1, axis=0) - v
@@ -311,7 +311,7 @@ def all_pairs_max_ratio(ctx, spacing):
     params, pts = ratio.boundary_samples(ctx, spacing)
     iu, ju = np.triu_indices(len(params), k=1)
     dh_u = ratio._pairwise_dh(ctx, pts, iu, ju)
-    dz_u = ratio._pairwise_dz(ctx, params, pts, iu, ju)
+    dz_u = ratio._pairwise_dz(ctx, pts, iu, ju)
     valid = dh_u > poly.tol
     ratios = np.where(valid, dz_u / np.maximum(dh_u, poly.tol), -np.inf)
     k = int(np.argmax(ratios))  # ties: smallest (i, j) in lexicographic order

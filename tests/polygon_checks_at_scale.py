@@ -169,10 +169,10 @@ def relation_failures() -> int:
         poly = validate_polygon(points)
         escaper, pursuer, gamma = game_nets(poly, 1500)
         delta = 4 * gamma
-        for what, pts, limit, interior in (("e_h", escaper, delta, True),
-                                          ("e_z", pursuer, 3 * delta, False)):
-            got, t_got = timed(_threshold_distances, poly, pts, limit, interior)
-            ref, t_ref = timed(kernel_only_relation, poly, pts, limit, interior)
+        for what, pts, limit, side in (("e_h", escaper, delta, 0),
+                                      ("e_z", pursuer, 3 * delta, 1)):
+            got, t_got = timed(_threshold_distances, poly, pts, limit, side)
+            ref, t_ref = timed(kernel_only_relation, poly, pts, limit, side)
             # the pair finder and cKDTree list the pairs in different orders
             n = len(pts)
             same = np.array_equal(np.sort(got[0] * n + got[1]), np.sort(ref[0] * n + ref[1]))
@@ -182,14 +182,14 @@ def relation_failures() -> int:
     return failed
 
 
-def kernel_only_relation(poly, pts, limit, interior):
+def kernel_only_relation(poly, pts, limit, side):
     """The pairs of ``_threshold_distances``' candidates (none of these
     polygons is convex) whose exact distance is at most limit + tol:
     ``pair_geodesics`` tests every pair's segment, so neither the piece rule
     nor the through-vertex admission decides a pair."""
     cap = limit * (1 + 1e-12) + poly.tol
     i, j = cKDTree(pts).query_pairs(r=cap, output_type="ndarray").T
-    keep = pair_geodesics(poly, pts, i, j, (0 if interior else 1,))[0] <= limit + poly.tol
+    keep = pair_geodesics(poly, pts, i, j, (side,))[0] <= limit + poly.tol
     return i[keep], j[keep]
 
 

@@ -378,6 +378,7 @@ class TestNumericFlags:
         ("approximate", "--override", ["0.5 -0.1", "0.5 nan", "0.5 inf"]),
         ("simulate", "--epsilon", ["nan", "-1", "0"]),
         ("simulate", "--theta", ["inf", "nan", "0", "-1", "2"]),
+        ("discrete-solve", "--seed", ["-1", "1.5", "x"]),
     ])
     def test_bad_value_exits_2(self, capsys, square_file, command, flag, values):
         argv = self.COMMANDS[command] + ["--polygon", square_file]

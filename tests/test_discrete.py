@@ -308,15 +308,16 @@ class TestVerifyNet:
             raise AssertionError("scalar call")
 
         sides = []
+        pair_distances = MetricContext.pair_distances
 
-        def counted(poly, pts, i, j, side):
+        def counted(self, pts, i, j, side):
             sides.append(side)
-            return pair_geodesics(poly, pts, i, j, side)
+            return pair_distances(self, pts, i, j, side)
 
         monkeypatch.setattr(Polygon, "classify", refuse)
         monkeypatch.setattr(MetricContext, "interior_distance", refuse)
         monkeypatch.setattr(MetricContext, "pursuer_distance", refuse)
-        monkeypatch.setattr(discrete, "pair_geodesics", counted)
+        monkeypatch.setattr(MetricContext, "pair_distances", counted)
         verify_net(ctx, s, probes=300, seed=9)
         assert 1 <= sides.count((0,)) <= 8 and 1 <= sides.count((1,)) <= 8
         assert len(sides) == sides.count((0,)) + sides.count((1,))
@@ -560,7 +561,7 @@ class TestBuildGame:
         assert dist[0] == exact
         # the move relation keeps the pair at that limit and not just below it
         for limit, kept in ((exact, 1), (7.26, 0)):
-            assert len(discrete._threshold_distances(ctx.polygon, pts, limit, True)[0]) == kept
+            assert len(discrete._threshold_distances(ctx.polygon, pts, limit, 0)[0]) == kept
 
     def test_threshold_monotone_in_r(self, square_moat):
         s = gamma_sample(square_moat, 0.1)

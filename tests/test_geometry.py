@@ -995,8 +995,8 @@ class TestGeodesicMatrix:
         assert np.hypot(*(poly.vertices - a).T).min() > 1
         assert np.hypot(*(poly.vertices - b).T).min() > 1
         pts = np.array([a, b])
-        assert not geometry.pairs_within(poly, pts, [0], [1], True, 1.0)[0]
-        assert len(discrete._threshold_distances(poly, pts, 1.0, interior=True)[0]) == 0
+        assert not geometry.pairs_within(poly, pts, [0], [1], 0, 1.0)[0]
+        assert len(discrete._threshold_distances(poly, pts, 1.0, 0)[0]) == 0
         # the path goes around the slit's foot
         around = 2 * math.hypot(0.35, 3.0) + 0.1
         assert pair_geodesics(poly, pts, [0], [1], (0,))[0, 0] == pytest.approx(around)
@@ -1013,7 +1013,7 @@ class TestGeodesicMatrix:
         ref = _reference_geodesic(ctx, pts[0], pts[1], True)
         for limit in (0.69, 0.71):
             with caplog.at_level(logging.DEBUG, logger="escape_ratio.geometry"):
-                got = geometry.pairs_within(poly, pts, [0], [1], True, limit)
+                got = geometry.pairs_within(poly, pts, [0], [1], 0, limit)
             assert _geodesic_log(caplog)[-1][3:] == (0, 0, 0, 0)
             assert got[0] == (ref <= limit + tol)
 
@@ -1031,7 +1031,7 @@ class TestGeodesicMatrix:
         limit = 5.0
         fans = int(np.count_nonzero(np.hypot(*(poly.vertices - pts[:, None]).T) <= limit + 1e-6))
         with caplog.at_level(logging.DEBUG, logger="escape_ratio.geometry"):
-            got = geometry.pairs_within(poly, pts, [0], [1], True, limit)
+            got = geometry.pairs_within(poly, pts, [0], [1], 0, limit)
         assert _geodesic_log(caplog)[-1] == (2, 1, fans, 0, 0, 1, 1) and fans > 0
         assert not got[0]
 
@@ -1061,12 +1061,13 @@ class TestGeodesicMatrix:
         # the vertices and the first boundary points once more
         pts = np.vstack([pts, pts[-poly.n :], pts[:3]])
         i, j = np.triu_indices(len(pts), k=1)
-        (full,) = pair_geodesics(poly, pts, i, j, (0 if interior else 1,))
+        side = 0 if interior else 1
+        (full,) = pair_geodesics(poly, pts, i, j, (side,))
         assert np.isfinite(full).all()
         dup = (pts[i] == pts[j]).all(axis=1)
         assert dup.sum() == poly.n + 3 and (full[dup] == 0.0).all()
         for limit in (0.3, 1.0, 2.5, 0.25 * poly.perimeter):
-            got = geometry.pairs_within(poly, pts, i, j, interior, limit)
+            got = geometry.pairs_within(poly, pts, i, j, side, limit)
             assert np.array_equal(got, full <= limit + poly.tol), limit
 
 
@@ -1127,7 +1128,7 @@ class TestConvexPieces:
         admitted_any = False
         for limit in (0.15 * diagonal, 0.4 * diagonal):
             with caplog.at_level(logging.DEBUG, logger="escape_ratio.geometry"):
-                got = geometry.pairs_within(poly, pts, i, j, interior, limit)
+                got = geometry.pairs_within(poly, pts, i, j, side, limit)
             *_, shared, admitted, _, _ = _geodesic_log(caplog)[-1]
             assert np.array_equal(got, exact <= limit + tol), limit
             assert shared > 0
@@ -1232,7 +1233,7 @@ class TestBoundaryParameterization:
         ref = np.array([_scalar_boundary_parameter(poly, x) for x in q])
         assert params.tobytes() == scalar.tobytes() == ref.tobytes()
         assert ref[len(t) : len(t) + poly.n].tolist() == [0.0, *cum[1:-1]]
-        dist = np.array([poly.distance_to_boundary(x) for x in q])
+        dist = np.sqrt(geometry._boundary_distance2(poly, q))
         ref = np.array([reference_distance_to_boundary(poly, x) for x in q])
         assert dist.tobytes() == ref.tobytes()
 

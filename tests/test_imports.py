@@ -2,13 +2,16 @@
 
 Each check runs in a fresh interpreter, since a module once imported stays in
 ``sys.modules``.  The interpreter imports the package from the same ``src``
-as this test run.
+as this test run.  Every name the layer tracer (``perfbench/tracing.py``)
+wraps still exists, so deleting one fails here and not only in a traced
+benchmark run.
 """
 
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import escape_ratio
@@ -75,3 +78,15 @@ def test_games_load_no_scipy(tmp_path):
     # through the discrete-solve, replay and approximate commands
     (tmp_path / "square.json").write_text("[[0,0],[1,0],[1,1],[0,1]]")
     assert _scipy_modules_after(_GAME, tmp_path) == []
+
+
+def test_every_trace_point_resolves():
+    # the tracer's source is executed, not imported, so nothing is written
+    # next to it; it wraps ``owner.__dict__[attr]``
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    tracing = types.ModuleType("tracing")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing.__dict__)
+    missing = [(owner, attr) for owner, attr, _ in tracing.TRACE_POINTS
+               if attr not in tracing._resolve(owner).__dict__]
+    assert len(tracing.TRACE_POINTS) > 20
+    assert missing == []

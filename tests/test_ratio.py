@@ -13,6 +13,7 @@ from escape_ratio.ratio import (
     UPPER_FACTOR,
     _batch_pairs,
     _pair_bounds,
+    _pair_ratios,
     _pair_rows,
     _pairwise_dh,
     _pairwise_dz,
@@ -21,6 +22,7 @@ from escape_ratio.ratio import (
     max_ratio,
     ratio_of_pair,
 )
+from escape_ratio.sim import PolygonDomain
 
 from conftest import COMB, L_SHAPE, RECT_1x10, SPIRAL, SQUARE, TRIANGLE, all_pairs_max_ratio
 from test_geometry import L_COLLINEAR, _relabellings, _star
@@ -212,18 +214,44 @@ def test_sandwich_values_are_pinned(points, spacing, model, lower, upper):
     assert (bound.lower_certified, bound.upper_estimate) == (lower, upper)
 
 
-@pytest.mark.parametrize("points,spacing", [(L_SHAPE, 0.1), (COMB, 0.2)])
-def test_pairwise_metrics_match_queries(points, spacing):
-    # the sampled pairs and the refinement's queries share one geodesic
-    # arithmetic, so a pair's sampled ratio is the one refinement would see
-    ctx = MetricContext(validate_polygon(points), PursuerModel.EXTERIOR)
-    params, pts = boundary_samples(ctx, spacing)
-    i, j = np.triu_indices(len(pts), k=1)
-    dh, dz = _pairwise_dh(ctx, pts, i, j), _pairwise_dz(ctx, params, pts, i, j)
-    for k in np.random.default_rng(7).choice(len(i), 400, replace=False):
-        p, q = pts[i[k]], pts[j[k]]
-        assert dh[k] == ctx.interior_distance(p, q), (p, q)
-        assert dz[k] == ctx.pursuer_distance(p, q), (p, q)
+@pytest.mark.parametrize("points,spacing", [(L_SHAPE, 0.1), (COMB, 0.2), (SPIRAL, 0.1)])
+def test_pairwise_metrics_match_queries(points, spacing, monkeypatch):
+    # the bound stage, the refinement, the queries and the playthroughs
+    # measure a pair with one arithmetic in both pursuer models, so a pair's
+    # sampled ratio is the one refinement would see
+    measured, ratios = [], []
+    pair_distances = MetricContext.pair_distances
+    monkeypatch.setattr(MetricContext, "pair_distances", lambda self, *args: (
+        measured.append(pair_distances(self, *args)) or measured[-1]))
+
+    def one_pair_a_batch(bound, best, evaluate):
+        # the bound stage's ratio of each sampled pair, as it uses it
+        if not ratios:
+            ratios.extend(evaluate(np.array([x])) for x in k)
+        return 0
+
+    monkeypatch.setattr(ratio, "_branch_and_bound", one_pair_a_batch)
+    monkeypatch.setattr(ratio, "_refine_pair", lambda *args: (*args[1:3], -math.inf, 0, 0, 0, 0))
+    for model in PursuerModel:
+        ctx = MetricContext(validate_polygon(points), model)
+        _, pts = boundary_samples(ctx, spacing)
+        i, j = np.triu_indices(len(pts), k=1)
+        k = np.random.default_rng(7).choice(len(i), 400, replace=False)
+        measured.clear()
+        ratios.clear()
+        max_ratio(ctx, spacing)
+        dh, dz = np.hstack(measured)
+        assert np.all(dh > ctx.polygon.tol)
+        assert np.array(ratios).tobytes() == (dz / dh).tobytes(), model
+        domain = PolygonDomain(ctx)
+        assert domain.escaper_distances(pts, i[k], j[k]).tobytes() == dh.tobytes(), model
+        assert domain.pursuer_distances(pts, i[k], j[k]).tobytes() == dz.tobytes(), model
+        pairs = np.stack([pts[i[k]], pts[j[k]]], axis=1)
+        assert _pair_ratios(ctx, pairs).tobytes() == (dz / dh).tobytes(), model
+        for (p, q), h, z, r in zip(pairs, dh, dz, ratios):
+            assert h == ctx.interior_distance(p, q), (model, p, q)
+            assert z == ctx.pursuer_distance(p, q), (model, p, q)
+            assert r == ratio_of_pair(ctx, p, q), (model, p, q)
 
 
 # each polygon at about its coarsest admissible spacing (one tenth of its
@@ -262,7 +290,7 @@ class TestBranchAndBound:
         i, j = np.triu_indices(len(params), k=1)
         chord = np.hypot(*(pts[j] - pts[i]).T)
         arc = poly.arc_distance(params[i], params[j])
-        dz = _pairwise_dz(ctx, params, pts, i, j)
+        dz = _pairwise_dz(ctx, pts, i, j)
         dh = _pairwise_dh(ctx, pts, i, j)
         assert np.all(dz <= arc * (1 + 1e-12) + 1e-12)
         assert np.all(dh >= chord * (1 - 1e-12) - 1e-12)
@@ -294,8 +322,8 @@ class TestBranchAndBound:
         i, j = np.triu_indices(len(twin[0]), k=1)
         assert ratio_ub[(i == 7) & (j == 8)] == np.inf
         seen = []
-        geodesics = ratio.pair_geodesics
-        monkeypatch.setattr(ratio, "pair_geodesics", lambda poly, pts, i, j, sides: (
+        geodesics = geometry.pair_geodesics
+        monkeypatch.setattr(geometry, "pair_geodesics", lambda poly, pts, i, j, sides: (
             seen.extend(map(tuple, np.hstack([pts[i], pts[j]]))) or geodesics(poly, pts, i, j, sides)))
         got = max_ratio(ctx, 0.1)
         assert tuple(np.hstack(twin[1][7:9])) in seen
@@ -314,8 +342,8 @@ class TestBranchAndBound:
         kernel = geometry.segment_visibility
         monkeypatch.setattr(geometry, "segment_visibility",
                             lambda poly, a, b: kernel_calls.append(1) or kernel(poly, a, b))
-        geodesics = ratio.pair_geodesics
-        monkeypatch.setattr(ratio, "pair_geodesics", lambda poly, pts, i, j, s: (
+        geodesics = geometry.pair_geodesics
+        monkeypatch.setattr(geometry, "pair_geodesics", lambda poly, pts, i, j, s: (
             sides.append(tuple(s)) or geodesics(poly, pts, i, j, s)))
         monkeypatch.setattr(ratio, "_refine_pair", lambda *args: (*args[1:3], -math.inf, 0, 0, 0, 0))
         max_ratio(ctx, spacing)
@@ -422,7 +450,7 @@ def test_batched_refinement_matches_pair_at_a_time(points, spacing, model):
     F = ctx.polygon.perimeter
     params, pts = boundary_samples(ctx, spacing)
     i, j = np.triu_indices(len(params), k=1)
-    k = int(np.argmax(_pairwise_dz(ctx, params, pts, i, j) / _pairwise_dh(ctx, pts, i, j)))
+    k = int(np.argmax(_pairwise_dz(ctx, pts, i, j) / _pairwise_dh(ctx, pts, i, j)))
     rng = np.random.default_rng(len(points))
     t, (u, w) = rng.uniform(0, F), rng.uniform(0, spacing, 2)
     for t_p, t_q in ((params[i[k]], params[j[k]]), (t, t), (u, F - w)):
@@ -451,7 +479,7 @@ def test_refinement_exact_under_any_prediction(points, spacing, model, monkeypat
     F = ctx.polygon.perimeter
     params, pts = boundary_samples(ctx, spacing)
     i, j = np.triu_indices(len(params), k=1)
-    k = int(np.argmax(_pairwise_dz(ctx, params, pts, i, j) / _pairwise_dh(ctx, pts, i, j)))
+    k = int(np.argmax(_pairwise_dz(ctx, pts, i, j) / _pairwise_dh(ctx, pts, i, j)))
     rng = np.random.default_rng(len(points))
     t, (u, w) = rng.uniform(0, F), rng.uniform(0, spacing, 2)
     models = ratio._models
@@ -526,8 +554,8 @@ class TestRefinementWork:
         kernel = geometry.segment_visibility
         monkeypatch.setattr(geometry, "segment_visibility",
                             lambda poly, a, b: kernel_calls.append(1) or kernel(poly, a, b))
-        geodesics = ratio.pair_geodesics
-        monkeypatch.setattr(ratio, "pair_geodesics", lambda poly, pts, i, j, sides: (
+        geodesics = geometry.pair_geodesics
+        monkeypatch.setattr(geometry, "pair_geodesics", lambda poly, pts, i, j, sides: (
             rows.extend(map(tuple, np.hstack([pts[i], pts[j]]))) or geodesics(poly, pts, i, j, sides)))
         for name in ("interior_distance", "pursuer_distance"):
             monkeypatch.delattr(MetricContext, name)  # no scalar query

@@ -144,10 +144,10 @@ class TestApproximate:
         built, games = [], []
         threshold, build_game = discrete._threshold_distances, scheme.build_game
 
-        def spy_threshold(poly, pts, limit, interior):
-            if interior:
+        def spy_threshold(poly, pts, limit, side):
+            if side == 0:
                 built.append(limit)
-            return threshold(poly, pts, limit, interior)
+            return threshold(poly, pts, limit, side)
 
         def spy_build_game(*args, **kwargs):
             games.append(kwargs["r"])

@@ -48,13 +48,6 @@ class TestMotionPath:
         with pytest.raises(ValueError):
             MotionPath(np.array([0.1, 0.5]), np.zeros((2, 2)), 1.0, "escaper")
 
-    def test_interpolation(self):
-        path = MotionPath(
-            np.array([0.0, 1.0]), np.array([[0.0, 0.0], [2.0, 0.0]]), 2.0, "escaper"
-        )
-        assert path.position_at(0.5) == pytest.approx((1.0, 0.0))
-        assert path.position_at(5.0) == pytest.approx((2.0, 0.0))
-
 
 class TestPlaythrough:
     def test_halfplane_critical_no_escape(self):
