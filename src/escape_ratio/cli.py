@@ -8,8 +8,10 @@ human-readable text rendering.  Exit codes: 0 success, 2 validation problems
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
+import logging
 import math
 import sys
 import time
@@ -53,6 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="escape-ratio",
         description="Pursuit-escape solver toolkit for simple polygons",
     )
+    ap.add_argument("--log-level", choices=["debug", "info", "warning"],
+                    help="write the escape_ratio loggers' records of this level "
+                         "and above to stderr")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("exact", help="closed-form critical speed ratios")
@@ -403,13 +408,34 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:
-        return _COMMANDS[args.command](args)
+        with _logging_to_stderr(args.log_level):
+            return _COMMANDS[args.command](args)
     except errors.BudgetExceeded as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return 3
     except (errors.EscapeRatioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+@contextlib.contextmanager
+def _logging_to_stderr(level):
+    """Route the ``escape_ratio`` loggers to stderr at ``level`` (a
+    ``--log-level`` choice, or None for no routing) while the block runs."""
+    if level is None:
+        yield
+        return
+    logger = logging.getLogger("escape_ratio")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    old_level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(level.upper())
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(old_level)
 
 
 def main() -> None:

@@ -13,6 +13,7 @@ The strategy protocol ``Strategy`` lives here (``sim`` re-exports it), with
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -58,11 +59,12 @@ def halfplane_r_star(s_h, s_z) -> float:
     return 1.0 / math.sin(theta)
 
 
+@functools.cache
 def disk_phi_star() -> float:
     """Unique root of tan(phi) = pi + phi in (0, pi/2).
 
     Bisection on the guaranteed bracket (1.2, 1.5) followed by Newton polish;
-    residual below 1e-12.
+    residual below 1e-12.  Computed once: every call returns the same float.
     """
     f = lambda p: math.tan(p) - math.pi - p
     lo, hi = 1.2, 1.5
@@ -190,10 +192,10 @@ class Strategy:
     """Callback contract: position(opponent prefix up to time t, t) -> point.
 
     The prefix is a ``sim.PathView``; ``opponent.last`` is its most recent
-    point as an (x, y) tuple of Python floats, read without slicing
-    ``opponent.points``.  The view is valid only during the call.  A point
-    returned is any 2-sequence of floats (a tuple or an array); the engine
-    copies it.  No-lookahead: the output at t may depend only on the prefix.
+    point as an (x, y) tuple of Python floats, a plain attribute read
+    without slicing ``opponent.points``.  The view is valid only during the
+    call.  A point returned is any 2-sequence of floats (a tuple or an
+    array); the engine copies it.  No-lookahead: the output at t may depend only on the prefix.
     Escaper strategies additionally declare ``start_point`` (independent of the
     opponent).  ``max_speed`` is the licensed speed of the paths the strategy
     emits.  Instances may keep incremental state between the engine's monotone
@@ -247,24 +249,20 @@ class _Tracker(Strategy):
 # ---------------------------------------------------------------------------
 
 
+_TAU = 2.0 * math.pi
+
+
 def _wrap_angle(a: float) -> float:
-    return (a + math.pi) % (2.0 * math.pi) - math.pi
+    return (a + math.pi) % _TAU - math.pi
 
 
 # libm's hypot and CPython's math.hypot (3.10+) are each within 1 ulp of the
 # true value, so on the O(1) radii of the disk game they differ by under
 # 1e-15.  Outside this band around a threshold both compare the same way.
+# A disk strategy's branch on a radius compares ``math.hypot`` with its
+# threshold, and takes ``np.hypot`` (the arithmetic the disk trajectories are
+# pinned to) when the two could fall on different sides of it.
 _HYPOT_BAND = 1e-12
-
-
-def _radius_near(x: float, y: float, threshold: float) -> float:
-    """hypot(x, y) for a comparison with ``threshold``: ``math.hypot``, or
-    ``np.hypot`` (the arithmetic the disk trajectories are pinned to) when the
-    two could fall on different sides of it."""
-    rad = math.hypot(x, y)
-    if abs(rad - threshold) <= _HYPOT_BAND:
-        rad = float(np.hypot(x, y))
-    return rad
 
 
 class DiskAploEscaper(Strategy):
@@ -288,6 +286,9 @@ class DiskAploEscaper(Strategy):
         nominal = min(self.r, 0.95 * self.r_star)
         self.dv = nominal / self.r_star
         self.du = math.sqrt(max(0.0, 1.0 - self.dv**2))
+        # the circling phase's constants, each the product a step would form
+        self._max_angle = 2.0 * math.pi * self.MAX_REVOLUTIONS
+        self._band_gain = 2.0 * (self.r_star + self.r)
         self.reset()
 
     def reset(self):
@@ -300,33 +301,31 @@ class DiskAploEscaper(Strategy):
         self._exit = None
 
     def _consume_progress(self, opp):
-        # each arc starts at the angle the previous one ended at; a view that
-        # grew by one point (every engine step) hands its newest as a tuple
-        n = len(opp)
-        new = (opp.last,) if n == self._last_idx + 1 else opp.points[self._last_idx :]
+        # each arc starts at the angle the previous one ended at
         a0 = self._last_angle
-        for p in new:
+        for p in opp.points[self._last_idx :]:
             a1 = math.atan2(p[1], p[0])
             self._progress += _wrap_angle(a1 - a0)  # unit circle: arc == angle
             a0 = a1
         self._last_angle = a0
-        self._last_idx = n
+        self._last_idx = opp._len
 
     def position(self, opp, t: float):
-        if t == 0.0 or len(opp) == 0:
+        n = opp._len
+        if t == 0.0 or n == 0:
             return self.start_point
         if self._exit is not None:
             return self._exit
         if self._phase == 1:
-            z = opp.last
+            zx, zy = opp.last
             phi_e = t * self.r_star  # unit speed on the inner circle
-            if phi_e > 2.0 * math.pi * self.MAX_REVOLUTIONS:
+            if phi_e > self._max_angle:
                 raise StrategyFailure(
                     "antipodal opposition never reached; pursuer faster than assumed?"
                 )
-            phi_z = math.atan2(z[1], z[0])
-            gap = abs(_wrap_angle(phi_e - phi_z))
-            band = max(self.ANTIPODAL_TOL, 2.0 * (self.r_star + self.r) * _dt_hint(opp))
+            phi_z = math.atan2(zy, zx)
+            gap = abs((phi_e - phi_z + math.pi) % _TAU - math.pi)  # _wrap_angle inline
+            band = max(self.ANTIPODAL_TOL, self._band_gain * _dt_hint(opp))
             if abs(gap - math.pi) <= band:
                 s_h = self.inner_radius * np.array([math.cos(phi_e), math.sin(phi_e)])
                 axial = s_h - np.array([math.cos(phi_z), math.sin(phi_z)])
@@ -338,20 +337,32 @@ class DiskAploEscaper(Strategy):
                 )
                 self._t2 = t
                 self._progress = 0.0
-                self._last_idx = len(opp)
+                self._last_idx = n
                 self._last_angle = phi_z
                 self._phase = 2
                 return s_h
             ir = self.inner_radius
             return (ir * math.cos(phi_e), ir * math.sin(phi_e))
-        self._consume_progress(opp)
+        if n == self._last_idx + 1:
+            # the view grew by one point, as at every engine step:
+            # _consume_progress on its newest point, in the same operations
+            zx, zy = opp.last
+            a1 = math.atan2(zy, zx)
+            self._progress += (a1 - self._last_angle + math.pi) % _TAU - math.pi
+            self._last_angle = a1
+            self._last_idx = n
+        else:
+            self._consume_progress(opp)
         # aplo_position elementwise, in its order: (h0 + c1*axial) + c2*lateral
         h0x, h0y, ax, ay, lx, ly = self._frame
         c1 = (t - self._t2) * self.du
         c2 = self._progress / self.r * self.dv
         x = h0x + c1 * ax + c2 * lx
         y = h0y + c1 * ay + c2 * ly
-        if _radius_near(x, y, 1.0) >= 1.0:
+        rad = math.hypot(x, y)
+        if abs(rad - 1.0) <= _HYPOT_BAND:
+            rad = float(np.hypot(x, y))
+        if rad >= 1.0:
             rad = float(np.hypot(x, y))  # the exit point is stored
             self._exit = (x / rad, y / rad)
             return self._exit
@@ -373,6 +384,9 @@ class DiskArcChasingPursuer(_Tracker):
 
     def __init__(self, r: float):
         self.gate_radius = 1.0 / disk_r_star()
+        # the gate and the tie threshold, each the value a step would form
+        self._gate = self.gate_radius * (1.0 + 1e-9)
+        self._tie = math.pi - self.TIE_BAND
         super().__init__(r)
 
     def reset(self):
@@ -380,13 +394,16 @@ class DiskArcChasingPursuer(_Tracker):
         self._direction = 1.0
 
     def position(self, opp, t: float):
-        h = opp.last
-        target, s, gap = math.atan2(h[1], h[0]), self._s, None
+        hx, hy = opp.last
+        target, s, gap = math.atan2(hy, hx), self._s, None
         if s is not None:
-            gate = self.gate_radius * (1.0 + 1e-9)
-            if _radius_near(h[0], h[1], gate) > gate:
-                gap = _wrap_angle(target - s)
-                if abs(gap) >= math.pi - self.TIE_BAND:
+            gate = self._gate
+            rad = math.hypot(hx, hy)
+            if abs(rad - gate) <= _HYPOT_BAND:
+                rad = float(np.hypot(hx, hy))
+            if rad > gate:
+                gap = (target - s + math.pi) % _TAU - math.pi  # _wrap_angle inline
+                if abs(gap) >= self._tie:
                     # near-antipodal tie: keep running the committed way
                     gap = self._direction * math.inf
                 else:
@@ -399,7 +416,7 @@ class DiskArcChasingPursuer(_Tracker):
 
 def _dt_hint(opp) -> float:
     # the view's newest grid step, read from the whole times array unsliced
-    n = len(opp)
+    n = opp._len
     if n >= 2:
         times = opp._times
         return float(times[n - 1] - times[n - 2])

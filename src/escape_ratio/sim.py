@@ -46,12 +46,22 @@ disk radius that close to 1 +- tol, is decided again by the scalar form;
 outside that band both take the same branch.  The analytic domains
 (disk, halfplane, wedge) and strategies work on the two coordinates as
 Python floats, since a strategy handles single 2-vectors; a view's ``last``
-hands the newest point over as an (x, y) float tuple.  Every value that is
+is a plain attribute holding the newest point as an (x, y) float tuple,
+which the engine writes with the view's length.  Every value that is
 stored keeps the numpy arithmetic the trajectories were pinned with
 (``np.hypot``, ``@``).  A strategy's branch on a radius (the disk pursuer's
 gate, the disk escaper's exit test) compares ``math.hypot`` with its
 threshold and calls ``np.hypot`` only within the same band of it, so
 trajectories do not change.
+
+The step loop is the cost of a disk run: about 1.9 us a step on a 2-CPU
+host, of which the engine and its checks take about 0.6 us with stub
+strategies that return a constant point.  So the disk strategies form their
+constants (the escaper's revolution cap and band gain, the pursuer's gate
+and tie threshold) once per instance, each the product a step would form,
+and the escaper reads a view that grew by one point without a loop;
+``tests/conftest.py`` keeps the strategies that form them in the step as
+the reference their trajectories must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -258,21 +268,32 @@ class MotionPath:
 class PathView:
     """Read-only growing prefix of a trajectory handed to strategies.
 
-    ``playthrough`` builds one view per side for a whole run and advances its
-    length before each strategy call, so a view is valid only during the call
-    it was passed to: kept past it, it shows a later prefix.  Arrays taken
-    from it (``points``, ``times``) and the ``last`` tuple do not change.  No
+    ``last`` is the most recent point, ``points[-1]``, as an (x, y) tuple of
+    Python floats; reading it from an empty view raises IndexError.  It is a
+    plain attribute: ``__init__`` sets it from the points, and ``playthrough``,
+    which builds one view per side for a whole run, sets it with the length
+    before each strategy call.  So a view is valid only during the call it
+    was passed to: kept past it, it shows a later prefix.  Arrays taken from
+    it (``points``, ``times``) and the ``last`` tuple do not change.  No
     strategy can look ahead this way: no strategy code runs between the
     engine's advance and the call.
     """
 
-    __slots__ = ("_times", "_points", "_len", "_last")
+    __slots__ = ("_times", "_points", "_len", "last")
 
     def __init__(self, times: np.ndarray, points: np.ndarray, length: int):
         self._times = times
         self._points = points
         self._len = length
-        self._last = None  # the engine's newest (x, y), set with ``_len``
+        if length:
+            p = points[length - 1]
+            self.last = (float(p[0]), float(p[1]))
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: ``last`` of an empty view
+        if name == "last":
+            raise IndexError("empty path view")
+        raise AttributeError(name)
 
     @property
     def times(self) -> np.ndarray:
@@ -281,16 +302,6 @@ class PathView:
     @property
     def points(self) -> np.ndarray:
         return self._points[: self._len]
-
-    @property
-    def last(self) -> tuple:
-        """The most recent point, ``points[-1]``, as an (x, y) tuple of floats."""
-        if self._last is not None:
-            return self._last
-        if self._len == 0:
-            raise IndexError("empty path view")
-        p = self._points[self._len - 1]
-        return (float(p[0]), float(p[1]))
 
     def __len__(self):
         return self._len
@@ -444,10 +455,12 @@ class Playthrough:
 
 
 # Steps the strategies run ahead of the checks.  A block's checks are a few
-# numpy calls whatever its length: on the disk, blocks of 32 steps kept a
-# third of the gain of 256, and 256 to 2048 ran alike.  The strategies may
-# run up to a block minus one step past the end of a run.
-_BLOCK = 256
+# numpy calls, about 50 us plus 0.1 us a step: on the disk workload's two
+# runs (35,931 steps, about 75 ms) they took 10.9 ms in blocks of 256, 5.6 ms
+# in blocks of 1024 and 4.6 ms in blocks of 2048, where the steps run past an
+# escape ate the rest of the gain.  The strategies may run up to a block
+# minus one step past the end of a run.
+_BLOCK = 1024
 
 
 def playthrough(
@@ -495,13 +508,12 @@ def playthrough(
     # One view per side for the whole run.  Before each call the engine
     # advances its length: the escaper sees the pursuer's k + 1 points up to
     # k*dt, the pursuer the escaper's k + 2 points up to (k+1)*dt.
-    # Each view's ``last`` is the newest (x, y) float tuple the engine holds.
-    # Per-step points travel as such tuples; the arrays keep the record, and
-    # are written before the next call, which may read them.
-    h = (float(h_pts[0, 0]), float(h_pts[0, 1]))
+    # Each view's ``last`` is the newest (x, y) float tuple the engine holds,
+    # written with its length.  Per-step points travel as such tuples; the
+    # arrays keep the record, and are written before the next call, which
+    # may read them.
     esc_view = PathView(times, z_pts, 0)
     purs_view = PathView(times, h_pts, 1)
-    purs_view._last = h
     z_pts[0] = np.asarray(pursuer.position(purs_view, 0.0), dtype=float)
     if not domain.contains(z_pts[0])[1]:
         raise DomainViolation("pursuer start outside its domain")
@@ -532,11 +544,11 @@ def playthrough(
         try:
             for j in range(k, stop):
                 t_next = (j + 1) * dt
-                esc_view._len, esc_view._last = j + 1, z
+                esc_view._len, esc_view.last = j + 1, z
                 x, y = escaper_position(esc_view, t_next)
                 h = (float(x), float(y))
                 h_flat[2 * j + 2], h_flat[2 * j + 3] = h
-                purs_view._len, purs_view._last = j + 2, h
+                purs_view._len, purs_view.last = j + 2, h
                 x, y = pursuer_position(purs_view, t_next)
                 z = (float(x), float(y))
                 z_flat[2 * j + 2], z_flat[2 * j + 3] = z

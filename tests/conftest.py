@@ -17,9 +17,11 @@ from escape_ratio.errors import (
     DomainViolation,
     SelfIntersecting,
     SpeedViolation,
+    StrategyFailure,
     TooFewVertices,
     ZeroArea,
 )
+from escape_ratio.exact import AploParams, _Tracker, disk_r_star
 from escape_ratio.geometry import (
     TOL_SCALE,
     MetricContext,
@@ -600,12 +602,12 @@ def reference_playthrough(
     # One view per side for the whole run.  Before each call the engine
     # advances its length: the escaper sees the pursuer's k + 1 points up to
     # k*dt, the pursuer the escaper's k + 2 points up to (k+1)*dt.
-    # Each view's ``last`` is the newest (x, y) float tuple the engine holds.
-    # Per-step points travel as such tuples; the arrays keep the record.
-    h = (float(h_pts[0, 0]), float(h_pts[0, 1]))
+    # Each view's ``last`` is the newest (x, y) float tuple the engine holds,
+    # written with its length.  Per-step points travel as such tuples; the
+    # arrays keep the record.
     esc_view = PathView(times, z_pts, 0)
     purs_view = PathView(times, h_pts, 1)
-    purs_view._last = h
+    h = purs_view.last
     z_pts[0] = np.asarray(pursuer.position(purs_view, 0.0), dtype=float)
     if not domain.contains(z_pts[0])[1]:
         raise DomainViolation("pursuer start outside its domain")
@@ -633,7 +635,7 @@ def reference_playthrough(
     if sep is None:
         for k in range(n_steps):
             t_next = (k + 1) * dt
-            esc_view._len, esc_view._last = k + 1, z
+            esc_view._len, esc_view.last = k + 1, z
             x, y = escaper_position(esc_view, t_next)
             h_next = (float(x), float(y))
             in_escaper, on_exit = contains(h_next)
@@ -646,7 +648,7 @@ def reference_playthrough(
                 )
             h = h_next
             h_pts[k + 1, 0], h_pts[k + 1, 1] = h
-            purs_view._len, purs_view._last = k + 2, h
+            purs_view._len, purs_view.last = k + 2, h
             x, y = pursuer_position(purs_view, t_next)
             z_next = (float(x), float(y))
             if not contains(z_next)[1]:
@@ -683,6 +685,180 @@ def reference_playthrough(
             touches=touches,
         )
     return Playthrough(h_path, z_path, "no_escape_by_tmax", epsilon, dt, touches=touches)
+
+
+# ---------------------------------------------------------------------------
+# reference disk strategies
+# ---------------------------------------------------------------------------
+# ``exact.DiskAploEscaper`` and ``exact.DiskArcChasingPursuer`` as they were
+# with every per-step constant formed in the step, the angle wrap and the
+# radius band behind helper calls, and the newest point read through a
+# 1-tuple loop: the oracle the strategies' trajectories must equal bit for
+# bit.  The code below is kept verbatim apart from the class names.
+
+
+def _wrap_angle(a: float) -> float:
+    return (a + math.pi) % (2.0 * math.pi) - math.pi
+
+
+# libm's hypot and CPython's math.hypot (3.10+) are each within 1 ulp of the
+# true value, so on the O(1) radii of the disk game they differ by under
+# 1e-15.  Outside this band around a threshold both compare the same way.
+_HYPOT_BAND = 1e-12
+
+
+def _radius_near(x: float, y: float, threshold: float) -> float:
+    """hypot(x, y) for a comparison with ``threshold``: ``math.hypot``, or
+    ``np.hypot`` (the arithmetic the disk trajectories are pinned to) when the
+    two could fall on different sides of it."""
+    rad = math.hypot(x, y)
+    if abs(rad - threshold) <= _HYPOT_BAND:
+        rad = float(np.hypot(x, y))
+    return rad
+
+
+class ReferenceDiskAploEscaper(Strategy):
+    """Escaper strategy for the unit disk at speed ratio r.
+
+    Starts on the inner circle of radius 1/r*, circles at full speed until
+    antipodal to the pursuer, then runs the APLO strategy with dv = r/r* to
+    the boundary and holds the exit point.  Above the critical ratio the
+    lateral gain is capped so the parameters stay admissible; the strategy can
+    then no longer hold antipodal opposition, which is exactly why it loses.
+    """
+
+    ANTIPODAL_TOL = 1e-6  # floor; the dt grid widens the detection band
+    MAX_REVOLUTIONS = 10
+
+    def __init__(self, r: float):
+        self.r = float(r)
+        self.r_star = disk_r_star()
+        self.inner_radius = 1.0 / self.r_star
+        self.start_point = np.array([self.inner_radius, 0.0])
+        nominal = min(self.r, 0.95 * self.r_star)
+        self.dv = nominal / self.r_star
+        self.du = math.sqrt(max(0.0, 1.0 - self.dv**2))
+        self.reset()
+
+    def reset(self):
+        self._phase = 1
+        self._frame = None  # APLO h0, axial, lateral as six floats
+        self._t2 = 0.0
+        self._progress = 0.0
+        self._last_idx = 0
+        self._last_angle = 0.0
+        self._exit = None
+
+    def _consume_progress(self, opp):
+        # each arc starts at the angle the previous one ended at; a view that
+        # grew by one point (every engine step) hands its newest as a tuple
+        n = len(opp)
+        new = (opp.last,) if n == self._last_idx + 1 else opp.points[self._last_idx :]
+        a0 = self._last_angle
+        for p in new:
+            a1 = math.atan2(p[1], p[0])
+            self._progress += _wrap_angle(a1 - a0)  # unit circle: arc == angle
+            a0 = a1
+        self._last_angle = a0
+        self._last_idx = n
+
+    def position(self, opp, t: float):
+        if t == 0.0 or len(opp) == 0:
+            return self.start_point
+        if self._exit is not None:
+            return self._exit
+        if self._phase == 1:
+            z = opp.last
+            phi_e = t * self.r_star  # unit speed on the inner circle
+            if phi_e > 2.0 * math.pi * self.MAX_REVOLUTIONS:
+                raise StrategyFailure(
+                    "antipodal opposition never reached; pursuer faster than assumed?"
+                )
+            phi_z = math.atan2(z[1], z[0])
+            gap = abs(_wrap_angle(phi_e - phi_z))
+            band = max(self.ANTIPODAL_TOL, 2.0 * (self.r_star + self.r) * _dt_hint(opp))
+            if abs(gap - math.pi) <= band:
+                s_h = self.inner_radius * np.array([math.cos(phi_e), math.sin(phi_e)])
+                axial = s_h - np.array([math.cos(phi_z), math.sin(phi_z)])
+                aplo = AploParams(
+                    h0=s_h, axial=axial, r_prime=self.r, du=self.du, dv=self.dv
+                )
+                self._frame = tuple(
+                    float(c) for c in (*aplo.h0, *aplo.axial, *aplo.lateral)
+                )
+                self._t2 = t
+                self._progress = 0.0
+                self._last_idx = len(opp)
+                self._last_angle = phi_z
+                self._phase = 2
+                return s_h
+            ir = self.inner_radius
+            return (ir * math.cos(phi_e), ir * math.sin(phi_e))
+        self._consume_progress(opp)
+        # aplo_position elementwise, in its order: (h0 + c1*axial) + c2*lateral
+        h0x, h0y, ax, ay, lx, ly = self._frame
+        c1 = (t - self._t2) * self.du
+        c2 = self._progress / self.r * self.dv
+        x = h0x + c1 * ax + c2 * lx
+        y = h0y + c1 * ay + c2 * ly
+        if _radius_near(x, y, 1.0) >= 1.0:
+            rad = float(np.hypot(x, y))  # the exit point is stored
+            self._exit = (x / rad, y / rad)
+            return self._exit
+        return (x, y)
+
+
+class ReferenceDiskArcChasingPursuer(_Tracker):
+    """Pursuer strategy for the unit disk at speed ratio r.
+
+    Starts at the boundary point nearest the escaper; whenever the escaper is
+    strictly outside the inner circle of radius 1/r*, runs at full speed along
+    the shorter arc toward the escaper's closest boundary point, otherwise
+    stands still.  Near-antipodal ties keep the previous running direction so
+    grid-scale dithering cannot freeze the chase.  The tracked coordinate is
+    the pursuer's angle.
+    """
+
+    TIE_BAND = 0.05  # radians around the antipode treated as a tie
+
+    def __init__(self, r: float):
+        self.gate_radius = 1.0 / disk_r_star()
+        super().__init__(r)
+
+    def reset(self):
+        super().reset()
+        self._direction = 1.0
+
+    def position(self, opp, t: float):
+        h = opp.last
+        target, s, gap = math.atan2(h[1], h[0]), self._s, None
+        if s is not None:
+            gate = self.gate_radius * (1.0 + 1e-9)
+            if _radius_near(h[0], h[1], gate) > gate:
+                gap = _wrap_angle(target - s)
+                if abs(gap) >= math.pi - self.TIE_BAND:
+                    # near-antipodal tie: keep running the committed way
+                    gap = self._direction * math.inf
+                else:
+                    self._direction = 1.0 if gap >= 0 else -1.0
+            else:
+                target = s  # escaper within the gate: stand still
+        s = self._track(target, t, gap)
+        return (math.cos(s), math.sin(s))
+
+
+def _dt_hint(opp) -> float:
+    # the view's newest grid step, read from the whole times array unsliced
+    n = len(opp)
+    if n >= 2:
+        times = opp._times
+        return float(times[n - 1] - times[n - 2])
+    return 0.0
+
+
+def reference_disk_strategies(r: float):
+    """(escaper, pursuer) reference strategy pair for the unit disk at ratio r."""
+    return ReferenceDiskAploEscaper(r), ReferenceDiskArcChasingPursuer(r)
 
 
 def reference_validate_speed(path: MotionPath, domain, pairs: int = 200, seed: int = 0) -> SpeedReport:

@@ -40,6 +40,10 @@ model, ``sim.playthrough`` must equal ``reference_playthrough`` (each step
 checked with the scalar ``contains`` and distances before the next) bit for
 bit: a straight run to a vertex at dt 1e-3 against a pursuer camping on
 the boundary, which the escaper then touches every step without escaping.
+On the disk at r = 4.4, 4.6 and 4.8, ``sim.playthrough`` with
+``exact.disk_strategies`` must equal ``reference_playthrough`` with
+``reference_disk_strategies`` (the strategies with every constant formed in
+the step) bit for bit, at dt 1e-5 to t = 2 (about 200,000 steps).
 
 On every vertex pair of the 100- and 200-vertex stars, ``segment_visibility``
 must equal the segment-major sorting oracle ``_sorting_segment_visibility``,
@@ -65,6 +69,7 @@ from conftest import (
     _sorting_point_classes,
     _sorting_segment_visibility,
     reference_contains,
+    reference_disk_strategies,
     reference_min_feature_size,
     reference_playthrough,
     reference_validate,
@@ -97,7 +102,8 @@ from escape_ratio.geometry import (
     segment_visibility,
     validate_polygon,
 )
-from escape_ratio.sim import PolygonDomain, StraightRunEscaper, playthrough
+from escape_ratio.exact import disk_strategies
+from escape_ratio.sim import DiskDomain, PolygonDomain, StraightRunEscaper, playthrough
 
 
 def pinched_comb(teeth, factor):
@@ -298,6 +304,28 @@ def playthrough_failures(dt=1e-3) -> int:
     return failed
 
 
+def disk_playthrough_failures(dt=1e-5, t_max=2.0) -> int:
+    """The block engine with ``exact.disk_strategies`` against
+    ``reference_playthrough`` with ``reference_disk_strategies`` on the
+    disk, at ratios below, near and above r* (about 200,000 steps each)."""
+    failed = 0
+    for r in (4.4, 4.6, 4.8):
+        epsilon = 5 * r * dt if r > 4.603 else 0.01
+
+        def run(engine, strategies):
+            return engine(*strategies(r), dt=dt, t_max=t_max, epsilon=epsilon,
+                          domain=DiskDomain())
+
+        got, t_got = timed(_result, lambda: run(playthrough, disk_strategies))
+        ref, t_ref = timed(_result, lambda: run(reference_playthrough, reference_disk_strategies))
+        same = got == ref
+        failed += not same
+        print(f"disk r={r} playthrough: {got[0]}, {len(got[4])} touches in "
+              f"{len(got[5]) // 8 - 1} steps, {'same' if same else 'DIFFERENT'} "
+              f"({t_ref:.3f} s -> {t_got:.3f} s)", flush=True)
+    return failed
+
+
 def main() -> int:
     rng = np.random.default_rng(2)
     star = _star(100)
@@ -329,6 +357,7 @@ def main() -> int:
     failed += geodesic_failures()
     failed += net_failures()
     failed += playthrough_failures()
+    failed += disk_playthrough_failures()
     return 1 if failed else 0
 
 

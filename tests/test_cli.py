@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import math
 
 import pytest
@@ -56,6 +57,21 @@ class TestRatio:
         assert doc["upper"] == pytest.approx(2 * (3 + math.sqrt(6)) * 2, rel=0.1)
         assert doc["witness_p"] == pytest.approx([0.5, 0.0])
         assert doc["spacing"] == 0.05
+
+    def test_log_level_writes_records_to_stderr(self, capsys, square_file):
+        argv = ["ratio", "--polygon", square_file, "--spacing", "0.1"]
+        assert run(argv) == 0
+        quiet = capsys.readouterr()
+        assert run(["--log-level", "debug", *argv]) == 0
+        loud = capsys.readouterr()
+        assert loud.out == quiet.out
+        assert quiet.err == ""
+        assert "DEBUG escape_ratio.ratio: max_ratio: m=" in loud.err
+        # the handler and level last only as long as the run
+        logger = logging.getLogger("escape_ratio")
+        assert logger.handlers == [] and logger.level == logging.NOTSET
+        assert run(["--log-level", "warning", *argv]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_missing_polygon_flag_exits_2(self, capsys):
         rc = run(["ratio", "--spacing", "0.05"])

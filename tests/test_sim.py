@@ -6,8 +6,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import L_SHAPE, SQUARE, reference_playthrough, reference_validate_speed
-from test_exact import _points_near_circle
+from conftest import (
+    L_SHAPE,
+    SQUARE,
+    reference_disk_strategies,
+    reference_playthrough,
+    reference_validate_speed,
+)
+from test_exact import _bits, _points_near_circle
 
 from escape_ratio import sim
 from escape_ratio.errors import DomainViolation, OutsideDomain, SpeedViolation
@@ -684,7 +690,11 @@ class _Outputs(Strategy):
         return p
 
 
-@pytest.mark.parametrize("block", [3, sim._BLOCK])
+# a small block, a middle one and the engine's
+BLOCKS = [3, 256, sim._BLOCK]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize("r", [4.4, 4.8], ids=["escape", "hold"])
 def test_each_position_is_classified_once(r, block, monkeypatch):
     # a block of steps is one membership call, and every position a
@@ -946,6 +956,66 @@ def test_small_blocks_match_reference(case, block, monkeypatch):
     assert _result(lambda: ENGINE_CASES[case](playthrough)) == _reference_result(case)
 
 
+DISK_RATIOS = [1.5, 3.0, 4.4, 4.6, 4.8, 6.0]
+
+
+def _disk_outcomes(strategies, r, dt, oblivious=False):
+    # the block engine's run with the pair ``strategies(r)``; an oblivious
+    # pursuer gets a delay of half the tie band's reach at r
+    esc, purs = strategies(r)
+    if oblivious:
+        purs = obliviate(purs, 0.05 / (2 * r))
+    epsilon = 5 * r * dt if r > 4.603 else 0.01
+    return _result(lambda: playthrough(esc, purs, dt=dt, t_max=2.0, epsilon=epsilon,
+                                       domain=DiskDomain()))
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1e-4])
+@pytest.mark.parametrize("r", DISK_RATIOS)
+def test_disk_strategies_match_reference(r, dt):
+    # times, points, touches and outcome, to the bit, against the strategies
+    # that form every constant in the step
+    got = _disk_outcomes(disk_strategies, r, dt)
+    assert got == _disk_outcomes(reference_disk_strategies, r, dt)
+    # at 4.6, just below r*, the escaper does not get out by t = 2
+    assert got[0] == ("escaped" if r < 4.5 else "no_escape_by_tmax")
+
+
+@pytest.mark.parametrize("r", [4.4, 4.8])
+def test_disk_strategies_match_reference_against_an_oblivious_pursuer(r):
+    got = _disk_outcomes(disk_strategies, r, 1e-3, oblivious=True)
+    assert got == _disk_outcomes(reference_disk_strategies, r, 1e-3, oblivious=True)
+
+
+def _escaper_state(esc):
+    return (esc._phase, esc._frame, esc._t2, esc._progress, esc._last_idx, esc._last_angle,
+            esc._exit)
+
+
+def test_disk_strategies_match_reference_on_views_jumping_three_points():
+    # an engine hands each strategy one point more a call; here the views
+    # grow three points a call (the escaper's once it runs APLO, so its
+    # progress takes the loop over the new points), and every output and
+    # the escaper's state must equal the reference strategies'
+    ref_run = reference_playthrough(*reference_disk_strategies(4.4), dt=1e-3, t_max=2.0,
+                                    epsilon=0.01, domain=DiskDomain())
+    times = ref_run.escaper_path.times
+    h_pts, z_pts = ref_run.escaper_path.points, ref_run.pursuer_path.points
+    pairs = (disk_strategies(4.4), reference_disk_strategies(4.4))
+    k, jumps = 0, 0
+    while k + 1 < len(times):
+        outs = [esc.position(PathView(times, z_pts, k + 1), times[k + 1]) for esc, _ in pairs]
+        assert _bits(outs[0]) == _bits(outs[1]), k
+        assert _escaper_state(pairs[0][0]) == _escaper_state(pairs[1][0]), k
+        jumps += pairs[0][0]._phase == 2 and pairs[0][0]._exit is None
+        k += 3 if pairs[0][0]._phase == 2 else 1
+    assert jumps > 100
+    for k in range(0, len(times), 3):
+        outs = [purs.position(PathView(times, h_pts, k + 1), times[k]) for _, purs in pairs]
+        assert _bits(outs[0]) == _bits(outs[1]), k
+        assert (pairs[0][1]._s, pairs[0][1]._direction) == (pairs[1][1]._s, pairs[1][1]._direction)
+
+
 def _after(at, before, after):
     return lambda t: after if t > at else before
 
@@ -985,20 +1055,22 @@ EVENT_KINDS = ["escaper domain", "escaper speed", "escaper raises", "pursuer dom
                "pursuer speed", "pursuer raises", "escape"]
 
 
-@pytest.mark.parametrize("block", [3, sim._BLOCK])
+@pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize("where", ["first step", "last step"])
 @pytest.mark.parametrize("kind", EVENT_KINDS)
 def test_event_at_a_block_edge(kind, where, block, monkeypatch):
-    # the second block's first or last step
+    # the second block's first or last step; the escape's straight run
+    # starts 2 * block * dt inside the circle, so dt shrinks with the block
     monkeypatch.setattr(sim, "_BLOCK", block)
     step = block if where == "first step" else 2 * block - 1
-    run = _event_at(kind, step)
+    dt = 1e-3 * min(1.0, 256 / block)
+    run = _event_at(kind, step, dt)
     want = _result(lambda: run(reference_playthrough))
     assert _result(lambda: run(playthrough)) == want
     if kind == "escape":
-        assert want[:2] == ("escaped", (step + 1) * 1e-3)
+        assert want[:2] == ("escaped", (step + 1) * dt)
     else:
-        assert want[1].endswith(f"t={(step + 1) * 1e-3:.4g}")
+        assert want[1].endswith(f"t={(step + 1) * dt:.4g}")
 
 
 def _escaper_event(kind, step, dt=1e-3):
