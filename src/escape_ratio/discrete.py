@@ -32,8 +32,10 @@ to its evaluated row.
 The keys' covered rows are evaluated in blocks: moat-model games count bad
 replies in circular windows through prefix sums (the pursuer's move set is
 an arc interval); other games use a dense float32 matrix product.  W stays
-packed in uint64 words across the sweeps.  The marking is order-independent,
-so the result is deterministic.
+packed in uint64 words across the sweeps, and so do the ranks: one bit plane
+per bit of the sweep count, decoded into the int32 ``SolveResult.rank`` only
+when it is first read (strategy extraction reads it; deciding a winner does
+not).  The marking is order-independent, so the result is deterministic.
 
 The module needs numpy alone: ``_close_pairs`` finds the candidate pairs of
 the move relations, ``MoveRelation`` holds ``e_h`` row-compressed, and
@@ -399,14 +401,17 @@ def _csr_relation(i, j, m: int) -> MoveRelation:
 
     Built from the sorted keys row * m + col, so each row's indices are
     sorted (``SolveResult.escaper_move`` walks them in that order); row r's
-    keys start at the first key >= r * m.
+    keys start at the first key >= r * m.  The keys are int32 when m * m
+    fits, which sorts about twice as fast as int64.
     """
-    key = np.concatenate([i * m + j, j * m + i, np.arange(m) * (m + 1)])
+    dtype = np.int32 if m * m <= np.iinfo(np.int32).max else np.int64
+    i, j = np.asarray(i, dtype=dtype), np.asarray(j, dtype=dtype)
+    key = np.concatenate([i * m + j, j * m + i, np.arange(m, dtype=dtype) * (m + 1)])
     key.sort()
-    starts = np.arange(m + 1) * m
+    starts = np.arange(m + 1, dtype=dtype) * m
     indptr = np.searchsorted(key, starts).astype(np.int32)
     key -= np.repeat(starts[:-1], np.diff(indptr))
-    return MoveRelation(indptr=indptr, indices=key.astype(np.int32))
+    return MoveRelation(indptr=indptr, indices=key.astype(np.int32, copy=False))
 
 
 def _dense_relation(i, j, m: int) -> np.ndarray:
@@ -570,20 +575,37 @@ class SolveResult:
     """Least-fixpoint marking of escaper-win states.
 
     ``escaper_move`` and ``pursuer_move`` are the extracted strategies; pass
-    them to ``play_discrete`` to replay a game.
+    them to ``play_discrete`` to replay a game.  ``rank`` is decoded from
+    ``rank_planes`` on first read; ``sweeps`` holds each sweep's counts, the
+    numbers of its DEBUG line.
     """
 
     game: DiscreteGame
     escaper_wins: bool
     win_mask: np.ndarray  # bool over escaper-turn states [h, z]
-    rank: np.ndarray  # marking round per state; 0 where unmarked
+    rank_planes: np.ndarray  # uint64 [bit, h, word]: bit b of each state's rank, packed
     threat: np.ndarray  # cached threat matrix P[h, z]
     witness_h0: Optional[int]
     iterations: int
+    sweeps: list  # (selected, evaluated, distinct, marked) per sweep
 
     @property
     def win_count(self) -> int:
         return int(self.win_mask.sum())
+
+    @functools.cached_property
+    def rank(self) -> np.ndarray:
+        """int32 [h, z]: the sweep that marked each state; 0 where unmarked.
+
+        The planes are accumulated high bit first in the narrowest unsigned
+        dtype that holds every rank, and widened to int32 once.
+        """
+        planes = self.rank_planes
+        acc = np.zeros(self.win_mask.shape, dtype=np.min_scalar_type(2 ** len(planes) - 1))
+        for plane in planes[::-1]:
+            acc <<= 1
+            acc |= _unpack_rows(plane, acc.shape[1])
+        return acc.astype(np.int32)
 
     # -- strategy extraction ------------------------------------------------
 
@@ -645,13 +667,17 @@ def solve(game: DiscreteGame) -> SolveResult:
     evaluates each distinct covered row of a sweep once: it keys each pair by
     the distinct rows of P (grouped once per solve) and of W (grouped once
     per sweep, over the rows the sweep's pairs read), in a table of
-    n_p * n_w entries.  W stays packed in uint64
-    words across the sweeps; ``rank`` is written on the rows that changed,
-    and ``win_mask`` is unpacked once, at the end.  Each sweep logs one DEBUG
-    line: ``sweep k: S moves selected, E pairs evaluated, D distinct rows, M
-    states newly marked``, with S the moves of open rows into rows that
-    changed (the row rule), E those whose covered row changed, D the
-    distinct covered rows evaluated and M the states marked.
+    n_p * n_w entries.  W stays packed in uint64 words across the sweeps,
+    and ``win_mask`` is unpacked once, at the end.  No dense rank is kept:
+    ``rank_planes[b]`` is bit b of every state's rank, packed like W, and
+    sweep k ORs the states it marked into the planes of k's set bits (a
+    state is marked once, so the planes hold its rank exactly).
+    ``SolveResult.rank`` decodes them on first read.  Each sweep logs one
+    DEBUG line: ``sweep k: S moves selected, E pairs evaluated, D distinct
+    rows, M states newly marked``, with S the moves of open rows into rows
+    that changed (the row rule), E those whose covered row changed, D the
+    distinct covered rows evaluated and M the states marked;
+    ``SolveResult.sweeps`` holds the same (S, E, D, M) per sweep.
 
     Always terminates: marking is monotone over the finite state lattice.
     The overall winner quantifies over placements: the escaper wins iff some
@@ -659,7 +685,6 @@ def solve(game: DiscreteGame) -> SolveResult:
     """
     n_h, n_z = game.n_h, game.n_z
     P = threat_matrix(game)
-    rank = np.zeros((n_h, n_z), dtype=np.int32)
 
     indices = game.e_h.indices
     degree = np.diff(game.e_h.indptr)
@@ -691,6 +716,8 @@ def solve(game: DiscreteGame) -> SolveResult:
         return good
 
     W = np.zeros_like(P_words)
+    planes = []  # bit b of each state's rank, packed like W
+    sweeps = []
     # sweep 1: W is empty, so staying put covers every move
     h_sel = hp_sel = np.arange(n_h, dtype=indices.dtype)
     selected = n_h
@@ -700,15 +727,19 @@ def solve(game: DiscreteGame) -> SolveResult:
         evaluated = len(h_sel)
         W_next, distinct = _sweep(W, h_sel, hp_sel, pid, P_rows, block, good_words)
         newly = W_next & ~W
-        changed = newly.any(axis=1)
-        rows = np.flatnonzero(changed)
-        marks = _unpack_rows(newly[rows], n_z)
-        marked = int(np.count_nonzero(marks))
+        # unpacking only the nonzero words counts faster than a byte table
+        marked = int(np.count_nonzero(np.unpackbits(newly[newly != 0].view(np.uint8))))
+        sweeps.append((selected, evaluated, distinct, marked))
         logger.debug("sweep %d: %d moves selected, %d pairs evaluated, %d distinct rows, "
                      "%d states newly marked", iteration, selected, evaluated, distinct, marked)
         if not marked:
             break
-        rank[rows] = np.where(marks, np.int32(iteration), rank[rows])
+        # each state is marked once, so OR-ing its sweep's bits in is exact
+        if iteration >> len(planes):
+            planes.append(np.zeros_like(W))
+        for b, plane in enumerate(planes):
+            if iteration >> b & 1:
+                plane |= newly
         W = W_next
         if iteration > n_h * n_z + 2:
             raise RuntimeError("fixpoint failed to stabilize (bug)")
@@ -723,10 +754,11 @@ def solve(game: DiscreteGame) -> SolveResult:
         game=game,
         escaper_wins=escaper_wins,
         win_mask=win_mask,
-        rank=rank,
+        rank_planes=np.array(planes, dtype=np.uint64).reshape(len(planes), *W.shape),
         threat=P,
         witness_h0=witness,
         iterations=iteration,
+        sweeps=sweeps,
     )
 
 

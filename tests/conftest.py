@@ -10,6 +10,7 @@ from escape_ratio.discrete import (
     SampleSet,
     SolveResult,
     _csr_relation,
+    _pack_rows,
     threat_matrix,
 )
 from escape_ratio.errors import (
@@ -456,7 +457,9 @@ def reference_solve(game):
     """Per-row Jacobi sweeps: every active row against all of its moves.
 
     The exact slow path that the semi-naive keyed solver replaced:
-    ``discrete.solve`` must match it on every output.
+    ``discrete.solve`` must match it on every output.  Its ``rank`` is the
+    int32 matrix it wrote, not decoded from its ``rank_planes``; its
+    ``sweeps`` is empty (its per-row sweeps count other work).
     """
     n_h, n_z = game.n_h, game.n_z
     P = threat_matrix(game)
@@ -506,11 +509,16 @@ def reference_solve(game):
 
     full_rows = W.all(axis=1)
     escaper_wins = bool(full_rows.any())
-    return SolveResult(
-        game=game, escaper_wins=escaper_wins, win_mask=W, rank=rank, threat=P,
-        witness_h0=int(np.argmax(full_rows)) if escaper_wins else None,
-        iterations=iteration,
+    planes = [_pack_rows((rank >> b) & 1 == 1) for b in range(int(rank.max()).bit_length())]
+    result = SolveResult(
+        game=game, escaper_wins=escaper_wins, win_mask=W,
+        rank_planes=np.array(planes, dtype=np.uint64).reshape(len(planes), n_h, -(-n_z // 64)),
+        threat=P, witness_h0=int(np.argmax(full_rows)) if escaper_wins else None,
+        iterations=iteration, sweeps=[],
     )
+    # the reference's own rank, so a comparison decodes only solve's planes
+    vars(result)["rank"] = rank
+    return result
 
 
 def minimax_escaper_wins(game, h0, z0, depth=None):

@@ -156,6 +156,22 @@ def _assert_logged_counts(game, caplog):
     return counts
 
 
+def _chain_game(sweeps):
+    """A game whose solve takes ``sweeps`` sweeps (the last marks nothing).
+
+    The escaper walks a path of samples 0 - 1 - ... - n_h - 1 whose one exit
+    is sample 0; the pursuer stands still on the exit (sample 0) or away
+    from it (sample 1).  From sample 1 the exit threat fires at once, so
+    (h, 1) is won in sweep max(h, 1) and the ranks run up to ``sweeps - 1``.
+    One sweep is the same path against a pursuer that reaches the exit from
+    both samples, so nothing is won.
+    """
+    n_h = max(sweeps, 2)
+    e_h = np.eye(n_h, dtype=bool) | np.eye(n_h, k=1, dtype=bool) | np.eye(n_h, k=-1, dtype=bool)
+    e_z = np.ones((2, 2), dtype=bool) if sweeps == 1 else np.eye(2, dtype=bool)
+    return toy_game(e_h, e_z, exit_idx_h=[0], exit_idx_z=[0])
+
+
 def _bracket_probe_games():
     """The bracket benchmark's three probes: the unit square, moat model,
     delta = 0.2 and gamma = 0.05 (921 escaper by 80 pursuer samples)."""
@@ -823,6 +839,41 @@ class TestSolve:
         assert (res.iterations, res.win_count) == (10, 460_749)
         assert digest(res.win_mask) == "1065becc40bbe536"
         assert digest(res.rank) == "201b2962cc2853d0"
+
+    @pytest.mark.parametrize("sweeps", [*range(1, 10), 16, 17, 255, 256, 257])
+    def test_rank_planes_cross_bit_boundaries(self, sweeps):
+        # one rank bit plane per bit of the largest rank, sweeps - 1: the
+        # decoder accumulates in uint8 up to 8 planes and in uint16 at 9
+        game = _chain_game(sweeps)
+        res = solve(game)
+        assert "rank" not in vars(res)
+        assert res.iterations == sweeps
+        assert len(res.rank_planes) == (sweeps - 1).bit_length()
+        rank = res.rank
+        assert res.rank is rank
+        ref = reference_solve(game)
+        assert np.array_equal(rank, ref.rank) and rank.dtype == ref.rank.dtype == np.int32
+        assert np.array_equal(res.win_mask, ref.win_mask)
+        expected = np.zeros((game.n_h, 2), dtype=np.int32)
+        if sweeps > 1:
+            expected[:, 1] = np.maximum(np.arange(game.n_h), 1)
+        assert np.array_equal(rank, expected)
+
+    def test_sweeps_hold_the_debug_line_counts(self, caplog):
+        # SolveResult.sweeps is (selected, evaluated, distinct, marked) per
+        # sweep, the numbers of the DEBUG lines; marked counts each rank
+        results = []
+        for game in [*_bracket_probe_games(), *_oracle_games()]:
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="escape_ratio.discrete"):
+                res = solve(game)
+            logged = [tuple(int(n) for n in _SWEEP_LINE.fullmatch(rec.getMessage()).groups()[1:])
+                      for rec in caplog.records]
+            assert res.sweeps == logged and len(logged) == res.iterations
+            marked = [int(np.count_nonzero(res.rank == k)) for k in range(1, res.iterations + 1)]
+            assert [m for *_, m in res.sweeps] == marked
+            results.append(res)
+        assert results[2].sweeps == [(921, 921, 353, 13_672), (51_058, 7_708, 274, 0)]
 
     def test_logs_one_line_per_sweep(self, square_moat, caplog):
         game = build_game(square_moat, r=2.0, delta=0.5, gamma=0.2, state_cap=1e10)
