@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 One result document per invocation: JSON on stdout (machine format) or a
-human-readable text rendering.  Exit codes: 0 success, 2 validation problems
-(bad or unread flags, unreadable polygon or tables files), 3 state budget exceeded.
+text rendering of the same fields, one ``key  value`` line each.  Exit codes:
+0 success, 2 validation problems (bad or unread flags, unreadable polygon or
+tables files, an unwritable --output), 3 state budget exceeded.
 """
 
 from __future__ import annotations
@@ -104,11 +105,30 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit(doc: dict, args, text_renderer) -> None:
-    if args.format == "json":
-        out = json.dumps(doc, indent=2)
-    else:
-        out = text_renderer(doc)
+def _text_value(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _text(doc: dict) -> str:
+    """The document as ``key  value`` lines, floats to 6 significant digits
+    and lists or dicts as one-line JSON; a list of records (the approximate
+    probes) as a ``key:`` line and one indented ``k=v`` line per record."""
+    width = max(map(len, doc))
+    lines = []
+    for key, value in doc.items():
+        if isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
+            lines.append(f"{key}:")
+            lines += ["  " + " ".join(f"{k}={_text_value(v)}" for k, v in record.items())
+                      for record in value]
+        else:
+            lines.append(f"{key:{width}}  {_text_value(value)}")
+    return "\n".join(lines)
+
+
+def _emit(doc: dict, args) -> None:
+    out = json.dumps(doc, indent=2) if args.format == "json" else _text(doc)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(out + "\n")
@@ -126,55 +146,27 @@ def _load_ctx(path: str, model: str) -> MetricContext:
     return MetricContext(poly, PursuerModel(model))
 
 
-def _cmd_exact(args) -> int:
+def _cmd_exact(args) -> dict:
     from . import exact
 
-    rows = [
-        ("wedge (opening pi)", exact.wedge_r_star(math.pi)),
-        ("wedge (opening pi/3)", exact.wedge_r_star(math.pi / 3)),
-        ("disk", exact.disk_r_star()),
-        ("equilateral triangle", exact.triangle_r_star()),
-        ("square", exact.square_r_star()),
-    ]
-    doc = {
-        "wedge_pi": rows[0][1],
-        "wedge_pi_3": rows[1][1],
-        "disk": rows[2][1],
-        "triangle": rows[3][1],
-        "square": rows[4][1],
+    return {
+        "wedge_pi": exact.wedge_r_star(math.pi),
+        "wedge_pi_3": exact.wedge_r_star(math.pi / 3),
+        "disk": exact.disk_r_star(),
+        "triangle": exact.triangle_r_star(),
+        "square": exact.square_r_star(),
         "disk_phi_star": exact.disk_phi_star(),
     }
 
-    def text(doc):
-        lines = ["shape                  r*", "-" * 32]
-        lines += [f"{name:22s} {value:.5f}" for name, value in rows]
-        return "\n".join(lines)
 
-    _emit(doc, args, text)
-    return 0
-
-
-def _cmd_ratio(args) -> int:
+def _cmd_ratio(args) -> dict:
     from .ratio import max_ratio
 
     ctx = _load_ctx(args.polygon, args.model)
-    bound = max_ratio(ctx, args.spacing)
-    doc = bound.to_document()
-
-    def text(doc):
-        return (
-            f"lower (certified) {doc['lower']:.6f}\n"
-            f"upper (estimate)  {doc['upper']:.6f}\n"
-            f"witness p         ({doc['witness_p'][0]:.6f}, {doc['witness_p'][1]:.6f})\n"
-            f"witness q         ({doc['witness_q'][0]:.6f}, {doc['witness_q'][1]:.6f})\n"
-            f"spacing           {doc['spacing']}"
-        )
-
-    _emit(doc, args, text)
-    return 0
+    return max_ratio(ctx, args.spacing).to_document()
 
 
-def _cmd_discrete_solve(args) -> int:
+def _cmd_discrete_solve(args) -> dict:
     from .discrete import build_game, solve, verify_net
 
     if args.seed is not None and not args.verify_net:
@@ -201,19 +193,7 @@ def _cmd_discrete_solve(args) -> int:
         with open(args.tables_out, "w", encoding="utf-8") as fh:
             json.dump(tables, fh)
         doc["tables_out"] = args.tables_out
-
-    def text(doc):
-        lines = [f"winner      {doc['winner']}",
-                 f"|V_h|       {doc['n_escaper']}",
-                 f"|V_z|       {doc['n_pursuer']}",
-                 f"|win set|   {doc['win_set_size']}",
-                 f"elapsed     {doc['elapsed']:.3f} s"]
-        if "net_gap" in doc:
-            lines.append(f"net gap     {doc['net_gap']:.6f} (gamma {doc['gamma']})")
-        return "\n".join(lines)
-
-    _emit(doc, args, text)
-    return 0
+    return doc
 
 
 def _reachable_tables(game, result) -> dict:
@@ -276,32 +256,16 @@ def _check_tables(tables: dict, expected: dict) -> None:
             )
 
 
-def _cmd_approximate(args) -> int:
+def _cmd_approximate(args) -> dict:
     from .scheme import approximate_r_star
 
     ctx = _load_ctx(args.polygon, args.model)
     res = approximate_r_star(ctx, epsilon=args.epsilon, budget=args.budget,
                              override=args.override)
-    doc = res.to_document()
-
-    def text(doc):
-        lines = [
-            f"r_lo       {doc['r_lo']:.6f}",
-            f"r_hi       {doc['r_hi']:.6f}",
-            f"heuristic  {doc['heuristic']}",
-            "probes:",
-        ]
-        lines += [
-            f"  r={p['r']:.4f} delta={p['delta']:.4g} gamma={p['gamma']:.4g} -> {p['winner']}"
-            for p in doc["probes"]
-        ]
-        return "\n".join(lines)
-
-    _emit(doc, args, text)
-    return 0
+    return res.to_document()
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> dict:
     from . import exact, sim
 
     theta = math.pi / 2 if args.theta is None else args.theta
@@ -334,20 +298,10 @@ def _cmd_simulate(args) -> int:
         with open(args.svg_out, "w", encoding="utf-8") as fh:
             fh.write(sim.emit_svg(pt, domain))
         doc["svg_out"] = args.svg_out
-
-    def text(doc):
-        lines = [f"scenario   {doc['scenario']} (r={doc['r']})",
-                 f"outcome    {doc['outcome']}"]
-        if doc["outcome"] == "escaped":
-            lines.append(f"escape t   {doc['escape_time']:.5f}")
-            lines.append(f"separation {doc['separation']:.5f}")
-        return "\n".join(lines)
-
-    _emit(doc, args, text)
-    return 0
+    return doc
 
 
-def _cmd_replay(args) -> int:
+def _cmd_replay(args) -> dict:
     """Replay discrete-solve tables at the r, delta, gamma and model they record."""
     from .discrete import build_game, play_discrete
 
@@ -374,20 +328,13 @@ def _cmd_replay(args) -> int:
     transcript = play_discrete(game, lambda h, z: esc[f"{h},{z}"],
                                lambda h, h2, z: purs[f"{h},{h2},{z}"],
                                h0=tables.get("witness_h0") or 0, z0=0)
-    doc = {
+    return {
         "scenario": "polygon",
         "r": game.r,
         "turns": transcript.turns,
         "escaper_won": transcript.escaper_won,
         "moves": transcript.moves[:200],
     }
-
-    def text(doc):
-        return (f"turns      {doc['turns']}\n"
-                f"escaper won {doc['escaper_won']}")
-
-    _emit(doc, args, text)
-    return 0
 
 
 _COMMANDS = {
@@ -409,7 +356,8 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 2
     try:
         with _logging_to_stderr(args.log_level):
-            return _COMMANDS[args.command](args)
+            _emit(_COMMANDS[args.command](args), args)
+        return 0
     except errors.BudgetExceeded as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return 3

@@ -85,7 +85,7 @@ _PAIR_CANDIDATES = 2**13
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
     """Gamma-nets of the two domains with the shared exit samples.
 
@@ -428,7 +428,7 @@ def _dense_relation(i, j, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class DiscreteGame:
     """Sampled game: vertex sets, symmetric move relations, and parameters.
 
@@ -570,7 +570,7 @@ def threat_matrix(game: DiscreteGame) -> np.ndarray:
     return counts > 0.5
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveResult:
     """Least-fixpoint marking of escaper-win states.
 

@@ -101,7 +101,7 @@ def square_r_star() -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AploParams:
     """Parameters of an APLO escaper strategy.
 
@@ -293,6 +293,7 @@ class DiskAploEscaper(Strategy):
 
     def reset(self):
         self._phase = 1
+        self._t_prev = 0.0  # the previous phase-1 query's time
         self._frame = None  # APLO h0, axial, lateral as six floats
         self._t2 = 0.0
         self._progress = 0.0
@@ -325,7 +326,8 @@ class DiskAploEscaper(Strategy):
                 )
             phi_z = math.atan2(zy, zx)
             gap = abs((phi_e - phi_z + math.pi) % _TAU - math.pi)  # _wrap_angle inline
-            band = max(self.ANTIPODAL_TOL, self._band_gain * _dt_hint(opp))
+            band = max(self.ANTIPODAL_TOL, self._band_gain * (t - self._t_prev))
+            self._t_prev = t
             if abs(gap - math.pi) <= band:
                 s_h = self.inner_radius * np.array([math.cos(phi_e), math.sin(phi_e)])
                 axial = s_h - np.array([math.cos(phi_z), math.sin(phi_z)])
@@ -412,15 +414,6 @@ class DiskArcChasingPursuer(_Tracker):
                 target = s  # escaper within the gate: stand still
         s = self._track(target, t, gap)
         return (math.cos(s), math.sin(s))
-
-
-def _dt_hint(opp) -> float:
-    # the view's newest grid step, read from the whole times array unsliced
-    n = opp._len
-    if n >= 2:
-        times = opp._times
-        return float(times[n - 1] - times[n - 2])
-    return 0.0
 
 
 def disk_strategies(r: float):

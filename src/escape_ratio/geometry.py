@@ -81,7 +81,7 @@ def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polygon:
     """Validated simple polygon with counterclockwise orientation.
 

@@ -99,6 +99,10 @@ class _AnalyticDomain:
         d = pts[j] - pts[i]
         return np.hypot(d[:, 0], d[:, 1])
 
+    def contains_many(self, pts):
+        # ``contains`` is elementwise, so it takes the [2, N] array pts.T
+        return np.stack(self.contains(pts.T))
+
 
 class DiskDomain(_AnalyticDomain):
     """Unit disk escaper domain; pursuer on the unit circle (moat)."""
@@ -155,9 +159,6 @@ class HalfplaneDomain(_AnalyticDomain):
         offset, tol = self._offset(p), self.tol
         return offset >= -tol, abs(offset) <= tol
 
-    def contains_many(self, pts):
-        return np.stack(self.contains(pts.T))
-
     def pursuer_distance(self, p, q):
         # separations are stored, so keep the ``@`` arithmetic
         return abs(float(self.direction @ p) - float(self.direction @ q))
@@ -187,9 +188,6 @@ class WedgeDomain(_AnalyticDomain):
         x, y, tol = p[0], p[1], self.tol
         return (abs(y) <= x * self._tan + tol,
                 (x >= -tol) & (abs(abs(y) - x * self._tan) <= tol * (1 + x)))
-
-    def contains_many(self, pts):
-        return np.stack(self.contains(pts.T))
 
     def pursuer_distance(self, p, q):
         return abs(self._boundary_param(p) - self._boundary_param(q))
@@ -244,7 +242,7 @@ class PolygonDomain:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class MotionPath:
     """Timed piecewise-linear trajectory with a maximum-speed contract."""
 
@@ -421,7 +419,7 @@ def obliviate(strategy: Strategy, delta: float) -> Strategy:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class Playthrough:
     escaper_path: MotionPath
     pursuer_path: MotionPath
@@ -707,9 +705,8 @@ def validate_speed(path: MotionPath, domain, pairs: int = 200, seed: int = 0) ->
     max_pair = 0.0
     if len(path) > 2:
         rng = np.random.default_rng(seed)
-        # one draw of two per pair, the stream the pairs were first drawn with
-        drawn = [rng.integers(0, len(path), size=2) for _ in range(pairs)]
-        ij = np.sort(np.array(drawn, dtype=np.intp).reshape(-1, 2), axis=1)
+        # one call, the same stream as one draw of two per pair
+        ij = np.sort(rng.integers(0, len(path), size=(pairs, 2)), axis=1)
         ij = ij[ij[:, 0] != ij[:, 1]]
         max_pair, ok_pairs = speeds(ij[:, 0], ij[:, 1])
         ok &= ok_pairs

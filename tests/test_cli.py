@@ -444,3 +444,53 @@ class TestNumericFlags:
                               "--t-max", "0"]).t_max == 0.0
         assert ap.parse_args(["simulate", "--scenario", "wedge", "-r", "2",
                               "--theta", str(math.pi / 2)]).theta == math.pi / 2
+
+
+class TestTextFormat:
+    # one valid command line each; {square} and {tables} are filled in
+    COMMANDS = {
+        "exact": ["exact"],
+        "ratio": ["ratio", "--polygon", "{square}", "--spacing", "0.1"],
+        "discrete-solve": ["discrete-solve", "--polygon", "{square}", "-r", "2", "--delta", "0.5",
+                           "--gamma", "0.2", "--verify-net", "20", "--tables-out", "{tables}"],
+        "replay": ["replay", "--polygon", "{square}", "--tables", "{tables}"],
+        "approximate": ["approximate", "--polygon", "{square}", "--epsilon", "0.5",
+                        "--budget", "1e10", "--override", "0.5", "0.1"],
+        "simulate": ["simulate", "--scenario", "disk", "-r", "4.4", "--t-max", "2"],
+    }
+
+    def argv(self, command, square_file, tmp_path):
+        fill = {"square": square_file, "tables": str(tmp_path / "tables.json")}
+        return [arg.format(**fill) for arg in self.COMMANDS[command]]
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_every_field_one_line(self, capsys, square_file, tmp_path, command):
+        if command == "replay":  # replay reads the tables discrete-solve writes
+            assert run(self.argv("discrete-solve", square_file, tmp_path)) == 0
+            capsys.readouterr()
+        argv = self.argv(command, square_file, tmp_path)
+        rc, doc = run_json(capsys, argv)
+        assert rc == 0
+        assert run([*argv, "--format", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        fields = [line for line in lines if not line.startswith(" ")]
+        assert [line.split()[0].rstrip(":") for line in fields] == list(doc)
+        # a list of records: a "key:" line, then one indented k=v line per record
+        records = {key: value for key, value in doc.items()
+                   if isinstance(value, list) and value and isinstance(value[0], dict)}
+        assert list(records) == (["probes"] if command == "approximate" else [])
+        for key, value in records.items():
+            at = lines.index(f"{key}:") + 1
+            rows = lines[at : at + len(value)]
+            assert all(row.startswith("  ") for row in rows)
+            assert [[kv.split("=")[0] for kv in row.split()] for row in rows] == \
+                [list(record) for record in value]
+            assert len(lines) == len(fields) + len(value)
+        # --output writes what stdout shows (elapsed is the one field that varies)
+        out = tmp_path / "out.txt"
+        assert run([*argv, "--format", "text", "--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        written = out.read_text().splitlines()
+        assert [line for line in written if not line.startswith("elapsed")] == \
+            [line for line in lines if not line.startswith("elapsed")]
+        assert len(written) == len(lines)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from escape_ratio import discrete, geometry
+from escape_ratio import discrete, exact, geometry, sim
 from escape_ratio.errors import BudgetExceeded, GammaTooCoarse, InconsistentTables, OutsideDomain
 from escape_ratio.discrete import (
     build_game,
@@ -1002,3 +1002,31 @@ class TestMonotonicityInR:
         assert flips <= 1
         if flips == 1:
             assert winners[0] and not winners[-1]  # escaper first, never back
+
+
+def _square_game():
+    return build_game(MetricContext(validate_polygon(SQUARE), PursuerModel.MOAT), 2.0, 0.5, 0.2)
+
+
+# each builds a fresh record holding numpy arrays, equal in content to the last
+_ARRAY_RECORDS = {
+    "Polygon": lambda: validate_polygon(SQUARE),
+    "SampleSet": lambda: _square_game().samples,
+    "DiscreteGame": _square_game,
+    "SolveResult": lambda: solve(_square_game()),
+    "MotionPath": lambda: sim.MotionPath([0.0, 1.0], [[0.0, 0.0], [1.0, 0.0]], 1.0, "escaper"),
+    "Playthrough": lambda: sim.playthrough(*exact.disk_strategies(4.4), dt=1e-2, t_max=0.1,
+                                           epsilon=0.05, domain=sim.DiskDomain()),
+    "AploParams": lambda: exact.AploParams(h0=np.zeros(2), axial=np.array([1.0, 0.0]),
+                                           r_prime=2.0, du=0.6, dv=0.8),
+}
+
+
+@pytest.mark.parametrize("name", list(_ARRAY_RECORDS))
+def test_array_records_compare_by_identity(name):
+    # a generated __eq__ would compare the arrays and raise "truth value of
+    # an array is ambiguous"; these compare and hash as objects
+    a, b = _ARRAY_RECORDS[name](), _ARRAY_RECORDS[name]()
+    assert type(a).__name__ == type(b).__name__ == name
+    assert (a == b) is False and a != b and a == a
+    assert len({a, b, a}) == 2

@@ -987,6 +987,21 @@ def test_disk_strategies_match_reference_against_an_oblivious_pursuer(r):
     assert got == _disk_outcomes(reference_disk_strategies, r, 1e-3, oblivious=True)
 
 
+@pytest.mark.parametrize("r", [4.4, 4.8])
+def test_disk_strategies_match_reference_with_an_oblivious_escaper(r):
+    # the escaper's antipodal band reads its own clock, not the view's grid
+    # step: the inner escaper's times t - delta lie off the grid
+    dt, delta = 1e-3, 0.0123
+    runs = []
+    for strategies in (disk_strategies, reference_disk_strategies):
+        esc, purs = strategies(r)
+        delayed = obliviate(esc, delta)
+        runs.append(_result(lambda: playthrough(delayed, purs, dt=dt, t_max=2.0,
+                                                epsilon=5 * r * dt, domain=DiskDomain())))
+        assert esc._phase == 2  # the band was met
+    assert runs[0] == runs[1]
+
+
 def _escaper_state(esc):
     return (esc._phase, esc._frame, esc._t2, esc._progress, esc._last_idx, esc._last_angle,
             esc._exit)
