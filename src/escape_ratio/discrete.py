@@ -34,8 +34,13 @@ replies in circular windows through prefix sums (the pursuer's move set is
 an arc interval); other games use a dense float32 matrix product.  W stays
 packed in uint64 words across the sweeps, and so do the ranks: one bit plane
 per bit of the sweep count, decoded into the int32 ``SolveResult.rank`` only
-when it is first read (strategy extraction reads it; deciding a winner does
-not).  The marking is order-independent, so the result is deterministic.
+when it is first read (strategy extraction reads it).  The marking is
+order-independent, so the result is deterministic.
+
+``escaper_wins`` decides the winner alone, for the approximation scheme's
+bisection: it runs the same sweeps and stops at the first sweep that fills a
+row (W only grows, so that row's h0 beats every placement), or at the
+fixpoint when none does.  It keeps no rank planes and no ``SolveResult``.
 
 The module needs numpy alone: ``_close_pairs`` finds the candidate pairs of
 the move relations, ``MoveRelation`` holds ``e_h`` row-compressed, and
@@ -681,11 +686,75 @@ def solve(game: DiscreteGame) -> SolveResult:
 
     Always terminates: marking is monotone over the finite state lattice.
     The overall winner quantifies over placements: the escaper wins iff some
-    h0 beats every pursuer placement z0.
+    h0 beats every pursuer placement z0.  ``_sweeps`` runs the sweeps, and
+    ``escaper_wins`` reads the same ones up to the first full row.
+    """
+    P = threat_matrix(game)
+    planes = []  # bit b of each state's rank, packed like W
+    sweeps = []
+    for iteration, W, newly, counts in _sweeps(game, P):
+        sweeps.append(counts)
+        if newly is None:
+            break
+        # each state is marked once, so OR-ing its sweep's bits in is exact
+        if iteration >> len(planes):
+            planes.append(np.zeros_like(W))
+        for b, plane in enumerate(planes):
+            if iteration >> b & 1:
+                plane |= newly
+
+    win_mask = _unpack_rows(W, game.n_z)
+    full_rows = (W == _full_row(game.n_z)).all(axis=1)
+    won = bool(full_rows.any())
+    witness = int(np.argmax(full_rows)) if won else None
+    return SolveResult(
+        game=game,
+        escaper_wins=won,
+        win_mask=win_mask,
+        rank_planes=np.array(planes, dtype=np.uint64).reshape(len(planes), *W.shape),
+        threat=P,
+        witness_h0=witness,
+        iterations=iteration,
+        sweeps=sweeps,
+    )
+
+
+def escaper_wins(game: DiscreteGame) -> bool:
+    """The winner of ``game`` alone: True iff some h0 beats every placement.
+
+    Runs ``solve``'s sweeps only until the winner is settled.  W only grows,
+    so a row that is full stays full, and a row fills in a sweep that marks
+    states in it: the escaper wins at the first sweep where a row it marked
+    is full, and the pursuer when the sweeps reach the fixpoint without one.
+    Logs one DEBUG line when it stops: ``escaper_wins: escaper at sweep k``
+    or ``escaper_wins: pursuer at the fixpoint, sweep k``.
+    """
+    full = _full_row(game.n_z)
+    for iteration, W, newly, _ in _sweeps(game, threat_matrix(game)):
+        if newly is None:
+            break
+        if (W[newly.any(axis=1)] == full).all(axis=1).any():
+            logger.debug("escaper_wins: escaper at sweep %d", iteration)
+            return True
+    logger.debug("escaper_wins: pursuer at the fixpoint, sweep %d", iteration)
+    return False
+
+
+def _full_row(n_z: int) -> np.ndarray:
+    """A packed row with every one of its n_z states marked, shape (1, words)."""
+    return _pack_rows(np.ones((1, n_z), dtype=bool))
+
+
+def _sweeps(game: DiscreteGame, P: np.ndarray):
+    """The semi-naive Jacobi sweeps of ``solve`` over ``game`` with threat P.
+
+    Yields ``(k, W, newly, (S, E, D, M))`` after each sweep k: W is the
+    packed marking after it, ``newly`` the states it marked and the counts
+    those of its DEBUG line.  At the fixpoint (no state marked) ``newly`` is
+    None and the generator ends.  The arrays are not copied: a consumer must
+    not modify them.
     """
     n_h, n_z = game.n_h, game.n_z
-    P = threat_matrix(game)
-
     indices = game.e_h.indices
     degree = np.diff(game.e_h.indptr)
     row_of = np.repeat(np.arange(n_h, dtype=indices.dtype), degree)
@@ -694,7 +763,7 @@ def solve(game: DiscreteGame) -> SolveResult:
     P_rows = np.take(P_words, p_reps, axis=0)
     pid = pid.astype(np.int32)
     uncovered = np.ascontiguousarray(~P_words.T)  # word-major, for the covered-row test
-    full = _pack_rows(np.ones((1, n_z), dtype=bool))
+    full = _full_row(n_z)
     windows = game.z_windows
     if windows is not None:
         lo, hi = windows
@@ -716,8 +785,6 @@ def solve(game: DiscreteGame) -> SolveResult:
         return good
 
     W = np.zeros_like(P_words)
-    planes = []  # bit b of each state's rank, packed like W
-    sweeps = []
     # sweep 1: W is empty, so staying put covers every move
     h_sel = hp_sel = np.arange(n_h, dtype=indices.dtype)
     selected = n_h
@@ -729,37 +796,18 @@ def solve(game: DiscreteGame) -> SolveResult:
         newly = W_next & ~W
         # unpacking only the nonzero words counts faster than a byte table
         marked = int(np.count_nonzero(np.unpackbits(newly[newly != 0].view(np.uint8))))
-        sweeps.append((selected, evaluated, distinct, marked))
+        counts = (selected, evaluated, distinct, marked)
         logger.debug("sweep %d: %d moves selected, %d pairs evaluated, %d distinct rows, "
-                     "%d states newly marked", iteration, selected, evaluated, distinct, marked)
+                     "%d states newly marked", iteration, *counts)
         if not marked:
-            break
-        # each state is marked once, so OR-ing its sweep's bits in is exact
-        if iteration >> len(planes):
-            planes.append(np.zeros_like(W))
-        for b, plane in enumerate(planes):
-            if iteration >> b & 1:
-                plane |= newly
+            yield iteration, W, None, counts
+            return
         W = W_next
+        yield iteration, W, newly, counts
         if iteration > n_h * n_z + 2:
             raise RuntimeError("fixpoint failed to stabilize (bug)")
         selected, h_sel, hp_sel = _select((W != full).any(axis=1), newly, uncovered,
                                           row_of, indices, degree)
-
-    win_mask = _unpack_rows(W, n_z)
-    full_rows = (W == full).all(axis=1)
-    escaper_wins = bool(full_rows.any())
-    witness = int(np.argmax(full_rows)) if escaper_wins else None
-    return SolveResult(
-        game=game,
-        escaper_wins=escaper_wins,
-        win_mask=win_mask,
-        rank_planes=np.array(planes, dtype=np.uint64).reshape(len(planes), *W.shape),
-        threat=P,
-        witness_h0=witness,
-        iterations=iteration,
-        sweeps=sweeps,
-    )
 
 
 def _select(open_rows, newly, uncovered, row_of, indices, degree):

@@ -19,8 +19,12 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .geometry import MetricContext
-from .discrete import build_game, check_state_cap, escaper_moves, gamma_sample, solve
+from .discrete import build_game, check_state_cap, escaper_moves, escaper_wins, gamma_sample
 from .ratio import UPPER_FACTOR, edge_pieces
+
+# Not called here: kept so ``escape_ratio.scheme.solve`` still resolves for the
+# layer tracer in perfbench/tracing.py.
+from .discrete import solve  # noqa: F401
 
 
 def r_upper_bound_easy(ctx: MetricContext) -> float:
@@ -121,19 +125,20 @@ def decide_r(
     samples=None,
     e_h=None,
 ) -> ProbeRecord:
-    """One decider call: build and solve the discrete game at (r, delta, gamma).
+    """One decider call: build and decide the discrete game at (r, delta, gamma).
 
-    ``samples`` and ``e_h`` pass through to ``build_game``.
+    ``discrete.escaper_wins`` decides it: the sweeps stop at the first full
+    row, since a probe reads only the winner.  ``samples`` and ``e_h`` pass
+    through to ``build_game``.
     """
     game = build_game(
         ctx, r=r, delta=delta, gamma=gamma, state_cap=budget, samples=samples, e_h=e_h
     )
-    result = solve(game)
     return ProbeRecord(
         r=float(r),
         delta=float(delta),
         gamma=float(gamma),
-        escaper_wins=result.escaper_wins,
+        escaper_wins=escaper_wins(game),
         n_escaper=game.n_h,
         n_pursuer=game.n_z,
     )

@@ -391,22 +391,37 @@ class ObliviousStrategy(Strategy):
     def reset(self):
         self.inner.reset()
         self._start = None
+        self._cursor = (None, -math.inf, 0)
 
     def position(self, opponent, t):
         if self._start is None:
             self._start = np.asarray(
-                self.inner.position(_truncate(opponent, 0.0), 0.0), dtype=float
+                self.inner.position(self._truncate(opponent, 0.0), 0.0), dtype=float
             )
         if t <= self.delta:
             return self._start
         shifted = t - self.delta
-        return self.inner.position(_truncate(opponent, shifted), shifted)
+        return self.inner.position(self._truncate(opponent, shifted), shifted)
 
+    def _truncate(self, view: PathView, t: float) -> PathView:
+        """The prefix of ``view`` up to time t (at least its first point).
 
-def _truncate(view: PathView, t: float) -> PathView:
-    ts = view.times
-    n = int(np.searchsorted(ts, t + 1e-15, side="right"))
-    return PathView(view._times, view._points, max(n, 1 if len(view) else 0))
+        Its length is ``np.searchsorted(view.times, t + 1e-15, "right")``.
+        The cursor ``(times array, t, length)`` of the previous call only
+        advances over the new times while t does not go back, the view keeps
+        its array and is no shorter than the cursor; otherwise it searches.
+        """
+        times, last_t, n = self._cursor
+        limit = t + 1e-15
+        size = len(view)
+        ts = view._times
+        if ts is not times or t < last_t or n > size:
+            n = int(np.searchsorted(view.times, limit, side="right"))
+        else:
+            while n < size and ts[n] <= limit:
+                n += 1
+        self._cursor = (ts, t, n)
+        return PathView(ts, view._points, max(n, 1 if size else 0))
 
 
 def obliviate(strategy: Strategy, delta: float) -> Strategy:

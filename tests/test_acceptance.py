@@ -83,10 +83,9 @@ def test_criterion_3_exterior_moat_agreement():
               f"in {elapsed:.1f} s")
 
 
-def test_criterion_4_solver_matches_minimax():
-    t0 = time.perf_counter()
+def criterion_4_games():
+    """Criterion 4's 200 random tiny games (at most 12 samples each)."""
     rng = np.random.default_rng(99)
-    matches = 0
     for _ in range(200):
         n_h = int(rng.integers(2, 7))
         n_z = int(rng.integers(2, 7))
@@ -99,16 +98,22 @@ def test_criterion_4_solver_matches_minimax():
         e_z = rng.random((n_z, n_z)) < rng.uniform(0.2, 0.8)
         e_z |= e_z.T
         np.fill_diagonal(e_z, True)
-        game = toy_game(
+        yield toy_game(
             e_h,
             e_z,
             exit_idx_h=rng.choice(n_h, size=n_x, replace=False),
             exit_idx_z=rng.choice(n_z, size=n_x, replace=False),
         )
+
+
+def test_criterion_4_solver_matches_minimax():
+    t0 = time.perf_counter()
+    matches = 0
+    for game in criterion_4_games():
         res = solve(game)
         oracle = any(
-            all(minimax_escaper_wins(game, h0, z0) for z0 in range(n_z))
-            for h0 in range(n_h)
+            all(minimax_escaper_wins(game, h0, z0) for z0 in range(game.n_z))
+            for h0 in range(game.n_h)
         )
         assert oracle == res.escaper_wins
         matches += 1

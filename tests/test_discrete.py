@@ -14,6 +14,7 @@ from escape_ratio.errors import BudgetExceeded, GammaTooCoarse, InconsistentTabl
 from escape_ratio.discrete import (
     build_game,
     escaper_moves,
+    escaper_wins,
     gamma_sample,
     play_discrete,
     solve,
@@ -45,6 +46,7 @@ from conftest import (
     reference_verify_net,
     toy_game,
 )
+from test_acceptance import criterion_4_games
 from test_geometry import NOTCH, SLIT, _relabellings
 
 
@@ -891,6 +893,79 @@ class TestSolve:
         assert a.escaper_wins == b.escaper_wins
         assert np.array_equal(a.win_mask, b.win_mask)
         assert np.all((a.rank > 0) == a.win_mask)
+
+
+def _decider_games():
+    """Games with both winners: chain games up to 17 sweeps, the five-point
+    minimax game, criterion 4's tiny games, and moat and exterior games on
+    the square and the L."""
+    for sweeps in [*range(1, 10), 16, 17]:
+        yield _chain_game(sweeps)
+    yield toy_game(np.ones((2, 2), dtype=bool), np.ones((2, 2), dtype=bool),
+                   exit_idx_h=[0], exit_idx_z=[0])
+    yield from criterion_4_games()
+    yield from _oracle_games()
+    for points in (SQUARE, L_SHAPE):
+        for model in PursuerModel:
+            ctx = MetricContext(validate_polygon(points), model)
+            for r in (1.0, 2.0, 4.0, 8.0):
+                yield build_game(ctx, r=r, delta=0.5, gamma=0.25, state_cap=1e10)
+
+
+class TestEscaperWins:
+    def test_agrees_with_solve(self):
+        winners = [(escaper_wins(game), solve(game).escaper_wins) for game in _decider_games()]
+        assert all(a == b for a, b in winners)
+        assert {a for a, _ in winners} == {True, False}
+
+    @pytest.fixture
+    def sweeps_run(self, monkeypatch):
+        """One entry per ``_sweep`` call made from here on."""
+        calls = []
+        sweep = discrete._sweep
+
+        def spy(*args):
+            calls.append(None)
+            return sweep(*args)
+
+        monkeypatch.setattr(discrete, "_sweep", spy)
+        return calls
+
+    def test_stops_at_the_first_full_row(self, sweeps_run):
+        # the bracket's r = 2.57 probe fills its first row in sweep 3 of 8
+        probe = list(_bracket_probe_games())[1]
+        res = solve(probe)
+        assert len(sweeps_run) == 8
+        full = res.win_mask.all(axis=1)
+        assert res.escaper_wins and res.rank[full].max(axis=1).min() == 3
+        sweeps_run.clear()
+        assert escaper_wins(probe)
+        assert len(sweeps_run) == 3
+
+    def test_runs_to_the_fixpoint_on_a_pursuer_win(self, sweeps_run):
+        # the pursuer guards the chain's one exit, so no row ever fills
+        for sweeps in (1, 2, 9, 17):
+            sweeps_run.clear()
+            assert not escaper_wins(_chain_game(sweeps))
+            assert len(sweeps_run) == sweeps
+
+    def test_logs_the_sweeps_and_one_stop_line(self, caplog):
+        games = list(_bracket_probe_games())
+        for game, stop in ((games[1], "escaper_wins: escaper at sweep 3"),
+                           (games[2], "escaper_wins: pursuer at the fixpoint, sweep 2")):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="escape_ratio.discrete"):
+                escaper_wins(game)
+            lines = [rec.getMessage() for rec in caplog.records]
+            assert lines[-1] == stop
+            k = int(stop.rsplit(" ", 1)[1])
+            assert len(lines) == k + 1
+            assert all(_SWEEP_LINE.fullmatch(line) for line in lines[:-1])
+            # the sweep lines are those of solve's first k sweeps
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="escape_ratio.discrete"):
+                solve(game)
+            assert [rec.getMessage() for rec in caplog.records][:k] == lines[:-1]
 
 
 class TestReplay:

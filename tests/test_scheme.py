@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from escape_ratio import scheme
-from escape_ratio.discrete import gamma_sample
+from escape_ratio.discrete import gamma_sample, solve
 from escape_ratio.errors import BudgetExceeded
 from escape_ratio.geometry import MetricContext, PursuerModel, validate_polygon
 from escape_ratio.ratio import UPPER_FACTOR, max_ratio
@@ -168,6 +168,22 @@ class TestApproximate:
         assert len(built) == 1 + len(cached.probes)
         assert fresh.probes == cached.probes
         assert (fresh.r_lo, fresh.r_hi) == (cached.r_lo, cached.r_hi)
+
+    @pytest.mark.parametrize("points, model, epsilon, override", [
+        (SQUARE, PursuerModel.MOAT, 0.2, (0.2, 0.05)),  # the bracket benchmark's
+        (L_SHAPE, PursuerModel.EXTERIOR, 0.2, (0.4, 0.2)),
+    ])
+    def test_decider_brackets_like_a_full_solve(self, monkeypatch, points, model, epsilon,
+                                                override):
+        # decide_r's early-stopping decider gives every probe and bracket
+        # that the winner of a full solve gives
+        ctx = MetricContext(validate_polygon(points), model)
+        kwargs = dict(epsilon=epsilon, budget=1e13, override=override)
+        early = approximate_r_star(ctx, **kwargs)
+        monkeypatch.setattr(scheme, "escaper_wins", lambda game: solve(game).escaper_wins)
+        full = approximate_r_star(ctx, **kwargs)
+        assert early.to_document() == full.to_document()
+        assert {p.escaper_wins for p in early.probes} == {True, False}
 
     def test_epsilon_one_stops_after_bracketing(self, square_moat):
         res = approximate_r_star(

@@ -298,6 +298,41 @@ class TestObliviate:
         assert pt.outcome == "no_escape_by_tmax"
         assert max((s for _, s in pt.touches), default=0.0) < 1.5 * eps
 
+    def test_jumping_views_truncate_like_a_search(self):
+        # the wrapper's cursor only advances; views that go back in time,
+        # change array or get shorter must still cut where a search would
+        delta = 0.25
+        rng = np.random.default_rng(7)
+        # repeated times, and times a cut's 1e-15 slack lands on exactly
+        grid = np.arange(64) / 32
+        base = np.sort(rng.choice(np.concatenate([grid, grid[::4] + 1e-15]), size=60))
+        arrays = [base, base.copy(), np.arange(60) * 0.04]
+        inner = _Recorder(StraightRunEscaper([(1, 0), (0, 0)]))
+        wrapped = obliviate(inner, delta)
+        wrapped.reset()
+        t, expected, logged = 0.0, [], []
+        for k in range(400):
+            times = arrays[0] if k < 100 else arrays[rng.integers(3)]
+            size = int(rng.integers(1, 61)) if k >= 100 else min(60, k // 2 + 1)
+            if rng.random() < 0.2:
+                t = float(rng.uniform(0.0, 2.5))  # a jump either way
+            elif rng.random() < 0.3:
+                t = float(times[rng.integers(size)]) + delta  # on a sample time
+            elif rng.random() < 0.3:
+                t = (math.floor(t * 32) + 1) / 32  # forward, onto the grid
+            else:
+                t += float(rng.uniform(0.0, 0.06))
+            if k == 300:
+                logged += inner.log  # reset clears the log
+                wrapped.reset()
+            view = PathView(times, np.zeros((60, 2)), size)
+            wrapped.position(view, t)
+            if t > delta:
+                n = np.searchsorted(times[:size], t - delta + 1e-15, side="right")
+                expected.append(max(int(n), 1))
+        # the start calls see time 0, every later one a positive time
+        assert [length for s, length, *_ in logged + inner.log if s > 0.0] == expected
+
     def test_truncation_probe_delta_oblivious(self):
         # outputs on [0, t+delta] must ignore opponent data after t
         delta = 0.3
