@@ -22,13 +22,14 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from itertools import chain, zip_longest
 
 import numpy as np
 
 from .errors import DegeneratePair, OutsideDomain, SpacingTooCoarse
-from .geometry import MetricContext, Point2, _boundary_distance2
+from .geometry import MetricContext, Point2, PursuerModel, _boundary_distance2
 
 # Not called here: kept so ``escape_ratio.ratio.segment_in_polygon`` still
 # resolves for the layer tracer in perfbench/tracing.py.
@@ -47,8 +48,9 @@ _LOOKAHEAD_ELEMENTS = 2**12
 _BATCH_FLOOR = 3
 # golden steps a refinement batch covers on both branches
 _TREE_STEPS = 2
-# golden steps of each predicted path a refinement batch covers
-_PATH_STEPS = 12
+# relative error within which a geodesic form fitted at one known point
+# must give a neighbour's distance: a few ulps of sums is far below this
+_FIT_TOL = 1e-12
 # sample pairs the first branch-and-bound batch evaluates; each later batch
 # may take twice as many
 _BOUND_BATCH = 256
@@ -61,22 +63,32 @@ _BOUND_BLOCK = 2**16
 
 @dataclass(frozen=True)
 class RatioBound:
-    """Certified lower bound and inflated upper estimate for max d_z/d_h."""
+    """Certified lower bound and inflated upper estimate for max d_z/d_h.
+
+    ``stats`` is the work that found it, left out of ``==``: the samples m,
+    the sample pairs evaluated and their branch-and-bound batches, and the
+    refinement's evaluations requested, distinct pairs among them, pairs
+    evaluated and kernel batches.
+    """
 
     lower_certified: float
     upper_estimate: float
     witness_p: Point2
     witness_q: Point2
     sampling_spacing: float
+    stats: dict | None = field(default=None, compare=False)
 
     def to_document(self) -> dict:
-        return {
+        doc = {
             "lower": self.lower_certified,
             "upper": self.upper_estimate,
             "witness_p": [self.witness_p.x, self.witness_p.y],
             "witness_q": [self.witness_q.x, self.witness_q.y],
             "spacing": self.sampling_spacing,
         }
+        if self.stats is not None:
+            doc["stats"] = self.stats
+        return doc
 
 
 def ratio_of_pair(ctx: MetricContext, p, q) -> float:
@@ -185,11 +197,12 @@ def _branch_and_bound(bound: np.ndarray, best: float, evaluate) -> int:
         size *= 2
 
 
-def _pair_ratios(ctx: MetricContext, pts: np.ndarray) -> np.ndarray:
-    """d_z/d_h for each boundary point pair (p, q), rows of ``pts``
-    [k, 2, 2], -inf where d_h is below tol: at most one kernel call for the
-    whole batch.  The points are not checked: ``boundary_point`` made the
-    refinement's, and ``ratio_of_pair`` tests its own."""
+def _pair_measures(ctx: MetricContext, pts: np.ndarray):
+    """(d_h, d_z, d_z/d_h) for each boundary point pair (p, q), rows of
+    ``pts`` [k, 2, 2], the ratio -inf where d_h is below tol: at most one
+    kernel call for the whole batch.  The points are not checked:
+    ``boundary_point`` made the refinement's, and ``ratio_of_pair`` tests
+    its own."""
     poly = ctx.polygon
     # a batch of one golden search holds one end fixed: pass it once
     P, Q = (pts[:1, i] if np.all(pts[:, i] == pts[0, i]) else pts[:, i] for i in (0, 1))
@@ -197,7 +210,12 @@ def _pair_ratios(ctx: MetricContext, pts: np.ndarray) -> np.ndarray:
     i, j = rows % len(P), len(P) + rows % len(Q)
     dh, dz = ctx.pair_distances(np.concatenate([P, Q]), i, j, (0, 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(dh <= poly.tol, -np.inf, dz / dh)
+        return dh, dz, np.where(dh <= poly.tol, -np.inf, dz / dh)
+
+
+def _pair_ratios(ctx: MetricContext, pts: np.ndarray) -> np.ndarray:
+    """The ratios of ``_pair_measures``."""
+    return _pair_measures(ctx, pts)[2]
 
 
 def _batch_pairs(n: int) -> int:
@@ -208,12 +226,113 @@ def _batch_pairs(n: int) -> int:
     return max(_BATCH_FLOOR, _LOOKAHEAD_ELEMENTS // ((1 + n) * n))
 
 
-def _models(seen: dict) -> list:
-    """Two models of a search's known values ``seen`` {t: value}, each a
-    function of t: a parabola through the best point and its neighbours (a
-    smooth maximum) and one line on each side of the best point, through
-    the two known points nearest it there (a kink).  A model without the
-    points it needs is left out."""
+class _Form:
+    """A golden search's pair distances in the geodesic's own form.
+
+    With one end fixed at q and the other at p(t) = ``boundary_point(t)``, a
+    shortest path is d(t) = |p(t) - u| + C for as long as its vertices stay
+    the same: u is q (a direct pair, C = 0) or the polygon vertex the path
+    leaves p(t) for, and C the rest of the path.  In the moat model d_z is
+    the boundary arc to q, so only d_h is fitted.  ``point`` is
+    ``boundary_point`` in plain floats, in the same arithmetic, so a
+    prediction runs no numpy call.
+    """
+
+    def __init__(self, ctx: MetricContext):
+        poly = ctx.polygon
+        self.vertices = poly.vertices
+        self.cum = poly.cumulative_lengths.tolist()
+        self.edges = list(zip(poly.vertices.tolist(), poly._edge_vecs.tolist(),
+                              poly.edge_lengths.tolist()))
+        self.F, self.tol = poly.perimeter, poly.tol
+        self.moat = ctx.model is PursuerModel.MOAT
+        # vertices that fitted lately, tried before a scan of them all
+        self.recent: list = []
+
+    def point(self, t: float):
+        t %= self.F
+        i = min(bisect_right(self.cum, t) - 1, len(self.edges) - 1)
+        (x, y), (ex, ey), L = self.edges[i]
+        frac = (t - self.cum[i]) / L
+        return x + frac * ex, y + frac * ey
+
+    def _fit(self, q, ends, d):
+        """(u_x, u_y, C) of the form through distances ``d`` at the moving
+        ends ``ends``, the best point first: C from the best point, and every
+        other end within a relative ``_FIT_TOL``; None if no u fits.  q and
+        the vertices that fitted lately are tried first."""
+        (x0, y0), *rest = ends
+        checks = list(zip(rest, d[1:]))
+        for ux, uy in (q, *self.recent):
+            c = d[0] - math.hypot(x0 - ux, y0 - uy)
+            if all(abs(math.hypot(x - ux, y - uy) + c - dk) <= _FIT_TOL * dk
+                   for (x, y), dk in checks):
+                return ux, uy, c
+        # a scan of every vertex, in numpy: the nearest miss at the second end
+        V = self.vertices
+        c = d[0] - np.hypot(V[:, 0] - x0, V[:, 1] - y0)
+        err = [np.abs(np.hypot(V[:, 0] - x, V[:, 1] - y) + c - dk) for (x, y), dk in checks]
+        ok = np.logical_and.reduce([e <= _FIT_TOL * dk for e, (_, dk) in zip(err, checks)])
+        if not ok.any():
+            return None
+        k = int(np.flatnonzero(ok)[err[0][ok].argmin()])
+        u = tuple(V[k].tolist())
+        self.recent = [u, *self.recent[:3]]
+        return (*u, float(c[k]))
+
+    def model(self, fix: float, seen: dict, near: dict):
+        """The ratio at t from a search's known ratios ``seen`` {t: ratio}
+        and the distances ``near`` {t: (d_h, d_z)} of those fetched, or
+        None.  On each side of the best fetched point the form is fitted
+        through it and its neighbour there, and must hold at the next point
+        out too, if known; a side with no neighbour takes the other side's
+        form.  None when a side has no form."""
+        ts = sorted(near)
+        if len(ts) < 2:
+            return None
+        t0 = max(ts, key=seen.__getitem__)
+        k = ts.index(t0)
+        q, p0, d0 = self.point(fix), self.point(t0), near[t0]
+        forms = []
+        for out in (ts[max(k - 2, 0) : k][::-1], ts[k + 1 : k + 3]):
+            form = []
+            if out:
+                ends = [p0, *map(self.point, out)]
+                for s in range(1 if self.moat else 2):
+                    fit = self._fit(q, ends, [d0[s], *(near[t][s] for t in out)])
+                    if fit is None:
+                        return None
+                    form.append(fit)
+            forms.append(form)
+        left, right = (f or forms[1 - i] for i, f in enumerate(forms))
+        point, tol, F, moat = self.point, self.tol, self.F, self.moat
+
+        def ratio(t):
+            x, y = point(t)
+            (ux, uy, c), *z = left if t < t0 else right
+            dh = math.hypot(x - ux, y - uy) + c
+            if dh <= tol:
+                return -math.inf
+            if moat:
+                dz = abs(t - fix) % F
+                return min(dz, F - dz) / dh
+            ((wx, wy, e),) = z
+            return (math.hypot(x - wx, y - wy) + e) / dh
+
+        return ratio
+
+
+def _models(seen: dict, fit=None) -> list:
+    """Models of a search's known values ``seen`` {t: value}, each a
+    function of t.  The geodesic's own form ``fit(seen)`` (``_Form.model``)
+    alone where it fits: it gives every value to a few ulps.  Otherwise a
+    parabola through the best point and its neighbours (a smooth maximum)
+    and one line on each side of the best point, through the two known
+    points nearest it there (a kink).  A model without the points it needs
+    is left out."""
+    geodesic = fit(seen) if fit is not None else None
+    if geodesic is not None:
+        return [geodesic]
     pts = sorted((t, v) for t, v in seen.items() if math.isfinite(v))
     k = max(range(len(pts)), key=lambda i: pts[i][1], default=0)
     models = []
@@ -244,14 +363,17 @@ def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float,
     reads only exact memoized ratios, so the steps taken are those of a
     pair-at-a-time search; a pair missing from the memo is fetched in one
     batch, of at most ``_batch_pairs(n)`` pairs, with the pairs the search
-    is likely to ask for next: every pair of the next ``_TREE_STEPS`` steps
-    on either branch, and the path of ``_PATH_STEPS`` steps the loop would
-    take under each of ``_models`` of the values known in this search, both
-    in the loop's own arithmetic.  Once the whole tree of the steps left
-    fits a batch, where float ties make predictions useless, it is fetched
-    instead.  A wrong prediction costs a batch and never changes a value.
-    Returns ``(tp, tq, ratio, evaluations requested, distinct pairs
-    requested, pairs evaluated, batches)``.
+    is likely to ask for next: the path the loop would take to the end of
+    the search under ``_models`` of the values known in this search, in the
+    loop's own arithmetic, then every pair of the next ``_TREE_STEPS``
+    steps on either branch.  There are three models: the geodesic's own form
+    (``_Form``), fitted to the d_h and d_z the memo keeps of each fetched
+    pair, alone where it fits, and else a parabola and a kink; where a batch
+    holds only ``_BATCH_FLOOR`` pairs the form is not fitted.  Once the
+    whole tree of the steps left fits a batch, where float ties make
+    predictions useless, it is fetched instead.  A wrong prediction costs a
+    batch and never changes a value.  Returns ``(tp, tq, ratio, evaluations
+    requested, distinct pairs requested, pairs evaluated, batches)``.
     """
     F = ctx.polygon.perimeter
     budget = _batch_pairs(ctx.polygon.n)
@@ -259,6 +381,10 @@ def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float,
     tail = budget.bit_length() - 2
     # later rounds repeat searches whose fixed end and window did not move
     memo: dict = {}
+    dists: dict = {}  # (d_h, d_z) of each fetched pair
+    # a floor batch holds the missing pair and two more, which the parabola
+    # and kink predict as well: there the form would cost more than it saves
+    form = _Form(ctx) if budget > _BATCH_FLOOR else None
     used: set = set()
     requested = evaluated = batches = 0
 
@@ -274,8 +400,10 @@ def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float,
                     break
         evaluated += len(new)
         batches += 1
-        pts = ctx.polygon.boundary_point(np.array(list(new)))
-        memo.update(zip(new, _pair_ratios(ctx, pts).tolist()))
+        dh, dz, ratios = _pair_measures(ctx, ctx.polygon.boundary_point(np.array(list(new))))
+        memo.update(zip(new, ratios.tolist()))
+        if form:
+            dists.update(zip(new, zip(dh.tolist(), dz.tolist())))
 
     def value(tp, tq) -> float:
         nonlocal requested
@@ -285,13 +413,17 @@ def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float,
             fetch([(tp, tq)])
         return memo[tp, tq]
 
-    def golden(fix, lo, hi, which):
-        # t -> ratio for the models, from the window's centre: the current
-        # pair, of ratio ``best``
-        seen = {(lo + hi) / 2: best}
-
+    def golden(fix, centre, which):
         def pair(t):
             return (t, fix) if which == 0 else (fix, t)
+
+        # t -> ratio for the models, from the window's centre: the current
+        # pair, of ratio ``best``; and t -> (d_h, d_z) where fetched
+        seen = {centre: best}
+        near = {centre: dists[pair(centre)]} if pair(centre) in dists else {}
+
+        def fit(seen):
+            return form.model(fix, seen, near) if form else None
 
         def ahead(a, b, c, d, steps):
             # the pairs of state (a, b, c, d) and of the next ``steps``
@@ -302,14 +434,15 @@ def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float,
                 yield from ahead(a, d, d - _GOLDEN * (d - a), c, steps - 1)
                 yield from ahead(c, b, d, c + _GOLDEN * (b - c), steps - 1)
 
-        def path(model, a, b, c, d):
-            # the pairs of the steps the loop takes from state (a, b, c, d)
-            # where known values are the memo's and others the model's
+        def path(model, a, b, c, d, steps):
+            # the pairs of the ``steps`` steps the loop takes from state
+            # (a, b, c, d) where known values are the memo's and others the
+            # model's
             def guess(t):
                 return memo[pair(t)] if pair(t) in memo else model(t)
 
             fc, fd = guess(c), guess(d)
-            for _ in range(_PATH_STEPS):
+            for _ in range(steps):
                 if fc >= fd:
                     b, d, fd = d, c, fc
                     c = b - _GOLDEN * (b - a)
@@ -323,19 +456,22 @@ def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float,
 
         def f(t, steps_left):
             # a miss fetches ahead from the loop's current (a, b, c, d)
-            if pair(t) not in memo:
+            key = pair(t)
+            if key not in memo:
                 if steps_left <= tail:
                     fetch(ahead(a, b, c, d, steps_left))
                 else:
-                    paths = [path(m, a, b, c, d) for m in _models(seen)]
+                    paths = [path(m, a, b, c, d, steps_left) for m in _models(seen, fit)]
                     # the paths step by step, then the tree
                     fetch(chain([pair(c), pair(d)],
-                                (key for step in zip_longest(*paths) for key in step if key),
+                                (nxt for step in zip_longest(*paths) for nxt in step if nxt),
                                 ahead(a, b, c, d, _TREE_STEPS)))
-            seen[t] = value(*pair(t))
+            seen[t] = value(*key)
+            if key in dists:
+                near[t] = dists[key]
             return seen[t]
 
-        a, b = lo, hi
+        a, b = centre - spacing, centre + spacing
         c = b - _GOLDEN * (b - a)
         d = a + _GOLDEN * (b - a)
         fc = f(c, 40)
@@ -355,12 +491,15 @@ def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float,
     if start is not None:
         memo[t_p, t_q] = start
     best = value(t_p, t_q)
+    # only the start pair's ratio is kept, as when max_ratio passes it in,
+    # so that no prediction depends on whether it did
+    dists.pop((t_p, t_q), None)
     tp, tq = t_p, t_q
     for _ in range(3):
-        t, val = golden(tq, tp - spacing, tp + spacing, 0)
+        t, val = golden(tq, tp, 0)
         if val > best:
             best, tp = val, t % F
-        t, val = golden(tp, tq - spacing, tq + spacing, 1)
+        t, val = golden(tp, tq, 1)
         if val > best:
             best, tq = val, t % F
     return tp, tq, best, requested, len(used), evaluated, batches
@@ -447,4 +586,7 @@ def max_ratio(ctx: MetricContext, spacing: float) -> RatioBound:
         witness_p=Point2(*map(float, wp)),
         witness_q=Point2(*map(float, wq)),
         sampling_spacing=float(spacing),
+        stats={"m": m, "pairs_evaluated": len(k), "bound_batches": bound_batches,
+               "refine_requested": requested, "refine_distinct": distinct,
+               "refine_evaluated": evaluated, "refine_batches": batches},
     )

@@ -392,6 +392,7 @@ class ObliviousStrategy(Strategy):
         self.inner.reset()
         self._start = None
         self._cursor = (None, -math.inf, 0)
+        self._view = None
 
     def position(self, opponent, t):
         if self._start is None:
@@ -410,6 +411,8 @@ class ObliviousStrategy(Strategy):
         The cursor ``(times array, t, length)`` of the previous call only
         advances over the new times while t does not go back, the view keeps
         its array and is no shorter than the cursor; otherwise it searches.
+        The prefix is one view per wrapper, whose length and ``last`` are set
+        as ``playthrough`` sets its own, while the arrays stay the same.
         """
         times, last_t, n = self._cursor
         limit = t + 1e-15
@@ -421,7 +424,14 @@ class ObliviousStrategy(Strategy):
             while n < size and ts[n] <= limit:
                 n += 1
         self._cursor = (ts, t, n)
-        return PathView(ts, view._points, max(n, 1 if size else 0))
+        n = max(n, 1 if size else 0)
+        mine, pts = self._view, view._points
+        if mine is None or mine._times is not ts or mine._points is not pts or not n:
+            mine = self._view = PathView(ts, pts, n)
+        elif n != mine._len:
+            p = pts[n - 1]
+            mine._len, mine.last = n, (float(p[0]), float(p[1]))
+        return mine
 
 
 def obliviate(strategy: Strategy, delta: float) -> Strategy:

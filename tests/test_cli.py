@@ -57,6 +57,17 @@ class TestRatio:
         assert doc["upper"] == pytest.approx(2 * (3 + math.sqrt(6)) * 2, rel=0.1)
         assert doc["witness_p"] == pytest.approx([0.5, 0.0])
         assert doc["spacing"] == 0.05
+        # the work behind the bound: every golden search asks 42 values,
+        # the three rounds' six searches and the start pair 253
+        stats = doc["stats"]
+        assert list(stats) == ["m", "pairs_evaluated", "bound_batches", "refine_requested",
+                               "refine_distinct", "refine_evaluated", "refine_batches"]
+        assert stats["m"] == 80
+        assert 0 < stats["pairs_evaluated"] <= 80 * 79 // 2
+        assert stats["bound_batches"] >= 1
+        assert stats["refine_requested"] == 253
+        assert 0 < stats["refine_distinct"] <= 253
+        assert 0 < stats["refine_batches"] <= stats["refine_evaluated"]
 
     def test_log_level_writes_records_to_stderr(self, capsys, square_file):
         argv = ["ratio", "--polygon", square_file, "--spacing", "0.1"]

@@ -473,8 +473,9 @@ class _Inverted(float):
 @pytest.mark.parametrize("points,spacing,model", _REFINE_CASES)
 def test_refinement_exact_under_any_prediction(points, spacing, model, monkeypatch):
     # the loop reads only exact memoized ratios: predictions that always
-    # take the wrong branch, or none at all (the branch tree alone), change
-    # the batches and never a value or a request
+    # take the wrong branch (the geodesic form's where it fits), the parabola
+    # and kink alone, or none at all (the branch tree alone), change the
+    # batches and never a value or a request
     ctx = MetricContext(validate_polygon(points), model)
     F = ctx.polygon.perimeter
     params, pts = boundary_samples(ctx, spacing)
@@ -484,8 +485,8 @@ def test_refinement_exact_under_any_prediction(points, spacing, model, monkeypat
     t, (u, w) = rng.uniform(0, F), rng.uniform(0, spacing, 2)
     models = ratio._models
 
-    def wrong(seen):
-        return [lambda x, m=m: _Inverted(m(x)) for m in models(seen)]
+    def wrong(seen, fit):
+        return [lambda x, m=m: _Inverted(m(x)) for m in models(seen, fit)]
 
     distinct = []
     monkeypatch.setattr(ctx, "interior_distance",  # called once a distinct pair
@@ -494,10 +495,58 @@ def test_refinement_exact_under_any_prediction(points, spacing, model, monkeypat
         distinct.clear()
         ref = [float(x).hex() for x in _reference_refine(ctx, t_p, t_q, spacing)]
         ref.append(len(distinct))
-        for predict in (wrong, lambda seen: []):
+        for predict in (wrong, lambda seen, fit: models(seen), lambda seen, fit: []):
             monkeypatch.setattr(ratio, "_models", predict)
             got = _refine_pair(ctx, t_p, t_q, spacing)
             assert [float(x).hex() for x in got[:4]] + [got[4]] == ref, (t_p, t_q)
+
+
+def _fetched(ctx, fix, ts):
+    # (d_h, d_z, ratio) of the pairs (t, fix), as the refinement fetches them
+    ts = np.asarray(ts, dtype=float)
+    pts = ctx.polygon.boundary_point(np.column_stack([ts, np.full_like(ts, fix)]))
+    return ratio._pair_measures(ctx, pts)
+
+
+@pytest.mark.parametrize("points,model,fix,lo,hi,u", [
+    # (0, 1.5) sees the bottom edge of the L; the exterior d_z bends at (0, 0)
+    pytest.param(L_SHAPE, PursuerModel.EXTERIOR, 6.5, 0.3, 0.6, None, id="direct"),
+    # from the right edge to (0.5, 2) the path bends at the reflex (1, 1)
+    pytest.param(L_SHAPE, PursuerModel.EXTERIOR, 5.5, 2.2, 2.6, (1.0, 1.0), id="bent"),
+    pytest.param(L_SHAPE, PursuerModel.MOAT, 5.5, 2.2, 2.6, (1.0, 1.0), id="moat-arc"),
+    # from the square's top edge to (0.5, 0) the exterior d_z goes round the
+    # right side before t = 2.5 and the left after: one form on each side
+    pytest.param(SQUARE, PursuerModel.EXTERIOR, 0.5, 2.4, 2.6, None, id="kink"),
+])
+def test_geodesic_form_predicts_fetched_ratios(points, model, fix, lo, hi, u):
+    # fitted from three fetched pairs with the moving end on one edge, the
+    # form gives the fetched ratio at 20 other t of the window
+    ctx = MetricContext(validate_polygon(points), model)
+    form = ratio._Form(ctx)
+    ts = [lo + 0.1 * (hi - lo), (lo + hi) / 2, hi - 0.1 * (hi - lo)]
+    dh, dz, r = _fetched(ctx, fix, ts)
+    q, ends = form.point(fix), [form.point(t) for t in ts]
+    F = ctx.polygon.perimeter
+    for t in (fix, *ts, fix - F, F + lo):  # boundary_point's arithmetic
+        assert form.point(t) == tuple(ctx.polygon.boundary_point(t).tolist())
+    assert form._fit(q, ends, dh.tolist())[:2] == (u or q)  # d_h leaves p for u
+    predict = form.model(fix, dict(zip(ts, r.tolist())), dict(zip(ts, zip(dh, dz))))
+    others = np.linspace(lo, hi, 22)[1:-1]
+    want = _fetched(ctx, fix, others)[2]
+    got = np.array([predict(t) for t in others])
+    assert np.all(np.abs(got - want) <= 1e-12 * want), np.abs(got / want - 1).max()
+
+
+def test_geodesic_form_is_confirmed_past_a_kink():
+    # pairs symmetric about the square's kink at t = 2.5 have equal d_z, and
+    # so does the direct form from the fixed end q; the next point out
+    # rejects it, and with no other u fitting there is no model
+    ctx = MetricContext(validate_polygon(SQUARE), PursuerModel.EXTERIOR)
+    form = ratio._Form(ctx)
+    ts = [2.45, 2.55, 2.6]
+    dh, dz, r = _fetched(ctx, 0.5, ts)
+    assert dz[0] == dz[1]
+    assert form.model(0.5, dict(zip(ts, r.tolist())), dict(zip(ts, zip(dh, dz)))) is None
 
 
 @pytest.mark.parametrize(
@@ -529,12 +578,12 @@ def test_sample_ratio_seeds_refinement(points, spacing, model, monkeypatch):
 @pytest.mark.parametrize("points", [L_SHAPE, COMB, [tuple(p) for p in _star(24)]],
                          ids=["L", "comb", "star48"])
 def test_refinement_batches_lie_on_the_boundary(points, monkeypatch):
-    # _pair_ratios runs no domain test: every pair _refine_pair fetches is
+    # _pair_measures runs no domain test: every pair _refine_pair fetches is
     # within tol of the boundary, on the relabellings of seeds 0-5, from a
     # random start at f/10 (boundary_point makes the points in either model)
-    batches, pair_ratios = [], ratio._pair_ratios
-    monkeypatch.setattr(ratio, "_pair_ratios", lambda ctx, pts: batches.append(pts)
-                        or pair_ratios(ctx, pts))
+    batches, pair_measures = [], ratio._pair_measures
+    monkeypatch.setattr(ratio, "_pair_measures", lambda ctx, pts: batches.append(pts)
+                        or pair_measures(ctx, pts))
     relabellings = _relabellings(points)
     for seed in range(6):
         poly = validate_polygon(relabellings[5 * seed % len(relabellings)])
@@ -563,7 +612,7 @@ class TestRefinementWork:
         *_, requested, distinct, evaluated, batches = _refine_pair(ctx, 0.7, 4.0, 0.1)
         assert len(rows) == len(set(rows)) == evaluated
         assert len(kernel_calls) == batches  # one kernel call per batch, both metrics
-        assert (requested, distinct, evaluated, batches) == (253, 127, 285, 15)
+        assert (requested, distinct, evaluated, batches) == (253, 127, 149, 7)
 
     @pytest.mark.parametrize("model", list(PursuerModel))
     def test_sandwich_builds_no_pieces(self, model):
