@@ -24,7 +24,7 @@ import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, zip_longest
+from itertools import chain
 
 import numpy as np
 
@@ -66,9 +66,10 @@ class RatioBound:
     """Certified lower bound and inflated upper estimate for max d_z/d_h.
 
     ``stats`` is the work that found it, left out of ``==``: the samples m,
-    the sample pairs evaluated and their branch-and-bound batches, and the
+    the sample pairs evaluated and their branch-and-bound batches, the
     refinement's evaluations requested, distinct pairs among them, pairs
-    evaluated and kernel batches.
+    evaluated and kernel batches, then the seconds of the two stages: the
+    sample pairs' bounds and branch and bound, and the refinement.
     """
 
     lower_certified: float
@@ -97,7 +98,7 @@ def ratio_of_pair(ctx: MetricContext, p, q) -> float:
     poly = ctx.polygon
     if np.any(_boundary_distance2(poly, pts.reshape(-1, 2)) > poly.tol**2):
         raise OutsideDomain("ratio pairs must lie on the polygon boundary")
-    ratio = float(_pair_ratios(ctx, pts)[0])
+    ratio = float(_pair_measures(ctx, pts)[2][0])
     if ratio == -np.inf:
         raise DegeneratePair("d_h(p, q) is below tolerance")
     return ratio
@@ -213,11 +214,6 @@ def _pair_measures(ctx: MetricContext, pts: np.ndarray):
         return dh, dz, np.where(dh <= poly.tol, -np.inf, dz / dh)
 
 
-def _pair_ratios(ctx: MetricContext, pts: np.ndarray) -> np.ndarray:
-    """The ratios of ``_pair_measures``."""
-    return _pair_measures(ctx, pts)[2]
-
-
 def _batch_pairs(n: int) -> int:
     """Pairs one refinement batch may fetch on an n-gon: as many as keep
     its kernel call within ``_LOOKAHEAD_ELEMENTS`` at 1 + n segments a pair
@@ -232,10 +228,12 @@ class _Form:
     With one end fixed at q and the other at p(t) = ``boundary_point(t)``, a
     shortest path is d(t) = |p(t) - u| + C for as long as its vertices stay
     the same: u is q (a direct pair, C = 0) or the polygon vertex the path
-    leaves p(t) for, and C the rest of the path.  In the moat model d_z is
-    the boundary arc to q, so only d_h is fitted.  ``point`` is
-    ``boundary_point`` in plain floats, in the same arithmetic, so a
-    prediction runs no numpy call.
+    leaves p(t) for, and C the rest of the path.  A geodesic is the shortest
+    of its routes, so where it switches route (a kink in t) d(t) is the
+    lesser of the two routes' forms, for as long as both stay feasible.  In
+    the moat model d_z is the boundary arc to q, so only d_h is fitted.
+    ``point`` is ``boundary_point`` in plain floats, in the same arithmetic,
+    so a prediction runs no numpy call.
     """
 
     def __init__(self, ctx: MetricContext):
@@ -283,74 +281,58 @@ class _Form:
     def model(self, fix: float, seen: dict, near: dict):
         """The ratio at t from a search's known ratios ``seen`` {t: ratio}
         and the distances ``near`` {t: (d_h, d_z)} of those fetched, or
-        None.  On each side of the best fetched point the form is fitted
-        through it and its neighbour there, and must hold at the next point
-        out too, if known; a side with no neighbour takes the other side's
-        form.  None when a side has no form."""
+        None.  On each side of the best fetched point each metric's form is
+        fitted through it and its neighbour there, and must hold at the next
+        point out too, if known; a side with no neighbour takes the other
+        side's form.  A side whose fit fails but whose two points fit a form
+        of their own lies past a kink: there the metric is the shorter of
+        that form and the other side's, which holds at the best point.  None
+        when a side has no form."""
         ts = sorted(near)
         if len(ts) < 2:
             return None
         t0 = max(ts, key=seen.__getitem__)
         k = ts.index(t0)
         q, p0, d0 = self.point(fix), self.point(t0), near[t0]
-        forms = []
-        for out in (ts[max(k - 2, 0) : k][::-1], ts[k + 1 : k + 3]):
-            form = []
-            if out:
-                ends = [p0, *map(self.point, out)]
-                for s in range(1 if self.moat else 2):
-                    fit = self._fit(q, ends, [d0[s], *(near[t][s] for t in out)])
-                    if fit is None:
+        outs = (ts[max(k - 2, 0) : k][::-1], ts[k + 1 : k + 3])
+        ends = [[p0, *map(self.point, out)] for out in outs]
+        forms: list = [[], []]  # per side, each metric's routes
+        for s in range(1 if self.moat else 2):
+            d = [[d0[s], *(near[t][s] for t in out)] for out in outs]
+            fits = [self._fit(q, e, dk) if len(e) > 1 else None for e, dk in zip(ends, d)]
+            for i, (e, fit) in enumerate(zip(ends, fits)):
+                if fit:
+                    forms[i].append((fit,))
+                elif len(e) == 3 and fits[1 - i]:
+                    # past a kink: the route that holds at the best point,
+                    # or the one through this side's two points
+                    far = self._fit(q, e[1:], d[i][1:])
+                    if far is None:
                         return None
-                    form.append(fit)
-            forms.append(form)
+                    forms[i].append((fits[1 - i], far))
+                elif len(e) > 1:
+                    return None
         left, right = (f or forms[1 - i] for i, f in enumerate(forms))
         point, tol, F, moat = self.point, self.tol, self.F, self.moat
 
+        def dist(x, y, routes):
+            d = math.inf
+            for ux, uy, c in routes:
+                d = min(d, math.hypot(x - ux, y - uy) + c)
+            return d
+
         def ratio(t):
             x, y = point(t)
-            (ux, uy, c), *z = left if t < t0 else right
-            dh = math.hypot(x - ux, y - uy) + c
+            h, *z = left if t < t0 else right
+            dh = dist(x, y, h)
             if dh <= tol:
                 return -math.inf
             if moat:
                 dz = abs(t - fix) % F
                 return min(dz, F - dz) / dh
-            ((wx, wy, e),) = z
-            return (math.hypot(x - wx, y - wy) + e) / dh
+            return dist(x, y, z[0]) / dh
 
         return ratio
-
-
-def _models(seen: dict, fit=None) -> list:
-    """Models of a search's known values ``seen`` {t: value}, each a
-    function of t.  The geodesic's own form ``fit(seen)`` (``_Form.model``)
-    alone where it fits: it gives every value to a few ulps.  Otherwise a
-    parabola through the best point and its neighbours (a smooth maximum)
-    and one line on each side of the best point, through the two known
-    points nearest it there (a kink).  A model without the points it needs
-    is left out."""
-    geodesic = fit(seen) if fit is not None else None
-    if geodesic is not None:
-        return [geodesic]
-    pts = sorted((t, v) for t, v in seen.items() if math.isfinite(v))
-    k = max(range(len(pts)), key=lambda i: pts[i][1], default=0)
-    models = []
-    if 0 < k < len(pts) - 1:
-        (x0, y0), (x1, y1), (x2, y2) = pts[k - 1 : k + 2]
-
-        def parabola(t):
-            return (y0 * (t - x1) * (t - x2) / ((x0 - x1) * (x0 - x2))
-                    + y1 * (t - x0) * (t - x2) / ((x1 - x0) * (x1 - x2))
-                    + y2 * (t - x0) * (t - x1) / ((x2 - x0) * (x2 - x1)))
-
-        models.append(parabola)
-    if 2 <= k < len(pts) - 2:
-        (x0, y0), (x1, y1) = pts[k - 2 : k]
-        (x2, y2), (x3, y3) = pts[k + 1 : k + 3]
-        left, right = (y1 - y0) / (x1 - x0), (y3 - y2) / (x3 - x2)
-        models.append(lambda t: min(y1 + left * (t - x1), y2 + right * (t - x2)))
-    return models
 
 
 def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float,
@@ -364,16 +346,15 @@ def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float,
     pair-at-a-time search; a pair missing from the memo is fetched in one
     batch, of at most ``_batch_pairs(n)`` pairs, with the pairs the search
     is likely to ask for next: the path the loop would take to the end of
-    the search under ``_models`` of the values known in this search, in the
-    loop's own arithmetic, then every pair of the next ``_TREE_STEPS``
-    steps on either branch.  There are three models: the geodesic's own form
-    (``_Form``), fitted to the d_h and d_z the memo keeps of each fetched
-    pair, alone where it fits, and else a parabola and a kink; where a batch
-    holds only ``_BATCH_FLOOR`` pairs the form is not fitted.  Once the
-    whole tree of the steps left fits a batch, where float ties make
-    predictions useless, it is fetched instead.  A wrong prediction costs a
-    batch and never changes a value.  Returns ``(tp, tq, ratio, evaluations
-    requested, distinct pairs requested, pairs evaluated, batches)``.
+    the search, in the loop's own arithmetic, where the geodesic's own form
+    (``_Form.model``), fitted to the d_h and d_z the memo keeps of each
+    fetched pair, predicts the values not known yet, then every pair of the
+    next ``_TREE_STEPS`` steps on either branch; where the form does not
+    fit, the branches alone.  Once the whole tree of the steps left fits a
+    batch, where float ties make predictions useless, it is fetched
+    instead.  A wrong prediction costs a batch and never changes a value.
+    Returns ``(tp, tq, ratio, evaluations requested, distinct pairs
+    requested, pairs evaluated, batches)``.
     """
     F = ctx.polygon.perimeter
     budget = _batch_pairs(ctx.polygon.n)
@@ -382,15 +363,13 @@ def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float,
     # later rounds repeat searches whose fixed end and window did not move
     memo: dict = {}
     dists: dict = {}  # (d_h, d_z) of each fetched pair
-    # a floor batch holds the missing pair and two more, which the parabola
-    # and kink predict as well: there the form would cost more than it saves
-    form = _Form(ctx) if budget > _BATCH_FLOOR else None
+    form = _Form(ctx)
     used: set = set()
     requested = evaluated = batches = 0
 
     def fetch(pairs):
         # the first ``budget`` distinct pairs missing from the memo; the
-        # predicted paths are computed only as far as they are read
+        # predicted path is computed only as far as it is read
         nonlocal evaluated, batches
         new: dict = {}  # an ordered set
         for key in pairs:
@@ -402,8 +381,7 @@ def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float,
         batches += 1
         dh, dz, ratios = _pair_measures(ctx, ctx.polygon.boundary_point(np.array(list(new))))
         memo.update(zip(new, ratios.tolist()))
-        if form:
-            dists.update(zip(new, zip(dh.tolist(), dz.tolist())))
+        dists.update(zip(new, zip(dh.tolist(), dz.tolist())))
 
     def value(tp, tq) -> float:
         nonlocal requested
@@ -417,13 +395,10 @@ def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float,
         def pair(t):
             return (t, fix) if which == 0 else (fix, t)
 
-        # t -> ratio for the models, from the window's centre: the current
+        # t -> ratio for the model, from the window's centre: the current
         # pair, of ratio ``best``; and t -> (d_h, d_z) where fetched
         seen = {centre: best}
         near = {centre: dists[pair(centre)]} if pair(centre) in dists else {}
-
-        def fit(seen):
-            return form.model(fix, seen, near) if form else None
 
         def ahead(a, b, c, d, steps):
             # the pairs of state (a, b, c, d) and of the next ``steps``
@@ -461,10 +436,10 @@ def _refine_pair(ctx: MetricContext, t_p: float, t_q: float, spacing: float,
                 if steps_left <= tail:
                     fetch(ahead(a, b, c, d, steps_left))
                 else:
-                    paths = [path(m, a, b, c, d, steps_left) for m in _models(seen, fit)]
-                    # the paths step by step, then the tree
+                    model = form.model(fix, seen, near)
+                    # the path, then the tree
                     fetch(chain([pair(c), pair(d)],
-                                (nxt for step in zip_longest(*paths) for nxt in step if nxt),
+                                path(model, a, b, c, d, steps_left) if model else (),
                                 ahead(a, b, c, d, _TREE_STEPS)))
             seen[t] = value(*key)
             if key in dists:
@@ -556,15 +531,19 @@ def max_ratio(ctx: MetricContext, spacing: float) -> RatioBound:
     i, j = _pair_rows(m, k[ratios == sample_max].min())
     t_p, t_q = float(params[i]), float(params[j])
     t1 = time.perf_counter()
-    # sample_max is the pair's ratio as _pair_ratios gives it, to the bit:
+    # sample_max is the pair's ratio as _pair_measures gives it, to the bit:
     # both measure the pair with one pair_distances row per metric
     tp, tq, refined, requested, distinct, evaluated, batches = _refine_pair(
         ctx, t_p, t_q, spacing, sample_max)
+    stats = {"m": m, "pairs_evaluated": len(k), "bound_batches": bound_batches,
+             "refine_requested": requested, "refine_distinct": distinct,
+             "refine_evaluated": evaluated, "refine_batches": batches,
+             "pairwise_s": t1 - t0, "refine_s": time.perf_counter() - t1}
     logger.debug("max_ratio: m=%d, %d pairs, %d evaluated in %d bound batches, "
                  "%d refinement evaluations (%d distinct), "
                  "%d pairs evaluated in %d batches, pairwise %.4f s, refine %.4f s",
                  m, m * (m - 1) // 2, len(k), bound_batches, requested, distinct,
-                 evaluated, batches, t1 - t0, time.perf_counter() - t1)
+                 evaluated, batches, stats["pairwise_s"], stats["refine_s"])
     lower = max(sample_max, refined)
     wp = poly.boundary_point(tp)
     wq = poly.boundary_point(tq)
@@ -586,7 +565,5 @@ def max_ratio(ctx: MetricContext, spacing: float) -> RatioBound:
         witness_p=Point2(*map(float, wp)),
         witness_q=Point2(*map(float, wq)),
         sampling_spacing=float(spacing),
-        stats={"m": m, "pairs_evaluated": len(k), "bound_batches": bound_batches,
-               "refine_requested": requested, "refine_distinct": distinct,
-               "refine_evaluated": evaluated, "refine_batches": batches},
+        stats=stats,
     )

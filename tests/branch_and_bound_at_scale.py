@@ -8,10 +8,11 @@ comparison at coarse spacings.
 Then ``_refine_pair`` against the pair-at-a-time ``_reference_refine`` of
 ``tests/test_ratio.py`` at f/10, in both models: from ``max_ratio``'s own
 start, from a pair with t_p == t_q and from one whose windows cross
-parameter 0 at both ends.  On the L, comb, spiral, square and triangle the
-geodesic form predicts the golden searches; on the 48-star and the regular
-100-gon batches hold the floor's few pairs, a size tier-1's polygons never
-reach.
+parameter 0 at both ends.  The geodesic form predicts the golden searches
+on the L, comb, spiral, square and triangle, and on the 48-star and the
+regular 100-gon, whose batches hold the floor's few pairs, a size tier-1's
+polygons never reach; the comb at f/13 in the exterior model adds a start
+whose searches meet kinks of d_z.
 
 The script takes about 40 s on 2 CPUs, so pytest does not collect it:
 
@@ -57,13 +58,15 @@ def main() -> int:
                          ("triangle", TRIANGLE), ("48-star", _star(24)), ("100-gon", GON_100)):
         for model in PursuerModel:
             failed += not check_refinement(name, MetricContext(validate_polygon(points), model))
+    failed += not check_refinement("comb", MetricContext(validate_polygon(COMB),
+                                                         PursuerModel.EXTERIOR), 13)
     return 1 if failed else 0
 
 
-def check_refinement(name, ctx) -> bool:
+def check_refinement(name, ctx, div=10) -> bool:
     """``_refine_pair`` against ``_reference_refine`` from three starts at
-    f/10; prints one line."""
-    spacing = ctx.polygon.min_feature_size / 10
+    f/``div``; prints one line."""
+    spacing = ctx.polygon.min_feature_size / div
     refine, calls = ratio._refine_pair, []
     ratio._refine_pair = lambda *args: calls.append(args) or refine(*args)
     try:
@@ -81,7 +84,7 @@ def check_refinement(name, ctx) -> bool:
         ref = _reference_refine(ctx, *args[:3])
         same &= [float(x).hex() for x in got[:4]] == [float(x).hex() for x in ref]
         work.append(f"{got[6]} batches, {got[5]} pairs")
-    print(f"refinement {name} {ctx.model.value}: {'same' if same else 'DIFFERENT'} "
+    print(f"refinement {name} {ctx.model.value} f/{div}: {'same' if same else 'DIFFERENT'} "
           f"({'; '.join(work)}; {1e3 * elapsed:.1f} ms)", flush=True)
     return same
 

@@ -13,7 +13,6 @@ from escape_ratio.ratio import (
     UPPER_FACTOR,
     _batch_pairs,
     _pair_bounds,
-    _pair_ratios,
     _pair_rows,
     _pairwise_dh,
     _pairwise_dz,
@@ -247,7 +246,7 @@ def test_pairwise_metrics_match_queries(points, spacing, monkeypatch):
         assert domain.escaper_distances(pts, i[k], j[k]).tobytes() == dh.tobytes(), model
         assert domain.pursuer_distances(pts, i[k], j[k]).tobytes() == dz.tobytes(), model
         pairs = np.stack([pts[i[k]], pts[j[k]]], axis=1)
-        assert _pair_ratios(ctx, pairs).tobytes() == (dz / dh).tobytes(), model
+        assert ratio._pair_measures(ctx, pairs)[2].tobytes() == (dz / dh).tobytes(), model
         for (p, q), h, z, r in zip(pairs, dh, dz, ratios):
             assert h == ctx.interior_distance(p, q), (model, p, q)
             assert z == ctx.pursuer_distance(p, q), (model, p, q)
@@ -473,9 +472,9 @@ class _Inverted(float):
 @pytest.mark.parametrize("points,spacing,model", _REFINE_CASES)
 def test_refinement_exact_under_any_prediction(points, spacing, model, monkeypatch):
     # the loop reads only exact memoized ratios: predictions that always
-    # take the wrong branch (the geodesic form's where it fits), the parabola
-    # and kink alone, or none at all (the branch tree alone), change the
-    # batches and never a value or a request
+    # take the wrong branch (the geodesic form's where it fits) or none at
+    # all (the branch tree alone) change the batches and never a value or a
+    # request
     ctx = MetricContext(validate_polygon(points), model)
     F = ctx.polygon.perimeter
     params, pts = boundary_samples(ctx, spacing)
@@ -483,10 +482,11 @@ def test_refinement_exact_under_any_prediction(points, spacing, model, monkeypat
     k = int(np.argmax(_pairwise_dz(ctx, pts, i, j) / _pairwise_dh(ctx, pts, i, j)))
     rng = np.random.default_rng(len(points))
     t, (u, w) = rng.uniform(0, F), rng.uniform(0, spacing, 2)
-    models = ratio._models
+    form_model = ratio._Form.model
 
-    def wrong(seen, fit):
-        return [lambda x, m=m: _Inverted(m(x)) for m in models(seen, fit)]
+    def wrong(form, *args):
+        m = form_model(form, *args)
+        return m and (lambda x: _Inverted(m(x)))
 
     distinct = []
     monkeypatch.setattr(ctx, "interior_distance",  # called once a distinct pair
@@ -495,8 +495,8 @@ def test_refinement_exact_under_any_prediction(points, spacing, model, monkeypat
         distinct.clear()
         ref = [float(x).hex() for x in _reference_refine(ctx, t_p, t_q, spacing)]
         ref.append(len(distinct))
-        for predict in (wrong, lambda seen, fit: models(seen), lambda seen, fit: []):
-            monkeypatch.setattr(ratio, "_models", predict)
+        for predict in (wrong, lambda form, *args: None):
+            monkeypatch.setattr(ratio._Form, "model", predict)
             got = _refine_pair(ctx, t_p, t_q, spacing)
             assert [float(x).hex() for x in got[:4]] + [got[4]] == ref, (t_p, t_q)
 
@@ -538,15 +538,27 @@ def test_geodesic_form_predicts_fetched_ratios(points, model, fix, lo, hi, u):
 
 
 def test_geodesic_form_is_confirmed_past_a_kink():
-    # pairs symmetric about the square's kink at t = 2.5 have equal d_z, and
-    # so does the direct form from the fixed end q; the next point out
-    # rejects it, and with no other u fitting there is no model
+    # from the square's top edge to (0.5, 0) the exterior d_z goes round the
+    # right side before t = 2.5 and the left after.  The best fetched point,
+    # 2.45, and 2.4 fit the right route; 2.55 and 2.6 lie past the kink, where
+    # that fit fails, and fit the left route alone: there the model takes the
+    # shorter of the two, which is the fetched ratio on both sides of 2.5
     ctx = MetricContext(validate_polygon(SQUARE), PursuerModel.EXTERIOR)
     form = ratio._Form(ctx)
-    ts = [2.45, 2.55, 2.6]
+    ts = [2.4, 2.45, 2.55, 2.6]
     dh, dz, r = _fetched(ctx, 0.5, ts)
-    assert dz[0] == dz[1]
-    assert form.model(0.5, dict(zip(ts, r.tolist())), dict(zip(ts, zip(dh, dz)))) is None
+    near = dict(zip(ts, zip(dh, dz)))
+    predict = form.model(0.5, dict(zip(ts, r.tolist())), near)
+    assert predict is not None
+    others = np.concatenate([np.linspace(2.4, 2.5, 22)[1:-1], np.linspace(2.5, 2.6, 22)[1:-1]])
+    want = _fetched(ctx, 0.5, others)[2]
+    got = np.array([predict(t) for t in others])
+    assert np.all(np.abs(got - want) <= 1e-12 * want), np.abs(got / want - 1).max()
+    # 2.45 and 2.55 have equal d_z, and so does the direct form from the
+    # fixed end: without 2.4 the best point has no route of its own, and
+    # 2.6 rejects the direct form, so there is no model
+    del near[2.4]
+    assert form.model(0.5, dict(zip(ts, r.tolist())), near) is None
 
 
 @pytest.mark.parametrize(
@@ -569,7 +581,7 @@ def test_sample_ratio_seeds_refinement(points, spacing, model, monkeypatch):
         max_ratio(ctx, spacing)
         ((_, t_p, t_q, _, start),) = calls
         pts = ctx.polygon.boundary_point(np.array([[t_p, t_q]]))
-        assert start.hex() == float(ratio._pair_ratios(ctx, pts)[0]).hex()
+        assert start.hex() == float(ratio._pair_measures(ctx, pts)[2][0]).hex()
         seeded, cold = refine(ctx, t_p, t_q, spacing, start), refine(ctx, t_p, t_q, spacing)
         assert [float(x).hex() for x in seeded[:5]] == [float(x).hex() for x in cold[:5]]
         assert (seeded[5], seeded[6]) == (cold[5] - 1, cold[6] - 1)
@@ -613,6 +625,17 @@ class TestRefinementWork:
         assert len(rows) == len(set(rows)) == evaluated
         assert len(kernel_calls) == batches  # one kernel call per batch, both metrics
         assert (requested, distinct, evaluated, batches) == (253, 127, 149, 7)
+
+    @pytest.mark.parametrize("points,work", [pytest.param(COMB, (253, 169, 204, 10), id="comb"),
+                                             pytest.param(SQUARE, (253, 85, 98, 4), id="square")])
+    def test_kinks_cost_no_fallback(self, points, work):
+        # exterior model at f/13, from max_ratio's own start: the searches
+        # meet kinks of d_z, where the geodesic form takes the shorter of two
+        # routes; (requested, distinct, evaluated, batches)
+        ctx = MetricContext(validate_polygon(points), PursuerModel.EXTERIOR)
+        stats = max_ratio(ctx, ctx.polygon.min_feature_size / 13).stats
+        assert tuple(stats["refine_" + k] for k in ("requested", "distinct", "evaluated",
+                                                    "batches")) == work
 
     @pytest.mark.parametrize("model", list(PursuerModel))
     def test_sandwich_builds_no_pieces(self, model):
