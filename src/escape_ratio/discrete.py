@@ -29,13 +29,14 @@ numbered once per solve and those of W that the sweep reads once per sweep;
 the pair of numbers keys each selected move exactly, and an int32 table of
 n_p * n_w entries (distinct P rows times distinct W rows read) maps each key
 to its evaluated row.
-The keys' covered rows are evaluated in blocks: moat-model games count bad
-replies in circular windows through prefix sums (the pursuer's move set is
-an arc interval); other games use a dense float32 matrix product.  W stays
-packed in uint64 words across the sweeps, and so do the ranks: one bit plane
-per bit of the sweep count, decoded into the int32 ``SolveResult.rank`` only
-when it is first read (strategy extraction reads it).  The marking is
-order-independent, so the result is deterministic.
+The keys' covered rows are evaluated in blocks, in both pursuer models by a
+dense float32 product with ``e_z`` that counts each state's bad replies, so
+the solver plays the relation that ``threat_matrix``, the strategies and
+``play_discrete`` read.  W stays packed in uint64 words across the sweeps,
+and so do the ranks: one bit plane per bit of the sweep count, decoded
+into the int32 ``SolveResult.rank`` only when it is first read (strategy
+extraction reads it).  The marking is order-independent, so the result is
+deterministic.
 
 ``escaper_wins`` decides the winner alone, for the approximation scheme's
 bisection: it runs the same sweeps and stops at the first sweep that fills a
@@ -72,8 +73,8 @@ logger = logging.getLogger(__name__)
 # this many packed words of rows (pairs or keys x words per row), the
 # covered-row test gathers this many words a block (two a move), and the
 # distinct rows are evaluated in chunks of this many (rows x n_z) bools.
-# The working set stays near 1 MB: the window path's int32 prefix counts
-# over one chunk.
+# The working set stays under 1 MB: a chunk's float32 bad rows and reply
+# counts take 256 KiB each.
 _BLOCK_ELEMENTS = 2**16
 
 # Pair finder block: one pass of ``_close_pairs`` tests about this many
@@ -439,11 +440,10 @@ class DiscreteGame:
 
     ``e_h`` is a ``MoveRelation`` over escaper samples (d_h <= delta,
     self-loops included); ``e_z`` is dense boolean over pursuer samples
-    (d_z <= r*delta).
+    (d_z <= r*delta), the one pursuer relation that the solver, the threat
+    matrix, the strategies and replay read.
     ``_threshold_distances`` finds the pairs of both, except the moat model's
     arc ``e_z``.
-    ``z_windows`` holds ``(lo, hi)`` when the pursuer move set is a circular
-    interval (moat model): per-sample doubled-index arc windows.
     """
 
     samples: SampleSet
@@ -451,7 +451,6 @@ class DiscreteGame:
     e_z: np.ndarray
     r: float
     delta: float
-    z_windows: Optional[tuple] = None
 
     @property
     def n_h(self) -> int:
@@ -528,37 +527,13 @@ def build_game(
 
     tol = poly.tol
     reach = r * delta
-    z_windows = None
     if ctx.model is PursuerModel.MOAT:
         t = samples.boundary_params
         e_z = poly.arc_distance(t[:, None], t[None, :]) <= reach + tol
-        z_windows = _arc_windows(t, poly.perimeter, reach + tol)
     else:
         i, j = _threshold_distances(poly, samples.pursuer_samples, reach, 1)
         e_z = _dense_relation(i, j, n_z)
-    return DiscreteGame(
-        samples=samples, e_h=e_h, e_z=e_z, r=float(r),
-        delta=float(delta), z_windows=z_windows,
-    )
-
-
-def _arc_windows(t: np.ndarray, F: float, reach: float):
-    """(lo, hi) doubled-index ranges of the arc interval around each sample.
-
-    Index d in the doubled frame [0, 2n) refers to circular sample d mod n;
-    each window is a contiguous doubled range of length <= n, ready for the
-    cumulative-sum containment count in the solver; a window that is the
-    whole boundary is ``(0, n - 1)``.
-    """
-    n = len(t)
-    if reach >= F / 2:
-        return (np.zeros(n, dtype=int), np.full(n, n - 1, dtype=int))
-    assert np.all(np.diff(t) > 0), "boundary samples must be arc-sorted"
-    ext = np.concatenate([t - F, t, t + F])
-    lo3 = np.searchsorted(ext, t - reach, side="left")
-    hi3 = np.searchsorted(ext, t + reach, side="right") - 1
-    lo = (lo3 - n) % n
-    return (lo, lo + (hi3 - lo3))
+    return DiscreteGame(samples=samples, e_h=e_h, e_z=e_z, r=float(r), delta=float(delta))
 
 
 # ---------------------------------------------------------------------------
@@ -764,11 +739,7 @@ def _sweeps(game: DiscreteGame, P: np.ndarray):
     pid = pid.astype(np.int32)
     uncovered = np.ascontiguousarray(~P_words.T)  # word-major, for the covered-row test
     full = _full_row(n_z)
-    windows = game.z_windows
-    if windows is not None:
-        lo, hi = windows
-    else:
-        ez = game.e_z.astype(np.float32)
+    ez = game.e_z.astype(np.float32)
     block = max(1, _BLOCK_ELEMENTS // P_words.shape[1])
     chunk = max(1, _BLOCK_ELEMENTS // n_z)
 
@@ -777,11 +748,8 @@ def _sweeps(game: DiscreteGame, P: np.ndarray):
         good = []
         for c0 in range(0, len(covered), chunk):
             bad = _unpack_rows(~covered[c0 : c0 + chunk], n_z)
-            if windows is None:
-                # reply counts are integers below 2**24: exact in float32
-                good.append(_pack_rows((bad.astype(np.float32) @ ez) < 0.5))
-            else:
-                good.append(_pack_rows(_window_good(bad, lo, hi)))
+            # reply counts are integers below 2**24: exact in float32
+            good.append(_pack_rows((bad.astype(np.float32) @ ez) < 0.5))
         return good
 
     W = np.zeros_like(P_words)
@@ -949,21 +917,6 @@ def _group_rows(keys: np.ndarray):
     group = np.empty(len(order), dtype=np.intp)
     group[order] = np.cumsum(new) - 1
     return group, order[new]
-
-
-def _window_good(bad: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """good[k, z]: no bad[k] entry in the circular window [lo[z], hi[z]].
-
-    Works z-major: C2 is the prefix count of bad over the doubled circular
-    index, so each window count is a difference of two gathered rows.
-    """
-    n_z = bad.shape[1]
-    C2 = np.empty((2 * n_z, len(bad)), dtype=np.int32)
-    C2[0] = 0
-    C2[1 : n_z + 1] = bad.T
-    np.cumsum(C2[1 : n_z + 1], axis=0, out=C2[1 : n_z + 1])
-    np.add(C2[1:n_z], C2[n_z], out=C2[n_z + 1 :])
-    return (C2[hi + 1] == C2[lo]).T
 
 
 # ---------------------------------------------------------------------------

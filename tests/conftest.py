@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from escape_ratio import ratio
@@ -101,6 +103,25 @@ def random_convex_polygon(rng, n):
             continue
         if poly.is_convex and poly.n == n:
             return poly
+
+
+@st.composite
+def grid_polygons(draw):
+    """Simple polygons with half-integer vertices, sorted by angle about their mean.
+
+    Candidates that fail validation (spikes along one ray, zero area) are
+    rejected, so every drawn polygon is simple; most are not convex.
+    """
+    k = draw(st.integers(4, 9))
+    cells = draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                          min_size=k, max_size=k, unique=True))
+    pts = np.array(cells, dtype=float) / 2
+    rel = pts - pts.mean(axis=0)
+    order = np.lexsort((np.hypot(rel[:, 0], rel[:, 1]), np.arctan2(rel[:, 1], rel[:, 0])))
+    try:
+        return validate_polygon(pts[order])
+    except (SelfIntersecting, ZeroArea, DegenerateEdge):
+        assume(False)
 
 
 def reference_distance_to_boundary(poly, p):
@@ -468,9 +489,6 @@ def reference_solve(game):
     indptr = game.e_h.indptr
     indices = game.e_h.indices
     row_of = np.repeat(np.arange(n_h), np.diff(indptr))
-    use_windows = game.z_windows is not None
-    if use_windows:
-        lo, hi = game.z_windows
     ez_f = game.e_z.astype(np.float32)
 
     iteration = 0
@@ -488,16 +506,7 @@ def reference_solve(game):
                 continue
             rows = indices[indptr[h] : indptr[h + 1]]
             M_bad = U[rows] & R[h][None, :]
-            if use_windows:
-                C = np.cumsum(M_bad, axis=1, dtype=np.int32)
-                total = C[:, -1][:, None]
-                lowpart = np.where(lo > 0, C[:, np.maximum(lo - 1, 0)], 0)
-                wrap = hi >= n_z
-                cnt_wrap = total - lowpart + C[:, np.where(wrap, hi - n_z, 0)]
-                cnt_flat = C[:, np.minimum(hi, n_z - 1)] - lowpart
-                good = np.where(wrap, cnt_wrap, cnt_flat) == 0
-            else:
-                good = (M_bad.astype(np.float32) @ ez_f) < 0.5
+            good = (M_bad.astype(np.float32) @ ez_f) < 0.5
             newly = good.any(axis=0) & ~W[h]
             if newly.any():
                 W_new[h, newly] = True

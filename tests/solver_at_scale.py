@@ -5,8 +5,9 @@ gamma = 0.02 (5,241 escaper by 200 pursuer samples, about 2.8 million
 escaper moves), at r = 2 (an escaper win in 8 sweeps) and r = 4 (a pursuer
 win in 2 sweeps, whose second sweep evaluates 299,180 of the 1,676,247
 moves into changed rows).  The tier-1 tests compare the two solvers on
-small games; the reference takes about half a minute at r = 2 and about
-10 s at r = 4, so this is a script that pytest does not collect:
+small games; the reference counts every reply densely and takes about 9 s
+at r = 2 and about 3 s at r = 4, so this is a script that pytest does not
+collect:
 
     PYTHONPATH=src python -W error::RuntimeWarning tests/solver_at_scale.py
 
@@ -16,8 +17,8 @@ at the first full row) gives the reference's winner, and that the
 tracemalloc peak of ``solve`` stays under
 80 MB: a table keyed over every pair of escaper rows (5,241 squared int32
 entries, 110 MB) would exceed it.  ``solve`` keeps the ranks as packed bit
-planes, so the peak covers no dense rank matrix: about 34.2 MB at r = 2 and
-30.0 MB at r = 4 on a 2-CPU x86-64 host (38.7 and 34.7 MB when every sweep
+planes, so the peak covers no dense rank matrix: about 34.4 MB at r = 2 and
+30.2 MB at r = 4 on a 2-CPU x86-64 host (38.7 and 34.7 MB when every sweep
 wrote an int32 rank).  Prints one line per game, with the time of an
 untraced ``solve`` (tracemalloc charges every allocation, so the traced
 time follows the allocation count more than the solver) and of the first

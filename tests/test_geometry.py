@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from escape_ratio import discrete, geometry
@@ -44,6 +44,7 @@ from conftest import (
     _sorting_boundary_distance2,
     _sorting_point_classes,
     _sorting_segment_visibility,
+    grid_polygons,
     random_convex_polygon,
     random_point_inside,
     reference_classify,
@@ -519,27 +520,8 @@ def _reference_segment_visibility(poly, a, b):
     return inside, avoids
 
 
-@st.composite
-def grid_polygons(draw):
-    """Simple polygons with half-integer vertices, sorted by angle about their mean.
-
-    Candidates that fail validation (spikes along one ray, zero area) are
-    rejected, so every drawn polygon is simple; most are not convex.
-    """
-    k = draw(st.integers(4, 9))
-    cells = draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
-                          min_size=k, max_size=k, unique=True))
-    pts = np.array(cells, dtype=float) / 2
-    rel = pts - pts.mean(axis=0)
-    order = np.lexsort((np.hypot(rel[:, 0], rel[:, 1]), np.arctan2(rel[:, 1], rel[:, 0])))
-    try:
-        return validate_polygon(pts[order])
-    except (SelfIntersecting, ZeroArea, DegenerateEdge):
-        assume(False)
-
-
-# endpoints on the half-integer grid around the polygons above, so segments
-# pass through vertices, run along edges and hit edges at their ends
+# endpoints on the half-integer grid around the polygons of ``grid_polygons``,
+# so segments pass through vertices, run along edges and hit edges at their ends
 grid_points = st.tuples(st.integers(-1, 9), st.integers(-1, 9)).map(
     lambda c: (c[0] / 2, c[1] / 2)
 )
